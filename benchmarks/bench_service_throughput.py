@@ -37,9 +37,10 @@ Run ``python benchmarks/bench_service_throughput.py --help`` for the
 sweep knobs (``--transport <lane>|all``, ``--shards``, ``--dim``,
 ``--rounds``).
 
-Acceptance gates: zero online stalls for the background configurations
-vs >= 1 stall per pool cycle for sync; on a multi-core host, process
-online rounds/sec > 1.5x inline at >= 4 shards.
+Acceptance gate: zero online stalls for the background configurations
+vs >= 1 stall per pool cycle for sync.  The transport sweep gates only
+``aggregates_bit_identical``; it asserts no speedup (the committed
+2-core sweep has process at 1.08x inline, one run per lane).
 """
 
 import argparse

@@ -22,10 +22,13 @@ Layering (see the repo README for the full picture)::
   directly in-process (:class:`InlineTransport`) or pinned in long-lived
   worker processes and driven with :mod:`repro.wire` frames
   (:class:`ProcessPoolTransport`), selected from :class:`ServiceConfig`.
+  Also home of the one scatter-gather every frame lane shares.
 * :mod:`repro.service.socket_transport` / :mod:`.socket_worker` — the
   same frames over TCP: :class:`SocketTransport` drives standalone
   ``repro shard-worker`` hosts (:class:`ShardWorkerServer`) with
   heartbeat supervision and reconnect/re-pin — the multi-host backend.
+* :mod:`repro.service.worker` — the one worker-side request handler,
+  shared by the subprocess workers and the shard-worker hosts.
 * :mod:`repro.service.cohort` — the per-cohort round state machine.
 * :mod:`repro.service.scheduler` — round-robin scheduling of many
   cohorts over the shared refill pipeline.
@@ -54,6 +57,7 @@ from repro.service.transport import (
     InlineTransport,
     ProcessPoolTransport,
     ProcessShardHandle,
+    ShardHandle,
     ShardSessionSpec,
     ShardTransport,
     build_transport,
@@ -73,6 +77,7 @@ __all__ = [
     "RefillMode",
     "ServiceConfig",
     "ServiceMetrics",
+    "ShardHandle",
     "ShardPlan",
     "ShardSessionSpec",
     "ShardTransport",

@@ -238,43 +238,10 @@ class ShardedSession:
             {uid: parts[s] for uid, parts in scattered.items()}
             for s in range(self.plan.num_shards)
         ]
-        misses_before = sum(s.stats.pool_misses for s in self.shard_sessions)
-        shard_results: List[AggregationResult] = self.transport.run_all(
-            per_shard_updates, dropouts, rng, **phase_kwargs
-        )
-        misses_after = sum(s.stats.pool_misses for s in self.shard_sessions)
-        if misses_after > misses_before:
-            self._logical_misses += 1
-
-        survivors = shard_results[0].survivors
-        for s, res in enumerate(shard_results[1:], start=1):
-            if res.survivors != survivors:
-                raise ProtocolError(
-                    f"shard {s} diverged on survivors: {res.survivors} "
-                    f"vs {survivors}"
-                )
-        with span("reconstruct", shards=str(self.plan.num_shards)):
-            aggregate = self.plan.gather(
-                [r.aggregate for r in shard_results]
+        return self._merged(
+            lambda: self.transport.run_all(
+                per_shard_updates, dropouts, rng, **phase_kwargs
             )
-
-            transcript = Transcript()
-            metrics = RoundMetrics()
-            for res in shard_results:
-                transcript.messages.extend(res.transcript.messages)
-                metrics.server_decode_ops += res.metrics.server_decode_ops
-                metrics.server_prg_elements += res.metrics.server_prg_elements
-                metrics.user_encode_ops += res.metrics.user_encode_ops
-                for key, val in res.metrics.extra.items():
-                    metrics.extra[key] = metrics.extra.get(key, 0.0) + val
-
-        self.stats.rounds += 1
-        self._merge_shard_stats()
-        return AggregationResult(
-            aggregate=aggregate,
-            survivors=survivors,
-            transcript=transcript,
-            metrics=metrics,
         )
 
     def drain(
@@ -301,10 +268,18 @@ class ShardedSession:
             np.ascontiguousarray(updates[:, self.plan.slice(s)])
             for s in range(self.plan.num_shards)
         ]
-        misses_before = sum(s.stats.pool_misses for s in self.shard_sessions)
-        shard_results: List[AggregationResult] = self.transport.drain_all(
-            weights, per_shard_updates, set(recovery_dropouts or set())
+        return self._merged(
+            lambda: self.transport.drain_all(
+                weights, per_shard_updates, set(recovery_dropouts or set())
+            )
         )
+
+    def _merged(self, dispatch) -> AggregationResult:
+        """Run ``dispatch()`` (one result per shard) and merge: survivors
+        must agree, aggregates concatenate, transcripts and cost counters
+        sum — the tail every logical shard operation shares."""
+        misses_before = sum(s.stats.pool_misses for s in self.shard_sessions)
+        shard_results: List[AggregationResult] = dispatch()
         misses_after = sum(s.stats.pool_misses for s in self.shard_sessions)
         if misses_after > misses_before:
             self._logical_misses += 1
@@ -320,6 +295,7 @@ class ShardedSession:
             aggregate = self.plan.gather(
                 [r.aggregate for r in shard_results]
             )
+
             transcript = Transcript()
             metrics = RoundMetrics()
             for res in shard_results:

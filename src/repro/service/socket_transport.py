@@ -1,7 +1,8 @@
 """Networked shard execution: the ``socket`` transport backend.
 
-:class:`SocketTransport` drives the same scatter/gather the process
-backend drives, but the shard sessions live behind TCP connections to
+:class:`SocketTransport` rides the same
+:class:`~repro.service.transport.FrameTransport` scatter-gather as the
+process backend, but the shard sessions live behind TCP connections to
 one or more ``repro shard-worker`` hosts (see
 :mod:`repro.service.socket_worker`), speaking :mod:`repro.wire` frames
 reassembled from the byte stream.  Because both backends build sessions
@@ -36,25 +37,20 @@ own traffic even on a shared connection.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import socket
 import threading
-import time
-from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.exceptions import ProtocolError, TransportError, WireError
-from repro.field.arithmetic import FiniteField
-from repro.obs import current_trace, span
 from repro.protocols.base import SessionStats
 from repro.service.socket_worker import parse_address
 from repro.service.transport import (
-    ProcessShardHandle,
+    FrameTransport,
+    ShardHandle,
     ShardSessionSpec,
-    ShardTransport,
-    _absorb_worker_span,
+    _ResponseMux,
 )
 from repro.wire import (
     CAP_BUFFERED_DRAINS,
@@ -63,12 +59,9 @@ from repro.wire import (
     ErrorFrame,
     FrameAssembler,
     Ping,
-    RekeyRequest,
     SessionSetup,
     SessionTeardown,
     SetupAck,
-    ShardDrainRequest,
-    ShardRoundRequest,
     Shutdown,
     decode_message,
     encode_segments,
@@ -77,18 +70,18 @@ from repro.wire import (
 )
 
 
-class SocketShardHandle(ProcessShardHandle):
-    """Session-surface proxy for one shard pinned behind a socket."""
+#: The handle is lane-agnostic; the socket-flavoured name stays importable.
+SocketShardHandle = ShardHandle
 
 
-class _SocketClient:
+class _SocketClient(_ResponseMux):
     """One supervised connection to a worker host, shared by transports.
 
-    Response multiplexing matches the process backend's ``_WorkerClient``
-    (a draining receiver thread routes frames by request id), with two
-    networked additions: a *generation* counter that invalidates requests
-    stranded by a reconnect, and the heartbeat/re-pin machinery described
-    in the module docstring.
+    Response multiplexing is the shared :class:`_ResponseMux` (a draining
+    receiver thread routes frames by request id), with two networked
+    additions: a *generation* counter that invalidates requests stranded
+    by a reconnect, and the heartbeat/re-pin machinery described in the
+    module docstring.
     """
 
     def __init__(
@@ -99,19 +92,16 @@ class _SocketClient:
         connect_timeout_s: float = 10.0,
         setup_timeout_s: float = 60.0,
     ):
+        super().__init__()
         self.address = address
+        self.peer = f"{address[0]}:{address[1]}"
         self.heartbeat_interval_s = float(heartbeat_interval_s)
         self.heartbeat_timeout_s = float(heartbeat_timeout_s)
         self.connect_timeout_s = float(connect_timeout_s)
         self.setup_timeout_s = float(setup_timeout_s)
         self.refs = 0  # guarded by the pool's registry lock
-        self._ids = itertools.count(1)
         self._slots = itertools.count(0)
-        self._cv = threading.Condition()
-        self._responses: Dict[int, Tuple[object, int]] = {}
         self._inflight: Dict[int, int] = {}  # request id -> generation
-        self._abandoned: set = set()  # ids whose response should be dropped
-        self._broken: Optional[BaseException] = None
         self._generation = 0
         self._closed = False
         self._sock: Optional[socket.socket] = None
@@ -131,7 +121,7 @@ class _SocketClient:
         self._start_receiver()
         self._heartbeat = threading.Thread(
             target=self._heartbeat_loop,
-            name=f"socket-client-hb-{address[0]}:{address[1]}",
+            name=f"socket-client-hb-{self.peer}",
             daemon=True,
         )
         self._heartbeat.start()
@@ -146,8 +136,7 @@ class _SocketClient:
             )
         except OSError as exc:
             raise TransportError(
-                f"cannot connect to shard worker at "
-                f"{self.address[0]}:{self.address[1]}: {exc}"
+                f"cannot connect to shard worker at {self.peer}: {exc}"
             ) from exc
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -157,7 +146,7 @@ class _SocketClient:
         thread = threading.Thread(
             target=self._recv_loop,
             args=(self._sock, self._generation),
-            name=f"socket-client-recv-{self.address[0]}:{self.address[1]}",
+            name=f"socket-client-recv-{self.peer}",
             daemon=True,
         )
         thread.start()
@@ -181,13 +170,7 @@ class _SocketClient:
                 if self._generation != generation:
                     return  # a reconnect superseded this socket
                 for (request_id, message), nbytes in decoded:
-                    if request_id in self._abandoned:
-                        # Nobody will ever collect this (its waiter timed
-                        # out or its round aborted); storing it would
-                        # leak the frame until the next reconnect.
-                        self._abandoned.discard(request_id)
-                        continue
-                    self._responses[request_id] = (message, nbytes)
+                    self._store_locked(request_id, message, nbytes)
                 self._cv.notify_all()
 
     def _mark_broken(self, exc: BaseException, generation: int) -> None:
@@ -217,7 +200,6 @@ class _SocketClient:
                 if self._broken is None:
                     return
                 entries = sorted(self._slot_specs.items())
-                requested = self.requested_caps
             sock = self._open_socket()  # raises TransportError on failure
             with self._cv:
                 self._generation += 1
@@ -229,22 +211,7 @@ class _SocketClient:
             self._start_receiver()
             if entries:
                 try:
-                    request_id = self.next_id()
-                    self.send(
-                        SessionSetup(entries, capabilities=requested),
-                        request_id,
-                    )
-                    ack, _ = self.receive(
-                        request_id, timeout=self.setup_timeout_s
-                    )
-                    if isinstance(ack, ErrorFrame):
-                        ack.raise_()
-                    if not isinstance(ack, SetupAck):
-                        raise TransportError(
-                            f"re-pin answered with {type(ack).__name__}"
-                        )
-                    with self._cv:
-                        self.negotiated_caps = ack.capabilities
+                    self.pin(entries, self.setup_timeout_s)
                 except Exception as exc:
                     # A half-pinned connection must not look healthy: no
                     # session is guaranteed to exist behind any slot, so
@@ -269,6 +236,22 @@ class _SocketClient:
             if id(metrics) not in seen:
                 seen.add(id(metrics))
                 metrics.record_transport_reconnect(kind)
+
+    def pin(self, entries, timeout: float) -> SetupAck:
+        """One ``SessionSetup`` round trip: build ``entries``' sessions on
+        the worker and record the capabilities it acknowledges."""
+        with self._cv:
+            requested = self.requested_caps
+        ack = self.request(
+            SessionSetup(entries, capabilities=requested), timeout=timeout
+        )
+        if not isinstance(ack, SetupAck):
+            raise TransportError(
+                f"session setup answered with {type(ack).__name__}"
+            )
+        with self._cv:
+            self.negotiated_caps = ack.capabilities
+        return ack
 
     def close(self) -> None:
         """Shutdown handshake (best-effort) and release the socket.
@@ -303,10 +286,6 @@ class _SocketClient:
     # ------------------------------------------------------------------
     # request plumbing
     # ------------------------------------------------------------------
-    def next_id(self) -> int:
-        with self._cv:
-            return next(self._ids)
-
     def allocate_slots(self, count: int) -> List[int]:
         with self._cv:
             return [next(self._slots) for _ in range(count)]
@@ -331,8 +310,7 @@ class _SocketClient:
             generation = self._generation
             if self._broken is not None or sock is None:
                 raise TransportError(
-                    f"connection to {self.address[0]}:{self.address[1]} is "
-                    f"broken: {self._broken!r}"
+                    f"connection to {self.peer} is broken: {self._broken!r}"
                 )
             self._inflight[request_id] = generation
         try:
@@ -341,54 +319,35 @@ class _SocketClient:
         except OSError as exc:
             self._mark_broken(exc, generation)
             raise TransportError(
-                f"failed to send {type(message).__name__} to "
-                f"{self.address[0]}:{self.address[1]}: {exc}"
+                f"failed to send {type(message).__name__} to {self.peer}: "
+                f"{exc}"
             ) from exc
         return nbytes
 
     def receive(self, request_id: int, timeout: Optional[float] = None):
-        """Block for one response; returns ``(message, frame_bytes)``."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cv:
-            while True:
-                if request_id in self._responses:
-                    self._inflight.pop(request_id, None)
-                    return self._responses.pop(request_id)
-                if self._broken is not None:
-                    self._inflight.pop(request_id, None)  # nobody retries it
-                    raise TransportError(
-                        f"connection to {self.address[0]}:{self.address[1]} "
-                        f"broken with response {request_id} outstanding: "
-                        f"{self._broken!r}"
-                    )
-                stamped = self._inflight.get(request_id)
-                if stamped is not None and stamped != self._generation:
-                    self._inflight.pop(request_id, None)
-                    raise TransportError(
-                        f"response {request_id} was lost to a reconnect; "
-                        f"the request must be retried on the new session"
-                    )
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        self._abandon_locked(request_id)
-                        raise TransportError(
-                            f"timed out awaiting response {request_id} from "
-                            f"{self.address[0]}:{self.address[1]}"
-                        )
-                self._cv.wait(remaining)
+        try:
+            return super().receive(request_id, timeout=timeout)
+        finally:
+            # Collected, lost, or timed out: either way nobody retries it.
+            with self._cv:
+                self._inflight.pop(request_id, None)
+
+    def _lost_locked(self, request_id: int) -> Optional[str]:
+        stamped = self._inflight.get(request_id)
+        if (
+            self._broken is None
+            and stamped is not None
+            and stamped != self._generation
+        ):
+            return (
+                f"response {request_id} was lost to a reconnect; the "
+                f"request must be retried on the new session"
+            )
+        return super()._lost_locked(request_id)
 
     def _abandon_locked(self, request_id: int) -> None:
-        """Drop all bookkeeping for a request nobody will collect."""
         self._inflight.pop(request_id, None)
-        if self._responses.pop(request_id, None) is None:
-            self._abandoned.add(request_id)
-
-    def abandon(self, request_id: int) -> None:
-        """Public form of :meth:`_abandon_locked` for aborted scatters."""
-        with self._cv:
-            self._abandon_locked(request_id)
+        super()._abandon_locked(request_id)
 
     def request(self, message, timeout: Optional[float] = None):
         """Convenience: send + receive one frame, raising remote errors."""
@@ -496,7 +455,7 @@ class _ClientPool:
 _POOL = _ClientPool()
 
 
-class SocketTransport(ShardTransport):
+class SocketTransport(FrameTransport):
     """Shard sessions pinned behind TCP connections to worker hosts.
 
     ``connect`` lists worker addresses (``host:port``); shards are
@@ -521,29 +480,14 @@ class SocketTransport(ShardTransport):
         wire_format: str = "raw",
         tracing: bool = True,
     ):
-        if not specs:
-            raise ProtocolError("transport needs at least one shard spec")
+        super().__init__(specs, metrics, cohort_id, wire_format, tracing)
         if not connect:
             raise ProtocolError(
                 "the socket transport needs at least one worker address "
                 "(connect=['host:port', ...])"
             )
-        if wire_format not in ("raw", "packed"):
-            raise ProtocolError(
-                f"unknown wire format {wire_format!r}; expected 'raw' or "
-                f"'packed'"
-            )
-        self.wire_format = wire_format
-        self.tracing = bool(tracing)
-        self.specs = list(specs)
         self.addresses = [parse_address(a) for a in connect]
         self.request_timeout_s = request_timeout_s
-        self._metrics = metrics
-        self._cohort_id = int(cohort_id)
-        self._gf = FiniteField(self.specs[0].field_modulus)
-        self._round_ids = itertools.count(0)
-        self._closed = False
-        self._close_lock = threading.Lock()
         self._shared = bool(share_connections)
 
         client_kwargs = dict(
@@ -552,7 +496,7 @@ class SocketTransport(ShardTransport):
             setup_timeout_s=setup_timeout_s,
         )
         # Every container exists before any client is acquired, so the
-        # except-path _release_clients can always run — a dead address
+        # except-path _shutdown can always run — a dead address
         # in the middle of `connect` must release (not leak) the
         # refcounts of clients already acquired.
         self._client_of: List[_SocketClient] = []
@@ -592,7 +536,7 @@ class SocketTransport(ShardTransport):
                 # trip: a connection break landing between the ack and a
                 # later registration would replay a SessionSetup missing
                 # these slots, stranding them forever on a connection
-                # that then looks healthy.  (On failure, _release_clients
+                # that then looks healthy.  (On failure, _shutdown
                 # removes them again.)
                 with client._cv:
                     client._slot_specs.update(entries)
@@ -605,54 +549,34 @@ class SocketTransport(ShardTransport):
                 ):
                     client.request_capability(CAP_BUFFERED_DRAINS)
                 client.ensure_connected()  # a pooled client may be broken
-                with client._cv:
-                    requested = client.requested_caps
-                ack = client.request(
-                    SessionSetup(entries, capabilities=requested),
-                    timeout=setup_timeout_s,
-                )
-                if not isinstance(ack, SetupAck) or set(ack.slots) != set(
-                    slots
-                ):
+                ack = client.pin(entries, setup_timeout_s)
+                if set(ack.slots) != set(slots):
                     raise TransportError(
-                        f"worker at {client.address} acknowledged slots "
-                        f"{getattr(ack, 'slots', ack)}, expected {slots}"
+                        f"worker at {client.peer} acknowledged slots "
+                        f"{ack.slots}, expected {slots}"
                     )
-                with client._cv:
-                    client.negotiated_caps = ack.capabilities
-                listener = self._make_repin_listener(client)
+                listener = functools.partial(self._on_repin, client)
                 client.add_repin_listener(listener)
                 self._listeners.append((client, listener))
                 if self._metrics is not None:
                     client.add_reconnect_sink(self._metrics, self.kind)
         except BaseException:
-            self._release_clients()
+            self._shutdown()
             raise
 
-        self._handles = [
-            SocketShardHandle(self, shard, spec)
-            for shard, spec in enumerate(self.specs)
-        ]
-
-    def _make_repin_listener(self, client: _SocketClient):
-        def _on_repin() -> None:
-            # The worker rebuilt this connection's sessions from their
-            # specs: fresh pools, fresh counters.  Reset the local caches
-            # to match.  (The reconnect itself is counted once per
-            # physical connection by the client's reconnect sinks.)
-            for shard, owner in enumerate(self._client_of):
-                if owner is client and hasattr(self, "_handles"):
-                    self._handles[shard]._absorb(0, SessionStats(), closed=False)
-
-        return _on_repin
+    def _on_repin(self, client: _SocketClient) -> None:
+        # The worker rebuilt this connection's sessions from their
+        # specs: fresh pools, fresh counters.  Reset the local caches
+        # to match.  (The reconnect itself is counted once per
+        # physical connection by the client's reconnect sinks.)
+        for shard, owner in enumerate(self._client_of):
+            if owner is client:
+                self._handles[shard]._absorb(0, SessionStats(), closed=False)
 
     # ------------------------------------------------------------------
-    # plumbing (the handle surface calls these)
+    # what the shared scatter-gather asks of this lane
     # ------------------------------------------------------------------
-    def _request(self, shard_id: int, message) -> Tuple[int, int]:
-        if self._closed:
-            raise ProtocolError("session is closed")
-        client = self._client_of[shard_id]
+    def _address(self, client: _SocketClient, shard_id: int, message) -> None:
         # Route by slot: the wire's shard_id field addresses the slot the
         # worker pinned this shard's session at (connection-unique, so
         # several cohorts can share the connection).
@@ -674,27 +598,30 @@ class SocketTransport(ShardTransport):
             CAP_ROUND_TRACING
         ):
             message.trace_id = 0
-        request_id = client.next_id()
-        nbytes = client.send(message, request_id)
-        return request_id, nbytes
 
-    def _await(self, shard_id: int, request_id: int,
-               timeout: Optional[float] = None):
-        return self._client_of[shard_id].receive(
-            request_id,
-            timeout=self.request_timeout_s if timeout is None else timeout,
-        )
+    def _client(self, shard_id: int) -> _SocketClient:
+        return self._client_of[shard_id]
 
-    # ------------------------------------------------------------------
-    # ShardTransport surface
-    # ------------------------------------------------------------------
-    @property
-    def shard_handles(self) -> Sequence[SocketShardHandle]:
-        return self._handles
+    def _require_buffered(self, shard_id: int, what: str) -> None:
+        client = self._client_of[shard_id]
+        client.ensure_connected()
+        if not client.supports(CAP_BUFFERED_DRAINS):
+            # Unlike packed/tracing there is no raw fallback frame an old
+            # worker could serve, so fail loud.
+            raise TransportError(
+                f"worker at {client.peer} does not support {what} "
+                "(CAP_BUFFERED_DRAINS not acknowledged)"
+            )
 
-    @property
-    def gf(self) -> FiniteField:
-        return self._gf
+    def _respec(self, shard_id: int, spec: ShardSessionSpec) -> None:
+        # The client's re-pin registry is one more stored copy: a
+        # reconnect after the re-key must replay a ``SessionSetup``
+        # carrying the *new* geometry.
+        super()._respec(shard_id, spec)
+        client, slot = self._client_of[shard_id], self._slot_of[shard_id]
+        with client._cv:
+            if slot in client._slot_specs:
+                client._slot_specs[slot] = spec
 
     @property
     def num_workers(self) -> int:
@@ -704,267 +631,9 @@ class SocketTransport(ShardTransport):
     def workers_alive(self) -> int:
         return sum(1 for client in self._clients if client.alive)
 
-    def run_all(self, per_shard_updates, dropouts, rng=None, **phase_kwargs):
-        """Scatter one round request per shard, then gather every result.
-
-        Mirrors the process backend (``rng`` cannot cross the wire and is
-        ignored; every response is drained so the connections stay
-        request-free after a failed round), and additionally survives a
-        *lost* shard: a connection that breaks mid-round fails that
-        shard's gather with :class:`TransportError`, the remaining
-        shards' responses are still collected, and the first error is
-        raised once the drain completes.
-        """
-        if self._closed:
-            raise ProtocolError("session is closed")
-        if len(per_shard_updates) != len(self.specs):
-            raise ProtocolError(
-                f"expected {len(self.specs)} shard update dicts, got "
-                f"{len(per_shard_updates)}"
-            )
-        offline_dropouts = phase_kwargs.pop("offline_dropouts", None)
-        if phase_kwargs:
-            raise TransportError(
-                "the socket transport cannot forward phase kwargs "
-                f"{sorted(phase_kwargs)} over the wire"
-            )
-        t0 = time.perf_counter()
-        round_id = next(self._round_ids)
-        trace = current_trace() if self.tracing else None
-        pending: List[Tuple[int, int]] = []
-        bytes_sent = 0
-        try:
-            with span("shard_scatter", transport=self.kind):
-                for shard_id, updates in enumerate(per_shard_updates):
-                    request = ShardRoundRequest.from_updates(
-                        self._slot_of[shard_id], round_id, updates, dropouts,
-                        offline_dropouts,
-                        packed=self.wire_format == "packed",
-                    )
-                    if trace is not None:
-                        request.trace_id = trace.trace_id
-                    request_id, nbytes = self._request(shard_id, request)
-                    bytes_sent += nbytes
-                    pending.append((shard_id, request_id))
-        except BaseException:
-            # An aborted scatter (one connection down) must not strand
-            # the requests already sent to healthy workers: abandon them
-            # so their responses are dropped on arrival, not leaked.
-            for shard_id, request_id in pending:
-                self._client_of[shard_id].abandon(request_id)
-            raise
-
-        results = []
-        first_error: Optional[BaseException] = None
-        error_frame: Optional[ErrorFrame] = None
-        stalled_shards = 0
-        bytes_received = 0
-        with span("shard_gather", transport=self.kind):
-            for shard_id, request_id in pending:
-                try:
-                    message, nbytes = self._await(shard_id, request_id)
-                except TransportError as exc:
-                    if first_error is None:
-                        first_error = exc
-                    results.append(None)
-                    continue
-                bytes_received += nbytes
-                if isinstance(message, ErrorFrame):
-                    if error_frame is None:
-                        error_frame = message
-                    results.append(None)
-                    continue
-                handle = self._handles[shard_id]
-                handle._absorb(message.pool_level, message.stats)
-                stalled_shards += int(message.stalled)
-                _absorb_worker_span(
-                    trace, shard_id, message.worker_span, self.kind
-                )
-                results.append(message.to_result())
-        if self._metrics is not None:
-            self._metrics.record_transport_round(
-                self.kind,
-                time.perf_counter() - t0,
-                bytes_sent=bytes_sent,
-                bytes_received=bytes_received,
-                stalled_shards=stalled_shards,
-            )
-        # Library errors (a shard's DropoutError crossing the wire) take
-        # precedence; a torn connection surfaces as TransportError.
-        if error_frame is not None:
-            error_frame.raise_()
-        if first_error is not None:
-            raise first_error
-        return results
-
-    def drain_all(self, weights, per_shard_updates, recovery_dropouts):
-        """Scatter one buffered drain per shard, then gather every result.
-
-        Error handling matches :meth:`run_all`: an aborted scatter
-        abandons already-sent requests, a torn connection fails that
-        shard's gather without stranding the others, and library errors
-        crossing the wire take precedence over transport errors.
-        """
-        if self._closed:
-            raise ProtocolError("session is closed")
-        if len(per_shard_updates) != len(self.specs):
-            raise ProtocolError(
-                f"expected {len(self.specs)} shard update slices, got "
-                f"{len(per_shard_updates)}"
-            )
-        t0 = time.perf_counter()
-        drain_id = next(self._round_ids)
-        trace = current_trace() if self.tracing else None
-        weights = np.asarray(weights, dtype=np.uint64)
-        pending: List[Tuple[int, int]] = []
-        bytes_sent = 0
-        try:
-            with span("shard_scatter", transport=self.kind):
-                for shard_id, updates in enumerate(per_shard_updates):
-                    client = self._client_of[shard_id]
-                    client.ensure_connected()
-                    if not client.supports(CAP_BUFFERED_DRAINS):
-                        # Unlike packed/tracing there is no raw fallback
-                        # frame an old worker could serve, so fail loud.
-                        raise TransportError(
-                            f"worker at {client.address[0]}:"
-                            f"{client.address[1]} does not support "
-                            "buffered drains (CAP_BUFFERED_DRAINS not "
-                            "acknowledged)"
-                        )
-                    request = ShardDrainRequest(
-                        shard_id=self._slot_of[shard_id],
-                        drain_id=drain_id,
-                        weights=weights,
-                        updates=updates,
-                        recovery_dropouts=set(recovery_dropouts),
-                        packed=self.wire_format == "packed",
-                    )
-                    if trace is not None:
-                        request.trace_id = trace.trace_id
-                    request_id, nbytes = self._request(shard_id, request)
-                    bytes_sent += nbytes
-                    pending.append((shard_id, request_id))
-        except BaseException:
-            for shard_id, request_id in pending:
-                self._client_of[shard_id].abandon(request_id)
-            raise
-
-        results = []
-        first_error: Optional[BaseException] = None
-        error_frame: Optional[ErrorFrame] = None
-        stalled_shards = 0
-        bytes_received = 0
-        with span("shard_gather", transport=self.kind):
-            for shard_id, request_id in pending:
-                try:
-                    message, nbytes = self._await(shard_id, request_id)
-                except TransportError as exc:
-                    if first_error is None:
-                        first_error = exc
-                    results.append(None)
-                    continue
-                bytes_received += nbytes
-                if isinstance(message, ErrorFrame):
-                    if error_frame is None:
-                        error_frame = message
-                    results.append(None)
-                    continue
-                handle = self._handles[shard_id]
-                handle._absorb(message.pool_level, message.stats)
-                stalled_shards += int(message.stalled)
-                _absorb_worker_span(
-                    trace, shard_id, message.worker_span, self.kind
-                )
-                results.append(message.to_result())
-        if self._metrics is not None:
-            self._metrics.record_transport_round(
-                self.kind,
-                time.perf_counter() - t0,
-                bytes_sent=bytes_sent,
-                bytes_received=bytes_received,
-                stalled_shards=stalled_shards,
-            )
-        if error_frame is not None:
-            error_frame.raise_()
-        if first_error is not None:
-            raise first_error
-        return results
-
-    def rekey_all(self, num_users: int) -> int:
-        """Re-key every shard's worker session for a new member count.
-
-        Besides the worker round trips, every stored copy of the shard
-        specs is refreshed — ``self.specs``, the handles, and the
-        client's re-pin registry — so a reconnect after the re-key
-        replays a ``SessionSetup`` carrying the *new* geometry.
-        """
-        if self._closed:
-            raise ProtocolError("session is closed")
-        invalidated = 0
-        first_error: Optional[BaseException] = None
-        error_frame: Optional[ErrorFrame] = None
-        for shard_id in range(len(self.specs)):
-            client = self._client_of[shard_id]
-            slot = self._slot_of[shard_id]
-            try:
-                client.ensure_connected()
-                if not client.supports(CAP_BUFFERED_DRAINS):
-                    raise TransportError(
-                        f"worker at {client.address[0]}:"
-                        f"{client.address[1]} does not support re-keying "
-                        "(CAP_BUFFERED_DRAINS not acknowledged)"
-                    )
-                request_id, _ = self._request(
-                    shard_id, RekeyRequest(slot, num_users)
-                )
-                message, _ = self._await(shard_id, request_id)
-            except TransportError as exc:
-                if first_error is None:
-                    first_error = exc
-                continue
-            if isinstance(message, ErrorFrame):
-                if error_frame is None:
-                    error_frame = message
-                continue
-            invalidated += max(0, -int(message.rounds_added))
-            new_spec = replace(self.specs[shard_id], num_users=num_users)
-            self.specs[shard_id] = new_spec
-            self._handles[shard_id].spec = new_spec
-            self._handles[shard_id]._absorb(
-                message.pool_level, message.stats, message.closed
-            )
-            with client._cv:
-                if slot in client._slot_specs:
-                    client._slot_specs[slot] = new_spec
-        if error_frame is not None:
-            error_frame.raise_()
-        if first_error is not None:
-            raise first_error
-        return invalidated
-
-    def refill_all(self, rounds: Optional[int] = None) -> int:
-        """Scatter refills to every shard, then join (encodes overlap)."""
-        tickets = []
-        first_error: Optional[BaseException] = None
-        for handle in self._handles:
-            try:
-                tickets.append((handle, handle.refill_begin(rounds)))
-            except (ProtocolError, TransportError) as exc:
-                if first_error is None:
-                    first_error = exc
-        added_max = 0
-        for handle, ticket in tickets:
-            try:
-                added_max = max(added_max, handle.refill_join(ticket))
-            except (ProtocolError, TransportError) as exc:
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-        return added_max
-
-    def _release_clients(self) -> None:
+    def _shutdown(self) -> None:
+        """Release this transport's slots and client references (also the
+        constructor's failure path, so it tolerates partial state)."""
         for client, listener in self._listeners:
             client.remove_repin_listener(listener)
             if self._metrics is not None:
@@ -996,22 +665,3 @@ class SocketTransport(ShardTransport):
                 client.close()
         self._clients = []
         self._client_of = []
-
-    def close(self) -> None:
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._release_clients()
-        for handle in getattr(self, "_handles", []):
-            handle.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __del__(self):
-        try:
-            self.close()
-        except Exception:
-            pass

@@ -20,6 +20,10 @@ Execution model, per connection (mirroring ``_worker_serve`` in
 * A *refill* thread runs pool top-ups, so refills overlap rounds on the
   same connection (the session's pool lock is the only coupling).
 
+What a shard request *means* is not decided here: both serving threads
+hand it to :func:`repro.service.worker.serve_request`, the handler the
+subprocess workers use too.
+
 Sessions are built *here*, from declarative
 :class:`~repro.service.transport.ShardSessionSpec` entries carried by
 :class:`~repro.wire.SessionSetup` frames — nothing live ever crosses
@@ -40,7 +44,7 @@ sessions from the specs.
 
 from __future__ import annotations
 
-import os
+import functools
 import queue
 import socket
 import threading
@@ -49,31 +53,22 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import TransportError, WireError
 from repro.field.arithmetic import FiniteField
+from repro.service.worker import serve_request
 from repro.wire import (
     SUPPORTED_CAPABILITIES,
-    WorkerSpan,
     ErrorFrame,
     FrameAssembler,
     Ping,
-    PoolSnapshot,
     RefillRequest,
-    RekeyRequest,
     SessionSetup,
     SessionTeardown,
     SetupAck,
-    ShardDrainRequest,
-    ShardRoundRequest,
-    ShardRoundResult,
-    SnapshotRequest,
     Shutdown,
     decode_message,
     encode_segments,
     recv_frames,
     send_segments,
 )
-
-
-_HOSTNAME = socket.gethostname()
 
 
 def parse_address(text: str) -> Tuple[str, int]:
@@ -107,12 +102,12 @@ class _Connection:
                 daemon=True,
             ),
             threading.Thread(
-                target=self._round_loop, name=f"shard-host-round-{peer}",
-                daemon=True,
+                target=self._serve_loop, args=(self._round_queue,),
+                name=f"shard-host-round-{peer}", daemon=True,
             ),
             threading.Thread(
-                target=self._refill_loop, name=f"shard-host-refill-{peer}",
-                daemon=True,
+                target=self._serve_loop, args=(self._refill_queue,),
+                name=f"shard-host-refill-{peer}", daemon=True,
             ),
         ]
 
@@ -134,17 +129,6 @@ class _Connection:
                 f"no session pinned at slot {slot}; send SessionSetup first"
             )
         return session
-
-    def _snapshot_of(self, slot: int, rounds_added: int = 0) -> PoolSnapshot:
-        state = self._session(slot).state_snapshot()
-        return PoolSnapshot(
-            shard_id=slot,
-            pool_level=state["pool_level"],
-            pool_size=state["pool_size"],
-            rounds_added=rounds_added,
-            closed=state["closed"],
-            stats=state["stats"],
-        )
 
     # ------------------------------------------------------------------
     # receive thread: dispatch; heartbeats answered here, instantly
@@ -185,32 +169,20 @@ class _Connection:
             except OSError:
                 pass
             return True
-        if isinstance(message, RefillRequest):
-            self._refill_queue.put((request_id, message))
-            return False
-        if isinstance(
-            message,
-            (ShardRoundRequest, ShardDrainRequest, RekeyRequest,
-             SnapshotRequest, SessionSetup, SessionTeardown),
-        ):
-            # Session builds can take seconds at large pool geometries;
-            # running them (like rounds) on the serving thread keeps this
-            # recv thread free to echo heartbeats, so a slow re-pin is
-            # never mistaken for a dead connection.  The enqueue stamp is
-            # where a traced round's queue-wait clock starts: the dwell
-            # between arrival here and the round thread picking it up is
-            # real cross-shard head-of-line blocking.
-            self._round_queue.put((request_id, message, time.time()))
-            return False
-        self._send(
-            ErrorFrame.from_exception(
-                0,
-                TransportError(
-                    f"worker host cannot serve {type(message).__name__}"
-                ),
-            ),
-            request_id,
+        # Everything else is served off this thread.  Session builds can
+        # take seconds at large pool geometries; running them (like
+        # rounds) on the serving thread keeps this recv thread free to
+        # echo heartbeats, so a slow re-pin is never mistaken for a dead
+        # connection.  The enqueue stamp is where a traced round's
+        # queue-wait clock starts: the dwell between arrival here and the
+        # round thread picking it up is real cross-shard head-of-line
+        # blocking.
+        work = (
+            self._refill_queue
+            if isinstance(message, RefillRequest)
+            else self._round_queue
         )
+        work.put((request_id, message, time.time()))
         return False
 
     def _pin(self, slot: int, spec) -> int:
@@ -237,175 +209,35 @@ class _Connection:
     # ------------------------------------------------------------------
     # serving threads
     # ------------------------------------------------------------------
-    def _round_loop(self) -> None:
-        while True:
-            item = self._round_queue.get()
-            if item is None:
-                return
-            request_id, message, enqueued_at = item
+    def _serve_loop(self, work: "queue.Queue") -> None:
+        """Serve one queue's requests in arrival order (round or refill
+        thread); shard requests go to the handler every lane shares."""
+        for request_id, message, enqueued_at in iter(work.get, None):
+            reply = functools.partial(self._send, request_id=request_id)
             try:
-                if isinstance(message, SessionSetup):
-                    slots = [
-                        self._pin(slot, spec)
-                        for slot, spec in message.entries
-                    ]
-                    # Capability negotiation: grant the intersection of
-                    # what the coordinator asked for and what this server
-                    # was built to speak (capabilities=0 emulates an old
-                    # worker — the coordinator then falls back to raw).
-                    self._send(
-                        SetupAck(
-                            slots,
-                            capabilities=(
-                                message.capabilities
-                                & self.server.capabilities
-                            ),
-                        ),
-                        request_id,
-                    )
-                    continue
-                if isinstance(message, SessionTeardown):
-                    self._send(
-                        SetupAck(self._unpin(message.slots)), request_id
-                    )
-                    continue
-                if isinstance(message, SnapshotRequest):
-                    self._send(self._snapshot_of(message.shard_id), request_id)
-                    continue
-                if isinstance(message, RekeyRequest):
-                    session = self._session(message.shard_id)
-                    if not hasattr(session, "rekey"):
-                        raise TransportError(
-                            f"slot {message.shard_id} session does not "
-                            "support re-keying"
-                        )
-                    invalidated = session.rekey(message.num_users)
-                    self._send(
-                        self._snapshot_of(
-                            message.shard_id, rounds_added=-invalidated
-                        ),
-                        request_id,
-                    )
-                    continue
-                if isinstance(message, ShardDrainRequest):
-                    session = self._session(message.shard_id)
-                    if not hasattr(session, "drain"):
-                        raise TransportError(
-                            f"slot {message.shard_id} session does not "
-                            "support drains"
-                        )
-                    state = session.state_snapshot()
-                    stalled = bool(
-                        state["supports_pool"] and state["pool_level"] == 0
-                    )
-                    compute_start = time.time() if message.trace_id else 0.0
-                    result = session.drain(
-                        message.weights,
-                        message.updates,
-                        set(message.recovery_dropouts),
-                    )
-                    worker_span = None
-                    if message.trace_id:
-                        worker_span = WorkerSpan(
-                            trace_id=message.trace_id,
-                            pid=os.getpid(),
-                            host=_HOSTNAME,
-                            queue_wait_seconds=max(
-                                0.0, compute_start - enqueued_at
-                            ),
-                            compute_start_unix=compute_start,
-                            compute_seconds=time.time() - compute_start,
-                        )
-                    after = session.state_snapshot()
-                    self._send(
-                        ShardRoundResult.from_result(
-                            message.shard_id,
-                            message.drain_id,
-                            result,
-                            stalled=stalled,
-                            pool_level=after["pool_level"],
-                            stats=after["stats"],
-                            packed=message.packed,
-                            worker_span=worker_span,
-                        ),
-                        request_id,
-                    )
-                    continue
-                session = self._session(message.shard_id)
-                state = session.state_snapshot()
-                stalled = bool(
-                    state["supports_pool"] and state["pool_level"] == 0
-                )
-                compute_start = time.time() if message.trace_id else 0.0
-                result = session.run_round(
-                    message.updates_dict(),
-                    set(message.dropouts),
-                    None,
-                    **(
-                        {"offline_dropouts": message.offline_dropouts}
-                        if message.offline_dropouts
-                        else {}
-                    ),
-                )
-                worker_span = None
-                if message.trace_id:
-                    worker_span = WorkerSpan(
-                        trace_id=message.trace_id,
-                        pid=os.getpid(),
-                        host=_HOSTNAME,
-                        queue_wait_seconds=max(
-                            0.0, compute_start - enqueued_at
-                        ),
-                        compute_start_unix=compute_start,
-                        compute_seconds=time.time() - compute_start,
-                    )
-                after = session.state_snapshot()
-                self._send(
-                    ShardRoundResult.from_result(
-                        message.shard_id,
-                        message.round_id,
-                        result,
-                        stalled=stalled,
-                        pool_level=after["pool_level"],
-                        stats=after["stats"],
-                        # mirror the request's encoding: packed replies
-                        # only to peers that sent packed requests
-                        packed=message.packed,
-                        worker_span=worker_span,
-                    ),
-                    request_id,
-                )
+                if isinstance(message, (SessionSetup, SessionTeardown)):
+                    reply(self._apply_setup(message))
+                else:
+                    serve_request(message, self._session, reply, enqueued_at)
             except OSError:
                 return  # peer gone mid-response
-            except Exception as exc:  # noqa: BLE001 - forwarded to peer
-                self._send_error(
-                    getattr(message, "shard_id", 0), exc, request_id
-                )
 
-    def _refill_loop(self) -> None:
-        while True:
-            item = self._refill_queue.get()
-            if item is None:
-                return
-            request_id, message = item
-            try:
-                session = self._session(message.shard_id)
-                added = session.refill(message.rounds)
-                self._send(
-                    self._snapshot_of(message.shard_id, rounds_added=added),
-                    request_id,
-                )
-            except OSError:
-                return
-            except Exception as exc:  # noqa: BLE001 - forwarded to peer
-                self._send_error(message.shard_id, exc, request_id)
-
-    def _send_error(self, slot: int, exc: BaseException,
-                    request_id: int) -> None:
+    def _apply_setup(self, message):
+        """Apply a SessionSetup/SessionTeardown; returns its reply."""
         try:
-            self._send(ErrorFrame.from_exception(slot, exc), request_id)
-        except OSError:
-            pass
+            if isinstance(message, SessionTeardown):
+                return SetupAck(self._unpin(message.slots))
+            slots = [self._pin(slot, spec) for slot, spec in message.entries]
+            # Capability negotiation: grant the intersection of what the
+            # coordinator asked for and what this server was built to
+            # speak (capabilities=0 emulates an old worker — the
+            # coordinator then falls back to raw).
+            return SetupAck(
+                slots,
+                capabilities=message.capabilities & self.server.capabilities,
+            )
+        except Exception as exc:  # noqa: BLE001 - forwarded to peer
+            return ErrorFrame.from_exception(0, exc)
 
     # ------------------------------------------------------------------
     # teardown

@@ -22,11 +22,17 @@ drives either:
   shard-worker`` hosts, adding heartbeat supervision and reconnect with
   session re-pin; the multi-host deployment backend.
 
+The two frame-speaking lanes share one coordinator
+(:class:`FrameTransport`: the scatter-gather for rounds, drains, re-keys
+and refills, written once over a lane's request/await channel) and one
+worker-side handler (:func:`repro.service.worker.serve_request`); a lane
+adds only its channel and lifecycle.
+
 Both backends expose the per-shard sessions as *handles* with the
 :class:`~repro.protocols.base.ProtocolSession` pool surface
 (``pool_level`` / ``needs_refill`` / ``refill`` / ``stats`` ...), so the
 background refiller and the metrics layer treat local sessions and
-remote workers uniformly.  Process handles serve those properties from a
+remote workers uniformly.  Remote handles serve those properties from a
 cache refreshed by every frame that crosses the wire — polling
 ``needs_refill`` never costs a round trip.
 
@@ -51,7 +57,6 @@ import itertools
 import multiprocessing
 import os
 import queue
-import socket as _socket
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -64,25 +69,21 @@ from repro.field.arithmetic import FiniteField
 from repro.field.prime import DEFAULT_PRIME
 from repro.obs import Span, current_trace, span
 from repro.protocols.base import AggregationResult, SessionStats
+from repro.service.worker import HOSTNAME, require_support, serve_request
 from repro.wire import (
     ErrorFrame,
-    PoolSnapshot,
     RefillRequest,
     RekeyRequest,
     SegmentArena,
     ShardDrainRequest,
     ShardRoundRequest,
-    ShardRoundResult,
     ShmArrayRef,
     ShmRegistry,
     SnapshotRequest,
     Shutdown,
-    WorkerSpan,
     decode_message,
     encode_message,
 )
-
-_HOSTNAME = _socket.gethostname()
 
 TRANSPORT_KINDS = ("inline", "process", "socket", "shm")
 
@@ -239,7 +240,7 @@ class ShardTransport(abc.ABC):
         """Re-key every shard for a new member count; returns the total
         pooled rounds invalidated (buffered sessions only)."""
         raise TransportError(
-            f"{self.kind} transport does not support buffered drains"
+            f"{self.kind} transport does not support re-keying"
         )
 
     @abc.abstractmethod
@@ -252,7 +253,12 @@ class ShardTransport(abc.ABC):
 
 
 class InlineTransport(ShardTransport):
-    """Direct calls into sessions owned by this process (the baseline)."""
+    """Direct calls into sessions owned by this process (the baseline).
+
+    Deliberately *not* routed through message objects: that would add an
+    ``N x d`` stack copy to every round and lose rng / ``phase_kwargs``
+    forwarding.  Rounds and drains share one per-shard loop instead.
+    """
 
     kind = "inline"
 
@@ -285,7 +291,13 @@ class InlineTransport(ShardTransport):
     def gf(self) -> FiniteField:
         return self._sessions[0].gf
 
-    def run_all(self, per_shard_updates, dropouts, rng=None, **phase_kwargs):
+    def _each_shard(self, per_shard_updates, call) -> List[AggregationResult]:
+        """Run ``call(shard_id, session, updates)`` on every shard in order."""
+        if len(per_shard_updates) != len(self._sessions):
+            raise ProtocolError(
+                f"expected {len(self._sessions)} shard update slices, got "
+                f"{len(per_shard_updates)}"
+            )
         t0 = time.perf_counter()
         misses_before = sum(s.stats.pool_misses for s in self._sessions)
         results = []
@@ -297,14 +309,10 @@ class InlineTransport(ShardTransport):
             with span(
                 f"shard_compute[{shard_id}]",
                 pid=str(os.getpid()),
-                host=_HOSTNAME,
+                host=HOSTNAME,
                 transport=self.kind,
             ):
-                results.append(
-                    session.run_round(
-                        updates, set(dropouts), rng, **phase_kwargs
-                    )
-                )
+                results.append(call(shard_id, session, updates))
         if self._metrics is not None:
             # A shard whose round ran an inline refill is a stalled shard,
             # the same quantity the process backend reports per round.
@@ -318,52 +326,28 @@ class InlineTransport(ShardTransport):
             )
         return results
 
+    def run_all(self, per_shard_updates, dropouts, rng=None, **phase_kwargs):
+        return self._each_shard(
+            per_shard_updates,
+            lambda shard_id, session, updates: session.run_round(
+                updates, set(dropouts), rng, **phase_kwargs
+            ),
+        )
+
     def refill_all(self, rounds: Optional[int] = None) -> int:
         return max(session.refill(rounds) for session in self._sessions)
 
     def drain_all(self, weights, per_shard_updates, recovery_dropouts):
-        if len(per_shard_updates) != len(self._sessions):
-            raise ProtocolError(
-                f"expected {len(self._sessions)} shard update slices, got "
-                f"{len(per_shard_updates)}"
-            )
-        t0 = time.perf_counter()
-        misses_before = sum(s.stats.pool_misses for s in self._sessions)
-        results = []
-        for shard_id, (session, updates) in enumerate(
-            zip(self._sessions, per_shard_updates)
-        ):
-            if not hasattr(session, "drain"):
-                raise TransportError(
-                    f"shard {shard_id} session does not support drains"
-                )
-            with span(
-                f"shard_compute[{shard_id}]",
-                pid=str(os.getpid()),
-                host=_HOSTNAME,
-                transport=self.kind,
-            ):
-                results.append(
-                    session.drain(weights, updates, set(recovery_dropouts))
-                )
-        if self._metrics is not None:
-            stalled = (
-                sum(s.stats.pool_misses for s in self._sessions)
-                - misses_before
-            )
-            self._metrics.record_transport_round(
-                self.kind, time.perf_counter() - t0, bytes_sent=0,
-                bytes_received=0, stalled_shards=stalled,
-            )
-        return results
+        def drain(shard_id, session, updates):
+            require_support(session, shard_id, "drain", "drains")
+            return session.drain(weights, updates, set(recovery_dropouts))
+
+        return self._each_shard(per_shard_updates, drain)
 
     def rekey_all(self, num_users: int) -> int:
         invalidated = 0
         for shard_id, session in enumerate(self._sessions):
-            if not hasattr(session, "rekey"):
-                raise TransportError(
-                    f"shard {shard_id} session does not support re-keying"
-                )
+            require_support(session, shard_id, "rekey", "re-keying")
             invalidated += session.rekey(num_users)
         return invalidated
 
@@ -377,285 +361,50 @@ class InlineTransport(ShardTransport):
 
 
 # ----------------------------------------------------------------------
-# process backend: worker side
+# frame-speaking lanes: the shared coordinator side
 # ----------------------------------------------------------------------
-def _worker_serve(conn, specs: Dict[int, ShardSessionSpec]) -> None:
-    """Serve loop of one shard worker process.
-
-    The main thread handles round requests (the latency-critical path);
-    refills run on a single local thread so a round arriving mid-refill
-    is served as soon as the session's pool lock allows, exactly like the
-    in-process consumer/refiller pairing.  All sends share one lock; all
-    responses carry their request's id, so ordering across the two
-    threads is irrelevant.
-
-    Element encodings mirror the coordinator's: a packed round request
-    gets a packed result; a request whose updates arrived by
-    shared-memory reference gets its aggregate placed at the request's
-    ``result_ref`` with only the reference framed back.  The worker's
-    segment attachments are cache-per-process (:class:`ShmRegistry`) and
-    detached on exit; it never unlinks — segments belong to the
-    coordinator.
-    """
-    gf = None
-    sessions = {}
-    for shard_id, spec in sorted(specs.items()):
-        if gf is None:
-            gf = FiniteField(spec.field_modulus)
-        sessions[shard_id] = spec.build(gf)
-    send_lock = threading.Lock()
-    registry = ShmRegistry()
-
-    def send(message, request_id: int) -> None:
-        frame = encode_message(message, request_id)
-        with send_lock:
-            conn.send_bytes(frame)
-
-    def snapshot_of(shard_id: int, rounds_added: int = 0) -> PoolSnapshot:
-        state = sessions[shard_id].state_snapshot()
-        return PoolSnapshot(
-            shard_id=shard_id,
-            pool_level=state["pool_level"],
-            pool_size=state["pool_size"],
-            rounds_added=rounds_added,
-            closed=state["closed"],
-            stats=state["stats"],
-        )
-
-    refill_queue: "queue.Queue" = queue.Queue()
-
-    def refill_loop() -> None:
-        while True:
-            item = refill_queue.get()
-            if item is None:
-                return
-            request_id, shard_id, rounds = item
-            try:
-                added = sessions[shard_id].refill(rounds)
-                send(snapshot_of(shard_id, rounds_added=added), request_id)
-            except Exception as exc:  # noqa: BLE001 - forwarded to peer
-                send(ErrorFrame.from_exception(shard_id, exc), request_id)
-
-    refiller = threading.Thread(
-        target=refill_loop, name="shard-worker-refill", daemon=True
-    )
-    refiller.start()
-
-    try:
-        while True:
-            try:
-                frame = conn.recv_bytes()
-            except (EOFError, OSError):
-                return  # coordinator died; daemon exit
-            request_id, message = decode_message(frame, shm=registry.resolve)
-            if isinstance(message, Shutdown):
-                # Contract: a refill in flight completes (and its response
-                # is delivered) before the shutdown is acknowledged.
-                refill_queue.put(None)
-                refiller.join()
-                for session in sessions.values():
-                    session.close()
-                send(Shutdown(), request_id)
-                return
-            if isinstance(message, RefillRequest):
-                refill_queue.put(
-                    (request_id, message.shard_id, message.rounds)
-                )
-                continue
-            try:
-                if isinstance(message, SnapshotRequest):
-                    send(snapshot_of(message.shard_id), request_id)
-                elif isinstance(message, ShardRoundRequest):
-                    session = sessions[message.shard_id]
-                    state = session.state_snapshot()
-                    stalled = bool(
-                        state["supports_pool"] and state["pool_level"] == 0
-                    )
-                    compute_start = time.time() if message.trace_id else 0.0
-                    result = session.run_round(
-                        message.updates_dict(),
-                        set(message.dropouts),
-                        None,
-                        **(
-                            {"offline_dropouts": message.offline_dropouts}
-                            if message.offline_dropouts
-                            else {}
-                        ),
-                    )
-                    worker_span = None
-                    if message.trace_id:
-                        # Rounds are served straight off the pipe on this
-                        # thread, so there is no measurable queue dwell.
-                        worker_span = WorkerSpan(
-                            trace_id=message.trace_id,
-                            pid=os.getpid(),
-                            host=_HOSTNAME,
-                            queue_wait_seconds=0.0,
-                            compute_start_unix=compute_start,
-                            compute_seconds=time.time() - compute_start,
-                        )
-                    # Post-round state via state_snapshot(): reading the
-                    # level and stats piecemeal would race this worker's
-                    # own refill thread and could ship a torn pair.
-                    after = session.state_snapshot()
-                    aggregate_ref = None
-                    if message.result_ref is not None:
-                        out = registry.ndarray(message.result_ref)
-                        np.copyto(
-                            out,
-                            np.asarray(
-                                result.aggregate, dtype=np.uint64
-                            ).reshape(message.result_ref.shape),
-                        )
-                        aggregate_ref = message.result_ref
-                    send(
-                        ShardRoundResult.from_result(
-                            message.shard_id,
-                            message.round_id,
-                            result,
-                            stalled=stalled,
-                            pool_level=after["pool_level"],
-                            stats=after["stats"],
-                            packed=message.packed,
-                            aggregate_ref=aggregate_ref,
-                            worker_span=worker_span,
-                        ),
-                        request_id,
-                    )
-                elif isinstance(message, ShardDrainRequest):
-                    session = sessions[message.shard_id]
-                    if not hasattr(session, "drain"):
-                        raise TransportError(
-                            f"shard {message.shard_id} session does not "
-                            "support drains"
-                        )
-                    state = session.state_snapshot()
-                    stalled = bool(
-                        state["supports_pool"] and state["pool_level"] == 0
-                    )
-                    compute_start = time.time() if message.trace_id else 0.0
-                    result = session.drain(
-                        message.weights,
-                        message.updates,
-                        set(message.recovery_dropouts),
-                    )
-                    worker_span = None
-                    if message.trace_id:
-                        worker_span = WorkerSpan(
-                            trace_id=message.trace_id,
-                            pid=os.getpid(),
-                            host=_HOSTNAME,
-                            queue_wait_seconds=0.0,
-                            compute_start_unix=compute_start,
-                            compute_seconds=time.time() - compute_start,
-                        )
-                    after = session.state_snapshot()
-                    send(
-                        ShardRoundResult.from_result(
-                            message.shard_id,
-                            message.drain_id,
-                            result,
-                            stalled=stalled,
-                            pool_level=after["pool_level"],
-                            stats=after["stats"],
-                            packed=message.packed,
-                            worker_span=worker_span,
-                        ),
-                        request_id,
-                    )
-                elif isinstance(message, RekeyRequest):
-                    session = sessions[message.shard_id]
-                    if not hasattr(session, "rekey"):
-                        raise TransportError(
-                            f"shard {message.shard_id} session does not "
-                            "support re-keying"
-                        )
-                    invalidated = session.rekey(message.num_users)
-                    send(
-                        snapshot_of(
-                            message.shard_id, rounds_added=-invalidated
-                        ),
-                        request_id,
-                    )
-                else:
-                    raise TransportError(
-                        f"worker cannot serve {type(message).__name__}"
-                    )
-            except Exception as exc:  # noqa: BLE001 - forwarded to peer
-                shard_id = getattr(message, "shard_id", 0)
-                send(ErrorFrame.from_exception(shard_id, exc), request_id)
-    finally:
-        refill_queue.put(None)
-        registry.close()
-
-
-# ----------------------------------------------------------------------
-# process backend: coordinator side
-# ----------------------------------------------------------------------
-class _WorkerClient:
-    """One worker process plus a response multiplexer over its pipe.
+class _ResponseMux:
+    """Routes response frames to the threads awaiting them, by request id.
 
     Multiple coordinator threads (the online consumer, the background
     refiller) may each be awaiting a different response on the same
-    connection.  A dedicated receiver thread drains *every* incoming
-    frame into ``_responses`` keyed by request id and wakes waiters, so
-    out-of-order completion (a round result overtaking a slow refill)
-    routes correctly.
-
-    The always-draining receiver is also what makes the scatter phase
-    deadlock-free: a worker hosting several shards can flush the result
-    of shard ``k`` (the coordinator side of its pipe is always being
-    read) and return to its own ``recv`` loop, which in turn unblocks
-    the coordinator's possibly-buffer-full send of shard ``k+1``'s
-    request.  Neither side ever holds a full pipe while waiting for the
-    other to read first, regardless of frame size vs. OS pipe buffer.
+    channel.  The owning client's receiver thread drains *every*
+    incoming frame into ``_responses`` keyed by request id and wakes
+    waiters, so out-of-order completion (a round result overtaking a
+    slow refill) routes correctly.  A channel failure sets ``_broken``,
+    which fails every current and future waiter fast instead of leaving
+    it blocked on a response that died with the channel.
     """
 
-    def __init__(self, process, conn, shm_resolver=None):
-        self.process = process
-        self.conn = conn
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self._shm_resolver = shm_resolver
-        self._send_lock = threading.Lock()
+    peer: str  # names the far end in error messages; set by the owner
+
+    def __init__(self):
+        self._ids = itertools.count(1)
         self._cv = threading.Condition()
-        self._responses: Dict[int, object] = {}
+        self._responses: Dict[int, Tuple[object, int]] = {}
+        self._abandoned: Set[int] = set()  # ids whose response is dropped
         self._broken: Optional[BaseException] = None
-        self._receiver = threading.Thread(
-            target=self._recv_loop,
-            name=f"{process.name}-recv",
-            daemon=True,
-        )
-        self._receiver.start()
 
-    def _recv_loop(self) -> None:
-        while True:
-            try:
-                frame = self.conn.recv_bytes()
-                request_id, message = decode_message(
-                    frame, shm=self._shm_resolver
-                )
-            except (EOFError, OSError, WireError) as exc:
-                with self._cv:
-                    self._broken = exc
-                    self._cv.notify_all()
-                return
-            with self._cv:
-                self.bytes_received += len(frame)
-                self._responses[request_id] = (message, len(frame))
-                self._cv.notify_all()
+    def next_id(self) -> int:
+        with self._cv:
+            return next(self._ids)
 
-    def send(self, message, request_id: int) -> int:
-        frame = encode_message(message, request_id)
-        try:
-            with self._send_lock:
-                self.conn.send_bytes(frame)
-                self.bytes_sent += len(frame)
-        except (OSError, ValueError) as exc:
-            raise TransportError(
-                f"failed to send {type(message).__name__} to worker: {exc}"
-            ) from exc
-        return len(frame)
+    def _store_locked(self, request_id: int, message, nbytes: int) -> None:
+        if request_id in self._abandoned:
+            # Nobody will ever collect this (its waiter timed out or its
+            # scatter aborted); storing it would leak the frame.
+            self._abandoned.discard(request_id)
+        else:
+            self._responses[request_id] = (message, nbytes)
+
+    def _lost_locked(self, request_id: int) -> Optional[str]:
+        """Why ``request_id``'s response can never arrive, if it cannot."""
+        if self._broken is not None:
+            return (
+                f"connection to {self.peer} broken with response "
+                f"{request_id} outstanding: {self._broken!r}"
+            )
+        return None
 
     def receive(self, request_id: int, timeout: Optional[float] = None):
         """Block for one response; returns ``(message, frame_bytes)``."""
@@ -664,27 +413,36 @@ class _WorkerClient:
             while True:
                 if request_id in self._responses:
                     return self._responses.pop(request_id)
-                if self._broken is not None:
-                    raise TransportError(
-                        f"worker connection broken with response "
-                        f"{request_id} outstanding: {self._broken!r}"
-                    )
+                lost = self._lost_locked(request_id)
+                if lost is not None:
+                    raise TransportError(lost)
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
+                        self._abandon_locked(request_id)
                         raise TransportError(
-                            f"timed out awaiting response {request_id}"
+                            f"timed out awaiting response {request_id} "
+                            f"from {self.peer}"
                         )
                 self._cv.wait(remaining)
 
-    def join_receiver(self, timeout: Optional[float] = None) -> None:
-        """Join the receiver thread (it exits on worker EOF)."""
-        self._receiver.join(timeout)
+    def _abandon_locked(self, request_id: int) -> None:
+        """Drop all bookkeeping for a request nobody will collect."""
+        if (
+            self._responses.pop(request_id, None) is None
+            and self._broken is None  # a broken channel delivers nothing more
+        ):
+            self._abandoned.add(request_id)
+
+    def abandon(self, request_id: int) -> None:
+        """Public form of :meth:`_abandon_locked` for aborted scatters."""
+        with self._cv:
+            self._abandon_locked(request_id)
 
 
-class ProcessShardHandle:
-    """Session-surface proxy for one shard pinned in a worker process.
+class ShardHandle:
+    """Session-surface proxy for one shard pinned behind a frame lane.
 
     Pool properties are served from a cache refreshed by every response
     frame for this shard (round results, refill snapshots), so the
@@ -693,7 +451,7 @@ class ProcessShardHandle:
     and a gather half so the refiller can overlap top-ups across shards.
     """
 
-    def __init__(self, transport: "ProcessPoolTransport", shard_id: int,
+    def __init__(self, transport: "FrameTransport", shard_id: int,
                  spec: ShardSessionSpec):
         self._transport = transport
         self.shard_id = shard_id
@@ -746,22 +504,22 @@ class ProcessShardHandle:
 
     def refill_join(self, ticket: int) -> int:
         """Gather half: block until the worker's refill completes."""
-        message, _ = self._transport._await(self.shard_id, ticket)
-        if isinstance(message, ErrorFrame):
-            message.raise_()
-        self._absorb(message.pool_level, message.stats, message.closed)
-        return int(message.rounds_added)
+        return int(self._join_snapshot(ticket).rounds_added)
 
-    def sync(self) -> "ProcessShardHandle":
+    def sync(self) -> "ShardHandle":
         """Refresh the cache with an explicit snapshot round trip."""
         request_id, _ = self._transport._request(
             self.shard_id, SnapshotRequest(self.shard_id)
         )
+        self._join_snapshot(request_id)
+        return self
+
+    def _join_snapshot(self, request_id: int):
         message, _ = self._transport._await(self.shard_id, request_id)
         if isinstance(message, ErrorFrame):
             message.raise_()
         self._absorb(message.pool_level, message.stats, message.closed)
-        return self
+        return message
 
     def offline_elements(self) -> int:
         """Offline-traffic accounting is not carried over the wire."""
@@ -778,7 +536,468 @@ class ProcessShardHandle:
         )
 
 
-class ProcessPoolTransport(ShardTransport):
+#: Both names predate the lane-agnostic handle and stay importable.
+ProcessShardHandle = ShardHandle
+
+
+class FrameTransport(ShardTransport):
+    """The one scatter-gather behind every lane that speaks wire frames.
+
+    How a logical shard operation (round, drain, re-key, refill) is sent
+    to every shard and its replies merged is decided here, once.  A lane
+    supplies the channel — :meth:`_client`, the multiplexed client a
+    shard's frames ride — and only what is truly its own: spawn/shutdown,
+    payload staging, connection supervision, slot addressing and
+    capability downgrade.
+
+    The contract every lane therefore shares: requests are *scattered*
+    to all shards before any reply is *gathered*, so shard work overlaps;
+    every reply is drained even when a shard fails or its channel dies,
+    so one bad operation (survivors below ``U``, a killed worker) leaves
+    no frame stranded and the healthy channels usable; and a library
+    error that crossed the wire outranks a torn channel when both occur.
+    """
+
+    #: Per-reply deadline; ``None`` waits for the channel to answer or
+    #: break (lanes with supervision turn a dead peer into the latter).
+    request_timeout_s: Optional[float] = None
+
+    def __init__(self, specs: Sequence[ShardSessionSpec], metrics,
+                 cohort_id: int, wire_format: str, tracing: bool = True):
+        if not specs:
+            raise ProtocolError("transport needs at least one shard spec")
+        if wire_format not in WIRE_FORMATS:
+            raise ProtocolError(
+                f"unknown wire format {wire_format!r}; expected one of "
+                f"{WIRE_FORMATS}"
+            )
+        self.specs = list(specs)
+        self.wire_format = wire_format
+        self.tracing = bool(tracing)
+        self._metrics = metrics
+        self._cohort_id = int(cohort_id)
+        self._gf = FiniteField(self.specs[0].field_modulus)
+        self._round_ids = itertools.count(0)
+        self._closed = False
+        self._close_lock = threading.Lock()
+        self._handles = [
+            ShardHandle(self, shard, spec)
+            for shard, spec in enumerate(self.specs)
+        ]
+
+    # -- the channel a lane provides ---------------------------------------
+    def _client(self, shard_id: int) -> _ResponseMux:
+        """The multiplexed channel shard ``shard_id``'s frames ride (a
+        mux that can also ``send(message, request_id) -> nbytes``)."""
+        raise NotImplementedError
+
+    def _address(self, client, shard_id: int, message) -> None:
+        """Last touch before a frame is sent: lanes that re-address or
+        downgrade requests per connection do it here."""
+
+    def _request(self, shard_id: int, message) -> Tuple[int, int]:
+        """Send one request; returns ``(request_id, frame_bytes)``."""
+        if self._closed:
+            raise ProtocolError("session is closed")
+        client = self._client(shard_id)
+        self._address(client, shard_id, message)
+        request_id = client.next_id()
+        return request_id, client.send(message, request_id)
+
+    def _await(self, shard_id: int, request_id: int,
+               timeout: Optional[float] = None):
+        return self._client(shard_id).receive(
+            request_id,
+            timeout=self.request_timeout_s if timeout is None else timeout,
+        )
+
+    # -- per-request hooks a lane may override -----------------------------
+    def _round_request(self, shard_id, round_id, updates, dropouts,
+                       offline_dropouts) -> Tuple[ShardRoundRequest, int]:
+        """Build one shard's round request; returns it with the bytes
+        staged outside the frame (none, unless the lane stages payloads)."""
+        request = ShardRoundRequest.from_updates(
+            shard_id, round_id, updates, dropouts, offline_dropouts,
+            packed=self.wire_format == "packed",
+        )
+        return request, 0
+
+    def _round_result(self, message) -> Tuple[AggregationResult, int]:
+        """Rebuild one shard's result; returns it with the bytes read
+        from outside the frame."""
+        return message.to_result(), 0
+
+    def _require_buffered(self, shard_id: int, what: str) -> None:
+        """Refuse ``what`` (drains, re-keying) if the shard's peer cannot
+        serve it; lanes whose peers are always current need no check."""
+
+    def _respec(self, shard_id: int, spec: ShardSessionSpec) -> None:
+        """Refresh every stored copy of a shard's spec after a re-key, so
+        a later worker restart rebuilds the *new* geometry."""
+        self.specs[shard_id] = spec
+        self._handles[shard_id].spec = spec
+
+    # -- the scatter-gather, written once ----------------------------------
+    def _scatter(self, make_request) -> Tuple[List[Tuple[int, int]], int]:
+        """Send ``make_request(shard_id)`` to every shard, in shard order;
+        returns the pending ``(shard_id, request_id)`` pairs and the
+        bytes framed."""
+        pending: List[Tuple[int, int]] = []
+        bytes_sent = 0
+        try:
+            for shard_id in range(len(self.specs)):
+                request_id, nbytes = self._request(
+                    shard_id, make_request(shard_id)
+                )
+                bytes_sent += nbytes
+                pending.append((shard_id, request_id))
+        except BaseException:
+            # An aborted scatter (one channel down) must not strand the
+            # requests already sent to healthy workers: abandon them so
+            # their responses are dropped on arrival, not leaked.
+            for shard_id, request_id in pending:
+                self._client(shard_id).abandon(request_id)
+            raise
+        return pending, bytes_sent
+
+    def _gather(self, pending, absorb):
+        """Collect *every* pending reply, then report.
+
+        Returns ``(values, bytes_received, error)``: ``absorb(shard_id,
+        message)`` per good reply (``None`` for a failed shard), and the
+        first failure to raise once the drain is complete — a lost shard
+        fails only its own slot, the rest are still collected.
+        """
+        values: list = []
+        bytes_received = 0
+        refused: Optional[ErrorFrame] = None
+        lost: Optional[TransportError] = None
+        for shard_id, request_id in pending:
+            value = None
+            try:
+                message, nbytes = self._await(shard_id, request_id)
+            except TransportError as exc:
+                lost = lost or exc
+            else:
+                bytes_received += nbytes
+                if isinstance(message, ErrorFrame):
+                    refused = refused or message
+                else:
+                    # Every reply carries the shard's pool state: refresh
+                    # the handle cache here, for every operation alike.
+                    self._handles[shard_id]._absorb(
+                        message.pool_level, message.stats,
+                        getattr(message, "closed", None),
+                    )
+                    value = absorb(shard_id, message)
+            values.append(value)
+        # Library errors (a shard's DropoutError crossing the wire) take
+        # precedence; a torn connection surfaces as TransportError.
+        return values, bytes_received, refused or lost
+
+    @staticmethod
+    def _raise(error) -> None:
+        if isinstance(error, ErrorFrame):
+            error.raise_()
+        if error is not None:
+            raise error
+
+    def _compute_all(self, per_shard_updates, make_request):
+        """One round or drain: scatter, gather, account, raise.
+
+        ``make_request(shard_id, op_id)`` and :meth:`_round_result` each
+        return their value plus the payload bytes moved outside frames.
+        """
+        if len(per_shard_updates) != len(self.specs):
+            raise ProtocolError(
+                f"expected {len(self.specs)} shard update slices, got "
+                f"{len(per_shard_updates)}"
+            )
+        t0 = time.perf_counter()
+        op_id = next(self._round_ids)
+        trace = current_trace() if self.tracing else None
+        shm_bytes = 0
+        stalled_shards = 0
+
+        def request_for(shard_id):
+            nonlocal shm_bytes
+            request, staged = make_request(shard_id, op_id)
+            shm_bytes += staged
+            if trace is not None:
+                request.trace_id = trace.trace_id
+            return request
+
+        def absorb(shard_id, message):
+            nonlocal shm_bytes, stalled_shards
+            stalled_shards += int(message.stalled)
+            _absorb_worker_span(
+                trace, shard_id, message.worker_span, self.kind
+            )
+            result, read = self._round_result(message)
+            shm_bytes += read
+            return result
+
+        with span("shard_scatter", transport=self.kind):
+            pending, bytes_sent = self._scatter(request_for)
+        with span("shard_gather", transport=self.kind):
+            results, bytes_received, error = self._gather(pending, absorb)
+        if self._metrics is not None:
+            # Per-request accounting: only this operation's own frames
+            # count, not concurrent background-refill traffic on the same
+            # channels.
+            self._metrics.record_transport_round(
+                self.kind,
+                time.perf_counter() - t0,
+                bytes_sent=bytes_sent,
+                bytes_received=bytes_received,
+                stalled_shards=stalled_shards,
+                shm_bytes=shm_bytes,
+            )
+        self._raise(error)
+        return results
+
+    # -- ShardTransport surface ----------------------------------------------
+    @property
+    def shard_handles(self) -> Sequence[ShardHandle]:
+        return self._handles
+
+    @property
+    def gf(self) -> FiniteField:
+        return self._gf
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    def run_all(self, per_shard_updates, dropouts, rng=None, **phase_kwargs):
+        """Scatter one round request per shard, then gather every result.
+
+        The caller's ``rng`` cannot cross a process boundary and is
+        ignored; online rounds of pooled sessions draw nothing from it,
+        and replay sessions use their worker-local spec-seeded stream.
+        """
+        offline_dropouts = phase_kwargs.pop("offline_dropouts", None)
+        if phase_kwargs:
+            raise TransportError(
+                f"the {self.kind} transport cannot forward phase kwargs "
+                f"{sorted(phase_kwargs)} over the wire"
+            )
+        return self._compute_all(
+            per_shard_updates,
+            lambda shard_id, round_id: self._round_request(
+                shard_id, round_id, per_shard_updates[shard_id], dropouts,
+                offline_dropouts,
+            ),
+        )
+
+    def drain_all(self, weights, per_shard_updates, recovery_dropouts):
+        """Scatter one buffered drain per shard, then gather every result.
+
+        Drain payloads always ride the frame (even on the shm lane): a
+        drain matrix is ``(B, width)`` with ``B <= N`` rows of *buffered*
+        deliveries, and the shm arena's request regions are sized for
+        the fixed member count at construction — re-keying can grow the
+        buffer past them, so the frame is the lane that stays correct
+        across membership churn.
+        """
+        weights = np.asarray(weights, dtype=np.uint64)
+
+        def drain_request(shard_id, drain_id):
+            self._require_buffered(shard_id, "buffered drains")
+            return ShardDrainRequest(
+                shard_id=shard_id,
+                drain_id=drain_id,
+                weights=weights,
+                updates=per_shard_updates[shard_id],
+                recovery_dropouts=set(recovery_dropouts),
+                packed=self.wire_format == "packed",
+            ), 0
+
+        return self._compute_all(per_shard_updates, drain_request)
+
+    def rekey_all(self, num_users: int) -> int:
+        """Re-key every shard's worker session for a new member count."""
+        def rekey_request(shard_id):
+            self._require_buffered(shard_id, "re-keying")
+            return RekeyRequest(shard_id, num_users)
+
+        def absorb(shard_id, message):
+            self._respec(
+                shard_id, replace(self.specs[shard_id], num_users=num_users)
+            )
+            return max(0, -int(message.rounds_added))
+
+        pending, _ = self._scatter(rekey_request)
+        invalidated, _, error = self._gather(pending, absorb)
+        self._raise(error)
+        return sum(invalidated)
+
+    def refill_all(self, rounds: Optional[int] = None) -> int:
+        """Scatter refills to every shard, then join — encodes overlap."""
+        pending, _ = self._scatter(
+            lambda shard_id: RefillRequest(shard_id, rounds)
+        )
+        added, _, error = self._gather(
+            pending, lambda shard_id, message: int(message.rounds_added)
+        )
+        self._raise(error)
+        return max(added)
+
+    def close(self) -> None:
+        with self._close_lock:
+            if self._closed:
+                return
+            self._closed = True
+        self._shutdown()
+        for handle in self._handles:
+            handle.close()
+
+    def _shutdown(self) -> None:
+        """Release the lane's workers and channels (called once)."""
+        raise NotImplementedError
+
+    def __del__(self):  # best-effort; daemon workers die with the parent
+        try:
+            self.close()
+        except Exception:
+            pass
+
+
+# ----------------------------------------------------------------------
+# process backend: worker side
+# ----------------------------------------------------------------------
+def _worker_serve(conn, specs: Dict[int, ShardSessionSpec]) -> None:
+    """Serve loop of one shard worker process.
+
+    The main thread handles round requests (the latency-critical path);
+    refills run on a single local thread so a round arriving mid-refill
+    is served as soon as the session's pool lock allows, exactly like the
+    in-process consumer/refiller pairing.  All sends share one lock; all
+    responses carry their request's id, so ordering across the two
+    threads is irrelevant.  What each request *means* is
+    :func:`repro.service.worker.serve_request`, shared with the socket
+    worker host.
+
+    The worker's segment attachments are cache-per-process
+    (:class:`ShmRegistry`) and detached on exit; it never unlinks —
+    segments belong to the coordinator.
+    """
+    gf = None
+    sessions = {}
+    for shard_id, spec in sorted(specs.items()):
+        if gf is None:
+            gf = FiniteField(spec.field_modulus)
+        sessions[shard_id] = spec.build(gf)
+    send_lock = threading.Lock()
+    registry = ShmRegistry()
+
+    def send(message, request_id: int) -> None:
+        frame = encode_message(message, request_id)
+        with send_lock:
+            conn.send_bytes(frame)
+
+    def serve(message, request_id: int) -> None:
+        # Rounds are served straight off the pipe on this thread, so no
+        # enqueue stamp: there is no measurable queue dwell to report.
+        serve_request(
+            message, sessions.__getitem__,
+            lambda reply: send(reply, request_id), registry=registry,
+        )
+
+    refill_queue: "queue.Queue" = queue.Queue()
+
+    def refill_loop() -> None:
+        for item in iter(refill_queue.get, None):
+            serve(*item)
+
+    refiller = threading.Thread(
+        target=refill_loop, name="shard-worker-refill", daemon=True
+    )
+    refiller.start()
+
+    try:
+        while True:
+            try:
+                frame = conn.recv_bytes()
+            except (EOFError, OSError):
+                return  # coordinator died; daemon exit
+            request_id, message = decode_message(frame, shm=registry.resolve)
+            if isinstance(message, Shutdown):
+                # Contract: a refill in flight completes (and its response
+                # is delivered) before the shutdown is acknowledged.
+                refill_queue.put(None)
+                refiller.join()
+                for session in sessions.values():
+                    session.close()
+                send(Shutdown(), request_id)
+                return
+            if isinstance(message, RefillRequest):
+                refill_queue.put((message, request_id))
+            else:
+                serve(message, request_id)
+    finally:
+        refill_queue.put(None)
+        registry.close()
+
+
+# ----------------------------------------------------------------------
+# process backend: coordinator side
+# ----------------------------------------------------------------------
+class _WorkerClient(_ResponseMux):
+    """One worker process plus the receiver thread draining its pipe.
+
+    The always-draining receiver is what makes the scatter phase
+    deadlock-free: a worker hosting several shards can flush the result
+    of shard ``k`` (the coordinator side of its pipe is always being
+    read) and return to its own ``recv`` loop, which in turn unblocks
+    the coordinator's possibly-buffer-full send of shard ``k+1``'s
+    request.  Neither side ever holds a full pipe while waiting for the
+    other to read first, regardless of frame size vs. OS pipe buffer.
+    """
+
+    def __init__(self, process, conn, shm_resolver=None):
+        super().__init__()
+        self.process = process
+        self.peer = process.name
+        self.conn = conn
+        self._shm_resolver = shm_resolver
+        self._send_lock = threading.Lock()
+        self._receiver = threading.Thread(
+            target=self._recv_loop,
+            name=f"{process.name}-recv",
+            daemon=True,
+        )
+        self._receiver.start()
+
+    def _recv_loop(self) -> None:
+        while True:
+            try:
+                frame = self.conn.recv_bytes()
+                request_id, message = decode_message(
+                    frame, shm=self._shm_resolver
+                )
+            except (EOFError, OSError, WireError) as exc:
+                with self._cv:
+                    self._broken = exc
+                    self._cv.notify_all()
+                return
+            with self._cv:
+                self._store_locked(request_id, message, len(frame))
+                self._cv.notify_all()
+
+    def send(self, message, request_id: int) -> int:
+        frame = encode_message(message, request_id)
+        try:
+            with self._send_lock:
+                self.conn.send_bytes(frame)
+        except (OSError, ValueError) as exc:
+            raise TransportError(
+                f"failed to send {type(message).__name__} to worker: {exc}"
+            ) from exc
+        return len(frame)
+
+
+class ProcessPoolTransport(FrameTransport):
     """Shard sessions pinned in long-lived multiprocessing workers.
 
     ``num_workers`` defaults to one worker per shard (the layout the
@@ -815,39 +1034,23 @@ class ProcessPoolTransport(ShardTransport):
         wire_format: str = "raw",
         payload_mode: str = "pipe",
     ):
-        if not specs:
-            raise ProtocolError("transport needs at least one shard spec")
+        super().__init__(specs, metrics, cohort_id, wire_format)
         if num_workers is not None and num_workers < 1:
             raise ProtocolError(
                 f"need >= 1 worker process, got {num_workers}"
-            )
-        if wire_format not in WIRE_FORMATS:
-            raise ProtocolError(
-                f"unknown wire format {wire_format!r}; expected one of "
-                f"{WIRE_FORMATS}"
             )
         if payload_mode not in ("pipe", "shm"):
             raise ProtocolError(
                 f"unknown payload mode {payload_mode!r}; expected "
                 f"'pipe' or 'shm'"
             )
-        self.specs = list(specs)
         self.num_workers = min(num_workers or len(specs), len(specs))
         self.shutdown_timeout_s = float(shutdown_timeout_s)
-        self.wire_format = wire_format
         self.payload_mode = payload_mode
         if payload_mode == "shm":
             # Report under a distinct metrics lane: the whole point of
             # the mode is a different wire_bytes profile.
             self.kind = "shm"
-        self._metrics = metrics
-        self._cohort_id = int(cohort_id)
-        self._gf = FiniteField(self.specs[0].field_modulus)
-        self._ids = itertools.count(1)
-        self._id_lock = threading.Lock()
-        self._round_ids = itertools.count(0)
-        self._closed = False
-        self._close_lock = threading.Lock()
 
         self._arena: Optional[SegmentArena] = None
         self._regions: List[Tuple[int, int]] = []  # (req_off, resp_off)
@@ -886,139 +1089,23 @@ class ProcessPoolTransport(ShardTransport):
             self._clients.append(
                 _WorkerClient(process, parent_conn, shm_resolver=shm_resolver)
             )
-        self._handles = [
-            ProcessShardHandle(self, shard, spec)
-            for shard, spec in enumerate(self.specs)
-        ]
-
-    # -- plumbing --------------------------------------------------------
-    def _next_id(self) -> int:
-        with self._id_lock:
-            return next(self._ids)
 
     def _client(self, shard_id: int) -> _WorkerClient:
         return self._clients[self._worker_of[shard_id]]
-
-    def _request(self, shard_id: int, message) -> Tuple[int, int]:
-        """Send one request; returns ``(request_id, frame_bytes)``."""
-        if self._closed:
-            raise ProtocolError("session is closed")
-        request_id = self._next_id()
-        nbytes = self._client(shard_id).send(message, request_id)
-        return request_id, nbytes
-
-    def _await(self, shard_id: int, request_id: int,
-               timeout: Optional[float] = None):
-        return self._client(shard_id).receive(request_id, timeout=timeout)
-
-    # -- ShardTransport surface ------------------------------------------
-    @property
-    def shard_handles(self) -> Sequence[ProcessShardHandle]:
-        return self._handles
-
-    @property
-    def gf(self) -> FiniteField:
-        return self._gf
 
     @property
     def workers_alive(self) -> int:
         return sum(1 for c in self._clients if c.process.is_alive())
 
-    def run_all(self, per_shard_updates, dropouts, rng=None, **phase_kwargs):
-        """Scatter one round request per shard, then gather every result.
-
-        The caller's ``rng`` cannot cross a process boundary and is
-        ignored; online rounds of pooled sessions draw nothing from it,
-        and replay sessions use their worker-local spec-seeded stream.
-        Every response is drained even when a shard fails, so one bad
-        round (e.g. survivors below ``U``) leaves all pipes request-free
-        and the transport usable for the next round.
-        """
-        if self._closed:
-            raise ProtocolError("session is closed")
-        if len(per_shard_updates) != len(self.specs):
-            raise ProtocolError(
-                f"expected {len(self.specs)} shard update dicts, got "
-                f"{len(per_shard_updates)}"
+    # -- shm payload staging (per-request hooks) -------------------------
+    def _round_request(self, shard_id, round_id, updates, dropouts,
+                       offline_dropouts):
+        """In shm mode, write the shard's update matrix into its arena
+        region and frame only the references."""
+        if self._arena is None:
+            return super()._round_request(
+                shard_id, round_id, updates, dropouts, offline_dropouts
             )
-        offline_dropouts = phase_kwargs.pop("offline_dropouts", None)
-        if phase_kwargs:
-            raise TransportError(
-                "the process transport cannot forward phase kwargs "
-                f"{sorted(phase_kwargs)} over the wire"
-            )
-        t0 = time.perf_counter()
-        round_id = next(self._round_ids)
-        trace = current_trace()
-        pending = []
-        bytes_sent = 0
-        shm_bytes = 0
-        with span("shard_scatter", transport=self.kind):
-            for shard_id, updates in enumerate(per_shard_updates):
-                if self.payload_mode == "shm":
-                    request, staged = self._stage_shm_request(
-                        shard_id, round_id, updates, dropouts,
-                        offline_dropouts,
-                    )
-                    shm_bytes += staged
-                else:
-                    request = ShardRoundRequest.from_updates(
-                        shard_id, round_id, updates, dropouts,
-                        offline_dropouts,
-                        packed=self.wire_format == "packed",
-                    )
-                if trace is not None:
-                    request.trace_id = trace.trace_id
-                request_id, nbytes = self._request(shard_id, request)
-                bytes_sent += nbytes
-                pending.append((shard_id, request_id))
-
-        results: List[Optional[AggregationResult]] = []
-        error: Optional[ErrorFrame] = None
-        stalled_shards = 0
-        bytes_received = 0
-        with span("shard_gather", transport=self.kind):
-            for shard_id, request_id in pending:
-                message, nbytes = self._await(shard_id, request_id)
-                bytes_received += nbytes
-                if isinstance(message, ErrorFrame):
-                    error = error if error is not None else message
-                    results.append(None)
-                    continue
-                handle = self._handles[shard_id]
-                handle._absorb(message.pool_level, message.stats)
-                stalled_shards += int(message.stalled)
-                _absorb_worker_span(
-                    trace, shard_id, message.worker_span, self.kind
-                )
-                result = message.to_result()
-                if message.aggregate_ref is not None:
-                    # The aggregate aliases this shard's response region,
-                    # which the next round will overwrite — detach it.
-                    shm_bytes += result.aggregate.nbytes
-                    result.aggregate = np.array(result.aggregate)
-                results.append(result)
-        if self._metrics is not None:
-            # Per-request accounting: only this round's own frames count,
-            # not concurrent background-refill traffic on the same pipes.
-            self._metrics.record_transport_round(
-                self.kind,
-                time.perf_counter() - t0,
-                bytes_sent=bytes_sent,
-                bytes_received=bytes_received,
-                stalled_shards=stalled_shards,
-                shm_bytes=shm_bytes,
-            )
-        if error is not None:
-            error.raise_()
-        return results
-
-    def _stage_shm_request(
-        self, shard_id, round_id, updates, dropouts, offline_dropouts
-    ) -> Tuple[ShardRoundRequest, int]:
-        """Write one shard's update matrix into its arena region and
-        build the reference-carrying request; returns staged bytes."""
-        assert self._arena is not None
         req_off, resp_off = self._regions[shard_id]
         width = self.specs[shard_id].shard_dim
         user_ids = sorted(updates)
@@ -1042,135 +1129,20 @@ class ProcessPoolTransport(ShardTransport):
         )
         return request, matrix.nbytes
 
-    def drain_all(self, weights, per_shard_updates, recovery_dropouts):
-        """Scatter one drain request per shard, then gather every result.
+    def _round_result(self, message):
+        result, _ = super()._round_result(message)
+        if message.aggregate_ref is None:
+            return result, 0
+        # The aggregate aliases this shard's response region, which the
+        # next round will overwrite — detach it.
+        result.aggregate = np.array(result.aggregate)
+        return result, result.aggregate.nbytes
 
-        Drain payloads always ride the pipe (even in shm mode): a drain
-        matrix is ``(B, width)`` with ``B <= N`` rows of *buffered*
-        deliveries, and the shm arena's request regions are sized for
-        the fixed member count at construction — re-keying can grow the
-        buffer past them, so the pipe lane is the one that stays correct
-        across membership churn.
-        """
-        if self._closed:
-            raise ProtocolError("session is closed")
-        if len(per_shard_updates) != len(self.specs):
-            raise ProtocolError(
-                f"expected {len(self.specs)} shard update slices, got "
-                f"{len(per_shard_updates)}"
-            )
-        t0 = time.perf_counter()
-        drain_id = next(self._round_ids)
-        trace = current_trace()
-        pending = []
-        bytes_sent = 0
-        with span("shard_scatter", transport=self.kind):
-            for shard_id, updates in enumerate(per_shard_updates):
-                request = ShardDrainRequest(
-                    shard_id=shard_id,
-                    drain_id=drain_id,
-                    weights=np.asarray(weights, dtype=np.uint64),
-                    updates=updates,
-                    recovery_dropouts=set(recovery_dropouts),
-                    packed=self.wire_format == "packed",
-                )
-                if trace is not None:
-                    request.trace_id = trace.trace_id
-                request_id, nbytes = self._request(shard_id, request)
-                bytes_sent += nbytes
-                pending.append((shard_id, request_id))
-
-        results: List[Optional[AggregationResult]] = []
-        error: Optional[ErrorFrame] = None
-        stalled_shards = 0
-        bytes_received = 0
-        with span("shard_gather", transport=self.kind):
-            for shard_id, request_id in pending:
-                message, nbytes = self._await(shard_id, request_id)
-                bytes_received += nbytes
-                if isinstance(message, ErrorFrame):
-                    error = error if error is not None else message
-                    results.append(None)
-                    continue
-                handle = self._handles[shard_id]
-                handle._absorb(message.pool_level, message.stats)
-                stalled_shards += int(message.stalled)
-                _absorb_worker_span(
-                    trace, shard_id, message.worker_span, self.kind
-                )
-                results.append(message.to_result())
-        if self._metrics is not None:
-            self._metrics.record_transport_round(
-                self.kind,
-                time.perf_counter() - t0,
-                bytes_sent=bytes_sent,
-                bytes_received=bytes_received,
-                stalled_shards=stalled_shards,
-            )
-        if error is not None:
-            error.raise_()
-        return results
-
-    def rekey_all(self, num_users: int) -> int:
-        """Re-key every shard's worker session, then refresh the local
-        specs so a later worker restart rebuilds the *new* geometry."""
-        if self._closed:
-            raise ProtocolError("session is closed")
-        pending = [
-            (shard_id, self._request(
-                shard_id, RekeyRequest(shard_id, num_users)
-            )[0])
-            for shard_id in range(len(self.specs))
-        ]
-        invalidated = 0
-        error: Optional[ErrorFrame] = None
-        for shard_id, request_id in pending:
-            message, _ = self._await(shard_id, request_id)
-            if isinstance(message, ErrorFrame):
-                error = error if error is not None else message
-                continue
-            invalidated += max(0, -int(message.rounds_added))
-            new_spec = replace(self.specs[shard_id], num_users=num_users)
-            self.specs[shard_id] = new_spec
-            handle = self._handles[shard_id]
-            handle.spec = new_spec
-            handle._absorb(message.pool_level, message.stats, message.closed)
-        if error is not None:
-            error.raise_()
-        return invalidated
-
-    def refill_all(self, rounds: Optional[int] = None) -> int:
-        """Scatter refills to every shard, then join — encodes overlap.
-
-        Every ticket is joined even when one fails, so no response is
-        left orphaned in a client's buffer and every handle's pool cache
-        is refreshed; the first error re-raises after the drain.
-        """
-        tickets = [
-            (handle, handle.refill_begin(rounds))
-            for handle in self._handles
-        ]
-        added_max = 0
-        first_error: Optional[BaseException] = None
-        for handle, ticket in tickets:
-            try:
-                added_max = max(added_max, handle.refill_join(ticket))
-            except (ProtocolError, TransportError) as exc:
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-        return added_max
-
-    def close(self) -> None:
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
+    def _shutdown(self) -> None:
         acks = []
         for client in self._clients:
             try:
-                request_id = self._next_id()
+                request_id = client.next_id()
                 client.send(Shutdown(), request_id)
                 acks.append((client, request_id))
             except TransportError:
@@ -1187,10 +1159,8 @@ class ProcessPoolTransport(ShardTransport):
                 client.process.join(timeout=self.shutdown_timeout_s)
             # Worker exit delivered EOF to the receiver thread; reap it
             # before closing our connection end.
-            client.join_receiver(timeout=self.shutdown_timeout_s)
+            client._receiver.join(timeout=self.shutdown_timeout_s)
             client.conn.close()
-        for handle in self._handles:
-            handle.close()
         # Segment teardown strictly after worker teardown: the workers
         # hold attachments, and unlinking first would turn a late round
         # into a crash instead of a clean shutdown error.
@@ -1198,16 +1168,6 @@ class ProcessPoolTransport(ShardTransport):
             self._registry.close()
         if self._arena is not None:
             self._arena.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __del__(self):  # best-effort; daemon workers die with the parent
-        try:
-            self.close()
-        except Exception:
-            pass
 
 
 def build_transport(
@@ -1238,16 +1198,11 @@ def build_transport(
         return InlineTransport.from_specs(
             specs, gf=gf, metrics=metrics, cohort_id=cohort_id
         )
-    if kind == "process":
+    if kind in ("process", "shm"):
         return ProcessPoolTransport(
             specs, num_workers=num_workers, metrics=metrics,
             cohort_id=cohort_id, wire_format=wire_format,
-        )
-    if kind == "shm":
-        return ProcessPoolTransport(
-            specs, num_workers=num_workers, metrics=metrics,
-            cohort_id=cohort_id, wire_format=wire_format,
-            payload_mode="shm",
+            payload_mode="shm" if kind == "shm" else "pipe",
         )
     if kind == "socket":
         # Local import: the socket backend pulls in this module's spec

@@ -7,6 +7,10 @@ mixed dropout patterns — same aggregates, survivors, transcripts, and
 pool dynamics — and workers shut down cleanly with a refill in flight.
 """
 
+import contextlib
+import glob
+import multiprocessing
+import threading
 import time
 
 import numpy as np
@@ -23,6 +27,7 @@ from repro.service import (
     ServiceConfig,
     ShardPlan,
     ShardSessionSpec,
+    ShardWorkerServer,
     ShardedSession,
     TransportKind,
     build_transport,
@@ -342,3 +347,162 @@ class TestTransportConstruction:
         _, specs = make_specs(shards=1)
         with pytest.raises(ProtocolError, match=">= 1 worker"):
             ProcessPoolTransport(specs, num_workers=0)
+
+
+# ----------------------------------------------------------------------
+# every lane through one function: conformance, validation, worker loss
+# ----------------------------------------------------------------------
+LANES = ("inline", "process", "shm", "socket")
+REMOTE_LANES = LANES[1:]
+
+
+@contextlib.contextmanager
+def open_lane(lane, specs, gf, workers=None):
+    """Build ``specs`` on ``lane`` (socket: in-process worker hosts, one
+    per worker); yields ``(transport, servers)`` and closes both."""
+    servers = [
+        ShardWorkerServer().start()
+        for _ in range((workers or 1) if lane == "socket" else 0)
+    ]
+    transport = None
+    try:
+        transport = build_transport(
+            lane, specs, gf=gf,
+            num_workers=workers if lane in ("process", "shm") else None,
+            connect=[s.address for s in servers] or None,
+        )
+        yield transport, servers
+    finally:
+        if transport is not None:
+            transport.close()
+        for server in servers:
+            server.stop()
+
+
+def stats_counters(handle):
+    stats = handle.stats  # refill_seconds is wall-clock, not a count
+    return (stats.rounds, stats.refills, stats.pool_hits, stats.pool_misses,
+            stats.precomputed_rounds)
+
+
+def run_script(lane, gf):
+    """The scripted sequence every lane must serve identically: round
+    with dropouts -> below-U round (typed error) -> round -> two-phase
+    refill -> close.  Returns what a caller can observe."""
+    plan, specs = make_specs(shards=2)
+    rng = np.random.default_rng(21)
+    updates = {i: gf.random(DIM, rng) for i in range(N)}
+    with open_lane(lane, specs, gf) as (transport, _):
+        session = ShardedSession(plan, transport=transport)
+        first = session.run_round(updates, {1, 4})
+        with pytest.raises(DropoutError, match="survivors"):
+            session.run_round(updates, set(range(N - 1)))
+        second = session.run_round(updates, {2})  # usable after the error
+        added = []
+        for handle in transport.shard_handles:
+            if hasattr(handle, "refill_begin"):
+                added.append(handle.refill_join(handle.refill_begin()))
+            else:
+                added.append(handle.refill())
+        observed = {
+            "aggregates": [first.aggregate, second.aggregate],
+            "survivors": [first.survivors, second.survivors],
+            "refilled": added,
+            "pool_levels": [h.pool_level for h in transport.shard_handles],
+            "shard_stats": [
+                stats_counters(h) for h in transport.shard_handles
+            ],
+            "session_stats": stats_counters(session),
+        }
+    assert transport.closed
+    return observed
+
+
+class TestLaneConformance:
+    @pytest.mark.parametrize("lane", REMOTE_LANES)
+    def test_scripted_sequence_matches_inline(self, gf, lane):
+        want = run_script("inline", gf)
+        got = run_script(lane, gf)
+        for a, b in zip(got["aggregates"], want["aggregates"]):
+            assert np.array_equal(a, b)
+        for key in ("survivors", "refilled", "pool_levels", "shard_stats",
+                    "session_stats"):
+            assert got[key] == want[key], key
+
+    @pytest.mark.parametrize("lane", LANES)
+    def test_short_update_list_rejected(self, gf, lane):
+        """A per-shard list shorter than the shard count is a caller bug
+        on every lane — never a silently narrower round."""
+        plan, specs = make_specs(shards=2, protocol="lightsecagg-buffered")
+        rng = np.random.default_rng(0)
+        updates = {i: gf.random(plan.widths[0], rng) for i in range(N)}
+        with open_lane(lane, specs, gf) as (transport, _):
+            with pytest.raises(ProtocolError, match="expected 2 shard"):
+                transport.run_all([updates], set())
+            with pytest.raises(ProtocolError, match="expected 2 shard"):
+                transport.drain_all(
+                    np.ones(1, dtype=np.uint64),
+                    [np.zeros((1, plan.widths[0]), dtype=np.uint64)],
+                    set(),
+                )
+            assert all(stats_counters(h)[0] == 0
+                       for h in transport.shard_handles)  # nothing ran
+
+
+def leftovers(threads_before):
+    return {
+        "threads": [
+            t.name for t in threading.enumerate() if t not in threads_before
+        ],
+        "children": multiprocessing.active_children(),
+        "segments": glob.glob("/dev/shm/repro-shm-*"),
+    }
+
+
+class TestWorkerLossMidOperation:
+    @pytest.mark.parametrize("lane", REMOTE_LANES)
+    def test_killed_last_worker_strands_no_reply(self, gf, lane):
+        """Kill the worker hosting the LAST shard: the next round and the
+        next drain fail typed, nothing the healthy shard answered is left
+        in its client's response table, and that shard still serves."""
+        threads_before = set(threading.enumerate())
+        plan, specs = make_specs(shards=2, protocol="lightsecagg-buffered")
+        rng = np.random.default_rng(5)
+        updates = {i: gf.random(DIM, rng) for i in range(N)}
+        with open_lane(lane, specs, gf, workers=2) as (transport, servers):
+            assert transport.num_workers == 2
+            clients = list(transport._clients)
+            session = ShardedSession(plan, transport=transport)
+            session.run_round(updates, {1})
+            if lane == "socket":
+                servers[-1].stop()  # abrupt by design: models a kill
+            else:
+                victim = transport._clients[-1].process
+                victim.kill()
+                victim.join(timeout=10.0)
+                assert not victim.is_alive()
+
+            with pytest.raises(TransportError):
+                session.run_round(updates, {1})
+            with pytest.raises(TransportError):
+                session.drain(
+                    np.ones(3, dtype=np.uint64),
+                    np.stack([updates[i] for i in range(3)]),
+                )
+            # The snapshot rides shard 0's channel behind the two
+            # operations above, so by the time it answers, every reply
+            # they produced there has arrived and been routed.
+            healthy = transport.shard_handles[0].sync()
+            assert healthy.stats.rounds >= 1
+            survivor = transport._clients[0]
+            assert survivor._responses == {}
+            assert survivor._abandoned == set()
+            assert transport.workers_alive == 1
+        deadline = time.monotonic() + 10.0
+        while any(leftovers(threads_before).values()):
+            assert time.monotonic() < deadline, leftovers(threads_before)
+            time.sleep(0.02)
+        if lane == "socket":
+            assert all(c._sock is None for c in clients)
+        else:
+            assert all(c.conn.closed for c in clients)
