@@ -283,11 +283,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc))
     # The daemon starts with zero cohorts; every cohort arrives at
     # runtime through POST /cohorts with its own spec.  The base config
-    # only fixes service-wide policy (refill mode, poll cadence, seed).
+    # only fixes service-wide policy (refill mode, seed).
     config = ServiceConfig(
-        refill_mode=RefillMode(args.refill),
-        refill_poll_interval_s=args.refill_poll_interval,
-        seed=args.seed,
+        refill_mode=RefillMode(args.refill), seed=args.seed
     )
     service = AggregationService(config, build_cohorts=False).start()
     if args.trace_log:
@@ -562,10 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--refill", choices=["sync", "background"], default="background",
         help="mask-pool refill policy for every cohort the daemon hosts "
              "(default: background — the point of running a daemon)",
-    )
-    p.add_argument(
-        "--refill-poll-interval", type=float, default=0.001, metavar="S",
-        help="background refiller idle poll interval in seconds",
     )
     p.add_argument("--seed", type=int, default=0,
                    help="base-config seed (cohort specs posted to "

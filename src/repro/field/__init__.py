@@ -11,7 +11,6 @@ from repro.field.prime import (
     validate_modulus,
 )
 from repro.field.reduce import (
-    REDUCER_ENV,
     BarrettReducer,
     MersenneReducer,
     NumpyModReducer,
@@ -34,7 +33,6 @@ __all__ = [
     "MersenneReducer",
     "BarrettReducer",
     "NumpyModReducer",
-    "REDUCER_ENV",
     "available_reducer_kinds",
     "mersenne_exponent",
     "select_reducer",

@@ -13,7 +13,7 @@ the product of two reduced residues fits exactly in uint64, so
 Reduction itself is delegated to a :class:`repro.field.reduce.Reducer`
 strategy chosen at construction (Mersenne shift-fold for ``q = 2**k - 1``,
 Barrett for general ``q``, or the ``np.mod`` oracle) — see
-:mod:`repro.field.reduce` and the ``REPRO_FIELD_REDUCER`` env override.
+:mod:`repro.field.reduce`.
 With a division-free reducer selected, :meth:`FiniteField.matmul` runs a
 16-bit limb-split kernel over float64 BLAS with fold-based lazy
 accumulation; with the oracle it runs the historical lazy-``np.mod``
@@ -50,8 +50,7 @@ class FiniteField:
     reducer:
         Reduction-kernel selection: ``"auto"`` (default; Mersenne when the
         modulus allows, Barrett otherwise), ``"mersenne"``, ``"barrett"``,
-        or ``"numpy_mod"``.  ``None`` consults the ``REPRO_FIELD_REDUCER``
-        environment variable before falling back to ``"auto"``.
+        or ``"numpy_mod"``.  ``None`` means ``"auto"``.
 
     Examples
     --------

@@ -25,23 +25,17 @@ bit-identical across reducers by construction; the test suite pins this
 (``tests/field/test_reduce.py``).
 
 Selection is ``"auto"`` (Mersenne when the modulus allows, Barrett
-otherwise) unless overridden by the constructor argument or the
-``REPRO_FIELD_REDUCER`` environment variable (``auto`` / ``mersenne`` /
-``barrett`` / ``numpy_mod``) — the env knob exists for A/B
-benchmarking a running service without code changes.
+otherwise) unless overridden by the constructor argument (``auto`` /
+``mersenne`` / ``barrett`` / ``numpy_mod``).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import FieldError
-
-#: Environment variable overriding the auto-selected reduction kernel.
-REDUCER_ENV = "REPRO_FIELD_REDUCER"
 
 _U64_MAX = (1 << 64) - 1
 _WORD = 1 << 32
@@ -389,14 +383,11 @@ def select_reducer(q: int, kind: Optional[str] = None) -> Reducer:
     """Build the reduction kernel for ``q``.
 
     ``kind`` is one of ``auto`` / ``mersenne`` / ``barrett`` /
-    ``numpy_mod``; when None, the :data:`REDUCER_ENV` environment
-    variable is consulted, then ``auto``.  ``auto`` picks Mersenne when
-    the modulus has the right shape and Barrett otherwise.  Requesting
+    ``numpy_mod``; None means ``auto``, which picks Mersenne when the
+    modulus has the right shape and Barrett otherwise.  Requesting
     ``mersenne`` for a non-Mersenne modulus raises :class:`FieldError`.
     """
-    if kind is None:
-        kind = os.environ.get(REDUCER_ENV, "").strip().lower() or "auto"
-    kind = kind.strip().lower()
+    kind = (kind or "auto").strip().lower()
     if kind == "auto":
         kind = (
             MersenneReducer.kind

@@ -51,12 +51,11 @@ from repro.service.refill import BackgroundRefiller
 from repro.service.scheduler import CohortScheduler
 from repro.service.service import AggregationService
 from repro.service.sharding import ShardedSession, ShardPlan
-from repro.service.socket_transport import SocketShardHandle, SocketTransport
+from repro.service.socket_transport import SocketTransport
 from repro.service.socket_worker import ShardWorkerServer
 from repro.service.transport import (
     InlineTransport,
     ProcessPoolTransport,
-    ProcessShardHandle,
     ShardHandle,
     ShardSessionSpec,
     ShardTransport,
@@ -73,7 +72,6 @@ __all__ = [
     "CohortScheduler",
     "InlineTransport",
     "ProcessPoolTransport",
-    "ProcessShardHandle",
     "RefillMode",
     "ServiceConfig",
     "ServiceMetrics",
@@ -83,7 +81,6 @@ __all__ = [
     "ShardTransport",
     "ShardWorkerServer",
     "ShardedSession",
-    "SocketShardHandle",
     "SocketTransport",
     "TransportKind",
     "TransportMetrics",

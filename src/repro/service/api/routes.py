@@ -28,14 +28,17 @@ Error lanes (JSON bodies shaped ``{"error": {type, message[, field]}}``):
 closed, draining, round failures) → 409,
 :class:`TransportError` (workers unreachable) → 502, anything else →
 500 with the exception *type only* — tracebacks never leave the
-process.
+process.  A known path with the wrong method → 405 with an ``Allow``
+header; an unknown path → 404.  Bodies that are not a JSON object, and
+``Content-Length`` headers that are not a non-negative integer, are
+refused with a 400 by the HTTP layer before dispatch.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import ProtocolError, ReproError, TransportError
@@ -59,6 +62,7 @@ class Response:
     body: bytes
     content_type: str = "application/json"
     shutdown_after: bool = False
+    headers: Tuple[Tuple[str, str], ...] = ()  # extra response headers
 
 
 def json_response(
@@ -240,8 +244,12 @@ def dispatch(
                 f"unhandled {type(exc).__name__}; see server logs",
             )
     if allowed:
-        return error_response(
-            405, "method-not-allowed",
-            f"{method} not allowed on {path}; allowed: {sorted(set(allowed))}",
+        allowed = sorted(set(allowed))
+        return replace(
+            error_response(
+                405, "method-not-allowed",
+                f"{method} not allowed on {path}; allowed: {allowed}",
+            ),
+            headers=(("Allow", ", ".join(allowed)),),
         )
     return error_response(404, "not-found", f"no route for {method} {path}")

@@ -24,13 +24,17 @@ from __future__ import annotations
 
 import base64
 import binascii
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+import enum
+from dataclasses import dataclass, fields
+from typing import (
+    Any, Dict, List, Optional, Tuple, Union, get_args, get_origin,
+    get_type_hints,
+)
 
 import numpy as np
 
 from repro.exceptions import ReproError, WireError
-from repro.service.config import CohortSpec, TransportKind, WireFormat
+from repro.service.config import CohortSpec
 from repro.wire import pack_bits, packed_nbytes, unpack_bits
 
 #: Vector payload encodings the control plane accepts and emits.
@@ -201,20 +205,48 @@ def _parse_encoding(body: Dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 # POST /cohorts
 # ----------------------------------------------------------------------
-_COHORT_FIELDS = (
-    "protocol", "num_users", "model_dim", "num_shards", "pool_size",
-    "low_water", "privacy", "dropout_tolerance", "transport",
-    "wire_format", "num_workers", "connect", "seed",
-    "kind", "buffer_size", "staleness_fn", "staleness_alpha",
-    "staleness_levels", "quant_levels", "quant_clip",
-)
+#: ``CohortSpec``'s field types, resolved once — what the body is parsed
+#: against, so the spec stays the only declaration of the cohort fields.
+_SPEC_HINTS = get_type_hints(CohortSpec)
+
+
+def _spec_value(body: Dict[str, Any], name: str, default: Any):
+    """``body[name]`` as the type ``CohortSpec`` declares for ``name``."""
+    hint = _SPEC_HINTS[name]
+    if get_origin(hint) is Union:  # Optional[X]: absent / null -> default
+        hint = next(a for a in get_args(hint) if a is not type(None))
+    if get_origin(hint) is tuple:  # ``connect``, the one string array
+        values = _typed(body, name, list)
+        if values is None:
+            return default
+        for i, address in enumerate(values):
+            if not isinstance(address, str):
+                raise SchemaError(
+                    f"{name}[{i}]",
+                    f"expected a host:port string, got "
+                    f"{type(address).__name__}",
+                )
+        return tuple(values)
+    if issubclass(hint, enum.Enum):  # travels as its string value
+        text = _typed(body, name, str)
+        if text is None:
+            return default
+        try:
+            return hint(text)
+        except ValueError:
+            raise SchemaError(
+                name,
+                f"must be one of {[member.value for member in hint]}, "
+                f"got {text!r}",
+            ) from None
+    return _typed(body, name, hint, default)
 
 
 @dataclass(frozen=True)
 class CohortCreateRequest:
     """The JSON body of ``POST /cohorts``: one runtime cohort spec.
 
-    Field names and defaults mirror
+    Field names, types and defaults are read off
     :class:`~repro.service.config.CohortSpec`; enums travel as their
     string values (``"transport": "socket"``).  :meth:`to_spec` runs the
     config layer's full geometry validation, so a cohort that would be
@@ -222,118 +254,20 @@ class CohortCreateRequest:
     message, as a 400.
     """
 
-    num_users: int = 8
-    model_dim: int = 256
-    num_shards: int = 1
-    pool_size: int = 4
-    low_water: int = 0
-    privacy: int = 1
-    dropout_tolerance: int = 1
-    protocol: str = "lightsecagg"
-    transport: str = "inline"
-    wire_format: str = "packed"
-    num_workers: Optional[int] = None
-    connect: Optional[Tuple[str, ...]] = None
-    seed: int = 0
-    kind: str = "sync"
-    buffer_size: Optional[int] = None
-    staleness_fn: str = "constant"
-    staleness_alpha: float = 1.0
-    staleness_levels: int = 1 << 6
-    quant_levels: int = 1 << 16
-    quant_clip: Optional[float] = None
+    values: Dict[str, Any]
 
     @classmethod
     def from_json(cls, body: Dict[str, Any]) -> "CohortCreateRequest":
-        _reject_unknown(body, _COHORT_FIELDS, "cohort spec")
-        connect = _typed(body, "connect", list)
-        if connect is not None:
-            for i, address in enumerate(connect):
-                if not isinstance(address, str):
-                    raise SchemaError(
-                        f"connect[{i}]",
-                        f"expected a host:port string, got "
-                        f"{type(address).__name__}",
-                    )
-            connect = tuple(connect)
-        defaults = cls()
-        return cls(
-            num_users=_typed(body, "num_users", int, defaults.num_users),
-            model_dim=_typed(body, "model_dim", int, defaults.model_dim),
-            num_shards=_typed(body, "num_shards", int, defaults.num_shards),
-            pool_size=_typed(body, "pool_size", int, defaults.pool_size),
-            low_water=_typed(body, "low_water", int, defaults.low_water),
-            privacy=_typed(body, "privacy", int, defaults.privacy),
-            dropout_tolerance=_typed(
-                body, "dropout_tolerance", int, defaults.dropout_tolerance
-            ),
-            protocol=_typed(body, "protocol", str, defaults.protocol),
-            transport=_typed(body, "transport", str, defaults.transport),
-            wire_format=_typed(
-                body, "wire_format", str, defaults.wire_format
-            ),
-            num_workers=_typed(body, "num_workers", int),
-            connect=connect,
-            seed=_typed(body, "seed", int, defaults.seed),
-            kind=_typed(body, "kind", str, defaults.kind),
-            buffer_size=_typed(body, "buffer_size", int),
-            staleness_fn=_typed(
-                body, "staleness_fn", str, defaults.staleness_fn
-            ),
-            staleness_alpha=_typed(
-                body, "staleness_alpha", float, defaults.staleness_alpha
-            ),
-            staleness_levels=_typed(
-                body, "staleness_levels", int, defaults.staleness_levels
-            ),
-            quant_levels=_typed(
-                body, "quant_levels", int, defaults.quant_levels
-            ),
-            quant_clip=_typed(body, "quant_clip", float),
-        )
+        _reject_unknown(body, tuple(_SPEC_HINTS), "cohort spec")
+        return cls({
+            f.name: _spec_value(body, f.name, f.default)
+            for f in fields(CohortSpec)
+        })
 
     def to_spec(self) -> CohortSpec:
-        try:
-            transport = TransportKind(self.transport)
-        except ValueError:
-            raise SchemaError(
-                "transport",
-                f"must be one of "
-                f"{[k.value for k in TransportKind]}, got "
-                f"{self.transport!r}",
-            ) from None
-        try:
-            wire_format = WireFormat(self.wire_format)
-        except ValueError:
-            raise SchemaError(
-                "wire_format",
-                f"must be one of {[w.value for w in WireFormat]}, got "
-                f"{self.wire_format!r}",
-            ) from None
         # CohortSpec's own __post_init__ performs the full geometry
         # validation; its ReproError is the 400 body's message.
-        return CohortSpec(
-            num_users=self.num_users,
-            model_dim=self.model_dim,
-            num_shards=self.num_shards,
-            pool_size=self.pool_size,
-            low_water=self.low_water,
-            dropout_tolerance=self.dropout_tolerance,
-            privacy=self.privacy,
-            protocol=self.protocol,
-            transport=transport,
-            wire_format=wire_format,
-            num_workers=self.num_workers,
-            connect=self.connect,
-            seed=self.seed,
-            kind=self.kind,
-            buffer_size=self.buffer_size,
-            staleness_fn=self.staleness_fn,
-            staleness_alpha=self.staleness_alpha,
-            staleness_levels=self.staleness_levels,
-            quant_levels=self.quant_levels,
-            quant_clip=self.quant_clip,
-        )
+        return CohortSpec(**self.values)
 
 
 # ----------------------------------------------------------------------

@@ -24,16 +24,17 @@ and response models in :mod:`repro.service.api.schemas`.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Union
 from urllib.parse import urlsplit
 
-import itertools
-
 from repro.exceptions import ProtocolError
+from repro.service.api.routes import Response, dispatch, error_response
 from repro.service.api.schemas import (
     NotFoundError,
     RoundRequest,
@@ -44,6 +45,10 @@ from repro.service.api.schemas import (
 )
 from repro.service.config import CohortSpec
 from repro.service.service import AggregationService
+
+#: Finished (done / error) async round handles kept per cohort; older
+#: ones are evicted and poll as 404.  Running handles are never evicted.
+MAX_FINISHED_HANDLES = 64
 
 
 class ControlPlane:
@@ -59,10 +64,11 @@ class ControlPlane:
         self._drained = threading.Event()
         self._drain_summary: Optional[Dict[str, Any]] = None
         self._t0 = time.monotonic()
-        # Async round handles: (cohort_id, handle) -> state dict.  The
-        # worker thread runs through run_round, so its round is counted
-        # in-flight and drain/delete wait it out like any other.
-        self._round_handles: Dict[tuple, Dict[str, Any]] = {}
+        # Async round handles: cohort_id -> {handle -> state dict}, oldest
+        # first.  The worker thread runs through run_round, so its round
+        # is counted in-flight and drain/delete wait it out like any
+        # other.
+        self._round_handles: Dict[int, Dict[int, Dict[str, Any]]] = {}
         self._handle_counter = itertools.count(1)
 
     # ------------------------------------------------------------------
@@ -89,9 +95,14 @@ class ControlPlane:
 
     def _describe(self, cohort) -> Dict[str, Any]:
         status = cohort.status()
-        spec = self.service.cohort_specs.get(cohort.cohort_id)
-        status["spec"] = spec.describe() if spec is not None else None
+        status["spec"] = cohort.spec.describe()
         return status
+
+    def _cohort(self, cohort_id: int):
+        cohort = self.service.get_cohort(cohort_id)
+        if cohort is None:
+            raise NotFoundError(f"no cohort {cohort_id}")
+        return cohort
 
     def list_cohorts(self) -> Dict[str, Any]:
         return {
@@ -100,17 +111,13 @@ class ControlPlane:
         }
 
     def cohort_status(self, cohort_id: int) -> Dict[str, Any]:
-        cohort = self.service.get_cohort(cohort_id)
-        if cohort is None:
-            raise NotFoundError(f"no cohort {cohort_id}")
-        return self._describe(cohort)
+        return self._describe(self._cohort(cohort_id))
 
     def cohort_traces(
         self, cohort_id: int, limit: int = 20
     ) -> Dict[str, Any]:
         """Recent round-trace summaries for one cohort, newest first."""
-        if self.service.get_cohort(cohort_id) is None:
-            raise NotFoundError(f"no cohort {cohort_id}")
+        self._cohort(cohort_id)
         return {
             "cohort_id": cohort_id,
             "tracing": self.service.tracer.enabled,
@@ -136,10 +143,7 @@ class ControlPlane:
     # ------------------------------------------------------------------
     def create_cohort(self, spec: CohortSpec) -> Dict[str, Any]:
         with self._cond:
-            if self._draining:
-                raise ProtocolError(
-                    "service is draining; not admitting new cohorts"
-                )
+            self._admit()
         cohort = self.service.add_cohort(spec)
         return self._describe(cohort)
 
@@ -156,8 +160,7 @@ class ControlPlane:
         """
         deadline = time.monotonic() + timeout_s
         with self._cond:
-            if self.service.get_cohort(cohort_id) is None:
-                raise NotFoundError(f"no cohort {cohort_id}")
+            self._cohort(cohort_id)
             if cohort_id in self._closing:
                 raise ProtocolError(
                     f"cohort {cohort_id} is already closing"
@@ -180,33 +183,53 @@ class ControlPlane:
         finally:
             with self._cond:
                 self._closing.discard(cohort_id)
+                # The cohort id is never reused: its handles go with it.
+                self._round_handles.pop(cohort_id, None)
                 self._cond.notify_all()
         return {"cohort_id": cohort_id, "closed": True}
 
     # ------------------------------------------------------------------
     # rounds
     # ------------------------------------------------------------------
-    def run_round(
-        self, cohort_id: int, request: RoundRequest
-    ) -> RoundResponse:
+    def _admit(self, cohort_id: Optional[int] = None):
+        """The one admission check, made under ``_cond``: draining, then
+        — for work aimed at a cohort — closing and existence."""
+        if self._draining:
+            raise ProtocolError(
+                "service is draining; not admitting new work"
+            )
+        if cohort_id is None:
+            return None
+        if cohort_id in self._closing:
+            raise ProtocolError(f"cohort {cohort_id} is closing")
+        return self._cohort(cohort_id)
+
+    @contextmanager
+    def _in_flight(self, cohort_id: int):
+        """Admit one round or submission and count it in flight until the
+        block exits: a concurrent drain or cohort delete waits for it."""
         with self._cond:
-            if self._draining:
-                raise ProtocolError(
-                    "service is draining; not admitting new rounds"
-                )
-            if cohort_id in self._closing:
-                raise ProtocolError(f"cohort {cohort_id} is closing")
-            cohort = self.service.get_cohort(cohort_id)
-            if cohort is None:
-                raise NotFoundError(f"no cohort {cohort_id}")
+            cohort = self._admit(cohort_id)
             self._inflight[cohort_id] = (
                 self._inflight.get(cohort_id, 0) + 1
             )
             self._inflight_total += 1
         try:
-            spec = self.service.cohort_specs[cohort_id]
+            yield cohort
+        finally:
+            with self._cond:
+                self._inflight[cohort_id] -= 1
+                if self._inflight[cohort_id] == 0:
+                    del self._inflight[cohort_id]
+                self._inflight_total -= 1
+                self._cond.notify_all()
+
+    def run_round(
+        self, cohort_id: int, request: RoundRequest
+    ) -> RoundResponse:
+        with self._in_flight(cohort_id) as cohort:
             gf = self.service.gf
-            updates, dropouts, rng = request.materialize(spec, gf)
+            updates, dropouts, rng = request.materialize(cohort.spec, gf)
             t0 = time.perf_counter()
             result = cohort.run_round(updates, dropouts, rng)
             online = time.perf_counter() - t0
@@ -222,26 +245,6 @@ class ControlPlane:
                 online_seconds=online,
                 pool_level=status["pool_level"],
             )
-        finally:
-            with self._cond:
-                self._inflight[cohort_id] -= 1
-                if self._inflight[cohort_id] == 0:
-                    del self._inflight[cohort_id]
-                self._inflight_total -= 1
-                self._cond.notify_all()
-
-    def _admit(self, cohort_id: int):
-        """Shared admission check: draining / closing / existence."""
-        if self._draining:
-            raise ProtocolError(
-                "service is draining; not admitting new work"
-            )
-        if cohort_id in self._closing:
-            raise ProtocolError(f"cohort {cohort_id} is closing")
-        cohort = self.service.get_cohort(cohort_id)
-        if cohort is None:
-            raise NotFoundError(f"no cohort {cohort_id}")
-        return cohort
 
     def start_async_round(
         self, cohort_id: int, request: RoundRequest
@@ -259,21 +262,29 @@ class ControlPlane:
             entry: Dict[str, Any] = {
                 "state": "running", "result": None, "error": None,
             }
-            self._round_handles[(cohort_id, handle)] = entry
+            self._round_handles.setdefault(cohort_id, {})[handle] = entry
 
         def work() -> None:
             try:
-                response = self.run_round(cohort_id, request)
-                with self._cond:
-                    entry["state"] = "done"
-                    entry["result"] = response.to_json()
+                update = {
+                    "state": "done",
+                    "result": self.run_round(cohort_id, request).to_json(),
+                }
             except Exception as exc:  # noqa: BLE001 — reported via poll
-                with self._cond:
-                    entry["state"] = "error"
-                    entry["error"] = {
-                        "type": type(exc).__name__,
-                        "message": str(exc),
-                    }
+                update = {
+                    "state": "error",
+                    "error": {"type": type(exc).__name__, "message": str(exc)},
+                }
+            with self._cond:
+                entry.update(update)
+                # Each finished handle holds a whole encoded aggregate:
+                # keep the newest MAX_FINISHED_HANDLES, drop the rest.
+                handles = self._round_handles.get(cohort_id, {})
+                finished = [
+                    h for h, e in handles.items() if e["state"] != "running"
+                ]
+                for h in finished[:-MAX_FINISHED_HANDLES]:
+                    del handles[h]
 
         threading.Thread(
             target=work,
@@ -292,10 +303,11 @@ class ControlPlane:
     ) -> Dict[str, Any]:
         """Poll one async round: running / done (+result) / error."""
         with self._cond:
-            entry = self._round_handles.get((cohort_id, handle))
+            entry = self._round_handles.get(cohort_id, {}).get(handle)
             if entry is None:
                 raise NotFoundError(
-                    f"cohort {cohort_id} has no round handle {handle}"
+                    f"cohort {cohort_id} has no round handle {handle} "
+                    f"(unknown or evicted)"
                 )
             snapshot = {
                 "cohort_id": cohort_id,
@@ -318,15 +330,8 @@ class ControlPlane:
         delete waits for the submission (and the drain it may carry) to
         complete.
         """
-        with self._cond:
-            cohort = self._admit(cohort_id)
-            self._inflight[cohort_id] = (
-                self._inflight.get(cohort_id, 0) + 1
-            )
-            self._inflight_total += 1
-        try:
-            spec = self.service.cohort_specs[cohort_id]
-            update = request.decode(spec.model_dim)
+        with self._in_flight(cohort_id) as cohort:
+            update = request.decode(cohort.spec.model_dim)
             outcome = cohort.submit_update(
                 request.user_id,
                 update,
@@ -341,13 +346,6 @@ class ControlPlane:
                 )
                 outcome["encoding"] = "f64"
             return outcome
-        finally:
-            with self._cond:
-                self._inflight[cohort_id] -= 1
-                if self._inflight[cohort_id] == 0:
-                    del self._inflight[cohort_id]
-                self._inflight_total -= 1
-                self._cond.notify_all()
 
     def join_member(self, cohort_id: int) -> Dict[str, Any]:
         """Admit one member to a buffered cohort (re-keys shares)."""
@@ -441,37 +439,50 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass
 
-    def _read_body(self) -> Optional[Dict[str, Any]]:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length > 0 else b""
+    def _read_body(self) -> Union[Dict[str, Any], Response]:
+        """The request's JSON object, or the typed 400 refusing it."""
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Never guess: read as an empty body, a bad length would let
+            # POST /cohorts create a default cohort.  How much body
+            # follows is unknown, so the connection cannot be reused.
+            self.close_connection = True
+            return error_response(
+                400, "invalid-content-length",
+                f"Content-Length must be a non-negative integer, got "
+                f"{header!r}",
+            )
+        raw = self.rfile.read(length)
         if not raw:
             return {}
         try:
             body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
-            return None
-        return body if isinstance(body, dict) else None
+            body = None
+        if not isinstance(body, dict):
+            return error_response(
+                400, "invalid-json", "request body must be a JSON object"
+            )
+        return body
 
     def _handle(self) -> None:
-        from repro.service.api.routes import dispatch, error_response
-
         body = self._read_body()
-        if body is None:
-            response = error_response(
-                400, "invalid-json",
-                "request body must be a JSON object",
-            )
-        else:
-            response = dispatch(
-                self.server.control,
-                self.command,
-                urlsplit(self.path).path,
-                body,
-            )
+        response = body if isinstance(body, Response) else dispatch(
+            self.server.control,
+            self.command,
+            urlsplit(self.path).path,
+            body,
+        )
         try:
             self.send_response(response.status)
             self.send_header("Content-Type", response.content_type)
             self.send_header("Content-Length", str(len(response.body)))
+            for name, value in response.headers:
+                self.send_header(name, value)
             if response.shutdown_after:
                 self.send_header("Connection", "close")
                 self.close_connection = True

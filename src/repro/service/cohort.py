@@ -21,7 +21,6 @@ event background refill eliminates, and the cohort counts it.
 
 from __future__ import annotations
 
-import enum
 import threading
 from typing import Dict, Optional, Set
 
@@ -30,16 +29,10 @@ import numpy as np
 from repro.exceptions import ProtocolError
 from repro.obs import Tracer
 from repro.protocols.base import AggregationResult
-from repro.service.engines import RoundEngine, SyncRoundEngine
+from repro.service.config import CohortSpec
+from repro.service.engines import CohortPhase, RoundEngine, SyncRoundEngine
 from repro.service.metrics import ServiceMetrics
 from repro.service.refill import BackgroundRefiller
-
-
-class CohortPhase(enum.Enum):
-    IDLE = "idle"
-    COLLECTING = "collecting"
-    AGGREGATING = "aggregating"
-    CLOSED = "closed"
 
 
 class Cohort:
@@ -69,6 +62,13 @@ class Cohort:
         :class:`~repro.service.engines.BufferedAsyncRoundEngine` turns
         the cohort into the buffered-async workload (clients submit
         asynchronously, drains fire when the buffer fills).
+    spec / transport:
+        The :class:`~repro.service.config.CohortSpec` and
+        :class:`~repro.service.transport.ShardTransport` the service
+        built the cohort from, so everything about a live cohort is
+        reachable from this one object; both stay ``None`` for a cohort
+        wrapped around a bare session.  :meth:`close` releases the
+        transport's backend after the session.
     """
 
     def __init__(
@@ -79,9 +79,13 @@ class Cohort:
         refiller: Optional[BackgroundRefiller] = None,
         tracer: Optional[Tracer] = None,
         engine: Optional[RoundEngine] = None,
+        spec: Optional[CohortSpec] = None,
+        transport=None,
     ):
         self.cohort_id = int(cohort_id)
         self.session = session
+        self.spec = spec
+        self.transport = transport
         self.metrics = metrics
         self.refiller = refiller
         self.tracer = tracer
@@ -101,15 +105,19 @@ class Cohort:
     # Phase mutations happen under one lock so a concurrent close() can
     # never interleave *inside* a transition: CLOSED is terminal (a
     # transition can neither overwrite it nor half-observe it).
+    def _move(self, expected: CohortPhase, to: CohortPhase) -> None:
+        """``expected -> to`` or a loud error; caller holds the lock."""
+        if self.phase is not expected:
+            raise ProtocolError(
+                f"cohort {self.cohort_id}: invalid transition "
+                f"{self.phase.value} -> {to.value} (expected to be in "
+                f"{expected.value})"
+            )
+        self.phase = to
+
     def _transition(self, expected: CohortPhase, to: CohortPhase) -> None:
         with self._phase_lock:
-            if self.phase is not expected:
-                raise ProtocolError(
-                    f"cohort {self.cohort_id}: invalid transition "
-                    f"{self.phase.value} -> {to.value} (expected to be in "
-                    f"{expected.value})"
-                )
-            self.phase = to
+            self._move(expected, to)
 
     def _advance(self, expected: CohortPhase, to: CohortPhase) -> None:
         """Mid-round transition that tolerates a concurrent close().
@@ -120,15 +128,8 @@ class Cohort:
         not from a misleading invalid-transition complaint.
         """
         with self._phase_lock:
-            if self.phase is CohortPhase.CLOSED:
-                return
-            if self.phase is not expected:
-                raise ProtocolError(
-                    f"cohort {self.cohort_id}: invalid transition "
-                    f"{self.phase.value} -> {to.value} (expected to be in "
-                    f"{expected.value})"
-                )
-            self.phase = to
+            if self.phase is not CohortPhase.CLOSED:
+                self._move(expected, to)
 
     def run_round(
         self,
@@ -202,15 +203,8 @@ class Cohort:
             self.rounds += 1
             if stalled:
                 self.stalls += 1
-            if self.phase is CohortPhase.CLOSED:
-                return
-            if self.phase is not CohortPhase.AGGREGATING:
-                raise ProtocolError(
-                    f"cohort {self.cohort_id}: invalid transition "
-                    f"{self.phase.value} -> idle (expected to be in "
-                    f"aggregating)"
-                )
-            self.phase = CohortPhase.IDLE
+            if self.phase is not CohortPhase.CLOSED:
+                self._move(CohortPhase.AGGREGATING, CohortPhase.IDLE)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -218,6 +212,10 @@ class Cohort:
         with self._phase_lock:
             self.phase = CohortPhase.CLOSED
         self.engine.close()
+        if self.transport is not None:
+            # For process/socket backends: the worker Shutdown/Teardown
+            # handshake, for this cohort's shards only.
+            self.transport.close()
 
     def status(self) -> Dict:
         """Snapshotable cohort state for coordinators and the CLI.

@@ -12,7 +12,7 @@ configurations declaratively.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from repro.exceptions import ParameterError, ReproError
@@ -80,13 +80,13 @@ class WireFormat(enum.Enum):
 
 
 def _validate_cohort_fields(cfg) -> None:
-    """Shared validation for the per-cohort knobs.
+    """Validation for the per-cohort knobs.
 
-    Both :class:`ServiceConfig` (one uniform spec stamped across
-    ``num_cohorts``) and :class:`CohortSpec` (one runtime cohort created
-    through the control plane) carry the same geometry fields; validating
-    them here keeps the failure messages — and the guarantee that a bad
-    deployment fails at *config build time* — identical on both paths.
+    Run by :class:`CohortSpec` (one runtime cohort created through the
+    control plane) and so by :class:`ServiceConfig` (one uniform spec
+    stamped across ``num_cohorts``), which keeps the failure messages —
+    and the guarantee that a bad deployment fails at *config build
+    time* — identical on both paths.
     """
     if cfg.num_users < 2:
         raise ReproError(
@@ -202,84 +202,18 @@ def _validate_cohort_fields(cfg) -> None:
 class CohortSpec:
     """Everything needed to host *one* cohort, independent of the service.
 
-    The runtime unit of the control plane: ``POST /cohorts`` carries one
-    of these (as JSON), and :meth:`AggregationService.add_cohort` builds
-    a live cohort from it — its own protocol geometry, shard plan,
+    The only place the cohort fields, their types and their defaults are
+    named: ``POST /cohorts`` parses its JSON body off these fields,
+    :meth:`describe` and the service's ``status()`` render them, and
+    :class:`ServiceConfig` extends this class, so a static deployment is
+    the special case of stamping :meth:`ServiceConfig.cohort_spec`
+    ``num_cohorts`` times.  :meth:`AggregationService.add_cohort` builds
+    a live cohort from one spec — its own protocol geometry, shard plan,
     transport backend, and pool sizing — without touching any other
-    cohort.  A static :class:`ServiceConfig` deployment is the special
-    case of stamping :meth:`ServiceConfig.cohort_spec` ``num_cohorts``
-    times.
-
-    ``seed`` is the cohort's *base* seed; shard ``s`` of the cohort the
-    service assigns id ``c`` derives its stream from ``(seed, c, s)``,
-    so a cohort created at runtime with the same seed and the same
-    assigned id is bit-identical to its statically-configured twin.
-    """
-
-    num_users: int = 8
-    model_dim: int = 256
-    num_shards: int = 1
-    pool_size: int = 4
-    low_water: int = 0
-    dropout_tolerance: int = 1
-    privacy: int = 1
-    protocol: str = "lightsecagg"
-    transport: TransportKind = TransportKind.INLINE
-    wire_format: WireFormat = WireFormat.PACKED
-    num_workers: Optional[int] = None
-    connect: Optional[Tuple[str, ...]] = None
-    seed: int = 0
-    # Buffered-async workload knobs (kind="buffered" only).  The buffer
-    # seals and drains at ``buffer_size`` submissions (defaults to
-    # num_users); staleness_* select and parameterize the per-delivery
-    # weighting s(tau); quant_* shape the real->field embedding of
-    # submitted updates.
-    kind: str = "sync"
-    buffer_size: Optional[int] = None
-    staleness_fn: str = "constant"
-    staleness_alpha: float = 1.0
-    staleness_levels: int = 1 << 6
-    quant_levels: int = 1 << 16
-    quant_clip: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        _validate_cohort_fields(self)
-
-    def describe(self) -> dict:
-        """JSON-serializable spec summary for status endpoints."""
-        return {
-            "protocol": self.protocol,
-            "kind": self.kind,
-            "num_users": self.num_users,
-            "model_dim": self.model_dim,
-            "num_shards": self.num_shards,
-            "pool_size": self.pool_size,
-            "low_water": self.low_water,
-            "privacy": self.privacy,
-            "dropout_tolerance": self.dropout_tolerance,
-            "transport": self.transport.value,
-            "wire_format": self.wire_format.value,
-            "num_workers": self.num_workers,
-            "connect": list(self.connect) if self.connect else None,
-            "seed": self.seed,
-            "buffer_size": self.buffer_size,
-            "staleness_fn": self.staleness_fn,
-            "staleness_alpha": self.staleness_alpha,
-            "staleness_levels": self.staleness_levels,
-            "quant_levels": self.quant_levels,
-            "quant_clip": self.quant_clip,
-        }
-
-
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Declarative description of one aggregation-service deployment.
+    cohort.
 
     Parameters
     ----------
-    num_cohorts:
-        Concurrent FL cohorts the service hosts; each gets its own
-        protocol instance(s), sessions, and round state machine.
     num_users:
         ``N``, users per cohort.
     model_dim:
@@ -292,16 +226,12 @@ class ServiceConfig:
     low_water:
         Pool level at which the background refiller tops a session up.
         Ignored in ``SYNC`` mode (inline refills trigger on empty).
-    refill_mode:
-        See :class:`RefillMode`.
     dropout_tolerance / privacy:
         Per-cohort LightSecAgg guarantees ``D`` and ``T``; defaults scale
         with ``N`` like :meth:`LSAParams.paper_defaults`.
     protocol:
         Protocol family; currently ``"lightsecagg"`` (pooled sessions)
         and ``"naive"`` (replay sessions, useful as an oracle) are wired.
-    refill_poll_interval_s:
-        Background refiller sleep between low-water polls when idle.
     transport:
         Shard execution backend, see :class:`TransportKind`.
     wire_format:
@@ -318,46 +248,35 @@ class ServiceConfig:
     connect:
         ``host:port`` shard-worker addresses for the ``SOCKET``
         transport; shards are assigned round-robin across them, and all
-        cohorts of this service batch their shards over one shared
+        cohorts of one service batch their shards over one shared
         connection per address.  Required for ``SOCKET``, rejected
         elsewhere.
     seed:
-        Base seed; cohort ``c`` shard ``s`` derives an independent
-        deterministic stream from it.
-    tracing:
-        Record a :class:`~repro.obs.RoundTrace` for every round — phase
-        spans across the coordinator, transports, and shard workers,
-        stitched into one timeline per round.  ``False`` disables the
-        whole pipeline (spans become no-ops and the tracing capability
-        is not requested on socket connections, keeping wire frames
-        byte-identical to pre-tracing peers).
-    trace_capacity:
-        Completed traces retained in the in-memory ring buffer.
-    trace_slow_factor:
-        A round is flagged slow when its critical-path phase exceeds
-        this multiple of that phase's trailing median.
+        The cohort's *base* seed; shard ``s`` of the cohort the service
+        assigns id ``c`` derives its stream from ``(seed, c, s)``, so a
+        cohort created at runtime with the same seed and the same
+        assigned id is bit-identical to its statically-configured twin.
+    kind / buffer_size / staleness_* / quant_*:
+        Buffered-async workload knobs (``kind="buffered"`` only).  The
+        buffer seals and drains at ``buffer_size`` submissions (defaults
+        to ``num_users``); ``staleness_*`` select and parameterize the
+        per-delivery weighting s(tau); ``quant_*`` shape the real->field
+        embedding of submitted updates.
     """
 
-    num_cohorts: int = 1
     num_users: int = 8
     model_dim: int = 256
     num_shards: int = 1
     pool_size: int = 4
     low_water: int = 0
-    refill_mode: RefillMode = RefillMode.SYNC
     dropout_tolerance: int = 1
     privacy: int = 1
     protocol: str = "lightsecagg"
-    refill_poll_interval_s: float = 0.001
     transport: TransportKind = TransportKind.INLINE
     wire_format: WireFormat = WireFormat.PACKED
     num_workers: Optional[int] = None
     connect: Optional[Tuple[str, ...]] = None
     seed: int = 0
-    tracing: bool = True
-    trace_capacity: int = 256
-    trace_slow_factor: float = 5.0
-    # Buffered-async workload knobs; see CohortSpec.
     kind: str = "sync"
     buffer_size: Optional[int] = None
     staleness_fn: str = "constant"
@@ -373,39 +292,57 @@ class ServiceConfig:
         # here at config build time, with the same semantics, so a
         # misconfigured deployment fails before any process or pool is
         # created.
+        _validate_cohort_fields(self)
+
+    def describe(self) -> dict:
+        """JSON-serializable spec summary for status endpoints: every
+        cohort field, enums as their string values and ``connect`` as a
+        string array — the same shape ``POST /cohorts`` accepts."""
+        out = {}
+        for f in fields(CohortSpec):
+            value = getattr(self, f.name)
+            if isinstance(value, enum.Enum):
+                value = value.value
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[f.name] = value
+        return out
+
+
+@dataclass(frozen=True)
+class ServiceConfig(CohortSpec):
+    """Declarative description of one aggregation-service deployment:
+    the uniform :class:`CohortSpec` it stamps across its cohorts (the
+    inherited fields, settable flat: ``ServiceConfig(num_users=...)``)
+    plus the service-wide policy below.
+
+    Parameters
+    ----------
+    num_cohorts:
+        Concurrent FL cohorts the service hosts; each gets its own
+        protocol instance(s), sessions, and round state machine.
+    refill_mode:
+        See :class:`RefillMode`.
+    tracing:
+        Record a :class:`~repro.obs.RoundTrace` for every round — phase
+        spans across the coordinator, transports, and shard workers,
+        stitched into one timeline per round.  ``False`` disables the
+        whole pipeline (spans become no-ops and the tracing capability
+        is not requested on socket connections, keeping wire frames
+        byte-identical to pre-tracing peers).
+    """
+
+    num_cohorts: int = 1
+    refill_mode: RefillMode = RefillMode.SYNC
+    tracing: bool = True
+
+    def __post_init__(self) -> None:
         if self.num_cohorts < 1:
             raise ReproError(f"need >= 1 cohort, got {self.num_cohorts}")
-        if self.trace_capacity < 1:
-            raise ReproError(
-                f"trace_capacity must be >= 1, got {self.trace_capacity}"
-            )
-        if self.trace_slow_factor <= 0:
-            raise ReproError(
-                f"trace_slow_factor must be > 0, got {self.trace_slow_factor}"
-            )
-        _validate_cohort_fields(self)
+        super().__post_init__()
 
     def cohort_spec(self) -> CohortSpec:
         """The per-cohort spec this config stamps across its cohorts."""
         return CohortSpec(
-            num_users=self.num_users,
-            model_dim=self.model_dim,
-            num_shards=self.num_shards,
-            pool_size=self.pool_size,
-            low_water=self.low_water,
-            dropout_tolerance=self.dropout_tolerance,
-            privacy=self.privacy,
-            protocol=self.protocol,
-            transport=self.transport,
-            wire_format=self.wire_format,
-            num_workers=self.num_workers,
-            connect=self.connect,
-            seed=self.seed,
-            kind=self.kind,
-            buffer_size=self.buffer_size,
-            staleness_fn=self.staleness_fn,
-            staleness_alpha=self.staleness_alpha,
-            staleness_levels=self.staleness_levels,
-            quant_levels=self.quant_levels,
-            quant_clip=self.quant_clip,
+            **{f.name: getattr(self, f.name) for f in fields(CohortSpec)}
         )

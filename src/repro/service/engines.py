@@ -39,6 +39,7 @@ import enum
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set
 
@@ -57,6 +58,7 @@ from repro.field.arithmetic import FiniteField
 from repro.obs import Span, span
 from repro.protocols.lightsecagg.params import LSAParams
 from repro.quantization import ModelQuantizer, QuantizationConfig
+from repro.service.config import CohortSpec
 
 #: Stream-id constant separating drain rngs from every other derived
 #: stream in the repo (shard streams use (seed, cohort, shard)).
@@ -64,6 +66,9 @@ DRAIN_STREAM = 0x44524E53  # "DRNS"
 
 #: Staleness weighting functions selectable from config by name.
 STALENESS_FNS = ("constant", "polynomial", "hinge")
+
+#: :class:`PhaseTransition` records a buffered engine retains (a ring).
+TRANSITION_HISTORY = 64
 
 
 def drain_stream(
@@ -95,6 +100,16 @@ def build_staleness(
             f"unknown staleness fn {fn!r}; expected one of {STALENESS_FNS}"
         )
     return QuantizedStaleness(levels=levels, fn=resolved)
+
+
+class CohortPhase(enum.Enum):
+    """Coarse per-cohort phase machine (see :mod:`repro.service.cohort`,
+    which owns it; declared here so engines import it at module level)."""
+
+    IDLE = "idle"
+    COLLECTING = "collecting"
+    AGGREGATING = "aggregating"
+    CLOSED = "closed"
 
 
 class RoundPhase(enum.Enum):
@@ -139,6 +154,67 @@ class RoundEngine:
             f"{self.kind} cohorts do not run synchronous rounds"
         )
 
+    @contextmanager
+    def _bracket(self, round_index: int, **tags):
+        """The round bracket every engine runs its rounds inside.
+
+        Opens the round's trace, then yields ``timed`` — the body calls
+        ``timed(session_method, *args)`` exactly once, around the one
+        session call that *is* the online round (stall check before,
+        wall clock around).  When the body returns, the round is
+        recorded, the refiller nudged, the cohort's counters and phase
+        committed and the trace closed; when it raises, the trace closes
+        with the error and the cohort goes back to IDLE — a failed round
+        (e.g. survivors below U) leaves the cohort ready for the next
+        one, matching session semantics.
+        """
+        c = self.cohort
+        trace = None
+        if c.tracer is not None:
+            trace = c.tracer.start_round(c.cohort_id, round_index)
+            if trace is not None:
+                trace.root.tags.update(tags)
+                trace.root.tags["transport"] = (
+                    c.transport.kind if c.transport is not None else "local"
+                )
+        online, stalled, level_before = 0.0, False, None
+
+        def timed(call, *args, **kwargs):
+            nonlocal online, stalled, level_before
+            supports_pool = getattr(c.session, "supports_pool", False)
+            level_before = c.session.pool_level if supports_pool else None
+            stalled = bool(supports_pool and level_before == 0)
+            if trace is not None and stalled:
+                trace.root.tags["stalled"] = "1"
+            t0 = time.perf_counter()
+            result = call(*args, **kwargs)
+            online = time.perf_counter() - t0
+            return result
+
+        try:
+            yield trace, timed
+            if c.metrics is not None:
+                c.metrics.record_round(
+                    c.cohort_id, online, stalled, level_before
+                )
+            if c.refiller is not None:
+                c.refiller.notify()
+            # close() may have raced this round: the work is done and the
+            # session already committed its pool accounting, so keep
+            # the result and leave the cohort CLOSED rather than blowing
+            # up the success path on an AGGREGATING -> IDLE transition
+            # the close made invalid.
+            c._complete_round(stalled)
+            if c.tracer is not None:
+                c.tracer.finish(trace)
+        except Exception as exc:
+            if c.tracer is not None:
+                c.tracer.finish(trace, error=exc)
+            with c._phase_lock:
+                if c.phase is not CohortPhase.CLOSED:
+                    c.phase = CohortPhase.IDLE
+            raise
+
     def status_fields(self) -> Dict:
         """Engine-specific additions to :meth:`Cohort.status` (may be
         empty — the sync engine adds nothing so pre-engine status
@@ -150,21 +226,16 @@ class RoundEngine:
 
 
 class SyncRoundEngine(RoundEngine):
-    """The original synchronous round machine, verbatim.
-
-    The body below is the pre-refactor ``Cohort.run_round`` operating on
-    the cohort's own phase state; every transition, metric, trace tag,
-    and error path is preserved bit-for-bit.
-    """
+    """The original synchronous round machine: the caller hands over a
+    full round of updates and blocks through COLLECTING -> AGGREGATING
+    on the cohort's own phase state."""
 
     kind = "sync"
 
     def run_round(self, updates, dropouts=None, rng=None, **phase_kwargs):
-        from repro.service.cohort import CohortPhase
-
         c = self.cohort
         dropouts = set(dropouts or set())
-        # Entering the machine happens OUTSIDE the recovery block: a call
+        # Entering the machine happens OUTSIDE the round bracket: a call
         # rejected here (cohort busy or closed) must not clobber the
         # phase of a round legitimately in progress.  The entry check and
         # the transition race a concurrent close(), so the closed-cohort
@@ -182,52 +253,14 @@ class SyncRoundEngine(RoundEngine):
                     f"cohort {c.cohort_id} is closed; no further rounds"
                 ) from None
             raise
-        trace = None
-        if c.tracer is not None:
-            trace = c.tracer.start_round(c.cohort_id, c.rounds)
-            if trace is not None:
-                trace.root.tags["transport"] = getattr(
-                    getattr(c.session, "transport", None), "kind", "local"
-                )
-        try:
+        with self._bracket(c.rounds) as (_trace, timed):
             # COLLECTING: updates are already in hand in-process; a
             # transport would gather client uploads here.
             with span("collect", users=str(len(updates))):
                 c._advance(CohortPhase.COLLECTING, CohortPhase.AGGREGATING)
-            supports_pool = getattr(c.session, "supports_pool", False)
-            level_before = c.session.pool_level if supports_pool else None
-            stalled = bool(supports_pool and level_before == 0)
-            if trace is not None and stalled:
-                trace.root.tags["stalled"] = "1"
-            t0 = time.perf_counter()
-            result = c.session.run_round(
-                updates, dropouts, rng, **phase_kwargs
+            return timed(
+                c.session.run_round, updates, dropouts, rng, **phase_kwargs
             )
-            online = time.perf_counter() - t0
-            if c.metrics is not None:
-                c.metrics.record_round(
-                    c.cohort_id, online, stalled, level_before
-                )
-            if c.refiller is not None:
-                c.refiller.notify()
-            # close() may have raced this round: the work is done and the
-            # session already committed its pool accounting, so return
-            # the result and leave the cohort CLOSED rather than blowing
-            # up the success path on an AGGREGATING -> IDLE transition
-            # the close made invalid.
-            c._complete_round(stalled)
-            if c.tracer is not None:
-                c.tracer.finish(trace)
-            return result
-        except Exception as exc:
-            if c.tracer is not None:
-                c.tracer.finish(trace, error=exc)
-            # A failed round (e.g. survivors below U) leaves the cohort
-            # ready for the next round, matching session semantics.
-            with c._phase_lock:
-                if c.phase is not CohortPhase.CLOSED:
-                    c.phase = CohortPhase.IDLE
-            raise
 
 
 class BufferedAsyncRoundEngine(RoundEngine):
@@ -255,53 +288,37 @@ class BufferedAsyncRoundEngine(RoundEngine):
 
     kind = "buffered"
 
-    def __init__(
-        self,
-        gf: FiniteField,
-        num_users: int,
-        buffer_size: Optional[int] = None,
-        staleness_fn: str = "constant",
-        staleness_alpha: float = 1.0,
-        staleness_levels: int = 1 << 6,
-        quant_levels: int = 1 << 16,
-        quant_clip: Optional[float] = None,
-        seed: int = 0,
-        privacy: int = 1,
-        dropout_tolerance: int = 1,
-        transition_history: int = 64,
-    ):
+    def __init__(self, gf: FiniteField, spec: CohortSpec):
         super().__init__()
-        if num_users < 2:
-            raise ProtocolError(f"need >= 2 members, got {num_users}")
-        capacity = num_users if buffer_size is None else int(buffer_size)
-        if not 1 <= capacity <= num_users:
-            raise ProtocolError(
-                f"buffer_size must be in [1, num_users={num_users}], "
-                f"got {capacity}"
-            )
+        # ``spec`` was range-checked when it was built (config.py).
         self.gf = gf
-        self.buffer_capacity = capacity
+        self.spec = spec
+        self.buffer_capacity = (
+            spec.num_users if spec.buffer_size is None else spec.buffer_size
+        )
         self.staleness = build_staleness(
-            staleness_fn, alpha=staleness_alpha, levels=staleness_levels
+            spec.staleness_fn,
+            alpha=spec.staleness_alpha,
+            levels=spec.staleness_levels,
         )
         self.quantizer = ModelQuantizer(
-            gf, QuantizationConfig(levels=quant_levels, clip=quant_clip)
+            gf,
+            QuantizationConfig(levels=spec.quant_levels, clip=spec.quant_clip),
         )
-        if quant_clip is not None:
+        if spec.quant_clip is not None:
             # A full buffer of clipped updates, each weighted by at most
             # the top staleness level, must not wrap the field.
             self.quantizer.check_budget(
-                capacity * self.staleness.levels, quant_clip
+                self.buffer_capacity * self.staleness.levels, spec.quant_clip
             )
-        self.seed = int(seed)
-        self.privacy = int(privacy)
-        self.dropout_tolerance = int(dropout_tolerance)
         self.model_dim: Optional[int] = None
-        self._members: Set[int] = set(range(num_users))
-        self._next_member_id = int(num_users)
+        self._members: Set[int] = set(range(spec.num_users))
+        self._next_member_id = spec.num_users
         self._lock = threading.Lock()
         self._drain_lock = threading.Lock()
-        self._buffer: UpdateBuffer[np.ndarray] = UpdateBuffer(capacity)
+        self._buffer: UpdateBuffer[np.ndarray] = UpdateBuffer(
+            self.buffer_capacity
+        )
         self._pending_dropouts: Set[int] = set()
         self._fill_started_at: Optional[float] = None
         self._round = 0  # server round t; one drain advances it by one
@@ -309,7 +326,7 @@ class BufferedAsyncRoundEngine(RoundEngine):
         self.membership_events: Dict[str, int] = {"join": 0, "leave": 0}
         self.round_phase = RoundPhase.IDLE
         self.transitions: Deque[PhaseTransition] = deque(
-            maxlen=transition_history
+            maxlen=TRANSITION_HISTORY
         )
 
     # ------------------------------------------------------------------
@@ -362,8 +379,6 @@ class BufferedAsyncRoundEngine(RoundEngine):
         (``drained=False``) or, for the sealing submission, the full
         drain outcome including the real-valued aggregate.
         """
-        from repro.service.cohort import CohortPhase
-
         c = self.cohort
         update = np.asarray(update, dtype=np.float64)
         if self.model_dim is not None and update.shape != (self.model_dim,):
@@ -425,15 +440,13 @@ class BufferedAsyncRoundEngine(RoundEngine):
         fill_started: Optional[float],
         sealed_at: float,
     ) -> Dict:
-        from repro.service.cohort import CohortPhase
-
         c = self.cohort
         with self._drain_lock:
             with self._lock:
                 drain_index = self.drains
                 members = sorted(self._members)
                 t = self._round
-            rng = drain_stream(self.seed, c.cohort_id, drain_index)
+            rng = drain_stream(self.spec.seed, c.cohort_id, drain_index)
             deliveries = [
                 AsyncDelivery(
                     user_id=item.user_id,
@@ -442,16 +455,11 @@ class BufferedAsyncRoundEngine(RoundEngine):
                 )
                 for item in items
             ]
-            trace = None
-            if c.tracer is not None:
-                trace = c.tracer.start_round(c.cohort_id, drain_index)
-                if trace is not None:
-                    trace.root.tags["kind"] = "buffered"
-                    trace.root.tags["transport"] = getattr(
-                        getattr(c.session, "transport", None), "kind",
-                        "local",
-                    )
-                    if fill_started is not None:
+            try:
+                with self._bracket(drain_index, kind="buffered") as (
+                    trace, timed,
+                ):
+                    if trace is not None and fill_started is not None:
                         # The fill predates the trace: record it as a
                         # retroactive span so the timeline shows how long
                         # the buffer took to reach K.
@@ -463,67 +471,56 @@ class BufferedAsyncRoundEngine(RoundEngine):
                                 tags={"updates": str(len(items))},
                             )
                         )
-            c._advance(CohortPhase.IDLE, CohortPhase.AGGREGATING)
-            try:
-                with self._lock:
-                    self._set_phase(RoundPhase.AGGREGATING, drain_index)
-                prepared = prepare_deliveries(
-                    deliveries,
-                    self.model_dim,
-                    self.quantizer,
-                    self.staleness,
-                    rng,
-                )
-                total_weight = sum(p.weight for p in prepared)
-                if total_weight == 0:
-                    raise ProtocolError(
-                        "all staleness weights quantized to zero"
+                    c._advance(CohortPhase.IDLE, CohortPhase.AGGREGATING)
+                    with self._lock:
+                        self._set_phase(RoundPhase.AGGREGATING, drain_index)
+                    prepared = prepare_deliveries(
+                        deliveries,
+                        self.model_dim,
+                        self.quantizer,
+                        self.staleness,
+                        rng,
                     )
-                live = [p for p in prepared if p.weight != 0]
-                weights = np.asarray(
-                    [p.weight for p in live], dtype=np.uint64
-                )
-                updates = np.stack([p.quantized for p in live])
-                slot_of = {member: i for i, member in enumerate(members)}
-                recovery_slots = {
-                    slot_of[m] for m in dropout_members if m in slot_of
-                }
-                supports_pool = getattr(c.session, "supports_pool", False)
-                level_before = (
-                    c.session.pool_level if supports_pool else None
-                )
-                stalled = bool(supports_pool and level_before == 0)
-                if trace is not None and stalled:
-                    trace.root.tags["stalled"] = "1"
-                t0 = time.perf_counter()
-                with span(
-                    "drain",
-                    updates=str(len(live)),
-                    weight=str(int(total_weight)),
-                ):
-                    result = c.session.drain(
-                        weights, updates, recovery_slots
+                    total_weight = sum(p.weight for p in prepared)
+                    if total_weight == 0:
+                        raise ProtocolError(
+                            "all staleness weights quantized to zero"
+                        )
+                    live = [p for p in prepared if p.weight != 0]
+                    weights = np.asarray(
+                        [p.weight for p in live], dtype=np.uint64
                     )
-                online = time.perf_counter() - t0
-                aggregate = (
-                    self.quantizer.dequantize(result.aggregate)
-                    / total_weight
-                )
-                with self._lock:
-                    self._round += 1
-                    self.drains += 1
-                    new_round = self._round
-                if c.metrics is not None:
-                    c.metrics.record_round(
-                        c.cohort_id, online, stalled, level_before
+                    updates = np.stack([p.quantized for p in live])
+                    slot_of = {
+                        member: i for i, member in enumerate(members)
+                    }
+                    recovery_slots = {
+                        slot_of[m] for m in dropout_members if m in slot_of
+                    }
+                    with span(
+                        "drain",
+                        updates=str(len(live)),
+                        weight=str(int(total_weight)),
+                    ):
+                        result = timed(
+                            c.session.drain, weights, updates, recovery_slots
+                        )
+                    aggregate = (
+                        self.quantizer.dequantize(result.aggregate)
+                        / total_weight
                     )
-                    c.metrics.record_drain(
-                        c.cohort_id,
-                        [d.staleness for d in deliveries],
-                    )
-                if c.refiller is not None:
-                    c.refiller.notify()
-                c._complete_round(stalled)
+                    with self._lock:
+                        self._round += 1
+                        self.drains += 1
+                        new_round = self._round
+                    if c.metrics is not None:
+                        c.metrics.record_drain(
+                            c.cohort_id,
+                            [d.staleness for d in deliveries],
+                        )
+            finally:
+                # Drained or failed, the batch is gone: the lifecycle
+                # follows whatever the next buffer already holds.
                 with self._lock:
                     self._set_phase(
                         RoundPhase.FILLING
@@ -531,50 +528,21 @@ class BufferedAsyncRoundEngine(RoundEngine):
                         else RoundPhase.IDLE,
                         self.drains,
                     )
-                if c.tracer is not None:
-                    c.tracer.finish(trace)
-                return {
-                    "drained": True,
-                    "drain_index": drain_index,
-                    "round": new_round,
-                    "num_updates": len(items),
-                    "total_weight": int(total_weight),
-                    "weights": [int(p.weight) for p in prepared],
-                    "staleness": [int(d.staleness) for d in deliveries],
-                    "survivors": [int(s) for s in result.survivors],
-                    "aggregate": aggregate,
-                }
-            except Exception as exc:
-                if c.tracer is not None:
-                    c.tracer.finish(trace, error=exc)
-                with c._phase_lock:
-                    if c.phase is not CohortPhase.CLOSED:
-                        c.phase = CohortPhase.IDLE
-                with self._lock:
-                    self._set_phase(
-                        RoundPhase.FILLING
-                        if len(self._buffer)
-                        else RoundPhase.IDLE,
-                        self.drains,
-                    )
-                raise
+            return {
+                "drained": True,
+                "drain_index": drain_index,
+                "round": new_round,
+                "num_updates": len(items),
+                "total_weight": int(total_weight),
+                "weights": [int(p.weight) for p in prepared],
+                "staleness": [int(d.staleness) for d in deliveries],
+                "survivors": [int(s) for s in result.survivors],
+                "aggregate": aggregate,
+            }
 
     # ------------------------------------------------------------------
     # elastic membership
     # ------------------------------------------------------------------
-    def _validate_geometry(self, num_users: int) -> None:
-        try:
-            LSAParams.from_guarantees(
-                num_users,
-                privacy=self.privacy,
-                dropout_tolerance=self.dropout_tolerance,
-            )
-        except ParameterError as exc:
-            raise ProtocolError(
-                f"infeasible membership change to N={num_users} with "
-                f"T={self.privacy}, D={self.dropout_tolerance}: {exc}"
-            ) from exc
-
     def join(self) -> Dict:
         """Admit one new member; re-keys mask shares for the new set.
 
@@ -583,31 +551,7 @@ class BufferedAsyncRoundEngine(RoundEngine):
         The session re-key invalidates pool entries encoded for the old
         geometry; the refiller nudge re-encodes them warm off-path.
         """
-        from repro.service.cohort import CohortPhase
-
-        c = self.cohort
-        with self._drain_lock:
-            with self._lock:
-                if c.phase is CohortPhase.CLOSED:
-                    raise ProtocolError(
-                        f"cohort {c.cohort_id} is closed; membership frozen"
-                    )
-                new_id = self._next_member_id
-                new_n = len(self._members) + 1
-                self._validate_geometry(new_n)
-                invalidated = int(c.session.rekey(new_n))
-                self._members.add(new_id)
-                self._next_member_id += 1
-                self.membership_events["join"] += 1
-        if c.metrics is not None:
-            c.metrics.record_membership(c.cohort_id, "join")
-        if c.refiller is not None:
-            c.refiller.notify()
-        return {
-            "user_id": new_id,
-            "num_users": new_n,
-            "invalidated_rounds": invalidated,
-        }
+        return self._rekey(None)
 
     def leave(self, user_id: int) -> Dict:
         """Retire one member; re-keys mask shares for the smaller set.
@@ -617,37 +561,56 @@ class BufferedAsyncRoundEngine(RoundEngine):
         the member no longer appears in recovery, and pending recovery
         dropouts naming it are dropped at drain time.
         """
-        from repro.service.cohort import CohortPhase
+        return self._rekey(int(user_id))
 
+    def _rekey(self, user_id: Optional[int]) -> Dict:
+        """The one membership change: validate the new member set, re-key
+        the session for it between drains, commit, then tell the metrics
+        and the refiller.  ``user_id`` names the member leaving; None is
+        a join (the engine allocates the id)."""
         c = self.cohort
-        user_id = int(user_id)
-        with self._drain_lock:
-            with self._lock:
-                if c.phase is CohortPhase.CLOSED:
-                    raise ProtocolError(
-                        f"cohort {c.cohort_id} is closed; membership frozen"
-                    )
-                if user_id not in self._members:
-                    raise ProtocolError(
-                        f"cohort {c.cohort_id} has no member {user_id}"
-                    )
-                new_n = len(self._members) - 1
-                if new_n < 2:
-                    raise ProtocolError(
-                        "cannot drop below 2 members"
-                    )
-                if new_n < self.buffer_capacity:
-                    raise ProtocolError(
-                        f"cannot leave: {new_n} members would be fewer "
-                        f"than the buffer capacity "
-                        f"{self.buffer_capacity}"
-                    )
-                self._validate_geometry(new_n)
-                invalidated = int(c.session.rekey(new_n))
-                self._members.discard(user_id)
-                self.membership_events["leave"] += 1
+        spec = self.spec
+        event = "join" if user_id is None else "leave"
+        with self._drain_lock, self._lock:
+            if c.phase is CohortPhase.CLOSED:
+                raise ProtocolError(
+                    f"cohort {c.cohort_id} is closed; membership frozen"
+                )
+            if user_id is None:
+                user_id = self._next_member_id
+                members = self._members | {user_id}
+            elif user_id not in self._members:
+                raise ProtocolError(
+                    f"cohort {c.cohort_id} has no member {user_id}"
+                )
+            else:
+                members = self._members - {user_id}
+            new_n = len(members)
+            if new_n < 2:
+                raise ProtocolError("cannot drop below 2 members")
+            if new_n < self.buffer_capacity:
+                raise ProtocolError(
+                    f"cannot leave: {new_n} members would be fewer "
+                    f"than the buffer capacity {self.buffer_capacity}"
+                )
+            try:
+                LSAParams.from_guarantees(
+                    new_n,
+                    privacy=spec.privacy,
+                    dropout_tolerance=spec.dropout_tolerance,
+                )
+            except ParameterError as exc:
+                raise ProtocolError(
+                    f"infeasible membership change to N={new_n} with "
+                    f"T={spec.privacy}, D={spec.dropout_tolerance}: {exc}"
+                ) from exc
+            invalidated = int(c.session.rekey(new_n))
+            self._members = members
+            # A join consumes the id it was allocated; a leave's is older.
+            self._next_member_id = max(self._next_member_id, user_id + 1)
+            self.membership_events[event] += 1
         if c.metrics is not None:
-            c.metrics.record_membership(c.cohort_id, "leave")
+            c.metrics.record_membership(c.cohort_id, event)
         if c.refiller is not None:
             c.refiller.notify()
         return {

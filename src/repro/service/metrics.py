@@ -16,8 +16,9 @@ from __future__ import annotations
 import bisect
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 #: Upper bucket bounds (seconds) of the online-round latency histogram,
 #: Prometheus-style cumulative.  Spans sub-millisecond inline rounds at
@@ -45,6 +46,10 @@ def _staleness_histogram() -> List[int]:
     return [0] * (len(STALENESS_BUCKETS) + 1)  # trailing slot is +Inf
 
 
+#: Pool-depth samples retained per cohort (the newest ones).
+POOL_DEPTH_SAMPLES = 4096
+
+
 def _fmt(value) -> str:
     """Prometheus sample formatting: integral floats without the dot."""
     if isinstance(value, float):
@@ -68,8 +73,12 @@ class CohortMetrics:
     # cohorts that have gone quiet.
     last_round_unix: float = 0.0
     # (monotonic time, pool level) sampled at every round start and after
-    # every background refill — the benchmark's pool-depth-over-time series.
-    pool_depth_series: List[Tuple[float, int]] = field(default_factory=list)
+    # every background refill — the benchmark's pool-depth-over-time
+    # series.  A ring: a daemon samples for life and every snapshot()
+    # copies the series, so only the newest POOL_DEPTH_SAMPLES are kept.
+    pool_depth_series: Deque[Tuple[float, int]] = field(
+        default_factory=lambda: deque(maxlen=POOL_DEPTH_SAMPLES)
+    )
     # Per-bucket observation counts aligned with LATENCY_BUCKETS_S (last
     # slot is the +Inf overflow); non-cumulative, cumulated at render.
     latency_buckets: List[int] = field(default_factory=_latency_histogram)

@@ -45,11 +45,7 @@ from repro.service.metrics import ServiceMetrics
 from repro.service.refill import BackgroundRefiller
 from repro.service.scheduler import CohortScheduler
 from repro.service.sharding import ShardedSession, ShardPlan
-from repro.service.transport import (
-    ShardSessionSpec,
-    ShardTransport,
-    build_transport,
-)
+from repro.service.transport import ShardSessionSpec, build_transport
 
 
 class AggregationService:
@@ -73,22 +69,13 @@ class AggregationService:
         self.config = config
         self.gf = gf if gf is not None else FiniteField()
         self.metrics = ServiceMetrics()
-        self.tracer = Tracer(
-            enabled=config.tracing,
-            capacity=config.trace_capacity,
-            slow_factor=config.trace_slow_factor,
-            metrics=self.metrics,
-        )
+        self.tracer = Tracer(enabled=config.tracing, metrics=self.metrics)
         self.refiller: Optional[BackgroundRefiller] = None
         if config.refill_mode is RefillMode.BACKGROUND:
-            self.refiller = BackgroundRefiller(
-                poll_interval_s=config.refill_poll_interval_s,
-                metrics=self.metrics,
-            )
+            self.refiller = BackgroundRefiller(metrics=self.metrics)
         self._cohort_lock = threading.RLock()
+        # A live cohort is one object: it carries its spec and transport.
         self._cohorts: Dict[int, Cohort] = {}
-        self._transports: Dict[int, ShardTransport] = {}
-        self.cohort_specs: Dict[int, CohortSpec] = {}
         self._next_cohort_id = 0
         self.scheduler = CohortScheduler(allow_empty=True)
         self._started = False
@@ -175,23 +162,9 @@ class AggregationService:
                     cohort_id,
                     depth_fn=lambda logical=logical: logical.pool_level,
                 )
-        with self._cohort_lock:
-            self._transports[cohort_id] = transport
         engine = None
         if spec.kind == "buffered":
-            engine = BufferedAsyncRoundEngine(
-                gf=self.gf,
-                num_users=spec.num_users,
-                buffer_size=spec.buffer_size,
-                staleness_fn=spec.staleness_fn,
-                staleness_alpha=spec.staleness_alpha,
-                staleness_levels=spec.staleness_levels,
-                quant_levels=spec.quant_levels,
-                quant_clip=spec.quant_clip,
-                seed=spec.seed,
-                privacy=spec.privacy,
-                dropout_tolerance=spec.dropout_tolerance,
-            )
+            engine = BufferedAsyncRoundEngine(self.gf, spec)
         return Cohort(
             cohort_id,
             session,
@@ -199,6 +172,8 @@ class AggregationService:
             refiller=self.refiller,
             tracer=self.tracer,
             engine=engine,
+            spec=spec,
+            transport=transport,
         )
 
     # ------------------------------------------------------------------
@@ -225,7 +200,6 @@ class AggregationService:
             cohort.session.refill()
         with self._cohort_lock:
             self._cohorts[cohort_id] = cohort
-            self.cohort_specs[cohort_id] = spec
         self.scheduler.add(cohort)
         return cohort
 
@@ -233,24 +207,18 @@ class AggregationService:
         """Close and retire one cohort without touching its neighbours.
 
         The cohort leaves the scheduler and the refiller watch list
-        first, then its session closes (an in-flight round completes and
-        keeps its result, per the cohort's close/round race contract),
-        then its transport releases its backend — for process/socket
-        backends that is the worker Shutdown/Teardown handshake for this
-        cohort's shards only.
+        first, then :meth:`Cohort.close` closes its session (an
+        in-flight round completes and keeps its result, per the cohort's
+        close/round race contract) and releases its transport's backend.
         """
         with self._cohort_lock:
             cohort = self._cohorts.pop(cohort_id, None)
-            self.cohort_specs.pop(cohort_id, None)
-            transport = self._transports.pop(cohort_id, None)
         if cohort is None:
             raise ProtocolError(f"service has no cohort {cohort_id}")
         self.scheduler.remove(cohort_id)
         if self.refiller is not None:
             self.refiller.unregister(cohort_id)
         cohort.close()
-        if transport is not None:
-            transport.close()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -272,20 +240,15 @@ class AggregationService:
         """Stop the refill worker, close all sessions, shut workers down.
 
         Ordering matters: the refiller is joined first (a refill in
-        flight completes and its material is delivered), then cohorts
-        close their sessions, then transports release their backends —
-        for the process transport that is the Shutdown handshake with
-        every worker.
+        flight completes and its material is delivered), then each
+        cohort closes its session and releases its transport's backend
+        — for the process transport that is the Shutdown handshake with
+        its workers.
         """
         if self.refiller is not None:
             self.refiller.stop()
-        with self._cohort_lock:
-            cohorts = list(self._cohorts.values())
-            transports = list(self._transports.values())
-        for cohort in cohorts:
+        for cohort in self.cohorts:
             cohort.close()
-        for transport in transports:
-            transport.close()
         self.tracer.close()
         self._started = False
 
@@ -407,9 +370,7 @@ class AggregationService:
         )
 
         def update_fn(cohort: Cohort, _round_index: int) -> Tuple[Dict, Set]:
-            spec = self.cohort_specs.get(
-                cohort.cohort_id, self.config.cohort_spec()
-            )
+            spec = cohort.spec
             updates = {
                 i: self.gf.random(spec.model_dim, rng)
                 for i in range(spec.num_users)
@@ -440,21 +401,12 @@ class AggregationService:
     def status(self) -> Dict:
         """JSON-serializable service snapshot (config, cohorts, metrics)."""
         cfg = self.config
+        cohorts = self.cohorts
         return {
             "config": {
+                **cfg.describe(),
                 "num_cohorts": cfg.num_cohorts,
-                "num_users": cfg.num_users,
-                "model_dim": cfg.model_dim,
-                "num_shards": cfg.num_shards,
-                "pool_size": cfg.pool_size,
-                "low_water": cfg.low_water,
                 "refill_mode": cfg.refill_mode.value,
-                "protocol": cfg.protocol,
-                "kind": cfg.kind,
-                "transport": cfg.transport.value,
-                "wire_format": cfg.wire_format.value,
-                "num_workers": cfg.num_workers,
-                "connect": list(cfg.connect) if cfg.connect else None,
             },
             "field": {
                 "modulus": self.gf.q,
@@ -463,12 +415,10 @@ class AggregationService:
             "transport": {
                 "kind": cfg.transport.value,
                 "workers_alive": sum(
-                    getattr(t, "workers_alive", 0)
-                    for t in self._transports.values()
+                    getattr(c.transport, "workers_alive", 0) for c in cohorts
                 ),
                 "workers_total": sum(
-                    getattr(t, "num_workers", 0)
-                    for t in self._transports.values()
+                    getattr(c.transport, "num_workers", 0) for c in cohorts
                 ),
             },
             "started": self._started,

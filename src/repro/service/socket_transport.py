@@ -48,7 +48,6 @@ from repro.protocols.base import SessionStats
 from repro.service.socket_worker import parse_address
 from repro.service.transport import (
     FrameTransport,
-    ShardHandle,
     ShardSessionSpec,
     _ResponseMux,
 )
@@ -68,10 +67,6 @@ from repro.wire import (
     recv_frames,
     send_segments,
 )
-
-
-#: The handle is lane-agnostic; the socket-flavoured name stays importable.
-SocketShardHandle = ShardHandle
 
 
 class _SocketClient(_ResponseMux):

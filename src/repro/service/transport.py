@@ -92,6 +92,10 @@ TRANSPORT_KINDS = ("inline", "process", "socket", "shm")
 #: that never advertised CAP_PACKED_ARRAYS still get raw frames).
 WIRE_FORMATS = ("raw", "packed")
 
+#: Seconds a closing process transport waits on each step of a worker's
+#: exit (Shutdown ack, join, terminate, receiver reap).
+SHUTDOWN_TIMEOUT_S = 10.0
+
 
 def _absorb_worker_span(trace, shard_id: int, ws, kind: str) -> None:
     """Stitch a worker-reported timing block into the coordinator's trace.
@@ -534,10 +538,6 @@ class ShardHandle:
             f"pool={self.pool_level}/{self.pool_size}, "
             f"rounds={self.stats.rounds})"
         )
-
-
-#: Both names predate the lane-agnostic handle and stay importable.
-ProcessShardHandle = ShardHandle
 
 
 class FrameTransport(ShardTransport):
@@ -1029,8 +1029,6 @@ class ProcessPoolTransport(FrameTransport):
         num_workers: Optional[int] = None,
         metrics=None,
         cohort_id: int = 0,
-        shutdown_timeout_s: float = 10.0,
-        mp_context: Optional[str] = None,
         wire_format: str = "raw",
         payload_mode: str = "pipe",
     ):
@@ -1045,7 +1043,6 @@ class ProcessPoolTransport(FrameTransport):
                 f"'pipe' or 'shm'"
             )
         self.num_workers = min(num_workers or len(specs), len(specs))
-        self.shutdown_timeout_s = float(shutdown_timeout_s)
         self.payload_mode = payload_mode
         if payload_mode == "shm":
             # Report under a distinct metrics lane: the whole point of
@@ -1068,7 +1065,7 @@ class ProcessPoolTransport(FrameTransport):
             self._registry.add_local(self._arena)
             shm_resolver = self._registry.resolve
 
-        ctx = multiprocessing.get_context(mp_context)
+        ctx = multiprocessing.get_context()
         self._clients: List[_WorkerClient] = []
         self._worker_of = [s % self.num_workers for s in range(len(specs))]
         for worker in range(self.num_workers):
@@ -1150,16 +1147,16 @@ class ProcessPoolTransport(FrameTransport):
         for client, request_id in acks:
             if request_id is not None:
                 try:
-                    client.receive(request_id, timeout=self.shutdown_timeout_s)
+                    client.receive(request_id, timeout=SHUTDOWN_TIMEOUT_S)
                 except TransportError:
                     pass  # fall through to join/terminate
-            client.process.join(timeout=self.shutdown_timeout_s)
+            client.process.join(timeout=SHUTDOWN_TIMEOUT_S)
             if client.process.is_alive():
                 client.process.terminate()
-                client.process.join(timeout=self.shutdown_timeout_s)
+                client.process.join(timeout=SHUTDOWN_TIMEOUT_S)
             # Worker exit delivered EOF to the receiver thread; reap it
             # before closing our connection end.
-            client._receiver.join(timeout=self.shutdown_timeout_s)
+            client._receiver.join(timeout=SHUTDOWN_TIMEOUT_S)
             client.conn.close()
         # Segment teardown strictly after worker teardown: the workers
         # hold attachments, and unlinking first would turn a late round

@@ -12,6 +12,7 @@
 
 import base64
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -28,7 +29,13 @@ from repro.service import (
     ShardWorkerServer,
     TransportKind,
 )
-from repro.service.api import ControlPlane, ControlPlaneServer, encode_vector
+from repro.service.api import (
+    ControlPlane,
+    ControlPlaneServer,
+    NotFoundError,
+    encode_vector,
+)
+from repro.service.api import server as server_module
 
 N, DIM = 6, 96
 
@@ -79,6 +86,24 @@ class Client:
 
     def delete(self, path):
         return self.request("DELETE", path)
+
+
+def raw_request(address, text):
+    """Send raw bytes; return (status, headers, JSON body).
+
+    For requests urllib refuses to build (malformed framing headers).
+    An empty reply — the handler thread died — fails the status parse.
+    """
+    host, port = address.split(":")
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(text.encode("ascii"))
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("ascii").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    return int(status_line.split()[1]), headers, json.loads(payload)
 
 
 def spec_body(**overrides):
@@ -256,6 +281,83 @@ class TestLifecycleAndErrors:
                 {"synthetic": {"seed": 0, "dropout_rate": 0.9}},
             )
             assert status == 409  # too many dropouts -> ProtocolError
+        finally:
+            control.drain()
+            server.stop()
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_a_typed_400(self, gf, length):
+        """``abc`` used to kill the handler thread (dropped connection);
+        ``-5`` was read as an empty body, so the POST created a default
+        cohort.  Both are refused, typed, and create nothing."""
+        service, control, server = make_daemon(gf)
+        try:
+            status, _, body = raw_request(
+                server.address,
+                "POST /cohorts HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {length}\r\n\r\n",
+            )
+            assert status == 400
+            assert body["error"]["type"] == "invalid-content-length"
+            assert length in body["error"]["message"]
+            status, listing = Client(server.address).get("/cohorts")
+            assert status == 200 and listing["cohorts"] == []
+        finally:
+            control.drain()
+            server.stop()
+
+    def test_405_sends_the_allow_header(self, gf):
+        service, control, server = make_daemon(gf)
+        try:
+            status, headers, body = raw_request(
+                server.address,
+                "DELETE /cohorts HTTP/1.1\r\nHost: x\r\n"
+                "Connection: close\r\n\r\n",
+            )
+            assert status == 405
+            assert body["error"]["type"] == "method-not-allowed"
+            assert headers["Allow"] == "GET, POST"
+        finally:
+            control.drain()
+            server.stop()
+
+    def test_async_round_handles_are_bounded_and_die_with_the_cohort(
+        self, gf, monkeypatch
+    ):
+        """Finished handles (each holds a whole encoded aggregate) used
+        to pile up for the life of the daemon and outlive DELETE."""
+        keep = 3
+        monkeypatch.setattr(
+            server_module, "MAX_FINISHED_HANDLES", keep, raising=False
+        )
+        service, control, server = make_daemon(gf)
+        try:
+            client = Client(server.address)
+            client.post("/cohorts", spec_body())
+            handles = []
+            for seed in range(keep + 2):
+                status, started = client.post(
+                    "/cohorts/0/rounds",
+                    {"synthetic": {"seed": seed}, "mode": "async"},
+                )
+                assert status == 202
+                handles.append(started["handle"])
+                deadline = time.monotonic() + 30
+                while client.get(started["poll"])[1]["state"] == "running":
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+            # the two oldest were evicted and poll like unknown handles
+            for handle in handles[:2]:
+                status, body = client.get(f"/cohorts/0/rounds/{handle}")
+                assert status == 404 and body["error"]["type"] == "not-found"
+            for handle in handles[2:]:
+                status, body = client.get(f"/cohorts/0/rounds/{handle}")
+                assert status == 200 and body["state"] == "done"
+            assert client.delete("/cohorts/0")[0] == 200
+            for handle in handles:
+                with pytest.raises(NotFoundError):
+                    control.get_round_handle(0, handle)
+            assert 0 not in control._round_handles
         finally:
             control.drain()
             server.stop()

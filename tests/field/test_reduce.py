@@ -22,7 +22,6 @@ from repro.exceptions import FieldError
 from repro.field import (
     DEFAULT_PRIME,
     PAPER_PRIME,
-    REDUCER_ENV,
     BarrettReducer,
     FiniteField,
     MersenneReducer,
@@ -226,19 +225,6 @@ class TestSelection:
     def test_unknown_kind_raises(self):
         with pytest.raises(FieldError, match="unknown reducer"):
             select_reducer(97, "montgomery")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(REDUCER_ENV, "numpy_mod")
-        gf = FiniteField()
-        assert gf.reducer.kind == "numpy_mod"
-        # Explicit constructor argument beats the environment.
-        assert FiniteField(reducer="auto").reducer.kind == "mersenne"
-
-    def test_env_auto_and_unset(self, monkeypatch):
-        monkeypatch.setenv(REDUCER_ENV, "auto")
-        assert FiniteField().reducer.kind == "mersenne"
-        monkeypatch.delenv(REDUCER_ENV)
-        assert FiniteField(PAPER_PRIME).reducer.kind == "barrett"
 
     def test_repr_names_kernel(self):
         assert "mersenne" in repr(FiniteField())

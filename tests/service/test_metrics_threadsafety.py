@@ -98,3 +98,23 @@ def test_snapshot_series_is_a_copy_not_the_internal_list():
     copy.append((123.0, 123))
     assert len(metrics.snapshot()["cohorts"][0]["pool_depth_series"]) == 1
     assert metrics.pool_depth_series(99) == []
+
+
+def test_pool_depth_series_is_a_ring_of_the_newest_samples():
+    """A daemon samples for life and every snapshot copies the series:
+    past the cap the oldest samples go, the newest stay, and the
+    ``repro_pool_depth`` gauge still reports the last one."""
+    from repro.service.metrics import POOL_DEPTH_SAMPLES as CAP
+
+    metrics = ServiceMetrics()
+    for i in range(CAP + 10):
+        metrics.record_round(0, 1e-6, stalled=False, pool_level_before=i)
+    series = metrics.pool_depth_series(0)
+    assert len(series) == CAP
+    assert [level for _, level in series] == list(range(10, CAP + 10))
+    assert len(metrics.snapshot()["cohorts"][0]["pool_depth_series"]) == CAP
+    assert metrics.snapshot()["cohorts"][0]["rounds"] == CAP + 10
+    assert (
+        f'repro_pool_depth{{cohort="0"}} {CAP + 9}'
+        in metrics.render_prometheus()
+    )
