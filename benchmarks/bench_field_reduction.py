@@ -3,10 +3,14 @@
 Sweeps every reduction kernel available for each modulus (Mersenne
 shift-fold for ``2**31 - 1``, Barrett for any ``q < 2**32``, and the
 ``np.mod`` integer-division oracle that preserves the pre-reducer code
-path) over the three workloads that dominate the service:
+path) over the workloads that dominate the service:
 
 * **elementwise** — one full reduction of 1M uniform uint64 words (the
-  PRG rejection-sampling tail and every ``mul``/``sum`` call site);
+  PRG rejection-sampling tail and every ``mul``/``sum`` call site), and
+  ``reduce_semi`` of as many words below ``2q`` (every ``add``/``sub``);
+* **elementwise_16x16384** — the same two at the online round's shape
+  (one shard of a 16-user cohort at d = 65536), where the operands fit
+  in cache and the kernels' temporaries decide the time;
 * **matmul** — the refill-shape generator product
   ``(64, 48) @ (48, 1M)``, which is where the offline pool spends its
   time; the division-free kernels additionally unlock the exact
@@ -21,7 +25,9 @@ assert the kernels agree byte for byte before any timing is trusted.
 
 ``--quick`` shrinks the widths for smoke runs; ``--check`` runs the
 CI acceptance gate only (selected kernel beats the ``np.mod`` oracle
-on the refill-shape matmul) and exits nonzero on failure.
+on the refill-shape matmul, and at 16x16384 neither ``reduce_semi`` nor
+the Mersenne ``reduce`` is slower than ``np.mod``) and exits nonzero on
+failure.
 """
 
 import argparse
@@ -52,7 +58,12 @@ REFILL_WIDTH = 1_000_000
 QUICK_WIDTH = 65_536
 CHECK_WIDTH = 262_144
 
-ELEMWISE_N = 1_000_000
+ELEMWISE_SHAPES = {
+    "elementwise": (1_000_000,),
+    "elementwise_16x16384": (16, 16_384),
+}
+
+WORKLOADS = (*ELEMWISE_SHAPES, "matmul", "encode_batch")
 
 ENC_USERS, ENC_SURVIVORS, ENC_PRIVACY = 64, 48, 8
 ENC_MODEL_DIM = 65_536
@@ -68,15 +79,22 @@ def _best_of(fn, reps):
     return best
 
 
-def bench_elementwise(q, kind, reps):
+def bench_elementwise(q, kind, shape, reps):
     red = select_reducer(q, kind)
     rng = np.random.default_rng(1)
-    x = rng.integers(0, (1 << 64) - 1, size=ELEMWISE_N, dtype=np.uint64)
+    x = rng.integers(0, (1 << 64) - 1, size=shape, dtype=np.uint64)
+    below_2q = rng.integers(0, 2 * q, size=shape, dtype=np.uint64)
     out = np.empty_like(x)
+    # Cache-sized calls take well under a millisecond: more repetitions
+    # for the same wall time, best-of as everywhere in this file.
+    reps = max(reps, 3_000_000 * reps // x.size)
     seconds = _best_of(lambda: red.reduce(x, out=out), reps)
+    semi_seconds = _best_of(lambda: red.reduce_semi(below_2q), reps)
     return {
+        "shape": list(shape),
         "seconds": seconds,
-        "melems_per_second": ELEMWISE_N / seconds / 1e6,
+        "melems_per_second": x.size / seconds / 1e6,
+        "reduce_semi_seconds": semi_seconds,
         "sha256": hashlib.sha256(out.tobytes()).hexdigest(),
     }
 
@@ -127,7 +145,9 @@ def run_all(width=REFILL_WIDTH, model_dim=ENC_MODEL_DIM, reps=3):
             "python": sys.version.split()[0],
         },
         "geometry": {
-            "elementwise_n": ELEMWISE_N,
+            "elementwise_shapes": {
+                name: list(shape) for name, shape in ELEMWISE_SHAPES.items()
+            },
             "matmul_shape": [REFILL_M, REFILL_K, width],
             "encode_users": ENC_USERS,
             "encode_survivors": ENC_SURVIVORS,
@@ -145,12 +165,15 @@ def run_all(width=REFILL_WIDTH, model_dim=ENC_MODEL_DIM, reps=3):
         for kind in kinds:
             print(f"[{label}] {kind} ...", flush=True)
             rows[kind] = {
-                "elementwise": bench_elementwise(q, kind, reps),
-                "matmul": bench_matmul(q, kind, width, reps),
-                "encode_batch": bench_encode_batch(q, kind, model_dim, reps),
+                name: bench_elementwise(q, kind, shape, reps)
+                for name, shape in ELEMWISE_SHAPES.items()
             }
+            rows[kind]["matmul"] = bench_matmul(q, kind, width, reps)
+            rows[kind]["encode_batch"] = bench_encode_batch(
+                q, kind, model_dim, reps
+            )
         entry = {"q": q, "selected": selected, "reducers": rows}
-        for workload in ("elementwise", "matmul", "encode_batch"):
+        for workload in WORKLOADS:
             entry[f"bit_identical_{workload}"] = (
                 len({r[workload]["sha256"] for r in rows.values()}) == 1
             )
@@ -159,6 +182,10 @@ def run_all(width=REFILL_WIDTH, model_dim=ENC_MODEL_DIM, reps=3):
                 r[workload]["speedup_vs_numpy_mod"] = (
                     oracle_s / r[workload]["seconds"]
                 )
+                if "reduce_semi_seconds" in r[workload]:
+                    r[workload]["reduce_semi_speedup_vs_numpy_mod"] = (
+                        oracle_s / r[workload]["reduce_semi_seconds"]
+                    )
         report["moduli"][label] = entry
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, "field_reduction.json")
@@ -168,27 +195,49 @@ def run_all(width=REFILL_WIDTH, model_dim=ENC_MODEL_DIM, reps=3):
     for label, entry in report["moduli"].items():
         print(f"q = {entry['q']} ({label}), selected = {entry['selected']}")
         for kind, r in entry["reducers"].items():
+            small = r["elementwise_16x16384"]
             print(
                 f"  {kind:10s} "
                 f"elementwise {r['elementwise']['melems_per_second']:8.1f} M/s "
                 f"({r['elementwise']['speedup_vs_numpy_mod']:5.2f}x)  "
+                f"16x16384 reduce {small['seconds'] * 1e3:5.2f} ms "
+                f"({small['speedup_vs_numpy_mod']:5.2f}x) "
+                f"semi {small['reduce_semi_seconds'] * 1e3:5.2f} ms "
+                f"({small['reduce_semi_speedup_vs_numpy_mod']:5.2f}x)  "
                 f"matmul {r['matmul']['seconds']:7.3f} s "
                 f"({r['matmul']['speedup_vs_numpy_mod']:5.2f}x)  "
                 f"encode {r['encode_batch']['melems_per_second']:6.2f} M/s "
                 f"({r['encode_batch']['speedup_vs_numpy_mod']:5.2f}x)"
             )
-        for workload in ("elementwise", "matmul", "encode_batch"):
+        for workload in WORKLOADS:
             assert entry[f"bit_identical_{workload}"], (label, workload)
     return report
 
 
 def run_check(width=CHECK_WIDTH):
     """CI smoke gate: the auto-selected kernel must beat the oracle on
-    the refill-shape matmul.  Prints the measurement; exit code reports
-    pass/fail so the (non-blocking) CI step can surface regressions."""
+    the refill-shape matmul, and at the online round's cache-sized shape
+    its ``reduce_semi`` — and ``reduce``, where it is not ``np.mod``
+    itself (Mersenne) — must not be slower than ``np.mod``.  Prints the
+    measurements; exit code reports pass/fail so the (non-blocking) CI
+    step can surface regressions."""
     ok = True
+    shape = ELEMWISE_SHAPES["elementwise_16x16384"]
     for label, q in MODULI.items():
         selected = select_reducer(q).kind
+        fast = bench_elementwise(q, selected, shape, reps=3)
+        oracle = bench_elementwise(q, "numpy_mod", shape, reps=3)
+        gated = {"reduce_semi": fast["reduce_semi_seconds"]}
+        if selected == "mersenne":
+            gated["reduce"] = fast["seconds"]
+        for name, seconds in gated.items():
+            good = seconds <= oracle["seconds"]
+            print(
+                f"[{'ok' if good else 'FAIL'}] q={q} ({label}): {selected} "
+                f"{name} 16x16384 {seconds * 1e3:.2f} ms vs np.mod "
+                f"{oracle['seconds'] * 1e3:.2f} ms"
+            )
+            ok = ok and good
         fast = bench_matmul(q, selected, width, reps=2)
         oracle = bench_matmul(q, "numpy_mod", width, reps=2)
         speedup = oracle["seconds"] / fast["seconds"]

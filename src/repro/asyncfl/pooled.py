@@ -75,9 +75,11 @@ class BufferedShardSession(LightSecAggSession):
             filtered out by the caller (they contribute nothing and would
             waste a mask slot).
         updates:
-            ``(B, model_dim)`` uint64 matrix of *unweighted* quantized
-            updates, row ``b`` = delivery ``b``.  Row order is
-            load-bearing: delivery ``b`` consumes pooled mask slot ``b``.
+            ``(B, model_dim)`` integer matrix of *unweighted* quantized
+            updates, row ``b`` = delivery ``b`` (canonical uint64
+            residues are used as they are, anything else goes through
+            ``gf.array``).  Row order is load-bearing: delivery ``b``
+            consumes pooled mask slot ``b``.
         recovery_dropouts:
             Member slots (``0..N-1``) that do not answer the recovery
             phase; at least ``U`` must remain.
@@ -86,11 +88,12 @@ class BufferedShardSession(LightSecAggSession):
         the exact field value ``sum_b w_b * updates_b (mod q)`` —
         independent of which pooled masks were spent, which is what makes
         the drain bit-identical across transports and across re-keys.
+        A rejected drain raises before any pooled material is taken.
         """
         self._require_open()
         recovery_dropouts = set(recovery_dropouts or set())
         weights = np.asarray(weights, dtype=np.uint64)
-        updates = np.asarray(updates, dtype=np.uint64)
+        updates = np.asarray(updates)
         if weights.ndim != 1 or weights.size == 0:
             raise ProtocolError("drain needs a non-empty 1-D weight vector")
         batch = int(weights.size)
@@ -98,6 +101,10 @@ class BufferedShardSession(LightSecAggSession):
             raise ProtocolError(
                 f"drain updates shape {updates.shape} != "
                 f"({batch}, {self.model_dim})"
+            )
+        if not np.issubdtype(updates.dtype, np.integer):
+            raise ProtocolError(
+                f"drain updates dtype {updates.dtype} is not an integer"
             )
         if np.any(weights == 0):
             raise ProtocolError(
@@ -122,30 +129,38 @@ class BufferedShardSession(LightSecAggSession):
                 f"only {len(responders_all)} recovery responders, need "
                 f"U={u}"
             )
+        # Canonical residues, copy-free when the caller's already are;
+        # everything that can reject the drain is above this line, so a
+        # rejected drain spends no pooled material.
+        gf = self.gf
+        if not gf.is_valid(updates):
+            updates = gf.array(updates)
+        w = gf.array(weights)[None, :]  # (1, B)
         material = self._take_material()
 
-        gf = self.gf
         share_dim = self.encoder.share_dim
         transcript = Transcript()
-        w = gf.array(weights)
 
-        # Upload: each delivery arrives masked by its slot's pooled mask;
-        # the server applies the public weight in-field.
-        masked = gf.add(updates, material.masks[:batch])
-        masked_sum = gf.sum(gf.mul(masked, w[:, None]), axis=0)
+        # Upload: each delivery arrives masked by its slot's pooled mask
+        # (two residues: one conditional subtract); the server applies
+        # the public weights in-field as one (1, B) @ (B, d) product.
+        masked = gf.reducer.reduce_semi(updates + material.masks[:batch])
+        masked_sum = gf.matmul(w, masked)[0]
         for b in range(batch):
             transcript.record(b, SERVER, "upload", self.model_dim)
 
         # Recovery: the first U responders send their weighted aggregated
         # shares; one-shot decode of the weighted aggregate mask.  The
         # decode is linear, so decode(sum_b w_b [~z_b]) = sum_b w_b z_b.
+        # Weighting every holder's row in one product and keeping the
+        # responders' avoids gathering a (B, U, share_dim) grid.
         responders = responders_all[:u]
-        grid = material.coded[:batch][:, responders]  # (B, U, share_dim)
-        agg_shares = gf.sum(gf.mul(grid, w[:, None, None]), axis=0)
+        coded = material.coded[:batch].reshape(batch, n * share_dim)
+        agg_shares = gf.matmul(w, coded).reshape(n, share_dim)
         for j in responders:
             transcript.record(j, SERVER, "recovery", share_dim)
         agg_mask = self.encoder.decode_aggregate(
-            {j: agg_shares[r] for r, j in enumerate(responders)}
+            {j: agg_shares[j] for j in responders}
         )
         aggregate = gf.sub(masked_sum, agg_mask)
 

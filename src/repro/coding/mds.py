@@ -18,7 +18,9 @@ Both satisfy the MDS property because the relevant square sub-matrices are
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+import threading
+from collections import OrderedDict
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +30,13 @@ from repro.field.linalg import solve
 from repro.field.vandermonde import distinct_points, lagrange_coeffs, vandermonde
 
 GENERATORS = ("vandermonde", "lagrange")
+
+#: Decode-coefficient matrices one code remembers (least recently used
+#: goes first).  The ``k x k`` matrix is a pure function of which coded
+#: symbols answered, a session's responder set is its ``k`` lowest-id
+#: survivors, and so a handful of sets recur round after round while
+#: building one costs as much as the rest of an online round.
+COEFF_MEMO_SIZE = 32
 
 
 class MDSCode:
@@ -69,6 +78,8 @@ class MDSCode:
             self._gen_matrix = vandermonde(gf, self.alpha, k)  # (k, n)
         else:
             self._gen_matrix = lagrange_coeffs(gf, self.beta, self.alpha).T  # (k, n)
+        self._coeff_memo: "OrderedDict[Tuple[int, ...], np.ndarray]" = OrderedDict()
+        self._coeff_lock = threading.Lock()
 
     @property
     def generator_matrix(self) -> np.ndarray:
@@ -89,6 +100,23 @@ class MDSCode:
             raise CodingError(f"expected {self.k} data rows, got {data.shape[0]}")
         coded = self.gf.matmul(self._gen_matrix.T.copy(), data)
         return coded[:, 0] if scalar else coded
+
+    def _decode_coeffs(self, indices: Sequence[int]) -> np.ndarray:
+        """Read-only ``(k, k)`` interpolation matrix from coded symbols
+        ``indices`` back to the data points, memoised per index tuple."""
+        key = tuple(indices)
+        with self._coeff_lock:
+            coeffs = self._coeff_memo.get(key)
+            if coeffs is not None:
+                self._coeff_memo.move_to_end(key)
+                return coeffs
+        coeffs = lagrange_coeffs(self.gf, self.alpha[list(key)], self.beta)
+        coeffs.setflags(write=False)  # one array handed to every caller
+        with self._coeff_lock:
+            self._coeff_memo[key] = coeffs
+            while len(self._coeff_memo) > COEFF_MEMO_SIZE:
+                self._coeff_memo.popitem(last=False)
+        return coeffs
 
     def decode(self, shares: Dict[int, np.ndarray]) -> np.ndarray:
         """Reconstruct the data from any ``k`` coded symbols.
@@ -120,10 +148,7 @@ class MDSCode:
             v_sub = self._gen_matrix[:, indices]  # (k, k)
             data = solve(self.gf, v_sub.T.copy(), rows)
         else:
-            coeffs = lagrange_coeffs(
-                self.gf, self.alpha[indices], self.beta
-            )  # (k, k)
-            data = self.gf.matmul(coeffs, rows)
+            data = self.gf.matmul(self._decode_coeffs(indices), rows)
         return data[:, 0] if scalar else data
 
     def decode_at(

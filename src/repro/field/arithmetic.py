@@ -12,12 +12,13 @@ the product of two reduced residues fits exactly in uint64, so
 
 Reduction itself is delegated to a :class:`repro.field.reduce.Reducer`
 strategy chosen at construction (Mersenne shift-fold for ``q = 2**k - 1``,
-Barrett for general ``q``, or the ``np.mod`` oracle) — see
-:mod:`repro.field.reduce`.
-With a division-free reducer selected, :meth:`FiniteField.matmul` runs a
-16-bit limb-split kernel over float64 BLAS with fold-based lazy
-accumulation; with the oracle it runs the historical lazy-``np.mod``
-rank-1 kernel, preserved byte-for-byte as the A/B baseline.
+the split-fold ``barrett`` reducer for general ``q``, or the ``np.mod``
+oracle) — see :mod:`repro.field.reduce`.
+With a reducer whose fold is division-free selected,
+:meth:`FiniteField.matmul` runs a 16-bit limb-split kernel over float64
+BLAS with fold-based lazy accumulation; with the oracle it runs the
+historical lazy-``np.mod`` rank-1 kernel, preserved byte-for-byte as the
+A/B baseline.
 """
 
 from __future__ import annotations
@@ -85,10 +86,13 @@ class FiniteField:
             raise FieldError(
                 f"field elements must be integers, got dtype {arr.dtype}"
             )
-        # Python-int mod handles negatives correctly; numpy signed mod with a
-        # positive modulus also yields non-negative results.
-        reduced = np.mod(arr.astype(object) if arr.dtype.itemsize > 8 else arr, self.q)
-        return reduced.astype(np.uint64)
+        # numpy signed mod with a positive modulus yields non-negative
+        # results.  Narrow dtypes are widened first: the modulus itself
+        # does not fit an int8..int32 (numpy raises OverflowError rather
+        # than promote a Python int), and every value they hold fits int64.
+        if arr.dtype.itemsize < 8:
+            arr = arr.astype(np.int64)
+        return np.mod(arr, self.q).astype(np.uint64)
 
     def zeros(self, shape) -> np.ndarray:
         """All-zero field array of the given shape."""
@@ -232,7 +236,7 @@ class FiniteField:
         contractions (every partial sum stays below ``2**53``, so the
         float arithmetic is exact and bit-reproducible), and the limbs
         are recombined in uint64 with fold-based lazy accumulation — no
-        integer division anywhere.  With the ``numpy_mod`` oracle
+        integer division inside the contraction.  With the ``numpy_mod`` oracle
         reducer the historical width-blocked lazy-``np.mod`` rank-1
         kernel runs instead, preserved as the A/B baseline.  Both paths
         return identical canonical residues.

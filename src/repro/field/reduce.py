@@ -1,4 +1,4 @@
-"""Division-free modular reduction kernels for GF(q).
+"""Modular reduction kernels for GF(q).
 
 Every hot path in the field layer funnels through one of three
 :class:`Reducer` strategies, selected at :class:`FiniteField`
@@ -8,14 +8,13 @@ construction:
   ``2**31 - 1``): ``x mod q`` by repeated shift-and-add folds
   ``(x & mask) + (x >> k)``, exploiting ``2**k ≡ 1 (mod q)``.  No
   integer division anywhere.
-* :class:`BarrettReducer` — for any prime ``q < 2**32``: a classic
-  Barrett reduction with ``mu = floor(2**64 / q)`` whose 64x64→high-64
-  multiply is emulated with four 32-bit limb products, plus a cheap
+* :class:`BarrettReducer` — for any prime ``q < 2**32``: a cheap
   high/low split fold (``x ≡ (x >> 32) * (2**32 mod q) + (x & 0xffffffff)``)
-  used to keep lazy accumulators clear of uint64 overflow.  Correct for
-  the full uint64 input range, which is what unlocks lazy (batched)
-  accumulation for moduli near ``2**32`` where a raw-product batch of
-  two already overflows.
+  that keeps lazy accumulators clear of uint64 overflow, which is what
+  unlocks lazy (batched) accumulation for moduli near ``2**32`` where a
+  raw-product batch of two already overflows.  Its full-range reduction
+  is ``np.mod``: the limb-emulated Barrett multiply lost to one integer
+  division at every size measured and was removed.
 * :class:`NumpyModReducer` — the ``np.mod`` integer-division oracle the
   other two are property-tested and benchmarked against; it also
   preserves the pre-reducer kernel byte-for-byte as the A/B baseline.
@@ -58,13 +57,13 @@ class Reducer:
       input bounded by :attr:`fold_max`; used to keep lazy accumulators
       from overflowing without paying for a full reduction.
     * ``reduce_semi`` — inputs known to be below ``2q`` (e.g. the sum of
-      two residues); a single conditional subtract for the
-      division-free kernels.
+      two residues); a single branch-free conditional subtract.
     """
 
     kind: str = "abstract"
-    #: True when the kernel contains no integer division; gates the
-    #: limb-split matmul fast path in :class:`FiniteField`.
+    #: True when :meth:`fold` contains no integer division, which is
+    #: what the limb-split matmul's lazy accumulator in
+    #: :class:`FiniteField` needs; gates that fast path.
     division_free: bool = True
 
     def __init__(self, q: int):
@@ -114,14 +113,15 @@ class Reducer:
                 out = x  # keep the remaining passes in place
         return self.reduce_semi(x, out=out)
 
-    #: Elementwise kernels run over flat blocks of this many elements.
-    #: The multi-pass kernels allocate several temporaries per call; for
-    #: huge arrays each temporary is an mmap'd allocation whose
-    #: page-fault cost dwarfs the arithmetic (measured 30x on a
-    #: 48M-element Barrett reduce), while block-sized temporaries come
-    #: from the allocator's free lists and stay cache-resident between
-    #: passes.
-    BLOCK_ELEMS = 1 << 20
+    #: Elementwise kernels run over flat blocks of this many elements
+    #: (512 KiB of uint64).  The multi-pass kernels allocate a temporary
+    #: or two per call and sweep each several times; block-sized
+    #: temporaries come from the allocator's free lists and stay
+    #: cache-resident between passes, where whole-array ones stream from
+    #: DRAM on every pass (Mersenne ``reduce`` of 262k elements: 2.4 ms
+    #: at ``1 << 20``, 0.6 ms here, ``np.mod`` 0.9 ms) and, once huge,
+    #: are mmap'd afresh and page-faulted on every call.
+    BLOCK_ELEMS = 1 << 16
 
     def _dispatch(self, impl, x, out: Optional[np.ndarray]):
         x = np.asarray(x, dtype=np.uint64)
@@ -147,19 +147,23 @@ class Reducer:
 
     # -- kernels (ndim >= 1 ndarrays) -----------------------------------
     def _reduce(self, x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
-        raise NotImplementedError
+        # Default: one integer division.  A subclass overrides this only
+        # with a kernel that measures faster (Mersenne's shift-fold does).
+        if out is None:
+            return np.mod(x, self._q64)
+        np.mod(x, self._q64, out=out)
+        return out
 
     def _fold(self, x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
         # Default: a full reduction is a (maximally tight) fold.
         return self._reduce(x, out)
 
     def _reduce_semi(self, x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
-        if out is None:
-            out = x.copy()
-        elif out is not x:
-            np.copyto(out, x)
-        np.subtract(out, self._q64, out=out, where=out >= self._q64)
-        return out
+        # Below 2q, ``x - q`` wraps past ``x`` exactly when ``x < q``, so
+        # the minimum is the residue: two straight passes, where a masked
+        # ``subtract(where=x >= q)`` measured 7x slower at (16, 16384).
+        wrapped = np.subtract(x, self._q64)
+        return np.minimum(x, wrapped, out=wrapped if out is None else out)
 
     # -- lazy-accumulation geometry -------------------------------------
     def fold_bound(self, x_max: int) -> int:
@@ -193,12 +197,6 @@ class NumpyModReducer(Reducer):
 
     kind = "numpy_mod"
     division_free = False
-
-    def _reduce(self, x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
-        if out is None:
-            return np.mod(x, self._q64)
-        np.mod(x, self._q64, out=out)
-        return out
 
     # The oracle reduces exactly the way the pre-reducer field layer
     # did: one integer division everywhere, so A/B timings are honest.
@@ -261,8 +259,8 @@ class MersenneReducer(Reducer):
             np.right_shift(acc, self._k64, out=hi)
             acc &= self._mask
             acc += hi
-        np.subtract(acc, self._q64, out=acc, where=acc >= self._q64)
-        return acc
+        np.subtract(acc, self._q64, out=hi)
+        return np.minimum(acc, hi, out=acc)  # see Reducer._reduce_semi
 
     def _fold(self, x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
         hi = np.right_shift(x, self._k64)
@@ -280,15 +278,7 @@ class MersenneReducer(Reducer):
 
 
 class BarrettReducer(Reducer):
-    """Barrett reduction for arbitrary moduli ``q < 2**32``.
-
-    ``mu = floor(2**64 / q)`` is precomputed; for any uint64 ``x`` the
-    quotient estimate ``est = floor(x * mu / 2**64)`` satisfies
-    ``est ∈ {Q-1, Q}`` where ``Q = floor(x / q)`` (standard Barrett
-    bound with ``x < 2**64``), so ``x - est*q`` lands in ``[0, 2q)``
-    and one conditional subtract finishes.  The high half of the 64x64
-    product is emulated with four 32-bit limb multiplies — shifts,
-    masks, multiplies, adds only; no division.
+    """Split-fold lazy accumulation for arbitrary moduli ``q < 2**32``.
 
     :meth:`fold` uses the split identity
     ``x ≡ (x >> 32) * (2**32 mod q) + (x & 0xffffffff)`` whose output is
@@ -296,16 +286,21 @@ class BarrettReducer(Reducer):
     ``q < 2**32`` that bound leaves room for at least one more raw
     product of residues in uint64 (``fold_max + (q-1)**2 < 2**64``),
     which is what makes lazy accumulation work even for moduli near
-    ``2**32``.
+    ``2**32``.  Bounded inputs finish with folds plus one conditional
+    subtract (:meth:`reduce_bounded`).
+
+    The full-range :meth:`reduce` is the inherited ``np.mod``: the
+    Barrett quotient estimate this class is named after needs the high
+    half of a 64x64 product, which numpy can only emulate with four
+    32-bit limb multiplies, and that kernel measured 2x slower than
+    one integer division at every size (1.9 ms vs 0.9 ms at 16x16384,
+    7.6 ms vs 3.2 ms at 1M; ``benchmarks/results/field_reduction.json``).
     """
 
     kind = "barrett"
 
     def __init__(self, q: int):
         super().__init__(q)
-        mu = (1 << 64) // self.q
-        self._mu_hi = np.uint64(mu >> 32)
-        self._mu_lo = np.uint64(mu & (_WORD - 1))
         c = _WORD % self.q
         self._c = c
         self._c64 = np.uint64(c)
@@ -313,34 +308,6 @@ class BarrettReducer(Reducer):
         # fold_max + (q-1)**2 = 2**64 - q*(2**32 - q + 1) - ... < 2**64
         # for all q in [2, 2**32); pin the algebra at construction time.
         assert self.fold_max + (self.q - 1) ** 2 <= _U64_MAX
-
-    def _reduce(self, x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
-        x0 = np.bitwise_and(x, _MASK32)
-        x1 = np.right_shift(x, _SHIFT32)
-        # est = high 64 bits of x * mu via 32-bit limbs; every
-        # intermediate stays below 2**64: the cross products are at most
-        # (2**32 - 1)**2 and each carry term adds less than 2**32.
-        t = x0 * self._mu_lo
-        np.right_shift(t, _SHIFT32, out=t)
-        mid1 = x1 * self._mu_lo
-        mid1 += t
-        np.bitwise_and(mid1, _MASK32, out=t)
-        mid2 = x0 * self._mu_hi
-        mid2 += t
-        est = x1 * self._mu_hi
-        np.right_shift(mid1, _SHIFT32, out=mid1)
-        est += mid1
-        np.right_shift(mid2, _SHIFT32, out=mid2)
-        est += mid2
-        # r = x - est*q lands in [0, 2q); est*q <= x so no wraparound.
-        est *= self._q64
-        if out is None:
-            acc = np.subtract(x, est)
-        else:
-            np.subtract(x, est, out=out)
-            acc = out
-        np.subtract(acc, self._q64, out=acc, where=acc >= self._q64)
-        return acc
 
     def _fold(self, x: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
         hi = np.right_shift(x, _SHIFT32)

@@ -59,6 +59,22 @@ class OfflineMaterial:
     coded: np.ndarray  # (N_source, N_holder, share_dim)
 
 
+def lazy_sum_bound(q: int, terms: int) -> int:
+    """Exact largest value of ``terms`` residues of GF(q) summed unreduced.
+
+    The online kernels add that many residues into one uint64
+    accumulator before their single reduction; the bound is what
+    ``Reducer.reduce_bounded`` needs, and a sum that could wrap is
+    refused here rather than silently reduced wrong.
+    """
+    bound = terms * (q - 1)
+    if bound >= 1 << 64:
+        raise ProtocolError(
+            f"{terms} residues of GF({q}) do not fit one uint64 accumulator"
+        )
+    return bound
+
+
 def precompute_offline_pool(
     encoder: MaskEncoder,
     rounds: int,
@@ -205,6 +221,27 @@ class LightSecAggSession(ProtocolSession):
         return coded
 
     # ------------------------------------------------------------------
+    def _canonical_update(self, user_id: int, update) -> np.ndarray:
+        """User ``user_id``'s upload as canonical residues.
+
+        Copy-free when it already is one (uint64, every entry below
+        ``q`` — what the service's ingest and the quantizer produce);
+        anything else integer goes through ``gf.array``.
+        """
+        arr = np.asarray(update)
+        if arr.shape != (self.model_dim,):
+            raise ProtocolError(
+                f"user {user_id}: update shape {arr.shape} != "
+                f"({self.model_dim},)"
+            )
+        if self.gf.is_valid(arr):
+            return arr
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ProtocolError(
+                f"user {user_id}: update dtype {arr.dtype} is not an integer"
+            )
+        return self.gf.array(arr)
+
     def run_round(
         self,
         updates: Dict[int, np.ndarray],
@@ -220,6 +257,13 @@ class LightSecAggSession(ProtocolSession):
         bit-identical field-sum (the aggregate is the exact sum of the
         surviving users' updates regardless of which masks were drawn).
         An empty pool triggers a synchronous inline refill (a pool miss).
+
+        The aggregate is computed as the protocol defines it — the sum of
+        the survivors' masked uploads minus the decode of the coded
+        shares the first ``U`` responders hold — never as the plain sum
+        of updates; only the reductions are lazy (one per accumulator).
+        A malformed round (ids, shape, dtype, too few survivors) raises
+        :class:`ProtocolError` before any pooled material is taken.
         """
         self._require_open()
         offline_dropouts = set(offline_dropouts or set())
@@ -232,36 +276,50 @@ class LightSecAggSession(ProtocolSession):
                 f"session round {self.stats.rounds}: only {len(survivors)} "
                 f"survivors remain, need U={u} to recover the aggregate mask"
             )
+        # Worst case: everyone who made it through the offline phase
+        # uploads, including users about to drop; offline dropouts never
+        # upload at all.  Every upload is validated before any pooled
+        # material is spent, so a rejected round costs the pool nothing.
+        n = self.num_users
+        live = [i for i in range(n) if i not in offline_dropouts]
+        residues = {i: self._canonical_update(i, updates[i]) for i in live}
         material = self._take_material()
 
         gf = self.gf
-        n = self.num_users
         share_dim = self.encoder.share_dim
         transcript = Transcript()
 
-        # Online phase 1 — masked uploads.  Worst case: everyone who made
-        # it through the offline phase uploads, including users about to
-        # drop; offline dropouts never upload at all.
-        live = [i for i in range(n) if i not in offline_dropouts]
-        stacked = np.stack([gf.array(updates[i]) for i in live], axis=0)
-        masked = gf.add(stacked, material.masks[live])
+        # Online phase 1 — masked uploads, summed lazily: survivor i's
+        # upload x_i + z_i enters one uint64 accumulator as two raw adds
+        # and the whole sum is reduced once.
         for i in live:
             transcript.record(i, SERVER, "upload", self.model_dim)
+        masked_acc = np.zeros(self.model_dim, dtype=np.uint64)
+        for i in survivors:
+            masked_acc += residues[i]
+            masked_acc += material.masks[i]
+        masked_sum = gf.reducer.reduce_bounded(
+            masked_acc, lazy_sum_bound(gf.q, 2 * len(survivors)),
+            out=masked_acc,
+        )
 
         # Online phase 2 — one-shot aggregate-mask recovery from the first
-        # U survivors (lowest ids, matching the one-shot path).
+        # U survivors (lowest ids, matching the one-shot path).  Holder j
+        # sends sum_i [~z_i]_j over the survivors i; summing whole
+        # ``coded[i]`` rows and keeping the responders' avoids gathering
+        # an (S, U, share_dim) copy.
         responders = survivors[:u]
-        grid = material.coded[np.ix_(survivors, responders)]  # (S, U, dim)
-        agg_shares = gf.sum(grid, axis=0)  # (U, share_dim)
+        share_acc = np.zeros((n, share_dim), dtype=np.uint64)
+        for i in survivors:
+            share_acc += material.coded[i]
+        agg_shares = gf.reducer.reduce_bounded(
+            share_acc[responders],  # (U, share_dim)
+            lazy_sum_bound(gf.q, len(survivors)),
+        )
         for j in responders:
             transcript.record(j, SERVER, "recovery", share_dim)
         agg_mask = self.encoder.decode_aggregate(
             {j: agg_shares[r] for r, j in enumerate(responders)}
-        )
-
-        row_of = {i: r for r, i in enumerate(live)}
-        masked_sum = gf.sum(
-            masked[[row_of[i] for i in survivors]], axis=0
         )
         aggregate = gf.sub(masked_sum, agg_mask)
 

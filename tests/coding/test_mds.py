@@ -5,9 +5,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from repro.coding.mds import MDSCode
+from repro.coding.mds import COEFF_MEMO_SIZE, MDSCode
 from repro.exceptions import CodingError, NotEnoughSharesError
 from repro.field.linalg import is_mds
+from repro.field.vandermonde import lagrange_coeffs
 
 
 @pytest.fixture(params=["lagrange", "vandermonde"])
@@ -120,3 +121,48 @@ class TestDecodeAt:
         coded = code.encode(gf.random((2, 2), rng))
         with pytest.raises(CodingError):
             code.decode_at({0: coded[0], 1: coded[1]}, [1])
+
+
+class TestDecodeCoefficientMemo:
+    """``decode`` remembers its interpolation matrix per responder set."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_memo_equals_fresh_coeffs_for_every_responder_set(self, gf_any, n):
+        k = max(1, (7 * n) // 10)
+        code = MDSCode(gf_any, n=n, k=k)
+        for indices in combinations(range(n), k):
+            fresh = lagrange_coeffs(
+                gf_any, code.alpha[list(indices)], code.beta
+            )
+            first = code._decode_coeffs(indices)
+            assert np.array_equal(first, fresh), indices
+            # A hit hands every caller the one stored, read-only matrix.
+            again = code._decode_coeffs(indices)
+            assert again is first and not again.flags.writeable
+
+    def test_decode_through_the_memo_recovers_data(self, gf, rng):
+        code = MDSCode(gf, n=8, k=5)
+        data = gf.random((5, 3), rng)
+        coded = code.encode(data)
+        for _ in range(2):  # second sweep is served from the memo
+            for indices in combinations(range(8), 5):
+                shares = {j: coded[j] for j in indices}
+                assert np.array_equal(code.decode(shares), data), indices
+
+    def test_memo_is_bounded_and_keeps_the_recent(self, gf):
+        code = MDSCode(gf, n=8, k=4)
+        sets = list(combinations(range(8), 4))
+        assert len(sets) > 2 * COEFF_MEMO_SIZE
+        for indices in sets:
+            code._decode_coeffs(indices)
+            code._decode_coeffs(sets[0])  # touched every time: never oldest
+            assert len(code._coeff_memo) <= COEFF_MEMO_SIZE
+        assert len(code._coeff_memo) == COEFF_MEMO_SIZE
+        assert sets[0] in code._coeff_memo and sets[-1] in code._coeff_memo
+        assert sets[1] not in code._coeff_memo
+
+    def test_memo_is_per_code(self, gf):
+        """A new code (what a re-key builds) starts with nothing cached."""
+        a, b = MDSCode(gf, n=6, k=3), MDSCode(gf, n=6, k=3)
+        a._decode_coeffs((0, 1, 2))
+        assert len(a._coeff_memo) == 1 and not b._coeff_memo

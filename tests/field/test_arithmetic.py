@@ -17,6 +17,19 @@ class TestConstruction:
         arr = gf_any.array([-1, -2])
         assert arr.tolist() == [gf_any.q - 1, gf_any.q - 2]
 
+    @pytest.mark.parametrize("dtype", [
+        np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64,
+    ])
+    def test_array_accepts_narrow_integer_dtypes(self, gf_any, dtype):
+        """The modulus does not fit an int8..int32; numpy refuses to
+        promote it, so narrow inputs must be widened, not crash."""
+        info = np.iinfo(dtype)
+        values = np.asarray([info.min, -1 if info.min else 1, 0, info.max],
+                            dtype=dtype)
+        want = [int(v) % gf_any.q for v in values.tolist()]
+        got = gf_any.array(values)
+        assert got.dtype == np.uint64 and got.tolist() == want
+
     def test_array_rejects_floats(self, gf):
         with pytest.raises(FieldError, match="integers"):
             gf.array(np.asarray([1.5, 2.5]))

@@ -7,13 +7,28 @@ mixes of worst-case and offline dropouts.  Plus the pool semantics —
 sessions with a pool smaller than the round count refill transparently,
 and a session fails loudly (``ProtocolError``) when survivors fall below
 ``U`` mid-stream without corrupting later rounds.
+
+The pooled LightSecAgg online round is one lazy uint64 accumulation with
+a single bounded reduction; the second half of this module pins that
+kernel: equal to the one-shot protocol and to a ``numpy_mod`` oracle on
+non-canonical inputs and every dropout pattern, its accumulator bound
+exact, the decode load-bearing, rejected rounds free, and the transcript
+and metrics of one seeded round byte-equal to the pre-kernel golden.
 """
+
+import dataclasses
+import hashlib
+import itertools
+import json
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import DropoutError, ProtocolError
-from repro.field import FiniteField
+from repro.field import DEFAULT_PRIME, PAPER_PRIME, FiniteField
 from repro.protocols import (
     EncryptedLightSecAgg,
     EncryptedLightSecAggSession,
@@ -25,6 +40,7 @@ from repro.protocols import (
     SecAgg,
     ZhaoSunAggregation,
 )
+from repro.protocols.lightsecagg.session import lazy_sum_bound
 
 N, DIM = 10, 23
 ZS_N, ZS_DIM = 8, 9  # Zhao & Sun enumerates surviving sets; keep N small
@@ -269,3 +285,254 @@ class TestZhaoSunAdapter:
 
 def piece_len(d, pieces):
     return -(-d // pieces)
+
+
+# ---------------------------------------------------------------------------
+# the lazy online kernel
+# ---------------------------------------------------------------------------
+KERNEL_N, KERNEL_DIM = 6, 11  # T=1, D=2 -> U=4: up to two users may drop
+KERNEL_MODULI = [DEFAULT_PRIME, PAPER_PRIME]
+U64_MAX = (1 << 64) - 1
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "online_kernel.json").read_text()
+)
+
+#: How one user's update is represented; everything but ``canonical``
+#: must take the ``gf.array`` lane and still land on the same residues.
+UPDATE_KINDS = ("canonical", "above_q", "all_max", "negative_int64", "int32")
+
+
+def make_update(kind, q, rng):
+    if kind == "canonical":
+        return rng.integers(0, q, size=KERNEL_DIM, dtype=np.uint64)
+    if kind == "above_q":
+        return rng.integers(q, U64_MAX, size=KERNEL_DIM, dtype=np.uint64,
+                            endpoint=True)
+    if kind == "all_max":
+        return np.full(KERNEL_DIM, U64_MAX, dtype=np.uint64)
+    if kind == "negative_int64":
+        return rng.integers(-(1 << 63), 0, size=KERNEL_DIM, dtype=np.int64)
+    return rng.integers(-(1 << 31), 1 << 31, size=KERNEL_DIM, dtype=np.int32)
+
+
+def oracle_sum(q, updates, survivors):
+    """Field sum of the survivors' updates through the ``np.mod`` oracle."""
+    oracle = FiniteField(q, reducer="numpy_mod")
+    return oracle.sum(
+        np.stack([oracle.array(updates[i]) for i in survivors]), axis=0
+    )
+
+
+def kernel_protocol(q):
+    gf = FiniteField(q)
+    params = LSAParams.from_guarantees(
+        KERNEL_N, privacy=1, dropout_tolerance=2
+    )
+    return LightSecAgg(gf, params, KERNEL_DIM)
+
+
+def dropout_patterns(n, max_drop):
+    """Every (worst-case, offline) split of every drop set up to ``max_drop``."""
+    for size in range(max_drop + 1):
+        for dropped in itertools.combinations(range(n), size):
+            for mask in range(1 << size):
+                offline = {d for b, d in enumerate(dropped) if mask >> b & 1}
+                yield set(dropped) - offline, offline
+
+
+class TestLazyKernelArithmetic:
+    @pytest.mark.parametrize("q", KERNEL_MODULI)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_noncanonical_inputs_match_one_shot_and_oracle(self, q, data):
+        kinds = data.draw(st.lists(
+            st.sampled_from(UPDATE_KINDS),
+            min_size=KERNEL_N, max_size=KERNEL_N,
+        ))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        dropped = data.draw(st.sets(
+            st.integers(0, KERNEL_N - 1), max_size=2
+        ))
+        offline = {d for d in dropped if data.draw(st.booleans())}
+        worst = dropped - offline
+        updates = {
+            i: make_update(kind, q, rng) for i, kind in enumerate(kinds)
+        }
+        proto = kernel_protocol(q)
+        session = proto.session(pool_size=1, rng=rng)
+        got = session.run_round(updates, worst, offline_dropouts=offline)
+        one_shot = proto.run_round(
+            updates, worst, rng, offline_dropouts=offline
+        )
+        assert got.survivors == one_shot.survivors
+        assert got.aggregate.dtype == np.uint64
+        assert np.array_equal(got.aggregate, one_shot.aggregate)
+        assert np.array_equal(
+            got.aggregate, oracle_sum(q, updates, got.survivors)
+        )
+
+    @pytest.mark.parametrize("q", KERNEL_MODULI)
+    def test_every_dropout_pattern_with_u_survivors(self, q):
+        """All 73 (worst-case, offline) patterns at N=6, mixed dtypes."""
+        rng = np.random.default_rng(17)
+        updates = {
+            i: make_update(UPDATE_KINDS[i % len(UPDATE_KINDS)], q, rng)
+            for i in range(KERNEL_N)
+        }
+        proto = kernel_protocol(q)
+        session = proto.session(pool_size=8, rng=rng)
+        patterns = list(dropout_patterns(KERNEL_N, 2))
+        assert len(patterns) == 1 + 6 * 2 + 15 * 4
+        for worst, offline in patterns:
+            got = session.run_round(updates, worst, offline_dropouts=offline)
+            assert got.survivors == sorted(
+                set(range(KERNEL_N)) - worst - offline
+            )
+            assert np.array_equal(
+                got.aggregate, oracle_sum(q, updates, got.survivors)
+            ), (worst, offline)
+
+    def test_inputs_are_not_mutated_or_aliased(self, gf):
+        """The copy-free lane reads the caller's arrays, never writes them."""
+        rng = np.random.default_rng(3)
+        proto = kernel_protocol(gf.q)
+        updates = {i: gf.random(KERNEL_DIM, rng) for i in range(KERNEL_N)}
+        keep = {i: u.copy() for i, u in updates.items()}
+        result = proto.session(pool_size=1, rng=rng).run_round(updates, {2})
+        for i, u in updates.items():
+            assert np.array_equal(u, keep[i])
+            assert not np.shares_memory(result.aggregate, u)
+
+    @pytest.mark.parametrize("q", [3, 97, DEFAULT_PRIME, 4294967279, PAPER_PRIME])
+    def test_accumulator_bound_is_exact_and_cannot_wrap(self, q):
+        """``2S`` residues per accumulator: the bound is the true maximum,
+        fits uint64 far past any cohort that fits in memory, and a sum
+        that could wrap is refused instead of reduced wrong."""
+        red = FiniteField(q).reducer
+        for survivors in (1, 2, 16, 1000, 1 << 20, 1 << 30):
+            bound = lazy_sum_bound(q, 2 * survivors)
+            assert bound == 2 * survivors * (q - 1) <= U64_MAX
+            # The accumulator at its bound (every update and mask q - 1)
+            # and one below reduce to what exact integers say.
+            acc = np.asarray([bound, bound - 1, 0], dtype=np.uint64)
+            want = [bound % q, (bound - 1) % q, 0]
+            assert red.reduce_bounded(acc, bound).tolist() == want
+        fits = U64_MAX // (q - 1)
+        assert lazy_sum_bound(q, fits) <= U64_MAX
+        with pytest.raises(ProtocolError, match="uint64"):
+            lazy_sum_bound(q, fits + 1)
+        # Every modulus the field layer accepts leaves room for N = 2**31.
+        assert fits >= 2 * (1 << 31)
+
+
+class TestRejectedRoundSpendsNothing:
+    """Input validation runs before ``_take_material``: a malformed round
+    is a typed error naming the user and leaves the pool untouched."""
+
+    @pytest.mark.parametrize("who, bad, match", [
+        # Every update equally malformed passes the base protocol's
+        # shape-consistency check; the session's own check names the
+        # first uploader.
+        ("all", np.zeros(DIM + 1, dtype=np.uint64),
+         r"user 0: update shape \(24,\)"),
+        ("all", np.zeros((DIM, 1), dtype=np.uint64),
+         r"user 0: update shape \(23, 1\)"),
+        ("one", np.zeros(DIM, dtype=np.float64),
+         r"user 3: update dtype float64"),
+        ("one", np.zeros(DIM, dtype=bool), r"user 3: update dtype bool"),
+        ("one", np.zeros(DIM + 1, dtype=np.uint64),
+         r"inconsistent update shapes"),
+    ])
+    def test_bad_update_raises_protocol_error_and_keeps_pool(
+        self, gf, who, bad, match
+    ):
+        params = LSAParams.from_guarantees(N, privacy=2, dropout_tolerance=3)
+        proto = LightSecAgg(gf, params, DIM)
+        session = proto.session(pool_size=4, rng=np.random.default_rng(0))
+        session.refill()
+        rng = np.random.default_rng(1)
+        updates = {i: gf.random(DIM, rng) for i in range(N)}
+        rejected = (
+            {i: bad for i in range(N)} if who == "all" else {**updates, 3: bad}
+        )
+        for _ in range(3):
+            with pytest.raises(ProtocolError, match=match):
+                session.run_round(rejected, set())
+        assert session.pool_level == 4
+        assert session.stats.rounds == 0
+        assert session.stats.pool_hits == session.stats.pool_misses == 0
+        result = session.run_round(updates, set())
+        assert np.array_equal(
+            result.aggregate, proto.expected_aggregate(updates, list(range(N)))
+        )
+        assert session.pool_level == 3 and session.stats.pool_hits == 1
+
+
+class TestDecodeIsLoadBearing:
+    """The aggregate is (sum of masked uploads) - decode(sum of coded
+    shares): corrupting either pooled ingredient must show in it."""
+
+    def setup_round(self, gf):
+        params = LSAParams.from_guarantees(N, privacy=2, dropout_tolerance=3)
+        proto = LightSecAgg(gf, params, DIM)
+        session = proto.session(pool_size=1, rng=np.random.default_rng(0))
+        session.refill()
+        rng = np.random.default_rng(1)
+        updates = {i: gf.random(DIM, rng) for i in range(N)}
+        survivors = [i for i in range(N) if i != 0]
+        expected = proto.expected_aggregate(updates, survivors)
+        return session, updates, survivors, params.target_survivors, expected
+
+    def test_corrupt_responder_share_changes_aggregate(self, gf):
+        session, updates, survivors, u, expected = self.setup_round(gf)
+        source, holder = survivors[-1], survivors[0]  # holder responds
+        coded = session._pool[0].coded
+        coded[source, holder, 0] = (coded[source, holder, 0] + 1) % gf.q
+        result = session.run_round(updates, {0})
+        assert not np.array_equal(result.aggregate, expected)
+
+    def test_corrupt_mask_changes_aggregate(self, gf):
+        session, updates, survivors, u, expected = self.setup_round(gf)
+        masks = session._pool[0].masks
+        masks[survivors[2], 5] = (masks[survivors[2], 5] + 1) % gf.q
+        result = session.run_round(updates, {0})
+        assert not np.array_equal(result.aggregate, expected)
+
+    def test_unused_shares_do_not_reach_the_aggregate(self, gf):
+        """Shares held by a non-responder, or sourced by a dropped user,
+        are never summed."""
+        session, updates, survivors, u, expected = self.setup_round(gf)
+        coded = session._pool[0].coded
+        silent = survivors[u]  # survives, but beyond the first U
+        coded[survivors[1], silent, :] = 0
+        coded[0, :, :] = 0  # user 0 drops
+        result = session.run_round(updates, {0})
+        assert np.array_equal(result.aggregate, expected)
+
+
+class TestGoldenRound:
+    def test_transcript_and_metrics_match_pre_kernel_golden(self, gf):
+        """One seeded round: message order, ``RoundMetrics``, survivors,
+        stats and aggregate as recorded at the commit before the lazy
+        kernel (PR 16, 20c48f2)."""
+        golden = GOLDEN["round"]
+        params = LSAParams.from_guarantees(10, privacy=2, dropout_tolerance=4)
+        proto = LightSecAgg(gf, params, 23)
+        session = proto.session(pool_size=2, rng=np.random.default_rng(7))
+        rng = np.random.default_rng(11)
+        updates = {i: gf.random(23, rng) for i in range(10)}
+        result = session.run_round(updates, {1, 4}, offline_dropouts={8})
+        assert result.survivors == golden["survivors"]
+        assert [
+            [m.sender, m.receiver, m.phase, m.size, m.is_key_sized]
+            for m in result.transcript.messages
+        ] == golden["messages"]
+        assert dataclasses.asdict(result.metrics) == golden["metrics"]
+        assert hashlib.sha256(
+            result.aggregate.tobytes()
+        ).hexdigest() == golden["aggregate_sha256"]
+        assert {
+            "rounds": session.stats.rounds,
+            "pool_hits": session.stats.pool_hits,
+            "pool_misses": session.stats.pool_misses,
+        } == golden["stats"]
