@@ -414,14 +414,24 @@ class RoundRequest:
                 raise SchemaError("updates", "needs at least one update")
             updates_b64 = {}
             for key, text in updates.items():
-                try:
-                    uid = int(key)
-                except (TypeError, ValueError):
+                # Canonical ASCII decimal only.  ``int()`` also takes
+                # "01", "+1", " 1", "1_0" and non-ASCII digits, which
+                # landed two keys on one user id and let the later
+                # vector silently replace the earlier one; with one
+                # spelling per id, distinct keys are distinct users.
+                if not (
+                    isinstance(key, str)
+                    and key.isascii()
+                    and key.isdigit()
+                    and (key == "0" or key[0] != "0")
+                ):
                     raise SchemaError(
                         f"updates[{key!r}]",
-                        "keys must be integer user ids",
-                    ) from None
-                updates_b64[uid] = text
+                        "keys must be integer user ids in canonical "
+                        "decimal form (ASCII digits, no sign, no "
+                        "leading zero)",
+                    )
+                updates_b64[int(key)] = text
         synthetic = (
             SyntheticRoundSpec.from_json(synthetic_body)
             if synthetic_body is not None

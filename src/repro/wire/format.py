@@ -20,6 +20,20 @@ returns ``np.frombuffer`` views straight into the received frame — a
 decoded ``ShardRoundRequest`` aliases the frame's bytes rather than
 copying them.  Decoded arrays are therefore read-only; callers that
 mutate must copy.
+
+Unsigned arrays may instead travel *bit-packed* at a declared sub-word
+width ``b`` (1..64): element ``i`` occupies bits ``[i*b, (i+1)*b)`` of
+one LSB-first little-endian bit stream, ``ceil(n*b/8)`` bytes in all.
+Eight elements — a *group* — are therefore exactly ``b`` bytes, and the
+one kernel behind every packed surface (:func:`pack_bits`,
+:func:`unpack_bits`, :meth:`PayloadWriter.put_packed_array`, the
+reader's packed branch) works group-wise on machine words: a group is
+``ceil(b/8)`` aligned u64 limbs, built or read by eight shift/or passes
+over a cache-sized block of groups, then copied to or from the dense
+stream ``b`` bytes per group.  It costs a few word-wide passes over
+the data and its scratch is bounded by the block, not the array.  A
+packed array decodes into fresh memory (it cannot alias the frame) and
+is returned read-only like the raw ones.
 """
 
 from __future__ import annotations
@@ -126,32 +140,114 @@ class ShmArrayRef:
         return self.count * np.dtype(self.dtype).itemsize
 
 
+# Packed kernel (stream layout: module docstring).  A group's 8 elements
+# sit in one row of ``ceil(bits/8)`` little-endian u64 limbs whose first
+# ``bits`` bytes are the group's bytes on the wire: element ``j`` starts
+# at bit ``j*bits`` of the row, i.e. in limb ``j*bits // 64`` at shift
+# ``j*bits % 64``, and spills its high bits into the next limb when it
+# straddles a limb boundary.
+_GROUP = 8
+# Groups per block (~32k elements): limb scratch and the per-pass
+# temporaries stay cache-sized however large the array is.
+_BLOCK_GROUPS = 4096
+
+
+def _lanes(bits: int) -> List[Tuple[int, int, int]]:
+    """``(limb, shift, spill)`` for each of a group's 8 elements.
+
+    ``spill`` is the right shift that drops the element's high bits
+    into ``limb + 1``, or 0 when the element sits inside one limb.
+    """
+    lanes = []
+    for j in range(_GROUP):
+        limb, shift = divmod(j * bits, 64)
+        lanes.append((limb, shift, 64 - shift if shift + bits > 64 else 0))
+    return lanes
+
+
+def _pack_groups(values: np.ndarray, bits: int, out: np.ndarray) -> None:
+    """Pack ``values`` (groups, 8) of ``<u8`` into ``out`` (groups, bits)
+    bytes, block by block."""
+    lanes = _lanes(bits)
+    limbs_per_group = (bits + 7) // 8
+    for start in range(0, values.shape[0], _BLOCK_GROUPS):
+        block = values[start : start + _BLOCK_GROUPS]
+        limbs = np.zeros((block.shape[0], limbs_per_group), dtype="<u8")
+        for j, (limb, shift, spill) in enumerate(lanes):
+            column = block[:, j]
+            limbs[:, limb] |= column << np.uint64(shift)
+            if spill:
+                limbs[:, limb + 1] |= column >> np.uint64(spill)
+        out[start : start + _BLOCK_GROUPS] = limbs.view(np.uint8)[:, :bits]
+
+
+def _unpack_groups(packed: np.ndarray, bits: int, out: np.ndarray) -> None:
+    """Inverse of :func:`_pack_groups`: ``packed`` (groups, bits) bytes
+    into ``out`` (groups, 8) of uint64."""
+    lanes = _lanes(bits)
+    limbs_per_group = (bits + 7) // 8
+    mask = np.uint64((1 << bits) - 1)
+    for start in range(0, packed.shape[0], _BLOCK_GROUPS):
+        block = packed[start : start + _BLOCK_GROUPS]
+        rows = np.zeros((block.shape[0], 8 * limbs_per_group), dtype=np.uint8)
+        rows[:, :bits] = block
+        limbs = rows.view("<u8")
+        for j, (limb, shift, spill) in enumerate(lanes):
+            column = limbs[:, limb] >> np.uint64(shift)
+            if spill:
+                column |= limbs[:, limb + 1] << np.uint64(spill)
+            column &= mask
+            out[start : start + _BLOCK_GROUPS, j] = column
+
+
 def _pack_bits(values: np.ndarray, bits: int) -> np.ndarray:
     """Bit-pack 1-D unsigned values (< ``2**bits``) LSB-first.
 
-    Element ``i`` occupies bit positions ``[i*bits, (i+1)*bits)`` of a
-    little-endian bit stream, so the packed size is exactly
-    ``ceil(n*bits/8)`` bytes regardless of the source dtype width.
+    The packed size is exactly ``ceil(n*bits/8)`` bytes regardless of
+    the source dtype width.  Whole groups are packed straight into the
+    output; a trailing partial group is zero-padded to 8 elements and
+    its unused bytes dropped.
     """
     le = np.ascontiguousarray(values, dtype="<u8")
-    octets = le.view(np.uint8).reshape(le.size, 8)
-    lanes = np.unpackbits(octets, axis=1, bitorder="little")[:, :bits]
-    return np.packbits(lanes.ravel(), bitorder="little")
+    out = np.empty(packed_nbytes(le.size, bits), dtype=np.uint8)
+    groups, tail = divmod(le.size, _GROUP)
+    whole = groups * bits
+    _pack_groups(
+        le[: groups * _GROUP].reshape(groups, _GROUP),
+        bits,
+        out[:whole].reshape(groups, bits),
+    )
+    if tail:
+        last = np.zeros((1, _GROUP), dtype="<u8")
+        last[0, :tail] = le[groups * _GROUP :]
+        packed = np.empty((1, bits), dtype=np.uint8)
+        _pack_groups(last, bits, packed)
+        out[whole:] = packed[0, : out.size - whole]
+    return out
 
 
 def _unpack_bits(raw: memoryview, bits: int, count: int) -> np.ndarray:
-    """Inverse of :func:`_pack_bits`: ``count`` values as uint64."""
-    lanes = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8),
-        count=count * bits,
-        bitorder="little",
-    ).reshape(count, bits)
-    octets = np.zeros((count, 64), dtype=np.uint8)
-    octets[:, :bits] = lanes
-    packed = np.packbits(octets, axis=1, bitorder="little")
-    return packed.reshape(count, 8).view("<u8").reshape(count).astype(
-        np.uint64, copy=False
+    """Inverse of :func:`_pack_bits`: ``count`` values as uint64.
+
+    The result is freshly allocated (it never aliases ``raw``); pad
+    bits after the last element are ignored.
+    """
+    stream = np.frombuffer(raw, dtype=np.uint8)
+    out = np.empty(count, dtype=np.uint64)
+    groups, tail = divmod(count, _GROUP)
+    whole = groups * bits
+    _unpack_groups(
+        stream[:whole].reshape(groups, bits),
+        bits,
+        out[: groups * _GROUP].reshape(groups, _GROUP),
     )
+    if tail:
+        last = np.zeros((1, bits), dtype=np.uint8)
+        last[0, : stream.size - whole] = stream[whole:]
+        values = np.empty((1, _GROUP), dtype=np.uint64)
+        _unpack_groups(last, bits, values)
+        out[groups * _GROUP :] = values[0, :tail]
+    return out
 
 
 def packed_nbytes(count: int, bits: int) -> int:
@@ -206,6 +302,11 @@ class PayloadWriter:
     single copy happens in :meth:`getvalue`'s join (or in the socket
     layer, for transports that support vectored writes of
     :attr:`segments`).
+
+    :meth:`put_packed_array` is the exception: it appends the packed
+    stream the group/limb kernel produced (see the module docstring) —
+    one new buffer of ``ceil(n*bits/8)`` bytes, itself appended as a
+    memoryview and not copied again here.
     """
 
     def __init__(self) -> None:

@@ -127,7 +127,11 @@ class FrameAssembler:
         total = HEADER_SIZE + length
         if len(buf) < total:
             return None
-        frame = bytes(buf[:total])
+        # One copy: slicing the bytearray itself would copy the frame
+        # once into a temporary and again into the bytes.  Both views
+        # are released before the resize below, which exports forbid.
+        with memoryview(buf) as view, view[:total] as head:
+            frame = bytes(head)
         del buf[:total]
         return frame
 

@@ -285,6 +285,37 @@ class TestLifecycleAndErrors:
             control.drain()
             server.stop()
 
+    def test_aliased_update_key_is_a_400_not_a_dropped_upload(self, gf):
+        """``"1"`` beside ``"01"`` (or ``"+1"``, ``" 1"``, ``"1_0"``, an
+        Arabic-Indic digit) used to collapse onto one user id: the later
+        vector replaced the earlier one and the round answered 200."""
+        rng = np.random.default_rng(8)
+        updates = {i: gf.random(DIM, rng) for i in range(N)}
+        payload = {
+            "updates": {
+                str(uid): encode_vector(vec, "u64", gf.q)
+                for uid, vec in updates.items()
+            },
+        }
+        other = encode_vector(gf.random(DIM, rng), "u64", gf.q)
+        service, control, server = make_daemon(gf)
+        try:
+            client = Client(server.address)
+            client.post("/cohorts", spec_body())
+            for alias in ("01", "+1", " 1", "1_0", "\u0661"):
+                body = {"updates": {**payload["updates"], alias: other}}
+                status, reply = client.post("/cohorts/0/rounds", body)
+                assert status == 400, alias
+                assert reply["error"]["type"] == "validation"
+                assert reply["error"]["field"] == f"updates[{alias!r}]"
+            # none of those ran a round: the canonical body is round 1
+            status, reply = client.post("/cohorts/0/rounds", payload)
+            assert status == 200 and reply["round"] == 1
+            assert reply["survivors"] == list(range(N))
+        finally:
+            control.drain()
+            server.stop()
+
     @pytest.mark.parametrize("length", ["abc", "-5"])
     def test_malformed_content_length_is_a_typed_400(self, gf, length):
         """``abc`` used to kill the handler thread (dropped connection);

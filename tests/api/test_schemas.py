@@ -137,6 +137,22 @@ class TestRoundRequest:
         with pytest.raises(SchemaError, match="integer user ids"):
             RoundRequest.from_json({"updates": {"alice": "AA=="}})
 
+    @pytest.mark.parametrize(
+        "key", ["01", "+3", "-0", " 2", "2 ", "1_0", "\u0663", "1.0", ""]
+    )
+    def test_non_canonical_update_key_rejected(self, key):
+        """``int()`` reads each of these as a user id, so ``"1"`` beside
+        ``"01"`` used to keep only the later vector."""
+        with pytest.raises(SchemaError, match="canonical") as excinfo:
+            RoundRequest.from_json({"updates": {"1": "AA==", key: "AQ=="}})
+        assert excinfo.value.field == f"updates[{key!r}]"
+
+    def test_canonical_update_keys_never_collide(self):
+        req = RoundRequest.from_json(
+            {"updates": {"0": "AA==", "1": "AQ==", "10": "Ag=="}}
+        )
+        assert req.updates_b64 == {0: "AA==", 1: "AQ==", 10: "Ag=="}
+
     def test_synthetic_dropout_rate_range(self):
         with pytest.raises(SchemaError, match=r"\[0, 1\)"):
             RoundRequest.from_json(

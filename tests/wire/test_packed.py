@@ -9,6 +9,9 @@ views encode, a declared bound too small for the data fails loudly, and
 the element bytes on the wire are exactly ``ceil(n*b/8)``.
 """
 
+import inspect
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,8 +27,11 @@ from repro.wire import (
     decode_message,
     encode_frame,
     encode_message,
+    pack_bits,
     packed_nbytes,
+    unpack_bits,
 )
+from repro.wire import format as wire_format
 
 # The dtypes put_packed_array accepts, keyed by their element width.
 _PACKABLE = {8: np.dtype("|u1"), 32: np.dtype("<u4"), 64: np.dtype("<u8")}
@@ -257,3 +263,158 @@ class TestTornPackedFrames:
             )
         # the packed frame is the smaller one, same payload
         assert len(frames[1]) < len(frames[0])
+
+
+# ----------------------------------------------------------------------
+# word-level kernel ≡ the bit-explosion kernel it replaced
+# ----------------------------------------------------------------------
+def reference_pack_bits(values: np.ndarray, bits: int) -> np.ndarray:
+    """The codec's definition, one byte per *bit*: the oracle."""
+    le = np.ascontiguousarray(values, dtype="<u8")
+    octets = le.view(np.uint8).reshape(le.size, 8)
+    lanes = np.unpackbits(octets, axis=1, bitorder="little")[:, :bits]
+    return np.packbits(lanes.ravel(), bitorder="little")
+
+
+def reference_unpack_bits(raw, bits: int, count: int) -> np.ndarray:
+    lanes = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8),
+        count=count * bits,
+        bitorder="little",
+    ).reshape(count, bits)
+    octets = np.zeros((count, 64), dtype=np.uint8)
+    octets[:, :bits] = lanes
+    packed = np.packbits(octets, axis=1, bitorder="little")
+    return packed.reshape(count, 8).view("<u8").reshape(count).astype(
+        np.uint64, copy=False
+    )
+
+
+_BLOCK = wire_format._BLOCK_GROUPS * wire_format._GROUP
+# Empty, inside one group, around a group edge, around a block edge,
+# and several blocks with a ragged tail.
+_COUNTS = (0, 1, 7, 8, 9, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 13)
+_BUFFERS = {
+    "bytes": bytes,
+    "bytearray": bytearray,
+    "memoryview": lambda raw: memoryview(raw).toreadonly(),
+}
+
+
+def _draw_values(bits: int, count: int, fill: str, seed: int) -> np.ndarray:
+    top = (1 << bits) - 1
+    if fill == "zeros":
+        return np.zeros(count, dtype=np.uint64)
+    if fill == "ones":
+        return np.full(count, top, dtype=np.uint64)
+    return np.random.default_rng(seed).integers(
+        0, top, size=count, dtype=np.uint64, endpoint=True
+    )
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bits=st.integers(1, 64),
+        count=st.sampled_from(_COUNTS),
+        fill=st.sampled_from(["random", "zeros", "ones"]),
+        width=st.sampled_from(sorted(_PACKABLE)),
+        strided=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pack(self, bits, count, fill, width, strided, seed):
+        bits = min(bits, width)
+        values = _draw_values(bits, count, fill, seed).astype(
+            _PACKABLE[width]
+        )
+        if strided:
+            spaced = np.zeros(2 * count, dtype=values.dtype)
+            spaced[::2] = values
+            values = spaced[::2]
+            assert count < 2 or not values.flags["C_CONTIGUOUS"]
+        expected = reference_pack_bits(values, bits).tobytes()
+        assert len(expected) == packed_nbytes(count, bits)
+        assert pack_bits(values, bits) == expected
+        w = PayloadWriter()
+        w.put_packed_array(values, bits=bits)
+        header = 2 + 8 + 1
+        assert w.getvalue()[header:] == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bits=st.integers(1, 64),
+        count=st.sampled_from(_COUNTS),
+        buffer=st.sampled_from(sorted(_BUFFERS)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_unpack_of_any_byte_stream(self, bits, count, buffer, seed):
+        """Arbitrary bytes, so the pad bits after the last element are
+        arbitrary too; both kernels must drop them."""
+        raw = np.random.default_rng(seed).bytes(packed_nbytes(count, bits))
+        out = unpack_bits(_BUFFERS[buffer](raw), bits, count)
+        assert out.dtype == np.uint64 and out.shape == (count,)
+        if count:
+            expected = reference_unpack_bits(raw, bits, count)
+            np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("bits", range(1, 65))
+    def test_round_trip_at_every_width(self, bits):
+        values = _draw_values(bits, 8 * 5 + 3, "random", bits)
+        values[:2] = 0, (1 << bits) - 1
+        packed = pack_bits(values, bits)
+        assert packed == reference_pack_bits(values, bits).tobytes()
+        np.testing.assert_array_equal(
+            unpack_bits(packed, bits, values.size), values
+        )
+
+    def test_non_zero_pad_bits_are_ignored(self):
+        values = np.array([5, 0, 7], dtype=np.uint64)  # 9 bits of 16
+        packed = bytearray(pack_bits(values, 3))
+        assert packed[-1] == 0b1
+        packed[-1] |= 0b1111_1110
+        np.testing.assert_array_equal(unpack_bits(packed, 3, 3), values)
+
+    def test_result_never_aliases_the_frame(self):
+        values = _draw_values(31, 100, "random", 0)
+        source = bytearray(pack_bits(values, 31))
+        out = unpack_bits(source, 31, values.size)
+        assert out.flags["OWNDATA"] and out.flags["WRITEABLE"]
+        w = PayloadWriter()
+        w.put_packed_array(values, bits=31)
+        frame = bytearray(encode_frame(1, 0, w))
+        decoded = decode_frame(frame)[2].get_packed_array()
+        for i in range(len(source)):
+            source[i] ^= 0xFF
+        for i in range(HEADER_SIZE, len(frame)):
+            frame[i] ^= 0xFF
+        np.testing.assert_array_equal(out, values)
+        np.testing.assert_array_equal(decoded, values)
+
+
+class TestPackedScratchBound:
+    """No stopwatch: the word-level kernel's scratch is bounded by its
+    block, so a call peaks near input + output.  The bit-explosion
+    kernel allocated one byte per bit — more than 64 B per element."""
+
+    COUNT, BITS = 1 << 20, 31
+
+    def _peak(self, call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_is_bounded_by_input_plus_output(self):
+        values = _draw_values(self.BITS, self.COUNT, "random", 0)
+        packed = pack_bits(values, self.BITS)
+        budget = 3 * (values.nbytes + len(packed))
+        assert self._peak(lambda: pack_bits(values, self.BITS)) <= budget
+        assert self._peak(
+            lambda: unpack_bits(packed, self.BITS, self.COUNT)
+        ) <= budget
+
+    def test_kernel_source_has_no_per_bit_arrays(self):
+        # "packbits" also matches "unpackbits"
+        assert "packbits" not in inspect.getsource(wire_format)

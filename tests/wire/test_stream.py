@@ -10,6 +10,7 @@ the offending byte is visible.
 
 import socket
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.wire import (
     Ping,
     RefillRequest,
     SetupAck,
+    ShardRoundRequest,
     SnapshotRequest,
     encode_message,
     encode_segments,
@@ -98,6 +100,30 @@ class TestReassemblyProperty:
         assert assembler.feed(frame[: HEADER_SIZE // 2]) == []
         assert assembler.pending_bytes == HEADER_SIZE // 2
         assert assembler.feed(frame[HEADER_SIZE // 2 :]) == [frame]
+
+    def test_a_straddling_frame_is_copied_once(self):
+        """A round frame split across two reads leaves the assembler as
+        one new ``bytes``: completing it may allocate the staging buffer
+        and the frame, not a third frame-sized temporary."""
+        frame = encode_message(
+            ShardRoundRequest.from_updates(
+                0, 0, {0: np.zeros(1 << 17, dtype=np.uint64)}, set()
+            ),
+            request_id=0,
+        )
+        head, tail = frame[: len(frame) // 2], frame[len(frame) // 2 :]
+        assembler = FrameAssembler()
+        assert assembler.feed(head) == []
+        tracemalloc.start()
+        try:
+            out = assembler.feed(tail)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == [frame] and assembler.pending_bytes == 0
+        # staging buffer (grown to the whole frame, with bytearray's
+        # over-allocation) + the frame; the double copy peaked near 3x.
+        assert peak < 2.5 * len(frame)
 
 
 class TestCorruptionDetection:
