@@ -477,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "service",
-        help="sharded multi-cohort aggregation service with background refill",
+        help="multi-cohort aggregation service: every cohort is pooled "
+             "LightSecAgg over one or more shards, with background refill",
     )
     p.add_argument("-n", "--num-users", type=int, default=8)
     p.add_argument("-d", "--dim", type=int, default=1024)

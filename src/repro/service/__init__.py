@@ -30,8 +30,6 @@ Layering (see the repo README for the full picture)::
 * :mod:`repro.service.worker` — the one worker-side request handler,
   shared by the subprocess workers and the shard-worker hosts.
 * :mod:`repro.service.cohort` — the per-cohort round state machine.
-* :mod:`repro.service.scheduler` — round-robin scheduling of many
-  cohorts over the shared refill pipeline.
 * :mod:`repro.service.metrics` — pool depth / stall / throughput
   counters, snapshotable for the CLI and the throughput benchmark.
 * :mod:`repro.service.service` — the :class:`AggregationService` facade
@@ -48,7 +46,6 @@ from repro.service.config import (
 from repro.service.cohort import Cohort, CohortPhase
 from repro.service.metrics import CohortMetrics, ServiceMetrics, TransportMetrics
 from repro.service.refill import BackgroundRefiller
-from repro.service.scheduler import CohortScheduler
 from repro.service.service import AggregationService
 from repro.service.sharding import ShardedSession, ShardPlan
 from repro.service.socket_transport import SocketTransport
@@ -69,7 +66,6 @@ __all__ = [
     "CohortSpec",
     "CohortMetrics",
     "CohortPhase",
-    "CohortScheduler",
     "InlineTransport",
     "ProcessPoolTransport",
     "RefillMode",

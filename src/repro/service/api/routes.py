@@ -31,7 +31,9 @@ closed, draining, round failures) → 409,
 process.  A known path with the wrong method → 405 with an ``Allow``
 header; an unknown path → 404.  Bodies that are not a JSON object, and
 ``Content-Length`` headers that are not a non-negative integer, are
-refused with a 400 by the HTTP layer before dispatch.
+refused with a 400 by the HTTP layer before dispatch; a declared length
+above :data:`~repro.service.api.server.MAX_BODY_BYTES` is a 413
+``body-too-large``, refused without reading the body.
 """
 
 from __future__ import annotations

@@ -497,7 +497,7 @@ class RoundResponse:
     aggregate_b64: str
     encoding: str
     online_seconds: float
-    pool_level: Optional[int]
+    pool_level: int
 
     def to_json(self) -> Dict[str, Any]:
         return {

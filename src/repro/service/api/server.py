@@ -50,6 +50,12 @@ from repro.service.service import AggregationService
 #: ones are evicted and poll as 404.  Running handles are never evicted.
 MAX_FINISHED_HANDLES = 64
 
+#: Largest request body the daemon reads.  Two orders of magnitude above
+#: the biggest body any workload sends (a 5.4 MB packed round); beyond
+#: it the request is refused unread, so a declared length can neither
+#: pin a handler thread on bytes that never arrive nor grow the process.
+MAX_BODY_BYTES = 1 << 30
+
 
 class ControlPlane:
     """Runtime cohort registry + admission control over one service."""
@@ -155,7 +161,7 @@ class ControlPlane:
         New rounds for the cohort are refused the moment the delete is
         admitted; rounds already running finish and return their results
         (the cohort close/round race contract), then the cohort leaves
-        the scheduler, the refiller, and its transport — neighbours
+        the registry, the refiller, and its transport — neighbours
         never notice.
         """
         deadline = time.monotonic() + timeout_s
@@ -440,7 +446,7 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def _read_body(self) -> Union[Dict[str, Any], Response]:
-        """The request's JSON object, or the typed 400 refusing it."""
+        """The request's JSON object, or the typed 4xx refusing it."""
         header = self.headers.get("Content-Length") or "0"
         try:
             length = int(header)
@@ -455,6 +461,15 @@ class _Handler(BaseHTTPRequestHandler):
                 400, "invalid-content-length",
                 f"Content-Length must be a non-negative integer, got "
                 f"{header!r}",
+            )
+        if length > MAX_BODY_BYTES:
+            # Refused unread, so the body still on the wire makes the
+            # connection unusable for a next request.
+            self.close_connection = True
+            return error_response(
+                413, "body-too-large",
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
             )
         raw = self.rfile.read(length)
         if not raw:

@@ -1,7 +1,8 @@
 """Per-cohort round lifecycle: an explicit, snapshotable state machine.
 
 A *cohort* is one federation of ``N`` users training one model through
-one (possibly sharded) protocol session.  The service hosts many cohorts
+one :class:`~repro.service.sharding.ShardedSession` over pooled
+LightSecAgg shards.  The service hosts many cohorts
 concurrently; each cohort serializes its own rounds through the phase
 machine below, modelled on long-lived round managers in production FL
 stacks: explicit phases, loud invalid transitions, and a status snapshot
@@ -33,6 +34,8 @@ from repro.service.config import CohortSpec
 from repro.service.engines import CohortPhase, RoundEngine, SyncRoundEngine
 from repro.service.metrics import ServiceMetrics
 from repro.service.refill import BackgroundRefiller
+from repro.service.sharding import ShardedSession
+from repro.service.transport import ShardTransport
 
 
 class Cohort:
@@ -42,9 +45,14 @@ class Cohort:
     ----------
     cohort_id:
         Stable identifier used in metrics and snapshots.
+    spec:
+        The :class:`~repro.service.config.CohortSpec` the cohort was
+        built from.
     session:
-        A :class:`~repro.protocols.base.ProtocolSession` or
-        :class:`~repro.service.sharding.ShardedSession`.
+        The :class:`~repro.service.sharding.ShardedSession` built from
+        ``spec`` — every cohort has exactly this shape, one shard or
+        many, whichever lane its transport is.  :meth:`close` closes it,
+        which releases the transport's backend.
     metrics:
         Optional shared :class:`ServiceMetrics` sink.
     refiller:
@@ -62,30 +70,21 @@ class Cohort:
         :class:`~repro.service.engines.BufferedAsyncRoundEngine` turns
         the cohort into the buffered-async workload (clients submit
         asynchronously, drains fire when the buffer fills).
-    spec / transport:
-        The :class:`~repro.service.config.CohortSpec` and
-        :class:`~repro.service.transport.ShardTransport` the service
-        built the cohort from, so everything about a live cohort is
-        reachable from this one object; both stay ``None`` for a cohort
-        wrapped around a bare session.  :meth:`close` releases the
-        transport's backend after the session.
     """
 
     def __init__(
         self,
         cohort_id: int,
-        session,
+        spec: CohortSpec,
+        session: ShardedSession,
         metrics: Optional[ServiceMetrics] = None,
         refiller: Optional[BackgroundRefiller] = None,
         tracer: Optional[Tracer] = None,
         engine: Optional[RoundEngine] = None,
-        spec: Optional[CohortSpec] = None,
-        transport=None,
     ):
         self.cohort_id = int(cohort_id)
-        self.session = session
         self.spec = spec
-        self.transport = transport
+        self.session = session
         self.metrics = metrics
         self.refiller = refiller
         self.tracer = tracer
@@ -100,6 +99,11 @@ class Cohort:
     def kind(self) -> str:
         """The cohort's workload kind (``sync`` / ``buffered``)."""
         return self.engine.kind
+
+    @property
+    def transport(self) -> ShardTransport:
+        """The lane the session's shards run on (the session owns it)."""
+        return self.session.transport
 
     # ------------------------------------------------------------------
     # Phase mutations happen under one lock so a concurrent close() can
@@ -159,14 +163,13 @@ class Cohort:
     # buffered-async entry points (engine-gated)
     # ------------------------------------------------------------------
     def _buffered_engine(self):
-        engine = self.engine
-        if not hasattr(engine, "submit"):
+        if self.kind != "buffered":
             raise ProtocolError(
                 f"cohort {self.cohort_id} is a {self.kind} cohort; "
                 "asynchronous submissions and elastic membership need "
                 "kind='buffered'"
             )
-        return engine
+        return self.engine
 
     def submit_update(
         self,
@@ -208,14 +211,13 @@ class Cohort:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
+        # Closing the session closes its transport: for process/socket
+        # backends the worker Shutdown/Teardown handshake, for this
+        # cohort's shards only.
         self.session.close()
         with self._phase_lock:
             self.phase = CohortPhase.CLOSED
         self.engine.close()
-        if self.transport is not None:
-            # For process/socket backends: the worker Shutdown/Teardown
-            # handshake, for this cohort's shards only.
-            self.transport.close()
 
     def status(self) -> Dict:
         """Snapshotable cohort state for coordinators and the CLI.
@@ -224,7 +226,6 @@ class Cohort:
         scrape racing :meth:`run_round` sees a consistent pair; the pool
         numbers come from the session's own locked snapshot surface.
         """
-        supports_pool = getattr(self.session, "supports_pool", False)
         with self._phase_lock:
             phase = self.phase.value
             rounds = self.rounds
@@ -234,8 +235,8 @@ class Cohort:
             "phase": phase,
             "rounds": rounds,
             "stalls": stalls,
-            "pool_level": self.session.pool_level if supports_pool else None,
-            "pool_size": self.session.pool_size if supports_pool else None,
+            "pool_level": self.session.pool_level,
+            "pool_size": self.session.pool_size,
         }
         # The sync engine contributes nothing, keeping pre-engine status
         # snapshots byte-identical; the buffered engine adds its kind,

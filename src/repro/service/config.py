@@ -4,8 +4,8 @@ A :class:`ServiceConfig` fully describes one service deployment: how many
 cohorts run concurrently, the protocol geometry of each cohort (users,
 model dimension, privacy/dropout guarantees), how the model vector is
 sharded, and how offline pools are sized and refilled.  The service
-builds everything else (protocols, sessions, shards, cohorts, scheduler,
-refiller) from this one object, so tests and benchmarks can sweep
+builds everything else (protocols, sessions, shards, cohorts, refiller)
+from this one object, so tests and benchmarks can sweep
 configurations declaratively.
 """
 
@@ -108,19 +108,12 @@ def _validate_cohort_fields(cfg) -> None:
         raise ReproError(
             f"low_water must be in [0, pool_size), got {cfg.low_water}"
         )
-    if cfg.protocol not in ("lightsecagg", "naive"):
-        raise ReproError(f"unknown service protocol {cfg.protocol!r}")
     if cfg.kind not in ("sync", "buffered"):
         raise ReproError(
             f"unknown cohort kind {cfg.kind!r}; expected 'sync' or "
             "'buffered'"
         )
     if cfg.kind == "buffered":
-        if cfg.protocol != "lightsecagg":
-            raise ReproError(
-                "buffered cohorts need protocol='lightsecagg' (pooled "
-                f"mask sessions); got {cfg.protocol!r}"
-            )
         buffer_size = (
             cfg.num_users if cfg.buffer_size is None else cfg.buffer_size
         )
@@ -148,20 +141,19 @@ def _validate_cohort_fields(cfg) -> None:
         raise ReproError(
             f"quant_clip must be positive, got {cfg.quant_clip}"
         )
-    if cfg.protocol == "lightsecagg":
-        from repro.protocols.lightsecagg.params import LSAParams
+    from repro.protocols.lightsecagg.params import LSAParams
 
-        try:
-            LSAParams.from_guarantees(
-                cfg.num_users,
-                privacy=cfg.privacy,
-                dropout_tolerance=cfg.dropout_tolerance,
-            )
-        except ParameterError as exc:
-            raise ReproError(
-                f"infeasible protocol geometry for N={cfg.num_users}, "
-                f"T={cfg.privacy}, D={cfg.dropout_tolerance}: {exc}"
-            ) from exc
+    try:
+        LSAParams.from_guarantees(
+            cfg.num_users,
+            privacy=cfg.privacy,
+            dropout_tolerance=cfg.dropout_tolerance,
+        )
+    except ParameterError as exc:
+        raise ReproError(
+            f"infeasible protocol geometry for N={cfg.num_users}, "
+            f"T={cfg.privacy}, D={cfg.dropout_tolerance}: {exc}"
+        ) from exc
     if not isinstance(cfg.transport, TransportKind):
         raise ReproError(
             f"transport must be a TransportKind, got {cfg.transport!r}"
@@ -229,9 +221,6 @@ class CohortSpec:
     dropout_tolerance / privacy:
         Per-cohort LightSecAgg guarantees ``D`` and ``T``; defaults scale
         with ``N`` like :meth:`LSAParams.paper_defaults`.
-    protocol:
-        Protocol family; currently ``"lightsecagg"`` (pooled sessions)
-        and ``"naive"`` (replay sessions, useful as an oracle) are wired.
     transport:
         Shard execution backend, see :class:`TransportKind`.
     wire_format:
@@ -271,7 +260,6 @@ class CohortSpec:
     low_water: int = 0
     dropout_tolerance: int = 1
     privacy: int = 1
-    protocol: str = "lightsecagg"
     transport: TransportKind = TransportKind.INLINE
     wire_format: WireFormat = WireFormat.PACKED
     num_workers: Optional[int] = None

@@ -174,16 +174,13 @@ class RoundEngine:
             trace = c.tracer.start_round(c.cohort_id, round_index)
             if trace is not None:
                 trace.root.tags.update(tags)
-                trace.root.tags["transport"] = (
-                    c.transport.kind if c.transport is not None else "local"
-                )
+                trace.root.tags["transport"] = c.session.transport.kind
         online, stalled, level_before = 0.0, False, None
 
         def timed(call, *args, **kwargs):
             nonlocal online, stalled, level_before
-            supports_pool = getattr(c.session, "supports_pool", False)
-            level_before = c.session.pool_level if supports_pool else None
-            stalled = bool(supports_pool and level_before == 0)
+            level_before = c.session.pool_level
+            stalled = level_before == 0
             if trace is not None and stalled:
                 trace.root.tags["stalled"] = "1"
             t0 = time.perf_counter()
@@ -311,7 +308,7 @@ class BufferedAsyncRoundEngine(RoundEngine):
             self.quantizer.check_budget(
                 self.buffer_capacity * self.staleness.levels, spec.quant_clip
             )
-        self.model_dim: Optional[int] = None
+        self.model_dim = spec.model_dim
         self._members: Set[int] = set(range(spec.num_users))
         self._next_member_id = spec.num_users
         self._lock = threading.Lock()
@@ -333,22 +330,10 @@ class BufferedAsyncRoundEngine(RoundEngine):
     def bind(self, cohort) -> None:
         super().bind(cohort)
         session = cohort.session
-        if not hasattr(session, "drain") or not hasattr(session, "rekey"):
-            raise ProtocolError(
-                "buffered cohorts need a drain-capable session "
-                "(protocol 'lightsecagg' over a buffered shard session)"
-            )
-        dim = getattr(session, "model_dim", None)
-        if dim is None:
-            dim = session.plan.dim
-        self.model_dim = int(dim)
-        session_users = getattr(session, "num_users", None)
-        if session_users is not None and int(session_users) != len(
-            self._members
-        ):
+        if session.num_users != len(self._members):
             raise ProtocolError(
                 f"engine has {len(self._members)} members but the session "
-                f"was built for {session_users} users"
+                f"was built for {session.num_users} users"
             )
 
     def _set_phase(self, phase: RoundPhase, round_index: int) -> None:
@@ -381,7 +366,7 @@ class BufferedAsyncRoundEngine(RoundEngine):
         """
         c = self.cohort
         update = np.asarray(update, dtype=np.float64)
-        if self.model_dim is not None and update.shape != (self.model_dim,):
+        if update.shape != (self.model_dim,):
             raise ProtocolError(
                 f"update shape {update.shape} != ({self.model_dim},)"
             )

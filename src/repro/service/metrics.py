@@ -1,6 +1,6 @@
 """Thread-safe service metrics: pool depth, stalls, throughput.
 
-The service's observability layer.  Producers (cohorts, the scheduler,
+The service's observability layer.  Producers (cohorts, transports,
 the background refiller) record events; consumers (the CLI ``service``
 subcommand, the throughput benchmark, tests) read immutable snapshots.
 Everything is guarded by one lock per cohort — contention is negligible
@@ -17,7 +17,7 @@ import bisect
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Deque, Dict, List, Optional, Tuple
 
 #: Upper bucket bounds (seconds) of the online-round latency histogram,
@@ -57,6 +57,41 @@ def _fmt(value) -> str:
             return str(int(value))
         return repr(value)
     return str(value)
+
+
+def _histogram(labels, bounds, buckets, total, count) -> List[Tuple]:
+    """The ``(suffix, labels, value)`` samples of one Prometheus
+    histogram: cumulative ``_bucket`` counts up to ``+Inf``, then
+    ``_sum`` and ``_count``.  ``buckets`` holds per-bucket (not
+    cumulative) counts aligned with ``bounds``, overflow last."""
+    rows = []
+    cumulative = 0
+    for bound, n in zip(bounds, buckets):
+        cumulative += n
+        rows.append(
+            ("_bucket", {**labels, "le": _fmt(float(bound))}, cumulative)
+        )
+    rows.append(
+        ("_bucket", {**labels, "le": "+Inf"}, cumulative + buckets[-1])
+    )
+    rows.append(("_sum", labels, total))
+    rows.append(("_count", labels, count))
+    return rows
+
+
+def _record(metrics, **derived) -> Dict:
+    """A metrics dataclass as a plain dict — containers copied, so the
+    caller never aliases a live series — plus its ``derived`` values."""
+    out = {}
+    for f in fields(metrics):
+        value = getattr(metrics, f.name)
+        if isinstance(value, (list, deque)):
+            value = list(value)
+        elif isinstance(value, dict):
+            value = dict(value)
+        out[f.name] = value
+    out.update(derived)
+    return out
 
 
 @dataclass
@@ -300,54 +335,25 @@ class ServiceMetrics:
             return [] if m is None else list(m.pool_depth_series)
 
     def snapshot(self) -> Dict:
-        """Consistent point-in-time view, JSON-serializable."""
+        """Consistent point-in-time view, JSON-serializable: every field
+        of every metrics record plus the values derived from them."""
         with self._lock:
-            cohorts = {}
-            for cid, m in sorted(self._cohorts.items()):
-                cohorts[cid] = {
-                    "rounds": m.rounds,
-                    "stalls": m.stalls,
-                    "online_seconds": m.online_seconds,
-                    "rounds_per_second": m.rounds_per_second,
-                    "background_refills": m.background_refills,
-                    "background_rounds_refilled": m.background_rounds_refilled,
-                    "pool_depth_series": list(m.pool_depth_series),
-                    "latency_buckets": list(m.latency_buckets),
-                    "last_round_unix": m.last_round_unix,
-                    "buffer_fill": m.buffer_fill,
-                    "buffer_capacity": m.buffer_capacity,
-                    "drains": m.drains,
-                    "staleness_buckets": list(m.staleness_buckets),
-                    "staleness_sum": m.staleness_sum,
-                    "staleness_count": m.staleness_count,
-                    "membership_events": dict(m.membership_events),
-                }
-            transports = {}
-            for kind, t in sorted(self._transports.items()):
-                transports[kind] = {
-                    "rounds": t.rounds,
-                    "round_seconds": t.round_seconds,
-                    "mean_round_seconds": t.mean_round_seconds,
-                    "bytes_sent": t.bytes_sent,
-                    "bytes_received": t.bytes_received,
-                    "shm_bytes": t.shm_bytes,
-                    "shard_stalls": t.shard_stalls,
-                    "reconnects": t.reconnects,
-                }
-            phases = {}
-            for name, p in sorted(self._phases.items()):
-                phases[name] = {
-                    "count": p.count,
-                    "seconds": p.seconds,
-                    "latency_buckets": list(p.latency_buckets),
-                }
             return {
                 "uptime_seconds": time.monotonic() - self._t0,
                 "total_rounds": sum(m.rounds for m in self._cohorts.values()),
                 "total_stalls": sum(m.stalls for m in self._cohorts.values()),
-                "cohorts": cohorts,
-                "transports": transports,
-                "phases": phases,
+                "cohorts": {
+                    cid: _record(m, rounds_per_second=m.rounds_per_second)
+                    for cid, m in sorted(self._cohorts.items())
+                },
+                "transports": {
+                    kind: _record(t, mean_round_seconds=t.mean_round_seconds)
+                    for kind, t in sorted(self._transports.items())
+                },
+                "phases": {
+                    name: _record(p)
+                    for name, p in sorted(self._phases.items())
+                },
             }
 
     def render_prometheus(self) -> str:
@@ -360,135 +366,14 @@ class ServiceMetrics:
         them as a public interface (dashboards bind to them).
         """
         with self._lock:
-            lines: List[str] = []
-
-            def family(name: str, kind: str, help_text: str) -> None:
-                lines.append(f"# HELP {name} {help_text}")
-                lines.append(f"# TYPE {name} {kind}")
-
-            def sample(name: str, labels: Dict[str, str], value) -> None:
-                if labels:
-                    body = ",".join(
-                        f'{k}="{v}"' for k, v in labels.items()
-                    )
-                    lines.append(f"{name}{{{body}}} {_fmt(value)}")
-                else:
-                    lines.append(f"{name} {_fmt(value)}")
-
-            family(
-                "repro_uptime_seconds", "gauge",
-                "Seconds since the service metrics sink was created.",
-            )
-            sample(
-                "repro_uptime_seconds", {}, time.monotonic() - self._t0
-            )
-
-            cohorts = sorted(self._cohorts.items())
-            family(
-                "repro_rounds_total", "counter",
-                "Completed online aggregation rounds per cohort.",
-            )
-            for cid, m in cohorts:
-                sample("repro_rounds_total", {"cohort": str(cid)}, m.rounds)
-            family(
-                "repro_stalls_total", "counter",
-                "Online rounds that found their offline pool empty.",
-            )
-            for cid, m in cohorts:
-                sample("repro_stalls_total", {"cohort": str(cid)}, m.stalls)
-            family(
-                "repro_online_seconds_total", "counter",
-                "Wall-clock seconds spent in the online round path.",
-            )
-            for cid, m in cohorts:
-                sample(
-                    "repro_online_seconds_total", {"cohort": str(cid)},
-                    m.online_seconds,
-                )
-            def histogram(
-                name: str,
-                labels: Dict[str, str],
-                buckets: List[int],
-                seconds_sum: float,
-                count: int,
-            ) -> None:
-                cumulative = 0
-                for bound, n in zip(LATENCY_BUCKETS_S, buckets):
-                    cumulative += n
-                    sample(
-                        f"{name}_bucket",
-                        {**labels, "le": _fmt(bound)},
-                        cumulative,
-                    )
-                cumulative += buckets[-1]
-                sample(
-                    f"{name}_bucket", {**labels, "le": "+Inf"}, cumulative
-                )
-                sample(f"{name}_sum", labels, seconds_sum)
-                sample(f"{name}_count", labels, count)
-
-            family(
-                "repro_round_latency_seconds", "histogram",
-                "Online round latency distribution per cohort.",
-            )
-            for cid, m in cohorts:
-                histogram(
-                    "repro_round_latency_seconds", {"cohort": str(cid)},
-                    m.latency_buckets, m.online_seconds, m.rounds,
-                )
-            family(
-                "repro_phase_latency_seconds", "histogram",
-                "Per-phase latency from round traces (top-level spans).",
-            )
-            for pname, p in sorted(self._phases.items()):
-                histogram(
-                    "repro_phase_latency_seconds", {"phase": pname},
-                    p.latency_buckets, p.seconds, p.count,
-                )
-            family(
-                "repro_last_round_unix_seconds", "gauge",
-                "Unix time each cohort last completed a round.",
-            )
-            for cid, m in cohorts:
-                sample(
-                    "repro_last_round_unix_seconds", {"cohort": str(cid)},
-                    m.last_round_unix,
-                )
-            family(
-                "repro_pool_depth", "gauge",
-                "Most recently sampled offline pool depth per cohort.",
-            )
-            for cid, m in cohorts:
-                if m.pool_depth_series:
-                    sample(
-                        "repro_pool_depth", {"cohort": str(cid)},
-                        m.pool_depth_series[-1][1],
-                    )
-            family(
-                "repro_background_refills_total", "counter",
-                "Background pool top-ups per cohort.",
-            )
-            for cid, m in cohorts:
-                sample(
-                    "repro_background_refills_total", {"cohort": str(cid)},
-                    m.background_refills,
-                )
-            family(
-                "repro_background_rounds_refilled_total", "counter",
-                "Rounds of offline material delivered by background refills.",
-            )
-            for cid, m in cohorts:
-                sample(
-                    "repro_background_rounds_refilled_total",
-                    {"cohort": str(cid)},
-                    m.background_rounds_refilled,
-                )
-
-            # --- buffered-async families.  HELP/TYPE headers render
-            # unconditionally (the exposition is self-describing);
-            # samples only exist for cohorts that have buffered state,
-            # so a sync-only deployment's scrape differs from the
-            # pre-buffered format by header lines alone.
+            cohorts = [
+                (str(cid), m) for cid, m in sorted(self._cohorts.items())
+            ]
+            # Buffered-async families render their HELP/TYPE headers
+            # unconditionally (the exposition is self-describing) but
+            # samples only for cohorts that have buffered state, so a
+            # sync-only scrape differs from the pre-buffered format by
+            # header lines alone.
             buffered = [
                 (cid, m)
                 for cid, m in cohorts
@@ -496,101 +381,102 @@ class ServiceMetrics:
                 or m.drains > 0
                 or m.membership_events
             ]
-            family(
-                "repro_buffer_fill", "gauge",
-                "Current update-buffer occupancy per buffered cohort.",
-            )
-            for cid, m in buffered:
-                sample(
-                    "repro_buffer_fill", {"cohort": str(cid)}, m.buffer_fill
-                )
-            family(
-                "repro_buffer_capacity", "gauge",
-                "Seal threshold K of each buffered cohort's buffer.",
-            )
-            for cid, m in buffered:
-                sample(
-                    "repro_buffer_capacity", {"cohort": str(cid)},
-                    m.buffer_capacity,
-                )
-            family(
-                "repro_drains_total", "counter",
-                "Completed buffer drains per buffered cohort.",
-            )
-            for cid, m in buffered:
-                sample(
-                    "repro_drains_total", {"cohort": str(cid)}, m.drains
-                )
-            family(
-                "repro_drain_staleness", "histogram",
-                "Per-delivery staleness (rounds) across buffer drains.",
-            )
-            for cid, m in buffered:
-                labels = {"cohort": str(cid)}
-                cumulative = 0
-                for bound, n in zip(
-                    STALENESS_BUCKETS, m.staleness_buckets
-                ):
-                    cumulative += n
-                    sample(
-                        "repro_drain_staleness_bucket",
-                        {**labels, "le": _fmt(float(bound))},
-                        cumulative,
-                    )
-                cumulative += m.staleness_buckets[-1]
-                sample(
-                    "repro_drain_staleness_bucket",
-                    {**labels, "le": "+Inf"},
-                    cumulative,
-                )
-                sample(
-                    "repro_drain_staleness_sum", labels, m.staleness_sum
-                )
-                sample(
-                    "repro_drain_staleness_count", labels,
-                    m.staleness_count,
-                )
-            family(
-                "repro_membership_events_total", "counter",
-                "Elastic membership changes per buffered cohort.",
-            )
-            for cid, m in buffered:
-                for event in sorted(m.membership_events):
-                    sample(
-                        "repro_membership_events_total",
-                        {"cohort": str(cid), "event": event},
-                        m.membership_events[event],
-                    )
-
             transports = sorted(self._transports.items())
-            for name, kind, help_text, attr in (
+
+            def each(entries, label, attr):
+                """One sample per entry: its ``attr``, labelled by key."""
+                return [
+                    ("", {label: key}, getattr(m, attr))
+                    for key, m in entries
+                ]
+
+            # (name, type, help, rows); a row is (suffix, labels, value).
+            families = [
+                ("repro_uptime_seconds", "gauge",
+                 "Seconds since the service metrics sink was created.",
+                 [("", {}, time.monotonic() - self._t0)]),
+                ("repro_rounds_total", "counter",
+                 "Completed online aggregation rounds per cohort.",
+                 each(cohorts, "cohort", "rounds")),
+                ("repro_stalls_total", "counter",
+                 "Online rounds that found their offline pool empty.",
+                 each(cohorts, "cohort", "stalls")),
+                ("repro_online_seconds_total", "counter",
+                 "Wall-clock seconds spent in the online round path.",
+                 each(cohorts, "cohort", "online_seconds")),
+                ("repro_round_latency_seconds", "histogram",
+                 "Online round latency distribution per cohort.",
+                 [row for cid, m in cohorts for row in _histogram(
+                     {"cohort": cid}, LATENCY_BUCKETS_S, m.latency_buckets,
+                     m.online_seconds, m.rounds)]),
+                ("repro_phase_latency_seconds", "histogram",
+                 "Per-phase latency from round traces (top-level spans).",
+                 [row for name, p in sorted(self._phases.items())
+                  for row in _histogram(
+                      {"phase": name}, LATENCY_BUCKETS_S, p.latency_buckets,
+                      p.seconds, p.count)]),
+                ("repro_last_round_unix_seconds", "gauge",
+                 "Unix time each cohort last completed a round.",
+                 each(cohorts, "cohort", "last_round_unix")),
+                ("repro_pool_depth", "gauge",
+                 "Most recently sampled offline pool depth per cohort.",
+                 [("", {"cohort": cid}, m.pool_depth_series[-1][1])
+                  for cid, m in cohorts if m.pool_depth_series]),
+                ("repro_background_refills_total", "counter",
+                 "Background pool top-ups per cohort.",
+                 each(cohorts, "cohort", "background_refills")),
+                ("repro_background_rounds_refilled_total", "counter",
+                 "Rounds of offline material delivered by background refills.",
+                 each(cohorts, "cohort", "background_rounds_refilled")),
+                ("repro_buffer_fill", "gauge",
+                 "Current update-buffer occupancy per buffered cohort.",
+                 each(buffered, "cohort", "buffer_fill")),
+                ("repro_buffer_capacity", "gauge",
+                 "Seal threshold K of each buffered cohort's buffer.",
+                 each(buffered, "cohort", "buffer_capacity")),
+                ("repro_drains_total", "counter",
+                 "Completed buffer drains per buffered cohort.",
+                 each(buffered, "cohort", "drains")),
+                ("repro_drain_staleness", "histogram",
+                 "Per-delivery staleness (rounds) across buffer drains.",
+                 [row for cid, m in buffered for row in _histogram(
+                     {"cohort": cid}, STALENESS_BUCKETS, m.staleness_buckets,
+                     m.staleness_sum, m.staleness_count)]),
+                ("repro_membership_events_total", "counter",
+                 "Elastic membership changes per buffered cohort.",
+                 [("", {"cohort": cid, "event": event}, count)
+                  for cid, m in buffered
+                  for event, count in sorted(m.membership_events.items())]),
                 ("repro_transport_rounds_total", "counter",
                  "Logical rounds scatter/gathered per transport backend.",
-                 "rounds"),
+                 each(transports, "transport", "rounds")),
                 ("repro_transport_round_seconds_total", "counter",
                  "Wall-clock seconds in transport scatter/gather.",
-                 "round_seconds"),
+                 each(transports, "transport", "round_seconds")),
                 ("repro_transport_bytes_sent_total", "counter",
                  "Wire bytes sent per transport backend.",
-                 "bytes_sent"),
+                 each(transports, "transport", "bytes_sent")),
                 ("repro_transport_bytes_received_total", "counter",
                  "Wire bytes received per transport backend.",
-                 "bytes_received"),
+                 each(transports, "transport", "bytes_received")),
                 ("repro_transport_shm_bytes_total", "counter",
                  "Vector payload bytes exchanged via shared memory.",
-                 "shm_bytes"),
+                 each(transports, "transport", "shm_bytes")),
                 ("repro_transport_shard_stalls_total", "counter",
                  "Shard-level rounds that found an empty worker pool.",
-                 "shard_stalls"),
+                 each(transports, "transport", "shard_stalls")),
                 ("repro_transport_reconnects_total", "counter",
                  "Connections re-established (with session re-pin).",
-                 "reconnects"),
-            ):
-                family(name, kind, help_text)
-                for tkind, t in transports:
-                    sample(
-                        name, {"transport": tkind}, getattr(t, attr)
-                    )
+                 each(transports, "transport", "reconnects")),
+            ]
+            lines: List[str] = []
+            for name, kind, help_text, rows in families:
+                lines.append(f"# HELP {name} {help_text}")
+                lines.append(f"# TYPE {name} {kind}")
+                for suffix, labels, value in rows:
+                    body = ",".join(f'{k}="{v}"' for k, v in labels.items())
+                    series = f"{name}{suffix}" + (f"{{{body}}}" if body else "")
+                    lines.append(f"{series} {_fmt(value)}")
             return "\n".join(lines) + "\n"
 
     @property

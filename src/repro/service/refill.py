@@ -72,9 +72,10 @@ class BackgroundRefiller:
     ) -> None:
         """Watch ``session``; refill it whenever it reports low water.
 
-        Sessions without a precomputable pool (``supports_pool`` False)
-        are accepted but never refilled — their ``needs_refill`` is
-        always False — so callers can register uniformly.  ``depth_fn``
+        Sessions without a precomputable pool (the library's replay
+        sessions) are accepted but never refilled — their
+        ``needs_refill`` is always False — so callers can register
+        uniformly.  ``depth_fn``
         overrides the pool depth reported to metrics after a refill;
         sharded cohorts pass their *logical* (min-over-shards) depth so
         the metrics series stays one consistent quantity even though the

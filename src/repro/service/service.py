@@ -2,8 +2,8 @@
 
 :class:`AggregationService` assembles a full service deployment from one
 :class:`~repro.service.config.ServiceConfig`: per-cohort (and per-shard)
-protocol instances and pooled sessions, the shared background refill
-pipeline, the cohort scheduler, and the metrics sink.  It owns their
+pooled LightSecAgg shard sessions, the shared background refill
+pipeline, and the metrics sink.  It owns their
 lifecycle — ``start()`` warms every pool and launches the refill worker,
 ``stop()`` shuts the worker down cleanly (a refill in flight completes)
 and closes every session — and is a context manager::
@@ -33,17 +33,11 @@ from repro.protocols.base import AggregationResult
 from repro.protocols.base import sample_dropouts
 from repro.obs import RoundTrace, Tracer
 from repro.quantization import ModelQuantizer
-from repro.service.cohort import Cohort
+from repro.service.cohort import Cohort, CohortPhase
 from repro.service.engines import BufferedAsyncRoundEngine
-from repro.service.config import (
-    CohortSpec,
-    RefillMode,
-    ServiceConfig,
-    TransportKind,
-)
+from repro.service.config import CohortSpec, RefillMode, ServiceConfig
 from repro.service.metrics import ServiceMetrics
 from repro.service.refill import BackgroundRefiller
-from repro.service.scheduler import CohortScheduler
 from repro.service.sharding import ShardedSession, ShardPlan
 from repro.service.transport import ShardSessionSpec, build_transport
 
@@ -74,10 +68,10 @@ class AggregationService:
         if config.refill_mode is RefillMode.BACKGROUND:
             self.refiller = BackgroundRefiller(metrics=self.metrics)
         self._cohort_lock = threading.RLock()
-        # A live cohort is one object: it carries its spec and transport.
+        # The one registry.  A live cohort is one object: it carries its
+        # spec and, through its session, its transport.
         self._cohorts: Dict[int, Cohort] = {}
         self._next_cohort_id = 0
-        self.scheduler = CohortScheduler(allow_empty=True)
         self._started = False
         if build_cohorts:
             spec = config.cohort_spec()
@@ -102,7 +96,7 @@ class AggregationService:
     ) -> List[ShardSessionSpec]:
         """Declarative per-shard session specs for one cohort.
 
-        The spec — not a live session — is the unit both transports build
+        The spec — not a live session — is the unit every transport builds
         from: the inline backend constructs the session in this process,
         the process backend ships the spec to a worker which constructs
         an identical one (same seed path, same rng streams, bit-identical
@@ -112,9 +106,8 @@ class AggregationService:
         # drain() path; the dedicated shard protocol selects the
         # drain-capable session class in every worker.
         protocol = (
-            "lightsecagg-buffered"
-            if spec.kind == "buffered"
-            else spec.protocol
+            "lightsecagg-buffered" if spec.kind == "buffered"
+            else "lightsecagg"
         )
         return [
             ShardSessionSpec(
@@ -132,6 +125,15 @@ class AggregationService:
         ]
 
     def _build_cohort(self, cohort_id: int, spec: CohortSpec) -> Cohort:
+        """One live cohort: a :class:`ShardedSession` over the spec's
+        transport, watched by the refiller, pools warm if the service
+        has started.  A failure at any step leaves nothing behind."""
+        # The engine first: building it is pure, and its quantization
+        # budget is the last check that can reject the spec — before any
+        # worker or pinned slot exists.
+        engine = None
+        if spec.kind == "buffered":
+            engine = BufferedAsyncRoundEngine(self.gf, spec)
         plan = ShardPlan(spec.model_dim, spec.num_shards)
         transport = build_transport(
             spec.transport.value,
@@ -144,37 +146,36 @@ class AggregationService:
             wire_format=spec.wire_format.value,
             tracing=self.tracer.enabled,
         )
-        if spec.transport is TransportKind.INLINE and spec.num_shards == 1:
-            # Unsharded inline deployments keep the bare session (no
-            # coordinator indirection), exactly the pre-transport layout.
-            session = transport.shard_handles[0]
-        else:
+        try:
             session = ShardedSession(plan, transport=transport)
-        if self.refiller is not None:
-            # Shard granularity: one shard can refill while another shard
-            # of the same cohort is mid-round.  Metrics always sample the
-            # cohort's *logical* depth (min over shards) so the series is
-            # one consistent quantity.
-            logical = session
-            for handle in transport.shard_handles:
-                self.refiller.register(
-                    handle,
-                    cohort_id,
-                    depth_fn=lambda logical=logical: logical.pool_level,
-                )
-        engine = None
-        if spec.kind == "buffered":
-            engine = BufferedAsyncRoundEngine(self.gf, spec)
-        return Cohort(
-            cohort_id,
-            session,
-            metrics=self.metrics,
-            refiller=self.refiller,
-            tracer=self.tracer,
-            engine=engine,
-            spec=spec,
-            transport=transport,
-        )
+            if self.refiller is not None:
+                # Shard granularity: one shard can refill while another
+                # shard of the same cohort is mid-round.  Metrics always
+                # sample the cohort's *logical* depth (min over shards)
+                # so the series is one consistent quantity.
+                for handle in transport.shard_handles:
+                    self.refiller.register(
+                        handle,
+                        cohort_id,
+                        depth_fn=lambda: session.pool_level,
+                    )
+            cohort = Cohort(
+                cohort_id,
+                spec,
+                session,
+                metrics=self.metrics,
+                refiller=self.refiller,
+                tracer=self.tracer,
+                engine=engine,
+            )
+            if self._started:
+                session.refill()
+        except BaseException:
+            if self.refiller is not None:
+                self.refiller.unregister(cohort_id)
+            transport.close()
+            raise
+        return cohort
 
     # ------------------------------------------------------------------
     # runtime membership
@@ -183,30 +184,27 @@ class AggregationService:
         """Create and admit one cohort at runtime; returns it live.
 
         Thread-safe against concurrent adds/removes and against a
-        scheduler sweep in flight (the new cohort joins the next sweep).
-        On a started service the new cohort's pools are warmed inline
-        here — before it is admitted to the scheduler — so its first
-        round never stalls; before :meth:`start`, warming is deferred to
-        it, exactly like statically-configured cohorts.
+        :meth:`run_synthetic` sweep in flight (the new cohort joins the
+        next sweep).  On a started service the new cohort's pools are
+        warmed inline here — before it is admitted — so its first round
+        never stalls; before :meth:`start`, warming is deferred to it,
+        exactly like statically-configured cohorts.  A spec the build
+        rejects, or a warm-up that fails, leaves no worker, shared-memory
+        segment, pinned slot or refiller entry behind.
         """
         spec = spec if spec is not None else self.config.cohort_spec()
         with self._cohort_lock:
             cohort_id = self._next_cohort_id
             self._next_cohort_id += 1
         cohort = self._build_cohort(cohort_id, spec)
-        if self._started and getattr(
-            cohort.session, "supports_pool", False
-        ):
-            cohort.session.refill()
         with self._cohort_lock:
             self._cohorts[cohort_id] = cohort
-        self.scheduler.add(cohort)
         return cohort
 
     def remove_cohort(self, cohort_id: int) -> None:
         """Close and retire one cohort without touching its neighbours.
 
-        The cohort leaves the scheduler and the refiller watch list
+        The cohort leaves the registry and the refiller watch list
         first, then :meth:`Cohort.close` closes its session (an
         in-flight round completes and keeps its result, per the cohort's
         close/round race contract) and releases its transport's backend.
@@ -215,7 +213,6 @@ class AggregationService:
             cohort = self._cohorts.pop(cohort_id, None)
         if cohort is None:
             raise ProtocolError(f"service has no cohort {cohort_id}")
-        self.scheduler.remove(cohort_id)
         if self.refiller is not None:
             self.refiller.unregister(cohort_id)
         cohort.close()
@@ -229,8 +226,7 @@ class AggregationService:
             return self
         if warm_pools:
             for cohort in self.cohorts:
-                if getattr(cohort.session, "supports_pool", False):
-                    cohort.session.refill()
+                cohort.session.refill()
         if self.refiller is not None:
             self.refiller.start()
         self._started = True
@@ -357,7 +353,15 @@ class AggregationService:
         settle: bool = False,
         settle_timeout_s: float = 30.0,
     ) -> List[Dict[int, AggregationResult]]:
-        """Round-robin sweeps with random field-vector updates.
+        """Round-robin sweeps with random field-vector updates: one
+        round per sweep for every live sync cohort, results by cohort id.
+
+        Buffered cohorts are skipped (they drain on their K-th
+        submission, not on sweeps).  Each sweep runs over a point-in-time
+        copy of the registry, so a cohort closed or removed while a sweep
+        is in flight is skipped — through its own closed-cohort entry
+        check — and its neighbours' rounds are unaffected; every other
+        error propagates unchanged.
 
         ``settle=True`` waits for the background refiller to top every
         pool back up between sweeps — the steady-state regime (client
@@ -368,19 +372,26 @@ class AggregationService:
         rng = rng if rng is not None else np.random.default_rng(
             self.config.seed
         )
-
-        def update_fn(cohort: Cohort, _round_index: int) -> Tuple[Dict, Set]:
-            spec = cohort.spec
-            updates = {
-                i: self.gf.random(spec.model_dim, rng)
-                for i in range(spec.num_users)
-            }
-            dropouts = sample_dropouts(spec.num_users, dropout_rate, rng)
-            return updates, dropouts
-
         results = []
         for _ in range(rounds):
-            results.append(self.scheduler.run_sweep(update_fn, rng))
+            sweep: Dict[int, AggregationResult] = {}
+            for cohort in self.cohorts:
+                if cohort.kind != "sync" or cohort.phase is CohortPhase.CLOSED:
+                    continue
+                spec = cohort.spec
+                updates = {
+                    i: self.gf.random(spec.model_dim, rng)
+                    for i in range(spec.num_users)
+                }
+                dropouts = sample_dropouts(spec.num_users, dropout_rate, rng)
+                try:
+                    sweep[cohort.cohort_id] = cohort.run_round(
+                        updates, dropouts, rng
+                    )
+                except ProtocolError:
+                    if cohort.phase is not CohortPhase.CLOSED:
+                        raise
+            results.append(sweep)
             if settle and self.refiller is not None:
                 self.refiller.wait_until_idle(timeout=settle_timeout_s)
         return results
@@ -415,10 +426,10 @@ class AggregationService:
             "transport": {
                 "kind": cfg.transport.value,
                 "workers_alive": sum(
-                    getattr(c.transport, "workers_alive", 0) for c in cohorts
+                    c.transport.workers_alive for c in cohorts
                 ),
                 "workers_total": sum(
-                    getattr(c.transport, "num_workers", 0) for c in cohorts
+                    c.transport.num_workers for c in cohorts
                 ),
             },
             "started": self._started,
@@ -434,6 +445,6 @@ class AggregationService:
                 "refills": self.refiller.refills,
                 "rounds_refilled": self.refiller.rounds_refilled,
             },
-            "cohorts": self.scheduler.status(),
+            "cohorts": [c.status() for c in cohorts],
             "metrics": self.metrics.snapshot(),
         }

@@ -93,8 +93,9 @@ class ShardedSession:
     Exposes the same surface as a
     :class:`~repro.protocols.base.ProtocolSession` (``run_round``,
     ``refill``, ``pool_level``, ``needs_refill``, ``close``, ``stats``
-    ...), so the FL loop, the cohort state machine, and the background
-    refiller all treat it interchangeably with a single-shard session.
+    ...), so the FL loop and the background refiller treat it
+    interchangeably with a single-shard session; every service cohort
+    holds exactly one, over one shard or many.
 
     Shard execution is delegated to a
     :class:`~repro.service.transport.ShardTransport`: pass live sessions
@@ -152,10 +153,7 @@ class ShardedSession:
 
     @staticmethod
     def _shared_num_users(handles: Sequence) -> int:
-        users = {
-            h.num_users if hasattr(h, "num_users") else h.spec.num_users
-            for h in handles
-        }
+        users = {h.num_users for h in handles}
         if len(users) != 1:
             raise ProtocolError(
                 f"shard sessions disagree on user count: {sorted(users)}"
@@ -178,10 +176,6 @@ class ShardedSession:
     @property
     def pool_size(self) -> int:
         return min(s.pool_size for s in self.shard_sessions)
-
-    @property
-    def supports_pool(self) -> bool:
-        return all(s.supports_pool for s in self.shard_sessions)
 
     @property
     def needs_refill(self) -> bool:

@@ -137,7 +137,7 @@ class ShardSessionSpec:
     identical mask/padding streams and their pools are bit-identical.
     """
 
-    protocol: str  # "lightsecagg" | "lightsecagg-buffered" | "naive"
+    protocol: str  # "lightsecagg" | "lightsecagg-buffered"
     num_users: int
     shard_dim: int
     privacy: int
@@ -148,10 +148,6 @@ class ShardSessionSpec:
     field_modulus: int = DEFAULT_PRIME
 
     @property
-    def supports_pool(self) -> bool:
-        return self.protocol in ("lightsecagg", "lightsecagg-buffered")
-
-    @property
     def supports_drains(self) -> bool:
         return self.protocol == "lightsecagg-buffered"
 
@@ -159,20 +155,16 @@ class ShardSessionSpec:
         """Construct the protocol and open its session."""
         from repro.protocols.lightsecagg.params import LSAParams
         from repro.protocols.lightsecagg.protocol import LightSecAgg
-        from repro.protocols.naive import NaiveAggregation
 
-        gf = gf if gf is not None else FiniteField(self.field_modulus)
-        if self.protocol == "naive":
-            protocol = NaiveAggregation(gf, self.num_users, self.shard_dim)
-        elif self.protocol in ("lightsecagg", "lightsecagg-buffered"):
-            params = LSAParams.from_guarantees(
-                self.num_users,
-                privacy=self.privacy,
-                dropout_tolerance=self.dropout_tolerance,
-            )
-            protocol = LightSecAgg(gf, params, self.shard_dim)
-        else:
+        if self.protocol not in ("lightsecagg", "lightsecagg-buffered"):
             raise ProtocolError(f"unknown shard protocol {self.protocol!r}")
+        gf = gf if gf is not None else FiniteField(self.field_modulus)
+        params = LSAParams.from_guarantees(
+            self.num_users,
+            privacy=self.privacy,
+            dropout_tolerance=self.dropout_tolerance,
+        )
+        protocol = LightSecAgg(gf, params, self.shard_dim)
         rng = np.random.default_rng(list(self.seed))
         if self.protocol == "lightsecagg-buffered":
             from repro.asyncfl.pooled import BufferedShardSession
@@ -201,6 +193,11 @@ class ShardTransport(abc.ABC):
 
     kind: str = "abstract"
 
+    #: Worker processes / hosts behind the lane, and how many answer;
+    #: lanes that compute in the coordinator's process have none.
+    num_workers: int = 0
+    workers_alive: int = 0
+
     @property
     @abc.abstractmethod
     def shard_handles(self) -> Sequence:
@@ -224,6 +221,7 @@ class ShardTransport(abc.ABC):
     def refill_all(self, rounds: Optional[int] = None) -> int:
         """Top up every shard's pool; returns the max rounds added."""
 
+    @abc.abstractmethod
     def drain_all(
         self,
         weights: np.ndarray,
@@ -236,16 +234,11 @@ class ShardTransport(abc.ABC):
         ``per_shard_updates[s]`` the ``(B, shard_width)`` slice of the
         unweighted quantized deliveries, rows in buffer order.
         """
-        raise TransportError(
-            f"{self.kind} transport does not support buffered drains"
-        )
 
+    @abc.abstractmethod
     def rekey_all(self, num_users: int) -> int:
         """Re-key every shard for a new member count; returns the total
         pooled rounds invalidated (buffered sessions only)."""
-        raise TransportError(
-            f"{self.kind} transport does not support re-keying"
-        )
 
     @abc.abstractmethod
     def close(self) -> None:
@@ -476,8 +469,8 @@ class ShardHandle:
 
     # -- ProtocolSession pool surface -----------------------------------
     @property
-    def supports_pool(self) -> bool:
-        return self.spec.supports_pool
+    def num_users(self) -> int:
+        return self.spec.num_users
 
     @property
     def pool_level(self) -> int:
@@ -489,7 +482,7 @@ class ShardHandle:
 
     @property
     def needs_refill(self) -> bool:
-        if not self.supports_pool or self.closed:
+        if self.closed:
             return False
         level = self.pool_level
         return level < self.pool_size and level <= self.low_water
@@ -773,8 +766,7 @@ class FrameTransport(ShardTransport):
         """Scatter one round request per shard, then gather every result.
 
         The caller's ``rng`` cannot cross a process boundary and is
-        ignored; online rounds of pooled sessions draw nothing from it,
-        and replay sessions use their worker-local spec-seeded stream.
+        ignored; online rounds of pooled sessions draw nothing from it.
         """
         offline_dropouts = phase_kwargs.pop("offline_dropouts", None)
         if phase_kwargs:

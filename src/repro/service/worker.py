@@ -70,7 +70,7 @@ def _compute(message, session, enqueued_at, registry) -> ShardRoundResult:
     if is_drain:
         require_support(session, shard_id, "drain", "drains")
     state = session.state_snapshot()
-    stalled = bool(state["supports_pool"] and state["pool_level"] == 0)
+    stalled = state["pool_level"] == 0
     compute_start = time.time() if message.trace_id else 0.0
     if is_drain:
         result = session.drain(

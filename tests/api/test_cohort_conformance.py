@@ -37,7 +37,6 @@ FULL_BODY = {
     "low_water": 2,
     "dropout_tolerance": 2,
     "privacy": 2,
-    "protocol": "lightsecagg",  # "naive" cannot be buffered; see below
     "transport": "socket",
     "wire_format": "raw",
     "num_workers": None,  # only process/shm take it; see below
@@ -61,13 +60,16 @@ WRONG_TYPE = {
 
 class TestDeclaredOnce:
     def test_post_cohorts_accepts_exactly_the_spec_fields(self):
-        assert set(FULL_BODY) == SPEC_FIELDS
+        assert set(FULL_BODY) == SPEC_FIELDS and len(SPEC_FIELDS) == 19
         for name in SPEC_FIELDS:  # each is accepted on its own...
             CohortCreateRequest.from_json({name: FULL_BODY[name]})
         with pytest.raises(SchemaError, match="unknown field") as exc:
             CohortCreateRequest.from_json({"refill_mode": "sync"})
         # ...and the rejection lists exactly the spec's names.
         assert f"known fields: {sorted(SPEC_FIELDS)}" in str(exc.value)
+        # The service hosts pooled LightSecAgg only: no protocol to pick.
+        with pytest.raises(SchemaError, match="unknown field"):
+            CohortCreateRequest.from_json({"protocol": "lightsecagg"})
 
     def test_describe_and_status_show_the_spec_fields(self):
         assert set(CohortSpec().describe()) == SPEC_FIELDS
@@ -103,13 +105,10 @@ class TestDeclaredOnce:
             name for name in SPEC_FIELDS
             if getattr(spec, name) == getattr(defaults, name)
         }
-        # Two fields cannot leave their default beside the others
-        # (num_workers needs process/shm, "naive" cannot be buffered);
-        # they round-trip on their own here.
-        assert same == {"protocol", "num_workers"}
-        other = {
-            "protocol": "naive", "transport": "process", "num_workers": 2,
-        }
+        # One field cannot leave its default beside the others
+        # (num_workers needs process/shm); it round-trips on its own.
+        assert same == {"num_workers"}
+        other = {"transport": "process", "num_workers": 2}
         described = CohortCreateRequest.from_json(other).to_spec().describe()
         assert {name: described[name] for name in other} == other
 

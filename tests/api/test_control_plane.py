@@ -337,6 +337,28 @@ class TestLifecycleAndErrors:
             control.drain()
             server.stop()
 
+    def test_oversized_content_length_is_a_typed_413(self, gf):
+        """A declared length above ``MAX_BODY_BYTES`` used to park the
+        handler thread in ``rfile.read`` on a body that never arrives
+        (this request would hang until the client gave up).  It is
+        refused unread, the connection closed, nothing created."""
+        service, control, server = make_daemon(gf)
+        try:
+            length = server_module.MAX_BODY_BYTES + 1
+            status, _, body = raw_request(
+                server.address,
+                "POST /cohorts HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {length}\r\n\r\n",
+            )
+            assert status == 413
+            assert body["error"]["type"] == "body-too-large"
+            assert str(length) in body["error"]["message"]
+            status, listing = Client(server.address).get("/cohorts")
+            assert status == 200 and listing["cohorts"] == []
+        finally:
+            control.drain()
+            server.stop()
+
     def test_405_sends_the_allow_header(self, gf):
         service, control, server = make_daemon(gf)
         try:

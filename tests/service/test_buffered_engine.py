@@ -113,7 +113,7 @@ class TestOracleBitIdentity:
 
     def _drive(self, gf, svc, *, staleness_fn="constant",
                staleness_alpha=1.0):
-        cohort = svc.scheduler.cohorts[0]
+        cohort = svc.cohorts[0]
         rng = np.random.default_rng(31)
         oracle = Oracle(gf, N, staleness_fn=staleness_fn,
                         staleness_alpha=staleness_alpha)
@@ -195,7 +195,7 @@ class TestOracleBitIdentity:
     def test_hinge_staleness(self, gf):
         config = buffered_config(staleness_fn="hinge", staleness_alpha=2.0)
         with AggregationService(config, gf=gf) as svc:
-            cohort = svc.scheduler.cohorts[0]
+            cohort = svc.cohorts[0]
             rng = np.random.default_rng(5)
             subs = [(i, 0, rng.normal(size=DIM)) for i in range(K)]
             out = submit_all(cohort, subs)
@@ -209,7 +209,7 @@ class TestOracleBitIdentity:
 class TestLifecycle:
     def test_phase_transitions_and_status(self, gf):
         with AggregationService(buffered_config(), gf=gf) as svc:
-            cohort = svc.scheduler.cohorts[0]
+            cohort = svc.cohorts[0]
             engine = cohort.engine
             assert cohort.kind == "buffered"
             assert engine.round_phase is RoundPhase.IDLE
@@ -245,13 +245,13 @@ class TestLifecycle:
             rng = np.random.default_rng(1)
             report = svc.run_synthetic(rounds=2, dropout_rate=0.0, rng=rng)
             assert svc.metrics.total_rounds == 0
-            cohort = svc.scheduler.cohorts[0]
+            cohort = svc.cohorts[0]
             assert cohort.rounds == 0
             assert report is not None
 
     def test_download_round_validation(self, gf):
         with AggregationService(buffered_config(), gf=gf) as svc:
-            cohort = svc.scheduler.cohorts[0]
+            cohort = svc.cohorts[0]
             with pytest.raises(ProtocolError, match="download_round"):
                 cohort.submit_update(
                     0, np.zeros(DIM), download_round=3
@@ -268,7 +268,7 @@ class TestLifecycle:
             low_water=1, refill_mode=RefillMode.BACKGROUND,
         )
         with AggregationService(config, gf=gf) as svc:
-            cohort = svc.scheduler.cohorts[0]
+            cohort = svc.cohorts[0]
             assert cohort.kind == "sync"
             assert isinstance(cohort.engine, SyncRoundEngine)
             for call in (
@@ -289,7 +289,7 @@ class TestLifecycle:
 class TestElasticMembership:
     def test_join_invalidates_pool_and_rekeys(self, gf):
         with AggregationService(buffered_config(), gf=gf) as svc:
-            cohort = svc.scheduler.cohorts[0]
+            cohort = svc.cohorts[0]
             out = cohort.join_member()
             assert out["user_id"] == N
             assert out["num_users"] == N + 1
@@ -300,7 +300,7 @@ class TestElasticMembership:
 
     def test_member_ids_never_reused(self, gf):
         with AggregationService(buffered_config(), gf=gf) as svc:
-            cohort = svc.scheduler.cohorts[0]
+            cohort = svc.cohorts[0]
             cohort.join_member()          # -> member 6
             cohort.leave_member(6)
             out = cohort.join_member()    # id 6 is burned
@@ -308,7 +308,7 @@ class TestElasticMembership:
 
     def test_leave_validations(self, gf):
         with AggregationService(buffered_config(), gf=gf) as svc:
-            cohort = svc.scheduler.cohorts[0]
+            cohort = svc.cohorts[0]
             with pytest.raises(ProtocolError, match="no member"):
                 cohort.leave_member(99)
             # N=6, buffer K=4: leaving below the seal threshold refuses
@@ -319,7 +319,7 @@ class TestElasticMembership:
 
     def test_departed_member_cannot_submit(self, gf):
         with AggregationService(buffered_config(), gf=gf) as svc:
-            cohort = svc.scheduler.cohorts[0]
+            cohort = svc.cohorts[0]
             cohort.leave_member(2)
             with pytest.raises(ProtocolError, match="no member 2"):
                 cohort.submit_update(2, np.zeros(DIM))
@@ -334,7 +334,7 @@ class TestConcurrentSubmitters:
         total = threads * per_thread
         assert total % K == 0
         with AggregationService(buffered_config(), gf=gf) as svc:
-            cohort = svc.scheduler.cohorts[0]
+            cohort = svc.cohorts[0]
             results, errors = [], []
             lock = threading.Lock()
 
@@ -391,7 +391,7 @@ class TestSealDrainOrderingProperties:
         config = buffered_config(seed=seed)
         svc = AggregationService(config, gf=gf)
         try:
-            cohort = svc.scheduler.cohorts[0]
+            cohort = svc.cohorts[0]
             engine = cohort.engine
             rng = np.random.default_rng(seed)
             drains_seen = []

@@ -1,4 +1,4 @@
-"""End-to-end aggregation service: cohorts, scheduler, metrics, FL.
+"""End-to-end aggregation service: cohorts, sweeps, metrics, FL.
 
 Covers the acceptance criterion at service level: the sharded +
 background-refilled service produces bit-identical aggregates to the
@@ -14,11 +14,15 @@ import pytest
 from repro.exceptions import ProtocolError, ReproError
 from repro.field import FiniteField
 from repro.protocols import LightSecAgg, LSAParams
+from repro.protocols.base import (
+    AggregationResult,
+    RoundMetrics,
+    SessionStats,
+    Transcript,
+)
 from repro.service import (
     AggregationService,
-    Cohort,
     CohortPhase,
-    CohortScheduler,
     RefillMode,
     ServiceConfig,
 )
@@ -112,12 +116,16 @@ class TestStallAccounting:
 
 
 class TestCohortStateMachine:
+    @pytest.fixture(autouse=True)
+    def _cohort_over(self, cohort_over):
+        self.cohort_over = cohort_over
+
     def make_cohort(self, gf, **kw):
         params = LSAParams.from_guarantees(N, privacy=2, dropout_tolerance=2)
         session = LightSecAgg(gf, params, DIM).session(
             pool_size=2, rng=np.random.default_rng(0)
         )
-        return Cohort(0, session, **kw)
+        return self.cohort_over(0, session, DIM, **kw)
 
     def test_round_cycles_through_phases_back_to_idle(self, gf):
         cohort = self.make_cohort(gf)
@@ -156,21 +164,27 @@ class TestCohortStateMachine:
         with a clear closed-cohort error."""
         aggregating = threading.Event()
         release = threading.Event()
-        sentinel = object()
+        sentinel = np.arange(DIM, dtype=np.uint64)
 
         class _GatedSession:
-            supports_pool = False
+            num_users = N
+            pool_level = 0
+            pool_size = 1
             closed = False
+            stats = SessionStats()
 
             def run_round(self, updates, dropouts, rng=None, **kw):
                 aggregating.set()
                 assert release.wait(timeout=30.0)
-                return sentinel
+                return AggregationResult(
+                    aggregate=sentinel, survivors=[], transcript=Transcript(),
+                    metrics=RoundMetrics(),
+                )
 
             def close(self):
                 self.closed = True
 
-        cohort = Cohort(3, _GatedSession())
+        cohort = self.cohort_over(3, _GatedSession(), DIM)
         results = []
         runner = threading.Thread(
             target=lambda: results.append(cohort.run_round({}, set()))
@@ -182,7 +196,9 @@ class TestCohortStateMachine:
         release.set()
         runner.join(timeout=30.0)
         assert not runner.is_alive()
-        assert results == [sentinel]  # the round completed and returned
+        # the round completed and returned
+        assert len(results) == 1
+        assert np.array_equal(results[0].aggregate, sentinel)
         assert cohort.phase is CohortPhase.CLOSED
         assert cohort.rounds == 1
         with pytest.raises(ProtocolError, match="cohort 3 is closed"):
@@ -209,23 +225,13 @@ class TestCohortStateMachine:
         }
 
 
-class TestSchedulerAndConfig:
+class TestSweepsAndConfig:
     def test_round_robin_visits_every_live_cohort(self, gf):
         with AggregationService(config(num_cohorts=3), gf=gf) as svc:
             svc.cohorts[1].close()
             results = svc.run_synthetic(rounds=2)
         assert all(sorted(sweep) == [0, 2] for sweep in results)
         assert svc.cohorts[0].rounds == 2 and svc.cohorts[2].rounds == 2
-
-    def test_duplicate_cohort_ids_rejected(self, gf):
-        params = LSAParams.from_guarantees(N, privacy=2, dropout_tolerance=2)
-        mk = lambda: Cohort(
-            7, LightSecAgg(gf, params, DIM).session(pool_size=1)
-        )
-        with pytest.raises(ProtocolError):
-            CohortScheduler([mk(), mk()])
-        with pytest.raises(ProtocolError):
-            CohortScheduler([])
 
     def test_invalid_configs_rejected(self):
         for bad in (
@@ -234,10 +240,11 @@ class TestSchedulerAndConfig:
             dict(num_shards=DIM + 1),
             dict(pool_size=0),
             dict(low_water=4),
-            dict(protocol="zhao-sun"),
         ):
             with pytest.raises(ReproError):
                 config(**bad)
+        with pytest.raises(TypeError, match="protocol"):
+            config(protocol="naive")  # the service hosts LightSecAgg only
 
     def test_shard_dim_pair_fails_at_config_build_with_clear_message(self):
         """The bad (num_shards, model_dim) pair that ShardPlan would reject
@@ -272,17 +279,6 @@ class TestSchedulerAndConfig:
             config(transport="process")
         cfg = config(transport=TransportKind.PROCESS, num_workers=2)
         assert cfg.num_workers == 2
-
-    def test_naive_protocol_cohorts_run_without_pools(self, gf):
-        cfg = config(
-            protocol="naive", num_shards=2, num_cohorts=1,
-            refill_mode=RefillMode.BACKGROUND,
-        )
-        with AggregationService(cfg, gf=gf) as svc:
-            svc.run_synthetic(rounds=2)
-            snap = svc.status()
-        assert snap["metrics"]["total_rounds"] == 2
-        assert snap["refiller"]["refills"] == 0  # nothing poolable
 
     def test_service_stop_is_clean_and_idempotent(self, gf):
         svc = AggregationService(config(), gf=gf).start()

@@ -116,7 +116,7 @@ class TestShardedBitIdentity:
             NaiveAggregation(gf, N, w).session() for w in plan.widths
         ]
         sharded = ShardedSession(plan, sessions)
-        assert not sharded.supports_pool and not sharded.needs_refill
+        assert not sharded.needs_refill
         rng = np.random.default_rng(4)
         updates = {i: gf.random(DIM, rng) for i in range(N)}
         result = sharded.run_round(updates, {2}, rng)

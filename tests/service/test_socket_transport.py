@@ -412,25 +412,6 @@ class TestConstructionAndConfig:
                 specs, connect=[server.address], wire_format="gzip", **FAST
             )
 
-    def test_naive_replay_shards_over_sockets(self, gf, server):
-        plan, specs = make_specs(shards=2, protocol="naive")
-        transport = SocketTransport(specs, connect=[server.address], **FAST)
-        session = ShardedSession(plan, transport=transport)
-        try:
-            assert not session.supports_pool
-            assert session.refill() == 0
-            rng = np.random.default_rng(3)
-            updates = {i: gf.random(DIM, rng) for i in range(N)}
-            result = session.run_round(updates, {2})
-            from repro.protocols import NaiveAggregation
-
-            expected = NaiveAggregation(gf, N, DIM).expected_aggregate(
-                updates, result.survivors
-            )
-            assert np.array_equal(result.aggregate, expected)
-        finally:
-            transport.close()
-
 
 # ----------------------------------------------------------------------
 # quantized + packed end-to-end parity

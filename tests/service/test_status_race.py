@@ -25,20 +25,28 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ProtocolError
-from repro.protocols.base import AggregationResult, RoundMetrics, Transcript
-from repro.service.cohort import Cohort, CohortPhase
+from repro.protocols.base import (
+    AggregationResult,
+    RoundMetrics,
+    SessionStats,
+    Transcript,
+)
+from repro.service.cohort import CohortPhase
+
+DIM = 4
 
 
 class StubSession:
     """A pool-backed session whose pool is always empty: every round
     stalls, giving the race test its invariant (stalls == rounds)."""
 
-    supports_pool = True
+    num_users = 8
     pool_level = 0
     pool_size = 3
 
     def __init__(self):
         self.closed = False
+        self.stats = SessionStats()
 
     def run_round(self, updates, dropouts, rng=None, **kwargs):
         return AggregationResult(
@@ -62,11 +70,11 @@ def drive_rounds(cohort, rounds, errors):
 
 
 class TestStatusLocking:
-    def test_status_blocks_while_phase_lock_held(self):
+    def test_status_blocks_while_phase_lock_held(self, cohort_over):
         """status() must serialize against phase transitions: with the
         lock held, a scrape cannot return (the lock-free pre-fix read
         returned immediately)."""
-        cohort = Cohort(0, StubSession())
+        cohort = cohort_over(0, StubSession(), DIM)
         seen = []
         with cohort._phase_lock:
             scraper = threading.Thread(
@@ -80,10 +88,10 @@ class TestStatusLocking:
         assert not scraper.is_alive()
         assert seen and seen[0]["phase"] == "idle"
 
-    def test_complete_round_is_atomic_under_the_lock(self):
+    def test_complete_round_is_atomic_under_the_lock(self, cohort_over):
         """_complete_round's counter bump and phase advance commit as
         one step — holding the lock delays both, never splits them."""
-        cohort = Cohort(0, StubSession())
+        cohort = cohort_over(0, StubSession(), DIM)
         cohort.phase = CohortPhase.AGGREGATING
         with cohort._phase_lock:
             committer = threading.Thread(
@@ -99,28 +107,28 @@ class TestStatusLocking:
         assert cohort.rounds == 1 and cohort.stalls == 1
         assert cohort.phase is CohortPhase.IDLE
 
-    def test_complete_round_respects_terminal_close(self):
-        cohort = Cohort(0, StubSession())
+    def test_complete_round_respects_terminal_close(self, cohort_over):
+        cohort = cohort_over(0, StubSession(), DIM)
         cohort.phase = CohortPhase.CLOSED
         cohort._complete_round(False)  # counts the round, stays CLOSED
         assert cohort.rounds == 1
         assert cohort.phase is CohortPhase.CLOSED
 
-    def test_complete_round_rejects_wrong_phase(self):
-        cohort = Cohort(0, StubSession())
+    def test_complete_round_rejects_wrong_phase(self, cohort_over):
+        cohort = cohort_over(0, StubSession(), DIM)
         with pytest.raises(ProtocolError, match="invalid transition"):
             cohort._complete_round(False)
         assert cohort.rounds == 1  # the round itself still happened
 
 
 class TestStatusHammer:
-    def test_no_torn_snapshots_under_concurrent_scrapes(self):
+    def test_no_torn_snapshots_under_concurrent_scrapes(self, cohort_over):
         """Every status() snapshot taken during a storm of always-
         stalling rounds must satisfy the machine's invariants:
         stalls == rounds (every round stalls) and phase consistency
         (an idle phase can only be reported alongside fully-committed
         counters — pre-fix, rounds could lead stalls by one)."""
-        cohort = Cohort(0, StubSession())
+        cohort = cohort_over(0, StubSession(), DIM)
         rounds = 400
         errors, bad = [], []
         stop = threading.Event()
@@ -153,8 +161,8 @@ class TestStatusHammer:
         assert final["rounds"] == rounds and final["stalls"] == rounds
         assert final["phase"] == "idle"
 
-    def test_scrapes_during_rounds_see_legal_phases_only(self):
-        cohort = Cohort(0, StubSession())
+    def test_scrapes_during_rounds_see_legal_phases_only(self, cohort_over):
+        cohort = cohort_over(0, StubSession(), DIM)
         legal = {"idle", "collecting", "aggregating"}
         seen, errors = set(), []
         stop = threading.Event()

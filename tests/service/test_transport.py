@@ -200,7 +200,7 @@ class TestProcessWorkerLifecycle:
         plan = ShardPlan(dim, 2)
         specs = [
             ShardSessionSpec(
-                protocol="naive", num_users=N, shard_dim=plan.widths[s],
+                protocol="lightsecagg", num_users=N, shard_dim=plan.widths[s],
                 privacy=2, dropout_tolerance=2, pool_size=1, low_water=0,
                 seed=(0, 0, s),
             )
@@ -256,7 +256,7 @@ class TestProcessHandleSurface:
                                                          process_session):
         session, transport = process_session
         handle = transport.shard_handles[0]
-        assert handle.supports_pool and handle.pool_level == 0
+        assert handle.pool_level == 0
         assert handle.needs_refill  # empty pool, low_water 1
         session.refill()
         assert handle.pool_level == 3
@@ -287,25 +287,6 @@ class TestProcessHandleSurface:
                 assert refiller.wait_until_idle(timeout=10.0)
             assert session.pool_level >= 2  # topped back above low water
         assert refiller.refills > 0
-
-    def test_naive_replay_shards_over_processes(self, gf):
-        plan, specs = make_specs(shards=2, protocol="naive")
-        transport = ProcessPoolTransport(specs)
-        session = ShardedSession(plan, transport=transport)
-        try:
-            assert not session.supports_pool
-            assert session.refill() == 0
-            rng = np.random.default_rng(3)
-            updates = {i: gf.random(DIM, rng) for i in range(N)}
-            result = session.run_round(updates, {2})
-            from repro.protocols import NaiveAggregation
-
-            expected = NaiveAggregation(gf, N, DIM).expected_aggregate(
-                updates, result.survivors
-            )
-            assert np.array_equal(result.aggregate, expected)
-        finally:
-            transport.close()
 
 
 class TestTransportConstruction:
