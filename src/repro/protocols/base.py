@@ -275,8 +275,6 @@ class ProtocolSession:
             return {
                 "pool_level": self.pool_level,
                 "pool_size": self.pool_size,
-                "low_water": self.low_water,
-                "supports_pool": self.supports_pool,
                 "closed": self._closed,
                 "stats": replace(self.stats),
             }

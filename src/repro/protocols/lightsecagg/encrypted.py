@@ -21,12 +21,7 @@ import numpy as np
 from repro.crypto.channels import SealedMessage, SecureChannel
 from repro.crypto.dh import DiffieHellman
 from repro.field.arithmetic import FiniteField
-from repro.protocols.base import (
-    SERVER,
-    AggregationResult,
-    RoundMetrics,
-    Transcript,
-)
+from repro.protocols.base import SERVER, AggregationResult, Transcript
 from repro.protocols.lightsecagg.params import LSAParams
 from repro.protocols.lightsecagg.protocol import LightSecAgg
 from repro.protocols.lightsecagg.server import LSAServer
@@ -116,32 +111,8 @@ class EncryptedLightSecAgg(LightSecAgg):
                 plaintext = _open_as(channels, sealed)
                 users[j].receive_share(sealed.sender, plaintext)
 
-        # Phases 2 and 3 are unchanged from the base protocol.
-        for user in users:
-            masked = user.mask_update(updates[user.user_id])
-            server.receive_masked_update(user.user_id, masked)
-            transcript.record(user.user_id, SERVER, "upload", self.model_dim)
-        server.identify_survivors(survivors)
-        responders = survivors[: self.params.target_survivors]
-        for j in responders:
-            server.receive_aggregated_shares(
-                j, users[j].aggregate_encoded_masks(survivors)
-            )
-            transcript.record(j, SERVER, "recovery", share_dim)
-        aggregate = server.recover_aggregate()
-
-        u = self.params.target_survivors
-        metrics = RoundMetrics(
-            server_decode_ops=u * u * share_dim,
-            server_prg_elements=0,
-            user_encode_ops=n * u * share_dim,
-        )
-        return AggregationResult(
-            aggregate=aggregate,
-            survivors=survivors,
-            transcript=transcript,
-            metrics=metrics,
-        )
+        # Phases 2 and 3 are the base protocol's.
+        return self._run_online(users, server, transcript, updates, survivors)
 
 
 def _open_as(

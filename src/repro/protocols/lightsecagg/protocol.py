@@ -100,10 +100,21 @@ class LightSecAgg(SecureAggregationProtocol):
                 if j != user.user_id:
                     transcript.record(user.user_id, j, "offline", share_dim)
 
+        return self._run_online(
+            users, server, transcript, updates, survivors, offline_dropouts
+        )
+
+    def _run_online(
+        self, users, server, transcript, updates, survivors, never_upload=()
+    ) -> AggregationResult:
+        """Phases 2–3 and the result, shared with the encrypted variant:
+        upload, fix survivors, collect the first U aggregated shares,
+        decode.  ``never_upload`` ids vanished before masking."""
+        share_dim = users[0].encoder.share_dim
         # Phase 2 — masking and uploading of local models.  Worst case:
         # everyone still reachable (including soon-to-drop users) uploads.
         for user in users:
-            if user.user_id in offline_dropouts:
+            if user.user_id in never_upload:
                 continue
             masked = user.mask_update(updates[user.user_id])
             server.receive_masked_update(user.user_id, masked)

@@ -173,6 +173,12 @@ class LightSecAggSession(ProtocolSession):
                 self.stats.refill_seconds += time.perf_counter() - start
         return rounds
 
+    def close(self) -> None:
+        """Release the session and the offline material it pooled."""
+        super().close()
+        with self._pool_lock:
+            self._pool.clear()
+
     def _take_material(self) -> OfflineMaterial:
         """Draw one round of offline material, refilling inline on a miss.
 

@@ -9,10 +9,10 @@ created, driven, and retired over HTTP at runtime — no process restart
   with typed validation (→ 4xx JSON bodies, never tracebacks).
 * :mod:`repro.service.api.routes` — the endpoint table and the single
   place library errors map to HTTP statuses.
-* :mod:`repro.service.api.server` — :class:`ControlPlane` (admission
-  control, in-flight accounting, idempotent drain) and
-  :class:`ControlPlaneServer` (stdlib ``ThreadingHTTPServer`` front
-  end).
+* :mod:`repro.service.api.server` — :class:`ControlPlane` (the one
+  admission gate every mutating operation is counted through, and the
+  idempotent drain that waits on it) and :class:`ControlPlaneServer`
+  (stdlib ``ThreadingHTTPServer`` front end).
 """
 
 from repro.service.api.routes import (

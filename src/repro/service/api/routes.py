@@ -12,8 +12,6 @@ error class to its HTTP lane exactly once, here:
 ``GET  /cohorts/{id}``                200     one cohort's status
 ``DELETE /cohorts/{id}``              200     close it (neighbours untouched)
 ``POST /cohorts/{id}/rounds``         200     run one round, return aggregate
-``POST /cohorts/{id}/rounds``         202     with ``"mode": "async"``: a handle
-``GET  /cohorts/{id}/rounds/{h}``     200     poll an async round handle
 ``POST /cohorts/{id}/updates``        200     buffered submission (may drain)
 ``POST /cohorts/{id}/members``        201     join a buffered cohort (re-key)
 ``DELETE /cohorts/{id}/members/{u}``  200     leave a buffered cohort (re-key)
@@ -135,22 +133,8 @@ def _get_trace(control, match, body) -> Response:
 
 def _run_round(control, match, body) -> Response:
     request = RoundRequest.from_json(body)
-    cohort_id = int(match.group("cohort_id"))
-    if request.mode == "async":
-        return json_response(
-            202, control.start_async_round(cohort_id, request)
-        )
-    response = control.run_round(cohort_id, request)
+    response = control.run_round(int(match.group("cohort_id")), request)
     return json_response(200, response.to_json())
-
-
-def _get_round_handle(control, match, body) -> Response:
-    return json_response(
-        200,
-        control.get_round_handle(
-            int(match.group("cohort_id")), int(match.group("handle"))
-        ),
-    )
 
 
 def _submit_update(control, match, body) -> Response:
@@ -194,9 +178,6 @@ ROUTES: List[Tuple[str, "re.Pattern", Handler]] = [
     ("GET", re.compile(r"/cohorts/(?P<cohort_id>\d+)"), _cohort_status),
     ("DELETE", re.compile(r"/cohorts/(?P<cohort_id>\d+)"), _delete_cohort),
     ("POST", re.compile(r"/cohorts/(?P<cohort_id>\d+)/rounds"), _run_round),
-    ("GET",
-     re.compile(r"/cohorts/(?P<cohort_id>\d+)/rounds/(?P<handle>\d+)"),
-     _get_round_handle),
     ("POST", re.compile(r"/cohorts/(?P<cohort_id>\d+)/updates"),
      _submit_update),
     ("POST", re.compile(r"/cohorts/(?P<cohort_id>\d+)/members"),

@@ -365,31 +365,18 @@ class RoundRequest:
     ``synthetic`` (a server-side input generator spec) must be present.
     ``dropouts`` lists user ids that dropped after upload; with
     ``synthetic`` it is unioned with the sampled dropouts.
-
-    ``mode`` selects the execution style: ``"sync"`` (default) blocks
-    until the round completes and returns the aggregate; ``"async"``
-    returns ``202`` immediately with a round *handle* to poll at
-    ``GET /cohorts/{id}/rounds/{handle}``.
     """
 
     updates_b64: Optional[Dict[int, str]] = None
     dropouts: Tuple[int, ...] = ()
     synthetic: Optional[SyntheticRoundSpec] = None
     encoding: str = "u64"
-    mode: str = "sync"
 
     @classmethod
     def from_json(cls, body: Dict[str, Any]) -> "RoundRequest":
         _reject_unknown(
-            body,
-            ("updates", "dropouts", "synthetic", "encoding", "mode"),
-            "round",
+            body, ("updates", "dropouts", "synthetic", "encoding"), "round"
         )
-        mode = _typed(body, "mode", str, default="sync")
-        if mode not in ("sync", "async"):
-            raise SchemaError(
-                "mode", f"must be 'sync' or 'async', got {mode!r}"
-            )
         updates = _typed(body, "updates", dict)
         synthetic_body = _typed(body, "synthetic", dict)
         if (updates is None) == (synthetic_body is None):
@@ -442,7 +429,6 @@ class RoundRequest:
             dropouts=tuple(dropouts),
             synthetic=synthetic,
             encoding=encoding,
-            mode=mode,
         )
 
     def materialize(self, spec: CohortSpec, gf):

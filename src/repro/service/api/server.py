@@ -4,11 +4,12 @@ Two layers, separable for tests:
 
 * :class:`ControlPlane` — the protocol-free core.  Wraps one
   :class:`~repro.service.service.AggregationService` and adds what a
-  long-running daemon needs on top of the library: admission control
-  (rounds and cohort creation are refused while draining), per-cohort
-  in-flight round accounting (``DELETE`` waits for that cohort's rounds,
-  drain waits for all of them), and a single idempotent drain that stops
-  the whole service exactly once.
+  long-running daemon needs on top of the library: one admission gate
+  (``_in_flight``) that every mutating operation enters and leaves —
+  refused while draining or aimed at a closing cohort, otherwise counted
+  until it returns, so ``DELETE`` waits for that cohort's operations and
+  drain for all of them — and an idempotent drain that stops the service
+  exactly once.
 * :class:`ControlPlaneServer` — a stdlib
   :class:`~http.server.ThreadingHTTPServer` front end.  One thread per
   request; round submissions to *different* cohorts run concurrently,
@@ -24,13 +25,12 @@ and response models in :mod:`repro.service.api.schemas`.
 
 from __future__ import annotations
 
-import itertools
 import json
 import threading
 import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 from urllib.parse import urlsplit
 
 from repro.exceptions import ProtocolError
@@ -45,10 +45,6 @@ from repro.service.api.schemas import (
 )
 from repro.service.config import CohortSpec
 from repro.service.service import AggregationService
-
-#: Finished (done / error) async round handles kept per cohort; older
-#: ones are evicted and poll as 404.  Running handles are never evicted.
-MAX_FINISHED_HANDLES = 64
 
 #: Largest request body the daemon reads.  Two orders of magnitude above
 #: the biggest body any workload sends (a 5.4 MB packed round); beyond
@@ -66,16 +62,10 @@ class ControlPlane:
         self._inflight: Dict[int, int] = {}
         self._inflight_total = 0
         self._closing: set = set()
-        self._draining = False
-        self._drained = threading.Event()
+        self._draining = False  # sticky; admission only
+        self._stopping = False  # one drainer is inside service.stop()
         self._drain_summary: Optional[Dict[str, Any]] = None
         self._t0 = time.monotonic()
-        # Async round handles: cohort_id -> {handle -> state dict}, oldest
-        # first.  The worker thread runs through run_round, so its round
-        # is counted in-flight and drain/delete wait it out like any
-        # other.
-        self._round_handles: Dict[int, Dict[int, Dict[str, Any]]] = {}
-        self._handle_counter = itertools.count(1)
 
     # ------------------------------------------------------------------
     # observability
@@ -145,65 +135,13 @@ class ControlPlane:
         return trace.to_json()
 
     # ------------------------------------------------------------------
-    # cohort lifecycle
-    # ------------------------------------------------------------------
-    def create_cohort(self, spec: CohortSpec) -> Dict[str, Any]:
-        with self._cond:
-            self._admit()
-        cohort = self.service.add_cohort(spec)
-        return self._describe(cohort)
-
-    def delete_cohort(
-        self, cohort_id: int, timeout_s: float = 30.0
-    ) -> Dict[str, Any]:
-        """Close one cohort after its in-flight rounds complete.
-
-        New rounds for the cohort are refused the moment the delete is
-        admitted; rounds already running finish and return their results
-        (the cohort close/round race contract), then the cohort leaves
-        the registry, the refiller, and its transport — neighbours
-        never notice.
-        """
-        deadline = time.monotonic() + timeout_s
-        with self._cond:
-            self._cohort(cohort_id)
-            if cohort_id in self._closing:
-                raise ProtocolError(
-                    f"cohort {cohort_id} is already closing"
-                )
-            self._closing.add(cohort_id)
-            try:
-                while self._inflight.get(cohort_id, 0) > 0:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise ProtocolError(
-                            f"cohort {cohort_id} still has rounds in "
-                            f"flight after {timeout_s:g}s"
-                        )
-                    self._cond.wait(remaining)
-            except ProtocolError:
-                self._closing.discard(cohort_id)
-                raise
-        try:
-            self.service.remove_cohort(cohort_id)
-        finally:
-            with self._cond:
-                self._closing.discard(cohort_id)
-                # The cohort id is never reused: its handles go with it.
-                self._round_handles.pop(cohort_id, None)
-                self._cond.notify_all()
-        return {"cohort_id": cohort_id, "closed": True}
-
-    # ------------------------------------------------------------------
-    # rounds
+    # the admission gate
     # ------------------------------------------------------------------
     def _admit(self, cohort_id: Optional[int] = None):
         """The one admission check, made under ``_cond``: draining, then
         — for work aimed at a cohort — closing and existence."""
         if self._draining:
-            raise ProtocolError(
-                "service is draining; not admitting new work"
-            )
+            raise ProtocolError("service is draining; not admitting new work")
         if cohort_id is None:
             return None
         if cohort_id in self._closing:
@@ -211,25 +149,87 @@ class ControlPlane:
         return self._cohort(cohort_id)
 
     @contextmanager
-    def _in_flight(self, cohort_id: int):
-        """Admit one round or submission and count it in flight until the
-        block exits: a concurrent drain or cohort delete waits for it."""
+    def _in_flight(self, cohort_id: Optional[int] = None):
+        """Admit one operation and count it in flight until the block
+        exits, error or not: a concurrent drain waits for it, and — when
+        it names a cohort — so does a delete of that cohort."""
         with self._cond:
             cohort = self._admit(cohort_id)
-            self._inflight[cohort_id] = (
-                self._inflight.get(cohort_id, 0) + 1
-            )
             self._inflight_total += 1
+            if cohort_id is not None:
+                self._inflight[cohort_id] = (
+                    self._inflight.get(cohort_id, 0) + 1
+                )
         try:
             yield cohort
         finally:
             with self._cond:
-                self._inflight[cohort_id] -= 1
-                if self._inflight[cohort_id] == 0:
-                    del self._inflight[cohort_id]
                 self._inflight_total -= 1
+                if cohort_id is not None:
+                    self._inflight[cohort_id] -= 1
+                    if self._inflight[cohort_id] == 0:
+                        del self._inflight[cohort_id]
                 self._cond.notify_all()
 
+    def _wait_idle(
+        self, pending: Callable[[], Optional[str]], timeout_s: Optional[float]
+    ) -> None:
+        """Under ``_cond``: block until ``pending()`` names no outstanding
+        work; ``timeout_s`` later, raise the typed error naming what is."""
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        while (what := pending()) is not None:
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise ProtocolError(f"{what} after {timeout_s:g}s")
+            self._cond.wait(remaining)
+
+    # ------------------------------------------------------------------
+    # cohort lifecycle
+    # ------------------------------------------------------------------
+    def create_cohort(self, spec: CohortSpec) -> Dict[str, Any]:
+        with self._in_flight():
+            return self._describe(self.service.add_cohort(spec))
+
+    def delete_cohort(
+        self, cohort_id: int, timeout_s: float = 30.0
+    ) -> Dict[str, Any]:
+        """Close one cohort after its in-flight operations complete.
+
+        New work for the cohort is refused the moment the delete is
+        admitted; operations already running finish and return their
+        results (the cohort close/round race contract), then the cohort
+        leaves the registry, the refiller, and its transport —
+        neighbours never notice.  The delete counts itself in the total
+        a drain waits on, not in the cohort's own count it waits on.
+        """
+        with self._in_flight():
+            with self._cond:
+                self._cohort(cohort_id)
+                if cohort_id in self._closing:
+                    raise ProtocolError(
+                        f"cohort {cohort_id} is already closing"
+                    )
+                self._closing.add(cohort_id)
+            try:
+                with self._cond:
+                    self._wait_idle(
+                        lambda: (
+                            f"cohort {cohort_id} still has rounds in flight"
+                            if self._inflight.get(cohort_id) else None
+                        ),
+                        timeout_s,
+                    )
+                self.service.remove_cohort(cohort_id)
+            finally:
+                with self._cond:
+                    self._closing.discard(cohort_id)
+            return {"cohort_id": cohort_id, "closed": True}
+
+    # ------------------------------------------------------------------
+    # rounds, buffered submissions, elastic membership
+    # ------------------------------------------------------------------
     def run_round(
         self, cohort_id: int, request: RoundRequest
     ) -> RoundResponse:
@@ -252,90 +252,10 @@ class ControlPlane:
                 pool_level=status["pool_level"],
             )
 
-    def start_async_round(
-        self, cohort_id: int, request: RoundRequest
-    ) -> Dict[str, Any]:
-        """Kick one round off on a worker thread; return a poll handle.
-
-        The handle is scoped to the cohort; poll it at
-        ``GET /cohorts/{id}/rounds/{handle}``.  The worker runs through
-        :meth:`run_round`, so admission control and in-flight accounting
-        (drain waits for it) apply exactly as for a synchronous request.
-        """
-        with self._cond:
-            self._admit(cohort_id)
-            handle = next(self._handle_counter)
-            entry: Dict[str, Any] = {
-                "state": "running", "result": None, "error": None,
-            }
-            self._round_handles.setdefault(cohort_id, {})[handle] = entry
-
-        def work() -> None:
-            try:
-                update = {
-                    "state": "done",
-                    "result": self.run_round(cohort_id, request).to_json(),
-                }
-            except Exception as exc:  # noqa: BLE001 — reported via poll
-                update = {
-                    "state": "error",
-                    "error": {"type": type(exc).__name__, "message": str(exc)},
-                }
-            with self._cond:
-                entry.update(update)
-                # Each finished handle holds a whole encoded aggregate:
-                # keep the newest MAX_FINISHED_HANDLES, drop the rest.
-                handles = self._round_handles.get(cohort_id, {})
-                finished = [
-                    h for h, e in handles.items() if e["state"] != "running"
-                ]
-                for h in finished[:-MAX_FINISHED_HANDLES]:
-                    del handles[h]
-
-        threading.Thread(
-            target=work,
-            name=f"repro-round-{cohort_id}-{handle}",
-            daemon=True,
-        ).start()
-        return {
-            "cohort_id": cohort_id,
-            "handle": handle,
-            "state": "running",
-            "poll": f"/cohorts/{cohort_id}/rounds/{handle}",
-        }
-
-    def get_round_handle(
-        self, cohort_id: int, handle: int
-    ) -> Dict[str, Any]:
-        """Poll one async round: running / done (+result) / error."""
-        with self._cond:
-            entry = self._round_handles.get(cohort_id, {}).get(handle)
-            if entry is None:
-                raise NotFoundError(
-                    f"cohort {cohort_id} has no round handle {handle} "
-                    f"(unknown or evicted)"
-                )
-            snapshot = {
-                "cohort_id": cohort_id,
-                "handle": handle,
-                "state": entry["state"],
-                "result": entry["result"],
-                "error": entry["error"],
-            }
-        return snapshot
-
-    # ------------------------------------------------------------------
-    # buffered-async data plane + elastic membership
-    # ------------------------------------------------------------------
     def submit_update(
         self, cohort_id: int, request: SubmitUpdateRequest
     ) -> Dict[str, Any]:
-        """One buffered submission; the sealing one returns the drain.
-
-        Counted in-flight like a round: a concurrent drain or cohort
-        delete waits for the submission (and the drain it may carry) to
-        complete.
-        """
+        """One buffered submission; the sealing one returns the drain."""
         with self._in_flight(cohort_id) as cohort:
             update = request.decode(cohort.spec.model_dim)
             outcome = cohort.submit_update(
@@ -355,69 +275,60 @@ class ControlPlane:
 
     def join_member(self, cohort_id: int) -> Dict[str, Any]:
         """Admit one member to a buffered cohort (re-keys shares)."""
-        with self._cond:
-            cohort = self._admit(cohort_id)
-        result = dict(cohort.join_member())
-        result["cohort_id"] = cohort_id
-        return result
+        with self._in_flight(cohort_id) as cohort:
+            return {**cohort.join_member(), "cohort_id": cohort_id}
 
     def leave_member(self, cohort_id: int, user_id: int) -> Dict[str, Any]:
         """Retire one member from a buffered cohort (re-keys shares)."""
-        with self._cond:
-            cohort = self._admit(cohort_id)
-        result = dict(cohort.leave_member(user_id))
-        result["cohort_id"] = cohort_id
-        return result
+        with self._in_flight(cohort_id) as cohort:
+            return {**cohort.leave_member(user_id), "cohort_id": cohort_id}
 
     # ------------------------------------------------------------------
     # drain
     # ------------------------------------------------------------------
     def drain(self, timeout_s: Optional[float] = None) -> Dict[str, Any]:
-        """Stop admitting work, wait out in-flight rounds, stop the service.
+        """Stop admitting work, wait out in-flight operations, stop the
+        service.
 
-        Idempotent and thread-safe: the first caller performs the drain;
-        concurrent callers (a second POST, a SIGTERM racing a POST) block
-        until it completes and return the same summary.  Draining is
-        sticky — even if the in-flight wait times out, no new work is
-        admitted afterwards.
+        Idempotent and thread-safe.  Every caller sets the sticky
+        ``_draining`` flag and waits for idle against *its own* deadline;
+        the first to find the control plane idle stops the service and
+        publishes the summary, everyone else (a second POST, a SIGTERM
+        racing a POST) returns that summary.  A drain that times out
+        changes nothing but ``_draining`` — no new work is admitted
+        afterwards, and a retry completes.
         """
+
+        def pending() -> Optional[str]:
+            if self._inflight_total > 0:
+                return f"{self._inflight_total} round(s) still in flight"
+            return "service stop still in progress" if self._stopping else None
+
         with self._cond:
-            first = not self._draining
             self._draining = True
-            if first:
-                deadline = (
-                    None if timeout_s is None
-                    else time.monotonic() + timeout_s
-                )
-                while self._inflight_total > 0:
-                    remaining = None
-                    if deadline is not None:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            raise ProtocolError(
-                                f"{self._inflight_total} round(s) still "
-                                f"in flight after {timeout_s:g}s"
-                            )
-                    self._cond.wait(remaining)
-        if not first:
-            self._drained.wait()
+            self._wait_idle(pending, timeout_s)
+            if self._drain_summary is not None:
+                return dict(self._drain_summary)
+            self._stopping = True
+        # Idle and admitting nothing: stop the service (refiller first,
+        # then sessions, then transports — the library's shutdown order).
+        summary = None
+        try:
+            self.service.stop()
+            snapshot = self.service.metrics.snapshot()
+            summary = {
+                "drained": True,
+                "uptime_seconds": time.monotonic() - self._t0,
+                "total_rounds": snapshot["total_rounds"],
+                "total_stalls": snapshot["total_stalls"],
+                "cohorts_closed": len(self.service.cohorts),
+            }
+        finally:
+            # On failure the next drainer finds no summary and retries.
             with self._cond:
-                return dict(self._drain_summary or {})
-        # In-flight rounds are done and nothing new is admitted: stop
-        # the service (refiller joined first, then sessions, then
-        # transports — the library's clean-shutdown ordering).
-        self.service.stop()
-        snapshot = self.service.metrics.snapshot()
-        summary = {
-            "drained": True,
-            "uptime_seconds": time.monotonic() - self._t0,
-            "total_rounds": snapshot["total_rounds"],
-            "total_stalls": snapshot["total_stalls"],
-            "cohorts_closed": len(self.service.cohorts),
-        }
-        with self._cond:
-            self._drain_summary = summary
-        self._drained.set()
+                self._stopping = False
+                self._drain_summary = summary
+                self._cond.notify_all()
         return dict(summary)
 
 

@@ -73,6 +73,7 @@ class AggregationService:
         self._cohorts: Dict[int, Cohort] = {}
         self._next_cohort_id = 0
         self._started = False
+        self._stopped = False  # terminal: set by stop(), never cleared
         if build_cohorts:
             spec = config.cohort_spec()
             for _ in range(config.num_cohorts):
@@ -189,8 +190,9 @@ class AggregationService:
         warmed inline here — before it is admitted — so its first round
         never stalls; before :meth:`start`, warming is deferred to it,
         exactly like statically-configured cohorts.  A spec the build
-        rejects, or a warm-up that fails, leaves no worker, shared-memory
-        segment, pinned slot or refiller entry behind.
+        rejects, a warm-up that fails, or a :meth:`stop` that lands while
+        the cohort is being built (``ProtocolError``) leaves no worker,
+        shared-memory segment, pinned slot or refiller entry behind.
         """
         spec = spec if spec is not None else self.config.cohort_spec()
         with self._cohort_lock:
@@ -198,8 +200,14 @@ class AggregationService:
             self._next_cohort_id += 1
         cohort = self._build_cohort(cohort_id, spec)
         with self._cohort_lock:
-            self._cohorts[cohort_id] = cohort
-        return cohort
+            if not self._stopped:
+                self._cohorts[cohort_id] = cohort
+                return cohort
+        # stop() swept the registry meanwhile: nobody else will close it.
+        if self.refiller is not None:
+            self.refiller.unregister(cohort_id)
+        cohort.close()
+        raise ProtocolError("service is stopped")
 
     def remove_cohort(self, cohort_id: int) -> None:
         """Close and retire one cohort without touching its neighbours.
@@ -239,11 +247,15 @@ class AggregationService:
         flight completes and its material is delivered), then each
         cohort closes its session and releases its transport's backend
         — for the process transport that is the Shutdown handshake with
-        its workers.
+        its workers.  Stopping is terminal: a cohort still being built by
+        :meth:`add_cohort` is closed there instead of being registered.
         """
         if self.refiller is not None:
             self.refiller.stop()
-        for cohort in self.cohorts:
+        with self._cohort_lock:
+            self._stopped = True
+            cohorts = list(self._cohorts.values())
+        for cohort in cohorts:
             cohort.close()
         self.tracer.close()
         self._started = False
@@ -287,15 +299,6 @@ class AggregationService:
             user_id, update, download_round=download_round,
             dropouts=dropouts,
         )
-
-    def join_cohort_member(self, cohort_id: int) -> Dict:
-        """Admit one member to a buffered cohort (re-keys mask shares)."""
-        return self._cohort(cohort_id).join_member()
-
-    def leave_cohort_member(self, cohort_id: int, user_id: int) -> Dict:
-        """Retire one member from a buffered cohort (re-keys mask
-        shares)."""
-        return self._cohort(cohort_id).leave_member(user_id)
 
     def run_quantized_round(
         self,

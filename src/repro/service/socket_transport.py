@@ -456,7 +456,7 @@ class SocketTransport(FrameTransport):
     ``connect`` lists worker addresses (``host:port``); shards are
     assigned round-robin across them, and all shards sharing an address
     share one supervised connection (also with other cohorts' transports
-    in this process, unless ``share_connections=False``).
+    in this process).
     """
 
     kind = "socket"
@@ -471,7 +471,6 @@ class SocketTransport(FrameTransport):
         heartbeat_timeout_s: float = 10.0,
         request_timeout_s: Optional[float] = None,
         setup_timeout_s: float = 60.0,
-        share_connections: bool = True,
         wire_format: str = "raw",
         tracing: bool = True,
     ):
@@ -483,7 +482,6 @@ class SocketTransport(FrameTransport):
             )
         self.addresses = [parse_address(a) for a in connect]
         self.request_timeout_s = request_timeout_s
-        self._shared = bool(share_connections)
 
         client_kwargs = dict(
             heartbeat_interval_s=heartbeat_interval_s,
@@ -505,11 +503,7 @@ class SocketTransport(FrameTransport):
                     (c for c in self._clients if c.address == address), None
                 )
                 if client is None:
-                    if self._shared:
-                        client = _POOL.acquire(address, **client_kwargs)
-                    else:
-                        client = _SocketClient(address, **client_kwargs)
-                        client.refs = 1
+                    client = _POOL.acquire(address, **client_kwargs)
                     self._clients.append(client)
                 self._client_of.append(client)
 
@@ -654,9 +648,6 @@ class SocketTransport(FrameTransport):
             with client._cv:
                 for slot in slots:
                     client._slot_specs.pop(slot, None)
-            if self._shared:
-                _POOL.release(client)
-            else:
-                client.close()
+            _POOL.release(client)
         self._clients = []
         self._client_of = []

@@ -5,14 +5,12 @@ from repro.system.runtime import (
     PhaseSpans,
     SystemRoundResult,
     SystemRuntime,
-    SystemSession,
 )
 
 __all__ = [
     "EventSimulator",
     "SerialResource",
     "SystemRuntime",
-    "SystemSession",
     "SystemRoundResult",
     "PhaseSpans",
 ]

@@ -14,21 +14,15 @@ network whose links serialize transfers.  Protocol messages carry the
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
 from repro.coding.mask_encoding import MaskEncoder
 from repro.exceptions import DropoutError, SimulationError
 from repro.field.arithmetic import FiniteField
-from repro.protocols.base import SessionStats
 from repro.protocols.lightsecagg.params import LSAParams
-from repro.protocols.lightsecagg.session import (
-    OfflineMaterial,
-    precompute_offline_pool,
-)
 from repro.simulation.heterogeneous import UserProfile
 from repro.simulation.machine import MachineProfile, PAPER_TESTBED
 from repro.simulation.network import BandwidthProfile, TESTBED_320
@@ -56,7 +50,6 @@ class SystemRoundResult:
     recovery_complete: float
     spans: Dict[int, PhaseSpans] = field(default_factory=dict)
     responders: List[int] = field(default_factory=list)
-    offline_pooled: bool = False  # True when served from a session's pool
 
 
 class SystemRuntime:
@@ -100,31 +93,13 @@ class SystemRuntime:
         return self.machine.field_time(ops) / self.fleet[user].compute_scale
 
     # ------------------------------------------------------------------
-    def session(
-        self,
-        pool_size: int = 4,
-        rng: Optional[np.random.Generator] = None,
-        low_water: int = 0,
-    ) -> "SystemSession":
-        """Open a multi-round session with a background offline pool."""
-        return SystemSession(self, pool_size=pool_size, rng=rng,
-                             low_water=low_water)
-
     def run_round(
         self,
         updates: Dict[int, np.ndarray],
         dropouts: Optional[Set[int]] = None,
         rng: Optional[np.random.Generator] = None,
-        offline_material: Optional[OfflineMaterial] = None,
     ) -> SystemRoundResult:
-        """Run one event-driven round.
-
-        When ``offline_material`` is supplied (a session pool hit), masks
-        and coded shares are taken as already computed and distributed by a
-        background refill: every client starts the round with its offline
-        track complete, so the critical path is training, upload, and
-        recovery only.
-        """
+        """Run one event-driven round."""
         params = self.params
         n = params.num_users
         u = params.target_survivors
@@ -154,31 +129,8 @@ class SystemRuntime:
         cpu = {i: SerialResource(f"cpu{i}") for i in range(n)}
         uplink = {i: SerialResource(f"up{i}") for i in range(n)}
 
-        if offline_material is not None:
-            # Shares were distributed during a background refill: every
-            # holder starts the round with the full set in hand.
-            for i in range(n):
-                masks[i] = offline_material.masks[i]
-                for j in range(n):
-                    held_shares[j][i] = offline_material.coded[i, j]
-
         # ---------------- client side -------------------------------
         def start_client(i: int):
-            if offline_material is not None:
-                # Pool hit — Track A already ran in the background; only
-                # training gates the upload.
-                spans[i].offline_done = 0.0
-                train_dur = self.training_time / self.fleet[i].compute_scale
-
-                def trained():
-                    spans[i].training_done = sim.now
-                    maybe_upload(i)
-
-                if self.training_time > 0:
-                    sim.schedule(train_dur, trained)
-                else:
-                    sim.schedule(0.0, lambda: maybe_upload(i))
-                return
             # Track A: offline phase — draw mask, encode, push shares.
             z = self.encoder.generate_mask(rng)
             masks[i] = z
@@ -334,114 +286,4 @@ class SystemRuntime:
             recovery_complete=state["recovery_complete"],
             spans=spans,
             responders=state["responders"],
-            offline_pooled=offline_material is not None,
         )
-
-
-class SystemSession:
-    """Multi-round driver over :class:`SystemRuntime` with an offline pool.
-
-    The session's refill plays the role of the paper's pipelined offline
-    phase: masks for ``K`` future rounds are encoded in one batched matmul
-    and their shares distributed while no round is on the critical path.
-    The simulated cost of that background work is accumulated in
-    :attr:`background_seconds` (clients refill in parallel, so each refill
-    contributes the *maximum* per-user encode+distribute span), and pooled
-    rounds then start with the offline track already complete.
-    """
-
-    def __init__(
-        self,
-        runtime: SystemRuntime,
-        pool_size: int = 4,
-        rng: Optional[np.random.Generator] = None,
-        low_water: int = 0,
-    ):
-        if pool_size < 1:
-            raise SimulationError(f"pool_size must be >= 1, got {pool_size}")
-        if not 0 <= low_water < pool_size:
-            raise SimulationError(
-                f"low_water must be in [0, pool_size), got {low_water}"
-            )
-        self.runtime = runtime
-        self.pool_size = int(pool_size)
-        self.low_water = int(low_water)
-        self.rng = rng if rng is not None else np.random.default_rng()
-        self.stats = SessionStats()
-        self.background_seconds = 0.0
-        self._pool: Deque[OfflineMaterial] = deque()
-
-    @property
-    def pool_level(self) -> int:
-        return len(self._pool)
-
-    @property
-    def supports_pool(self) -> bool:
-        return True
-
-    @property
-    def needs_refill(self) -> bool:
-        """True once the pool has drained to the low-water mark."""
-        return len(self._pool) < self.pool_size and (
-            len(self._pool) <= self.low_water
-        )
-
-    def refill(self, rounds: Optional[int] = None) -> int:
-        """Precompute ``rounds`` rounds of offline material in background."""
-        if rounds is None:
-            rounds = self.pool_size - len(self._pool)
-        if rounds <= 0:
-            return 0
-        rt = self.runtime
-        n = rt.params.num_users
-        share_dim = rt.encoder.share_dim
-        masks, coded = precompute_offline_pool(rt.encoder, rounds, self.rng)
-        for k in range(rounds):
-            self._pool.append(OfflineMaterial(masks[k], coded[k]))
-
-        encode_ops = int(rounds * n * np.log2(max(n, 2)) * share_dim)
-        span = max(
-            rt._compute_time(encode_ops, i)
-            + rt._transfer_time(rounds * (n - 1) * share_dim, i)
-            for i in range(n)
-        )
-        self.background_seconds += span
-        self.stats.refills += 1
-        self.stats.precomputed_rounds += rounds
-        self.stats.refill_seconds += span
-        return rounds
-
-    def run_round(
-        self,
-        updates: Dict[int, np.ndarray],
-        dropouts: Optional[Set[int]] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> SystemRoundResult:
-        """One online round, served from the pool when possible.
-
-        A pool miss is *not* free: the round runs with the offline phase
-        on its critical path, exactly like a bare ``SystemRuntime`` round
-        (``offline_pooled`` stays False), while a background refill is
-        kicked off so subsequent rounds hit the pool.
-
-        With ``low_water > 0`` the session runs the interleaved
-        event-loop track of the paper's pipelined design: whenever a
-        round leaves the pool at or below the low-water mark, the next
-        refill is charged to the *background* span immediately (the
-        offline encode proceeds while clients train for the next round),
-        so a steadily-draining session never misses after warm-up.
-        """
-        if self._pool:
-            self.stats.pool_hits += 1
-            material = self._pool.popleft()
-            result = self.runtime.run_round(
-                updates, dropouts, rng, offline_material=material
-            )
-        else:
-            self.stats.pool_misses += 1
-            result = self.runtime.run_round(updates, dropouts, rng)
-            self.refill()
-        if self.low_water > 0 and self.needs_refill:
-            self.refill()
-        self.stats.rounds += 1
-        return result

@@ -1,4 +1,4 @@
-"""HTTP surface of the buffered-async workload + async round handles.
+"""HTTP surface of the buffered-async workload.
 
 The acceptance criteria pinned here:
 
@@ -9,15 +9,11 @@ The acceptance criteria pinned here:
   oracle — on inline AND socket transports, including after at least
   one join (``POST .../members``) and one leave
   (``DELETE .../members/{u}``);
-* ``POST /cohorts/{id}/rounds`` with ``"mode": "async"`` answers 202
-  with a poll handle usable by *sync* cohorts, and the polled result
-  matches the same round driven synchronously;
 * every new error lane answers its status with a JSON body.
 """
 
 import base64
 import json
-import time
 import urllib.error
 import urllib.request
 
@@ -44,7 +40,6 @@ from repro.service.api import (
     encode_real_vector,
     encode_vector,
 )
-from repro.service.api.schemas import RoundRequest
 from repro.service.engines import build_staleness, drain_stream
 
 N, K, DIM = 6, 4, 48
@@ -229,70 +224,6 @@ class _SpecClient:
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
-
-
-class TestAsyncRoundHandles:
-    def _sync_spec(self):
-        return {"num_users": N, "model_dim": DIM, "pool_size": 3,
-                "low_water": 1, "seed": 21}
-
-    def test_async_round_matches_sync(self, gf):
-        """Two identically-specced cohorts: one driven async, one sync —
-        the polled handle result carries the same aggregate."""
-        service, control, server = make_daemon(gf)
-        try:
-            client = Client(server.address)
-            _, a = client.post("/cohorts", self._sync_spec())
-            _, b = client.post("/cohorts", self._sync_spec())
-            round_body = {"synthetic": {"seed": 4, "dropout_rate": 0.0}}
-
-            status, handle = client.post(
-                f"/cohorts/{a['cohort_id']}/rounds",
-                {**round_body, "mode": "async"},
-            )
-            assert status == 202
-            assert handle["state"] == "running" or handle["state"] == "done"
-            poll_path = handle["poll"]
-
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                status, polled = client.get(poll_path)
-                assert status == 200
-                if polled["state"] != "running":
-                    break
-                time.sleep(0.02)
-            assert polled["state"] == "done", polled
-            async_result = polled["result"]
-
-            status, sync_result = client.post(
-                f"/cohorts/{b['cohort_id']}/rounds", round_body
-            )
-            assert status == 200
-            assert async_result["aggregate"] == sync_result["aggregate"]
-            assert async_result["round"] == sync_result["round"] == 1
-        finally:
-            server.stop()
-            service.stop()
-
-    def test_unknown_handle_404(self, gf):
-        service, control, server = make_daemon(gf)
-        try:
-            client = Client(server.address)
-            _, a = client.post("/cohorts", self._sync_spec())
-            status, body = client.get(
-                f"/cohorts/{a['cohort_id']}/rounds/999"
-            )
-            assert status == 404
-            assert body["error"]["type"] == "not-found"
-        finally:
-            server.stop()
-            service.stop()
-
-    def test_bad_mode_rejected(self, gf):
-        with pytest.raises(SchemaError, match="mode"):
-            RoundRequest.from_json(
-                {"synthetic": {"seed": 1}, "mode": "deferred"}
-            )
 
 
 class TestErrorLanes:

@@ -32,7 +32,6 @@ from repro.service import (
 from repro.service.api import (
     ControlPlane,
     ControlPlaneServer,
-    NotFoundError,
     encode_vector,
 )
 from repro.service.api import server as server_module
@@ -374,47 +373,6 @@ class TestLifecycleAndErrors:
             control.drain()
             server.stop()
 
-    def test_async_round_handles_are_bounded_and_die_with_the_cohort(
-        self, gf, monkeypatch
-    ):
-        """Finished handles (each holds a whole encoded aggregate) used
-        to pile up for the life of the daemon and outlive DELETE."""
-        keep = 3
-        monkeypatch.setattr(
-            server_module, "MAX_FINISHED_HANDLES", keep, raising=False
-        )
-        service, control, server = make_daemon(gf)
-        try:
-            client = Client(server.address)
-            client.post("/cohorts", spec_body())
-            handles = []
-            for seed in range(keep + 2):
-                status, started = client.post(
-                    "/cohorts/0/rounds",
-                    {"synthetic": {"seed": seed}, "mode": "async"},
-                )
-                assert status == 202
-                handles.append(started["handle"])
-                deadline = time.monotonic() + 30
-                while client.get(started["poll"])[1]["state"] == "running":
-                    assert time.monotonic() < deadline
-                    time.sleep(0.01)
-            # the two oldest were evicted and poll like unknown handles
-            for handle in handles[:2]:
-                status, body = client.get(f"/cohorts/0/rounds/{handle}")
-                assert status == 404 and body["error"]["type"] == "not-found"
-            for handle in handles[2:]:
-                status, body = client.get(f"/cohorts/0/rounds/{handle}")
-                assert status == 200 and body["state"] == "done"
-            assert client.delete("/cohorts/0")[0] == 200
-            for handle in handles:
-                with pytest.raises(NotFoundError):
-                    control.get_round_handle(0, handle)
-            assert 0 not in control._round_handles
-        finally:
-            control.drain()
-            server.stop()
-
     def test_delete_cohort_leaves_neighbours_serving(self, gf):
         service, control, server = make_daemon(gf)
         try:
@@ -499,7 +457,7 @@ class TestDrain:
         td.start()
         # drain must wait for the in-flight round, not race past it
         time.sleep(0.2)
-        assert not control._drained.is_set()
+        assert control._drain_summary is None
         # ...and must already refuse new work
         status, body = client.post(
             "/cohorts/0/rounds", {"synthetic": {"seed": 3}}

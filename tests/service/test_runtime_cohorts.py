@@ -11,9 +11,12 @@ pin the daemon-grade contract that replaced it:
   and never perturbs its neighbours;
 * creates and closes racing from many threads keep the registry
   consistent, and the metrics ledger stays honest (every completed
-  round is counted exactly once, no counters for retired ids grow).
+  round is counted exactly once, no counters for retired ids grow);
+* ``stop()`` is terminal: a cohort still being built when it lands is
+  closed instead of registered — no live cohort on a stopped service.
 """
 
+import multiprocessing
 import threading
 
 import numpy as np
@@ -26,7 +29,9 @@ from repro.service import (
     CohortSpec,
     RefillMode,
     ServiceConfig,
+    TransportKind,
 )
+from repro.service import service as service_module
 
 N, DIM = 6, 48
 
@@ -211,3 +216,76 @@ class TestConcurrentMembership:
             assert [c.cohort_id for c in svc.cohorts] == [stable.cohort_id]
         finally:
             svc.stop()
+
+
+class TestStopIsTerminal:
+    def test_add_cohort_across_stop_leaves_nothing_behind(
+        self, gf, monkeypatch
+    ):
+        """``add_cohort`` parked in ``build_transport`` while ``stop()``
+        sweeps the registry used to register a live process-lane cohort
+        (two worker children) on a stopped service."""
+        svc = make_service(gf)
+        entered, release = threading.Event(), threading.Event()
+        build = service_module.build_transport
+
+        def held_build(*args, **kwargs):
+            entered.set()
+            assert release.wait(timeout=30)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "build_transport", held_build)
+        outcome = []
+
+        def add():
+            try:
+                outcome.append(svc.add_cohort(
+                    spec(num_shards=2, transport=TransportKind.PROCESS)
+                ))
+            except ProtocolError as exc:
+                outcome.append(exc)
+
+        adder = threading.Thread(target=add)
+        adder.start()
+        try:
+            assert entered.wait(timeout=30)
+            svc.stop()
+        finally:
+            release.set()
+        adder.join(timeout=60)
+        assert not adder.is_alive()
+        assert svc.cohorts == []
+        assert [
+            p.name for p in multiprocessing.active_children()
+            if p.name.startswith("shard-worker-")
+        ] == []
+        assert isinstance(outcome[0], ProtocolError), outcome
+        assert "service is stopped" in str(outcome[0])
+        assert svc.refiller._sessions == []
+
+    def test_add_cohort_after_stop_raises(self, gf):
+        svc = make_service(gf)
+        svc.stop()
+        with pytest.raises(ProtocolError, match="service is stopped"):
+            svc.add_cohort(spec())
+        assert svc.cohorts == []
+
+    def test_never_started_service_accepts_cohorts(self, gf):
+        svc = AggregationService(
+            ServiceConfig(num_users=N, model_dim=DIM), gf=gf,
+            build_cohorts=False,
+        )
+        try:
+            assert svc.add_cohort(spec()).cohort_id == 0
+        finally:
+            svc.stop()
+
+    def test_stop_releases_pooled_material(self, gf):
+        """A stopped service is cyclic garbage; its warmed pools must not
+        ride along until whatever gen-2 collection comes next."""
+        svc = make_service(gf)
+        cohort = svc.add_cohort(spec(num_shards=2))
+        sessions = cohort.session.shard_sessions
+        assert all(s.pool_level == 3 for s in sessions)
+        svc.stop()
+        assert all(len(s._pool) == 0 for s in sessions)
