@@ -16,8 +16,17 @@ path) over the workloads that dominate the service:
   time; the division-free kernels additionally unlock the exact
   limb-split float64 BLAS path, so this row measures the whole kernel
   swap, not just the reduction;
+* **matmul_rb** — the same product at the end-to-end benchmark's
+  refill-bound cohort, ``(64, 44) @ (44, 58 368)`` (N=64, U=44, d=8192,
+  pool 4);
 * **encode_batch** — ``MaskEncoder.encode_batch`` end to end at a
   64-user cohort, reported as encoded mask elements per second.
+
+Each matmul row of a limb-split kernel also carries ``gemm_floor_ms`` —
+the float64 GEMMs the kernel hands BLAS, ``(2m, k) @ (k, n)`` over the
+stacked limbs in its exact-float contraction chunks, timed alone — and
+``matmul_over_gemm_floor``, what the casts, folds and copies around that
+GEMM cost as a multiple of it.
 
 Emits ``benchmarks/results/field_reduction.json`` and echoes a table.
 Every lane hashes its outputs; the report's ``bit_identical`` flags
@@ -25,9 +34,9 @@ assert the kernels agree byte for byte before any timing is trusted.
 
 ``--quick`` shrinks the widths for smoke runs; ``--check`` runs the
 CI acceptance gate only (selected kernel beats the ``np.mod`` oracle
-on the refill-shape matmul, and at 16x16384 neither ``reduce_semi`` nor
-the Mersenne ``reduce`` is slower than ``np.mod``) and exits nonzero on
-failure.
+on the refill-shape matmul and stays within 6x its GEMM floor, and at
+16x16384 neither ``reduce_semi`` nor the Mersenne ``reduce`` is slower
+than ``np.mod``) and exits nonzero on failure.
 """
 
 import argparse
@@ -57,13 +66,20 @@ REFILL_M, REFILL_K = 64, 48
 REFILL_WIDTH = 1_000_000
 QUICK_WIDTH = 65_536
 CHECK_WIDTH = 262_144
+# The end-to-end benchmark's refill-bound cohort: N=64, U=44, and
+# pool 4 x 64 masks x share_dim 228 columns.
+RB_SHAPE = (64, 44, 58_368)
+# --check: the selected kernel's matmul may cost this many GEMM floors.
+GEMM_FLOOR_BUDGET = 6.0
+# Columns the GEMM floor is measured over (wider rows are scaled).
+FLOOR_COLS = 65_536
 
 ELEMWISE_SHAPES = {
     "elementwise": (1_000_000,),
     "elementwise_16x16384": (16, 16_384),
 }
 
-WORKLOADS = (*ELEMWISE_SHAPES, "matmul", "encode_batch")
+WORKLOADS = (*ELEMWISE_SHAPES, "matmul", "matmul_rb", "encode_batch")
 
 ENC_USERS, ENC_SURVIVORS, ENC_PRIVACY = 64, 48, 8
 ENC_MODEL_DIM = 65_536
@@ -99,19 +115,44 @@ def bench_elementwise(q, kind, shape, reps):
     }
 
 
-def bench_matmul(q, kind, width, reps):
+def bench_matmul(q, kind, shape, reps):
+    m, k, width = shape
     gf = FiniteField(q, reducer=kind)
     rng = np.random.default_rng(2)
-    a = gf.random((REFILL_M, REFILL_K), rng)
-    b = gf.random((REFILL_K, width), rng)
+    a = gf.random((m, k), rng)
+    b = gf.random((k, width), rng)
     out = gf.matmul(a, b)  # warm (and hashed for the identity check)
     seconds = _best_of(lambda: gf.matmul(a, b), reps)
-    return {
-        "shape": [REFILL_M, REFILL_K, width],
+    row = {
+        "shape": [m, k, width],
         "seconds": seconds,
-        "melems_per_second": REFILL_M * width / seconds / 1e6,
+        "melems_per_second": m * width / seconds / 1e6,
         "sha256": hashlib.sha256(out.tobytes()).hexdigest(),
     }
+    if gf.reducer.division_free:
+        # The limb-split kernel's BLAS work and nothing else: the 16-bit
+        # limbs of ``a`` stacked (one limb when q fits 16 bits), times
+        # ``b`` lifted to float64, into a preallocated product, in the
+        # contraction chunks that keep float64 exact (the kernel's
+        # ``step``: 64 terms at 2**31 - 1, 32 at 2**32 - 5).  GEMM time
+        # is linear in the width, so at most FLOOR_COLS columns are
+        # multiplied and the time scaled (the 1M row's float64 operands
+        # would otherwise take 1.4 GB).
+        cols = min(width, FLOOR_COLS)
+        step = max(1, (1 << 53) // (min(q - 1, 0xFFFF) * (q - 1)))
+        limbs = np.vstack([a & 0xFFFF, a >> 16][: 1 + (q > 1 << 16)])
+        limbs, b_f64 = limbs.astype(np.float64), b[:, :cols].astype(np.float64)
+        product = np.empty((limbs.shape[0], cols))
+
+        def gemms():
+            for start in range(0, k, step):
+                np.matmul(limbs[:, start : start + step],
+                          b_f64[start : start + step], out=product)
+
+        floor = _best_of(gemms, reps) * width / cols
+        row["gemm_floor_ms"] = floor * 1e3
+        row["matmul_over_gemm_floor"] = seconds / floor
+    return row
 
 
 def bench_encode_batch(q, kind, model_dim, reps):
@@ -149,6 +190,7 @@ def run_all(width=REFILL_WIDTH, model_dim=ENC_MODEL_DIM, reps=3):
                 name: list(shape) for name, shape in ELEMWISE_SHAPES.items()
             },
             "matmul_shape": [REFILL_M, REFILL_K, width],
+            "matmul_rb_shape": list(RB_SHAPE),
             "encode_users": ENC_USERS,
             "encode_survivors": ENC_SURVIVORS,
             "encode_privacy": ENC_PRIVACY,
@@ -168,7 +210,10 @@ def run_all(width=REFILL_WIDTH, model_dim=ENC_MODEL_DIM, reps=3):
                 name: bench_elementwise(q, kind, shape, reps)
                 for name, shape in ELEMWISE_SHAPES.items()
             }
-            rows[kind]["matmul"] = bench_matmul(q, kind, width, reps)
+            rows[kind]["matmul"] = bench_matmul(
+                q, kind, (REFILL_M, REFILL_K, width), reps
+            )
+            rows[kind]["matmul_rb"] = bench_matmul(q, kind, RB_SHAPE, reps)
             rows[kind]["encode_batch"] = bench_encode_batch(
                 q, kind, model_dim, reps
             )
@@ -209,6 +254,14 @@ def run_all(width=REFILL_WIDTH, model_dim=ENC_MODEL_DIM, reps=3):
                 f"encode {r['encode_batch']['melems_per_second']:6.2f} M/s "
                 f"({r['encode_batch']['speedup_vs_numpy_mod']:5.2f}x)"
             )
+            for name in ("matmul", "matmul_rb"):
+                if "gemm_floor_ms" in r[name]:
+                    print(
+                        f"  {'':10s} {name:9s} "
+                        f"{r[name]['seconds'] * 1e3:8.1f} ms = "
+                        f"{r[name]['matmul_over_gemm_floor']:4.2f} x "
+                        f"gemm_floor_ms {r[name]['gemm_floor_ms']:7.1f}"
+                    )
         for workload in WORKLOADS:
             assert entry[f"bit_identical_{workload}"], (label, workload)
     return report
@@ -216,7 +269,8 @@ def run_all(width=REFILL_WIDTH, model_dim=ENC_MODEL_DIM, reps=3):
 
 def run_check(width=CHECK_WIDTH):
     """CI smoke gate: the auto-selected kernel must beat the oracle on
-    the refill-shape matmul, and at the online round's cache-sized shape
+    the refill-shape matmul and cost at most ``GEMM_FLOOR_BUDGET`` times
+    its own float64 GEMM, and at the online round's cache-sized shape
     its ``reduce_semi`` — and ``reduce``, where it is not ``np.mod``
     itself (Mersenne) — must not be slower than ``np.mod``.  Prints the
     measurements; exit code reports pass/fail so the (non-blocking) CI
@@ -238,17 +292,21 @@ def run_check(width=CHECK_WIDTH):
                 f"{oracle['seconds'] * 1e3:.2f} ms"
             )
             ok = ok and good
-        fast = bench_matmul(q, selected, width, reps=2)
-        oracle = bench_matmul(q, "numpy_mod", width, reps=2)
+        refill = (REFILL_M, REFILL_K, width)
+        fast = bench_matmul(q, selected, refill, reps=2)
+        oracle = bench_matmul(q, "numpy_mod", refill, reps=2)
         speedup = oracle["seconds"] / fast["seconds"]
         identical = fast["sha256"] == oracle["sha256"]
-        status = "ok" if speedup > 1.0 and identical else "FAIL"
+        over_floor = fast["matmul_over_gemm_floor"]
+        good = speedup > 1.0 and identical and over_floor <= GEMM_FLOOR_BUDGET
         print(
-            f"[{status}] q={q} ({label}): {selected} {fast['seconds']:.3f}s "
-            f"vs numpy_mod {oracle['seconds']:.3f}s -> {speedup:.2f}x, "
-            f"bit_identical={identical}"
+            f"[{'ok' if good else 'FAIL'}] q={q} ({label}): {selected} "
+            f"{fast['seconds']:.3f}s vs numpy_mod {oracle['seconds']:.3f}s "
+            f"-> {speedup:.2f}x, bit_identical={identical}, "
+            f"{over_floor:.2f}x its gemm_floor_ms "
+            f"{fast['gemm_floor_ms']:.1f} (budget {GEMM_FLOOR_BUDGET:g}x)"
         )
-        ok = ok and speedup > 1.0 and identical
+        ok = ok and good
     return ok
 
 

@@ -47,6 +47,10 @@ class MaskEncoder:
         MDS generator construction, ``"lagrange"`` or ``"vandermonde"``.
     """
 
+    #: Generator-input elements ``encode_batch`` stages per ``gf.matmul``
+    #: call (4 MiB of uint64).
+    STAGING_ELEMS = 1 << 19
+
     def __init__(
         self,
         gf: FiniteField,
@@ -102,14 +106,16 @@ class MaskEncoder:
     ) -> np.ndarray:
         """Encode ``B`` masks at once as a single batched field matmul.
 
-        ``masks`` has shape ``(B, model_dim)``; the result has shape
-        ``(B, N, share_dim)`` where slice ``b`` equals ``encode(masks[b])``
-        up to the random padding draw.  Laying the ``B`` data blocks side by
-        side turns ``B`` generator products into one ``(N, U) @ (U, B *
-        share_dim)`` multiply, which is what lets a multi-round session
-        precompute its whole offline pool in one shot.
+        ``masks`` has shape ``(B, model_dim)``; the result is a fresh
+        C-contiguous ``(B, N, share_dim)`` array where slice ``b`` equals
+        ``encode(masks[b])`` up to the random padding draw.  The ``B``
+        generator inputs are staged once as a ``(B, U, share_dim)`` stack
+        and go through one blocked ``gf.matmul``, which is what lets a
+        multi-round session precompute its whole offline pool in one shot.
         """
-        masks = self.gf.array(masks)
+        masks = np.asarray(masks)
+        if masks.dtype != np.uint64:
+            masks = self.gf.array(masks)
         if masks.ndim != 2 or masks.shape[1] != self.model_dim:
             raise CodingError(
                 f"masks must have shape (B, {self.model_dim}), got {masks.shape}"
@@ -117,31 +123,28 @@ class MaskEncoder:
         b = masks.shape[0]
         if b == 0:
             raise CodingError("cannot encode an empty batch")
-        padded = self.num_submasks * self.share_dim
-        if padded != self.model_dim:
-            wide = np.zeros((b, padded), dtype=masks.dtype)
-            wide[:, : self.model_dim] = masks
-            masks = wide
-        # Stage the (U, B*share_dim) generator input in one preallocated
-        # buffer: rows 0..U-T-1 are the per-mask sub-mask rows (same rows
-        # as partition(), concatenated along the width axis) and the last
-        # T rows are the random padding, drawn straight into place.  The
-        # width axis of the single generator matmul below is blocked
-        # inside ``gf.matmul`` so large-``d`` refills stay cache-resident.
-        width = b * self.share_dim
-        data = np.empty((self.target_survivors, width), dtype=np.uint64)
-        sub = masks.reshape(b, self.num_submasks, self.share_dim)
-        data[: self.num_submasks] = sub.transpose(1, 0, 2).reshape(
-            self.num_submasks, width
-        )
-        if self.privacy:
-            data[self.num_submasks :] = self.gf.random(
-                (self.privacy, width), rng
-            )
-        coded = self.code.encode(data)  # (N, B*share_dim)
-        return coded.reshape(
-            self.num_users, b, self.share_dim
-        ).transpose(1, 0, 2)
+        # Mask b's U-T sub-mask rows (the rows partition() cuts) are the
+        # first model_dim entries of its flat U*share_dim row, then the
+        # zero tail of the last sub-mask, then its T padding rows — one
+        # draw for the whole batch, T rows of B*share_dim, placed per
+        # mask.  The input is staged a chunk of masks at a time in one
+        # reused buffer: a cache-sized copy, never a second whole batch.
+        # gf.matmul reduces a chunk holding non-canonical uint64 masks,
+        # which commutes with the placement.
+        u, share_dim = self.target_survivors, self.share_dim
+        padding = self.gf.random((self.privacy, b * share_dim), rng)
+        padding = padding.reshape(self.privacy, b, share_dim)
+        coded = np.empty((b, self.num_users, share_dim), dtype=np.uint64)
+        chunk = min(b, max(1, self.STAGING_ELEMS // (u * share_dim)))
+        flat = np.empty((chunk, u * share_dim), dtype=np.uint64)
+        flat[:, self.model_dim : self.num_submasks * share_dim] = 0
+        for lead in range(0, b, chunk):
+            g = min(chunk, b - lead)
+            flat[:g, : self.model_dim] = masks[lead : lead + g]
+            data = flat[:g].reshape(g, u, share_dim)
+            data[:, self.num_submasks :] = padding[:, lead : lead + g].transpose(1, 0, 2)
+            self.code.encode(data, out=coded[lead : lead + g])
+        return coded
 
     def decode_aggregate(self, aggregated_shares: Dict[int, np.ndarray]) -> np.ndarray:
         """One-shot recovery of the aggregate mask (paper Alg. 1, line 26).

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,6 +78,8 @@ class MDSCode:
             self._gen_matrix = vandermonde(gf, self.alpha, k)  # (k, n)
         else:
             self._gen_matrix = lagrange_coeffs(gf, self.beta, self.alpha).T  # (k, n)
+        # The (n, k) left operand of every encode, laid out once.
+        self._encode_matrix = np.ascontiguousarray(self._gen_matrix.T)
         self._coeff_memo: "OrderedDict[Tuple[int, ...], np.ndarray]" = OrderedDict()
         self._coeff_lock = threading.Lock()
 
@@ -86,19 +88,25 @@ class MDSCode:
         """The ``(k, n)`` generator matrix ``G``; coded = ``G.T @ data``."""
         return self._gen_matrix.copy()
 
-    def encode(self, data: np.ndarray) -> np.ndarray:
+    def encode(
+        self, data: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Encode ``k`` data rows into ``n`` coded rows.
 
-        ``data`` has shape ``(k, width)`` (or ``(k,)`` for scalar symbols);
-        the result has shape ``(n, width)`` (or ``(n,)``).
+        ``data`` has shape ``(k, width)`` (``(k,)`` for scalar symbols,
+        ``(B, k, width)`` for a stack of blocks); the result has shape
+        ``(n, width)`` (``(n,)``, ``(B, n, width)``) and is written into
+        ``out`` when one is given.  Canonical ``data`` is read in place:
+        ``gf.matmul`` checks it in one compare pass, reduces anything else.
         """
-        data = self.gf.array(data)
+        data = np.asarray(data)
         scalar = data.ndim == 1
         if scalar:
             data = data[:, None]
-        if data.shape[0] != self.k:
-            raise CodingError(f"expected {self.k} data rows, got {data.shape[0]}")
-        coded = self.gf.matmul(self._gen_matrix.T.copy(), data)
+            out = None if out is None else out[:, None]
+        if data.ndim < 2 or data.shape[-2] != self.k:
+            raise CodingError(f"expected {self.k} data rows, got {data.shape}")
+        coded = self.gf.matmul(self._encode_matrix, data, out=out)
         return coded[:, 0] if scalar else coded
 
     def _decode_coeffs(self, indices: Sequence[int]) -> np.ndarray:

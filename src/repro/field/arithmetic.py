@@ -107,7 +107,7 @@ class FiniteField:
         return (
             isinstance(a, np.ndarray)
             and a.dtype == np.uint64
-            and (a.size == 0 or bool(np.all(a < self._q64)))
+            and (a.size == 0 or bool(a.max() < self._q64))
         )
 
     def to_signed(self, a: np.ndarray) -> np.ndarray:
@@ -220,116 +220,177 @@ class FiniteField:
     # compute-bound instead of memory-bound.
     MATMUL_BLOCK_ELEMS = 1 << 18
 
-    # Width-block budget for the limb-split float64 kernel: the f64
-    # operand block (k rows) plus two f64 product blocks (m rows each)
-    # are bounded by ~3 * this many elements.  Bigger blocks amortize
-    # the per-block conversion and BLAS call overhead; this setting
-    # measured fastest at the refill shape on the dev container.
-    MATMUL_F64_BLOCK_ELEMS = 1 << 21
+    # Block budget for the limb-split float64 kernel, in 8-byte elements
+    # (2 MiB): one block's f64 operand (k rows), f64 product and uint64
+    # limb sums (2m rows each), so the dozen passes between the GEMM and
+    # the caller's array run out of L2 instead of streaming the whole
+    # product from DRAM each.  1.5-3 MiB measured alike at the refill
+    # shape; 512 KiB and 4 MiB were both slower.
+    MATMUL_F64_BLOCK_ELEMS = 1 << 18
 
-    def matmul(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+    def matmul(
+        self, a: ArrayLike, b: ArrayLike, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Matrix product over GF(q).
 
+        ``a`` is ``(m, k)``; ``b`` is ``(k, n)`` or a stack ``(B, k, n)``
+        with ``np.matmul`` semantics (``result[i] = a @ b[i]``).  ``out``,
+        when given, is the uint64 array of the result's shape to write
+        into; it must not overlap ``a`` or ``b``.  Operands that already
+        are canonical residues are used as they are (one compare pass);
+        anything else is reduced on entry through :meth:`array`.
+
         With a division-free reducer (the default), products run through
-        a 16-bit limb-split kernel: each operand column block is lifted
-        to float64, two BLAS GEMMs compute the exact high/low limb
-        contractions (every partial sum stays below ``2**53``, so the
-        float arithmetic is exact and bit-reproducible), and the limbs
-        are recombined in uint64 with fold-based lazy accumulation — no
-        integer division inside the contraction.  With the ``numpy_mod`` oracle
+        a 16-bit limb-split kernel: each operand block is lifted to
+        float64, BLAS GEMMs compute the exact high/low limb contractions
+        (every partial sum stays below ``2**53``, so the float arithmetic
+        is exact and bit-reproducible), and the limbs are recombined in
+        uint64 with fold-based lazy accumulation — no integer division
+        inside the contraction.  With the ``numpy_mod`` oracle
         reducer the historical width-blocked lazy-``np.mod`` rank-1
         kernel runs instead, preserved as the A/B baseline.  Both paths
         return identical canonical residues.
         """
-        a = self.array(a)
-        b = self.array(b)
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        a = a if self.is_valid(a) else self.array(a)
+        b = b if self.is_valid(b) else self.array(b)
+        if a.ndim != 2 or b.ndim not in (2, 3) or a.shape[1] != b.shape[-2]:
             raise FieldError(f"incompatible matmul shapes {a.shape} x {b.shape}")
-        m, k = a.shape
-        n = b.shape[1]
-        out = np.empty((m, n), dtype=np.uint64)
-        if self.reducer.division_free:
-            self._matmul_limbsplit(a, b, out)
+        m, n = a.shape[0], b.shape[-1]
+        shape = b.shape[:-2] + (m, n)
+        if out is None:
+            out = np.empty(shape, dtype=np.uint64)
+        elif not (
+            isinstance(out, np.ndarray) and (out.dtype, out.shape) == (np.uint64, shape)
+        ):
+            raise FieldError(f"matmul out must be a uint64 array of shape {shape}")
+        if out.size == 0:
             return out
-        width_block = max(1, self.MATMUL_BLOCK_ELEMS // max(m, 1))
-        for col in range(0, n, width_block):
-            self._matmul_block(a, b[:, col : col + width_block],
-                               out[:, col : col + width_block])
+        b3, out3 = (b[None], out[None]) if b.ndim == 2 else (b, out)
+        if self.reducer.division_free:
+            self._matmul_limbsplit(a, b3, out3)
+            return out
+        width_block = max(1, self.MATMUL_BLOCK_ELEMS // m)
+        for b2, out2 in zip(b3, out3):
+            for col in range(0, n, width_block):
+                self._matmul_block(a, b2[:, col : col + width_block],
+                                   out2[:, col : col + width_block])
         return out
 
     def _matmul_limbsplit(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         """Exact 16-bit limb-split GEMM over float64, reduced division-free.
 
-        ``a`` is split as ``a = a_hi * 2**16 + a_lo``; for a contraction
-        chunk of ``s`` terms the float64 products satisfy
-        ``s * max(a_limb) * (q-1) <= 2**53``, so both GEMMs are exact
-        integer arithmetic in float64.  Chunk results are recombined as
-        ``(reduce(c_hi) << 16) + c_lo`` (< 2**54) and lazily accumulated
-        in uint64, with one reducer *fold* between chunks to stay clear
-        of overflow — the fold-based accumulator that replaces the old
-        per-term-division branch for moduli near ``2**32``.
+        ``a`` is ``(m, k)``, ``b`` ``(B, k, n)`` and ``out`` ``(B, m, n)``,
+        all canonical uint64.  ``a`` is split as ``a = a_hi * 2**16 +
+        a_lo`` and the limbs stacked into one ``(2m, k)`` float64
+        operand; for a contraction chunk of ``s`` terms the float64
+        products satisfy ``s * max(a_limb) * (q-1) <= 2**53``, so each
+        GEMM is exact integer arithmetic in float64.  Chunk results add
+        up raw in uint64 over a *span* of chunks, are recombined as
+        ``(reduce(c_hi) << 16) + c_lo`` and lazily accumulated, with one
+        reducer *fold* between spans to stay clear of overflow.  ``b`` is
+        walked in cache-sized blocks — a run of columns of one stack
+        entry, or several narrow entries side by side — and every pass
+        over a block is in place in per-call scratch: one cast in, the
+        GEMMs, the uint64 passes, one copy into the caller's block.
         """
         red = self.reducer
         m, k = a.shape
-        n = b.shape[1]
+        batch, _, n = b.shape
+        if k == 0:  # empty contraction sums to zero
+            out[...] = 0
+            return
         qm1 = self.q - 1
         hi_max = qm1 >> 16
         lo_max = min(qm1, 0xFFFF)
-        # Largest exact contraction chunk per limb (at least 32 for any
-        # q < 2**32; one chunk covers typical coded-computing shapes).
-        step = k or 1
-        if lo_max:
-            step = min(step, _F64_EXACT // (lo_max * qm1))
-        if hi_max:
-            step = min(step, _F64_EXACT // (hi_max * qm1))
-        step = max(1, step)
-        a_lo = (a & _MASK16).astype(np.float64)
-        a_hi = (a >> _SHIFT16).astype(np.float64) if hi_max else None
+        # Largest exact contraction chunk (at least 32 terms for any
+        # q < 2**32; one chunk covers typical coded-computing shapes),
+        # and the run of chunks whose raw limb sums stay below 2**63
+        # (at least 2**15 terms: one span covers everything realistic).
+        step = max(1, min(k, _F64_EXACT // (lo_max * qm1)))
+        span = step * max(1, (1 << 63) // (step * lo_max * qm1))
+        terms = min(k, span)
         # Recombining the high limb needs it congruent, not canonical: a
         # cheap fold is enough whenever the fold-bounded value, shifted
         # 16 bits and stacked on the low limb plus a folded accumulator,
         # provably stays in uint64.  Both bounds are exact Python-int
         # arithmetic; when the cheap fold cannot be proven safe (large
         # 2**32 mod q), fall back to a full reduction of the high limb.
-        c_lo_max = step * lo_max * qm1
-        hi_fold_max = red.fold_bound(step * hi_max * qm1) if hi_max else 0
+        c_lo_max = terms * lo_max * qm1
+        hi_fold_max = red.fold_bound(terms * hi_max * qm1) if hi_max else 0
         hi_fold_ok = (
             hi_max and red.fold_max + (hi_fold_max << 16) + c_lo_max <= _U64_MAX
         )
         hi_red_max = hi_fold_max if hi_fold_ok else qm1
-        chunk_max = (hi_red_max << 16) + c_lo_max
-        fold_ok = red.fold_max + chunk_max <= _U64_MAX
+        span_max = (hi_red_max << 16) + c_lo_max
+        fold_ok = red.fold_max + span_max <= _U64_MAX
         # Exact bound on the finished accumulator, so the final
         # reduction can run the cheapest chain its magnitude admits.
-        if k > step:
-            acc_max = (red.fold_max if fold_ok else qm1) + chunk_max
+        if k > span:
+            acc_max = (red.fold_max if fold_ok else qm1) + span_max
         else:
-            acc_max = chunk_max
-        width_block = max(1, self.MATMUL_F64_BLOCK_ELEMS // max(m + k, 1))
-        for col in range(0, n, width_block):
-            w = min(width_block, n - col)
-            bf = b[:, col : col + w].astype(np.float64)
-            acc: Optional[np.ndarray] = None
-            for start in range(0, k, step):
-                stop = min(start + step, k)
-                c_lo = a_lo[:, start:stop] @ bf[start:stop]
-                term = c_lo.astype(np.uint64)
-                if a_hi is not None:
-                    c_hi = a_hi[:, start:stop] @ bf[start:stop]
-                    hi_red = (red.fold if hi_fold_ok else red.reduce)(
-                        c_hi.astype(np.uint64)
-                    )
-                    hi_red <<= _SHIFT16
-                    term += hi_red
-                if acc is None:
-                    acc = term
-                else:
-                    (red.fold if fold_ok else red.reduce)(acc, out=acc)
-                    acc += term
-            if acc is None:  # k == 0: empty contraction sums to zero
-                out[:, col : col + w] = 0
-            else:
-                red.reduce_bounded(acc, acc_max, out=out[:, col : col + w])
+            acc_max = span_max
+        reduce_hi = red.fold if hi_fold_ok else red.reduce
+        reduce_acc = red.fold if fold_ok else red.reduce
+        rows = 2 * m if hi_max else m
+        limbs = np.empty((rows, k), dtype=np.float64)
+        np.copyto(limbs[:m], a & _MASK16, casting="unsafe")
+        if hi_max:
+            np.copyto(limbs[m:], a >> _SHIFT16, casting="unsafe")
+        # Block geometry: ``group`` stack entries of ``cols`` columns each
+        # per block.  Scratch is flat and re-cut per block, so a short
+        # last block is still contiguous for BLAS.
+        per_col = k + 2 * rows + rows * (k > step) + m * (k > span)
+        cols = max(1, self.MATMUL_F64_BLOCK_ELEMS // per_col)
+        group = min(batch, max(1, cols // n))
+        cols = min(cols, n)
+        bf_flat = np.empty(k * group * cols, dtype=np.float64)
+        prod_flat = np.empty(rows * group * cols, dtype=np.float64)
+        sums_flat, raw_flat, acc_flat = (
+            np.empty(height * group * cols, dtype=np.uint64)
+            for height in (rows, rows * (k > step), m * (k > span))
+        )
+        # Residues and exact products are below 2**63: the signed casts
+        # are the same bits and twice as fast as the unsigned ones.
+        b = b.view(np.int64)
+        for lead in range(0, batch, group):
+            g = min(group, batch - lead)
+            for col in range(0, n, cols):
+                w = min(cols, n - col)
+                bf = bf_flat[: k * g * w].reshape(k, g * w)
+                np.copyto(
+                    bf.reshape(k, g, w),
+                    b[lead : lead + g, :, col : col + w].transpose(1, 0, 2),
+                    casting="unsafe",
+                )
+                prod = prod_flat[: rows * g * w].reshape(rows, g * w)
+                sums = sums_flat[: prod.size].reshape(prod.shape)
+                acc = lo = sums[:m]
+                for first in range(0, k, span):
+                    for start in range(first, min(first + span, k), step):
+                        stop = min(start + step, k)
+                        np.matmul(limbs[:, start:stop], bf[start:stop], out=prod)
+                        if start == first:
+                            np.copyto(sums.view(np.int64), prod, casting="unsafe")
+                        else:
+                            raw = raw_flat[: prod.size].reshape(prod.shape)
+                            np.copyto(raw.view(np.int64), prod, casting="unsafe")
+                            sums += raw
+                    if hi_max:
+                        hi = sums[m:]
+                        reduce_hi(hi, out=hi)
+                        hi <<= _SHIFT16
+                        lo += hi
+                    if first:
+                        reduce_acc(acc, out=acc)
+                        acc += lo
+                    elif k > span:
+                        acc = acc_flat[: lo.size].reshape(lo.shape)
+                        acc[...] = lo
+                red.reduce_bounded(acc, acc_max, out=acc)
+                np.copyto(
+                    out[lead : lead + g, :, col : col + w].transpose(1, 0, 2),
+                    acc.reshape(m, g, w),
+                )
 
     def _matmul_block(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         """One width block of the baseline (``numpy_mod``) matmul kernel."""

@@ -13,10 +13,10 @@ masks), and online rounds just drain it: the per-round critical path is
 masking, upload, aggregate-share summation, and one MDS decode.
 
 Per-round transcripts therefore contain only ``upload`` and ``recovery``
-traffic; the offline traffic is accounted once per refill in
-:attr:`LightSecAggSession.offline_transcript`, which is exactly the
-amortization story (the bytes still cross the network, but off the online
-critical path).
+traffic; the offline traffic is accounted once per refill, as a running
+element total behind :meth:`LightSecAggSession.offline_elements`, which is
+exactly the amortization story (the bytes still cross the network, but off
+the online critical path).
 
 :class:`EncryptedLightSecAggSession` additionally persists the
 Diffie-Hellman channel mesh across the whole session — key agreement
@@ -83,10 +83,9 @@ def precompute_offline_pool(
     """Draw and encode ``rounds`` rounds of masks for all users at once.
 
     Returns ``(masks, coded)`` with shapes ``(rounds, N, model_dim)`` and
-    ``(rounds, N_source, N_holder, share_dim)``; all ``rounds * N`` masks
-    go through a single batched generator matmul.  Shared by the protocol-
-    level and system-level sessions, which differ only in how they account
-    the cost (wall clock vs simulated background span).
+    ``(rounds, N_source, N_holder, share_dim)``, both contiguous views of
+    one array each, so a pooled round's slice is contiguous too; all
+    ``rounds * N`` masks go through a single batched generator matmul.
     """
     n = encoder.num_users
     masks = encoder.gf.random((rounds * n, encoder.model_dim), rng)
@@ -117,7 +116,10 @@ class LightSecAggSession(ProtocolSession):
             model_dim=self.model_dim,
             generator=protocol.generator,
         )
+        # One-time traffic only (the encrypted session's key agreement);
+        # refills add to a running total and retain nothing each.
         self.offline_transcript = Transcript()
+        self._refill_elements = 0
         self._pool: Deque[OfflineMaterial] = deque()
 
     # ------------------------------------------------------------------
@@ -131,7 +133,8 @@ class LightSecAggSession(ProtocolSession):
 
     def offline_elements(self) -> int:
         with self._pool_lock:
-            return self.offline_transcript.elements(phase="offline")
+            one_time = self.offline_transcript.elements(phase="offline")
+            return one_time + self._refill_elements
 
     def refill(self, rounds: Optional[int] = None) -> int:
         """Precompute offline material for ``rounds`` future rounds.
@@ -157,17 +160,14 @@ class LightSecAggSession(ProtocolSession):
                 masks, coded = precompute_offline_pool(
                     self.encoder, rounds, self.rng
                 )
-            batch_transcript = Transcript()
-            coded = self._deliver_shares(coded, batch_transcript)
+            coded, elements = self._deliver_shares(coded)
             material = [OfflineMaterial(masks[k], coded[k]) for k in range(rounds)]
             with self._pool_lock:
                 # Material and its traffic accounting land atomically, so
                 # a concurrent ``offline_elements`` reader never observes
                 # a half-recorded refill.
                 self._pool.extend(material)
-                self.offline_transcript.messages.extend(
-                    batch_transcript.messages
-                )
+                self._refill_elements += elements
                 self.stats.refills += 1
                 self.stats.precomputed_rounds += rounds
                 self.stats.refill_seconds += time.perf_counter() - start
@@ -202,29 +202,19 @@ class LightSecAggSession(ProtocolSession):
                 if self._pool:
                     return self._pool.popleft()
 
-    def _deliver_shares(
-        self, coded: np.ndarray, transcript: Transcript
-    ) -> np.ndarray:
-        """Record one refill batch's share-exchange traffic in ``transcript``.
+    def _deliver_shares(self, coded: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Deliver one refill batch's shares; returns them as held by the
+        recipients, and the field elements the exchange put on the wire.
 
         ``coded`` has shape ``(rounds, N_source, N_holder, share_dim)``.
-        The base session models the paper's abstract secure transport: the
-        whole batch of a source's shares for one holder travels as a
-        single message of ``rounds * share_dim`` elements (element totals
-        match the one-shot path exactly; only the message granularity is
-        coarser).  Messages go to the supplied per-batch transcript —
-        ``refill`` merges them into :attr:`offline_transcript` under the
-        pool lock — and the material is returned as held by the
-        recipients (identical here; the encrypted subclass routes it
-        through sealed channels).
+        The base session models the paper's abstract secure transport:
+        each source sends each other holder its ``rounds * share_dim``
+        elements (the one-shot path's per-round share exchange, times
+        ``rounds``), and the material arrives as it was sent.  ``refill``
+        adds the count to the running total under the pool lock.
         """
-        rounds, n = coded.shape[0], coded.shape[1]
-        share_dim = coded.shape[3]
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    transcript.record(i, j, "offline", rounds * share_dim)
-        return coded
+        rounds, n, _, share_dim = coded.shape
+        return coded, rounds * share_dim * n * (n - 1)
 
     # ------------------------------------------------------------------
     def _canonical_update(self, user_id: int, update) -> np.ndarray:
@@ -382,12 +372,9 @@ class EncryptedLightSecAggSession(LightSecAggSession):
                         self.gf, key, sender=i, receiver=j
                     )
 
-    def _deliver_shares(
-        self, coded: np.ndarray, transcript: Transcript
-    ) -> np.ndarray:
+    def _deliver_shares(self, coded: np.ndarray) -> Tuple[np.ndarray, int]:
         """Seal every source->holder share batch and relay it via server."""
-        rounds, n = coded.shape[0], coded.shape[1]
-        share_dim = coded.shape[3]
+        rounds, n, _, share_dim = coded.shape
         delivered = coded.copy()
         for i in range(n):
             for j in range(n):
@@ -395,12 +382,10 @@ class EncryptedLightSecAggSession(LightSecAggSession):
                     continue  # own share never leaves the device
                 flat = coded[:, i, j, :].reshape(-1)
                 sealed = self._channels[(i, j)].seal(flat)
-                # user -> server -> peer; both hops carry the whole batch.
-                transcript.record(i, SERVER, "offline", rounds * share_dim)
-                transcript.record(SERVER, j, "offline", rounds * share_dim)
                 opened = self._channels[(i, j)].open(sealed)
                 delivered[:, i, j, :] = opened.reshape(rounds, share_dim)
-        return delivered
+        # user -> server -> peer; both hops carry the whole batch.
+        return delivered, 2 * rounds * share_dim * n * (n - 1)
 
     def run_round(
         self,

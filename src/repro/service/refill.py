@@ -18,6 +18,12 @@ keeps draining already-pooled rounds while a refill encodes.
 Shutdown is clean by construction: :meth:`stop` wakes the worker and
 joins it; a refill already in flight runs to completion (its material is
 still delivered to the pool) and no new refill starts afterwards.
+
+A refill that raises does not take the worker down with it: the failure
+is counted (:attr:`BackgroundRefiller.failures`) and its typed cause kept
+(:attr:`BackgroundRefiller.last_error`), the other sessions of the batch
+are still served, and the worker waits one poll interval before trying
+the failed session again.
 """
 
 from __future__ import annotations
@@ -53,6 +59,9 @@ class BackgroundRefiller:
         self.metrics = metrics
         self.refills = 0
         self.rounds_refilled = 0
+        #: Refill attempts that raised, and ``"Type: message"`` of the last.
+        self.failures = 0
+        self.last_error: Optional[str] = None
         self._sessions: List[
             Tuple[ProtocolSession, int, Optional[Callable[[], int]]]
         ] = []
@@ -216,12 +225,21 @@ class BackgroundRefiller:
                     self._cond.wait(self.poll_interval_s)
                     continue
                 self._in_flight = True
+            failures = self.failures
             try:
                 self._refill_batch(needy)
             finally:
                 with self._cond:
                     self._in_flight = False
                     self._cond.notify_all()
+            if self.failures != failures:
+                # A failed session still reports ``needs_refill``: sit out
+                # one poll interval, notifies included, instead of
+                # retrying it in a hot loop.
+                with self._cond:
+                    self._cond.wait_for(
+                        lambda: self._stopping, self.poll_interval_s
+                    )
 
     def _refill_batch(self, needy) -> None:
         """Refill one batch of needy sessions, overlapping where possible.
@@ -243,41 +261,40 @@ class BackgroundRefiller:
                     break  # finish cleanly: skip refills not yet started
             session = entry[0]
             if hasattr(session, "refill_begin"):
-                try:
-                    tickets.append((entry, session.refill_begin()))
-                except (ProtocolError, TransportError):
-                    continue  # closed between the low-water check and now
+                ticket = self._attempt(session.refill_begin)
+                if ticket is not None:
+                    tickets.append((entry, ticket))
             else:
-                self._refill_one(*entry)
-        for (session, cohort_id, depth_fn), ticket in tickets:
-            try:
-                added = session.refill_join(ticket)
-            except (ProtocolError, TransportError):
-                continue
-            self._account(session, cohort_id, depth_fn, added)
+                self._account(*entry, self._attempt(session.refill))
+        for entry, ticket in tickets:
+            self._account(*entry, self._attempt(entry[0].refill_join, ticket))
 
-    def _refill_one(
-        self,
-        session: ProtocolSession,
-        cohort_id: int,
-        depth_fn: Optional[Callable[[], int]] = None,
-    ) -> None:
+    def _attempt(self, step: Callable, *args):
+        """One refill step's result, or None when it raised.
+
+        A typed ``ProtocolError`` / ``TransportError`` is the consumer
+        closing the session between the low-water check and the refill:
+        nothing to top up.  Anything else (a numpy error, a
+        ``MemoryError``, a bug in a kernel) is recorded and must not
+        unwind the worker, which serves every cohort of the service.
+        """
         try:
-            added = session.refill()
-        except ProtocolError:
-            # The consumer closed the session between the low-water check
-            # and the refill; nothing to top up.
-            return
-        self._account(session, cohort_id, depth_fn, added)
+            return step(*args)
+        except (ProtocolError, TransportError):
+            return None
+        except Exception as exc:
+            self.failures += 1
+            self.last_error = f"{type(exc).__name__}: {exc}"
+            return None
 
     def _account(
         self,
         session: ProtocolSession,
         cohort_id: int,
         depth_fn: Optional[Callable[[], int]],
-        added: int,
+        added: Optional[int],
     ) -> None:
-        if added > 0:
+        if added:
             self.refills += 1
             self.rounds_refilled += added
             if self.metrics is not None:

@@ -447,6 +447,8 @@ class AggregationService:
                 "running": self.refiller.running,
                 "refills": self.refiller.refills,
                 "rounds_refilled": self.refiller.rounds_refilled,
+                "failures": self.refiller.failures,
+                "last_error": self.refiller.last_error,
             },
             "cohorts": [c.status() for c in cohorts],
             "metrics": self.metrics.snapshot(),

@@ -239,3 +239,129 @@ class TestCleanShutdown:
         refiller.start()
         assert refiller.running
         assert refiller.stop() is True
+
+
+class StubSession:
+    """The slice of ``ProtocolSession`` the refiller touches, with a
+    refill that raises for its first ``failures`` calls."""
+
+    def __init__(self, failures, exc=RuntimeError("encode blew up")):
+        self.failures = failures
+        self.exc = exc
+        self.calls = 0
+        self.pool_level = 0
+
+    @property
+    def needs_refill(self):
+        return self.pool_level == 0
+
+    def refill(self):
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise self.exc
+        self.pool_level = 4
+        return 4
+
+
+class TestRefillFailureKeepsWorkerAlive:
+    """A refill that raises something other than a typed close race
+    (seen: an ``AssertionError`` out of a kernel) used to unwind the
+    service-wide worker: every cohort then refilled inline forever."""
+
+    def test_one_failure_is_recorded_and_retried(self, gf, proto):
+        flaky = StubSession(failures=1)
+        healthy = proto.session(pool_size=2, rng=np.random.default_rng(8))
+        with BackgroundRefiller(poll_interval_s=0.0005) as refiller:
+            refiller.register(flaky, cohort_id=0)
+            refiller.register(healthy, cohort_id=1)
+            assert refiller.wait_until_idle(timeout=30.0)
+            assert refiller.running
+            # The neighbour was served in the batch that failed.
+            assert healthy.pool_level == 2
+            assert flaky.calls == 2 and flaky.pool_level == 4
+            assert refiller.failures == 1
+            assert refiller.last_error == "RuntimeError: encode blew up"
+            assert refiller.refills == 2
+        assert not refiller.running
+
+    def test_permanent_failure_does_not_spin_or_block_stop(self, gf, proto):
+        broken = StubSession(failures=10**9, exc=MemoryError("no arena"))
+        healthy = proto.session(pool_size=2, rng=np.random.default_rng(8))
+        refiller = BackgroundRefiller(poll_interval_s=0.05).start()
+        try:
+            refiller.register(broken)
+            refiller.register(healthy)
+            deadline = time.monotonic() + 30.0
+            while healthy.pool_level < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert healthy.pool_level == 2
+            time.sleep(0.4)
+            for _ in range(200):
+                refiller.notify()  # a nudge must not shorten the back-off
+            time.sleep(0.1)
+            assert refiller.running
+            # One attempt per poll interval: ~10 in half a second, where
+            # a hot loop makes thousands.
+            assert 2 <= broken.calls <= 30
+            assert refiller.failures == broken.calls
+            assert refiller.last_error == "MemoryError: no arena"
+            assert refiller.wait_until_idle(timeout=0.05) is False
+        finally:
+            stopped = refiller.stop(timeout=30.0)
+        assert stopped and not refiller.running
+
+    def test_two_phase_sessions_are_guarded_too(self):
+        class TwoPhase(StubSession):
+            def refill_begin(self):
+                self.calls += 1
+                if self.calls <= self.failures:
+                    raise self.exc
+                return "ticket"
+
+            def refill_join(self, ticket):
+                if self.join_error is not None:
+                    error, self.join_error = self.join_error, None
+                    raise error
+                self.pool_level = 4
+                return 4
+
+        session = TwoPhase(failures=1, exc=ValueError("bad begin"))
+        session.join_error = OSError("bad join")
+        with BackgroundRefiller(poll_interval_s=0.0005) as refiller:
+            refiller.register(session)
+            assert refiller.wait_until_idle(timeout=30.0)
+            assert refiller.running
+            assert refiller.failures == 2
+            assert refiller.last_error == "OSError: bad join"
+            assert refiller.refills == 1 and session.pool_level == 4
+
+    def test_service_status_reports_the_failure(self, gf):
+        from repro.service import AggregationService, RefillMode, ServiceConfig
+
+        cfg = ServiceConfig(
+            num_cohorts=1, num_users=8, model_dim=41, num_shards=2,
+            pool_size=2, low_water=1, refill_mode=RefillMode.BACKGROUND,
+            dropout_tolerance=2, privacy=2, seed=0,
+        )
+        with AggregationService(cfg, gf=gf) as svc:
+            shard = svc.cohorts[0].session.shard_sessions[0]
+            inner_refill, raised = shard.refill, []
+
+            def refill_failing_once(rounds=None):
+                if not raised:
+                    raised.append(True)
+                    raise AssertionError("kernel bound violated")
+                return inner_refill(rounds)
+
+            shard.refill = refill_failing_once
+            before = svc.status()["refiller"]
+            assert before["failures"] == 0 and before["last_error"] is None
+            shard._pool.clear()  # low water: the worker's turn
+            svc.refiller.notify()
+            assert svc.refiller.wait_until_idle(timeout=30.0)
+            report = svc.status()["refiller"]
+            assert report["running"] is True
+            assert report["failures"] == 1
+            assert report["last_error"] == "AssertionError: kernel bound violated"
+            assert report["refills"] == before["refills"] + 1
+            assert shard.pool_level == 2
