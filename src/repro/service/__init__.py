@@ -18,17 +18,18 @@ Layering (see the repo README for the full picture)::
 * :mod:`repro.service.sharding` — model-vector sharding: a coordinator
   that scatters client updates across per-shard sessions and reassembles
   shard aggregates bit-identically to the single-shard path.
-* :mod:`repro.service.transport` — where shard sessions execute: called
-  directly in-process (:class:`InlineTransport`) or pinned in long-lived
-  worker processes and driven with :mod:`repro.wire` frames
-  (:class:`ProcessPoolTransport`), selected from :class:`ServiceConfig`.
-  Also home of the one scatter-gather every frame lane shares.
-* :mod:`repro.service.socket_transport` / :mod:`.socket_worker` — the
-  same frames over TCP: :class:`SocketTransport` drives standalone
-  ``repro shard-worker`` hosts (:class:`ShardWorkerServer`) with
-  heartbeat supervision and reconnect/re-pin — the multi-host backend.
-* :mod:`repro.service.worker` — the one worker-side request handler,
-  shared by the subprocess workers and the shard-worker hosts.
+* :mod:`repro.service.transport` — where shard sessions execute: the
+  shard-session specs, the transport interface, and the in-process
+  lane (:class:`InlineTransport`), selected from :class:`ServiceConfig`.
+* :mod:`repro.service.socket_transport` / :mod:`.socket_worker` — every
+  out-of-process lane: one coordinator (:class:`SocketTransport`)
+  driving shard-worker hosts in :mod:`repro.wire` frames with heartbeat
+  supervision — standalone ``repro shard-worker`` hosts over TCP
+  (:class:`ShardWorkerServer`, with reconnect/re-pin; the multi-host
+  backend), or hosts spawned as local child processes over socketpairs
+  (:class:`ProcessPoolTransport`, the ``process`` and ``shm`` lanes).
+* :mod:`repro.service.worker` — the one worker-side request handler
+  every host connection serves through.
 * :mod:`repro.service.cohort` — the per-cohort round state machine.
 * :mod:`repro.service.metrics` — pool depth / stall / throughput
   counters, snapshotable for the CLI and the throughput benchmark.
@@ -48,11 +49,10 @@ from repro.service.metrics import CohortMetrics, ServiceMetrics, TransportMetric
 from repro.service.refill import BackgroundRefiller
 from repro.service.service import AggregationService
 from repro.service.sharding import ShardedSession, ShardPlan
-from repro.service.socket_transport import SocketTransport
+from repro.service.socket_transport import ProcessPoolTransport, SocketTransport
 from repro.service.socket_worker import ShardWorkerServer
 from repro.service.transport import (
     InlineTransport,
-    ProcessPoolTransport,
     ShardHandle,
     ShardSessionSpec,
     ShardTransport,

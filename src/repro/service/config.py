@@ -41,18 +41,20 @@ class TransportKind(enum.Enum):
       rounds and refill encodes share the GIL.
     * ``PROCESS`` — each shard's session is pinned in a long-lived
       worker process
-      (:class:`~repro.service.transport.ProcessPoolTransport`) and
-      spoken to in :mod:`repro.wire` frames; shard rounds scatter/gather
-      across cores and refills overlap across workers.
+      (:class:`~repro.service.socket_transport.ProcessPoolTransport`):
+      a ``repro shard-worker`` host spawned as a local child over a
+      socketpair and spoken to in :mod:`repro.wire` frames with
+      heartbeat supervision; shard rounds scatter/gather across cores
+      and refills overlap across workers.
     * ``SOCKET`` — the same frames over TCP to standalone ``repro
       shard-worker`` hosts
-      (:class:`~repro.service.socket_transport.SocketTransport`), with
-      heartbeat supervision and reconnect/re-pin; requires ``connect``
-      addresses.  The multi-host deployment backend.
+      (:class:`~repro.service.socket_transport.SocketTransport`), adding
+      reconnect/re-pin; requires ``connect`` addresses.  The multi-host
+      deployment backend.
     * ``SHM`` — the process backend with the shared-memory payload
       lane: vector payloads stage in a coordinator-owned
-      :class:`~repro.wire.SegmentArena` and cross the pipe as
-      name+offset references, so element bytes never transit the pipe.
+      :class:`~repro.wire.SegmentArena` and cross the socketpair as
+      name+offset references, so element bytes never transit it.
       Same-host only.
     """
 

@@ -102,7 +102,7 @@ class ShardedSession:
     (wrapped in an :class:`~repro.service.transport.InlineTransport`,
     the original direct-call behaviour, bit-identical) or any other
     backend via ``transport=`` — e.g. a
-    :class:`~repro.service.transport.ProcessPoolTransport` whose shard
+    :class:`~repro.service.socket_transport.ProcessPoolTransport` whose shard
     rounds run on separate cores.  Per-shard handles can also be
     registered with a refiller *individually* (see
     :attr:`shard_sessions`), which lets their refills interleave with

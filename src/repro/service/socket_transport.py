@@ -1,34 +1,48 @@
-"""Networked shard execution: the ``socket`` transport backend.
+"""The out-of-process lanes: one coordinator for every shard-worker host.
 
-:class:`SocketTransport` rides the same
-:class:`~repro.service.transport.FrameTransport` scatter-gather as the
-process backend, but the shard sessions live behind TCP connections to
-one or more ``repro shard-worker`` hosts (see
-:mod:`repro.service.socket_worker`), speaking :mod:`repro.wire` frames
-reassembled from the byte stream.  Because both backends build sessions
-from the same :class:`~repro.service.transport.ShardSessionSpec` seed
-paths, socket-backed rounds over localhost are bit-identical to inline
-rounds — the acceptance bar the tests pin.
+Every lane whose shard sessions live outside the coordinator's process
+drives them the same way.  :class:`SocketTransport` pins each shard's
+session on a shard-worker host (:mod:`repro.service.socket_worker`) with
+a :class:`~repro.wire.SessionSetup`, then scatters one request per shard
+and gathers every reply, in :mod:`repro.wire` frames over a stream
+socket.  Where the hosts run is the only difference between lanes:
 
-What remoteness adds over the process backend:
+* ``socket`` — standalone ``repro shard-worker`` hosts at TCP
+  ``connect`` addresses; the multi-host deployment backend.
+* ``process`` / ``shm`` — :class:`ProcessPoolTransport` spawns one host
+  per worker as a child process over a ``socketpair``; ``shm``
+  additionally stages vector payloads in a coordinator-owned
+  shared-memory segment.
 
-* **Connection supervision.**  Each connection runs a heartbeat thread
-  (:class:`~repro.wire.Ping` every ``heartbeat_interval_s``, answered
-  off the worker's round path); a missed heartbeat or any socket error
-  marks the connection *broken*, waking every thread blocked on a
-  response with :class:`~repro.exceptions.TransportError` — a lost
-  shard mid-round surfaces as a typed error, never a hang.
-* **Reconnect with re-pin.**  The client remembers the
+Because every host builds sessions from the same
+:class:`~repro.service.transport.ShardSessionSpec` seed paths, rounds
+on every lane are bit-identical to inline rounds — the acceptance bar
+the tests pin.
+
+What every link gets from its :class:`_SocketClient`:
+
+* **Response multiplexing.**  A draining receiver thread routes every
+  reply to the thread awaiting it, by request id, so the online
+  consumer and the background refiller share one link.
+* **Connection supervision.**  A heartbeat thread sends
+  :class:`~repro.wire.Ping` every ``heartbeat_interval_s`` (answered off
+  the host's round path); a missed heartbeat or any socket error marks
+  the link *broken*, waking every thread blocked on a response with
+  :class:`~repro.exceptions.TransportError` — a lost or frozen shard
+  mid-round surfaces as a typed error, never a hang.
+* **Reconnect with re-pin (TCP only).**  The client remembers the
   ``SessionSetup`` entries it pinned; the next request after a broken
   connection reconnects and replays them, so a killed-and-restarted
   worker rebuilds identical sessions from the specs and the service
   completes subsequent rounds.  Requests that were in flight across the
   break fail with a stale-generation error rather than waiting for a
-  response that died with the old connection.
-* **Connection sharing.**  Clients are pooled per address within the
-  process, so many cohorts' transports batch their shards over one
-  connection per worker host (each cohort holding its own slot ids);
-  teardown releases one cohort's slots without touching its
+  response that died with the old connection.  A spawned host has no
+  address: a broken link to it is final, and every later request fails
+  at once with a ``TransportError`` naming the worker process.
+* **Connection sharing (TCP only).**  Clients are pooled per address
+  within the process, so many cohorts' transports batch their shards
+  over one connection per worker host (each cohort holding its own slot
+  ids); teardown releases one cohort's slots without touching its
   neighbours'.
 
 Wire accounting is per request, so each transport's metrics reflect its
@@ -37,19 +51,26 @@ own traffic even on a shared connection.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import multiprocessing
 import socket
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+import time
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.exceptions import ProtocolError, TransportError, WireError
-from repro.protocols.base import SessionStats
-from repro.service.socket_worker import parse_address
+from repro.field.arithmetic import FiniteField
+from repro.obs import Span, current_trace, span
+from repro.protocols.base import AggregationResult, SessionStats
+from repro.service.socket_worker import parse_address, serve_local
 from repro.service.transport import (
-    FrameTransport,
+    WIRE_FORMATS,
+    ShardHandle,
     ShardSessionSpec,
-    _ResponseMux,
+    ShardTransport,
 )
 from repro.wire import (
     CAP_BUFFERED_DRAINS,
@@ -58,9 +79,16 @@ from repro.wire import (
     ErrorFrame,
     FrameAssembler,
     Ping,
+    RefillRequest,
+    RekeyRequest,
+    SegmentArena,
     SessionSetup,
     SessionTeardown,
     SetupAck,
+    ShardDrainRequest,
+    ShardRoundRequest,
+    ShmArrayRef,
+    ShmRegistry,
     Shutdown,
     decode_message,
     encode_segments,
@@ -69,37 +97,69 @@ from repro.wire import (
 )
 
 
-class _SocketClient(_ResponseMux):
-    """One supervised connection to a worker host, shared by transports.
+def _close_socket(sock: socket.socket) -> None:
+    """Shut down, then close: shutdown() wakes a thread blocked in
+    recv() or send() on the socket, which close() alone would not."""
+    for release in (lambda: sock.shutdown(socket.SHUT_RDWR), sock.close):
+        try:
+            release()
+        except OSError:
+            pass
 
-    Response multiplexing is the shared :class:`_ResponseMux` (a draining
-    receiver thread routes frames by request id), with two networked
-    additions: a *generation* counter that invalidates requests stranded
-    by a reconnect, and the heartbeat/re-pin machinery described in the
-    module docstring.
+
+class _SocketClient:
+    """One supervised link to a shard-worker host.
+
+    A draining receiver thread stores *every* incoming frame under its
+    request id and wakes the waiters, so several coordinator threads can
+    each await a different response on one link, and out-of-order
+    completion (a round result overtaking a slow refill) routes
+    correctly.  Because the receiver never stops reading, the scatter is
+    also deadlock-free: a host serving several shards can always flush
+    one shard's result and get back to reading the next request,
+    whatever the frame size against the socket buffer.
+
+    A link failure sets ``_broken``, which fails every current and
+    future waiter fast; a *generation* counter invalidates requests
+    stranded by a reconnect.  Given an ``address``, the client dials it
+    and, once broken, reconnects and re-pins on the next request.  Given
+    ``sock`` — one end of a socketpair whose other end the spawned worker
+    ``process`` serves — it has nothing to redial.  ``shm`` resolves
+    shared-memory references in replies (the shm lane).
     """
 
     def __init__(
         self,
-        address: Tuple[str, int],
+        address: Optional[Tuple[str, int]] = None,
         heartbeat_interval_s: float = 2.0,
         heartbeat_timeout_s: float = 10.0,
         connect_timeout_s: float = 10.0,
         setup_timeout_s: float = 60.0,
+        sock: Optional[socket.socket] = None,
+        process=None,
+        shm=None,
     ):
-        super().__init__()
         self.address = address
-        self.peer = f"{address[0]}:{address[1]}"
+        self.process = process
+        self.peer = (
+            process.name if process is not None
+            else f"{address[0]}:{address[1]}"
+        )
         self.heartbeat_interval_s = float(heartbeat_interval_s)
         self.heartbeat_timeout_s = float(heartbeat_timeout_s)
         self.connect_timeout_s = float(connect_timeout_s)
         self.setup_timeout_s = float(setup_timeout_s)
+        self._shm = shm
         self.refs = 0  # guarded by the pool's registry lock
+        self._ids = itertools.count(1)
+        self._cv = threading.Condition()
+        self._responses: Dict[int, Tuple[object, int]] = {}
+        self._abandoned: Set[int] = set()  # ids whose response is dropped
+        self._broken: Optional[BaseException] = None
         self._slots = itertools.count(0)
         self._inflight: Dict[int, int] = {}  # request id -> generation
         self._generation = 0
         self._closed = False
-        self._sock: Optional[socket.socket] = None
         self._send_lock = threading.Lock()
         self._reconnect_lock = threading.Lock()
         self._slot_specs: Dict[int, ShardSessionSpec] = {}
@@ -109,10 +169,9 @@ class _SocketClient(_ResponseMux):
         # acknowledged.  Both guarded by ``_cv``.
         self.requested_caps = 0
         self.negotiated_caps = 0
-        self._repin_listeners: List = []
-        self._reconnect_sinks: List[Tuple[object, str]] = []
+        self._transports: List = []  # told of every re-pin
         self._stop_heartbeat = threading.Event()
-        self._sock = self._open_socket()
+        self._sock = sock if sock is not None else self._open_socket()
         self._start_receiver()
         self._heartbeat = threading.Thread(
             target=self._heartbeat_loop,
@@ -155,7 +214,7 @@ class _SocketClient(_ResponseMux):
                 # connection (waiters fail fast), not kill this thread
                 # silently and strand them.
                 decoded = [
-                    (decode_message(frame), len(frame))
+                    (decode_message(frame, shm=self._shm), len(frame))
                     for frame in recv_frames(sock, assembler)
                 ]
             except (EOFError, OSError, WireError) as exc:
@@ -165,7 +224,13 @@ class _SocketClient(_ResponseMux):
                 if self._generation != generation:
                     return  # a reconnect superseded this socket
                 for (request_id, message), nbytes in decoded:
-                    self._store_locked(request_id, message, nbytes)
+                    if request_id in self._abandoned:
+                        # Nobody will ever collect this (its waiter timed
+                        # out or its scatter aborted); storing it would
+                        # leak the frame.
+                        self._abandoned.discard(request_id)
+                    else:
+                        self._responses[request_id] = (message, nbytes)
                 self._cv.notify_all()
 
     def _mark_broken(self, exc: BaseException, generation: int) -> None:
@@ -176,10 +241,7 @@ class _SocketClient(_ResponseMux):
             sock, self._sock = self._sock, None
             self._cv.notify_all()
         if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            _close_socket(sock)
 
     @property
     def alive(self) -> bool:
@@ -194,6 +256,13 @@ class _SocketClient(_ResponseMux):
                     raise TransportError("socket client is closed")
                 if self._broken is None:
                     return
+                if self.address is None:
+                    # A spawned host cannot come back: fail now, typed,
+                    # rather than dial nothing or wait on a heartbeat.
+                    raise TransportError(
+                        f"link to worker process {self.peer} is broken: "
+                        f"{self._broken!r}"
+                    )
                 entries = sorted(self._slot_specs.items())
             sock = self._open_socket()  # raises TransportError on failure
             with self._cv:
@@ -220,17 +289,16 @@ class _SocketClient(_ResponseMux):
                     )
                     raise
             with self._cv:
-                listeners = list(self._repin_listeners)
-                sinks = list(self._reconnect_sinks)
-        for listener in listeners:
-            listener()
-        # One physical reconnect = one metric event per distinct sink,
-        # however many transports share this connection.
-        seen = set()
-        for metrics, kind in sinks:
-            if id(metrics) not in seen:
-                seen.add(id(metrics))
-                metrics.record_transport_reconnect(kind)
+                transports = list(self._transports)
+        for transport in transports:
+            transport._on_repin(self)
+        # One physical reconnect = one metric event per distinct metrics
+        # sink, however many transports share this connection.
+        sinks = {
+            id(t._metrics): t for t in transports if t._metrics is not None
+        }
+        for transport in sinks.values():
+            transport._metrics.record_transport_reconnect(transport.kind)
 
     def pin(self, entries, timeout: float) -> SetupAck:
         """One ``SessionSetup`` round trip: build ``entries``' sessions on
@@ -249,22 +317,26 @@ class _SocketClient(_ResponseMux):
         return ack
 
     def close(self) -> None:
-        """Shutdown handshake (best-effort) and release the socket.
+        """Shutdown handshake (best-effort) and release the link.
 
-        Only the pool calls this, at refcount zero, so no other thread
-        is mid-request; the handshake runs *before* ``_closed`` flips so
-        send/receive still work for it.
+        Called once no other thread is mid-request (by the pool at
+        refcount zero, or by the transport owning a spawned host); the
+        handshake runs *before* ``_closed`` flips so send/receive still
+        work for it.  A spawned host then exits on its own, or is killed
+        if it did not acknowledge.
         """
         with self._cv:
             if self._closed:
                 return
             broken = self._broken is not None
         self._stop_heartbeat.set()
+        acked = False
         if not broken:
             try:
                 request_id = self.next_id()
                 self.send(Shutdown(), request_id)
                 self.receive(request_id, timeout=self.heartbeat_timeout_s)
+                acked = True
             except TransportError:
                 pass
         with self._cv:
@@ -273,14 +345,20 @@ class _SocketClient(_ResponseMux):
             self._generation += 1  # detach any receiver still attached
             self._cv.notify_all()
         if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            _close_socket(sock)
+        if self.process is not None:
+            self.process.join(self.heartbeat_timeout_s if acked else 0)
+            if self.process.is_alive():
+                self.process.kill()  # also ends a SIGSTOPped host
+                self.process.join()
 
     # ------------------------------------------------------------------
     # request plumbing
     # ------------------------------------------------------------------
+    def next_id(self) -> int:
+        with self._cv:
+            return next(self._ids)
+
     def allocate_slots(self, count: int) -> List[int]:
         with self._cv:
             return [next(self._slots) for _ in range(count)]
@@ -320,29 +398,53 @@ class _SocketClient(_ResponseMux):
         return nbytes
 
     def receive(self, request_id: int, timeout: Optional[float] = None):
-        try:
-            return super().receive(request_id, timeout=timeout)
-        finally:
-            # Collected, lost, or timed out: either way nobody retries it.
-            with self._cv:
+        """Block for one response; returns ``(message, frame_bytes)``."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._cv:
+            try:
+                while True:
+                    if request_id in self._responses:
+                        return self._responses.pop(request_id)
+                    if self._broken is not None:
+                        raise TransportError(
+                            f"connection to {self.peer} broken with "
+                            f"response {request_id} outstanding: "
+                            f"{self._broken!r}"
+                        )
+                    stamped = self._inflight.get(request_id)
+                    if stamped is not None and stamped != self._generation:
+                        raise TransportError(
+                            f"response {request_id} was lost to a "
+                            f"reconnect; the request must be retried on "
+                            f"the new session"
+                        )
+                    remaining = None
+                    if deadline is not None:
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0:
+                            self._abandon_locked(request_id)
+                            raise TransportError(
+                                f"timed out awaiting response {request_id} "
+                                f"from {self.peer}"
+                            )
+                    self._cv.wait(remaining)
+            finally:
+                # Collected, lost, or timed out: nobody retries it.
                 self._inflight.pop(request_id, None)
 
-    def _lost_locked(self, request_id: int) -> Optional[str]:
-        stamped = self._inflight.get(request_id)
-        if (
-            self._broken is None
-            and stamped is not None
-            and stamped != self._generation
-        ):
-            return (
-                f"response {request_id} was lost to a reconnect; the "
-                f"request must be retried on the new session"
-            )
-        return super()._lost_locked(request_id)
-
     def _abandon_locked(self, request_id: int) -> None:
+        """Drop all bookkeeping for a request nobody will collect."""
         self._inflight.pop(request_id, None)
-        super()._abandon_locked(request_id)
+        if (
+            self._responses.pop(request_id, None) is None
+            and self._broken is None  # a broken link delivers nothing more
+        ):
+            self._abandoned.add(request_id)
+
+    def abandon(self, request_id: int) -> None:
+        """Drop a response an aborted scatter will never collect."""
+        with self._cv:
+            self._abandon_locked(request_id)
 
     def request(self, message, timeout: Optional[float] = None):
         """Convenience: send + receive one frame, raising remote errors."""
@@ -386,24 +488,16 @@ class _SocketClient(_ResponseMux):
                         TransportError("heartbeat timed out"), stamped
                     )
 
-    def add_repin_listener(self, listener) -> None:
+    def attach(self, transport) -> None:
+        """Reset ``transport``'s shard caches on every re-pin from now on,
+        and count reconnects into its metrics."""
         with self._cv:
-            self._repin_listeners.append(listener)
+            self._transports.append(transport)
 
-    def remove_repin_listener(self, listener) -> None:
+    def detach(self, transport) -> None:
         with self._cv:
-            if listener in self._repin_listeners:
-                self._repin_listeners.remove(listener)
-
-    def add_reconnect_sink(self, metrics, kind: str) -> None:
-        """Count physical reconnects into ``metrics`` (deduped by sink)."""
-        with self._cv:
-            self._reconnect_sinks.append((metrics, kind))
-
-    def remove_reconnect_sink(self, metrics, kind: str) -> None:
-        with self._cv:
-            if (metrics, kind) in self._reconnect_sinks:
-                self._reconnect_sinks.remove((metrics, kind))
+            if transport in self._transports:
+                self._transports.remove(transport)
 
 
 class _ClientPool:
@@ -450,13 +544,52 @@ class _ClientPool:
 _POOL = _ClientPool()
 
 
-class SocketTransport(FrameTransport):
-    """Shard sessions pinned behind TCP connections to worker hosts.
+def _absorb_worker_span(trace, shard_id: int, ws, kind: str) -> None:
+    """Stitch a worker-reported timing block into the coordinator's trace.
 
-    ``connect`` lists worker addresses (``host:port``); shards are
+    The worker's ``WorkerSpan`` becomes a ``shard_compute[i]`` span tagged
+    with the *remote* pid/host (the proof the work ran off-process), with
+    its queue dwell as a ``queue_wait`` child leading into compute.
+    Worker and coordinator clocks are the same host clock for process/shm
+    workers and close enough for sockets — good enough for phase bars.
+    """
+    if trace is None or ws is None:
+        return
+    compute = Span(
+        f"shard_compute[{shard_id}]",
+        start=ws.compute_start_unix,
+        end=ws.compute_start_unix + ws.compute_seconds,
+        tags={"pid": str(ws.pid), "host": ws.host, "transport": kind},
+    )
+    if ws.queue_wait_seconds > 0:
+        compute.children.append(
+            Span(
+                "queue_wait",
+                start=ws.compute_start_unix - ws.queue_wait_seconds,
+                end=ws.compute_start_unix,
+                tags={"pid": str(ws.pid), "host": ws.host},
+            )
+        )
+    trace.add_span(compute)
+
+
+class SocketTransport(ShardTransport):
+    """Shard sessions pinned on shard-worker hosts, driven in frames.
+
+    ``connect`` lists TCP worker addresses (``host:port``); shards are
     assigned round-robin across them, and all shards sharing an address
     share one supervised connection (also with other cohorts' transports
-    in this process).
+    in this process).  :class:`ProcessPoolTransport` reuses everything
+    but :meth:`_connect`, spawning its hosts instead.
+
+    How a logical shard operation (round, drain, re-key, refill) is sent
+    to every shard and its replies merged is decided here, once, for
+    every lane: requests are *scattered* to all shards before any reply
+    is *gathered*, so shard work overlaps; every reply is drained even
+    when a shard fails or its link dies, so one bad operation (survivors
+    below ``U``, a killed worker) leaves no frame stranded and the
+    healthy links usable; and a library error that crossed the wire
+    outranks a torn link when both occur.
     """
 
     kind = "socket"
@@ -474,98 +607,146 @@ class SocketTransport(FrameTransport):
         wire_format: str = "raw",
         tracing: bool = True,
     ):
-        super().__init__(specs, metrics, cohort_id, wire_format, tracing)
+        if not specs:
+            raise ProtocolError("transport needs at least one shard spec")
+        if wire_format not in WIRE_FORMATS:
+            raise ProtocolError(
+                f"unknown wire format {wire_format!r}; expected one of "
+                f"{WIRE_FORMATS}"
+            )
+        self.specs = list(specs)
+        self.wire_format = wire_format
+        self.tracing = bool(tracing)
+        #: Per-reply deadline; ``None`` waits for the link to answer or
+        #: break (heartbeat supervision turns a dead peer into the latter).
+        self.request_timeout_s = request_timeout_s
+        self._metrics = metrics
+        self._cohort_id = int(cohort_id)
+        self._gf = FiniteField(self.specs[0].field_modulus)
+        self._round_ids = itertools.count(0)
+        self._closed = False
+        self._close_lock = threading.Lock()
+        self._handles = [
+            ShardHandle(self, shard, spec)
+            for shard, spec in enumerate(self.specs)
+        ]
+        # Every container exists before any link is opened, so the
+        # failure path's close() can always run — a dead address in the
+        # middle of `connect` must release (not leak) the links already
+        # opened.
+        self._clients: List[_SocketClient] = []  # distinct links
+        self._client_of: List[_SocketClient] = []  # per shard
+        self._slot_of: List[Optional[int]] = [None] * len(self.specs)
+        try:
+            self._connect(connect, dict(
+                heartbeat_interval_s=heartbeat_interval_s,
+                heartbeat_timeout_s=heartbeat_timeout_s,
+                setup_timeout_s=setup_timeout_s,
+            ))
+            self._pin_all(setup_timeout_s)
+        except BaseException:
+            self.close()
+            raise
+
+    # ------------------------------------------------------------------
+    # links: open, pin, release
+    # ------------------------------------------------------------------
+    def _connect(self, connect: Sequence[str], supervision: dict) -> None:
+        """Open the lane's links: one pooled client per worker address."""
         if not connect:
             raise ProtocolError(
                 "the socket transport needs at least one worker address "
                 "(connect=['host:port', ...])"
             )
         self.addresses = [parse_address(a) for a in connect]
-        self.request_timeout_s = request_timeout_s
+        for shard in range(len(self.specs)):
+            address = self.addresses[shard % len(self.addresses)]
+            client = next(
+                (c for c in self._clients if c.address == address), None
+            )
+            if client is None:
+                client = _POOL.acquire(address, **supervision)
+                self._clients.append(client)
+            self._client_of.append(client)
 
-        client_kwargs = dict(
-            heartbeat_interval_s=heartbeat_interval_s,
-            heartbeat_timeout_s=heartbeat_timeout_s,
-            setup_timeout_s=setup_timeout_s,
-        )
-        # Every container exists before any client is acquired, so the
-        # except-path _shutdown can always run — a dead address
-        # in the middle of `connect` must release (not leak) the
-        # refcounts of clients already acquired.
-        self._client_of: List[_SocketClient] = []
-        self._clients: List[_SocketClient] = []  # distinct, acquire-counted
-        self._slot_of: List[Optional[int]] = [None] * len(self.specs)
-        self._listeners: List[Tuple[_SocketClient, object]] = []
-        try:
-            for shard in range(len(self.specs)):
-                address = self.addresses[shard % len(self.addresses)]
-                client = next(
-                    (c for c in self._clients if c.address == address), None
+    def _pin_all(self, timeout: float) -> None:
+        """Pin this transport's shards: one SessionSetup per link,
+        batching every shard that rides it (other cohorts' transports
+        add their own slots to a shared connection independently)."""
+        for client in self._clients:
+            shards = [
+                s for s in range(len(self.specs))
+                if self._client_of[s] is client
+            ]
+            slots = client.allocate_slots(len(shards))
+            entries = []
+            for shard, slot in zip(shards, slots):
+                self._slot_of[shard] = slot
+                entries.append((slot, self.specs[shard]))
+            # Register the slots for re-pin BEFORE the setup round trip: a
+            # connection break landing between the ack and a later
+            # registration would replay a SessionSetup missing these
+            # slots, stranding them forever on a connection that then
+            # looks healthy.  (On failure, _shutdown removes them again.)
+            with client._cv:
+                client._slot_specs.update(entries)
+            if self.wire_format == "packed":
+                client.request_capability(CAP_PACKED_ARRAYS)
+            if self.tracing:
+                client.request_capability(CAP_ROUND_TRACING)
+            if any(self.specs[s].supports_drains for s in shards):
+                client.request_capability(CAP_BUFFERED_DRAINS)
+            client.ensure_connected()  # a pooled client may be broken
+            ack = client.pin(entries, timeout)
+            if set(ack.slots) != set(slots):
+                raise TransportError(
+                    f"worker at {client.peer} acknowledged slots "
+                    f"{ack.slots}, expected {slots}"
                 )
-                if client is None:
-                    client = _POOL.acquire(address, **client_kwargs)
-                    self._clients.append(client)
-                self._client_of.append(client)
-
-            # Pin this transport's shards: one SessionSetup per
-            # connection, batching every shard that rides it (other
-            # cohorts' transports add their own slots to the same
-            # connections independently).
-            for client in self._clients:
-                shards = [
-                    s for s in range(len(self.specs))
-                    if self._client_of[s] is client
-                ]
-                slots = client.allocate_slots(len(shards))
-                entries = []
-                for shard, slot in zip(shards, slots):
-                    self._slot_of[shard] = slot
-                    entries.append((slot, self.specs[shard]))
-                # Register the slots for re-pin BEFORE the setup round
-                # trip: a connection break landing between the ack and a
-                # later registration would replay a SessionSetup missing
-                # these slots, stranding them forever on a connection
-                # that then looks healthy.  (On failure, _shutdown
-                # removes them again.)
-                with client._cv:
-                    client._slot_specs.update(entries)
-                if self.wire_format == "packed":
-                    client.request_capability(CAP_PACKED_ARRAYS)
-                if self.tracing:
-                    client.request_capability(CAP_ROUND_TRACING)
-                if any(
-                    self.specs[s].supports_drains for s in shards
-                ):
-                    client.request_capability(CAP_BUFFERED_DRAINS)
-                client.ensure_connected()  # a pooled client may be broken
-                ack = client.pin(entries, setup_timeout_s)
-                if set(ack.slots) != set(slots):
-                    raise TransportError(
-                        f"worker at {client.peer} acknowledged slots "
-                        f"{ack.slots}, expected {slots}"
-                    )
-                listener = functools.partial(self._on_repin, client)
-                client.add_repin_listener(listener)
-                self._listeners.append((client, listener))
-                if self._metrics is not None:
-                    client.add_reconnect_sink(self._metrics, self.kind)
-        except BaseException:
-            self._shutdown()
-            raise
+            client.attach(self)
 
     def _on_repin(self, client: _SocketClient) -> None:
         # The worker rebuilt this connection's sessions from their
         # specs: fresh pools, fresh counters.  Reset the local caches
-        # to match.  (The reconnect itself is counted once per
-        # physical connection by the client's reconnect sinks.)
+        # to match.
         for shard, owner in enumerate(self._client_of):
             if owner is client:
                 self._handles[shard]._absorb(0, SessionStats(), closed=False)
 
+    def _shutdown(self) -> None:
+        """Release this transport's slots and client references (also the
+        constructor's failure path, so it tolerates partial state)."""
+        for client in self._clients:
+            client.detach(self)
+            # _client_of may be shorter than specs (failed mid-init) and
+            # slots may be unallocated (None): release what exists.
+            slots = [
+                self._slot_of[s]
+                for s in range(len(self._client_of))
+                if self._client_of[s] is client
+                and self._slot_of[s] is not None
+            ]
+            if slots and client.alive:
+                try:
+                    client.request(
+                        SessionTeardown(slots),
+                        timeout=client.heartbeat_timeout_s,
+                    )
+                except (TransportError, ProtocolError):
+                    pass
+            with client._cv:
+                for slot in slots:
+                    client._slot_specs.pop(slot, None)
+            _POOL.release(client)
+
     # ------------------------------------------------------------------
-    # what the shared scatter-gather asks of this lane
+    # one request on one shard's link
     # ------------------------------------------------------------------
-    def _address(self, client: _SocketClient, shard_id: int, message) -> None:
+    def _request(self, shard_id: int, message) -> Tuple[int, int]:
+        """Send one request; returns ``(request_id, frame_bytes)``."""
+        if self._closed:
+            raise ProtocolError("session is closed")
+        client = self._client_of[shard_id]
         # Route by slot: the wire's shard_id field addresses the slot the
         # worker pinned this shard's session at (connection-unique, so
         # several cohorts can share the connection).
@@ -587,30 +768,174 @@ class SocketTransport(FrameTransport):
             CAP_ROUND_TRACING
         ):
             message.trace_id = 0
-
-    def _client(self, shard_id: int) -> _SocketClient:
-        return self._client_of[shard_id]
-
-    def _require_buffered(self, shard_id: int, what: str) -> None:
-        client = self._client_of[shard_id]
-        client.ensure_connected()
-        if not client.supports(CAP_BUFFERED_DRAINS):
-            # Unlike packed/tracing there is no raw fallback frame an old
-            # worker could serve, so fail loud.
+        # Drains and re-keys have no fallback frame an old worker could
+        # serve, so they fail loud instead.
+        if isinstance(
+            message, (ShardDrainRequest, RekeyRequest)
+        ) and not client.supports(CAP_BUFFERED_DRAINS):
             raise TransportError(
-                f"worker at {client.peer} does not support {what} "
-                "(CAP_BUFFERED_DRAINS not acknowledged)"
+                f"worker at {client.peer} does not support buffered drains "
+                "or re-keying (CAP_BUFFERED_DRAINS not acknowledged)"
             )
+        request_id = client.next_id()
+        return request_id, client.send(message, request_id)
 
-    def _respec(self, shard_id: int, spec: ShardSessionSpec) -> None:
-        # The client's re-pin registry is one more stored copy: a
-        # reconnect after the re-key must replay a ``SessionSetup``
-        # carrying the *new* geometry.
-        super()._respec(shard_id, spec)
-        client, slot = self._client_of[shard_id], self._slot_of[shard_id]
-        with client._cv:
-            if slot in client._slot_specs:
-                client._slot_specs[slot] = spec
+    def _await(self, shard_id: int, request_id: int):
+        return self._client_of[shard_id].receive(
+            request_id, timeout=self.request_timeout_s
+        )
+
+    # -- per-request hooks the shm lane overrides ---------------------------
+    def _round_request(self, shard_id, round_id, updates, dropouts,
+                       offline_dropouts) -> Tuple[ShardRoundRequest, int]:
+        """Build one shard's round request; returns it with the bytes
+        staged outside the frame (none, unless the lane stages payloads)."""
+        request = ShardRoundRequest.from_updates(
+            shard_id, round_id, updates, dropouts, offline_dropouts,
+            packed=self.wire_format == "packed",
+        )
+        return request, 0
+
+    def _round_result(self, message) -> Tuple[AggregationResult, int]:
+        """Rebuild one shard's result; returns it with the bytes read
+        from outside the frame."""
+        return message.to_result(), 0
+
+    # ------------------------------------------------------------------
+    # the scatter-gather, written once
+    # ------------------------------------------------------------------
+    def _scatter(self, make_request) -> Tuple[List[Tuple[int, int]], int]:
+        """Send ``make_request(shard_id)`` to every shard, in shard order;
+        returns the pending ``(shard_id, request_id)`` pairs and the
+        bytes framed."""
+        pending: List[Tuple[int, int]] = []
+        bytes_sent = 0
+        try:
+            for shard_id in range(len(self.specs)):
+                request_id, nbytes = self._request(
+                    shard_id, make_request(shard_id)
+                )
+                bytes_sent += nbytes
+                pending.append((shard_id, request_id))
+        except BaseException:
+            # An aborted scatter (one link down) must not strand the
+            # requests already sent to healthy workers: abandon them so
+            # their responses are dropped on arrival, not leaked.
+            for shard_id, request_id in pending:
+                self._client_of[shard_id].abandon(request_id)
+            raise
+        return pending, bytes_sent
+
+    def _gather(self, pending, absorb):
+        """Collect *every* pending reply, then report.
+
+        Returns ``(values, bytes_received, error)``: ``absorb(shard_id,
+        message)`` per good reply (``None`` for a failed shard), and the
+        first failure to raise once the drain is complete — a lost shard
+        fails only its own slot, the rest are still collected.
+        """
+        values: list = []
+        bytes_received = 0
+        refused: Optional[ErrorFrame] = None
+        lost: Optional[TransportError] = None
+        for shard_id, request_id in pending:
+            value = None
+            try:
+                message, nbytes = self._await(shard_id, request_id)
+            except TransportError as exc:
+                lost = lost or exc
+            else:
+                bytes_received += nbytes
+                if isinstance(message, ErrorFrame):
+                    refused = refused or message
+                else:
+                    # Every reply carries the shard's pool state: refresh
+                    # the handle cache here, for every operation alike.
+                    self._handles[shard_id]._absorb(
+                        message.pool_level, message.stats,
+                        getattr(message, "closed", None),
+                    )
+                    value = absorb(shard_id, message)
+            values.append(value)
+        # Library errors (a shard's DropoutError crossing the wire) take
+        # precedence; a torn connection surfaces as TransportError.
+        return values, bytes_received, refused or lost
+
+    @staticmethod
+    def _raise(error) -> None:
+        if isinstance(error, ErrorFrame):
+            error.raise_()
+        if error is not None:
+            raise error
+
+    def _compute_all(self, per_shard_updates, make_request):
+        """One round or drain: scatter, gather, account, raise.
+
+        ``make_request(shard_id, op_id)`` and :meth:`_round_result` each
+        return their value plus the payload bytes moved outside frames.
+        """
+        if len(per_shard_updates) != len(self.specs):
+            raise ProtocolError(
+                f"expected {len(self.specs)} shard update slices, got "
+                f"{len(per_shard_updates)}"
+            )
+        t0 = time.perf_counter()
+        op_id = next(self._round_ids)
+        trace = current_trace() if self.tracing else None
+        shm_bytes = 0
+        stalled_shards = 0
+
+        def request_for(shard_id):
+            nonlocal shm_bytes
+            request, staged = make_request(shard_id, op_id)
+            shm_bytes += staged
+            if trace is not None:
+                request.trace_id = trace.trace_id
+            return request
+
+        def absorb(shard_id, message):
+            nonlocal shm_bytes, stalled_shards
+            stalled_shards += int(message.stalled)
+            _absorb_worker_span(
+                trace, shard_id, message.worker_span, self.kind
+            )
+            result, read = self._round_result(message)
+            shm_bytes += read
+            return result
+
+        with span("shard_scatter", transport=self.kind):
+            pending, bytes_sent = self._scatter(request_for)
+        with span("shard_gather", transport=self.kind):
+            results, bytes_received, error = self._gather(pending, absorb)
+        if self._metrics is not None:
+            # Per-request accounting: only this operation's own frames
+            # count, not concurrent background-refill traffic on the same
+            # links.
+            self._metrics.record_transport_round(
+                self.kind,
+                time.perf_counter() - t0,
+                bytes_sent=bytes_sent,
+                bytes_received=bytes_received,
+                stalled_shards=stalled_shards,
+                shm_bytes=shm_bytes,
+            )
+        self._raise(error)
+        return results
+
+    # ------------------------------------------------------------------
+    # ShardTransport surface
+    # ------------------------------------------------------------------
+    @property
+    def shard_handles(self) -> Sequence[ShardHandle]:
+        return self._handles
+
+    @property
+    def gf(self) -> FiniteField:
+        return self._gf
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
 
     @property
     def num_workers(self) -> int:
@@ -618,36 +943,257 @@ class SocketTransport(FrameTransport):
 
     @property
     def workers_alive(self) -> int:
+        if self._closed:
+            return 0
         return sum(1 for client in self._clients if client.alive)
 
-    def _shutdown(self) -> None:
-        """Release this transport's slots and client references (also the
-        constructor's failure path, so it tolerates partial state)."""
-        for client, listener in self._listeners:
-            client.remove_repin_listener(listener)
-            if self._metrics is not None:
-                client.remove_reconnect_sink(self._metrics, self.kind)
-        self._listeners = []
-        for client in self._clients:
-            # _client_of may be shorter than specs (failed mid-init) and
-            # slots may be unallocated (None): release what exists.
-            slots = [
-                self._slot_of[s]
-                for s in range(len(self._client_of))
-                if self._client_of[s] is client
-                and self._slot_of[s] is not None
-            ]
-            if slots and client.alive:
-                try:
-                    client.request(
-                        SessionTeardown(slots),
-                        timeout=client.heartbeat_timeout_s,
-                    )
-                except (TransportError, ProtocolError):
-                    pass
+    def run_all(self, per_shard_updates, dropouts, rng=None, **phase_kwargs):
+        """Scatter one round request per shard, then gather every result.
+
+        The caller's ``rng`` cannot cross a process boundary and is
+        ignored; online rounds of pooled sessions draw nothing from it.
+        """
+        offline_dropouts = phase_kwargs.pop("offline_dropouts", None)
+        if phase_kwargs:
+            raise TransportError(
+                f"the {self.kind} transport cannot forward phase kwargs "
+                f"{sorted(phase_kwargs)} over the wire"
+            )
+        return self._compute_all(
+            per_shard_updates,
+            lambda shard_id, round_id: self._round_request(
+                shard_id, round_id, per_shard_updates[shard_id], dropouts,
+                offline_dropouts,
+            ),
+        )
+
+    def drain_all(self, weights, per_shard_updates, recovery_dropouts):
+        """Scatter one buffered drain per shard, then gather every result.
+
+        Drain payloads always ride the frame (even on the shm lane): a
+        drain matrix is ``(B, width)`` with ``B <= N`` rows of *buffered*
+        deliveries, and the shm arena's request regions are sized for
+        the fixed member count at construction — re-keying can grow the
+        buffer past them, so the frame is the lane that stays correct
+        across membership churn.
+        """
+        weights = np.asarray(weights, dtype=np.uint64)
+
+        def drain_request(shard_id, drain_id):
+            return ShardDrainRequest(
+                shard_id=shard_id,
+                drain_id=drain_id,
+                weights=weights,
+                updates=per_shard_updates[shard_id],
+                recovery_dropouts=set(recovery_dropouts),
+                packed=self.wire_format == "packed",
+            ), 0
+
+        return self._compute_all(per_shard_updates, drain_request)
+
+    def rekey_all(self, num_users: int) -> int:
+        """Re-key every shard's worker session for a new member count."""
+        def absorb(shard_id, message):
+            # Refresh every stored copy of the shard's spec, so a later
+            # reconnect re-pins the *new* geometry.
+            spec = replace(self.specs[shard_id], num_users=num_users)
+            self.specs[shard_id] = spec
+            self._handles[shard_id].spec = spec
+            client, slot = self._client_of[shard_id], self._slot_of[shard_id]
             with client._cv:
-                for slot in slots:
-                    client._slot_specs.pop(slot, None)
-            _POOL.release(client)
-        self._clients = []
-        self._client_of = []
+                if slot in client._slot_specs:
+                    client._slot_specs[slot] = spec
+            return max(0, -int(message.rounds_added))
+
+        pending, _ = self._scatter(
+            lambda shard_id: RekeyRequest(shard_id, num_users)
+        )
+        invalidated, _, error = self._gather(pending, absorb)
+        self._raise(error)
+        return sum(invalidated)
+
+    def refill_all(self, rounds: Optional[int] = None) -> int:
+        """Scatter refills to every shard, then join — encodes overlap."""
+        pending, _ = self._scatter(
+            lambda shard_id: RefillRequest(shard_id, rounds)
+        )
+        added, _, error = self._gather(
+            pending, lambda shard_id, message: int(message.rounds_added)
+        )
+        self._raise(error)
+        return max(added)
+
+    def close(self) -> None:
+        with self._close_lock:
+            if self._closed:
+                return
+            self._closed = True
+        self._shutdown()
+        for handle in self._handles:
+            handle.close()
+
+    def __del__(self):  # best-effort; daemon workers die with the parent
+        try:
+            self.close()
+        except Exception:
+            pass
+
+
+class ProcessPoolTransport(SocketTransport):
+    """Shard sessions pinned in long-lived shard-worker child processes.
+
+    Each of ``num_workers`` children runs the shard-worker host
+    (:func:`~repro.service.socket_worker.serve_local`) over one end of a
+    ``socketpair``; this transport holds the other end in the same
+    supervised client the ``socket`` lane uses, so frames, slots,
+    capability negotiation, heartbeats and the Shutdown handshake are
+    the socket lane's.  ``num_workers`` defaults to one worker per shard;
+    shard ``s`` lives on worker ``s % num_workers``, so fewer workers
+    host several shards each, whose rounds then serialize on that
+    worker's round thread — capacity is traded explicitly, never
+    silently dropped.
+
+    ``payload_mode="shm"`` stages vector payloads in a coordinator-owned
+    shared-memory segment (one region pair per shard) and frames only
+    ``(name, offset)`` references, so element bytes never transit the
+    socket.  Regions are reused round over round — safe because at most
+    one round per shard is in flight — and the segment is unlinked in
+    :meth:`close` (with a ``__del__`` backstop), so a worker dying
+    mid-round cannot leak ``/dev/shm`` entries.
+    """
+
+    kind = "process"
+
+    #: Supervision of the local hosts (class-level, so tests can shorten
+    #: it): a frozen or wedged worker fails its rounds within
+    #: ``heartbeat_interval_s + heartbeat_timeout_s``.
+    heartbeat_interval_s = 2.0
+    heartbeat_timeout_s = 10.0
+
+    def __init__(
+        self,
+        specs: Sequence[ShardSessionSpec],
+        num_workers: Optional[int] = None,
+        metrics=None,
+        cohort_id: int = 0,
+        wire_format: str = "raw",
+        payload_mode: str = "pipe",
+        tracing: bool = True,
+    ):
+        if num_workers is not None and num_workers < 1:
+            raise ProtocolError(
+                f"need >= 1 worker process, got {num_workers}"
+            )
+        if payload_mode not in ("pipe", "shm"):
+            raise ProtocolError(
+                f"unknown payload mode {payload_mode!r}; expected "
+                f"'pipe' or 'shm'"
+            )
+        self.payload_mode = payload_mode
+        if payload_mode == "shm":
+            # Report under a distinct metrics lane: the whole point of
+            # the mode is a different wire_bytes profile.
+            self.kind = "shm"
+        self._workers = min(num_workers or len(specs), len(specs))
+        self._arena: Optional[SegmentArena] = None
+        self._regions: List[Tuple[int, int]] = []  # (req_off, resp_off)
+        self._registry: Optional[ShmRegistry] = None
+        super().__init__(
+            specs, connect=(), metrics=metrics, cohort_id=cohort_id,
+            heartbeat_interval_s=self.heartbeat_interval_s,
+            heartbeat_timeout_s=self.heartbeat_timeout_s,
+            wire_format=wire_format, tracing=tracing,
+        )
+
+    def _connect(self, connect, supervision: dict) -> None:
+        """Spawn one shard-worker host per worker, each over a socketpair."""
+        shm = None
+        if self.payload_mode == "shm":
+            offset = 0
+            for spec in self.specs:
+                req_nbytes = spec.num_users * spec.shard_dim * 8
+                resp_nbytes = spec.shard_dim * 8
+                self._regions.append((offset, offset + req_nbytes))
+                offset += req_nbytes + resp_nbytes
+            self._arena = SegmentArena(offset)
+            self._registry = ShmRegistry()
+            self._registry.add_local(self._arena)
+            shm = self._registry.resolve
+        ctx = multiprocessing.get_context()
+        for worker in range(self._workers):
+            ours, theirs = socket.socketpair()
+            name = f"shard-worker-{self._cohort_id}-{worker}"
+            process = ctx.Process(
+                target=serve_local, args=(theirs, name), name=name,
+                daemon=True,
+            )
+            try:
+                process.start()
+            except BaseException:
+                ours.close()
+                raise
+            finally:
+                # Closed here before the next fork, so only this child
+                # holds its end and its death reads as EOF on ours.
+                theirs.close()
+            self._clients.append(_SocketClient(
+                sock=ours, process=process, shm=shm, **supervision
+            ))
+        self._client_of = [
+            self._clients[s % self._workers] for s in range(len(self.specs))
+        ]
+
+    def _shutdown(self) -> None:
+        # The hosts are private: no slots to hand back, no neighbours to
+        # spare.  Each link's Shutdown handshake lets a refill in flight
+        # finish before its host exits.
+        for client in self._clients:
+            client.close()
+        # Segment teardown strictly after worker teardown: the workers
+        # hold attachments, and unlinking first would turn a late round
+        # into a crash instead of a clean shutdown error.
+        if self._registry is not None:
+            self._registry.close()
+        if self._arena is not None:
+            self._arena.close()
+
+    # -- shm payload staging (per-request hooks) -------------------------
+    def _round_request(self, shard_id, round_id, updates, dropouts,
+                       offline_dropouts):
+        """In shm mode, write the shard's update matrix into its arena
+        region and frame only the references."""
+        if self._arena is None:
+            return super()._round_request(
+                shard_id, round_id, updates, dropouts, offline_dropouts
+            )
+        req_off, resp_off = self._regions[shard_id]
+        width = self.specs[shard_id].shard_dim
+        user_ids = sorted(updates)
+        shape = (len(user_ids), width) if user_ids else (0, 0)
+        matrix = self._arena.ndarray(req_off, shape)
+        for i, uid in enumerate(user_ids):
+            matrix[i] = updates[uid]
+        request = ShardRoundRequest(
+            shard_id=shard_id,
+            round_id=round_id,
+            user_ids=user_ids,
+            updates=matrix,
+            dropouts=set(dropouts),
+            offline_dropouts=set(offline_dropouts or set()),
+            updates_ref=ShmArrayRef(
+                name=self._arena.name, offset=req_off, shape=shape
+            ),
+            result_ref=ShmArrayRef(
+                name=self._arena.name, offset=resp_off, shape=(width,)
+            ),
+        )
+        return request, matrix.nbytes
+
+    def _round_result(self, message):
+        result, _ = super()._round_result(message)
+        if message.aggregate_ref is None:
+            return result, 0
+        # The aggregate aliases this shard's response region, which the
+        # next round will overwrite — detach it.
+        result.aggregate = np.array(result.aggregate)
+        return result, result.aggregate.nbytes

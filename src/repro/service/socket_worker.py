@@ -1,14 +1,15 @@
-"""Standalone shard-worker host: serve shard sessions over TCP.
+"""The shard-worker host: serve shard sessions over a stream socket.
 
-This is the process a multi-host deployment runs next to each worker
-machine's cores (``repro shard-worker --listen host:port``).  It speaks
-exactly the :mod:`repro.wire` frames the in-host process backend speaks
-over its pipes — the point of the versioned format — reassembled from
-the byte stream by :class:`~repro.wire.stream.FrameAssembler` and
-written back with vectored sends.
+Every out-of-process lane runs its shards here.  A multi-host deployment
+runs it next to each worker machine's cores (``repro shard-worker
+--listen host:port``, :class:`ShardWorkerServer`); the same-host lanes
+spawn it as a child process over one end of a ``socketpair``
+(:func:`serve_local`).  Either way one :class:`_Connection` serves one
+coordinator link, speaking :mod:`repro.wire` frames reassembled from the
+byte stream by :class:`~repro.wire.stream.FrameAssembler` and written
+back with vectored sends.
 
-Execution model, per connection (mirroring ``_worker_serve`` in
-:mod:`repro.service.transport`, plus what remoteness demands):
+Execution model, per connection:
 
 * The *receive* thread reads frames and dispatches.  :class:`Ping`
   heartbeats are echoed from here immediately, so connection
@@ -16,18 +17,17 @@ Execution model, per connection (mirroring ``_worker_serve`` in
   executes.
 * A *round* thread serves round, snapshot, and session setup/teardown
   requests in arrival order — the latency-critical path, serialized per
-  connection exactly like the process backend's worker main thread.
+  connection.
 * A *refill* thread runs pool top-ups, so refills overlap rounds on the
   same connection (the session's pool lock is the only coupling).
 
 What a shard request *means* is not decided here: both serving threads
-hand it to :func:`repro.service.worker.serve_request`, the handler the
-subprocess workers use too.
+hand it to :func:`repro.service.worker.serve_request`.
 
 Sessions are built *here*, from declarative
 :class:`~repro.service.transport.ShardSessionSpec` entries carried by
 :class:`~repro.wire.SessionSetup` frames — nothing live ever crosses
-the network.  Each spec is bound to a connection-unique *slot* id, and
+the link.  Each spec is bound to a connection-unique *slot* id, and
 one connection can host slots for several cohorts at once (the
 coordinator side batches all its cohorts' shards over one connection
 per address); :class:`~repro.wire.SessionTeardown` releases one
@@ -35,11 +35,15 @@ cohort's slots without disturbing the rest.  All responses carry their
 request's id, so out-of-order completion across the two serving threads
 routes correctly on the coordinator.
 
-A connection's sessions die with it: on EOF, error, or
-:class:`~repro.wire.Shutdown`, every session the connection hosts is
-closed.  Reconnecting coordinators re-pin by replaying their
-``SessionSetup`` (see ``SocketTransport``), which rebuilds identical
-sessions from the specs.
+Only a locally spawned host gets a :class:`~repro.wire.ShmRegistry`, so
+only it resolves frames that reference the coordinator's shared-memory
+segments; a TCP-accepted connection refuses them.
+
+A connection's sessions die with it: on EOF, error,
+:class:`~repro.wire.Shutdown`, or the server stopping, every session the
+connection hosts is closed.  Reconnecting coordinators re-pin by
+replaying their ``SessionSetup`` (see ``SocketTransport``), which
+rebuilds identical sessions from the specs.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import queue
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import TransportError, WireError
 from repro.field.arithmetic import FiniteField
@@ -63,6 +67,7 @@ from repro.wire import (
     SessionSetup,
     SessionTeardown,
     SetupAck,
+    ShmRegistry,
     Shutdown,
     decode_message,
     encode_segments,
@@ -82,20 +87,33 @@ def parse_address(text: str) -> Tuple[str, int]:
 
 
 class _Connection:
-    """One coordinator connection: its sessions, threads, and send lock."""
+    """One coordinator link: its sessions, threads, and send lock.
 
-    def __init__(self, server: "ShardWorkerServer", sock: socket.socket,
-                 peer: str):
-        self.server = server
+    ``registry`` (local hosts only) resolves shared-memory references in
+    requests and receives aggregates placed at their ``result_ref``;
+    ``on_close`` is called once the link is torn down.
+    """
+
+    def __init__(
+        self,
+        sock: socket.socket,
+        peer: str,
+        capabilities: int = SUPPORTED_CAPABILITIES,
+        registry: Optional[ShmRegistry] = None,
+        on_close: Optional[Callable[["_Connection"], None]] = None,
+    ):
         self.sock = sock
         self.peer = peer
+        self.capabilities = int(capabilities)
+        self.registry = registry
+        self._on_close = on_close
         self.sessions: Dict[int, object] = {}
         self._sessions_lock = threading.Lock()
         self._send_lock = threading.Lock()
         self._fields: Dict[int, FiniteField] = {}
-        self._round_queue: "queue.Queue" = queue.Queue()
-        self._refill_queue: "queue.Queue" = queue.Queue()
-        self._closed = threading.Event()
+        self._round_queue = queue.SimpleQueue()
+        self._refill_queue = queue.SimpleQueue()
+        self._closed = False  # guarded by _sessions_lock
         self._threads = [
             threading.Thread(
                 target=self._recv_loop, name=f"shard-host-recv-{peer}",
@@ -114,6 +132,10 @@ class _Connection:
     def start(self) -> None:
         for thread in self._threads:
             thread.start()
+
+    def wait(self) -> None:
+        """Block until the link has ended (its receive thread returned)."""
+        self._threads[0].join()
 
     # ------------------------------------------------------------------
     def _send(self, message, request_id: int) -> None:
@@ -136,7 +158,7 @@ class _Connection:
     def _recv_loop(self) -> None:
         assembler = FrameAssembler()
         try:
-            while not self._closed.is_set():
+            while not self._closed:
                 try:
                     frames = recv_frames(self.sock, assembler)
                 except (EOFError, OSError):
@@ -150,18 +172,21 @@ class _Connection:
                     except (OSError, WireError):
                         return  # peer vanished mid-reply / bad frame
         finally:
-            self._teardown()
+            self.close()
 
     def _dispatch(self, frame: bytes) -> bool:
         """Route one frame; returns True when the connection should end."""
-        request_id, message = decode_message(frame)
+        request_id, message = decode_message(
+            frame,
+            shm=self.registry.resolve if self.registry is not None else None,
+        )
         if isinstance(message, Ping):
             self._send(message, request_id)
             return False
         if isinstance(message, Shutdown):
-            # Contract matches the process worker: queued work (a refill
-            # in flight included) completes and its responses are
-            # delivered before the shutdown is acknowledged.
+            # Contract: queued work (a refill in flight included)
+            # completes and its responses are delivered before the
+            # shutdown is acknowledged.
             self._drain_queues()
             self._close_sessions()
             try:
@@ -209,16 +234,19 @@ class _Connection:
     # ------------------------------------------------------------------
     # serving threads
     # ------------------------------------------------------------------
-    def _serve_loop(self, work: "queue.Queue") -> None:
+    def _serve_loop(self, work: queue.SimpleQueue) -> None:
         """Serve one queue's requests in arrival order (round or refill
-        thread); shard requests go to the handler every lane shares."""
+        thread); shard requests go to the one shared handler."""
         for request_id, message, enqueued_at in iter(work.get, None):
             reply = functools.partial(self._send, request_id=request_id)
             try:
                 if isinstance(message, (SessionSetup, SessionTeardown)):
                     reply(self._apply_setup(message))
                 else:
-                    serve_request(message, self._session, reply, enqueued_at)
+                    serve_request(
+                        message, self._session, reply, enqueued_at,
+                        registry=self.registry,
+                    )
             except OSError:
                 return  # peer gone mid-response
 
@@ -229,12 +257,11 @@ class _Connection:
                 return SetupAck(self._unpin(message.slots))
             slots = [self._pin(slot, spec) for slot, spec in message.entries]
             # Capability negotiation: grant the intersection of what the
-            # coordinator asked for and what this server was built to
+            # coordinator asked for and what this host was built to
             # speak (capabilities=0 emulates an old worker — the
             # coordinator then falls back to raw).
             return SetupAck(
-                slots,
-                capabilities=message.capabilities & self.server.capabilities,
+                slots, capabilities=message.capabilities & self.capabilities
             )
         except Exception as exc:  # noqa: BLE001 - forwarded to peer
             return ErrorFrame.from_exception(0, exc)
@@ -256,23 +283,17 @@ class _Connection:
         for session in sessions.values():
             session.close()
 
-    def _teardown(self) -> None:
-        if self._closed.is_set():
-            return
-        self._closed.set()
-        self._round_queue.put(None)
-        self._refill_queue.put(None)
-        self._close_sessions()
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-        self.server._forget(self)
-
     def close(self) -> None:
-        """Abrupt close from the server side (stop / restart)."""
-        self._closed.set()
+        """Release everything the link holds.  Runs exactly once, whether
+        the receive thread (EOF, error, Shutdown) or the server stopping
+        gets here first."""
+        with self._sessions_lock:
+            if self._closed:
+                return
+            self._closed = True
         try:
+            # shutdown() wakes a receive thread blocked in recv(); close()
+            # alone would leave it pinned to the kernel socket.
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
@@ -282,6 +303,25 @@ class _Connection:
             pass
         self._round_queue.put(None)
         self._refill_queue.put(None)
+        self._close_sessions()
+        if self.registry is not None:
+            self.registry.close()
+        if self._on_close is not None:
+            self._on_close(self)
+
+
+def serve_local(sock: socket.socket, peer: str) -> None:
+    """Host one coordinator link for the whole life of a spawned worker.
+
+    The target of the child processes behind the same-host lanes
+    (``ProcessPoolTransport``): the coordinator holds the other end of
+    ``sock``'s socketpair.  The registry lets requests reference the
+    coordinator's shared-memory segments; it only ever attaches, and it
+    detaches when the link ends.
+    """
+    connection = _Connection(sock, peer, registry=ShmRegistry())
+    connection.start()
+    connection.wait()
 
 
 class ShardWorkerServer:
@@ -351,7 +391,12 @@ class ShardWorkerServer:
                 sock.close()
                 return
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            connection = _Connection(self, sock, f"{peer[0]}:{peer[1]}")
+            # No registry: a remote peer must never make this host map
+            # /dev/shm segments, so frames carrying shm refs are refused.
+            connection = _Connection(
+                sock, f"{peer[0]}:{peer[1]}",
+                capabilities=self.capabilities, on_close=self._forget,
+            )
             with self._lock:
                 self._connections.append(connection)
             connection.start()
@@ -385,8 +430,6 @@ class ShardWorkerServer:
     def serve_forever(self, poll_s: float = 0.2,
                       max_seconds: Optional[float] = None) -> None:
         """Block until :meth:`stop` (or ``max_seconds``); for the CLI."""
-        import time
-
         self.start()
         deadline = None if max_seconds is None else (
             time.monotonic() + max_seconds

@@ -1,13 +1,11 @@
-"""The one worker-side handler for shard requests, shared by every lane.
+"""What a shard request means on the worker: the one handler.
 
-A subprocess worker (``_worker_serve`` in :mod:`repro.service.transport`)
-and a ``repro shard-worker`` connection
-(:mod:`repro.service.socket_worker`) differ in how frames arrive, which
-thread serves them, and how sessions are pinned — not in what a request
-*means*.  :func:`serve_request` is that meaning, written once: message +
-session lookup + enqueue stamp in, reply message out.  The callers keep
-their own threading and lifecycle frames (``SessionSetup`` /
-``SessionTeardown`` / ``Ping`` / ``Shutdown``).
+Every out-of-process lane runs its shards on a shard-worker host
+(:mod:`repro.service.socket_worker`), and each host connection's round
+and refill threads hand every shard request to :func:`serve_request`:
+message + session lookup + enqueue stamp in, reply message out.  The
+host keeps its own threading and the lifecycle frames (``SessionSetup``
+/ ``SessionTeardown`` / ``Ping`` / ``Shutdown``).
 """
 
 from __future__ import annotations
@@ -90,8 +88,7 @@ def _compute(message, session, enqueued_at, registry) -> ShardRoundResult:
     worker_span = None
     if message.trace_id:
         # The enqueue stamp is where a traced request's queue-wait clock
-        # starts; a lane that serves straight off its pipe passes none
-        # and reports no measurable dwell.
+        # starts; a caller that passes none reports no measurable dwell.
         waited = 0.0 if enqueued_at is None else compute_start - enqueued_at
         worker_span = WorkerSpan(
             trace_id=message.trace_id,
@@ -160,9 +157,10 @@ def serve_request(
 ) -> None:
     """Serve one shard request and ``send`` exactly one reply for it.
 
-    ``lookup(shard_id)`` resolves the session the request addresses (a
-    shard id on the process lanes, a connection-unique slot on the socket
-    lane).  Anything the lookup, the session, or encoding the reply
+    ``lookup(shard_id)`` resolves the session the request addresses (the
+    wire's shard id is a connection-unique slot).  ``registry`` is the
+    host's shared-memory registry, if it has one: a request carrying a
+    ``result_ref`` gets its aggregate placed there.  Anything the lookup, the session, or encoding the reply
     raises goes back as an :class:`~repro.wire.ErrorFrame`; only a dead
     peer (``OSError`` from ``send``) reaches the caller.
     """

@@ -35,6 +35,7 @@ from repro.service import (
     WireFormat,
     build_transport,
 )
+from repro.wire import SegmentArena, ShardRoundRequest, ShmArrayRef, ShmRegistry
 
 N, DIM, SHARDS = 8, 37, 3
 
@@ -541,3 +542,60 @@ class TestMixedVersionInterop:
             assert client.supports(CAP_PACKED_ARRAYS)
         finally:
             transport.close()
+
+
+class TestWorkerHostBoundaries:
+    def test_stop_closes_every_hosted_session(self):
+        """stop() tears every connection down exactly once, whichever of
+        the server and the connection's own receive thread gets there
+        first: the hosted sessions close and the connection is
+        forgotten."""
+        server = ShardWorkerServer().start()
+        _, specs = make_specs()
+        transport = SocketTransport(specs, connect=[server.address], **FAST)
+        try:
+            [connection] = server._connections
+            hosted = list(connection.sessions.values())
+            assert len(hosted) == SHARDS
+            server.stop()
+            assert server.connection_count == 0
+            assert all(session.closed for session in hosted)
+        finally:
+            transport.close()
+            server.stop()
+
+    def test_tcp_host_refuses_shared_memory_references(self, server,
+                                                      monkeypatch):
+        """A TCP-accepted connection has no shm registry: a round request
+        referencing a /dev/shm segment attaches nothing and reaches the
+        coordinator as a typed TransportError."""
+        attached = []
+        monkeypatch.setattr(
+            ShmRegistry, "resolve", lambda self, name: attached.append(name)
+        )
+        _, specs = make_specs(shards=1)
+        width = specs[0].shard_dim
+        transport = SocketTransport(specs, connect=[server.address], **FAST)
+        arena = SegmentArena((N + 1) * width * 8)
+        try:
+            assert server._connections[0].registry is None
+            matrix = arena.ndarray(0, (N, width))
+            matrix[:] = 1
+            request = ShardRoundRequest(
+                shard_id=0, round_id=0, user_ids=list(range(N)),
+                updates=matrix,
+                updates_ref=ShmArrayRef(
+                    name=arena.name, offset=0, shape=(N, width)
+                ),
+                result_ref=ShmArrayRef(
+                    name=arena.name, offset=N * width * 8, shape=(width,)
+                ),
+            )
+            request_id, _ = transport._request(0, request)
+            with pytest.raises(TransportError):
+                transport._await(0, request_id)
+            assert attached == []
+            assert wait_for(lambda: server.connection_count == 0)
+        finally:
+            transport.close()
+            arena.close()

@@ -10,6 +10,8 @@ pool dynamics — and workers shut down cleanly with a refill in flight.
 import contextlib
 import glob
 import multiprocessing
+import os
+import signal
 import threading
 import time
 
@@ -25,6 +27,7 @@ from repro.service import (
     ProcessPoolTransport,
     RefillMode,
     ServiceConfig,
+    ServiceMetrics,
     ShardPlan,
     ShardSessionSpec,
     ShardWorkerServer,
@@ -483,7 +486,78 @@ class TestWorkerLossMidOperation:
         while any(leftovers(threads_before).values()):
             assert time.monotonic() < deadline, leftovers(threads_before)
             time.sleep(0.02)
-        if lane == "socket":
-            assert all(c._sock is None for c in clients)
-        else:
-            assert all(c.conn.closed for c in clients)
+        assert all(c._sock is None for c in clients)
+
+
+def wait_for_no_leftovers(threads_before, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while any(leftovers(threads_before).values()):
+        assert time.monotonic() < deadline, leftovers(threads_before)
+        time.sleep(0.02)
+
+
+LOCAL_LANES = ("process", "shm")
+
+
+class TestLocalWorkerSupervision:
+    """Spawned hosts are supervised like TCP ones, and a dead one is
+    final: there is no address to redial and no heartbeat to wait for."""
+
+    @pytest.mark.parametrize("lane", LOCAL_LANES)
+    def test_frozen_worker_fails_the_round_typed(self, gf, lane,
+                                                 monkeypatch):
+        """SIGSTOP the worker hosting the last shard: the heartbeat turns
+        the silence into a TransportError, and close() still reaps the
+        frozen child, its threads and the lane's segment."""
+        monkeypatch.setattr(ProcessPoolTransport, "heartbeat_interval_s", 0.1)
+        monkeypatch.setattr(ProcessPoolTransport, "heartbeat_timeout_s", 1.0)
+        threads_before = set(threading.enumerate())
+        plan, specs = make_specs(shards=2)
+        rng = np.random.default_rng(7)
+        updates = {i: gf.random(DIM, rng) for i in range(N)}
+        victim = None
+        try:
+            with open_lane(lane, specs, gf, workers=2) as (transport, _):
+                session = ShardedSession(plan, transport=transport)
+                session.run_round(updates, {1})
+                victim = transport._clients[-1].process
+                os.kill(victim.pid, signal.SIGSTOP)
+                started = time.monotonic()
+                with pytest.raises(TransportError):
+                    session.run_round(updates, {1})
+                assert (time.monotonic() - started
+                        < transport.heartbeat_timeout_s + 5)
+            assert not victim.is_alive()
+            wait_for_no_leftovers(threads_before)
+        finally:
+            if victim is not None and victim.is_alive():
+                os.kill(victim.pid, signal.SIGCONT)
+                victim.kill()
+                victim.join(timeout=10.0)
+
+    @pytest.mark.parametrize("lane", LOCAL_LANES)
+    def test_killed_worker_fails_requests_at_once(self, gf, lane):
+        """No reconnect is attempted and no heartbeat awaited: every
+        request after the kill fails typed, naming the dead worker."""
+        plan, specs = make_specs(shards=2)
+        rng = np.random.default_rng(8)
+        updates = {i: gf.random(DIM, rng) for i in range(N)}
+        metrics = ServiceMetrics()
+        transport = build_transport(
+            lane, specs, gf=gf, num_workers=2, metrics=metrics
+        )
+        try:
+            session = ShardedSession(plan, transport=transport)
+            session.run_round(updates, {1})
+            victim = transport._clients[-1].process
+            victim.kill()
+            victim.join(timeout=10.0)
+            for expected in (victim.name, f"worker process {victim.name}"):
+                started = time.monotonic()
+                with pytest.raises(TransportError, match=expected):
+                    session.run_round(updates, {1})
+                assert (time.monotonic() - started
+                        < transport.heartbeat_interval_s)
+            assert metrics.snapshot()["transports"][lane]["reconnects"] == 0
+        finally:
+            transport.close()
