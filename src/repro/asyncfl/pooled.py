@@ -55,10 +55,6 @@ class BufferedShardSession(LightSecAggSession):
     staleness weights, spending one pooled round of offline material.
     """
 
-    @property
-    def supports_drains(self) -> bool:
-        return True
-
     def drain(
         self,
         weights,

@@ -506,8 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--wire-format", choices=["raw", "packed"], default="packed",
         help="vector payload encoding on framed transports: 'packed' "
              "bit-packs field elements to ceil(log2(q)) bits per element "
-             "where the peer negotiates the capability (the default); "
-             "'raw' sends full little-endian words",
+             "(the default); 'raw' sends full little-endian words",
     )
     p.add_argument(
         "--workers", type=int, default=None, metavar="N",

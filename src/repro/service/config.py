@@ -67,14 +67,14 @@ class TransportKind(enum.Enum):
 class WireFormat(enum.Enum):
     """How vector payloads are encoded inside wire frames.
 
-    * ``RAW`` — little-endian element bytes, the format every peer
-      speaks (PR 5's only encoding).
+    * ``RAW`` — little-endian element bytes.
     * ``PACKED`` — sub-word bit-packing
       (:meth:`~repro.wire.PayloadWriter.put_packed_array`): each element
       of a bounded uint array travels in ``b < 32`` bits instead of its
-      dtype width.  Negotiated per connection via
-      :data:`~repro.wire.CAP_PACKED_ARRAYS`; peers that do not
-      acknowledge the capability keep receiving ``RAW``.
+      dtype width.
+
+    Every peer of the same :data:`~repro.wire.WIRE_VERSION` decodes
+    both; a worker answers in the encoding of the request.
     """
 
     RAW = "raw"
@@ -228,9 +228,8 @@ class CohortSpec:
     wire_format:
         Vector payload encoding on framed transports, see
         :class:`WireFormat`.  Defaults to ``PACKED`` — the bandwidth
-        diet is on unless a deployment opts out — which degrades to raw
-        per connection when the peer does not acknowledge the
-        capability.  ``INLINE`` has no wire and ignores it.
+        diet is on unless a deployment opts out.  ``INLINE`` has no wire
+        and ignores it.
     num_workers:
         Worker processes for the ``PROCESS`` and ``SHM`` transports
         (per cohort).  Defaults to one worker per shard; fewer workers
@@ -317,9 +316,9 @@ class ServiceConfig(CohortSpec):
         Record a :class:`~repro.obs.RoundTrace` for every round — phase
         spans across the coordinator, transports, and shard workers,
         stitched into one timeline per round.  ``False`` disables the
-        whole pipeline (spans become no-ops and the tracing capability
-        is not requested on socket connections, keeping wire frames
-        byte-identical to pre-tracing peers).
+        whole pipeline: spans become no-ops, and since no trace is ever
+        active, no request carries a ``trace_id`` and no worker reports
+        a span back.
     """
 
     num_cohorts: int = 1

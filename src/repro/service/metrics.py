@@ -2,7 +2,8 @@
 
 The service's observability layer.  Producers (cohorts, transports,
 the background refiller) record events; consumers (the CLI ``service``
-subcommand, the throughput benchmark, tests) read immutable snapshots.
+subcommand, the ``/metrics`` endpoint the end-to-end benchmark scrapes,
+tests) read immutable snapshots.
 Everything is guarded by one lock per cohort — contention is negligible
 at round granularity and the snapshot is consistent.
 
@@ -179,7 +180,8 @@ class PhaseMetrics:
 class TransportMetrics:
     """Per-backend scatter/gather counters (internal, lock-guarded).
 
-    One entry per transport kind (``inline`` / ``process``): logical
+    One entry per transport kind (``inline`` / ``process`` / ``socket``
+    / ``shm``): logical
     rounds executed through that backend, wall-clock spent in its
     scatter+gather, wire traffic, and how many *shard*-level stalls its
     round results reported (a shard whose worker found an empty pool).

@@ -145,7 +145,6 @@ class AggregationService:
             cohort_id=cohort_id,
             connect=spec.connect,
             wire_format=spec.wire_format.value,
-            tracing=self.tracer.enabled,
         )
         try:
             session = ShardedSession(plan, transport=transport)

@@ -73,9 +73,6 @@ from repro.service.transport import (
     ShardTransport,
 )
 from repro.wire import (
-    CAP_BUFFERED_DRAINS,
-    CAP_PACKED_ARRAYS,
-    CAP_ROUND_TRACING,
     ErrorFrame,
     FrameAssembler,
     Ping,
@@ -163,12 +160,6 @@ class _SocketClient:
         self._send_lock = threading.Lock()
         self._reconnect_lock = threading.Lock()
         self._slot_specs: Dict[int, ShardSessionSpec] = {}
-        # Wire-format negotiation state: ``requested_caps`` is the OR of
-        # every sharing transport's asks (replayed on re-pin);
-        # ``negotiated_caps`` is what the *current* connection's worker
-        # acknowledged.  Both guarded by ``_cv``.
-        self.requested_caps = 0
-        self.negotiated_caps = 0
         self._transports: List = []  # told of every re-pin
         self._stop_heartbeat = threading.Event()
         self._sock = sock if sock is not None else self._open_socket()
@@ -271,7 +262,6 @@ class _SocketClient:
                 self._sock = sock
                 self._responses.clear()
                 self._abandoned.clear()  # old-generation frames can't arrive
-                self.negotiated_caps = 0  # fresh connection, renegotiate
             self._start_receiver()
             if entries:
                 try:
@@ -300,21 +290,16 @@ class _SocketClient:
         for transport in sinks.values():
             transport._metrics.record_transport_reconnect(transport.kind)
 
-    def pin(self, entries, timeout: float) -> SetupAck:
+    def pin(self, entries, timeout: float) -> None:
         """One ``SessionSetup`` round trip: build ``entries``' sessions on
-        the worker and record the capabilities it acknowledges."""
-        with self._cv:
-            requested = self.requested_caps
-        ack = self.request(
-            SessionSetup(entries, capabilities=requested), timeout=timeout
-        )
-        if not isinstance(ack, SetupAck):
+        the worker, which must acknowledge exactly their slots."""
+        ack = self.request(SessionSetup(entries), timeout=timeout)
+        slots = sorted(slot for slot, _ in entries)
+        if not isinstance(ack, SetupAck) or sorted(ack.slots) != slots:
             raise TransportError(
-                f"session setup answered with {type(ack).__name__}"
+                f"worker at {self.peer} answered session setup of slots "
+                f"{slots} with {ack!r}"
             )
-        with self._cv:
-            self.negotiated_caps = ack.capabilities
-        return ack
 
     def close(self) -> None:
         """Shutdown handshake (best-effort) and release the link.
@@ -362,16 +347,6 @@ class _SocketClient:
     def allocate_slots(self, count: int) -> List[int]:
         with self._cv:
             return [next(self._slots) for _ in range(count)]
-
-    def request_capability(self, cap: int) -> None:
-        """Ask for ``cap`` on every (re)pin from now on."""
-        with self._cv:
-            self.requested_caps |= int(cap)
-
-    def supports(self, cap: int) -> bool:
-        """True iff the current connection's worker acknowledged ``cap``."""
-        with self._cv:
-            return bool(self.negotiated_caps & cap)
 
     def send(self, message, request_id: int) -> int:
         segments = encode_segments(message, request_id)
@@ -605,7 +580,6 @@ class SocketTransport(ShardTransport):
         request_timeout_s: Optional[float] = None,
         setup_timeout_s: float = 60.0,
         wire_format: str = "raw",
-        tracing: bool = True,
     ):
         if not specs:
             raise ProtocolError("transport needs at least one shard spec")
@@ -616,7 +590,6 @@ class SocketTransport(ShardTransport):
             )
         self.specs = list(specs)
         self.wire_format = wire_format
-        self.tracing = bool(tracing)
         #: Per-reply deadline; ``None`` waits for the link to answer or
         #: break (heartbeat supervision turns a dead peer into the latter).
         self.request_timeout_s = request_timeout_s
@@ -690,19 +663,8 @@ class SocketTransport(ShardTransport):
             # looks healthy.  (On failure, _shutdown removes them again.)
             with client._cv:
                 client._slot_specs.update(entries)
-            if self.wire_format == "packed":
-                client.request_capability(CAP_PACKED_ARRAYS)
-            if self.tracing:
-                client.request_capability(CAP_ROUND_TRACING)
-            if any(self.specs[s].supports_drains for s in shards):
-                client.request_capability(CAP_BUFFERED_DRAINS)
             client.ensure_connected()  # a pooled client may be broken
-            ack = client.pin(entries, timeout)
-            if set(ack.slots) != set(slots):
-                raise TransportError(
-                    f"worker at {client.peer} acknowledged slots "
-                    f"{ack.slots}, expected {slots}"
-                )
+            client.pin(entries, timeout)
             client.attach(self)
 
     def _on_repin(self, client: _SocketClient) -> None:
@@ -752,31 +714,6 @@ class SocketTransport(ShardTransport):
         # several cohorts can share the connection).
         message.shard_id = self._slot_of[shard_id]
         client.ensure_connected()
-        # Packed encoding is only legal on a connection whose worker
-        # acknowledged it — checked at send time (after ensure_connected)
-        # because a reconnect may have landed this round on an older
-        # worker since the request was staged.
-        if getattr(message, "packed", False) and not client.supports(
-            CAP_PACKED_ARRAYS
-        ):
-            message.packed = False
-        # Same downgrade for tracing: a worker that never acked
-        # CAP_ROUND_TRACING gets the pre-tracing frame (trace_id omitted
-        # when zero), completes the round normally, and simply reports no
-        # worker-side span — mixed versions interoperate.
-        if getattr(message, "trace_id", 0) and not client.supports(
-            CAP_ROUND_TRACING
-        ):
-            message.trace_id = 0
-        # Drains and re-keys have no fallback frame an old worker could
-        # serve, so they fail loud instead.
-        if isinstance(
-            message, (ShardDrainRequest, RekeyRequest)
-        ) and not client.supports(CAP_BUFFERED_DRAINS):
-            raise TransportError(
-                f"worker at {client.peer} does not support buffered drains "
-                "or re-keying (CAP_BUFFERED_DRAINS not acknowledged)"
-            )
         request_id = client.next_id()
         return request_id, client.send(message, request_id)
 
@@ -881,7 +818,7 @@ class SocketTransport(ShardTransport):
             )
         t0 = time.perf_counter()
         op_id = next(self._round_ids)
-        trace = current_trace() if self.tracing else None
+        trace = current_trace()
         shm_bytes = 0
         stalled_shards = 0
 
@@ -1046,12 +983,11 @@ class ProcessPoolTransport(SocketTransport):
     (:func:`~repro.service.socket_worker.serve_local`) over one end of a
     ``socketpair``; this transport holds the other end in the same
     supervised client the ``socket`` lane uses, so frames, slots,
-    capability negotiation, heartbeats and the Shutdown handshake are
-    the socket lane's.  ``num_workers`` defaults to one worker per shard;
-    shard ``s`` lives on worker ``s % num_workers``, so fewer workers
-    host several shards each, whose rounds then serialize on that
-    worker's round thread — capacity is traded explicitly, never
-    silently dropped.
+    heartbeats and the Shutdown handshake are the socket lane's.
+    ``num_workers`` defaults to one worker per shard; shard ``s`` lives
+    on worker ``s % num_workers``, so fewer workers host several shards
+    each, whose rounds then serialize on that worker's round thread —
+    capacity is traded explicitly, never silently dropped.
 
     ``payload_mode="shm"`` stages vector payloads in a coordinator-owned
     shared-memory segment (one region pair per shard) and frames only
@@ -1078,7 +1014,6 @@ class ProcessPoolTransport(SocketTransport):
         cohort_id: int = 0,
         wire_format: str = "raw",
         payload_mode: str = "pipe",
-        tracing: bool = True,
     ):
         if num_workers is not None and num_workers < 1:
             raise ProtocolError(
@@ -1102,7 +1037,7 @@ class ProcessPoolTransport(SocketTransport):
             specs, connect=(), metrics=metrics, cohort_id=cohort_id,
             heartbeat_interval_s=self.heartbeat_interval_s,
             heartbeat_timeout_s=self.heartbeat_timeout_s,
-            wire_format=wire_format, tracing=tracing,
+            wire_format=wire_format,
         )
 
     def _connect(self, connect, supervision: dict) -> None:

@@ -59,7 +59,6 @@ from repro.exceptions import TransportError, WireError
 from repro.field.arithmetic import FiniteField
 from repro.service.worker import serve_request
 from repro.wire import (
-    SUPPORTED_CAPABILITIES,
     ErrorFrame,
     FrameAssembler,
     Ping,
@@ -98,13 +97,11 @@ class _Connection:
         self,
         sock: socket.socket,
         peer: str,
-        capabilities: int = SUPPORTED_CAPABILITIES,
         registry: Optional[ShmRegistry] = None,
         on_close: Optional[Callable[["_Connection"], None]] = None,
     ):
         self.sock = sock
         self.peer = peer
-        self.capabilities = int(capabilities)
         self.registry = registry
         self._on_close = on_close
         self.sessions: Dict[int, object] = {}
@@ -255,13 +252,8 @@ class _Connection:
         try:
             if isinstance(message, SessionTeardown):
                 return SetupAck(self._unpin(message.slots))
-            slots = [self._pin(slot, spec) for slot, spec in message.entries]
-            # Capability negotiation: grant the intersection of what the
-            # coordinator asked for and what this host was built to
-            # speak (capabilities=0 emulates an old worker — the
-            # coordinator then falls back to raw).
             return SetupAck(
-                slots, capabilities=message.capabilities & self.capabilities
+                [self._pin(slot, spec) for slot, spec in message.entries]
             )
         except Exception as exc:  # noqa: BLE001 - forwarded to peer
             return ErrorFrame.from_exception(0, exc)
@@ -341,15 +333,7 @@ class ShardWorkerServer:
     one server and starting another on the same address.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        capabilities: int = SUPPORTED_CAPABILITIES,
-    ):
-        # Wire capabilities this host advertises; ``capabilities=0``
-        # emulates a pre-negotiation worker for mixed-version tests.
-        self.capabilities = int(capabilities)
+    def __init__(self, host: str = "127.0.0.1", port: int = 0):
         # create_server sets SO_REUSEADDR on POSIX, so a restarted worker
         # can rebind the same port immediately (the kill/restart story).
         self._listener = socket.create_server((host, port))
@@ -394,8 +378,7 @@ class ShardWorkerServer:
             # No registry: a remote peer must never make this host map
             # /dev/shm segments, so frames carrying shm refs are refused.
             connection = _Connection(
-                sock, f"{peer[0]}:{peer[1]}",
-                capabilities=self.capabilities, on_close=self._forget,
+                sock, f"{peer[0]}:{peer[1]}", on_close=self._forget
             )
             with self._lock:
                 self._connections.append(connection)

@@ -63,8 +63,7 @@ from repro.wire import ErrorFrame, RefillRequest, SnapshotRequest
 TRANSPORT_KINDS = ("inline", "process", "socket", "shm")
 
 #: Element encodings a transport can put on the wire: ``raw`` ships
-#: little-endian words, ``packed`` bit-packs at the data's width (peers
-#: that never advertised CAP_PACKED_ARRAYS still get raw frames).
+#: little-endian words, ``packed`` bit-packs at the data's width.
 WIRE_FORMATS = ("raw", "packed")
 
 
@@ -88,10 +87,6 @@ class ShardSessionSpec:
     low_water: int
     seed: Tuple[int, ...]
     field_modulus: int = DEFAULT_PRIME
-
-    @property
-    def supports_drains(self) -> bool:
-        return self.protocol == "lightsecagg-buffered"
 
     def build(self, gf: Optional[FiniteField] = None):
         """Construct the protocol and open its session."""
@@ -403,19 +398,15 @@ def build_transport(
     cohort_id: int = 0,
     connect: Optional[Sequence[str]] = None,
     wire_format: str = "raw",
-    tracing: bool = True,
 ) -> ShardTransport:
     """Construct the configured transport backend from shard specs.
 
     ``connect`` lists ``host:port`` worker addresses for the ``socket``
     backend (shards round-robin across them); the other backends reject
     it, like ``num_workers`` outside ``process``/``shm``.
-    ``wire_format="packed"`` bit-packs vector payloads where the peer
-    supports it (``inline`` has no wire and ignores it; ``shm`` passes
-    vectors by reference, which supersedes packing).  ``tracing=False``
-    keeps the out-of-process backends from even *requesting*
-    CAP_ROUND_TRACING, so their frames stay byte-identical to the
-    pre-tracing format.
+    ``wire_format="packed"`` bit-packs vector payloads (``inline`` has
+    no wire and ignores it; ``shm`` passes round vectors by reference,
+    which supersedes packing).
     """
     if kind == "inline":
         return InlineTransport.from_specs(
@@ -433,12 +424,11 @@ def build_transport(
             specs, num_workers=num_workers, metrics=metrics,
             cohort_id=cohort_id, wire_format=wire_format,
             payload_mode="shm" if kind == "shm" else "pipe",
-            tracing=tracing,
         )
     if kind == "socket":
         return SocketTransport(
             specs, connect=connect or (), metrics=metrics,
-            cohort_id=cohort_id, wire_format=wire_format, tracing=tracing,
+            cohort_id=cohort_id, wire_format=wire_format,
         )
     raise ProtocolError(
         f"unknown transport {kind!r}; expected one of {TRANSPORT_KINDS}"

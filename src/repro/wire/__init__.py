@@ -1,22 +1,23 @@
 """Versioned binary wire format for shard transport messages.
 
 The service layer's scatter/gather of shard rounds and refills speaks
-this format over whatever byte transport is configured — an in-process
-call (no frames at all), a ``multiprocessing`` pipe, or a TCP socket
-(:class:`~repro.service.socket_transport.SocketTransport` speaking to a
-``repro shard-worker`` host).  See :mod:`repro.wire.format` for the
-frame layout, :mod:`repro.wire.messages` for the message set,
-:mod:`repro.wire.stream` for byte-stream reassembly and vectored
-writes, and :mod:`repro.wire.shm` for the same-host shared-memory
-payload lane.
+this format to ``repro shard-worker`` hosts over a stream socket: a TCP
+connection, or a socketpair to a locally spawned host
+(:class:`~repro.service.socket_transport.SocketTransport`); the inline
+lane makes direct calls and frames nothing.  See
+:mod:`repro.wire.format` for the frame layout, :mod:`repro.wire.messages`
+for the message set, :mod:`repro.wire.stream` for byte-stream
+reassembly and vectored writes, and :mod:`repro.wire.shm` for the
+same-host shared-memory payload lane.
 
 Two element encodings ride the same frame format: raw little-endian
 bytes, and sub-word *bit-packed* payloads
-(:meth:`~repro.wire.format.PayloadWriter.put_packed_array`) negotiated
-via :data:`~repro.wire.messages.CAP_PACKED_ARRAYS`.  Same-host
-transports can additionally pass vector payloads by shared-memory
-reference (:class:`~repro.wire.format.ShmArrayRef`) so element bytes
-never transit the pipe at all.
+(:meth:`~repro.wire.format.PayloadWriter.put_packed_array`); the sender
+picks one per message and the frame says which.  Same-host transports
+can additionally pass vector payloads by shared-memory reference
+(:class:`~repro.wire.format.ShmArrayRef`) so element bytes never
+transit the socket at all.  Peers must share
+:data:`~repro.wire.format.WIRE_VERSION`; there is nothing else to agree.
 """
 
 from repro.wire.format import (
@@ -35,10 +36,6 @@ from repro.wire.format import (
     unpack_bits,
 )
 from repro.wire.messages import (
-    CAP_BUFFERED_DRAINS,
-    CAP_PACKED_ARRAYS,
-    CAP_ROUND_TRACING,
-    SUPPORTED_CAPABILITIES,
     WIRE_MESSAGES,
     WorkerSpan,
     ErrorFrame,
@@ -80,10 +77,6 @@ __all__ = [
     "pack_bits",
     "packed_nbytes",
     "unpack_bits",
-    "CAP_BUFFERED_DRAINS",
-    "CAP_PACKED_ARRAYS",
-    "CAP_ROUND_TRACING",
-    "SUPPORTED_CAPABILITIES",
     "WIRE_MESSAGES",
     "WorkerSpan",
     "ErrorFrame",

@@ -47,7 +47,10 @@ import numpy as np
 from repro.exceptions import WireError
 
 MAGIC = b"LW"
-WIRE_VERSION = 1
+# The one compatibility gate: peers must share it, and a frame stamped
+# with any other version is refused at its header.  Bump it on any
+# change to a message's layout.
+WIRE_VERSION = 2
 
 # The frame header's ``len`` field is a u32, so no payload (and no
 # length-prefixed bytes/str primitive) may exceed this many bytes.

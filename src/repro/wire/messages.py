@@ -1,4 +1,4 @@
-"""Typed messages of the shard wire protocol, version 1.
+"""Typed messages of the shard wire protocol, version 2.
 
 The message set covers everything the service layer sends between a
 shard coordinator and the process hosting that shard's protocol session:
@@ -31,8 +31,8 @@ shard coordinator and the process hosting that shard's protocol session:
 
 Encoding uses :mod:`repro.wire.format` primitives only — no pickling —
 so frames are safe to accept from an untrusted peer and identical
-whether the transport is an in-memory pipe, a multiprocessing
-connection, or a socket.
+whether the stream socket is a TCP connection or a local socketpair.
+Both ends must share :data:`~repro.wire.format.WIRE_VERSION`.
 
 Every payload is deterministic given the message fields: user ids and
 dropout sets are sorted on encode, so two semantically equal messages
@@ -69,38 +69,6 @@ from repro.wire.format import (
 
 _PHASE_INDEX = {phase: i for i, phase in enumerate(PHASES)}
 
-# ----------------------------------------------------------------------
-# wire-format capabilities
-# ----------------------------------------------------------------------
-# Negotiated in-band: a coordinator requests capabilities in its
-# SessionSetup, the worker acks the subset it supports, and both sides
-# encode accordingly from then on.  The bits ride as *trailing-optional*
-# u32 fields (omitted when zero), so a peer built before capabilities
-# existed emits and accepts exactly the old frames — mixed-version
-# coordinator/worker pairs interoperate by falling back to raw.
-
-#: Peer understands bit-packed array payloads (``put_packed_array``).
-CAP_PACKED_ARRAYS = 0x1
-
-#: Peer understands round tracing: it accepts a trailing ``trace_id``
-#: on :class:`ShardRoundRequest` and reports a :class:`WorkerSpan`
-#: (compute + queue-wait timings, pid/host tags) back on its
-#: :class:`ShardRoundResult` so the coordinator can stitch one
-#: cross-process timeline per round.
-CAP_ROUND_TRACING = 0x2
-
-#: Peer understands buffered-async drains: it accepts
-#: :class:`ShardDrainRequest` (weighted aggregation of a sealed update
-#: buffer, answered with a :class:`ShardRoundResult`) and
-#: :class:`RekeyRequest` (rebuild a slot's session geometry for a new
-#: member count, answered with a :class:`PoolSnapshot`).
-CAP_BUFFERED_DRAINS = 0x4
-
-#: Every capability this build implements.
-SUPPORTED_CAPABILITIES = (
-    CAP_PACKED_ARRAYS | CAP_ROUND_TRACING | CAP_BUFFERED_DRAINS
-)
-
 
 def _put_id_set(w: PayloadWriter, ids) -> None:
     w.put_array(np.fromiter(sorted(ids), dtype=np.uint32, count=len(ids)))
@@ -134,9 +102,8 @@ def _get_stats(r: PayloadReader) -> SessionStats:
 class WorkerSpan:
     """A worker's own timing report for one traced shard round.
 
-    Rides as the trailing-optional tail of :class:`ShardRoundResult`
-    (emitted only when the request carried a nonzero ``trace_id``, so
-    untraced frames stay byte-identical to the pre-tracing format).
+    Rides as the trailing-optional tail of :class:`ShardRoundResult`,
+    emitted only when the request carried a nonzero ``trace_id``.
     ``queue_wait_seconds`` is the request's dwell between arrival and
     the start of compute; ``pid``/``host`` identify the process that
     actually ran the round — the coordinator turns this into a
@@ -184,20 +151,19 @@ class ShardRoundRequest:
     dropouts: Set[int] = field(default_factory=set)
     offline_dropouts: Set[int] = field(default_factory=set)
     # Element encoding of ``updates`` on the wire.  ``packed`` bit-packs
-    # the matrix at its max's bit width (requires a CAP_PACKED_ARRAYS
-    # peer); ``updates_ref`` means the matrix is already staged in a
-    # shared-memory segment and only the reference is framed.  Decode
-    # sets ``packed`` from the received tag, so a worker can mirror the
-    # coordinator's encoding in its reply.
+    # the matrix at its max's bit width; ``updates_ref`` means the
+    # matrix is already staged in a shared-memory segment and only the
+    # reference is framed.  Decode sets ``packed`` from the received
+    # tag, so a worker can mirror the coordinator's encoding in its
+    # reply.
     packed: bool = False
     updates_ref: Optional[ShmArrayRef] = None
     # Where the worker should place its aggregate (shm lane only); a
     # trailing-optional field of the payload.
     result_ref: Optional[ShmArrayRef] = None
-    # Round-trace correlation id (CAP_ROUND_TRACING peers only).
-    # Trailing-optional and omitted when zero, so untraced frames stay
-    # byte-identical to the pre-tracing wire format.  A worker that
-    # receives a nonzero trace_id reports a WorkerSpan on its result.
+    # Round-trace correlation id; trailing-optional and omitted when
+    # zero.  A worker that receives a nonzero trace_id reports a
+    # WorkerSpan on its result.
     trace_id: int = 0
 
     @classmethod
@@ -280,7 +246,15 @@ class ShardRoundRequest:
     def _decode(cls, r: PayloadReader) -> "ShardRoundRequest":
         shard_id = r.get_u32()
         round_id = r.get_u64()
-        user_ids = sorted(_get_id_set(r))
+        ids = r.get_array()
+        # Row i of the matrix belongs to ids[i], and the encoder sends
+        # ids sorted: any other order cannot be re-sorted without also
+        # permuting rows, so it is refused rather than mis-assigned.
+        if ids.ndim != 1 or np.any(ids[:-1] >= ids[1:]):
+            raise WireError(
+                "round request user ids must be strictly increasing"
+            )
+        user_ids = [int(i) for i in ids]
         packed = bool(r.peek_u8() & _PACKED_FLAG)
         updates = r.get_array()
         if updates.ndim != 2 or updates.shape[0] != len(user_ids):
@@ -587,7 +561,7 @@ class ShardDrainRequest:
     is therefore load-bearing and is **not** canonicalized on encode.
     ``recovery_dropouts`` are member *slots* missing from the recovery
     phase.  Answered with a :class:`ShardRoundResult` keyed by
-    ``drain_id``; requires a :data:`CAP_BUFFERED_DRAINS` peer.
+    ``drain_id``.
     """
 
     TYPE = 12
@@ -656,8 +630,7 @@ class RekeyRequest:
     session rebuilds its protocol geometry and drops pooled material
     encoded for the old member set, answering with a
     :class:`PoolSnapshot` whose ``rounds_added`` is the (negated)
-    number of invalidated pool entries.  Requires a
-    :data:`CAP_BUFFERED_DRAINS` peer.
+    number of invalidated pool entries.
     """
 
     TYPE = 13
@@ -746,26 +719,17 @@ class SessionSetup:
     TYPE = 8
 
     entries: List[Tuple[int, object]] = field(default_factory=list)
-    # Wire-format capabilities the coordinator wants to use on this
-    # connection (CAP_* bitmask).  Trailing-optional: omitted when zero,
-    # so frames from/to pre-capability peers are byte-identical to the
-    # old format and mixed versions interoperate on the raw encoding.
-    capabilities: int = 0
 
     def _encode(self, w: PayloadWriter) -> None:
         w.put_u32(len(self.entries))
         for slot, spec in sorted(self.entries, key=lambda e: e[0]):
             w.put_u32(slot)
             _put_spec(w, spec)
-        if self.capabilities:
-            w.put_u32(self.capabilities)
 
     @classmethod
     def _decode(cls, r: PayloadReader) -> "SessionSetup":
         count = r.get_u32()
-        entries = [(r.get_u32(), _get_spec(r)) for _ in range(count)]
-        capabilities = r.get_u32() if r.remaining else 0
-        return cls(entries=entries, capabilities=capabilities)
+        return cls(entries=[(r.get_u32(), _get_spec(r)) for _ in range(count)])
 
 
 @dataclass
@@ -775,23 +739,15 @@ class SetupAck:
     TYPE = 9
 
     slots: List[int] = field(default_factory=list)
-    # The subset of the setup's requested capabilities this worker
-    # supports — what the connection actually negotiated.  Same
-    # trailing-optional encoding (and rationale) as SessionSetup's.
-    capabilities: int = 0
 
     def _encode(self, w: PayloadWriter) -> None:
         w.put_array(np.fromiter(
             sorted(self.slots), dtype=np.uint32, count=len(self.slots)
         ))
-        if self.capabilities:
-            w.put_u32(self.capabilities)
 
     @classmethod
     def _decode(cls, r: PayloadReader) -> "SetupAck":
-        slots = [int(s) for s in r.get_array()]
-        capabilities = r.get_u32() if r.remaining else 0
-        return cls(slots=slots, capabilities=capabilities)
+        return cls(slots=[int(s) for s in r.get_array()])
 
 
 @dataclass

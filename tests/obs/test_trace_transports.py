@@ -9,9 +9,6 @@ The acceptance criteria pinned here:
   process* (spawned via ``python -m repro shard-worker``) yields one
   stitched :class:`RoundTrace` whose ``shard_compute[i]`` spans carry
   the remote worker's pid/host tags — the spans crossed the wire;
-* a worker that never acknowledged ``CAP_ROUND_TRACING`` still
-  completes bit-identical rounds (no hang, no error); the trace simply
-  lacks worker-reported compute spans;
 * with tracing disabled nothing is retained and results are identical.
 """
 
@@ -31,7 +28,6 @@ from repro.service import (
     ShardWorkerServer,
     TransportKind,
 )
-from repro.wire import CAP_PACKED_ARRAYS
 
 N, DIM = 8, 37
 ROUNDS = 3
@@ -230,24 +226,3 @@ class TestSocketStitching:
         for w in waits:
             assert w.duration >= 0
             assert w.tags["pid"] == str(proc.pid)
-
-
-class TestMixedVersionInterop:
-    def test_old_worker_completes_untraced_but_bit_identical(self, gf_module,
-                                                             baseline):
-        """A worker that never acked CAP_ROUND_TRACING gets trace-free
-        frames (it would reject unknown tails), completes every round
-        bit-identically, and the trace simply lacks worker spans."""
-        with ShardWorkerServer(capabilities=CAP_PACKED_ARRAYS) as old:
-            outputs, traces = run_lane(
-                gf_module, TransportKind.SOCKET, connect=(old.address,)
-            )
-        assert outputs == baseline
-        assert len(traces) == ROUNDS
-        for trace in traces:
-            assert compute_spans(trace) == []  # nothing reported back
-            names = top_names(trace)
-            # coordinator-side phases still traced
-            for name in ("collect", "shard_scatter", "shard_gather",
-                         "reconstruct"):
-                assert name in names

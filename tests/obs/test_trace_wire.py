@@ -2,9 +2,9 @@
 
 The tracing fields are trailing-optional on both shard-round messages:
 ``ShardRoundRequest.trace_id`` is omitted when zero and
-``ShardRoundResult.worker_span`` is omitted when absent, so every frame
-produced with tracing disabled is **byte-identical** to the pre-tracing
-wire format (pinned here against a golden hex dump).  The request's
+``ShardRoundResult.worker_span`` is omitted when absent, so a frame
+produced with tracing disabled carries no tracing bytes at all (pinned
+here against a golden hex dump).  The request's
 frame end is shared by two optional tails — a shm result ref and the
 trace id — disambiguated by size: an encoded shm ref is never exactly
 8 bytes, so 8 remaining bytes can only be a bare trace id.
@@ -15,9 +15,6 @@ import pytest
 
 from repro.wire.format import ShmArrayRef
 from repro.wire.messages import (
-    CAP_PACKED_ARRAYS,
-    CAP_ROUND_TRACING,
-    SUPPORTED_CAPABILITIES,
     SessionStats,
     ShardRoundRequest,
     ShardRoundResult,
@@ -28,12 +25,12 @@ from repro.wire.messages import (
 
 TRACE_ID = 0xDEADBEEF
 
-#: ``encode_message(make_request(), request_id=42)`` before tracing
-#: existed.  An untraced (trace_id == 0) encoder must still produce
-#: exactly these bytes — old workers parse them, and rolling upgrades
-#: depend on the formats being indistinguishable.
+#: ``encode_message(make_request(), request_id=42)`` with tracing off.
+#: Only the version byte (offset 2) has changed since tracing existed:
+#: every payload byte is the same, which pins that the round-request
+#: layout did not move when the setup frames did.
 GOLDEN_UNTRACED_FRAME_HEX = (
-    "4c5701012a000000000000007800000001000000070000000000000001010200"
+    "4c5702012a000000000000007800000001000000070000000000000001010200"
     "0000000000000000000002000000020202000000000000000300000000000000"
     "0000000000000000010000000000000002000000000000000300000000000000"
     "0400000000000000050000000000000001010100000000000000010000000101"
@@ -82,14 +79,6 @@ def make_result(worker_span=None) -> ShardRoundResult:
         stats=SessionStats(),
         worker_span=worker_span,
     )
-
-
-class TestCapabilities:
-    def test_tracing_capability_is_its_own_bit(self):
-        assert CAP_ROUND_TRACING == 0x2
-        assert CAP_ROUND_TRACING & CAP_PACKED_ARRAYS == 0
-        assert SUPPORTED_CAPABILITIES & CAP_ROUND_TRACING
-        assert SUPPORTED_CAPABILITIES & CAP_PACKED_ARRAYS
 
 
 class TestRequestTraceId:

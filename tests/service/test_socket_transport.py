@@ -11,9 +11,14 @@ The acceptance criteria pinned here:
   hang), and a **killed-then-restarted** worker is re-pinned from its
   specs with the service completing subsequent rounds;
 * one connection batches several cohorts' shards (slots), and tearing
-  one cohort down leaves its neighbours serving.
+  one cohort down leaves its neighbours serving;
+* a worker of another wire version is refused at its first frame with a
+  typed error, leaving no thread or socket behind.
 """
 
+import os
+import socket
+import threading
 import time
 
 import numpy as np
@@ -35,7 +40,18 @@ from repro.service import (
     WireFormat,
     build_transport,
 )
-from repro.wire import SegmentArena, ShardRoundRequest, ShmArrayRef, ShmRegistry
+from repro.wire import (
+    FrameAssembler,
+    PayloadWriter,
+    SegmentArena,
+    SetupAck,
+    ShardRoundRequest,
+    ShmArrayRef,
+    ShmRegistry,
+    decode_message,
+    encode_frame,
+    recv_frames,
+)
 
 N, DIM, SHARDS = 8, 37, 3
 
@@ -504,44 +520,78 @@ class TestQuantizedPackedParity:
                 < raw["socket"]["bytes_received"])
 
 
-class TestMixedVersionInterop:
-    """A packed-configured coordinator against a worker that does not
-    advertise the capability keeps speaking raw — and the frames it
-    sends are byte-identical to a raw-configured coordinator's."""
-
-    def test_old_worker_negotiates_down_to_raw(self, gf, server):
-        with ShardWorkerServer(capabilities=0) as old:
-            baseline, raw_stats = _quantized_lane(
-                gf, TransportKind.SOCKET, WireFormat.RAW,
-                connect=(server.address,),
-            )
-            lane, old_stats = _quantized_lane(
-                gf, TransportKind.SOCKET, WireFormat.PACKED,
-                connect=(old.address,),
-            )
-        assert lane == baseline
-        # The fallback is not merely correct but byte-identical: the
-        # same raw frames a raw-configured coordinator would send.
-        assert old_stats["socket"]["bytes_sent"] == raw_stats["socket"][
-            "bytes_sent"
-        ]
-        assert old_stats["socket"]["bytes_received"] == raw_stats["socket"][
-            "bytes_received"
-        ]
-
-    def test_new_worker_acknowledges_only_what_it_supports(self, gf,
-                                                           server):
-        _, specs = make_specs(shards=1)
-        transport = SocketTransport(
-            specs, connect=[server.address], wire_format="packed", **FAST
-        )
+def _socket_fds():
+    """This process's open socket descriptors (Linux /proc)."""
+    fds = set()
+    for name in os.listdir("/proc/self/fd"):
         try:
-            from repro.wire import CAP_PACKED_ARRAYS
+            if os.readlink(f"/proc/self/fd/{name}").startswith("socket:"):
+                fds.add(int(name))
+        except OSError:
+            pass  # closed between listdir and readlink
+    return fds
 
-            client = transport._clients[0]
-            assert client.supports(CAP_PACKED_ARRAYS)
+
+class TestWireVersionGate:
+    """The frame header's version byte is the only compatibility gate:
+    a peer of another build is refused at its first frame."""
+
+    def test_worker_of_another_wire_version_is_refused(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+        peer_closed = threading.Event()
+
+        def old_worker():
+            # Answer the coordinator's first frame the way a version-1
+            # build would: a SetupAck with its trailing word, stamped 1.
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10.0)
+                assembler, frames = FrameAssembler(), []
+                while not frames:
+                    frames = recv_frames(conn, assembler)
+                request_id, _ = decode_message(frames[0])
+                w = PayloadWriter()
+                w.put_array(np.zeros(1, dtype=np.uint32))
+                w.put_u32(0x7)
+                reply = bytearray(encode_frame(SetupAck.TYPE, request_id, w))
+                reply[2] = 1
+                conn.sendall(reply)
+                try:
+                    while conn.recv(4096):
+                        pass
+                    peer_closed.set()  # EOF: the coordinator let go
+                except OSError:
+                    pass
+
+        thread = threading.Thread(target=old_worker, daemon=True)
+        thread.start()
+        try:
+            sockets_before = _socket_fds()
+            _, specs = make_specs(shards=1)
+            setup_timeout_s = 5.0
+            t0 = time.monotonic()
+            with pytest.raises(TransportError, match="wire version 1"):
+                SocketTransport(
+                    specs, connect=[f"127.0.0.1:{port}"],
+                    setup_timeout_s=setup_timeout_s, **FAST,
+                )
+            assert time.monotonic() - t0 < setup_timeout_s
+            assert peer_closed.wait(timeout=10.0)
+
+            def link_threads():
+                return [
+                    t.name for t in threading.enumerate()
+                    if t.name.startswith("socket-client-")
+                    and t.name.endswith(f":{port}")
+                ]
+
+            assert wait_for(lambda: not link_threads()), link_threads()
+            assert wait_for(lambda: not (_socket_fds() - sockets_before))
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
         finally:
-            transport.close()
+            listener.close()
 
 
 class TestWorkerHostBoundaries:

@@ -250,6 +250,24 @@ class TestMessageRoundTrips:
                 ShardRoundRequest(0, 0, user_ids=[1], updates=rows), 1
             )
 
+    @pytest.mark.parametrize("ids", [[2, 0], [1, 1]], ids=["unsorted", "dup"])
+    def test_frame_with_out_of_order_user_ids_rejected(self, ids):
+        """Row i belongs to ids[i]: a hand-built frame whose ids are not
+        strictly increasing must be refused, not decoded with its ids
+        sorted out from under the rows (which would sum the wrong
+        user's data for any dropout pattern naming one of them)."""
+        w = PayloadWriter()
+        w.put_u32(0)  # shard_id
+        w.put_u64(0)  # round_id
+        w.put_array(np.asarray(ids, dtype=np.uint32))
+        w.put_array(np.stack([np.full(3, 20, np.uint64),
+                              np.full(3, 10, np.uint64)]))
+        w.put_array(np.asarray([2], dtype=np.uint32))  # dropouts
+        w.put_array(np.zeros(0, dtype=np.uint32))  # offline dropouts
+        frame = encode_frame(ShardRoundRequest.TYPE, 1, w)
+        with pytest.raises(WireError, match="strictly increasing"):
+            decode_message(frame)
+
     def test_round_result_rebuilds_aggregation_result(self):
         transcript = Transcript()
         transcript.record(0, -1, "upload", 10)
@@ -341,6 +359,16 @@ class TestMessageRoundTrips:
         assert back == SessionTeardown([0, 9])
         _, back = decode_message(encode_message(Ping(nonce=77), 7))
         assert back == Ping(nonce=77)
+
+    @pytest.mark.parametrize("message", [SessionSetup([]), SetupAck([0])])
+    def test_setup_frames_have_no_trailing_word(self, message):
+        """Version 2 setup frames end after their entries / slots; the
+        version-1 trailing u32 is refused even under a current header."""
+        w = PayloadWriter()
+        message._encode(w)
+        w.put_u32(7)
+        with pytest.raises(WireError, match="trailing bytes"):
+            decode_message(encode_frame(type(message).TYPE, 1, w))
 
     def test_encode_segments_matches_encode_message(self):
         """The vectored-write path emits byte-identical frames."""
