@@ -20,7 +20,17 @@ path) over the workloads that dominate the service:
   refill-bound cohort, ``(64, 44) @ (44, 58 368)`` (N=64, U=44, d=8192,
   pool 4);
 * **encode_batch** — ``MaskEncoder.encode_batch`` end to end at a
-  64-user cohort, reported as encoded mask elements per second.
+  64-user cohort, reported as encoded mask elements per second;
+* **random** — the two draws one pool refill makes (its masks, then its
+  padding rows) through ``gf.random`` and through ``rng.integers(0, q)``
+  from identically seeded Generators, at the refill-bound cohort and at
+  one shard of the facade cohort: ns per element of each, and a sha256
+  of each side's draws plus the next raw words of its Generator, which
+  must be equal (the sampler is stream-exact);
+* **random_sizes** — single draws of the sizes the traffic makes, on
+  both sides of ``FiniteField.RANDOM_MIN_SIZE``, through the sampler
+  with that cutoff off and through ``integers``: where the two cross is
+  where the cutoff belongs.
 
 Each matmul row of a limb-split kernel also carries ``gemm_floor_ms`` —
 the float64 GEMMs the kernel hands BLAS, ``(2m, k) @ (k, n)`` over the
@@ -34,9 +44,11 @@ assert the kernels agree byte for byte before any timing is trusted.
 
 ``--quick`` shrinks the widths for smoke runs; ``--check`` runs the
 CI acceptance gate only (selected kernel beats the ``np.mod`` oracle
-on the refill-shape matmul and stays within 6x its GEMM floor, and at
+on the refill-shape matmul and stays within 6x its GEMM floor, at
 16x16384 neither ``reduce_semi`` nor the Mersenne ``reduce`` is slower
-than ``np.mod``) and exits nonzero on failure.
+than ``np.mod``, and ``gf.random`` matches ``integers`` bit for bit,
+in at most half its time at the default prime) and exits nonzero on
+failure.
 """
 
 import argparse
@@ -84,6 +96,33 @@ WORKLOADS = (*ELEMWISE_SHAPES, "matmul", "matmul_rb", "encode_batch")
 ENC_USERS, ENC_SURVIVORS, ENC_PRIVACY = 64, 48, 8
 ENC_MODEL_DIM = 65_536
 ENC_BATCH = 8
+
+# One refill's draws, ``(rounds * N, d)`` masks then ``(T, rounds * N *
+# share_dim)`` padding: the refill-bound cohort (N=64, U=44, T=8, d=8192,
+# pool 4, share_dim 228) and one shard of the facade cohort (N=16, U=11,
+# T=2, d=65536 over 4 shards, pool 8, share_dim 1821).
+RANDOM_DRAWS = {
+    "rb": ((4 * 64, 8192), (8, 4 * 64 * 228)),
+    "fi_shard": ((8 * 16, 16_384), (2, 8 * 16 * 1821)),
+}
+# Single draws of the sizes the traffic makes, on both sides of
+# ``FiniteField.RANDOM_MIN_SIZE`` (below it gf.random is integers): one
+# encrypted share's channel stream and one pooled user's four at the
+# refill-bound cohort (228, 912), the measured crossover and the cutoff
+# (1536, 2048), then the update vectors the end-to-end workloads draw
+# (8192 refill-bound, 16384 buffered churn, 65536 facade and HTTP — also
+# a pairwise-mask PRG expansion at that model size).
+RANDOM_SIZES = (228, 912, 1536, 2048, 8192, 16_384, 65_536)
+# Elements per timed sample of a size row (the draw is repeated).
+RANDOM_SIZE_ELEMENTS = 1 << 18
+# Timed draws per lane (medians; the lanes alternate).
+RANDOM_REPS = 15
+# --check: at the default prime gf.random may take at most this share of
+# integers' time.  At 2**32 - 5 numpy's ``leftover < q`` branch is nearly
+# always taken, so it predicts well, integers runs ~3x faster than at
+# 2**31 - 1 and the gap is small; that modulus is gated on bit-identity
+# only.
+RANDOM_BUDGET = 0.5
 
 
 def _best_of(fn, reps):
@@ -177,6 +216,58 @@ def bench_encode_batch(q, kind, model_dim, reps):
     }
 
 
+class _EagerField(FiniteField):
+    """``gf.random`` without the small-draw cutoff: the sampler runs at
+    every size, so a size row can time it below the cutoff too."""
+
+    RANDOM_MIN_SIZE = 2
+
+
+def bench_random(q, draws, field=FiniteField, reps=RANDOM_REPS):
+    gf = field(q)
+    lanes = {
+        "field": gf.random,
+        "integers": lambda shape, rng: rng.integers(
+            0, q, size=shape, dtype=np.uint64
+        ),
+    }
+    seconds = {lane: [] for lane in lanes}
+    digests = {}
+    for _ in range(reps):
+        for lane, draw in lanes.items():
+            rng = np.random.default_rng(5)
+            t0 = time.perf_counter()
+            outs = [draw(shape, rng) for shape in draws]
+            seconds[lane].append(time.perf_counter() - t0)
+            digest = hashlib.sha256()
+            for out in outs:
+                digest.update(out.tobytes())
+            digest.update(rng.bit_generator.random_raw(4).tobytes())
+            digests[lane] = digest.hexdigest()
+    elements = sum(int(np.prod(shape)) for shape in draws)
+    ns = {lane: float(np.median(s)) * 1e9 / elements for lane, s in seconds.items()}
+    return {
+        "elements": elements,
+        "field_ns_per_element": ns["field"],
+        "integers_ns_per_element": ns["integers"],
+        "field_over_integers": ns["field"] / ns["integers"],
+        "field_sha256": digests["field"],
+        "integers_sha256": digests["integers"],
+    }
+
+
+def bench_random_size(q, size):
+    """``size``-element draws, repeated to ``RANDOM_SIZE_ELEMENTS`` per
+    sample, through the sampler with the cutoff off and through
+    ``integers``; ``dispatch`` names the lane ``gf.random`` takes."""
+    draws = [size] * max(1, RANDOM_SIZE_ELEMENTS // size)
+    row = bench_random(q, draws, field=_EagerField)
+    row["dispatch"] = (
+        "sampler" if size >= FiniteField.RANDOM_MIN_SIZE else "integers"
+    )
+    return row
+
+
 def run_all(width=REFILL_WIDTH, model_dim=ENC_MODEL_DIM, reps=3):
     report = {
         "benchmark": "field_reduction",
@@ -196,7 +287,15 @@ def run_all(width=REFILL_WIDTH, model_dim=ENC_MODEL_DIM, reps=3):
             "encode_privacy": ENC_PRIVACY,
             "encode_batch": ENC_BATCH,
             "encode_model_dim": model_dim,
+            "random_draws": {
+                name: [list(shape) for shape in draws]
+                for name, draws in RANDOM_DRAWS.items()
+            },
+            "random_sizes": list(RANDOM_SIZES),
+            "random_min_size": FiniteField.RANDOM_MIN_SIZE,
+            "random_size_elements": RANDOM_SIZE_ELEMENTS,
             "reps": reps,
+            "random_reps": RANDOM_REPS,
         },
         "moduli": {},
     }
@@ -217,7 +316,22 @@ def run_all(width=REFILL_WIDTH, model_dim=ENC_MODEL_DIM, reps=3):
             rows[kind]["encode_batch"] = bench_encode_batch(
                 q, kind, model_dim, reps
             )
-        entry = {"q": q, "selected": selected, "reducers": rows}
+        print(f"[{label}] random ...", flush=True)
+        random_rows = {
+            name: bench_random(q, draws) for name, draws in RANDOM_DRAWS.items()
+        }
+        size_rows = {str(n): bench_random_size(q, n) for n in RANDOM_SIZES}
+        entry = {
+            "q": q,
+            "selected": selected,
+            "reducers": rows,
+            "random": random_rows,
+            "random_sizes": size_rows,
+            "bit_identical_random": all(
+                r["field_sha256"] == r["integers_sha256"]
+                for r in (*random_rows.values(), *size_rows.values())
+            ),
+        }
         for workload in WORKLOADS:
             entry[f"bit_identical_{workload}"] = (
                 len({r[workload]["sha256"] for r in rows.values()}) == 1
@@ -262,7 +376,22 @@ def run_all(width=REFILL_WIDTH, model_dim=ENC_MODEL_DIM, reps=3):
                         f"{r[name]['matmul_over_gemm_floor']:4.2f} x "
                         f"gemm_floor_ms {r[name]['gemm_floor_ms']:7.1f}"
                     )
-        for workload in WORKLOADS:
+        for name, r in entry["random"].items():
+            print(
+                f"  random {name:8s} {r['elements']:>9,} elements: "
+                f"gf.random {r['field_ns_per_element']:5.2f} ns/elem, "
+                f"integers {r['integers_ns_per_element']:5.2f} ns/elem "
+                f"({r['field_over_integers']:4.2f}x)"
+            )
+        for size, r in entry["random_sizes"].items():
+            print(
+                f"  random size {size:>6}: sampler "
+                f"{r['field_ns_per_element']:6.2f} ns/elem, integers "
+                f"{r['integers_ns_per_element']:6.2f} ns/elem "
+                f"({r['field_over_integers']:4.2f}x), gf.random uses "
+                f"{r['dispatch']}"
+            )
+        for workload in (*WORKLOADS, "random"):
             assert entry[f"bit_identical_{workload}"], (label, workload)
     return report
 
@@ -272,9 +401,11 @@ def run_check(width=CHECK_WIDTH):
     the refill-shape matmul and cost at most ``GEMM_FLOOR_BUDGET`` times
     its own float64 GEMM, and at the online round's cache-sized shape
     its ``reduce_semi`` — and ``reduce``, where it is not ``np.mod``
-    itself (Mersenne) — must not be slower than ``np.mod``.  Prints the
-    measurements; exit code reports pass/fail so the (non-blocking) CI
-    step can surface regressions."""
+    itself (Mersenne) — must not be slower than ``np.mod``; and at each
+    refill draw ``gf.random`` must hash equal to ``integers`` and, at the
+    default prime, take at most ``RANDOM_BUDGET`` of its time.  Prints
+    the measurements; exit code reports pass/fail so the (non-blocking)
+    CI step can surface regressions."""
     ok = True
     shape = ELEMWISE_SHAPES["elementwise_16x16384"]
     for label, q in MODULI.items():
@@ -307,6 +438,19 @@ def run_check(width=CHECK_WIDTH):
             f"{fast['gemm_floor_ms']:.1f} (budget {GEMM_FLOOR_BUDGET:g}x)"
         )
         ok = ok and good
+        budget = RANDOM_BUDGET if q == DEFAULT_PRIME else float("inf")
+        for name, draws in RANDOM_DRAWS.items():
+            r = bench_random(q, draws)
+            identical = r["field_sha256"] == r["integers_sha256"]
+            good = identical and r["field_over_integers"] <= budget
+            print(
+                f"[{'ok' if good else 'FAIL'}] q={q} ({label}): random {name} "
+                f"{r['field_ns_per_element']:.2f} vs integers "
+                f"{r['integers_ns_per_element']:.2f} ns/elem -> "
+                f"{r['field_over_integers']:.2f}x (budget {budget:g}x), "
+                f"bit_identical={identical}"
+            )
+            ok = ok and good
     return ok
 
 
@@ -321,7 +465,8 @@ def main(argv=None):
     parser.add_argument(
         "--check", action="store_true",
         help="run the CI gate only: selected kernel beats np.mod on the "
-             "refill-shape matmul; exits nonzero on failure",
+             "refill-shape matmul, gf.random matches integers bit for bit; "
+             "exits nonzero on failure",
     )
     parser.add_argument("--width", type=int, default=None)
     parser.add_argument("--reps", type=int, default=3)

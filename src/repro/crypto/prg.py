@@ -7,8 +7,9 @@ contract here.
 
 Two backends:
 
-* ``"pcg64"`` (default) — ``numpy.random.Generator(PCG64(seed))`` with
-  ``integers(0, q)``, which is exactly uniform on ``[0, q)`` and very fast.
+* ``"pcg64"`` (default) — ``FiniteField.random`` over
+  ``numpy.random.Generator(PCG64(seed))``, whose output is exactly
+  ``integers(0, q)``'s: exactly uniform on ``[0, q)`` and very fast.
   This models the role a fast stream cipher plays in a production system.
 * ``"sha256"`` — SHA-256 in counter mode with vectorized rejection
   sampling, a construction whose security argument mirrors deployed PRGs.
@@ -29,8 +30,7 @@ BACKENDS = ("pcg64", "sha256")
 
 
 def _expand_pcg64(seed: int, length: int, gf: FiniteField) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.integers(0, gf.q, size=length, dtype=np.uint64)
+    return gf.random(length, np.random.Generator(np.random.PCG64(seed)))
 
 
 def _expand_sha256(seed: int, length: int, gf: FiniteField) -> np.ndarray:

@@ -442,10 +442,100 @@ class FiniteField:
     # ------------------------------------------------------------------
     # randomness
     # ------------------------------------------------------------------
+    # Draws of fewer elements go straight to ``rng.integers``: the
+    # sampler's fixed cost (two state reads and a write, ~14 us on PCG64)
+    # beats integers' per-element cost only from 1536-2048 elements up at
+    # the default prime (bench_field_reduction.py's ``random_sizes`` rows).
+    # At least 2, so a sampled draw always reads a raw word.
+    RANDOM_MIN_SIZE = 1 << 11
+    # Raw 64-bit words per pass of :meth:`random` (256 KiB, two field
+    # elements each).  Blocks bound what a rejection allocates (its mask
+    # and the compacted half-words): compacting a whole multi-MB draw
+    # instead left the facade workload's peak RSS at 450-600 MiB in 7 of
+    # 15 runs of one seed, against 0 of 9 with blocks (395 MiB).
+    RANDOM_BLOCK_WORDS = 1 << 15
+
     def random(self, shape, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-        """Uniformly random field elements of the given shape."""
+        """Uniformly random field elements of the given shape.
+
+        The values *and* the bit generator's state afterwards are exactly
+        those of ``rng.integers(0, q, size=shape, dtype=np.uint64)``:
+        numpy draws each element with Lemire's 32-bit multiply-shift from
+        one half-word of its bit generator (low half, then high half, of
+        each raw word; a left-over high half stays buffered in the state's
+        ``has_uint32`` / ``uinteger``): half-word ``w`` gives ``(w * q) >>
+        32``, and is rejected and redrawn when the low 32 bits of ``w * q``
+        fall below ``2**32 % q``.  Here the same algorithm runs as numpy
+        passes: one ``random_raw`` call draws every word numpy reads if
+        nothing is rejected, the passes walk it a block at a time, each
+        block's accepted half-words go straight into the output, and a
+        block holding a rejected one (probability about ``5e-10`` per
+        element at the default prime) drops exactly the rejected
+        half-words, as the redraw does, and the shortfall is drawn next.
+        The raw words are the only scratch beyond one block: half the
+        output's bytes.  Draws smaller than ``RANDOM_MIN_SIZE``, and bit
+        generators without the buffered half-word (MT19937), are
+        delegated to ``rng.integers`` itself.
+
+        Unlike ``integers`` the sampler reads the state, draws, and writes
+        the state back, so it is not atomic under the bit generator's
+        lock: every caller must own its Generator (no two threads may
+        draw from one concurrently).
+        """
         rng = rng if rng is not None else np.random.default_rng()
-        return rng.integers(0, self.q, size=shape, dtype=np.uint64)
+        bitgen = rng.bit_generator
+        size = 1 if shape is None else int(np.prod(shape))
+        if size < self.RANDOM_MIN_SIZE or "has_uint32" not in (state := bitgen.state):
+            return rng.integers(0, self.q, size=shape, dtype=np.uint64)
+        out = np.empty(shape, dtype=np.uint64)
+        flat = out.reshape(-1)
+        threshold = (1 << 32) % self.q
+        q32 = np.uint32(self.q)
+        filled = 0
+        if state["has_uint32"]:
+            product = state["uinteger"] * self.q
+            if product & 0xFFFFFFFF >= threshold:
+                flat[0] = product >> 32
+                filled = 1
+        block = self.RANDOM_BLOCK_WORDS
+        pool = np.empty(0, dtype=np.uint64)
+        while filled < size:
+            need = size - filled
+            if not pool.size:
+                # Never more words than ``need`` half-words: numpy draws
+                # a word only once its buffered half is spent.  One call,
+                # not one per block: a buffer allocated and freed per
+                # block shifted where glibc placed the pool material of
+                # the threaded shard host, whose peak RSS rose ~40 % in
+                # the end-to-end socket workload (2-core x86, glibc 2.36).
+                pool = bitgen.random_raw((need + 1) // 2)
+            raw, pool = pool[:block], pool[block:]
+            halves = raw.astype("<u8", copy=False).view("<u4")
+            # The unfilled output holds at least ``need`` uint64s, room
+            # for this block's ``<= need + 1`` uint32 products.
+            lows = flat[filled : filled + need].view(np.uint32)[: halves.size]
+            np.multiply(halves, q32, out=lows)  # low 32 bits of w * q
+            if lows[:need].min() >= threshold:
+                # No rejection among the half-words numpy would read; an
+                # unread trailing high half stays buffered.
+                taken = halves[:need]
+                buffered = taken.size < halves.size
+            else:
+                # A rejection means numpy reads more than ``need``
+                # half-words, so every half-word of this block.
+                taken = halves[lows >= threshold]
+                buffered = False
+            dest = flat[filled : filled + taken.size]
+            np.copyto(dest, taken)
+            dest *= self._q64
+            dest >>= np.uint64(32)
+            filled += taken.size
+        state = bitgen.state
+        state["has_uint32"] = int(buffered)
+        # numpy keeps the last word's high half even once it is read.
+        state["uinteger"] = int(raw[-1]) >> 32
+        bitgen.state = state
+        return out
 
     # ------------------------------------------------------------------
     # dunder conveniences

@@ -33,6 +33,19 @@ class TestDeterminism:
         assert np.array_equal(long[:50], short)
 
 
+class TestPcg64Stream:
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 3, 2**255 + 12345])
+    @pytest.mark.parametrize(
+        "length", [0, 1, 1001, FiniteField.RANDOM_MIN_SIZE, 200_001]
+    )
+    def test_equals_pcg64_integers(self, gf, seed, length):
+        """The pcg64 backend's vectors (and so SecAgg's pairwise masks)
+        are exactly ``Generator(PCG64(seed)).integers(0, q)``."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        expected = rng.integers(0, gf.q, size=length, dtype=np.uint64)
+        assert np.array_equal(PRG(gf).expand(seed, length), expected)
+
+
 class TestOutputRange:
     def test_values_in_field(self, prg):
         out = prg.expand(3, 10_000)
