@@ -1,4 +1,10 @@
-"""Asynchronous FL: staleness functions, buffering, FedBuff, async LightSecAgg."""
+"""Asynchronous FL: staleness functions, buffering, FedBuff, async LightSecAgg.
+
+:class:`AsyncSecureAggregator` is the one-shot reference for a buffered
+drain.  The service's pooled drain and re-key live on the session every
+cohort uses, :class:`~repro.protocols.lightsecagg.session.LightSecAggSession`
+(``drain`` / ``rekey``).
+"""
 
 from repro.asyncfl.buffer import BufferedUpdate, UpdateBuffer
 from repro.asyncfl.convergence import (
@@ -11,7 +17,6 @@ from repro.asyncfl.incompatibility import (
     attempt_async_pairwise_aggregation,
     residue_matrix,
 )
-from repro.asyncfl.pooled import BufferedShardSession
 from repro.asyncfl.secure_aggregator import (
     AsyncDelivery,
     AsyncSecureAggregator,
@@ -44,7 +49,6 @@ __all__ = [
     "AsyncSecureAggregator",
     "PreparedDelivery",
     "prepare_deliveries",
-    "BufferedShardSession",
     "constant_staleness",
     "polynomial_staleness",
     "hinge_staleness",

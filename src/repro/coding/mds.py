@@ -141,14 +141,18 @@ class MDSCode:
         for j in indices:
             if not 0 <= j < self.n:
                 raise CodingError(f"share index {j} out of range [0, {self.n})")
-        stacked = [self.gf.array(shares[j]) for j in indices]
+        stacked = [np.asarray(shares[j]) for j in indices]
         widths = {s.shape for s in stacked}
         if len(widths) != 1:
             raise CodingError(f"inconsistent share shapes: {widths}")
         scalar = stacked[0].ndim == 0
-        rows = np.stack(
-            [s[None] if scalar else s for s in stacked], axis=0
-        )
+        # Rows are stacked as given: ``gf.matmul`` reads canonical rows
+        # in place and reduces anything else (``solve`` reduces its
+        # input itself).  Mixed signed and unsigned 64-bit rows would
+        # stack as float64, so those are reduced one by one first.
+        rows = np.stack(stacked, axis=0)
+        if not np.issubdtype(rows.dtype, np.integer):
+            rows = np.stack([self.gf.array(s) for s in stacked], axis=0)
         if rows.ndim == 1:
             rows = rows[:, None]
         if self.generator == "vandermonde":

@@ -23,6 +23,13 @@ Diffie-Hellman channel mesh across the whole session — key agreement
 happens once, and each refill seals a user's ``K`` future shares for a
 given peer in a single authenticated one-time-pad message relayed through
 the server.
+
+A pooled round of material serves one buffered-async *drain* just as
+well (paper App. F.3): :meth:`LightSecAggSession.drain` spends it on
+``B <= N`` weighted deliveries, and :meth:`LightSecAggSession.rekey`
+rebuilds the geometry when membership changes.  A synchronous round is
+the drain whose weights are 1 on the survivors; both keep their own
+summation kernel and share one recovery tail.
 """
 
 from __future__ import annotations
@@ -45,6 +52,8 @@ from repro.protocols.base import (
     RoundMetrics,
     Transcript,
 )
+from repro.protocols.lightsecagg.params import LSAParams
+from repro.protocols.lightsecagg.protocol import LightSecAgg
 
 
 @dataclass
@@ -96,8 +105,25 @@ def precompute_offline_pool(
     )
 
 
+def _mask_encoder(protocol) -> MaskEncoder:
+    """The mask encoder for ``protocol``'s geometry."""
+    params = protocol.params
+    return MaskEncoder(
+        protocol.gf,
+        num_users=params.num_users,
+        target_survivors=params.target_survivors,
+        privacy=params.privacy,
+        model_dim=protocol.model_dim,
+        generator=protocol.generator,
+    )
+
+
 class LightSecAggSession(ProtocolSession):
     """Pooled multi-round session for LightSecAgg (and its subclasses).
+
+    One pooled round of material pays for one synchronous
+    :meth:`run_round` or one weighted :meth:`drain`; :meth:`rekey`
+    re-sizes the member set between them.
 
     Pool access is thread-safe for the service-layer concurrency contract:
     one consumer thread draining rounds while one background refiller
@@ -108,14 +134,7 @@ class LightSecAggSession(ProtocolSession):
         super().__init__(protocol, pool_size=pool_size, rng=rng, low_water=low_water)
         self.params = protocol.params
         self.model_dim = protocol.model_dim
-        self.encoder = MaskEncoder(
-            protocol.gf,
-            num_users=self.params.num_users,
-            target_survivors=self.params.target_survivors,
-            privacy=self.params.privacy,
-            model_dim=self.model_dim,
-            generator=protocol.generator,
-        )
+        self.encoder = _mask_encoder(protocol)
         # One-time traffic only (the encrypted session's key agreement);
         # refills add to a running total and retain nothing each.
         self.offline_transcript = Transcript()
@@ -217,25 +236,21 @@ class LightSecAggSession(ProtocolSession):
         return coded, rounds * share_dim * n * (n - 1)
 
     # ------------------------------------------------------------------
-    def _canonical_update(self, user_id: int, update) -> np.ndarray:
-        """User ``user_id``'s upload as canonical residues.
+    def _canonical(self, values, shape: Tuple[int, ...], what: str) -> np.ndarray:
+        """Uploads of ``shape`` as canonical residues.
 
-        Copy-free when it already is one (uint64, every entry below
-        ``q`` — what the service's ingest and the quantizer produce);
-        anything else integer goes through ``gf.array``.
+        Copy-free when they already are (uint64, every entry below ``q``
+        — what the service's ingest and the quantizer produce); anything
+        else integer goes through ``gf.array``.  ``what`` names the
+        input in the refusal.
         """
-        arr = np.asarray(update)
-        if arr.shape != (self.model_dim,):
-            raise ProtocolError(
-                f"user {user_id}: update shape {arr.shape} != "
-                f"({self.model_dim},)"
-            )
+        arr = np.asarray(values)
+        if arr.shape != shape:
+            raise ProtocolError(f"{what} shape {arr.shape} != {shape}")
         if self.gf.is_valid(arr):
             return arr
         if not np.issubdtype(arr.dtype, np.integer):
-            raise ProtocolError(
-                f"user {user_id}: update dtype {arr.dtype} is not an integer"
-            )
+            raise ProtocolError(f"{what} dtype {arr.dtype} is not an integer")
         return self.gf.array(arr)
 
     def run_round(
@@ -278,7 +293,10 @@ class LightSecAggSession(ProtocolSession):
         # material is spent, so a rejected round costs the pool nothing.
         n = self.num_users
         live = [i for i in range(n) if i not in offline_dropouts]
-        residues = {i: self._canonical_update(i, updates[i]) for i in live}
+        residues = {
+            i: self._canonical(updates[i], (self.model_dim,), f"user {i}: update")
+            for i in live
+        }
         material = self._take_material()
 
         gf = self.gf
@@ -312,22 +330,139 @@ class LightSecAggSession(ProtocolSession):
             share_acc[responders],  # (U, share_dim)
             lazy_sum_bound(gf.q, len(survivors)),
         )
-        for j in responders:
-            transcript.record(j, SERVER, "recovery", share_dim)
-        agg_mask = self.encoder.decode_aggregate(
-            {j: agg_shares[r] for r, j in enumerate(responders)}
+        return self._recover(
+            masked_sum,
+            {j: agg_shares[r] for r, j in enumerate(responders)},
+            survivors,
+            transcript,
         )
-        aggregate = gf.sub(masked_sum, agg_mask)
+
+    def drain(
+        self,
+        weights,
+        updates: np.ndarray,
+        recovery_dropouts: Optional[Set[int]] = None,
+    ) -> AggregationResult:
+        """One buffer drain: weighted secure aggregation of ``B`` updates.
+
+        Parameters
+        ----------
+        weights:
+            ``(B,)`` positive integer staleness weights, one per buffered
+            delivery in arrival order; anything else is refused, never
+            cast.  Zero-weight deliveries must be filtered out by the
+            caller (they contribute nothing and would waste a mask slot).
+        updates:
+            ``(B, model_dim)`` integer matrix of *unweighted* quantized
+            updates, row ``b`` = delivery ``b``.  Row order is
+            load-bearing: delivery ``b`` consumes pooled mask slot ``b``.
+        recovery_dropouts:
+            Member slots (``0..N-1``) that do not answer the recovery
+            phase; at least ``U`` must remain.
+
+        Returns the usual :class:`AggregationResult` whose aggregate is
+        the exact field value ``sum_b w_b * updates_b (mod q)``: it is
+        ``sum_b w_b (x_b + z_b) - decode(sum_b w_b [~z_b])``, and MDS
+        decoding is linear, so the masks cancel exactly whichever pooled
+        masks were spent.  That is what makes a drain bit-identical to
+        the one-shot :class:`~repro.asyncfl.secure_aggregator.
+        AsyncSecureAggregator` oracle, across transports and re-keys.  A
+        rejected drain raises before any pooled material is taken.
+        """
+        self._require_open()
+        recovery_dropouts = set(recovery_dropouts or set())
+        weights = np.asarray(weights)
+        if weights.ndim != 1 or weights.size == 0:
+            raise ProtocolError("drain needs a non-empty 1-D weight vector")
+        batch = int(weights.size)
+        updates = self._canonical(
+            updates, (batch, self.model_dim), "drain updates"
+        )
+        if not np.issubdtype(weights.dtype, np.integer) or np.any(weights <= 0):
+            raise ProtocolError(
+                f"drain weights must be positive integers, got "
+                f"{weights.dtype} {weights[:4].tolist()}; filter zero-weight "
+                "deliveries before draining"
+            )
+        n = self.num_users
+        if batch > n:
+            raise ProtocolError(
+                f"drain of {batch} deliveries exceeds the {n} mask slots "
+                "of one pooled round"
+            )
+        bad = recovery_dropouts - set(range(n))
+        if bad:
+            raise ProtocolError(
+                f"recovery dropout slots {sorted(bad)} out of range"
+            )
+        responders = [j for j in range(n) if j not in recovery_dropouts]
+        u = self.params.target_survivors
+        if len(responders) < u:
+            raise DropoutError(
+                f"only {len(responders)} recovery responders, need U={u}"
+            )
+        # Everything that can reject the drain is above this line, so a
+        # rejected drain spends no pooled material.
+        gf = self.gf
+        w = gf.array(weights)[None, :]  # (1, B)
+        material = self._take_material()
+
+        share_dim = self.encoder.share_dim
+        transcript = Transcript()
+
+        # Upload: each delivery arrives masked by its slot's pooled mask
+        # (two residues: one conditional subtract); the server applies
+        # the public weights in-field as one (1, B) @ (B, d) product.
+        masked = gf.reducer.reduce_semi(updates + material.masks[:batch])
+        masked_sum = gf.matmul(w, masked)[0]
+        for b in range(batch):
+            transcript.record(b, SERVER, "upload", self.model_dim)
+
+        # Recovery: holder j's weighted aggregated share is
+        # sum_b w_b [~z_b]_j.  Weighting every holder's row in one
+        # product and keeping the responders' avoids gathering a
+        # (B, U, share_dim) grid.
+        coded = material.coded[:batch].reshape(batch, n * share_dim)
+        agg_shares = gf.matmul(w, coded).reshape(n, share_dim)
+        return self._recover(
+            masked_sum,
+            {j: agg_shares[j] for j in responders[:u]},
+            responders,
+            transcript,
+            drain_batch=float(batch),
+        )
+
+    def _recover(
+        self,
+        masked_sum: np.ndarray,
+        agg_shares: Dict[int, np.ndarray],
+        survivors,
+        transcript: Transcript,
+        **extra: float,
+    ) -> AggregationResult:
+        """The tail rounds and drains share: one-shot recovery and result.
+
+        ``agg_shares`` maps each of the first ``U`` responders to its
+        aggregated coded share; their one-shot decode is the aggregate
+        mask (weighted, for a drain), which ``masked_sum`` carries.
+        """
+        share_dim = self.encoder.share_dim
+        u = len(agg_shares)
+        for j in agg_shares:
+            transcript.record(j, SERVER, "recovery", share_dim)
+        agg_mask = self.encoder.decode_aggregate(agg_shares)
+        aggregate = self.gf.sub(masked_sum, agg_mask)
 
         metrics = RoundMetrics(
             server_decode_ops=u * u * share_dim,
             server_prg_elements=0,
-            # Online rounds do no mask encoding; the amortized cost lives
-            # in the refill and is surfaced via ``extra``.
+            # Online rounds and drains do no mask encoding; the amortized
+            # cost lives in the refill and is surfaced via ``extra``.
             user_encode_ops=0,
             extra={
                 "pool_level": float(len(self._pool)),
-                "amortized_encode_ops": float(n * u * share_dim),
+                "amortized_encode_ops": float(self.num_users * u * share_dim),
+                **extra,
             },
         )
         self.stats.rounds += 1
@@ -337,6 +472,42 @@ class LightSecAggSession(ProtocolSession):
             transcript=transcript,
             metrics=metrics,
         )
+
+    # ------------------------------------------------------------------
+    def rekey(self, num_users: int) -> int:
+        """Re-key the session for a new member count.
+
+        Rebuilds the protocol geometry (``U`` re-derived from the same
+        ``(T, D)`` guarantees, so any party can reproduce the parameters
+        from ``num_users`` alone), swaps in a fresh encoder, and drops
+        the pooled material — it was encoded for the old member set and
+        its share grid no longer matches.  Returns the number of pooled
+        rounds invalidated; re-encoding is intentionally *not* done here
+        so a background refiller can warm the pool off the drain path.
+
+        Serialized against refills under ``_refill_lock`` so a refill in
+        flight lands (and is discarded) atomically relative to the swap,
+        never half-encoded for a stale geometry.
+        """
+        self._require_open()
+        with self._refill_lock:
+            params = LSAParams.from_guarantees(
+                num_users,
+                privacy=self.params.privacy,
+                dropout_tolerance=self.params.dropout_tolerance,
+            )
+            protocol = LightSecAgg(
+                self.gf, params, self.model_dim,
+                generator=self.protocol.generator,
+            )
+            encoder = _mask_encoder(protocol)
+            with self._pool_lock:
+                invalidated = len(self._pool)
+                self._pool.clear()
+                self.protocol = protocol
+                self.params = params
+                self.encoder = encoder
+        return invalidated
 
 
 class EncryptedLightSecAggSession(LightSecAggSession):
@@ -400,3 +571,9 @@ class EncryptedLightSecAggSession(LightSecAggSession):
                 "encrypted variant covers the worst-case dropout point only"
             )
         return super().run_round(updates, dropouts, rng)
+
+    def rekey(self, num_users: int) -> int:
+        raise NotImplementedError(
+            "re-keying is modelled by the base protocol; the encrypted "
+            "variant's DH channel mesh is fixed when the session opens"
+        )

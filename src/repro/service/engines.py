@@ -27,10 +27,10 @@ Elastic membership: :meth:`BufferedAsyncRoundEngine.join` /
 :meth:`~BufferedAsyncRoundEngine.leave` re-key the session's mask
 geometry for the new member set between drains.  The pool entries
 encoded for the old geometry are invalidated by
-:meth:`~repro.asyncfl.pooled.BufferedShardSession.rekey` and re-encoded
-*warm* by the background refiller (the engine nudges it), so the next
-drain stalls at most once instead of cold-starting the whole pool on
-the online path.
+:meth:`~repro.protocols.lightsecagg.session.LightSecAggSession.rekey`
+and re-encoded *warm* by the background refiller (the engine nudges
+it), so the next drain stalls at most once instead of cold-starting the
+whole pool on the online path.
 """
 
 from __future__ import annotations
@@ -266,7 +266,8 @@ class BufferedAsyncRoundEngine(RoundEngine):
     Clients :meth:`submit` real-valued updates tagged with the round at
     which they downloaded the model; the K-th arrival seals the buffer
     and drains it through the session's pooled
-    :meth:`~repro.asyncfl.pooled.BufferedShardSession.drain` path.  The
+    :meth:`~repro.protocols.lightsecagg.session.LightSecAggSession.drain`
+    path, the same session class synchronous cohorts run rounds on.  The
     drain's staleness weights and stochastic quantization come from the
     deterministic :func:`drain_stream`, so the aggregate is
     bit-identical to the reference

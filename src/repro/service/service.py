@@ -103,16 +103,9 @@ class AggregationService:
         an identical one (same seed path, same rng streams, bit-identical
         pools).
         """
-        # Buffered cohorts drain pooled masks through the sessions'
-        # drain() path; the dedicated shard protocol selects the
-        # drain-capable session class in every worker.
-        protocol = (
-            "lightsecagg-buffered" if spec.kind == "buffered"
-            else "lightsecagg"
-        )
         return [
             ShardSessionSpec(
-                protocol=protocol,
+                protocol="lightsecagg",
                 num_users=spec.num_users,
                 shard_dim=plan.widths[shard],
                 privacy=spec.privacy,

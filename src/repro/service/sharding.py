@@ -244,7 +244,7 @@ class ShardedSession:
         updates: np.ndarray,
         recovery_dropouts: Optional[Set[int]] = None,
     ) -> AggregationResult:
-        """One buffered drain across all shards (buffered sessions only).
+        """One buffered drain across all shards.
 
         ``updates`` is the full ``(B, dim)`` matrix of unweighted
         quantized deliveries in buffer order; each shard drains its
@@ -310,7 +310,7 @@ class ShardedSession:
         )
 
     def rekey(self, num_users: int) -> int:
-        """Re-key every shard for a new member count (buffered only)."""
+        """Re-key every shard for a new member count."""
         invalidated = self.transport.rekey_all(num_users)
         self.num_users = int(num_users)
         return invalidated

@@ -914,7 +914,7 @@ class SocketTransport(ShardTransport):
         buffer past them, so the frame is the lane that stays correct
         across membership churn.
         """
-        weights = np.asarray(weights, dtype=np.uint64)
+        weights = np.asarray(weights)  # typed and checked by the encode
 
         def drain_request(shard_id, drain_id):
             return ShardDrainRequest(

@@ -57,7 +57,7 @@ from repro.field.arithmetic import FiniteField
 from repro.field.prime import DEFAULT_PRIME
 from repro.obs import span
 from repro.protocols.base import AggregationResult, SessionStats
-from repro.service.worker import HOSTNAME, require_support
+from repro.service.worker import HOSTNAME
 from repro.wire import ErrorFrame, RefillRequest, SnapshotRequest
 
 TRANSPORT_KINDS = ("inline", "process", "socket", "shm")
@@ -78,7 +78,7 @@ class ShardSessionSpec:
     identical mask/padding streams and their pools are bit-identical.
     """
 
-    protocol: str  # "lightsecagg" | "lightsecagg-buffered"
+    protocol: str  # "lightsecagg": every cohort kind runs one session class
     num_users: int
     shard_dim: int
     privacy: int
@@ -93,6 +93,8 @@ class ShardSessionSpec:
         from repro.protocols.lightsecagg.params import LSAParams
         from repro.protocols.lightsecagg.protocol import LightSecAgg
 
+        # "lightsecagg-buffered" is an older name for the same session,
+        # still spelled by the e2e benchmark's layer probes.
         if self.protocol not in ("lightsecagg", "lightsecagg-buffered"):
             raise ProtocolError(f"unknown shard protocol {self.protocol!r}")
         gf = gf if gf is not None else FiniteField(self.field_modulus)
@@ -101,20 +103,9 @@ class ShardSessionSpec:
             privacy=self.privacy,
             dropout_tolerance=self.dropout_tolerance,
         )
-        protocol = LightSecAgg(gf, params, self.shard_dim)
-        rng = np.random.default_rng(list(self.seed))
-        if self.protocol == "lightsecagg-buffered":
-            from repro.asyncfl.pooled import BufferedShardSession
-
-            return BufferedShardSession(
-                protocol,
-                pool_size=self.pool_size,
-                rng=rng,
-                low_water=self.low_water,
-            )
-        return protocol.session(
+        return LightSecAgg(gf, params, self.shard_dim).session(
             pool_size=self.pool_size,
-            rng=rng,
+            rng=np.random.default_rng(list(self.seed)),
             low_water=self.low_water,
         )
 
@@ -165,7 +156,7 @@ class ShardTransport(abc.ABC):
         per_shard_updates: List[np.ndarray],
         recovery_dropouts: Set[int],
     ) -> List[AggregationResult]:
-        """One buffered drain across every shard (buffered sessions only).
+        """One buffered drain across every shard.
 
         ``weights`` is the shared ``(B,)`` staleness-weight vector;
         ``per_shard_updates[s]`` the ``(B, shard_width)`` slice of the
@@ -175,7 +166,7 @@ class ShardTransport(abc.ABC):
     @abc.abstractmethod
     def rekey_all(self, num_users: int) -> int:
         """Re-key every shard for a new member count; returns the total
-        pooled rounds invalidated (buffered sessions only)."""
+        pooled rounds invalidated."""
 
     @abc.abstractmethod
     def close(self) -> None:
@@ -272,18 +263,15 @@ class InlineTransport(ShardTransport):
         return max(session.refill(rounds) for session in self._sessions)
 
     def drain_all(self, weights, per_shard_updates, recovery_dropouts):
-        def drain(shard_id, session, updates):
-            require_support(session, shard_id, "drain", "drains")
-            return session.drain(weights, updates, set(recovery_dropouts))
-
-        return self._each_shard(per_shard_updates, drain)
+        return self._each_shard(
+            per_shard_updates,
+            lambda shard_id, session, updates: session.drain(
+                weights, updates, set(recovery_dropouts)
+            ),
+        )
 
     def rekey_all(self, num_users: int) -> int:
-        invalidated = 0
-        for shard_id, session in enumerate(self._sessions):
-            require_support(session, shard_id, "rekey", "re-keying")
-            invalidated += session.rekey(num_users)
-        return invalidated
+        return sum(session.rekey(num_users) for session in self._sessions)
 
     def close(self) -> None:
         for session in self._sessions:

@@ -46,14 +46,6 @@ def _snapshot_of(session, shard_id: int, rounds_added=0) -> PoolSnapshot:
     )
 
 
-def require_support(session, shard_id: int, method: str, what: str) -> None:
-    """Typed refusal when a shard's session lacks an optional operation."""
-    if not hasattr(session, method):
-        raise TransportError(
-            f"shard {shard_id} session does not support {what}"
-        )
-
-
 def _compute(message, session, enqueued_at, registry) -> ShardRoundResult:
     """Run one round or drain and frame its outcome.
 
@@ -65,8 +57,6 @@ def _compute(message, session, enqueued_at, registry) -> ShardRoundResult:
     """
     shard_id = message.shard_id
     is_drain = isinstance(message, ShardDrainRequest)
-    if is_drain:
-        require_support(session, shard_id, "drain", "drains")
     state = session.state_snapshot()
     stalled = state["pool_level"] == 0
     compute_start = time.time() if message.trace_id else 0.0
@@ -142,7 +132,6 @@ def _reply_to(message, lookup, enqueued_at, registry):
         added = session.refill(message.rounds)
         return _snapshot_of(session, shard_id, rounds_added=added)
     if isinstance(message, RekeyRequest):
-        require_support(session, shard_id, "rekey", "re-keying")
         invalidated = session.rekey(message.num_users)
         return _snapshot_of(session, shard_id, rounds_added=-invalidated)
     return _compute(message, session, enqueued_at, registry)

@@ -568,7 +568,7 @@ class ShardDrainRequest:
 
     shard_id: int
     drain_id: int
-    weights: np.ndarray  # (B,) uint64 positive staleness weights
+    weights: np.ndarray  # (B,) non-negative integer staleness weights
     updates: np.ndarray  # (B, shard_width) uint64, unweighted quantized
     recovery_dropouts: Set[int] = field(default_factory=set)
     packed: bool = False
@@ -577,10 +577,18 @@ class ShardDrainRequest:
     trace_id: int = 0
 
     def _encode(self, w: PayloadWriter) -> None:
-        weights = np.ascontiguousarray(self.weights, dtype=np.uint64)
+        weights = np.asarray(self.weights)
         updates = np.asarray(self.updates, dtype=np.uint64)
         if weights.ndim != 1:
             raise WireError(f"drain weights must be 1-D, got {weights.shape}")
+        # A cast would turn 1.9 into 1 and -5 into 2**64 - 5: a silently
+        # wrong weighted aggregate, so anything else is refused.
+        if not np.issubdtype(weights.dtype, np.integer) or np.any(weights < 0):
+            raise WireError(
+                f"drain weights must be non-negative integers, got "
+                f"{weights.dtype} {weights[:4].tolist()}"
+            )
+        weights = np.ascontiguousarray(weights, dtype=np.uint64)
         if updates.ndim != 2 or updates.shape[0] != weights.size:
             raise WireError(
                 f"drain updates matrix {updates.shape} does not match "
@@ -602,6 +610,13 @@ class ShardDrainRequest:
         shard_id = r.get_u32()
         drain_id = r.get_u64()
         weights = r.get_array()
+        # The one weight layout the encoder sends; a peer's f8 or i8
+        # weights are refused, not reinterpreted.
+        if weights.ndim != 1 or weights.dtype != np.dtype("<u8"):
+            raise WireError(
+                f"drain weights must be 1-D <u8, got {weights.dtype.str} "
+                f"{weights.shape}"
+            )
         packed = bool(r.peek_u8() & _PACKED_FLAG)
         updates = r.get_array()
         if updates.ndim != 2 or updates.shape[0] != weights.size:

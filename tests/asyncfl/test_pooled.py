@@ -1,8 +1,10 @@
 """The pooled buffered drain, tested at the session it lives in.
 
-``BufferedShardSession.drain`` is otherwise reached only through the
-buffered round engine (``tests/service/test_buffered_engine.py``, which
-pins it bit-identical to the one-shot async oracle across transports).
+``LightSecAggSession.drain`` (the session ``LightSecAgg.session()``
+returns, the same one synchronous rounds use) is otherwise reached only
+through the buffered round engine
+(``tests/service/test_buffered_engine.py``, which pins it bit-identical
+to the one-shot async oracle across transports).
 Here the kernel itself: the exact-integer weighted sum on non-canonical
 inputs for both field shapes, every recovery-dropout pattern, a rejected
 drain spending no pooled material, the decode being load-bearing, the
@@ -22,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.asyncfl.pooled import BufferedShardSession
 from repro.exceptions import DropoutError, ProtocolError
 from repro.field import DEFAULT_PRIME, PAPER_PRIME, FiniteField
 from repro.protocols import LightSecAgg, LSAParams
@@ -38,8 +39,7 @@ GOLDEN = json.loads(
 def open_session(q, pool_size=2, seed=7):
     gf = FiniteField(q)
     params = LSAParams.from_guarantees(N, privacy=2, dropout_tolerance=2)
-    return BufferedShardSession(
-        LightSecAgg(gf, params, DIM),
+    return LightSecAgg(gf, params, DIM).session(
         pool_size=pool_size, rng=np.random.default_rng(seed),
     )
 
@@ -118,6 +118,11 @@ class TestRejectedDrainSpendsNothing:
         ([1, 2], np.zeros((2, DIM), dtype=np.float64), set(),
          ProtocolError, "dtype float64 is not an integer"),
         ([1, 0], np.zeros((2, DIM), dtype=np.uint64), set(),
+         ProtocolError, "must be positive"),
+        # Cast, these would drain as [1, 2] and with weight 2**64 - 5.
+        (np.array([1.9, 2.2]), np.zeros((2, DIM), dtype=np.uint64), set(),
+         ProtocolError, "must be positive integers, got float64"),
+        (np.array([1, -5]), np.zeros((2, DIM), dtype=np.uint64), set(),
          ProtocolError, "must be positive"),
         ([1] * (N + 1), np.zeros((N + 1, DIM), dtype=np.uint64), set(),
          ProtocolError, "exceeds"),

@@ -131,6 +131,22 @@ class TestSessionOneShotEquivalence:
         with pytest.raises(NotImplementedError):
             session.run_round(updates, set(), rng, offline_dropouts={0})
 
+    def test_encrypted_session_refuses_rekey(self, gf):
+        """The DH channel mesh is sized for the N the session opened
+        with; a re-key would leave the next refill looking up channels
+        that do not exist, so it is refused and the session stays put."""
+        params = LSAParams.from_guarantees(N, privacy=2, dropout_tolerance=3)
+        session = EncryptedLightSecAgg(gf, params, DIM).session(pool_size=2)
+        session.refill()
+        with pytest.raises(NotImplementedError, match="channel mesh"):
+            session.rekey(N + 1)
+        assert session.num_users == N and session.pool_level == 2
+        rng = np.random.default_rng(0)
+        updates = {i: gf.random(DIM, rng) for i in range(N)}
+        result = session.run_round(updates, {1})
+        assert np.array_equal(result.aggregate, gf.sum(
+            np.stack([updates[i] for i in range(N) if i != 1]), axis=0))
+
     @pytest.mark.parametrize("name", ALL_PROTOCOLS)
     def test_session_types(self, gf, name):
         proto = make_protocol(name, gf)
