@@ -7,7 +7,8 @@ timing-diagram breakdown (``offline_refill``, ``collect``,
 ``shard_gather``, ``reconstruct``) plus whatever a transport adds.
 Traces are stitched *across processes*: the coordinator opens the trace
 and propagates its ``trace_id`` over the wire (a trailing-optional
-field on ``ShardRoundRequest``), and remote shard workers report their
+field on ``ShardRoundRequest``, which carries rounds and drains
+alike), and remote shard workers report their
 compute and queue-wait timings back inside ``ShardRoundResult``, which
 the transports absorb as spans tagged with the worker's pid/host.
 

@@ -371,14 +371,7 @@ class SecureAggregationProtocol(abc.ABC):
     def _validate_round_inputs(
         self, updates: Dict[int, np.ndarray], dropouts: Set[int]
     ) -> List[int]:
-        if set(updates) != set(range(self.num_users)):
-            raise ProtocolError(
-                "updates must contain exactly one entry per user id "
-                f"0..{self.num_users - 1}"
-            )
-        bad = dropouts - set(range(self.num_users))
-        if bad:
-            raise ProtocolError(f"dropout ids {sorted(bad)} out of range")
+        check_round_ids(self.num_users, updates, dropouts)
         survivors = [i for i in range(self.num_users) if i not in dropouts]
         if not survivors:
             raise DropoutError("all users dropped; nothing to aggregate")
@@ -395,6 +388,21 @@ class SecureAggregationProtocol(abc.ABC):
         for i in survivors[1:]:
             total = self.gf.add(total, updates[i])
         return total
+
+
+def check_round_ids(
+    num_users: int, updates: Dict[int, np.ndarray], dropouts: Set[int]
+) -> None:
+    """Refuse a round whose updates are not keyed by exactly the user
+    ids ``0..N-1``, or whose dropouts name an id outside them."""
+    if set(updates) != set(range(num_users)):
+        raise ProtocolError(
+            "updates must contain exactly one entry per user id "
+            f"0..{num_users - 1}"
+        )
+    bad = set(dropouts) - set(range(num_users))
+    if bad:
+        raise ProtocolError(f"dropout ids {sorted(bad)} out of range")
 
 
 def sample_dropouts(

@@ -28,8 +28,10 @@ A pooled round of material serves one buffered-async *drain* just as
 well (paper App. F.3): :meth:`LightSecAggSession.drain` spends it on
 ``B <= N`` weighted deliveries, and :meth:`LightSecAggSession.rekey`
 rebuilds the geometry when membership changes.  A synchronous round is
-the drain whose weights are 1 on the survivors; both keep their own
-summation kernel and share one recovery tail.
+the drain whose weights are 1 on the survivors and 0 on the dropouts:
+such 0/1 drains and rounds share one lazy unit-weight kernel, other
+weights go through ``gf.matmul``, and every path shares one recovery
+tail.
 """
 
 from __future__ import annotations
@@ -253,6 +255,45 @@ class LightSecAggSession(ProtocolSession):
             raise ProtocolError(f"{what} dtype {arr.dtype} is not an integer")
         return self.gf.array(arr)
 
+    def _require_survivors(self, survivors) -> None:
+        """Refuse a round or drain that leaves fewer than ``U`` survivors
+        to answer the recovery phase."""
+        u = self.params.target_survivors
+        if len(survivors) < u:
+            raise DropoutError(
+                f"session round {self.stats.rounds}: only {len(survivors)} "
+                f"survivors remain, need U={u} to recover the aggregate mask"
+            )
+
+    def _unit_sums(self, rows, material: OfflineMaterial, picks, responders):
+        """The unit-weight kernel rounds and 0/1-weight drains share.
+
+        Sums the masked uploads ``rows[b] + z_b`` of the picked slots
+        ``b`` and, for each responder ``j``, the aggregated coded share
+        ``sum_b [~z_b]_j`` — lazily: every term enters one uint64
+        accumulator as a raw add and each accumulator is reduced once.
+        Summing whole ``coded[b]`` rows and keeping the responders'
+        avoids gathering a ``(B, U, share_dim)`` copy.  ``rows`` must be
+        canonical residues.
+        """
+        gf = self.gf
+        masked_acc = np.zeros(self.model_dim, dtype=np.uint64)
+        share_acc = np.zeros(
+            (self.num_users, self.encoder.share_dim), dtype=np.uint64
+        )
+        for b in picks:
+            masked_acc += rows[b]
+            masked_acc += material.masks[b]
+            share_acc += material.coded[b]
+        masked_sum = gf.reducer.reduce_bounded(
+            masked_acc, lazy_sum_bound(gf.q, 2 * len(picks)), out=masked_acc
+        )
+        agg_shares = gf.reducer.reduce_bounded(
+            share_acc[responders],  # (U, share_dim)
+            lazy_sum_bound(gf.q, len(picks)),
+        )
+        return masked_sum, {j: agg_shares[r] for r, j in enumerate(responders)}
+
     def run_round(
         self,
         updates: Dict[int, np.ndarray],
@@ -281,66 +322,32 @@ class LightSecAggSession(ProtocolSession):
         survivors = self.protocol._validate_round_inputs(
             updates, set(dropouts) | offline_dropouts
         )
-        u = self.params.target_survivors
-        if len(survivors) < u:
-            raise DropoutError(
-                f"session round {self.stats.rounds}: only {len(survivors)} "
-                f"survivors remain, need U={u} to recover the aggregate mask"
-            )
+        self._require_survivors(survivors)
         # Worst case: everyone who made it through the offline phase
         # uploads, including users about to drop; offline dropouts never
         # upload at all.  Every upload is validated before any pooled
         # material is spent, so a rejected round costs the pool nothing.
-        n = self.num_users
-        live = [i for i in range(n) if i not in offline_dropouts]
+        live = [i for i in range(self.num_users) if i not in offline_dropouts]
         residues = {
             i: self._canonical(updates[i], (self.model_dim,), f"user {i}: update")
             for i in live
         }
         material = self._take_material()
-
-        gf = self.gf
-        share_dim = self.encoder.share_dim
         transcript = Transcript()
-
-        # Online phase 1 — masked uploads, summed lazily: survivor i's
-        # upload x_i + z_i enters one uint64 accumulator as two raw adds
-        # and the whole sum is reduced once.
         for i in live:
             transcript.record(i, SERVER, "upload", self.model_dim)
-        masked_acc = np.zeros(self.model_dim, dtype=np.uint64)
-        for i in survivors:
-            masked_acc += residues[i]
-            masked_acc += material.masks[i]
-        masked_sum = gf.reducer.reduce_bounded(
-            masked_acc, lazy_sum_bound(gf.q, 2 * len(survivors)),
-            out=masked_acc,
+        # One-shot aggregate-mask recovery from the first U survivors
+        # (lowest ids, matching the one-shot path).
+        masked_sum, agg_shares = self._unit_sums(
+            residues, material, survivors,
+            survivors[: self.params.target_survivors],
         )
-
-        # Online phase 2 — one-shot aggregate-mask recovery from the first
-        # U survivors (lowest ids, matching the one-shot path).  Holder j
-        # sends sum_i [~z_i]_j over the survivors i; summing whole
-        # ``coded[i]`` rows and keeping the responders' avoids gathering
-        # an (S, U, share_dim) copy.
-        responders = survivors[:u]
-        share_acc = np.zeros((n, share_dim), dtype=np.uint64)
-        for i in survivors:
-            share_acc += material.coded[i]
-        agg_shares = gf.reducer.reduce_bounded(
-            share_acc[responders],  # (U, share_dim)
-            lazy_sum_bound(gf.q, len(survivors)),
-        )
-        return self._recover(
-            masked_sum,
-            {j: agg_shares[r] for r, j in enumerate(responders)},
-            survivors,
-            transcript,
-        )
+        return self._recover(masked_sum, agg_shares, survivors, transcript)
 
     def drain(
         self,
         weights,
-        updates: np.ndarray,
+        updates,
         recovery_dropouts: Optional[Set[int]] = None,
     ) -> AggregationResult:
         """One buffer drain: weighted secure aggregation of ``B`` updates.
@@ -348,14 +355,16 @@ class LightSecAggSession(ProtocolSession):
         Parameters
         ----------
         weights:
-            ``(B,)`` positive integer staleness weights, one per buffered
-            delivery in arrival order; anything else is refused, never
-            cast.  Zero-weight deliveries must be filtered out by the
-            caller (they contribute nothing and would waste a mask slot).
+            ``(B,)`` non-negative integer weights, one per upload in
+            slot order; anything else is refused, never cast.  A
+            weight-0 upload is recorded in the transcript and left out
+            of the sum, its mask never entering the decoded aggregate —
+            which is how a synchronous round is this drain: ``B = N``
+            member rows weighted 1 on survivors and 0 on dropouts.
         updates:
-            ``(B, model_dim)`` integer matrix of *unweighted* quantized
-            updates, row ``b`` = delivery ``b``.  Row order is
-            load-bearing: delivery ``b`` consumes pooled mask slot ``b``.
+            ``(B, model_dim)`` integer matrix, or a sequence of ``B``
+            integer rows, of *unweighted* quantized updates.  Row order
+            is load-bearing: row ``b`` consumes pooled mask slot ``b``.
         recovery_dropouts:
             Member slots (``0..N-1``) that do not answer the recovery
             phase; at least ``U`` must remain.
@@ -366,8 +375,10 @@ class LightSecAggSession(ProtocolSession):
         decoding is linear, so the masks cancel exactly whichever pooled
         masks were spent.  That is what makes a drain bit-identical to
         the one-shot :class:`~repro.asyncfl.secure_aggregator.
-        AsyncSecureAggregator` oracle, across transports and re-keys.  A
-        rejected drain raises before any pooled material is taken.
+        AsyncSecureAggregator` oracle, across transports and re-keys.
+        0/1 weights take the lazy unit-weight kernel :meth:`run_round`
+        uses; any other weights are applied in-field by ``gf.matmul``.
+        A rejected drain raises before any pooled material is taken.
         """
         self._require_open()
         recovery_dropouts = set(recovery_dropouts or set())
@@ -375,14 +386,23 @@ class LightSecAggSession(ProtocolSession):
         if weights.ndim != 1 or weights.size == 0:
             raise ProtocolError("drain needs a non-empty 1-D weight vector")
         batch = int(weights.size)
-        updates = self._canonical(
-            updates, (batch, self.model_dim), "drain updates"
-        )
-        if not np.issubdtype(weights.dtype, np.integer) or np.any(weights <= 0):
+        if isinstance(updates, np.ndarray):
+            rows = self._canonical(
+                updates, (batch, self.model_dim), "drain updates"
+            )
+        elif len(updates) != batch:
             raise ProtocolError(
-                f"drain weights must be positive integers, got "
-                f"{weights.dtype} {weights[:4].tolist()}; filter zero-weight "
-                "deliveries before draining"
+                f"drain updates hold {len(updates)} rows for {batch} weights"
+            )
+        else:
+            rows = [
+                self._canonical(row, (self.model_dim,), f"drain row {b}")
+                for b, row in enumerate(updates)
+            ]
+        if not np.issubdtype(weights.dtype, np.integer) or np.any(weights < 0):
+            raise ProtocolError(
+                f"drain weights must be non-negative integers, got "
+                f"{weights.dtype} {weights[:4].tolist()}"
             )
         n = self.num_users
         if batch > n:
@@ -396,39 +416,37 @@ class LightSecAggSession(ProtocolSession):
                 f"recovery dropout slots {sorted(bad)} out of range"
             )
         responders = [j for j in range(n) if j not in recovery_dropouts]
-        u = self.params.target_survivors
-        if len(responders) < u:
-            raise DropoutError(
-                f"only {len(responders)} recovery responders, need U={u}"
-            )
+        self._require_survivors(responders)
         # Everything that can reject the drain is above this line, so a
         # rejected drain spends no pooled material.
         gf = self.gf
-        w = gf.array(weights)[None, :]  # (1, B)
+        u = self.params.target_survivors
         material = self._take_material()
-
-        share_dim = self.encoder.share_dim
         transcript = Transcript()
-
-        # Upload: each delivery arrives masked by its slot's pooled mask
-        # (two residues: one conditional subtract); the server applies
-        # the public weights in-field as one (1, B) @ (B, d) product.
-        masked = gf.reducer.reduce_semi(updates + material.masks[:batch])
-        masked_sum = gf.matmul(w, masked)[0]
         for b in range(batch):
             transcript.record(b, SERVER, "upload", self.model_dim)
-
-        # Recovery: holder j's weighted aggregated share is
-        # sum_b w_b [~z_b]_j.  Weighting every holder's row in one
-        # product and keeping the responders' avoids gathering a
-        # (B, U, share_dim) grid.
-        coded = material.coded[:batch].reshape(batch, n * share_dim)
-        agg_shares = gf.matmul(w, coded).reshape(n, share_dim)
+        if np.all(weights <= 1):
+            masked_sum, agg_shares = self._unit_sums(
+                rows, material, np.flatnonzero(weights).tolist(),
+                responders[:u],
+            )
+        else:
+            # Each upload arrives masked by its slot's pooled mask (two
+            # residues: one conditional subtract); the server applies
+            # the public weights in-field as one (1, B) @ (B, d)
+            # product, and weights every holder's coded row in one more,
+            # keeping the responders'.
+            w = gf.array(weights)[None, :]  # (1, B)
+            masked = gf.reducer.reduce_semi(
+                np.asarray(rows) + material.masks[:batch]
+            )
+            masked_sum = gf.matmul(w, masked)[0]
+            share_dim = self.encoder.share_dim
+            coded = material.coded[:batch].reshape(batch, n * share_dim)
+            shares = gf.matmul(w, coded).reshape(n, share_dim)
+            agg_shares = {j: shares[j] for j in responders[:u]}
         return self._recover(
-            masked_sum,
-            {j: agg_shares[j] for j in responders[:u]},
-            responders,
-            transcript,
+            masked_sum, agg_shares, responders, transcript,
             drain_batch=float(batch),
         )
 

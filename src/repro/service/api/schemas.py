@@ -432,7 +432,7 @@ class RoundRequest:
         )
 
     def materialize(self, spec: CohortSpec, gf):
-        """Produce ``(updates, dropouts, rng)`` for the cohort's round.
+        """Produce ``(updates, dropouts)`` for the cohort's round.
 
         Decodes explicit vectors (validating user ids, dimension, and
         field range against the cohort's spec) or draws synthetic inputs
@@ -457,7 +457,7 @@ class RoundRequest:
             dropouts = set(self.dropouts) | sample_dropouts(
                 spec.num_users, self.synthetic.dropout_rate, rng
             )
-            return updates, dropouts, rng
+            return updates, dropouts
         assert self.updates_b64 is not None
         updates = {}
         for uid in sorted(self.updates_b64):
@@ -470,7 +470,7 @@ class RoundRequest:
                 self.updates_b64[uid], self.encoding, gf.q,
                 spec.model_dim, f"updates[{uid}]",
             )
-        return updates, set(self.dropouts), None
+        return updates, set(self.dropouts)
 
 
 @dataclass(frozen=True)

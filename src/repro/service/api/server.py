@@ -235,9 +235,9 @@ class ControlPlane:
     ) -> RoundResponse:
         with self._in_flight(cohort_id) as cohort:
             gf = self.service.gf
-            updates, dropouts, rng = request.materialize(cohort.spec, gf)
+            updates, dropouts = request.materialize(cohort.spec, gf)
             t0 = time.perf_counter()
-            result = cohort.run_round(updates, dropouts, rng)
+            result = cohort.run_round(updates, dropouts)
             online = time.perf_counter() - t0
             status = cohort.status()
             return RoundResponse(

@@ -139,8 +139,6 @@ class Cohort:
         self,
         updates: Dict[int, np.ndarray],
         dropouts: Optional[Set[int]] = None,
-        rng: Optional[np.random.Generator] = None,
-        **phase_kwargs,
     ) -> AggregationResult:
         """Drive one full round through the phase machine.
 
@@ -157,7 +155,7 @@ class Cohort:
         engines reject this entry point (their rounds are driven by
         :meth:`submit_update`).
         """
-        return self.engine.run_round(updates, dropouts, rng, **phase_kwargs)
+        return self.engine.run_round(updates, dropouts)
 
     # ------------------------------------------------------------------
     # buffered-async entry points (engine-gated)

@@ -149,7 +149,7 @@ class RoundEngine:
         """Attach the engine to its cohort shell (called by Cohort)."""
         self.cohort = cohort
 
-    def run_round(self, updates, dropouts=None, rng=None, **phase_kwargs):
+    def run_round(self, updates, dropouts=None):
         raise ProtocolError(
             f"{self.kind} cohorts do not run synchronous rounds"
         )
@@ -229,7 +229,7 @@ class SyncRoundEngine(RoundEngine):
 
     kind = "sync"
 
-    def run_round(self, updates, dropouts=None, rng=None, **phase_kwargs):
+    def run_round(self, updates, dropouts=None):
         c = self.cohort
         dropouts = set(dropouts or set())
         # Entering the machine happens OUTSIDE the round bracket: a call
@@ -255,9 +255,7 @@ class SyncRoundEngine(RoundEngine):
             # transport would gather client uploads here.
             with span("collect", users=str(len(updates))):
                 c._advance(CohortPhase.COLLECTING, CohortPhase.AGGREGATING)
-            return timed(
-                c.session.run_round, updates, dropouts, rng, **phase_kwargs
-            )
+            return timed(c.session.run_round, updates, dropouts)
 
 
 class BufferedAsyncRoundEngine(RoundEngine):

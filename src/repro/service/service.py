@@ -266,10 +266,9 @@ class AggregationService:
         cohort_id: int,
         updates: Dict[int, np.ndarray],
         dropouts: Optional[Set[int]] = None,
-        rng: Optional[np.random.Generator] = None,
     ) -> AggregationResult:
         """One round for one cohort with caller-supplied updates."""
-        return self._cohort(cohort_id).run_round(updates, dropouts, rng)
+        return self._cohort(cohort_id).run_round(updates, dropouts)
 
     def _cohort(self, cohort_id: int) -> Cohort:
         cohort = self.get_cohort(cohort_id)
@@ -335,9 +334,7 @@ class AggregationService:
             uid: quantizer.quantize(update, rng)
             for uid, update in sorted(real_updates.items())
         }
-        result = self._cohort(cohort_id).run_round(
-            field_updates, dropouts, rng
-        )
+        result = self._cohort(cohort_id).run_round(field_updates, dropouts)
         return quantizer.dequantize(result.aggregate), result
 
     def run_synthetic(
@@ -381,7 +378,7 @@ class AggregationService:
                 dropouts = sample_dropouts(spec.num_users, dropout_rate, rng)
                 try:
                     sweep[cohort.cohort_id] = cohort.run_round(
-                        updates, dropouts, rng
+                        updates, dropouts
                     )
                 except ProtocolError:
                     if cohort.phase is not CohortPhase.CLOSED:

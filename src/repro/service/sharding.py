@@ -6,8 +6,9 @@ partitions the length-``d`` model vector into ``S`` contiguous slices
 (the same near-even split :mod:`repro.coding.partition` uses, without
 padding), and a :class:`ShardedSession` drives one pooled protocol
 session per shard: client updates are *scattered* into per-shard slices,
-every shard runs the same round against the same dropout set, and the
-shard aggregates are *gathered* back into one vector.
+every shard computes the same weighted aggregate against the same
+dropout set (a round is the drain weighted 1 on survivors and 0 on
+dropouts), and the shard aggregates are *gathered* back into one vector.
 
 Because the per-shard field sums are exact, reassembly is bit-identical
 to running the round through a single session over the full vector —
@@ -31,6 +32,7 @@ from repro.protocols.base import (
     RoundMetrics,
     SessionStats,
     Transcript,
+    check_round_ids,
 )
 from repro.service.transport import InlineTransport, ShardTransport
 
@@ -143,6 +145,13 @@ class ShardedSession:
                 f"{len(shard_sessions)} sessions were supplied"
             )
         for s, sess in enumerate(shard_sessions):
+            # Every shard operation is a weighted drain, so a session
+            # without one (a replay session) cannot serve a shard.
+            if not hasattr(sess, "drain"):
+                raise ProtocolError(
+                    f"shard {s} session {type(sess).__name__} has no "
+                    "drain; only pooled LightSecAgg sessions shard"
+                )
             if sess.protocol.model_dim != plan.widths[s]:
                 raise ProtocolError(
                     f"shard {s} session covers d={sess.protocol.model_dim}, "
@@ -209,33 +218,62 @@ class ShardedSession:
         self.close()
 
     # ------------------------------------------------------------------
-    # the round: scatter -> per-shard rounds -> gather
+    # the one operation: scatter -> per-shard weighted aggregate -> gather
     # ------------------------------------------------------------------
+    def _require_open(self) -> None:
+        if self.closed:
+            raise ProtocolError("session is closed")
+
+    def _field_words(self, values, what: str) -> np.ndarray:
+        """The coordinator's one dtype rule, applied before any scatter.
+
+        ``uint64`` passes untouched (the hot path gains no pass; each
+        shard's session reduces what is not canonical), other integer
+        dtypes go through ``gf.array``, and anything else is refused: a
+        cast to uint64 would turn -5 into ``2**64 - 5`` and truncate
+        floats, a silently wrong aggregate on the framed lanes.
+        """
+        arr = np.asarray(values)
+        if arr.dtype == np.uint64:
+            return arr
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ProtocolError(f"{what} dtype {arr.dtype} is not an integer")
+        return self.gf.array(arr)
+
     def run_round(
         self,
         updates: Dict[int, np.ndarray],
         dropouts: Set[int],
         rng: Optional[np.random.Generator] = None,
-        **phase_kwargs,
     ) -> AggregationResult:
         """One logical round across all shards.
 
-        Every shard session sees the same dropout set (and any
-        ``phase_kwargs`` like ``offline_dropouts``), so survivor sets
-        agree by construction; the reassembled aggregate is bit-identical
-        to the single-shard path because field sums are elementwise.
+        A round is the 0/1-weight drain: all ``N`` member rows in id
+        order, weighted 1 on survivors and 0 on dropouts, which keeps
+        every member's upload in the transcript and only the survivors'
+        in the sum.  Every shard sees the same dropout set, so survivor
+        sets agree by construction; the reassembled aggregate is
+        bit-identical to the single-shard path because field sums are
+        elementwise.  ``rng`` is accepted for
+        :class:`~repro.protocols.base.ProtocolSession` callers and
+        ignored: pooled sessions draw nothing online.  Malformed ids are
+        refused before any shard is contacted.
         """
-        scattered: Dict[int, List[np.ndarray]] = {
-            uid: self.plan.scatter(vec) for uid, vec in updates.items()
-        }
-        per_shard_updates = [
-            {uid: parts[s] for uid, parts in scattered.items()}
-            for s in range(self.plan.num_shards)
+        self._require_open()
+        dropouts = set(dropouts)
+        check_round_ids(self.num_users, updates, dropouts)
+        scattered = [
+            self.plan.scatter(self._field_words(updates[i], f"user {i}: update"))
+            for i in range(self.num_users)
         ]
-        return self._merged(
-            lambda: self.transport.run_all(
-                per_shard_updates, dropouts, rng, **phase_kwargs
-            )
+        weights = np.array(
+            [i not in dropouts for i in range(self.num_users)], dtype=np.uint64
+        )
+        return self._aggregate(
+            weights,
+            [[parts[s] for parts in scattered]
+             for s in range(self.plan.num_shards)],
+            dropouts,
         )
 
     def drain(
@@ -252,28 +290,28 @@ class ShardedSession:
         aggregate is bit-identical to a single full-width drain for the
         same reason rounds are — field sums are elementwise.
         """
-        updates = np.asarray(updates, dtype=np.uint64)
+        self._require_open()
+        updates = self._field_words(updates, "drain updates")
         if updates.ndim != 2 or updates.shape[1] != self.plan.dim:
             raise ProtocolError(
                 f"expected a (B, {self.plan.dim}) update matrix, got "
                 f"{updates.shape}"
             )
-        per_shard_updates = [
-            np.ascontiguousarray(updates[:, self.plan.slice(s)])
-            for s in range(self.plan.num_shards)
-        ]
-        return self._merged(
-            lambda: self.transport.drain_all(
-                weights, per_shard_updates, set(recovery_dropouts or set())
-            )
+        return self._aggregate(
+            weights,
+            [updates[:, self.plan.slice(s)]
+             for s in range(self.plan.num_shards)],
+            set(recovery_dropouts or set()),
         )
 
-    def _merged(self, dispatch) -> AggregationResult:
-        """Run ``dispatch()`` (one result per shard) and merge: survivors
-        must agree, aggregates concatenate, transcripts and cost counters
-        sum — the tail every logical shard operation shares."""
+    def _aggregate(self, weights, per_shard_rows, dropouts) -> AggregationResult:
+        """Run the transport's one operation and merge: survivors must
+        agree, aggregates concatenate, transcripts and cost counters
+        sum."""
         misses_before = sum(s.stats.pool_misses for s in self.shard_sessions)
-        shard_results: List[AggregationResult] = dispatch()
+        shard_results: List[AggregationResult] = self.transport.aggregate_all(
+            weights, per_shard_rows, dropouts
+        )
         misses_after = sum(s.stats.pool_misses for s in self.shard_sessions)
         if misses_after > misses_before:
             self._logical_misses += 1

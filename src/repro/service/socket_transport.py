@@ -82,7 +82,6 @@ from repro.wire import (
     SessionSetup,
     SessionTeardown,
     SetupAck,
-    ShardDrainRequest,
     ShardRoundRequest,
     ShmArrayRef,
     ShmRegistry,
@@ -723,12 +722,17 @@ class SocketTransport(ShardTransport):
         )
 
     # -- per-request hooks the shm lane overrides ---------------------------
-    def _round_request(self, shard_id, round_id, updates, dropouts,
-                       offline_dropouts) -> Tuple[ShardRoundRequest, int]:
-        """Build one shard's round request; returns it with the bytes
-        staged outside the frame (none, unless the lane stages payloads)."""
-        request = ShardRoundRequest.from_updates(
-            shard_id, round_id, updates, dropouts, offline_dropouts,
+    def _round_request(self, shard_id, round_id, weights, rows,
+                       dropouts) -> Tuple[ShardRoundRequest, int]:
+        """Build one shard's request, its rows stacked into the frame;
+        returns it with the bytes staged outside the frame (none, unless
+        the lane stages payloads)."""
+        request = ShardRoundRequest(
+            shard_id=shard_id,
+            round_id=round_id,
+            weights=weights,
+            updates=np.asarray(rows, dtype=np.uint64),
+            dropouts=set(dropouts),
             packed=self.wire_format == "packed",
         )
         return request, 0
@@ -805,16 +809,17 @@ class SocketTransport(ShardTransport):
         if error is not None:
             raise error
 
-    def _compute_all(self, per_shard_updates, make_request):
-        """One round or drain: scatter, gather, account, raise.
+    def aggregate_all(self, weights, per_shard_rows, dropouts):
+        """Scatter one request per shard, then gather every result.
 
-        ``make_request(shard_id, op_id)`` and :meth:`_round_result` each
-        return their value plus the payload bytes moved outside frames.
+        Rounds and drains alike: the request is the weighted aggregate.
+        :meth:`_round_request` and :meth:`_round_result` each return
+        their value plus the payload bytes moved outside frames.
         """
-        if len(per_shard_updates) != len(self.specs):
+        if len(per_shard_rows) != len(self.specs):
             raise ProtocolError(
                 f"expected {len(self.specs)} shard update slices, got "
-                f"{len(per_shard_updates)}"
+                f"{len(per_shard_rows)}"
             )
         t0 = time.perf_counter()
         op_id = next(self._round_ids)
@@ -824,7 +829,9 @@ class SocketTransport(ShardTransport):
 
         def request_for(shard_id):
             nonlocal shm_bytes
-            request, staged = make_request(shard_id, op_id)
+            request, staged = self._round_request(
+                shard_id, op_id, weights, per_shard_rows[shard_id], dropouts
+            )
             shm_bytes += staged
             if trace is not None:
                 request.trace_id = trace.trace_id
@@ -883,50 +890,6 @@ class SocketTransport(ShardTransport):
         if self._closed:
             return 0
         return sum(1 for client in self._clients if client.alive)
-
-    def run_all(self, per_shard_updates, dropouts, rng=None, **phase_kwargs):
-        """Scatter one round request per shard, then gather every result.
-
-        The caller's ``rng`` cannot cross a process boundary and is
-        ignored; online rounds of pooled sessions draw nothing from it.
-        """
-        offline_dropouts = phase_kwargs.pop("offline_dropouts", None)
-        if phase_kwargs:
-            raise TransportError(
-                f"the {self.kind} transport cannot forward phase kwargs "
-                f"{sorted(phase_kwargs)} over the wire"
-            )
-        return self._compute_all(
-            per_shard_updates,
-            lambda shard_id, round_id: self._round_request(
-                shard_id, round_id, per_shard_updates[shard_id], dropouts,
-                offline_dropouts,
-            ),
-        )
-
-    def drain_all(self, weights, per_shard_updates, recovery_dropouts):
-        """Scatter one buffered drain per shard, then gather every result.
-
-        Drain payloads always ride the frame (even on the shm lane): a
-        drain matrix is ``(B, width)`` with ``B <= N`` rows of *buffered*
-        deliveries, and the shm arena's request regions are sized for
-        the fixed member count at construction — re-keying can grow the
-        buffer past them, so the frame is the lane that stays correct
-        across membership churn.
-        """
-        weights = np.asarray(weights)  # typed and checked by the encode
-
-        def drain_request(shard_id, drain_id):
-            return ShardDrainRequest(
-                shard_id=shard_id,
-                drain_id=drain_id,
-                weights=weights,
-                updates=per_shard_updates[shard_id],
-                recovery_dropouts=set(recovery_dropouts),
-                packed=self.wire_format == "packed",
-            ), 0
-
-        return self._compute_all(per_shard_updates, drain_request)
 
     def rekey_all(self, num_users: int) -> int:
         """Re-key every shard's worker session for a new member count."""
@@ -990,9 +953,11 @@ class ProcessPoolTransport(SocketTransport):
     capacity is traded explicitly, never silently dropped.
 
     ``payload_mode="shm"`` stages vector payloads in a coordinator-owned
-    shared-memory segment (one region pair per shard) and frames only
-    ``(name, offset)`` references, so element bytes never transit the
-    socket.  Regions are reused round over round — safe because at most
+    shared-memory segment (one region pair per shard, sized for the
+    member count at construction) and frames only ``(name, offset)``
+    references, so element bytes never transit the socket; a request
+    with more rows than its region holds rides the frame.  Regions are
+    reused round over round — safe because at most
     one round per shard is in flight — and the segment is unlinked in
     :meth:`close` (with a ``__del__`` backstop), so a worker dying
     mid-round cannot leak ``/dev/shm`` entries.
@@ -1031,7 +996,8 @@ class ProcessPoolTransport(SocketTransport):
             self.kind = "shm"
         self._workers = min(num_workers or len(specs), len(specs))
         self._arena: Optional[SegmentArena] = None
-        self._regions: List[Tuple[int, int]] = []  # (req_off, resp_off)
+        # (req_off, resp_off, rows the request region holds)
+        self._regions: List[Tuple[int, int, int]] = []
         self._registry: Optional[ShmRegistry] = None
         super().__init__(
             specs, connect=(), metrics=metrics, cohort_id=cohort_id,
@@ -1048,7 +1014,9 @@ class ProcessPoolTransport(SocketTransport):
             for spec in self.specs:
                 req_nbytes = spec.num_users * spec.shard_dim * 8
                 resp_nbytes = spec.shard_dim * 8
-                self._regions.append((offset, offset + req_nbytes))
+                self._regions.append(
+                    (offset, offset + req_nbytes, spec.num_users)
+                )
                 offset += req_nbytes + resp_nbytes
             self._arena = SegmentArena(offset)
             self._registry = ShmRegistry()
@@ -1093,28 +1061,28 @@ class ProcessPoolTransport(SocketTransport):
             self._arena.close()
 
     # -- shm payload staging (per-request hooks) -------------------------
-    def _round_request(self, shard_id, round_id, updates, dropouts,
-                       offline_dropouts):
-        """In shm mode, write the shard's update matrix into its arena
-        region and frame only the references."""
-        if self._arena is None:
+    def _round_request(self, shard_id, round_id, weights, rows, dropouts):
+        """In shm mode, write the shard's update rows into its arena
+        region and frame only the references.  A request with more rows
+        than the region was sized for at construction (a drain after a
+        join grew the member set) rides the frame instead: resizing the
+        arena would leave the replaced segment mapped in the worker."""
+        if self._arena is None or len(rows) > self._regions[shard_id][2]:
             return super()._round_request(
-                shard_id, round_id, updates, dropouts, offline_dropouts
+                shard_id, round_id, weights, rows, dropouts
             )
-        req_off, resp_off = self._regions[shard_id]
+        req_off, resp_off, _ = self._regions[shard_id]
         width = self.specs[shard_id].shard_dim
-        user_ids = sorted(updates)
-        shape = (len(user_ids), width) if user_ids else (0, 0)
+        shape = (len(rows), width)
         matrix = self._arena.ndarray(req_off, shape)
-        for i, uid in enumerate(user_ids):
-            matrix[i] = updates[uid]
+        for b, row in enumerate(rows):
+            matrix[b] = row
         request = ShardRoundRequest(
             shard_id=shard_id,
             round_id=round_id,
-            user_ids=user_ids,
+            weights=weights,
             updates=matrix,
             dropouts=set(dropouts),
-            offline_dropouts=set(offline_dropouts or set()),
             updates_ref=ShmArrayRef(
                 name=self._arena.name, offset=req_off, shape=shape
             ),

@@ -6,20 +6,24 @@ session runs and how work reaches it, so the *same* coordinator code
 drives every lane:
 
 * :class:`InlineTransport` — the sessions live in this process and are
-  called directly.  Bit-identical to the pre-transport behaviour
-  (including rng forwarding), and the baseline every other lane is
-  verified against.
+  called directly; the baseline every other lane is verified against.
 * :class:`~repro.service.socket_transport.SocketTransport` — each
   shard's session is pinned on a ``repro shard-worker`` host and spoken
   to in :mod:`repro.wire` frames over a stream socket, with heartbeat
   supervision.  Hosts at TCP addresses are the multi-host deployment
   backend (``socket``); :class:`~repro.service.socket_transport.ProcessPoolTransport`
   spawns the same host as local child processes over socketpairs
-  (``process``, and ``shm`` with shared-memory payload staging).  Round
+  (``process``, and ``shm`` with shared-memory payload staging).  Shard
   requests are *scattered* to all workers before any result is
   *gathered*, so shard rounds run on separate cores; refills run on a
   dedicated thread inside each host, so pool top-ups overlap both with
   other shards' encodes and with rounds on the same host.
+
+Every lane serves one operation, :meth:`ShardTransport.aggregate_all`:
+the weighted aggregate of ``B`` update rows per shard, which each
+shard's session computes with ``drain``.  A synchronous round is the
+call whose ``N`` member rows are weighted 1 on survivors and 0 on
+dropouts; a buffered drain passes its staleness weights.
 
 Out-of-process shards are exposed as :class:`ShardHandle` objects with
 the :class:`~repro.protocols.base.ProtocolSession` pool surface
@@ -48,7 +52,7 @@ import abc
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -111,12 +115,12 @@ class ShardSessionSpec:
 
 
 class ShardTransport(abc.ABC):
-    """Scatter/gather execution of shard rounds and refills.
+    """Scatter/gather execution of shard aggregates and refills.
 
     The coordinator (``ShardedSession``) owns the :class:`ShardPlan` and
     the scatter/gather of *vectors*; the transport owns the scatter and
-    gather of *work*: one round request per shard, one refill per needy
-    shard, against sessions living wherever the backend puts them.
+    gather of *work*: one aggregate request per shard, one refill per
+    needy shard, against sessions living wherever the backend puts them.
     """
 
     kind: str = "abstract"
@@ -136,32 +140,25 @@ class ShardTransport(abc.ABC):
         return len(self.shard_handles)
 
     @abc.abstractmethod
-    def run_all(
+    def aggregate_all(
         self,
-        per_shard_updates: List[Dict[int, np.ndarray]],
+        weights: np.ndarray,
+        per_shard_rows: List[Sequence[np.ndarray]],
         dropouts: Set[int],
-        rng: Optional[np.random.Generator] = None,
-        **phase_kwargs,
     ) -> List[AggregationResult]:
-        """One logical round: every shard sees the same dropout sets."""
+        """One weighted aggregate across every shard: a round or a drain.
+
+        ``weights`` is the shared ``(B,)`` weight vector (0/1 for a
+        synchronous round, staleness weights for a drain);
+        ``per_shard_rows[s]`` holds shard ``s``'s ``B`` update rows, as
+        a ``(B, shard_width)`` matrix or a sequence of 1-D rows, row
+        ``b`` spending mask slot ``b``; ``dropouts`` are the member
+        slots missing from recovery, the same on every shard.
+        """
 
     @abc.abstractmethod
     def refill_all(self, rounds: Optional[int] = None) -> int:
         """Top up every shard's pool; returns the max rounds added."""
-
-    @abc.abstractmethod
-    def drain_all(
-        self,
-        weights: np.ndarray,
-        per_shard_updates: List[np.ndarray],
-        recovery_dropouts: Set[int],
-    ) -> List[AggregationResult]:
-        """One buffered drain across every shard.
-
-        ``weights`` is the shared ``(B,)`` staleness-weight vector;
-        ``per_shard_updates[s]`` the ``(B, shard_width)`` slice of the
-        unweighted quantized deliveries, rows in buffer order.
-        """
 
     @abc.abstractmethod
     def rekey_all(self, num_users: int) -> int:
@@ -180,9 +177,9 @@ class ShardTransport(abc.ABC):
 class InlineTransport(ShardTransport):
     """Direct calls into sessions owned by this process (the baseline).
 
-    Deliberately *not* routed through message objects: that would add an
-    ``N x d`` stack copy to every round and lose rng / ``phase_kwargs``
-    forwarding.  Rounds and drains share one per-shard loop instead.
+    Deliberately *not* routed through message objects: each shard's
+    session drains the caller's per-user row views as they are, where a
+    request would first stack them into an ``N x d`` copy.
     """
 
     kind = "inline"
@@ -216,18 +213,17 @@ class InlineTransport(ShardTransport):
     def gf(self) -> FiniteField:
         return self._sessions[0].gf
 
-    def _each_shard(self, per_shard_updates, call) -> List[AggregationResult]:
-        """Run ``call(shard_id, session, updates)`` on every shard in order."""
-        if len(per_shard_updates) != len(self._sessions):
+    def aggregate_all(self, weights, per_shard_rows, dropouts):
+        if len(per_shard_rows) != len(self._sessions):
             raise ProtocolError(
                 f"expected {len(self._sessions)} shard update slices, got "
-                f"{len(per_shard_updates)}"
+                f"{len(per_shard_rows)}"
             )
         t0 = time.perf_counter()
         misses_before = sum(s.stats.pool_misses for s in self._sessions)
         results = []
-        for shard_id, (session, updates) in enumerate(
-            zip(self._sessions, per_shard_updates)
+        for shard_id, (session, rows) in enumerate(
+            zip(self._sessions, per_shard_rows)
         ):
             # Inline shards compute on this thread: the span nests any
             # offline_refill/mask_encode the session opens underneath it.
@@ -237,7 +233,7 @@ class InlineTransport(ShardTransport):
                 host=HOSTNAME,
                 transport=self.kind,
             ):
-                results.append(call(shard_id, session, updates))
+                results.append(session.drain(weights, rows, set(dropouts)))
         if self._metrics is not None:
             # A shard whose round ran an inline refill is a stalled shard,
             # the same quantity the process backend reports per round.
@@ -251,24 +247,8 @@ class InlineTransport(ShardTransport):
             )
         return results
 
-    def run_all(self, per_shard_updates, dropouts, rng=None, **phase_kwargs):
-        return self._each_shard(
-            per_shard_updates,
-            lambda shard_id, session, updates: session.run_round(
-                updates, set(dropouts), rng, **phase_kwargs
-            ),
-        )
-
     def refill_all(self, rounds: Optional[int] = None) -> int:
         return max(session.refill(rounds) for session in self._sessions)
-
-    def drain_all(self, weights, per_shard_updates, recovery_dropouts):
-        return self._each_shard(
-            per_shard_updates,
-            lambda shard_id, session, updates: session.drain(
-                weights, updates, set(recovery_dropouts)
-            ),
-        )
 
     def rekey_all(self, num_users: int) -> int:
         return sum(session.rekey(num_users) for session in self._sessions)

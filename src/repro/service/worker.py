@@ -3,7 +3,10 @@
 Every out-of-process lane runs its shards on a shard-worker host
 (:mod:`repro.service.socket_worker`), and each host connection's round
 and refill threads hand every shard request to :func:`serve_request`:
-message + session lookup + enqueue stamp in, reply message out.  The
+message + session lookup + enqueue stamp in, reply message out.  There
+is one compute request, :class:`~repro.wire.ShardRoundRequest`, and one
+thing it means: the session's weighted ``drain`` — a synchronous round
+is the drain weighted 1 on survivors and 0 on dropouts.  The
 host keeps its own threading and the lifecycle frames (``SessionSetup``
 / ``SessionTeardown`` / ``Ping`` / ``Shutdown``).
 """
@@ -23,7 +26,6 @@ from repro.wire import (
     PoolSnapshot,
     RefillRequest,
     RekeyRequest,
-    ShardDrainRequest,
     ShardRoundRequest,
     ShardRoundResult,
     ShmRegistry,
@@ -47,7 +49,8 @@ def _snapshot_of(session, shard_id: int, rounds_added=0) -> PoolSnapshot:
 
 
 def _compute(message, session, enqueued_at, registry) -> ShardRoundResult:
-    """Run one round or drain and frame its outcome.
+    """Run one shard request through the session's drain and frame the
+    outcome; a synchronous round arrives as the 0/1-weight drain.
 
     Element encodings mirror the coordinator's: a packed request gets a
     packed result (packed replies only to peers that sent packed
@@ -56,25 +59,12 @@ def _compute(message, session, enqueued_at, registry) -> ShardRoundResult:
     the reference framed back.
     """
     shard_id = message.shard_id
-    is_drain = isinstance(message, ShardDrainRequest)
     state = session.state_snapshot()
     stalled = state["pool_level"] == 0
     compute_start = time.time() if message.trace_id else 0.0
-    if is_drain:
-        result = session.drain(
-            message.weights, message.updates, set(message.recovery_dropouts)
-        )
-    else:
-        result = session.run_round(
-            message.updates_dict(),
-            set(message.dropouts),
-            None,
-            **(
-                {"offline_dropouts": message.offline_dropouts}
-                if message.offline_dropouts
-                else {}
-            ),
-        )
+    result = session.drain(
+        message.weights, message.updates, set(message.dropouts)
+    )
     worker_span = None
     if message.trace_id:
         # The enqueue stamp is where a traced request's queue-wait clock
@@ -92,7 +82,7 @@ def _compute(message, session, enqueued_at, registry) -> ShardRoundResult:
     # piecemeal would race the worker's own refill thread and could ship
     # a torn pair.
     after = session.state_snapshot()
-    aggregate_ref = getattr(message, "result_ref", None)
+    aggregate_ref = message.result_ref
     if aggregate_ref is not None:
         if registry is None:
             raise TransportError("this worker has no shared-memory lane")
@@ -104,7 +94,7 @@ def _compute(message, session, enqueued_at, registry) -> ShardRoundResult:
         )
     return ShardRoundResult.from_result(
         shard_id,
-        message.drain_id if is_drain else message.round_id,
+        message.round_id,
         result,
         stalled=stalled,
         pool_level=after["pool_level"],
@@ -116,8 +106,7 @@ def _compute(message, session, enqueued_at, registry) -> ShardRoundResult:
 
 
 _SHARD_REQUESTS = (
-    ShardRoundRequest, ShardDrainRequest, SnapshotRequest, RefillRequest,
-    RekeyRequest,
+    ShardRoundRequest, SnapshotRequest, RefillRequest, RekeyRequest,
 )
 
 
@@ -149,8 +138,8 @@ def serve_request(
     ``lookup(shard_id)`` resolves the session the request addresses (the
     wire's shard id is a connection-unique slot).  ``registry`` is the
     host's shared-memory registry, if it has one: a request carrying a
-    ``result_ref`` gets its aggregate placed there.  Anything the lookup, the session, or encoding the reply
-    raises goes back as an :class:`~repro.wire.ErrorFrame`; only a dead
+    ``result_ref`` gets its aggregate placed there.  Anything the
+    lookup, the session, or encoding the reply raises goes back as an :class:`~repro.wire.ErrorFrame`; only a dead
     peer (``OSError`` from ``send``) reaches the caller.
     """
     try:

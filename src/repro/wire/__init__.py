@@ -1,6 +1,6 @@
 """Versioned binary wire format for shard transport messages.
 
-The service layer's scatter/gather of shard rounds and refills speaks
+The service layer's scatter/gather of shard requests and refills speaks
 this format to ``repro shard-worker`` hosts over a stream socket: a TCP
 connection, or a socketpair to a locally spawned host
 (:class:`~repro.service.socket_transport.SocketTransport`); the inline
@@ -46,7 +46,6 @@ from repro.wire.messages import (
     SessionSetup,
     SessionTeardown,
     SetupAck,
-    ShardDrainRequest,
     ShardRoundRequest,
     ShardRoundResult,
     SnapshotRequest,
@@ -87,7 +86,6 @@ __all__ = [
     "SessionSetup",
     "SessionTeardown",
     "SetupAck",
-    "ShardDrainRequest",
     "ShardRoundRequest",
     "ShardRoundResult",
     "SnapshotRequest",

@@ -16,9 +16,10 @@ Payloads are built from a small set of typed primitives
 (:class:`PayloadWriter` / :class:`PayloadReader`).  Numpy arrays are the
 hot path: the writer appends the array's buffer as a memoryview (no
 serialization pass, one copy total at the final join) and the reader
-returns ``np.frombuffer`` views straight into the received frame — a
-decoded ``ShardRoundRequest`` aliases the frame's bytes rather than
-copying them.  Decoded arrays are therefore read-only; callers that
+returns ``np.frombuffer`` views straight into the received frame — the
+update rows of a decoded ``ShardRoundRequest`` (the one shard request,
+rounds and drains alike) alias the frame's bytes rather than copying
+them.  Decoded arrays are therefore read-only; callers that
 mutate must copy.
 
 Unsigned arrays may instead travel *bit-packed* at a declared sub-word
@@ -50,7 +51,7 @@ MAGIC = b"LW"
 # The one compatibility gate: peers must share it, and a frame stamped
 # with any other version is refused at its header.  Bump it on any
 # change to a message's layout.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 # The frame header's ``len`` field is a u32, so no payload (and no
 # length-prefixed bytes/str primitive) may exceed this many bytes.

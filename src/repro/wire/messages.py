@@ -1,11 +1,15 @@
-"""Typed messages of the shard wire protocol, version 2.
+"""Typed messages of the shard wire protocol, version 3.
 
 The message set covers everything the service layer sends between a
 shard coordinator and the process hosting that shard's protocol session:
 
-* :class:`ShardRoundRequest` / :class:`ShardRoundResult` — one online
-  round for one shard: the scattered update slices and dropout sets out,
-  the shard aggregate, survivors, transcript, and pool state back.
+* :class:`ShardRoundRequest` / :class:`ShardRoundResult` — one weighted
+  aggregate for one shard, the only compute request: the weights, the
+  scattered update rows and the recovery dropouts out, the shard
+  aggregate, survivors, transcript, and pool state back.  A synchronous
+  round is the request weighted 1 on survivors and 0 on dropouts; a
+  buffered drain carries staleness weights.
+* :class:`RekeyRequest` — re-size a shard session's member set.
 * :class:`RefillRequest` / :class:`PoolSnapshot` — top up a shard's
   offline pool; the snapshot doubles as the generic "current pool +
   session stats" report (it also answers :class:`SnapshotRequest` and
@@ -34,10 +38,10 @@ so frames are safe to accept from an untrusted peer and identical
 whether the stream socket is a TCP connection or a local socketpair.
 Both ends must share :data:`~repro.wire.format.WIRE_VERSION`.
 
-Every payload is deterministic given the message fields: user ids and
-dropout sets are sorted on encode, so two semantically equal messages
-are byte-equal (property-tested), which is what lets the tests pin
-"process-backed round == inline round" at the frame level.
+Every payload is deterministic given the message fields: id sets are
+sorted on encode and rows keep their order, so two semantically equal
+messages are byte-equal (property-tested), which is what lets the tests
+pin "process-backed round == inline round" at the frame level.
 """
 
 from __future__ import annotations
@@ -140,16 +144,26 @@ def _get_worker_span(r: PayloadReader) -> WorkerSpan:
 
 @dataclass
 class ShardRoundRequest:
-    """One online round for one shard: scattered updates + dropout sets."""
+    """The one shard request: a weighted aggregate of ``B`` uploads.
+
+    Row ``b`` of ``updates`` is one upload and ``weights[b]`` its public
+    integer weight; the worker's session spends pooled mask slot ``b``
+    on it, so row order is load-bearing and is never canonicalized.  A
+    synchronous round is the request whose ``B = N`` rows are the
+    members in id order, weighted 1 on survivors and 0 on dropouts (see
+    :meth:`from_updates`); a buffered drain carries its deliveries and
+    their staleness weights.  ``dropouts`` are the member slots missing
+    from the recovery phase.  Answered with a :class:`ShardRoundResult`
+    keyed by ``round_id``.
+    """
 
     TYPE = 1
 
     shard_id: int
     round_id: int
-    user_ids: List[int]
-    updates: np.ndarray  # (len(user_ids), shard_width) uint64, row i = user_ids[i]
+    weights: np.ndarray  # (B,) non-negative integers
+    updates: np.ndarray  # (B, shard_width) uint64, row b = upload b
     dropouts: Set[int] = field(default_factory=set)
-    offline_dropouts: Set[int] = field(default_factory=set)
     # Element encoding of ``updates`` on the wire.  ``packed`` bit-packs
     # the matrix at its max's bit width; ``updates_ref`` means the
     # matrix is already staged in a shared-memory segment and only the
@@ -173,56 +187,49 @@ class ShardRoundRequest:
         round_id: int,
         updates: Dict[int, np.ndarray],
         dropouts: Set[int],
-        offline_dropouts: Optional[Set[int]] = None,
         packed: bool = False,
     ) -> "ShardRoundRequest":
-        """Stack a per-user update dict into the wire's matrix layout."""
-        user_ids = sorted(updates)
-        stacked = np.stack(
-            [np.asarray(updates[uid], dtype=np.uint64) for uid in user_ids]
-        ) if user_ids else np.zeros((0, 0), dtype=np.uint64)
+        """A synchronous round's request: member ``i``'s update is row
+        ``i``, weighted 0 if ``i`` dropped and 1 otherwise."""
+        count = len(updates)
+        if sorted(updates) != list(range(count)):
+            raise WireError(
+                f"round updates must be keyed by member ids 0..{count - 1}"
+            )
+        dropouts = set(dropouts)
         return cls(
             shard_id=shard_id,
             round_id=round_id,
-            user_ids=user_ids,
-            updates=stacked,
-            dropouts=set(dropouts),
-            offline_dropouts=set(offline_dropouts or set()),
+            weights=np.array(
+                [i not in dropouts for i in range(count)], dtype=np.uint64
+            ),
+            updates=np.stack([
+                np.asarray(updates[i], dtype=np.uint64) for i in range(count)
+            ]) if count else np.zeros((0, 0), dtype=np.uint64),
+            dropouts=dropouts,
             packed=packed,
         )
 
-    def updates_dict(self) -> Dict[int, np.ndarray]:
-        """Rebuild the per-user update mapping (rows are frame views)."""
-        return {uid: self.updates[i] for i, uid in enumerate(self.user_ids)}
-
     def _encode(self, w: PayloadWriter) -> None:
-        # user_ids order is load-bearing (row i of ``updates`` belongs to
-        # user_ids[i]), so ids and rows are canonicalized *together*:
-        # permute both into sorted-id order.  Sorting ids alone would
-        # silently reassign rows for any directly-constructed message
-        # with unsorted ids.
-        ids = np.asarray(self.user_ids, dtype=np.uint32)
+        weights = np.asarray(self.weights)
         updates = np.asarray(self.updates, dtype=np.uint64)
-        if updates.ndim != 2 or updates.shape[0] != ids.size:
+        if weights.ndim != 1:
+            raise WireError(f"drain weights must be 1-D, got {weights.shape}")
+        # A cast would turn 1.9 into 1 and -5 into 2**64 - 5: a silently
+        # wrong weighted aggregate, so anything else is refused.
+        if not np.issubdtype(weights.dtype, np.integer) or np.any(weights < 0):
+            raise WireError(
+                f"drain weights must be non-negative integers, got "
+                f"{weights.dtype} {weights[:4].tolist()}"
+            )
+        if updates.ndim != 2 or updates.shape[0] != weights.size:
             raise WireError(
                 f"updates matrix {updates.shape} does not match "
-                f"{ids.size} user ids"
+                f"{weights.size} weights"
             )
-        if ids.size and np.any(ids[:-1] >= ids[1:]):
-            if self.updates_ref is not None:
-                # The staged segment holds rows in the caller's order;
-                # re-permuting here would desynchronize it silently.
-                raise WireError(
-                    "shm-referenced updates require pre-sorted user ids"
-                )
-            order = np.argsort(ids, kind="stable")
-            ids = ids[order]
-            if np.any(ids[:-1] >= ids[1:]):
-                raise WireError("duplicate user ids in round request")
-            updates = updates[order]
         w.put_u32(self.shard_id)
         w.put_u64(self.round_id)
-        w.put_array(ids)
+        w.put_array(np.ascontiguousarray(weights, dtype=np.uint64))
         if self.updates_ref is not None:
             ref = self.updates_ref
             if tuple(ref.shape) != updates.shape:
@@ -236,7 +243,6 @@ class ShardRoundRequest:
         else:
             w.put_array(np.ascontiguousarray(updates))
         _put_id_set(w, self.dropouts)
-        _put_id_set(w, self.offline_dropouts)
         if self.result_ref is not None:
             put_shm_ref(w, self.result_ref)
         if self.trace_id:
@@ -246,24 +252,22 @@ class ShardRoundRequest:
     def _decode(cls, r: PayloadReader) -> "ShardRoundRequest":
         shard_id = r.get_u32()
         round_id = r.get_u64()
-        ids = r.get_array()
-        # Row i of the matrix belongs to ids[i], and the encoder sends
-        # ids sorted: any other order cannot be re-sorted without also
-        # permuting rows, so it is refused rather than mis-assigned.
-        if ids.ndim != 1 or np.any(ids[:-1] >= ids[1:]):
+        weights = r.get_array()
+        # The one weight layout the encoder sends; a peer's f8 or i8
+        # weights are refused, not reinterpreted.
+        if weights.ndim != 1 or weights.dtype != np.dtype("<u8"):
             raise WireError(
-                "round request user ids must be strictly increasing"
+                f"drain weights must be 1-D <u8, got {weights.dtype.str} "
+                f"{weights.shape}"
             )
-        user_ids = [int(i) for i in ids]
         packed = bool(r.peek_u8() & _PACKED_FLAG)
         updates = r.get_array()
-        if updates.ndim != 2 or updates.shape[0] != len(user_ids):
+        if updates.ndim != 2 or updates.shape[0] != weights.size:
             raise WireError(
-                f"round request carries {updates.shape} update matrix for "
-                f"{len(user_ids)} users"
+                f"request carries {updates.shape} update matrix for "
+                f"{weights.size} weights"
             )
         dropouts = _get_id_set(r)
-        offline_dropouts = _get_id_set(r)
         # Two optional tails share the frame end: a shm result ref and a
         # trace id.  An encoded shm ref is never 8 bytes (dtype + ndim +
         # dims + named segment + offset is always longer), so exactly 8
@@ -279,10 +283,9 @@ class ShardRoundRequest:
         return cls(
             shard_id=shard_id,
             round_id=round_id,
-            user_ids=user_ids,
+            weights=weights,
             updates=updates,
             dropouts=dropouts,
-            offline_dropouts=offline_dropouts,
             packed=packed,
             result_ref=result_ref,
             trace_id=trace_id,
@@ -551,93 +554,6 @@ class ErrorFrame:
 
 
 @dataclass
-class ShardDrainRequest:
-    """One buffered-async drain for one shard.
-
-    Unlike :class:`ShardRoundRequest`, rows are *deliveries*, not
-    members: row ``b`` is the ``b``-th buffered update (its shard
-    slice), ``weights[b]`` its public staleness weight, and the
-    worker-side session spends pooled mask slot ``b`` on it.  Row order
-    is therefore load-bearing and is **not** canonicalized on encode.
-    ``recovery_dropouts`` are member *slots* missing from the recovery
-    phase.  Answered with a :class:`ShardRoundResult` keyed by
-    ``drain_id``.
-    """
-
-    TYPE = 12
-
-    shard_id: int
-    drain_id: int
-    weights: np.ndarray  # (B,) non-negative integer staleness weights
-    updates: np.ndarray  # (B, shard_width) uint64, unweighted quantized
-    recovery_dropouts: Set[int] = field(default_factory=set)
-    packed: bool = False
-    # Round-trace correlation id; trailing-optional, omitted when zero
-    # (same convention as ShardRoundRequest).
-    trace_id: int = 0
-
-    def _encode(self, w: PayloadWriter) -> None:
-        weights = np.asarray(self.weights)
-        updates = np.asarray(self.updates, dtype=np.uint64)
-        if weights.ndim != 1:
-            raise WireError(f"drain weights must be 1-D, got {weights.shape}")
-        # A cast would turn 1.9 into 1 and -5 into 2**64 - 5: a silently
-        # wrong weighted aggregate, so anything else is refused.
-        if not np.issubdtype(weights.dtype, np.integer) or np.any(weights < 0):
-            raise WireError(
-                f"drain weights must be non-negative integers, got "
-                f"{weights.dtype} {weights[:4].tolist()}"
-            )
-        weights = np.ascontiguousarray(weights, dtype=np.uint64)
-        if updates.ndim != 2 or updates.shape[0] != weights.size:
-            raise WireError(
-                f"drain updates matrix {updates.shape} does not match "
-                f"{weights.size} weights"
-            )
-        w.put_u32(self.shard_id)
-        w.put_u64(self.drain_id)
-        w.put_array(weights)
-        if self.packed:
-            w.put_packed_array(np.ascontiguousarray(updates))
-        else:
-            w.put_array(np.ascontiguousarray(updates))
-        _put_id_set(w, self.recovery_dropouts)
-        if self.trace_id:
-            w.put_u64(self.trace_id)
-
-    @classmethod
-    def _decode(cls, r: PayloadReader) -> "ShardDrainRequest":
-        shard_id = r.get_u32()
-        drain_id = r.get_u64()
-        weights = r.get_array()
-        # The one weight layout the encoder sends; a peer's f8 or i8
-        # weights are refused, not reinterpreted.
-        if weights.ndim != 1 or weights.dtype != np.dtype("<u8"):
-            raise WireError(
-                f"drain weights must be 1-D <u8, got {weights.dtype.str} "
-                f"{weights.shape}"
-            )
-        packed = bool(r.peek_u8() & _PACKED_FLAG)
-        updates = r.get_array()
-        if updates.ndim != 2 or updates.shape[0] != weights.size:
-            raise WireError(
-                f"drain request carries {updates.shape} update matrix for "
-                f"{weights.size} weights"
-            )
-        recovery_dropouts = _get_id_set(r)
-        trace_id = r.get_u64() if r.remaining else 0
-        return cls(
-            shard_id=shard_id,
-            drain_id=drain_id,
-            weights=weights,
-            updates=updates,
-            recovery_dropouts=recovery_dropouts,
-            packed=packed,
-            trace_id=trace_id,
-        )
-
-
-@dataclass
 class RekeyRequest:
     """Re-key one slot's session for a new member count.
 
@@ -827,7 +743,6 @@ WIRE_MESSAGES: Dict[int, Type] = {
         PoolSnapshot,
         ErrorFrame,
         SnapshotRequest,
-        ShardDrainRequest,
         RekeyRequest,
         SessionSetup,
         SetupAck,

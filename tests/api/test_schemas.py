@@ -178,13 +178,13 @@ class TestRoundRequest:
                                pool_size=2)
         spec = config.cohort_spec()
         req = RoundRequest.from_json({"synthetic": {"seed": 21}})
-        updates, dropouts, rng = req.materialize(spec, gf)
+        updates, dropouts = req.materialize(spec, gf)
         assert sorted(updates) == list(range(5))
         assert dropouts == set()
 
         svc = AggregationService(config, gf=gf).start()
         try:
-            result = svc.run_round(0, updates, dropouts, rng)
+            result = svc.run_round(0, updates, dropouts)
             reference = svc.cohorts[0].session  # noqa: F841 — round ran
         finally:
             svc.stop()

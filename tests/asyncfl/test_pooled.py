@@ -7,7 +7,8 @@ through the buffered round engine
 to the one-shot async oracle across transports).
 Here the kernel itself: the exact-integer weighted sum on non-canonical
 inputs for both field shapes, every recovery-dropout pattern, a rejected
-drain spending no pooled material, the decode being load-bearing, the
+drain spending no pooled material, a weight-0 row recorded but left out
+of the sum on both kernels, the decode being load-bearing, the
 coefficient memo not surviving a re-key, and the transcript and metrics
 of one seeded drain equal to the golden recorded before the kernel was
 rewritten.
@@ -117,13 +118,11 @@ class TestRejectedDrainSpendsNothing:
          ProtocolError, "drain updates shape"),
         ([1, 2], np.zeros((2, DIM), dtype=np.float64), set(),
          ProtocolError, "dtype float64 is not an integer"),
-        ([1, 0], np.zeros((2, DIM), dtype=np.uint64), set(),
-         ProtocolError, "must be positive"),
         # Cast, these would drain as [1, 2] and with weight 2**64 - 5.
         (np.array([1.9, 2.2]), np.zeros((2, DIM), dtype=np.uint64), set(),
-         ProtocolError, "must be positive integers, got float64"),
+         ProtocolError, "must be non-negative integers, got float64"),
         (np.array([1, -5]), np.zeros((2, DIM), dtype=np.uint64), set(),
-         ProtocolError, "must be positive"),
+         ProtocolError, "must be non-negative"),
         ([1] * (N + 1), np.zeros((N + 1, DIM), dtype=np.uint64), set(),
          ProtocolError, "exceeds"),
         ([1, 2], np.zeros((2, DIM), dtype=np.uint64), {N},
@@ -142,6 +141,39 @@ class TestRejectedDrainSpendsNothing:
         assert session.stats.pool_hits == session.stats.pool_misses == 0
         session.drain([1, 2], np.ones((2, DIM), dtype=np.uint64), {1})
         assert session.pool_level == 2 and session.stats.pool_hits == 1
+
+
+class TestZeroWeight:
+    @pytest.mark.parametrize("weights", [[1, 0, 1], [3, 0, 2]],
+                             ids=["unit-kernel", "matmul-kernel"])
+    def test_zero_weight_row_is_recorded_and_left_out(self, weights):
+        """A weight-0 upload spends its slot and appears in the
+        transcript, but neither it nor its mask reaches the sum."""
+        q = DEFAULT_PRIME
+        rng = np.random.default_rng(8)
+        updates = rng.integers(0, q, size=(3, DIM), dtype=np.uint64)
+        session = open_session(q, pool_size=1)
+        result = session.drain(weights, updates, {1})
+        assert result.aggregate.tolist() == exact_weighted_sum(
+            q, weights, updates
+        )
+        assert [
+            m.sender for m in result.transcript.messages
+            if m.phase == "upload"
+        ] == [0, 1, 2]
+        assert session.stats.rounds == 1 and session.pool_level == 0
+
+    def test_rows_may_be_a_sequence(self):
+        q = DEFAULT_PRIME
+        rng = np.random.default_rng(9)
+        updates = rng.integers(0, q, size=(4, DIM), dtype=np.uint64)
+        for weights in ([1, 0, 1, 1], [2, 0, 5, 1]):
+            matrix = open_session(q).drain(weights, updates, {2})
+            rows = open_session(q).drain(weights, list(updates), {2})
+            assert np.array_equal(rows.aggregate, matrix.aggregate)
+            assert rows.aggregate.tolist() == exact_weighted_sum(
+                q, weights, updates
+            )
 
 
 class TestDecodeIsLoadBearing:

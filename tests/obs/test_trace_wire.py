@@ -25,16 +25,16 @@ from repro.wire.messages import (
 
 TRACE_ID = 0xDEADBEEF
 
-#: ``encode_message(make_request(), request_id=42)`` with tracing off.
-#: Only the version byte (offset 2) has changed since tracing existed:
-#: every payload byte is the same, which pins that the round-request
-#: layout did not move when the setup frames did.
+#: ``encode_message(make_request(), request_id=42)`` with tracing off,
+#: in the one-request layout of wire version 3 (weights where user ids
+#: were, no offline-dropout set); the traced frame must stay exactly
+#: this plus the 8-byte trace id.
 GOLDEN_UNTRACED_FRAME_HEX = (
-    "4c5702012a000000000000007800000001000000070000000000000001010200"
-    "0000000000000000000002000000020202000000000000000300000000000000"
-    "0000000000000000010000000000000002000000000000000300000000000000"
-    "0400000000000000050000000000000001010100000000000000010000000101"
-    "0000000000000000"
+    "4c5703012a000000000000007600000001000000070000000000000002010200"
+    "0000000000000100000000000000000000000000000002020200000000000000"
+    "0300000000000000000000000000000001000000000000000200000000000000"
+    "0300000000000000040000000000000005000000000000000101010000000000"
+    "000001000000"
 )
 
 
@@ -44,10 +44,9 @@ def make_request(**overrides) -> ShardRoundRequest:
         round_id=7,
         updates={
             0: np.arange(3, dtype=np.uint64),
-            2: np.arange(3, 6, dtype=np.uint64),
+            1: np.arange(3, 6, dtype=np.uint64),
         },
         dropouts={1},
-        offline_dropouts=set(),
     )
     for name, value in overrides.items():
         setattr(request, name, value)
@@ -99,7 +98,7 @@ class TestRequestTraceId:
         _, back = decode_message(frame)
         assert back.trace_id == TRACE_ID
         assert back.shard_id == 1 and back.round_id == 7
-        assert back.user_ids == [0, 2]
+        assert back.weights.tolist() == [1, 0]
         np.testing.assert_array_equal(
             back.updates,
             np.array([[0, 1, 2], [3, 4, 5]], dtype=np.uint64),

@@ -132,7 +132,7 @@ class TestCohortStateMachine:
         assert cohort.phase is CohortPhase.IDLE
         rng = np.random.default_rng(1)
         updates = {i: gf.random(DIM, rng) for i in range(N)}
-        cohort.run_round(updates, set(), rng)
+        cohort.run_round(updates, set())
         assert cohort.phase is CohortPhase.IDLE
         assert cohort.rounds == 1
 
@@ -141,9 +141,9 @@ class TestCohortStateMachine:
         rng = np.random.default_rng(2)
         updates = {i: gf.random(DIM, rng) for i in range(N)}
         with pytest.raises(ProtocolError):
-            cohort.run_round(updates, set(range(N - 1)), rng)
+            cohort.run_round(updates, set(range(N - 1)))
         assert cohort.phase is CohortPhase.IDLE
-        cohort.run_round(updates, set(), rng)  # still usable
+        cohort.run_round(updates, set())  # still usable
         assert cohort.rounds == 1
 
     def test_closed_cohort_rejects_rounds(self, gf):
@@ -153,7 +153,7 @@ class TestCohortStateMachine:
         rng = np.random.default_rng(3)
         updates = {i: gf.random(DIM, rng) for i in range(N)}
         with pytest.raises(ProtocolError, match="cohort 0 is closed"):
-            cohort.run_round(updates, set(), rng)
+            cohort.run_round(updates, set())
 
     def test_close_racing_aggregating_round_lets_it_complete(self):
         """Regression: close() landing while a round is AGGREGATING used
@@ -173,7 +173,7 @@ class TestCohortStateMachine:
             closed = False
             stats = SessionStats()
 
-            def run_round(self, updates, dropouts, rng=None, **kw):
+            def drain(self, weights, rows, dropouts):
                 aggregating.set()
                 assert release.wait(timeout=30.0)
                 return AggregationResult(
@@ -185,9 +185,10 @@ class TestCohortStateMachine:
                 self.closed = True
 
         cohort = self.cohort_over(3, _GatedSession(), DIM)
+        updates = {i: np.zeros(DIM, dtype=np.uint64) for i in range(N)}
         results = []
         runner = threading.Thread(
-            target=lambda: results.append(cohort.run_round({}, set()))
+            target=lambda: results.append(cohort.run_round(updates, set()))
         )
         runner.start()
         assert aggregating.wait(timeout=30.0)
@@ -202,14 +203,14 @@ class TestCohortStateMachine:
         assert cohort.phase is CohortPhase.CLOSED
         assert cohort.rounds == 1
         with pytest.raises(ProtocolError, match="cohort 3 is closed"):
-            cohort.run_round({}, set())
+            cohort.run_round(updates, set())
 
     def test_stall_counted_on_cold_pool(self, gf):
         cohort = self.make_cohort(gf)
         rng = np.random.default_rng(4)
         updates = {i: gf.random(DIM, rng) for i in range(N)}
-        cohort.run_round(updates, set(), rng)  # cold pool: stall
-        cohort.run_round(updates, set(), rng)  # warmed by inline refill
+        cohort.run_round(updates, set())  # cold pool: stall
+        cohort.run_round(updates, set())  # warmed by inline refill
         assert cohort.stalls == 1
 
     def test_status_snapshot(self, gf):

@@ -82,19 +82,6 @@ class TestShardedBitIdentity:
             assert got.survivors == want.survivors, r
             assert np.array_equal(got.aggregate, want.aggregate), r
 
-    def test_mixed_offline_dropouts_forwarded_to_every_shard(self, gf):
-        params = LSAParams.from_guarantees(N, privacy=2, dropout_tolerance=4)
-        proto = LightSecAgg(gf, params, DIM)
-        sharded = make_sharded(gf, params, DIM, 3)
-        rng = np.random.default_rng(2)
-        updates = {i: gf.random(DIM, rng) for i in range(N)}
-        result = sharded.run_round(
-            updates, {1}, rng, offline_dropouts={5, 6}
-        )
-        assert result.survivors == [i for i in range(N) if i not in {1, 5, 6}]
-        expected = proto.expected_aggregate(updates, result.survivors)
-        assert np.array_equal(result.aggregate, expected)
-
     def test_transcript_and_metrics_aggregate_across_shards(self, gf, params):
         sharded = make_sharded(gf, params, DIM, 2)
         single = LightSecAgg(gf, params, DIM).session(
@@ -109,21 +96,15 @@ class TestShardedBitIdentity:
         assert want.transcript.elements(phase="upload") == N * DIM
         assert got.metrics.server_decode_ops > 0
 
-    def test_replay_sessions_shard_too(self, gf):
-        """Sharding composes with the non-pooled replay fallback."""
+    def test_replay_sessions_are_refused(self, gf):
+        """Every shard operation is a weighted drain, which the
+        non-pooled replay sessions do not have."""
         plan = ShardPlan(DIM, 2)
         sessions = [
             NaiveAggregation(gf, N, w).session() for w in plan.widths
         ]
-        sharded = ShardedSession(plan, sessions)
-        assert not sharded.needs_refill
-        rng = np.random.default_rng(4)
-        updates = {i: gf.random(DIM, rng) for i in range(N)}
-        result = sharded.run_round(updates, {2}, rng)
-        expected = NaiveAggregation(gf, N, DIM).expected_aggregate(
-            updates, result.survivors
-        )
-        assert np.array_equal(result.aggregate, expected)
+        with pytest.raises(ProtocolError, match="has no drain"):
+            ShardedSession(plan, sessions)
 
 
 class TestShardedPoolSurface:

@@ -171,11 +171,16 @@ class TestShmLanePayloadRouting:
         try:
             rng = np.random.default_rng(4)
             updates = {i: gf.random(DIM, rng) for i in range(N)}
-            [first] = transport.run_all([updates], set())
+            [first] = transport.aggregate_all(
+                np.ones(N, dtype=np.uint64), [list(updates.values())], set()
+            )
             kept = first.aggregate.copy()
             assert first.aggregate.flags["OWNDATA"]  # not a segment view
             updates2 = {i: gf.random(DIM, rng) for i in range(N)}
-            [second] = transport.run_all([updates2], {0, 1})
+            [second] = transport.aggregate_all(
+                np.array([0, 0] + [1] * (N - 2), dtype=np.uint64),
+                [list(updates2.values())], {0, 1},
+            )
             assert not np.array_equal(second.aggregate, kept)
             np.testing.assert_array_equal(first.aggregate, kept)
         finally:

@@ -5,8 +5,8 @@ The acceptance criteria pinned here:
 * rounds driven through ``SocketTransport`` (sessions behind TCP
   connections to a ``ShardWorkerServer``, spoken to in reassembled wire
   frames) are **bit-identical** to ``InlineTransport`` across mixed
-  dropout / offline-dropout patterns — at session level and through the
-  full ``AggregationService`` stack;
+  dropout patterns — at session level and through the full
+  ``AggregationService`` stack;
 * a worker lost mid-round surfaces as :class:`TransportError` (never a
   hang), and a **killed-then-restarted** worker is re-pinned from its
   specs with the service completing subsequent rounds;
@@ -78,15 +78,14 @@ def make_specs(shards=SHARDS, dim=DIM, pool_size=3, low_water=1,
 
 
 def mixed_dropout_rounds(gf, rounds=6, seed=11):
-    """A deterministic stream of (updates, dropouts, offline_dropouts)."""
+    """A deterministic stream of (updates, dropouts)."""
     rng = np.random.default_rng(seed)
-    for r in range(rounds):
+    for _ in range(rounds):
         updates = {i: gf.random(DIM, rng) for i in range(N)}
         dropouts = set(
             rng.choice(N, size=int(rng.integers(0, 3)), replace=False).tolist()
         )
-        offline = {int(rng.integers(0, N))} if r % 3 == 2 else set()
-        yield updates, dropouts, offline - dropouts
+        yield updates, dropouts
 
 
 def wait_for(predicate, timeout_s=10.0, interval_s=0.01):
@@ -123,10 +122,9 @@ class TestSocketInlineBitIdentity:
         inline = ShardedSession(
             plan, transport=InlineTransport.from_specs(specs, gf=gf)
         )
-        for updates, dropouts, offline in mixed_dropout_rounds(gf):
-            kwargs = {"offline_dropouts": offline} if offline else {}
-            got = remote.run_round(updates, set(dropouts), **kwargs)
-            want = inline.run_round(updates, set(dropouts), **kwargs)
+        for updates, dropouts in mixed_dropout_rounds(gf):
+            got = remote.run_round(updates, set(dropouts))
+            want = inline.run_round(updates, set(dropouts))
             assert got.survivors == want.survivors
             assert np.array_equal(got.aggregate, want.aggregate)
             assert len(got.transcript) == len(want.transcript)
@@ -157,7 +155,7 @@ class TestSocketInlineBitIdentity:
                 plan, transport=InlineTransport.from_specs(specs, gf=gf)
             )
             try:
-                for updates, dropouts, _ in mixed_dropout_rounds(gf, rounds=3):
+                for updates, dropouts in mixed_dropout_rounds(gf, rounds=3):
                     got = remote.run_round(updates, set(dropouts))
                     want = inline.run_round(updates, set(dropouts))
                     assert got.survivors == want.survivors
@@ -294,13 +292,6 @@ class TestWorkerLossAndRepin:
             session.run_round(updates, set(range(N - 1)))
         result = session.run_round(updates, {1})
         assert result.survivors == [i for i in range(N) if i != 1]
-
-    def test_unsupported_phase_kwargs_rejected(self, gf, socket_session):
-        session, _ = socket_session
-        rng = np.random.default_rng(0)
-        updates = {i: gf.random(DIM, rng) for i in range(N)}
-        with pytest.raises(TransportError, match="phase kwargs"):
-            session.run_round(updates, set(), mystery_kwarg=1)
 
 
 class TestConnectionBatching:
@@ -632,7 +623,7 @@ class TestWorkerHostBoundaries:
             matrix = arena.ndarray(0, (N, width))
             matrix[:] = 1
             request = ShardRoundRequest(
-                shard_id=0, round_id=0, user_ids=list(range(N)),
+                shard_id=0, round_id=0, weights=np.ones(N, dtype=np.uint64),
                 updates=matrix,
                 updates_ref=ShmArrayRef(
                     name=arena.name, offset=0, shape=(N, width)

@@ -48,10 +48,10 @@ class StubSession:
         self.closed = False
         self.stats = SessionStats()
 
-    def run_round(self, updates, dropouts, rng=None, **kwargs):
+    def drain(self, weights, rows, dropouts):
         return AggregationResult(
             aggregate=np.zeros(4, dtype=np.uint64),
-            survivors=sorted(set(updates) - set(dropouts)),
+            survivors=[i for i in range(self.num_users) if i not in dropouts],
             transcript=Transcript(),
             metrics=RoundMetrics(),
         )
@@ -61,7 +61,7 @@ class StubSession:
 
 
 def drive_rounds(cohort, rounds, errors):
-    updates = {0: np.zeros(4, dtype=np.uint64), 1: np.zeros(4, dtype=np.uint64)}
+    updates = {i: np.zeros(4, dtype=np.uint64) for i in range(8)}
     try:
         for _ in range(rounds):
             cohort.run_round(dict(updates), set())

@@ -58,15 +58,14 @@ def make_specs(shards=SHARDS, dim=DIM, pool_size=3, low_water=1,
 
 
 def mixed_dropout_rounds(gf, rounds=6, seed=11):
-    """A deterministic stream of (updates, dropouts, offline_dropouts)."""
+    """A deterministic stream of (updates, dropouts)."""
     rng = np.random.default_rng(seed)
-    for r in range(rounds):
+    for _ in range(rounds):
         updates = {i: gf.random(DIM, rng) for i in range(N)}
         dropouts = set(
             rng.choice(N, size=int(rng.integers(0, 3)), replace=False).tolist()
         )
-        offline = {int(rng.integers(0, N))} if r % 3 == 2 else set()
-        yield updates, dropouts, offline - dropouts
+        yield updates, dropouts
 
 
 @pytest.fixture
@@ -87,10 +86,9 @@ class TestProcessInlineBitIdentity:
         inline = ShardedSession(
             plan, transport=InlineTransport.from_specs(specs, gf=gf)
         )
-        for updates, dropouts, offline in mixed_dropout_rounds(gf):
-            kwargs = {"offline_dropouts": offline} if offline else {}
-            got = process.run_round(updates, set(dropouts), **kwargs)
-            want = inline.run_round(updates, set(dropouts), **kwargs)
+        for updates, dropouts in mixed_dropout_rounds(gf):
+            got = process.run_round(updates, set(dropouts))
+            want = inline.run_round(updates, set(dropouts))
             assert got.survivors == want.survivors
             assert np.array_equal(got.aggregate, want.aggregate)
             assert len(got.transcript) == len(want.transcript)
@@ -117,7 +115,7 @@ class TestProcessInlineBitIdentity:
             plan, transport=InlineTransport.from_specs(specs, gf=gf)
         )
         try:
-            for updates, dropouts, _ in mixed_dropout_rounds(gf, rounds=3):
+            for updates, dropouts in mixed_dropout_rounds(gf, rounds=3):
                 got = multi.run_round(updates, set(dropouts))
                 want = inline.run_round(updates, set(dropouts))
                 assert got.survivors == want.survivors
@@ -238,18 +236,6 @@ class TestProcessWorkerLifecycle:
             # Both pipes were drained; the next (valid) round still works.
             result = session.run_round(updates, {1})
             assert result.survivors == [i for i in range(N) if i != 1]
-        finally:
-            transport.close()
-
-    def test_unsupported_phase_kwargs_rejected(self, gf):
-        plan, specs = make_specs(shards=1)
-        transport = ProcessPoolTransport(specs)
-        session = ShardedSession(plan, transport=transport)
-        try:
-            rng = np.random.default_rng(0)
-            updates = {i: gf.random(DIM, rng) for i in range(N)}
-            with pytest.raises(TransportError, match="phase kwargs"):
-                session.run_round(updates, set(), mystery_kwarg=1)
         finally:
             transport.close()
 
@@ -422,11 +408,8 @@ class TestLaneConformance:
         updates = {i: gf.random(plan.widths[0], rng) for i in range(N)}
         with open_lane(lane, specs, gf) as (transport, _):
             with pytest.raises(ProtocolError, match="expected 2 shard"):
-                transport.run_all([updates], set())
-            with pytest.raises(ProtocolError, match="expected 2 shard"):
-                transport.drain_all(
-                    np.ones(1, dtype=np.uint64),
-                    [np.zeros((1, plan.widths[0]), dtype=np.uint64)],
+                transport.aggregate_all(
+                    np.ones(N, dtype=np.uint64), [list(updates.values())],
                     set(),
                 )
             assert all(stats_counters(h)[0] == 0

@@ -13,7 +13,7 @@ import pytest
 from repro.exceptions import WireError
 from repro.wire import (
     PayloadWriter,
-    ShardDrainRequest,
+    ShardRoundRequest,
     decode_message,
     encode_frame,
     encode_message,
@@ -31,7 +31,7 @@ def hand_built_frame(weights: np.ndarray) -> bytes:
     w.put_array(weights)
     w.put_array(UPDATES)
     w.put_array(np.zeros(0, dtype=np.uint32))  # recovery dropouts
-    return encode_frame(ShardDrainRequest.TYPE, 1, w)
+    return encode_frame(ShardRoundRequest.TYPE, 1, w)
 
 
 class TestDecode:
@@ -58,7 +58,7 @@ class TestEncode:
         np.array([1, 2, 3], dtype=object),
     ], ids=["float", "negative", "object"])
     def test_inexact_weights_refused(self, weights):
-        request = ShardDrainRequest(0, 7, weights=weights, updates=UPDATES)
+        request = ShardRoundRequest(0, 7, weights=weights, updates=UPDATES)
         with pytest.raises(WireError, match="non-negative integers"):
             encode_message(request, 1)
 
@@ -68,7 +68,7 @@ class TestEncode:
         np.array([1, 1 << 63, U64_MAX], dtype=np.uint64),
     ], ids=["list", "u4", "u8-full-range"])
     def test_integer_weights_round_trip_as_u8(self, weights):
-        request = ShardDrainRequest(0, 7, weights=weights, updates=UPDATES)
+        request = ShardRoundRequest(0, 7, weights=weights, updates=UPDATES)
         _, back = decode_message(encode_message(request, 1))
         assert back.weights.dtype == np.dtype("<u8")
         assert back.weights.tolist() == [int(w) for w in weights]

@@ -222,11 +222,7 @@ class TestTornPackedFrames:
         for request, frame in zip(requests, out):
             _, decoded = decode_message(frame)
             assert decoded.packed
-            original = request.updates_dict()
-            rebuilt = decoded.updates_dict()
-            assert sorted(rebuilt) == sorted(original)
-            for uid, vec in original.items():
-                np.testing.assert_array_equal(rebuilt[uid], vec)
+            np.testing.assert_array_equal(decoded.updates, request.updates)
 
     def test_every_single_byte_boundary(self):
         """Exhaustive: one packed round frame fed one byte at a time."""
@@ -239,8 +235,7 @@ class TestTornPackedFrames:
             out.extend(assembler.feed(blob[i : i + 1]))
         assert out == frames
         _, decoded = decode_message(out[0])
-        for uid, vec in requests[0].updates_dict().items():
-            np.testing.assert_array_equal(decoded.updates_dict()[uid], vec)
+        np.testing.assert_array_equal(decoded.updates, requests[0].updates)
 
     def test_mixed_raw_and_packed_frames_in_one_stream(self):
         rng = np.random.default_rng(11)
@@ -258,9 +253,7 @@ class TestTornPackedFrames:
         decoded = [decode_message(f)[1] for f in frames]
         assert [m.packed for m in decoded] == [False, True]
         for m in decoded:
-            np.testing.assert_array_equal(
-                m.updates_dict()[0], updates[0]
-            )
+            np.testing.assert_array_equal(m.updates[0], updates[0])
         # the packed frame is the smaller one, same payload
         assert len(frames[1]) < len(frames[0])
 

@@ -38,6 +38,7 @@ from repro.wire import (
     encode_segments,
     frame_segments,
 )
+from repro.wire.format import ShmArrayRef
 
 
 class TestFrameLayout:
@@ -165,108 +166,92 @@ class TestPayloadPrimitives:
 # ----------------------------------------------------------------------
 @st.composite
 def round_requests(draw):
-    num_users = draw(st.integers(min_value=1, max_value=8))
+    """The one shard request with every field drawn: weights spanning
+    0, 1 and the full u64 range, raw or packed rows, and both optional
+    tails (a shm result ref and a trace id), each present or not."""
+    batch = draw(st.integers(min_value=1, max_value=8))
     width = draw(st.integers(min_value=1, max_value=16))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
-    updates = {
-        uid: rng.integers(0, 2**31 - 1, size=width, dtype=np.uint64)
-        for uid in range(num_users)
-    }
+    weights = draw(st.lists(
+        st.one_of(st.sampled_from([0, 1]), st.integers(0, 2**64 - 1)),
+        min_size=batch, max_size=batch,
+    ))
     dropouts = set(
         draw(
             st.lists(
-                st.integers(min_value=0, max_value=num_users - 1), max_size=3
+                st.integers(min_value=0, max_value=batch - 1), max_size=3
             )
         )
     )
-    offline = set(
-        draw(
-            st.lists(
-                st.integers(min_value=0, max_value=num_users - 1), max_size=2
-            )
-        )
-    )
-    return ShardRoundRequest.from_updates(
+    result_ref = draw(st.one_of(st.none(), st.builds(
+        ShmArrayRef,
+        name=st.text("abcdef0123456789-", min_size=1, max_size=24),
+        offset=st.integers(0, 2**40),
+        shape=st.just((width,)),
+    )))
+    return ShardRoundRequest(
         shard_id=draw(st.integers(min_value=0, max_value=31)),
         round_id=draw(st.integers(min_value=0, max_value=2**40)),
-        updates=updates,
+        weights=np.asarray(weights, dtype=np.uint64),
+        updates=rng.integers(
+            0, 2**31 - 1, size=(batch, width), dtype=np.uint64
+        ),
         dropouts=dropouts,
-        offline_dropouts=offline,
+        packed=draw(st.booleans()),
+        result_ref=result_ref,
+        trace_id=draw(st.integers(0, 2**64 - 1)),
     )
 
 
 class TestMessageRoundTrips:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(request=round_requests(), request_id=st.integers(0, 2**64 - 1))
     def test_round_request_round_trips(self, request, request_id):
         rid, back = decode_message(encode_message(request, request_id))
         assert rid == request_id
         assert back.shard_id == request.shard_id
         assert back.round_id == request.round_id
-        assert back.user_ids == request.user_ids
+        assert back.weights.dtype == np.dtype("<u8")
+        assert back.weights.tolist() == request.weights.tolist()
         assert back.dropouts == request.dropouts
-        assert back.offline_dropouts == request.offline_dropouts
+        assert back.packed == request.packed
+        assert back.result_ref == request.result_ref
+        assert back.trace_id == request.trace_id
         assert np.array_equal(back.updates, request.updates)
-        for uid, vec in back.updates_dict().items():
-            assert np.array_equal(vec, request.updates_dict()[uid])
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(request=round_requests())
     def test_semantically_equal_requests_are_byte_equal(self, request):
         """Encoding is canonical: id sets are sorted, layouts are fixed."""
         shuffled = ShardRoundRequest(
             shard_id=request.shard_id,
             round_id=request.round_id,
-            user_ids=request.user_ids,
+            weights=request.weights.copy(),
             updates=request.updates,
             dropouts=set(sorted(request.dropouts, reverse=True)),
-            offline_dropouts=set(request.offline_dropouts),
+            packed=request.packed,
+            result_ref=request.result_ref,
+            trace_id=request.trace_id,
         )
         assert encode_message(request, 7) == encode_message(shuffled, 7)
 
-    def test_directly_constructed_request_with_unsorted_ids_keeps_rows(self):
-        """Row i belongs to user_ids[i]; encoding must permute ids and
-        rows together, not sort ids out from under the matrix."""
-        rows = np.stack(
-            [np.full(4, 30, dtype=np.uint64), np.full(4, 10, dtype=np.uint64)]
-        )
-        request = ShardRoundRequest(
-            shard_id=0, round_id=0, user_ids=[3, 1], updates=rows,
-        )
-        _, back = decode_message(encode_message(request, 1))
-        decoded = back.updates_dict()
-        assert np.array_equal(decoded[3], np.full(4, 30, dtype=np.uint64))
-        assert np.array_equal(decoded[1], np.full(4, 10, dtype=np.uint64))
+    def test_from_updates_is_the_unit_weight_round(self):
+        """Member i is row i, weighted 0 if it dropped and 1 otherwise;
+        ids other than exactly 0..B-1 have no row to go to."""
+        updates = {i: np.full(3, i, dtype=np.uint64) for i in range(4)}
+        request = ShardRoundRequest.from_updates(2, 5, updates, {1, 3})
+        assert request.weights.tolist() == [1, 0, 1, 0]
+        assert request.updates[:, 0].tolist() == [0, 1, 2, 3]
+        assert request.dropouts == {1, 3}
+        with pytest.raises(WireError, match="member ids 0..1"):
+            ShardRoundRequest.from_updates(0, 0, {0: updates[0],
+                                                  2: updates[2]}, set())
 
-    def test_duplicate_or_mismatched_user_ids_rejected(self):
+    def test_row_count_must_match_weights(self):
         rows = np.zeros((2, 4), dtype=np.uint64)
-        with pytest.raises(WireError, match="duplicate user ids"):
-            encode_message(
-                ShardRoundRequest(0, 0, user_ids=[2, 2], updates=rows), 1
-            )
         with pytest.raises(WireError, match="does not match"):
-            encode_message(
-                ShardRoundRequest(0, 0, user_ids=[1], updates=rows), 1
-            )
-
-    @pytest.mark.parametrize("ids", [[2, 0], [1, 1]], ids=["unsorted", "dup"])
-    def test_frame_with_out_of_order_user_ids_rejected(self, ids):
-        """Row i belongs to ids[i]: a hand-built frame whose ids are not
-        strictly increasing must be refused, not decoded with its ids
-        sorted out from under the rows (which would sum the wrong
-        user's data for any dropout pattern naming one of them)."""
-        w = PayloadWriter()
-        w.put_u32(0)  # shard_id
-        w.put_u64(0)  # round_id
-        w.put_array(np.asarray(ids, dtype=np.uint32))
-        w.put_array(np.stack([np.full(3, 20, np.uint64),
-                              np.full(3, 10, np.uint64)]))
-        w.put_array(np.asarray([2], dtype=np.uint32))  # dropouts
-        w.put_array(np.zeros(0, dtype=np.uint32))  # offline dropouts
-        frame = encode_frame(ShardRoundRequest.TYPE, 1, w)
-        with pytest.raises(WireError, match="strictly increasing"):
-            decode_message(frame)
+            encode_message(ShardRoundRequest(0, 0, weights=[1], updates=rows), 1)
 
     def test_round_result_rebuilds_aggregation_result(self):
         transcript = Transcript()
