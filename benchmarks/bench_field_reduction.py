@@ -1,7 +1,7 @@
 """Field-layer reduction-kernel benchmark: division-free vs np.mod.
 
 Sweeps every reduction kernel available for each modulus (Mersenne
-shift-fold for ``2**31 - 1``, Barrett for any ``q < 2**32``, and the
+shift-fold for ``2**31 - 1``, split-fold for any ``q < 2**32``, and the
 ``np.mod`` integer-division oracle that preserves the pre-reducer code
 path) over the workloads that dominate the service:
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generic, List, TypeVar
 
-import numpy as np
-
 from repro.exceptions import ProtocolError
 
 PayloadT = TypeVar("PayloadT")

@@ -19,7 +19,7 @@ while asynchronous LightSecAgg recovers the exact sum in the same setting
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 

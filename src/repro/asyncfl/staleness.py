@@ -81,7 +81,3 @@ class QuantizedStaleness:
             raise ReproError("staleness function must be non-negative")
         rounded = stochastic_round(np.asarray([value]), self.levels, rng)[0]
         return int(round(rounded * self.levels))
-
-    def real_weight(self, weight: int) -> float:
-        """Convert an integer field weight back to its real value."""
-        return weight / self.levels

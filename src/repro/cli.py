@@ -221,7 +221,8 @@ def cmd_service(args: argparse.Namespace) -> int:
 
 
 def _install_signal_handlers(callback) -> None:
-    """Route SIGTERM/SIGINT to ``callback`` for a clean daemon shutdown.
+    """Route SIGTERM/SIGINT to ``callback`` for a clean daemon shutdown;
+    ``callback=None`` ignores them.
 
     Only possible from the main thread (the CLI's normal situation);
     tests driving these commands from worker threads fall back to the
@@ -237,7 +238,7 @@ def _install_signal_handlers(callback) -> None:
         callback()
 
     for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, _handler)
+        signal.signal(signum, signal.SIG_IGN if callback is None else _handler)
 
 
 def cmd_shard_worker(args: argparse.Namespace) -> int:
@@ -329,6 +330,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         summary = control.drain()
     except ReproError:
         summary = {"drained": False}
+    # A drained daemon has nothing left to stop.  Ignore late stop
+    # signals: once the interpreter finalizes, a Python-level handler no
+    # longer runs, and a supervisor's SIGTERM would turn exit 0 into -15.
+    _install_signal_handlers(None)
     if args.json:
         print(json.dumps({"event": "drained", **summary}), flush=True)
     else:

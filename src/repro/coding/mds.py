@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -162,25 +162,6 @@ class MDSCode:
         else:
             data = self.gf.matmul(self._decode_coeffs(indices), rows)
         return data[:, 0] if scalar else data
-
-    def decode_at(
-        self, shares: Dict[int, np.ndarray], eval_points: Sequence[int]
-    ) -> np.ndarray:
-        """Lagrange-evaluate the underlying polynomial at arbitrary points.
-
-        Only meaningful for the ``"lagrange"`` generator, where the code is
-        polynomial evaluation; used by tests and by re-encoding paths.
-        """
-        if self.generator != "lagrange":
-            raise CodingError("decode_at requires the lagrange generator")
-        if len(shares) < self.k:
-            raise NotEnoughSharesError(
-                f"need {self.k} shares to decode, got {len(shares)}"
-            )
-        indices = sorted(shares)[: self.k]
-        rows = np.stack([self.gf.array(shares[j]) for j in indices], axis=0)
-        coeffs = lagrange_coeffs(self.gf, self.alpha[indices], eval_points)
-        return self.gf.matmul(coeffs, rows)
 
     def __repr__(self) -> str:
         return (

@@ -100,10 +100,3 @@ class ShamirSecretSharing:
         ys = np.stack([self.gf.array(s.y) for s in chosen], axis=0)
         coeffs = lagrange_coeffs(self.gf, xs, [0])  # evaluate at x = 0
         return self.gf.matmul(coeffs, ys)[0]
-
-    def reconstruct_scalar(self, shares: Sequence[ShamirShare]) -> int:
-        """Reconstruct a scalar secret and return it as a Python int."""
-        value = self.reconstruct(shares)
-        if value.shape != (1,):
-            raise CodingError(f"secret is not scalar, has shape {value.shape}")
-        return int(value[0])

@@ -1,6 +1,6 @@
 """Cryptographic substrate: seeded PRGs and Diffie-Hellman key agreement."""
 
-from repro.crypto.channels import SealedMessage, SecureChannel, channel_pair
+from repro.crypto.channels import SealedMessage, SecureChannel
 from repro.crypto.dh import (
     RFC3526_GENERATOR,
     RFC3526_PRIME_2048,
@@ -14,7 +14,6 @@ from repro.crypto.prg import BACKENDS, PRG, seed_from_bytes
 __all__ = [
     "SecureChannel",
     "SealedMessage",
-    "channel_pair",
     "PRG",
     "BACKENDS",
     "seed_from_bytes",

@@ -120,13 +120,3 @@ def _constant_time_eq(a: bytes, b: bytes) -> bool:
     for x, y in zip(a, b):
         acc |= x ^ y
     return acc == 0
-
-
-def channel_pair(
-    gf: FiniteField, shared_key: int, user_a: int, user_b: int
-) -> tuple:
-    """The two directed channels between a pair of users."""
-    return (
-        SecureChannel(gf, shared_key, sender=user_a, receiver=user_b),
-        SecureChannel(gf, shared_key, sender=user_b, receiver=user_a),
-    )

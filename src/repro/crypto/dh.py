@@ -74,13 +74,6 @@ class DiffieHellman:
         secret = 2 + raw % (self.prime - 3)
         return KeyPair(secret=secret, public=pow(self.generator, secret, self.prime))
 
-    def keypair_from_secret(self, secret: int) -> KeyPair:
-        """Deterministic key pair from a known secret (used after Shamir
-        reconstruction of a dropped user's ``sk_i`` in SecAgg)."""
-        if not 1 <= secret < self.prime - 1:
-            raise ProtocolError("secret exponent out of range")
-        return KeyPair(secret=secret, public=pow(self.generator, secret, self.prime))
-
     def agree(self, my_secret: int, their_public: int) -> int:
         """Shared secret ``their_public ** my_secret mod p``, hashed to a seed.
 

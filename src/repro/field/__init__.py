@@ -6,15 +6,13 @@ from repro.field.prime import (
     MAX_UINT64_SAFE_MODULUS,
     PAPER_PRIME,
     is_prime,
-    next_prime,
-    previous_prime,
     validate_modulus,
 )
 from repro.field.reduce import (
-    BarrettReducer,
     MersenneReducer,
     NumpyModReducer,
     Reducer,
+    SplitFoldReducer,
     available_reducer_kinds,
     mersenne_exponent,
     select_reducer,
@@ -22,7 +20,6 @@ from repro.field.reduce import (
 from repro.field.linalg import det, inv, is_invertible, is_mds, rank, solve
 from repro.field.vandermonde import (
     distinct_points,
-    interpolate,
     lagrange_coeffs,
     vandermonde,
 )
@@ -31,7 +28,7 @@ __all__ = [
     "FiniteField",
     "Reducer",
     "MersenneReducer",
-    "BarrettReducer",
+    "SplitFoldReducer",
     "NumpyModReducer",
     "available_reducer_kinds",
     "mersenne_exponent",
@@ -40,8 +37,6 @@ __all__ = [
     "PAPER_PRIME",
     "MAX_UINT64_SAFE_MODULUS",
     "is_prime",
-    "next_prime",
-    "previous_prime",
     "validate_modulus",
     "solve",
     "inv",
@@ -51,6 +46,5 @@ __all__ = [
     "is_mds",
     "vandermonde",
     "lagrange_coeffs",
-    "interpolate",
     "distinct_points",
 ]

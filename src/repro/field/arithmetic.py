@@ -12,7 +12,7 @@ the product of two reduced residues fits exactly in uint64, so
 
 Reduction itself is delegated to a :class:`repro.field.reduce.Reducer`
 strategy chosen at construction (Mersenne shift-fold for ``q = 2**k - 1``,
-the split-fold ``barrett`` reducer for general ``q``, or the ``np.mod``
+the ``split_fold`` reducer for general ``q``, or the ``np.mod``
 oracle) — see :mod:`repro.field.reduce`.
 With a reducer whose fold is division-free selected,
 :meth:`FiniteField.matmul` runs a 16-bit limb-split kernel over float64
@@ -50,8 +50,8 @@ class FiniteField:
         ``2**31 - 1``.
     reducer:
         Reduction-kernel selection: ``"auto"`` (default; Mersenne when the
-        modulus allows, Barrett otherwise), ``"mersenne"``, ``"barrett"``,
-        or ``"numpy_mod"``.  ``None`` means ``"auto"``.
+        modulus allows, split-fold otherwise), ``"mersenne"``,
+        ``"split_fold"``, or ``"numpy_mod"``.  ``None`` means ``"auto"``.
 
     Examples
     --------
@@ -138,11 +138,6 @@ class FiniteField:
         b = self.array(b)
         return self.reducer.reduce_semi(a + (self._q64 - b))
 
-    def neg(self, a: ArrayLike) -> np.ndarray:
-        """Elementwise additive inverse ``-a (mod q)``."""
-        a = self.array(a)
-        return self.reducer.reduce_semi(self._q64 - a)
-
     def mul(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         """Elementwise ``a * b (mod q)``; exact because q < 2**32."""
         a = self.array(a)
@@ -182,10 +177,6 @@ class FiniteField:
             raise FieldError("zero has no multiplicative inverse")
         return self.pow(a, self.q - 2)
 
-    def div(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        """Elementwise ``a / b (mod q)``."""
-        return self.mul(a, self.inv(b))
-
     # ------------------------------------------------------------------
     # reductions / linear algebra helpers
     # ------------------------------------------------------------------
@@ -202,14 +193,6 @@ class FiniteField:
         # in memory anyway, so a single np.sum is always exact here.
         total = np.sum(a, axis=axis, dtype=np.uint64)
         return self.reducer.reduce(total)
-
-    def dot(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
-        """Inner product of two 1-D field arrays."""
-        a = self.array(a)
-        b = self.array(b)
-        if a.shape != b.shape or a.ndim != 1:
-            raise FieldError("dot requires two 1-D arrays of equal length")
-        return self.sum(self.mul(a, b))
 
     # Width-axis blocking for matmul: the rank-1 accumulation below makes
     # k passes over the (m, n) accumulator, so once a row block exceeds
@@ -431,13 +414,6 @@ class FiniteField:
             np.mod(
                 out + np.sum(prod, axis=1, dtype=np.uint64), self._q64, out=out
             )
-
-    def matvec(self, a: ArrayLike, x: ArrayLike) -> np.ndarray:
-        """Matrix-vector product over GF(q)."""
-        x = self.array(x)
-        if x.ndim != 1:
-            raise FieldError("matvec requires a 1-D vector")
-        return self.matmul(a, x[:, None])[:, 0]
 
     # ------------------------------------------------------------------
     # randomness

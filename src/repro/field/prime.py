@@ -57,24 +57,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than ``n``."""
-    candidate = max(n + 1, 2)
-    while not is_prime(candidate):
-        candidate += 1
-    return candidate
-
-
-def previous_prime(n: int) -> int:
-    """Largest prime strictly smaller than ``n``; raises below 3."""
-    candidate = n - 1
-    while candidate >= 2:
-        if is_prime(candidate):
-            return candidate
-        candidate -= 1
-    raise FieldError(f"no prime below {n}")
-
-
 def validate_modulus(q: int) -> int:
     """Check that ``q`` is a prime usable with uint64 arithmetic.
 

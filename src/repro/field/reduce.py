@@ -8,12 +8,12 @@ construction:
   ``2**31 - 1``): ``x mod q`` by repeated shift-and-add folds
   ``(x & mask) + (x >> k)``, exploiting ``2**k ≡ 1 (mod q)``.  No
   integer division anywhere.
-* :class:`BarrettReducer` — for any prime ``q < 2**32``: a cheap
+* :class:`SplitFoldReducer` — for any prime ``q < 2**32``: a cheap
   high/low split fold (``x ≡ (x >> 32) * (2**32 mod q) + (x & 0xffffffff)``)
   that keeps lazy accumulators clear of uint64 overflow, which is what
   unlocks lazy (batched) accumulation for moduli near ``2**32`` where a
   raw-product batch of two already overflows.  Its full-range reduction
-  is ``np.mod``: the limb-emulated Barrett multiply lost to one integer
+  is ``np.mod``: a limb-emulated Barrett multiply lost to one integer
   division at every size measured and was removed.
 * :class:`NumpyModReducer` — the ``np.mod`` integer-division oracle the
   other two are property-tested and benchmarked against; it also
@@ -23,9 +23,9 @@ All three return canonical residues in ``[0, q)``, so results are
 bit-identical across reducers by construction; the test suite pins this
 (``tests/field/test_reduce.py``).
 
-Selection is ``"auto"`` (Mersenne when the modulus allows, Barrett
+Selection is ``"auto"`` (Mersenne when the modulus allows, split-fold
 otherwise) unless overridden by the constructor argument (``auto`` /
-``mersenne`` / ``barrett`` / ``numpy_mod``).
+``mersenne`` / ``split_fold`` / ``numpy_mod``).
 """
 
 from __future__ import annotations
@@ -175,19 +175,6 @@ class Reducer:
         """
         return min(x_max, self.q - 1)
 
-    def lazy_terms(self, after_fold: bool = False) -> int:
-        """How many raw products of residues fit in uint64 headroom.
-
-        Each raw product of two reduced residues is at most ``(q-1)**2``.
-        ``after_fold=True`` accounts for an accumulator already holding a
-        folded value (at most :attr:`fold_max`).
-        """
-        product_max = (self.q - 1) ** 2
-        if product_max == 0:
-            return _U64_MAX
-        headroom = _U64_MAX - (self.fold_max if after_fold else 0)
-        return headroom // product_max
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(q={self.q})"
 
@@ -227,7 +214,7 @@ class MersenneReducer(Reducer):
         if k is None:
             raise FieldError(
                 f"MersenneReducer requires q = 2**k - 1, got {q}; "
-                f"use the barrett reducer for general moduli"
+                f"use the split_fold reducer for general moduli"
             )
         super().__init__(q)
         self._k = k
@@ -277,7 +264,7 @@ class MersenneReducer(Reducer):
         return min(self.fold_max, min(x_max, self.q) + (x_max >> self._k))
 
 
-class BarrettReducer(Reducer):
+class SplitFoldReducer(Reducer):
     """Split-fold lazy accumulation for arbitrary moduli ``q < 2**32``.
 
     :meth:`fold` uses the split identity
@@ -289,15 +276,15 @@ class BarrettReducer(Reducer):
     ``2**32``.  Bounded inputs finish with folds plus one conditional
     subtract (:meth:`reduce_bounded`).
 
-    The full-range :meth:`reduce` is the inherited ``np.mod``: the
-    Barrett quotient estimate this class is named after needs the high
-    half of a 64x64 product, which numpy can only emulate with four
-    32-bit limb multiplies, and that kernel measured 2x slower than
-    one integer division at every size (1.9 ms vs 0.9 ms at 16x16384,
-    7.6 ms vs 3.2 ms at 1M; ``benchmarks/results/field_reduction.json``).
+    The full-range :meth:`reduce` is the inherited ``np.mod``: a
+    Barrett quotient estimate needs the high half of a 64x64 product,
+    which numpy can only emulate with four 32-bit limb multiplies, and
+    that kernel measured 2x slower than one integer division at every
+    size (1.9 ms vs 0.9 ms at 16x16384, 7.6 ms vs 3.2 ms at 1M;
+    ``benchmarks/results/field_reduction.json``).
     """
 
-    kind = "barrett"
+    kind = "split_fold"
 
     def __init__(self, q: int):
         super().__init__(q)
@@ -332,7 +319,7 @@ class BarrettReducer(Reducer):
 _REDUCERS = {
     NumpyModReducer.kind: NumpyModReducer,
     MersenneReducer.kind: MersenneReducer,
-    BarrettReducer.kind: BarrettReducer,
+    SplitFoldReducer.kind: SplitFoldReducer,
 }
 
 
@@ -341,7 +328,7 @@ def available_reducer_kinds(q: int) -> Tuple[str, ...]:
     kinds = []
     if mersenne_exponent(q) is not None:
         kinds.append(MersenneReducer.kind)
-    kinds.append(BarrettReducer.kind)
+    kinds.append(SplitFoldReducer.kind)
     kinds.append(NumpyModReducer.kind)
     return tuple(kinds)
 
@@ -349,9 +336,9 @@ def available_reducer_kinds(q: int) -> Tuple[str, ...]:
 def select_reducer(q: int, kind: Optional[str] = None) -> Reducer:
     """Build the reduction kernel for ``q``.
 
-    ``kind`` is one of ``auto`` / ``mersenne`` / ``barrett`` /
+    ``kind`` is one of ``auto`` / ``mersenne`` / ``split_fold`` /
     ``numpy_mod``; None means ``auto``, which picks Mersenne when the
-    modulus has the right shape and Barrett otherwise.  Requesting
+    modulus has the right shape and split-fold otherwise.  Requesting
     ``mersenne`` for a non-Mersenne modulus raises :class:`FieldError`.
     """
     kind = (kind or "auto").strip().lower()
@@ -359,7 +346,7 @@ def select_reducer(q: int, kind: Optional[str] = None) -> Reducer:
         kind = (
             MersenneReducer.kind
             if mersenne_exponent(q) is not None
-            else BarrettReducer.kind
+            else SplitFoldReducer.kind
         )
     try:
         cls = _REDUCERS[kind]

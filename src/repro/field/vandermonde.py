@@ -113,22 +113,3 @@ def lagrange_coeffs(
     # numerators: num[m, k] = prod_{l != k} (e_m - s_l)
     ediffs = gf.sub(e[:, None], s[None, :])  # (m, l)
     return gf.mul(_exclusive_products(gf, ediffs), inv_denom[None, :])
-
-
-def interpolate(
-    gf: FiniteField,
-    sample_points: Sequence[int],
-    samples: np.ndarray,
-    eval_points: Sequence[int],
-) -> np.ndarray:
-    """Evaluate the interpolating polynomial of ``samples`` at ``eval_points``.
-
-    ``samples`` may be a vector (one value per sample point) or a matrix of
-    shape ``(len(sample_points), width)`` interpolating ``width`` polynomials
-    simultaneously.
-    """
-    coeffs = lagrange_coeffs(gf, sample_points, eval_points)
-    samples = gf.array(samples)
-    if samples.ndim == 1:
-        return gf.matvec(coeffs, samples)
-    return gf.matmul(coeffs, samples)

@@ -42,11 +42,6 @@ class Model:
         self.net.backward(dlogits)
         return loss, self.net.get_flat_grads()
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Class predictions (argmax over logits), no caching."""
-        logits = self.net.forward(x, train=False)
-        return np.argmax(logits, axis=1)
-
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
         """(loss, accuracy) on a dataset, computed in inference mode."""
         logits = self.net.forward(x, train=False)

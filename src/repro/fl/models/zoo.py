@@ -18,7 +18,7 @@ far cheaper than a faithful forward pass.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

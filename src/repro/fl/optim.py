@@ -33,10 +33,6 @@ class SGD:
         self.weight_decay = weight_decay
         self._velocity: Optional[np.ndarray] = None
 
-    def reset(self) -> None:
-        """Clear momentum state (called at the start of each local phase)."""
-        self._velocity = None
-
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         if params.shape != grad.shape:
             raise ReproError("params and grad must have equal shapes")

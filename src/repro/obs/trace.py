@@ -360,10 +360,6 @@ class Tracer:
                 self.metrics.record_phase(phase_name(top.name), top.duration)
         self._log_events(trace)
 
-    def trace_round(self, cohort_id: int, round_index: int):
-        """Context-manager form of start_round/finish."""
-        return _TraceRoundContext(self, cohort_id, round_index)
-
     # -- retrieval -----------------------------------------------------
     @property
     def retained(self) -> int:
@@ -467,23 +463,3 @@ class Tracer:
                 return
             self._event_file.write("\n".join(lines) + "\n")
             self._event_file.flush()
-
-
-class _TraceRoundContext:
-    __slots__ = ("_tracer", "_cohort_id", "_round_index", "_trace")
-
-    def __init__(self, tracer: Tracer, cohort_id: int, round_index: int):
-        self._tracer = tracer
-        self._cohort_id = cohort_id
-        self._round_index = round_index
-        self._trace: Optional[RoundTrace] = None
-
-    def __enter__(self) -> Optional[RoundTrace]:
-        self._trace = self._tracer.start_round(
-            self._cohort_id, self._round_index
-        )
-        return self._trace
-
-    def __exit__(self, exc_type, exc, tb):
-        self._tracer.finish(self._trace, error=exc)
-        return False

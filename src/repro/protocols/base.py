@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import abc
 import threading
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set
 
@@ -93,17 +92,6 @@ class Transcript:
                 continue
             total += m.size
         return total
-
-    def per_user_sent(self, phase: Optional[str] = None) -> Dict[int, int]:
-        """Elements sent by each non-server participant."""
-        out: Dict[int, int] = defaultdict(int)
-        for m in self.messages:
-            if m.sender == SERVER:
-                continue
-            if phase is not None and m.phase != phase:
-                continue
-            out[m.sender] += m.size
-        return dict(out)
 
     def __len__(self) -> int:
         return len(self.messages)

@@ -15,7 +15,7 @@ the ablation benchmark to quantify what the optimization buys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 

@@ -78,11 +78,6 @@ class LSAUser:
             )
         self._received_shares[source] = self.gf.array(share)
 
-    @property
-    def held_shares(self) -> Dict[int, np.ndarray]:
-        """Shares currently held, keyed by source user."""
-        return dict(self._received_shares)
-
     # ------------------------------------------------------------------
     # phase 2: masking and uploading of local models
     # ------------------------------------------------------------------

@@ -6,7 +6,7 @@ from repro.quantization.stochastic import (
     stochastic_round,
     stochastic_round_to_int,
 )
-from repro.quantization.twos_complement import from_field, headroom, to_field
+from repro.quantization.twos_complement import from_field, to_field
 
 __all__ = [
     "ModelQuantizer",
@@ -16,5 +16,4 @@ __all__ = [
     "rounding_variance_bound",
     "to_field",
     "from_field",
-    "headroom",
 ]

@@ -37,18 +37,3 @@ def to_field(gf: FiniteField, x: np.ndarray) -> np.ndarray:
 def from_field(gf: FiniteField, a: np.ndarray) -> np.ndarray:
     """Inverse map (eq. 36): residues above ``(q-1)/2`` become negative."""
     return gf.to_signed(a)
-
-
-def headroom(gf: FiniteField, magnitude_bound: int) -> int:
-    """How many values bounded by ``magnitude_bound`` can be summed safely.
-
-    Summing ``n`` signed integers of magnitude ``<= m`` stays unambiguous
-    while ``n * m < q/2``; the return value is that maximal ``n``.  Useful
-    for choosing quantization levels that avoid wrap-around for a given
-    number of users (the paper's "field size large enough" assumption,
-    Sec. F.3.2).
-    """
-    if magnitude_bound <= 0:
-        raise QuantizationError("magnitude bound must be positive")
-    half = (gf.q - 1) // 2
-    return half // magnitude_bound

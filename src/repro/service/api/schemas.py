@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.exceptions import ReproError, WireError
 from repro.service.config import CohortSpec
-from repro.wire import pack_bits, packed_nbytes, unpack_bits
+from repro.wire import pack_bits, unpack_bits
 
 #: Vector payload encodings the control plane accepts and emits.
 ENCODINGS = ("u64", "packed")

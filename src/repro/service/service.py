@@ -23,16 +23,14 @@ this down against the one-shot oracle).
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
 from repro.exceptions import ProtocolError
 from repro.field.arithmetic import FiniteField
-from repro.protocols.base import AggregationResult
-from repro.protocols.base import sample_dropouts
+from repro.protocols.base import AggregationResult, sample_dropouts
 from repro.obs import RoundTrace, Tracer
-from repro.quantization import ModelQuantizer
 from repro.service.cohort import Cohort, CohortPhase
 from repro.service.engines import BufferedAsyncRoundEngine
 from repro.service.config import CohortSpec, RefillMode, ServiceConfig
@@ -290,52 +288,6 @@ class AggregationService:
             user_id, update, download_round=download_round,
             dropouts=dropouts,
         )
-
-    def run_quantized_round(
-        self,
-        cohort_id: int,
-        real_updates: Dict[int, np.ndarray],
-        dropouts: Optional[Set[int]] = None,
-        quantizer: Optional[ModelQuantizer] = None,
-        magnitude_bound: Optional[float] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> Tuple[np.ndarray, AggregationResult]:
-        """One round whose updates are *real* model vectors.
-
-        The end-to-end quantized path: each update is stochastically
-        rounded into GF(q) by the quantizer (after
-        :meth:`~repro.quantization.ModelQuantizer.check_budget` proves
-        the sum cannot wrap), the field vectors ride the configured
-        transport and wire format — with ``wire_format=PACKED`` every
-        element travels in ``ceil(log2(q))`` bits instead of a full
-        word — and the securely aggregated sum is mapped back to reals.
-        Returns ``(real_aggregate, field_result)``.
-
-        ``magnitude_bound`` defaults to the actual max ``|update|_inf``
-        (fine for experiments; deployments enforcing a clip should pass
-        their bound explicitly so the check covers adversarial inputs).
-        """
-        if not real_updates:
-            raise ValueError("run_quantized_round needs at least one update")
-        quantizer = (
-            quantizer if quantizer is not None else ModelQuantizer(self.gf)
-        )
-        bound = magnitude_bound
-        if bound is None:
-            if quantizer.config.clip is not None:
-                bound = quantizer.config.clip
-            else:
-                bound = max(
-                    float(np.max(np.abs(np.asarray(u, dtype=np.float64))))
-                    for u in real_updates.values()
-                )
-        quantizer.check_budget(len(real_updates), bound)
-        field_updates = {
-            uid: quantizer.quantize(update, rng)
-            for uid, update in sorted(real_updates.items())
-        }
-        result = self._cohort(cohort_id).run_round(field_updates, dropouts)
-        return quantizer.dequantize(result.aggregate), result
 
     def run_synthetic(
         self,

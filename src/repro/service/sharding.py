@@ -34,7 +34,7 @@ from repro.protocols.base import (
     Transcript,
     check_round_ids,
 )
-from repro.service.transport import InlineTransport, ShardTransport
+from repro.service.transport import ShardTransport
 
 
 class ShardPlan:
@@ -100,10 +100,9 @@ class ShardedSession:
     holds exactly one, over one shard or many.
 
     Shard execution is delegated to a
-    :class:`~repro.service.transport.ShardTransport`: pass live sessions
-    (wrapped in an :class:`~repro.service.transport.InlineTransport`,
-    the original direct-call behaviour, bit-identical) or any other
-    backend via ``transport=`` — e.g. a
+    :class:`~repro.service.transport.ShardTransport`: live sessions
+    wrapped in an :class:`~repro.service.transport.InlineTransport`
+    (direct calls, the baseline) or any other backend — e.g. a
     :class:`~repro.service.socket_transport.ProcessPoolTransport` whose shard
     rounds run on separate cores.  Per-shard handles can also be
     registered with a refiller *individually* (see
@@ -111,54 +110,24 @@ class ShardedSession:
     rounds at shard granularity.
     """
 
-    def __init__(
-        self,
-        plan: ShardPlan,
-        shard_sessions: Optional[Sequence] = None,
-        *,
-        transport: Optional[ShardTransport] = None,
-    ):
-        if (shard_sessions is None) == (transport is None):
-            raise ProtocolError(
-                "pass exactly one of shard_sessions= or transport="
-            )
-        if transport is None:
-            self._validate_sessions(plan, shard_sessions)
-            transport = InlineTransport(shard_sessions)
+    def __init__(self, plan: ShardPlan, transport: ShardTransport):
         if transport.num_shards != plan.num_shards:
             raise ProtocolError(
                 f"plan has {plan.num_shards} shards but the transport "
                 f"drives {transport.num_shards}"
             )
+        for s, handle in enumerate(transport.shard_handles):
+            if handle.model_dim != plan.widths[s]:
+                raise ProtocolError(
+                    f"shard {s} session covers d={handle.model_dim}, "
+                    f"plan expects {plan.widths[s]}"
+                )
         self.plan = plan
         self.transport = transport
         self.shard_sessions = list(transport.shard_handles)
         self.num_users = self._shared_num_users(self.shard_sessions)
         self.stats = SessionStats()
         self._logical_misses = 0  # rounds in which any shard missed
-
-    @staticmethod
-    def _validate_sessions(plan: ShardPlan, shard_sessions: Sequence) -> None:
-        if len(shard_sessions) != plan.num_shards:
-            raise ProtocolError(
-                f"plan has {plan.num_shards} shards but "
-                f"{len(shard_sessions)} sessions were supplied"
-            )
-        for s, sess in enumerate(shard_sessions):
-            # Every shard operation is a weighted drain, so a session
-            # without one (a replay session) cannot serve a shard.
-            if not hasattr(sess, "drain"):
-                raise ProtocolError(
-                    f"shard {s} session {type(sess).__name__} has no "
-                    "drain; only pooled LightSecAgg sessions shard"
-                )
-            if sess.protocol.model_dim != plan.widths[s]:
-                raise ProtocolError(
-                    f"shard {s} session covers d={sess.protocol.model_dim}, "
-                    f"plan expects {plan.widths[s]}"
-                )
-        if len({sess.gf for sess in shard_sessions}) != 1:
-            raise ProtocolError("shard sessions disagree on the field")
 
     @staticmethod
     def _shared_num_users(handles: Sequence) -> int:

@@ -62,7 +62,7 @@ from repro.field.prime import DEFAULT_PRIME
 from repro.obs import span
 from repro.protocols.base import AggregationResult, SessionStats
 from repro.service.worker import HOSTNAME
-from repro.wire import ErrorFrame, RefillRequest, SnapshotRequest
+from repro.wire import ErrorFrame, RefillRequest
 
 TRANSPORT_KINDS = ("inline", "process", "socket", "shm")
 
@@ -187,6 +187,16 @@ class InlineTransport(ShardTransport):
     def __init__(self, sessions: Sequence, metrics=None, cohort_id: int = 0):
         if not sessions:
             raise ProtocolError("transport needs at least one shard session")
+        for s, session in enumerate(sessions):
+            # Every shard operation is a weighted drain, so a session
+            # without one (a replay session) cannot serve a shard.
+            if not hasattr(session, "drain"):
+                raise ProtocolError(
+                    f"shard {s} session {type(session).__name__} has no "
+                    "drain; only pooled LightSecAgg sessions shard"
+                )
+        if len({session.gf for session in sessions}) != 1:
+            raise ProtocolError("shard sessions disagree on the field")
         self._sessions = list(sessions)
         self._metrics = metrics
         self._cohort_id = int(cohort_id)
@@ -277,6 +287,7 @@ class ShardHandle:
         self._transport = transport
         self.shard_id = shard_id
         self.spec = spec
+        self.model_dim = spec.shard_dim
         self.stats = SessionStats()
         self.pool_size = spec.pool_size
         self.low_water = spec.low_water
@@ -326,14 +337,6 @@ class ShardHandle:
     def refill_join(self, ticket: int) -> int:
         """Gather half: block until the worker's refill completes."""
         return int(self._join_snapshot(ticket).rounds_added)
-
-    def sync(self) -> "ShardHandle":
-        """Refresh the cache with an explicit snapshot round trip."""
-        request_id, _ = self._transport._request(
-            self.shard_id, SnapshotRequest(self.shard_id)
-        )
-        self._join_snapshot(request_id)
-        return self
 
     def _join_snapshot(self, request_id: int):
         message, _ = self._transport._await(self.shard_id, request_id)

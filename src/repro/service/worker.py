@@ -29,14 +29,13 @@ from repro.wire import (
     ShardRoundRequest,
     ShardRoundResult,
     ShmRegistry,
-    SnapshotRequest,
     WorkerSpan,
 )
 
 HOSTNAME = socket.gethostname()
 
 
-def _snapshot_of(session, shard_id: int, rounds_added=0) -> PoolSnapshot:
+def _snapshot_of(session, shard_id: int, rounds_added: int) -> PoolSnapshot:
     state = session.state_snapshot()
     return PoolSnapshot(
         shard_id=shard_id,
@@ -105,9 +104,7 @@ def _compute(message, session, enqueued_at, registry) -> ShardRoundResult:
     )
 
 
-_SHARD_REQUESTS = (
-    ShardRoundRequest, SnapshotRequest, RefillRequest, RekeyRequest,
-)
+_SHARD_REQUESTS = (ShardRoundRequest, RefillRequest, RekeyRequest)
 
 
 def _reply_to(message, lookup, enqueued_at, registry):
@@ -115,8 +112,6 @@ def _reply_to(message, lookup, enqueued_at, registry):
         raise TransportError(f"worker cannot serve {type(message).__name__}")
     shard_id = message.shard_id
     session = lookup(shard_id)
-    if isinstance(message, SnapshotRequest):
-        return _snapshot_of(session, shard_id)
     if isinstance(message, RefillRequest):
         added = session.refill(message.rounds)
         return _snapshot_of(session, shard_id, rounds_added=added)

@@ -97,10 +97,6 @@ class SimulationConfig:
         return self.bandwidth.seconds(num_elements) / self.server_bandwidth_factor
 
 
-def _defaults(num_users: int, dropout_rate: float) -> LSAParams:
-    return LSAParams.paper_defaults(num_users, dropout_rate)
-
-
 # ----------------------------------------------------------------------
 # per-protocol phase models
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ and reports the LightSecAgg end-to-end speedups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.exceptions import SimulationError
 from repro.simulation.runtime import PhaseTimes, SimulationConfig, simulate

@@ -2,13 +2,13 @@
 
 Secure-aggregation code fails in ways that are easy to miss (a wrong mask
 still produces *a* vector), so the library ships the assertions we use
-internally: exact-aggregate verification against the naive oracle, field-
-array validity checks, and quick statistical uniformity tests.
+internally: exact-aggregate verification against the naive oracle and
+field-array validity checks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, Optional, Set
 
 import numpy as np
 
@@ -66,63 +66,3 @@ def run_and_verify(
     assert_exact_aggregate(protocol, result, updates)
     assert_field_vector(protocol.gf, result.aggregate, model_dim)
     return result
-
-
-def conformance_suite(
-    protocol_factory,
-    model_dim: int = 24,
-    seed: int = 0,
-    max_dropouts: int = 2,
-) -> int:
-    """Battery of behaviours every SecureAggregationProtocol must satisfy.
-
-    ``protocol_factory()`` returns a fresh protocol instance.  Checks:
-    exact aggregation for every dropout count up to ``max_dropouts``,
-    determinism under a fixed rng, statelessness across rounds, and
-    transcript sanity.  Returns the number of rounds exercised; raises
-    :class:`ReproError` (or the protocol's own error) on any violation.
-    """
-    proto = protocol_factory()
-    rounds = 0
-    for num_drops in range(max_dropouts + 1):
-        rng = np.random.default_rng(seed + num_drops)
-        updates = make_random_updates(proto.gf, proto.num_users, model_dim, rng)
-        dropouts = set(range(num_drops))
-        result = proto.run_round(updates, dropouts, rng)
-        assert_exact_aggregate(proto, result, updates)
-        assert_field_vector(proto.gf, result.aggregate, model_dim)
-        if len(result.transcript) == 0 and proto.num_users > 1:
-            raise ReproError("protocol recorded no messages")
-        if result.transcript.elements() < 0:
-            raise ReproError("negative transcript accounting")
-        # Determinism: same inputs and rng seed reproduce the aggregate.
-        again = proto.run_round(
-            updates, dropouts, np.random.default_rng(seed + num_drops)
-        )
-        repeat = proto.run_round(
-            updates, dropouts, np.random.default_rng(seed + num_drops)
-        )
-        if not np.array_equal(again.aggregate, repeat.aggregate):
-            raise ReproError("protocol is nondeterministic under a fixed rng")
-        rounds += 3
-    return rounds
-
-
-def chi_square_uniformity(
-    samples: Sequence[int], modulus: int, significance_chi2: float
-) -> float:
-    """Chi-square statistic of ``samples`` against uniform over [0, q).
-
-    Returns the statistic; raises when it exceeds the caller-provided
-    critical value (callers pick it for their degrees of freedom).
-    """
-    counts = np.bincount(np.asarray(samples, dtype=np.int64), minlength=modulus)
-    expected = len(samples) / modulus
-    if expected <= 0:
-        raise ReproError("no samples supplied")
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    if chi2 > significance_chi2:
-        raise ReproError(
-            f"uniformity rejected: chi2={chi2:.1f} > {significance_chi2}"
-        )
-    return chi2

@@ -29,7 +29,6 @@ from repro.wire.format import (
     PayloadWriter,
     ShmArrayRef,
     decode_frame,
-    encode_frame,
     frame_segments,
     pack_bits,
     packed_nbytes,
@@ -48,7 +47,6 @@ from repro.wire.messages import (
     SetupAck,
     ShardRoundRequest,
     ShardRoundResult,
-    SnapshotRequest,
     Shutdown,
     decode_message,
     encode_message,
@@ -71,7 +69,6 @@ __all__ = [
     "PayloadWriter",
     "ShmArrayRef",
     "decode_frame",
-    "encode_frame",
     "frame_segments",
     "pack_bits",
     "packed_nbytes",
@@ -88,7 +85,6 @@ __all__ = [
     "SetupAck",
     "ShardRoundRequest",
     "ShardRoundResult",
-    "SnapshotRequest",
     "Shutdown",
     "decode_message",
     "encode_message",

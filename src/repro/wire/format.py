@@ -303,9 +303,9 @@ class PayloadWriter:
 
     Array data is appended as a memoryview over the array's own buffer,
     so building a payload never serializes or copies element data; the
-    single copy happens in :meth:`getvalue`'s join (or in the socket
-    layer, for transports that support vectored writes of
-    :attr:`segments`).
+    single copy happens when the frame is joined
+    (:func:`repro.wire.messages.encode_message`) or in the socket layer,
+    for transports that support vectored writes of :attr:`segments`.
 
     :meth:`put_packed_array` is the exception: it appends the packed
     stream the group/limb kernel produced (see the module docstring) —
@@ -431,9 +431,6 @@ class PayloadWriter:
         """Total payload size, computed without joining the segments."""
         return sum(len(segment) for segment in self.segments)
 
-    def getvalue(self) -> bytes:
-        return b"".join(self.segments)
-
 
 class PayloadReader:
     """Sequential reader over one frame's payload memoryview.
@@ -530,14 +527,6 @@ class PayloadReader:
         if flags == _SHM_FLAG:
             return self._take_shm(dtype, shape, count)
         raise WireError(f"unknown array tag flags 0x{flags:02x}")
-
-    def get_packed_array(self) -> np.ndarray:
-        """Read one array, insisting it was bit-packed on the wire."""
-        if not self.peek_u8() & _PACKED_FLAG:
-            raise WireError(
-                f"array at offset {self._offset} is not bit-packed"
-            )
-        return self.get_array()
 
     def _take_packed(
         self, dtype: np.dtype, shape: Tuple[int, ...], count: int
@@ -637,11 +626,6 @@ def frame_segments(
         )
     header = _HEADER.pack(MAGIC, WIRE_VERSION, msg_type, request_id, nbytes)
     return [header, *payload.segments]
-
-
-def encode_frame(msg_type: int, request_id: int, payload: PayloadWriter) -> bytes:
-    """Assemble one wire frame from a message type and its payload."""
-    return b"".join(frame_segments(msg_type, request_id, payload))
 
 
 def decode_frame(

@@ -12,8 +12,7 @@ shard coordinator and the process hosting that shard's protocol session:
 * :class:`RekeyRequest` — re-size a shard session's member set.
 * :class:`RefillRequest` / :class:`PoolSnapshot` — top up a shard's
   offline pool; the snapshot doubles as the generic "current pool +
-  session stats" report (it also answers :class:`SnapshotRequest` and
-  acknowledges :class:`Shutdown`).
+  session stats" report (it also acknowledges :class:`Shutdown`).
 * :class:`ErrorFrame` — a remote exception, carried by name + message so
   the coordinator can re-raise the library's own exception types.
 * :class:`Shutdown` — drain and close the shard session; the worker
@@ -24,7 +23,7 @@ shard coordinator and the process hosting that shard's protocol session:
   to a connection-unique *slot* id, and the worker host builds the
   sessions locally (never unpickling live objects).  Slots are what let
   one connection batch shards of *several* cohorts: every subsequent
-  round/refill/snapshot message addresses a slot via its ``shard_id``
+  round/refill/rekey message addresses a slot via its ``shard_id``
   field, and teardown releases one cohort's slots without touching its
   neighbours'.  Setup is also the *re-pin* path: after a reconnect the
   coordinator replays its ``SessionSetup`` so a restarted worker rebuilds
@@ -578,22 +577,6 @@ class RekeyRequest:
         return cls(shard_id=r.get_u32(), num_users=r.get_u32())
 
 
-@dataclass
-class SnapshotRequest:
-    """Ask for one shard's :class:`PoolSnapshot` without touching the pool."""
-
-    TYPE = 6
-
-    shard_id: int
-
-    def _encode(self, w: PayloadWriter) -> None:
-        w.put_u32(self.shard_id)
-
-    @classmethod
-    def _decode(cls, r: PayloadReader) -> "SnapshotRequest":
-        return cls(shard_id=r.get_u32())
-
-
 def _put_spec(w: PayloadWriter, spec) -> None:
     """Encode one ShardSessionSpec field-by-field (never pickled)."""
     w.put_str(spec.protocol)
@@ -742,7 +725,6 @@ WIRE_MESSAGES: Dict[int, Type] = {
         RefillRequest,
         PoolSnapshot,
         ErrorFrame,
-        SnapshotRequest,
         RekeyRequest,
         SessionSetup,
         SetupAck,

@@ -85,8 +85,8 @@ class SegmentArena:
 
     The arena is a flat byte range; callers carve it into fixed regions
     (one request + one response region per shard, in the transport's
-    case) and :meth:`place` arrays at chosen offsets, getting back the
-    :class:`ShmArrayRef` to send instead of the bytes.
+    case), write arrays into :meth:`ndarray` views at chosen offsets,
+    and send a :class:`ShmArrayRef` instead of the bytes.
     """
 
     def __init__(self, size: int, name: Optional[str] = None) -> None:
@@ -130,18 +130,6 @@ class SegmentArena:
         return np.frombuffer(
             self.buf, dtype=dtype, count=count, offset=offset
         ).reshape(shape)
-
-    def place(self, offset: int, array: np.ndarray) -> ShmArrayRef:
-        """Copy ``array`` into the arena; return the wire reference."""
-        array = np.ascontiguousarray(array)
-        view = self.ndarray(offset, array.shape, array.dtype)
-        np.copyto(view, array)
-        return ShmArrayRef(
-            name=self.name,
-            offset=offset,
-            shape=tuple(array.shape),
-            dtype=array.dtype.str,
-        )
 
     def close(self) -> None:
         """Detach *and unlink* — the creator's teardown. Idempotent."""

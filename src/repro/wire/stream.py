@@ -57,11 +57,6 @@ class FrameAssembler:
         self._max_payload = int(max_payload)
         self._corrupt = False
 
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered toward a not-yet-complete frame."""
-        return len(self._buffer)
-
     def feed(self, data: Union[bytes, memoryview]) -> List[bytes]:
         """Absorb one chunk; return every frame it completed, in order."""
         if self._corrupt:

@@ -185,6 +185,32 @@ def test_serve_sigterm_drains_and_exits_zero():
     assert final["drained"] is True and final["total_rounds"] == 1
 
 
+@pytest.mark.parametrize("delay_s", [0.0, 0.05, 0.1, 0.2])
+def test_serve_sigterm_after_drain_still_exits_zero(delay_s):
+    """A supervisor that POSTs /drain and then sends SIGTERM to a daemon
+    already on its way out must not turn a clean exit into -15: the
+    signal can land after the interpreter stopped running Python-level
+    handlers.  The first SIGTERM goes ``delay_s`` after the drain reply,
+    then one every 10 ms until the daemon is gone, so some signal lands
+    in every phase of its exit path."""
+    proc, base = serve_daemon()
+    try:
+        status, summary = call(base, "POST", "/drain")
+        assert status == 200 and summary["drained"] is True
+        time.sleep(delay_s)
+        deadline = time.monotonic() + 30
+        while proc.poll() is None and time.monotonic() < deadline:
+            proc.send_signal(signal.SIGTERM)
+            time.sleep(0.01)
+    except BaseException:
+        proc.kill()
+        proc.communicate()
+        raise
+    out, _ = wait_exit(proc)
+    final = json.loads(out.strip().splitlines()[-1])
+    assert final["event"] == "drained" and final["drained"] is True
+
+
 def test_serve_max_seconds_bounds_the_run():
     proc = spawn("serve", "--listen", "127.0.0.1:0", "--json",
                  "--max-seconds", "1")

@@ -78,7 +78,7 @@ class TestQuantizedStaleness:
     def test_real_weight_round_trip(self, rng):
         qs = QuantizedStaleness(levels=64, fn=polynomial_staleness(1.0))
         w = qs.weight(3, rng)
-        assert abs(qs.real_weight(w) - 0.25) <= 1 / 64
+        assert abs(w / qs.levels - 0.25) <= 1 / 64
 
     def test_paper_cg(self):
         """The paper uses c_g = 2^6 (Sec. F.5)."""

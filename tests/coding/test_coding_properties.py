@@ -75,7 +75,7 @@ def test_shamir_round_trip(threshold, secret, pyrandom):
     sss = ShamirSecretSharing(GF, num_shares=n, threshold=threshold)
     shares = sss.share(secret, rng)
     chosen = pyrandom.sample(sorted(shares), threshold + 1)
-    assert sss.reconstruct_scalar([shares[x] for x in chosen]) == secret
+    assert int(sss.reconstruct([shares[x] for x in chosen])[0]) == secret
 
 
 @given(st.integers(0, 200), st.integers(1, 20))

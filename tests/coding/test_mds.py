@@ -64,6 +64,14 @@ class TestRoundTrip:
         shares = {j: coded[j] for j in range(6)}
         assert np.array_equal(code.decode(shares), data)
 
+    def test_decode_then_reencode_reproduces_every_symbol(
+        self, gf, generator, rng
+    ):
+        code = MDSCode(gf, n=6, k=3, generator=generator)
+        coded = code.encode(gf.random((3, 2), rng))
+        data = code.decode({j: coded[j] for j in (0, 2, 5)})
+        assert np.array_equal(code.encode(data), coded)
+
     def test_paper_prime_field(self, gf_paper, generator, rng):
         code = MDSCode(gf_paper, n=8, k=5, generator=generator)
         data = gf_paper.random((5, 3), rng)
@@ -104,23 +112,6 @@ class TestErrors:
         code = MDSCode(gf, n=5, k=2)
         with pytest.raises(CodingError, match="inconsistent"):
             code.decode({0: gf.zeros(3), 1: gf.zeros(4)})
-
-
-class TestDecodeAt:
-    def test_reencode_matches(self, gf, rng):
-        """decode_at on the alpha points reproduces the coded symbols."""
-        code = MDSCode(gf, n=6, k=3, generator="lagrange")
-        data = gf.random((3, 2), rng)
-        coded = code.encode(data)
-        shares = {j: coded[j] for j in (0, 2, 5)}
-        again = code.decode_at(shares, code.alpha)
-        assert np.array_equal(again, coded)
-
-    def test_vandermonde_rejected(self, gf, rng):
-        code = MDSCode(gf, n=5, k=2, generator="vandermonde")
-        coded = code.encode(gf.random((2, 2), rng))
-        with pytest.raises(CodingError):
-            code.decode_at({0: coded[0], 1: coded[1]}, [1])
 
 
 class TestDecodeCoefficientMemo:

@@ -27,7 +27,7 @@ class TestReconstruct:
         shares = sss.share(42, rng)
         assert len(shares) == 5
         subset = [shares[1], shares[3], shares[5]]
-        assert sss.reconstruct_scalar(subset) == 42
+        assert int(sss.reconstruct(subset)[0]) == 42
 
     def test_all_minimal_subsets(self, gf, rng):
         sss = ShamirSecretSharing(gf, num_shares=6, threshold=2)
@@ -35,7 +35,7 @@ class TestReconstruct:
         shares = sss.share(secret, rng)
         for xs in combinations(range(1, 7), 3):
             subset = [shares[x] for x in xs]
-            assert sss.reconstruct_scalar(subset) == secret
+            assert int(sss.reconstruct(subset)[0]) == secret
 
     def test_vector_secret(self, gf, rng):
         sss = ShamirSecretSharing(gf, num_shares=4, threshold=1)
@@ -47,7 +47,7 @@ class TestReconstruct:
     def test_extra_shares_ignored(self, gf, rng):
         sss = ShamirSecretSharing(gf, num_shares=5, threshold=2)
         shares = sss.share(7, rng)
-        assert sss.reconstruct_scalar(list(shares.values())) == 7
+        assert int(sss.reconstruct(list(shares.values()))[0]) == 7
 
     def test_not_enough_shares(self, gf, rng):
         sss = ShamirSecretSharing(gf, num_shares=5, threshold=3)
@@ -61,18 +61,12 @@ class TestReconstruct:
         with pytest.raises(NotEnoughSharesError):
             sss.reconstruct([shares[1], shares[1], shares[1]])
 
-    def test_scalar_accessor_rejects_vectors(self, gf, rng):
-        sss = ShamirSecretSharing(gf, num_shares=4, threshold=1)
-        shares = sss.share(gf.random(3, rng), rng)
-        with pytest.raises(CodingError):
-            sss.reconstruct_scalar([shares[1], shares[2]])
-
     def test_zero_threshold_is_replication(self, gf, rng):
         """t=0 means any single share reveals the secret (degree-0 poly)."""
         sss = ShamirSecretSharing(gf, num_shares=3, threshold=0)
         shares = sss.share(99, rng)
         for s in shares.values():
-            assert sss.reconstruct_scalar([s]) == 99
+            assert int(sss.reconstruct([s])[0]) == 99
 
 
 class TestPrivacy:

@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.crypto.channels import SealedMessage, SecureChannel, channel_pair
+from repro.crypto.channels import SealedMessage, SecureChannel
 from repro.crypto.dh import DiffieHellman
 from repro.exceptions import ProtocolError
 
 
 @pytest.fixture
 def pair(gf):
-    return channel_pair(gf, shared_key=123456789, user_a=0, user_b=1)
+    """The two directed channels between users 0 and 1."""
+    return (
+        SecureChannel(gf, 123456789, sender=0, receiver=1),
+        SecureChannel(gf, 123456789, sender=1, receiver=0),
+    )
 
 
 class TestRoundTrip:

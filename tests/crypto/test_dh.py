@@ -48,6 +48,12 @@ class TestKeyAgreement:
         seed = dh.agree(k1.secret, k2.public)
         assert 0 <= seed < 2**256
 
+    def test_public_key_is_generator_power(self, rng):
+        dh = DiffieHellman()
+        k = dh.generate_keypair(rng)
+        assert 2 <= k.secret <= dh.prime - 2
+        assert k.public == pow(dh.generator, k.secret, dh.prime)
+
     def test_public_key_validation(self, rng):
         dh = DiffieHellman()
         k = dh.generate_keypair(rng)
@@ -55,18 +61,6 @@ class TestKeyAgreement:
             dh.agree(k.secret, 0)
         with pytest.raises(ProtocolError):
             dh.agree(k.secret, dh.prime - 1)
-
-    def test_keypair_from_secret_matches(self, rng):
-        """Reconstructing a dropped user's sk must re-derive its public key."""
-        dh = DiffieHellman()
-        k = dh.generate_keypair(rng)
-        rebuilt = dh.keypair_from_secret(k.secret)
-        assert rebuilt.public == k.public
-
-    def test_keypair_from_secret_validates(self):
-        dh = DiffieHellman()
-        with pytest.raises(ProtocolError):
-            dh.keypair_from_secret(0)
 
     def test_rfc3526_group_agrees(self, rng):
         """The full-size production group also works (slower)."""

@@ -8,8 +8,6 @@ from repro.field.prime import (
     MAX_UINT64_SAFE_MODULUS,
     PAPER_PRIME,
     is_prime,
-    next_prime,
-    previous_prime,
     validate_modulus,
 )
 
@@ -39,29 +37,16 @@ class TestIsPrime:
     def test_large_semiprime_rejected(self):
         assert not is_prime(DEFAULT_PRIME * 3)
 
+    def test_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert [n for n in range(2000) if is_prime(n)] == [
+            n for n in range(2000) if trial(n)
+        ]
+
     def test_negative(self):
         assert not is_prime(-7)
-
-
-class TestNextPreviousPrime:
-    def test_next_prime(self):
-        assert next_prime(1) == 2
-        assert next_prime(2) == 3
-        assert next_prime(14) == 17
-        assert next_prime(2**31 - 2) == 2**31 - 1
-
-    def test_previous_prime(self):
-        assert previous_prime(3) == 2
-        assert previous_prime(100) == 97
-        assert previous_prime(2**32) == PAPER_PRIME
-
-    def test_previous_prime_below_smallest(self):
-        with pytest.raises(FieldError):
-            previous_prime(2)
-
-    def test_round_trip(self):
-        p = 1009
-        assert previous_prime(next_prime(p) + 1) == next_prime(p)
 
 
 class TestValidateModulus:
@@ -76,7 +61,7 @@ class TestValidateModulus:
 
     def test_rejects_too_large(self):
         with pytest.raises(FieldError, match="too large"):
-            validate_modulus(next_prime(MAX_UINT64_SAFE_MODULUS))
+            validate_modulus(MAX_UINT64_SAFE_MODULUS + 15)  # next prime
 
     def test_rejects_non_int(self):
         with pytest.raises(FieldError, match="int"):
@@ -84,4 +69,7 @@ class TestValidateModulus:
 
     def test_largest_safe_modulus_is_paper_prime(self):
         # No prime exists in (2^32 - 5, 2^32).
-        assert previous_prime(MAX_UINT64_SAFE_MODULUS) == PAPER_PRIME
+        assert is_prime(PAPER_PRIME)
+        assert not any(
+            is_prime(n) for n in range(PAPER_PRIME + 1, MAX_UINT64_SAFE_MODULUS)
+        )

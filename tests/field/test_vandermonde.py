@@ -6,7 +6,6 @@ import pytest
 from repro.exceptions import FieldError
 from repro.field.vandermonde import (
     distinct_points,
-    interpolate,
     lagrange_coeffs,
     vandermonde,
 )
@@ -45,7 +44,7 @@ class TestVandermonde:
         coeffs = gf.random(4, rng)
         pts = distinct_points(gf, 6)
         v = vandermonde(gf, pts, 4)
-        values = gf.matvec(v.T.copy(), coeffs)
+        values = gf.matmul(v.T.copy(), coeffs[:, None])[:, 0]
         for p, val in zip(pts.tolist(), values.tolist()):
             expected = 0
             for k, c in enumerate(coeffs.tolist()):
@@ -71,7 +70,7 @@ class TestLagrange:
         with pytest.raises(FieldError, match="distinct"):
             lagrange_coeffs(gf, [1, 1], [5])
 
-    def test_interpolate_recovers_polynomial(self, gf_any, rng):
+    def test_coeffs_recover_polynomial(self, gf_any, rng):
         """Sampling then re-evaluating anywhere matches direct evaluation."""
         q = gf_any.q
         coeffs = [int(c) for c in gf_any.random(4, rng).tolist()]
@@ -82,19 +81,21 @@ class TestLagrange:
         sample_pts = [3, 7, 11, 19]
         samples = gf_any.array([poly(x) for x in sample_pts])
         eval_pts = [1, 30, 55]
-        values = interpolate(gf_any, sample_pts, samples, eval_pts)
+        coeffs_at = lagrange_coeffs(gf_any, sample_pts, eval_pts)
+        values = gf_any.matmul(coeffs_at, samples[:, None])[:, 0]
         assert values.tolist() == [poly(x) for x in eval_pts]
 
-    def test_interpolate_matrix_samples(self, gf, rng):
-        """Column-wise interpolation of several polynomials at once."""
+    def test_coeffs_interpolate_matrix_samples(self, gf, rng):
+        """One coefficient matrix interpolates several polynomials at once."""
         width = 5
         sample_pts = distinct_points(gf, 3)
         samples = gf.random((3, width), rng)
         eval_pts = distinct_points(gf, 2, start=50)
-        out = interpolate(gf, sample_pts, samples, eval_pts)
+        coeffs = lagrange_coeffs(gf, sample_pts, eval_pts)
+        out = gf.matmul(coeffs, samples)
         assert out.shape == (2, width)
         for j in range(width):
-            col = interpolate(gf, sample_pts, samples[:, j], eval_pts)
+            col = gf.matmul(coeffs, samples[:, j : j + 1])[:, 0]
             assert np.array_equal(out[:, j], col)
 
     def test_round_trip_through_different_basis(self, gf, rng):
@@ -102,9 +103,7 @@ class TestLagrange:
         beta = distinct_points(gf, 4)
         alpha = distinct_points(gf, 9, start=10)
         data = gf.random(4, rng)
-        coded = interpolate(gf, beta, data, alpha)
+        coded = gf.matmul(lagrange_coeffs(gf, beta, alpha), data[:, None])
         chosen = [1, 3, 4, 7]
-        back = interpolate(
-            gf, alpha[chosen], coded[chosen], beta
-        )
-        assert np.array_equal(back, data)
+        back = gf.matmul(lagrange_coeffs(gf, alpha[chosen], beta), coded[chosen])
+        assert np.array_equal(back[:, 0], data)

@@ -21,7 +21,7 @@ class TestInputSizeValidation:
     def test_cnn_accepts_minimum(self):
         model = mcmahan_cnn(input_shape=(1, 18, 18), num_classes=3)
         x = np.zeros((2, 1, 18, 18))
-        assert model.predict(x).shape == (2,)
+        assert model.net.forward(x, train=False).shape == (2, 3)
 
     def test_paper_shapes_work(self):
         assert mcmahan_cnn(input_shape=(1, 28, 28), num_classes=62).dim > 0

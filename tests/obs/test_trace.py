@@ -355,23 +355,13 @@ class TestRender:
         assert "trace 7" in text
 
 
-class TestTraceRoundContext:
-    def test_context_manager_form(self):
-        tracer = Tracer()
-        with tracer.trace_round(0, 0) as trace:
-            with span("collect"):
-                pass
-        assert current_trace() is None
-        assert tracer.get(trace.trace_id) is trace
-        assert [s.name for s in trace.root.children] == ["collect"]
-
-    def test_context_manager_records_errors(self):
-        tracer = Tracer()
-        with pytest.raises(RuntimeError):
-            with tracer.trace_round(0, 0) as trace:
-                raise RuntimeError("round failed")
-        assert trace.root.tags["error"] == "RuntimeError"
-        assert tracer.retained == 1
+def test_finish_records_errors():
+    tracer = Tracer()
+    trace = tracer.start_round(0, 0)
+    tracer.finish(trace, error=RuntimeError("round failed"))
+    assert current_trace() is None
+    assert trace.root.tags["error"] == "RuntimeError"
+    assert tracer.retained == 1
 
 
 def test_span_timestamps_are_wall_clock():

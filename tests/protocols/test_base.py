@@ -26,13 +26,14 @@ class TestTranscript:
         assert t.elements(key_sized=True) == 5
         assert len(t) == 3
 
-    def test_per_user_sent(self):
+    def test_per_user_totals_by_phase(self):
         t = Transcript()
         t.record(0, SERVER, "upload", 10)
         t.record(0, 1, "offline", 5)
-        t.record(SERVER, 0, "offline", 7)  # server traffic excluded
-        assert t.per_user_sent() == {0: 15}
-        assert t.per_user_sent(phase="offline") == {0: 5}
+        t.record(SERVER, 0, "offline", 7)
+        assert t.elements(sender=0) == 15
+        assert t.elements(sender=0, phase="offline") == 5
+        assert t.elements(receiver=0) == 7
 
     def test_unknown_phase_rejected(self):
         t = Transcript()

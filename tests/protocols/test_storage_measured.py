@@ -30,7 +30,7 @@ class TestLSAStorage:
 
         share_dim = piece_length(dim, params.num_submasks)
         for user in users:
-            held = sum(v.size for v in user.held_shares.values())
+            held = sum(v.size for v in user._received_shares.values())
             own_mask = user.mask.size
             # (1 + N/(U-T)) d, with the padding ceil on each share.
             assert held == n * share_dim

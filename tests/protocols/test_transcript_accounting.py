@@ -29,8 +29,11 @@ class TestLightSecAggTraffic:
             n * (n - 1) * share_dim
         )
         # Per-user view matches the Table-1 "offline comm (U)" row.
-        per_user = result.transcript.per_user_sent(phase="offline")
-        assert all(v == (n - 1) * share_dim for v in per_user.values())
+        assert all(
+            result.transcript.elements(phase="offline", sender=i)
+            == (n - 1) * share_dim
+            for i in range(n)
+        )
 
     def test_online_comm_server_row(self, gf, rng):
         """Server receives N*d masked models + U*(d/(U-T)) recovery shares."""

@@ -23,7 +23,7 @@ from repro.wire import (
     FrameAssembler,
     PayloadWriter,
     decode_frame,
-    encode_frame,
+    frame_segments,
 )
 
 DIM = 32
@@ -71,7 +71,7 @@ def _through_packed_wire(field_matrix: np.ndarray, gf: FiniteField):
     bits = int(gf.q - 1).bit_length()
     w = PayloadWriter()
     w.put_packed_array(field_matrix, bits=bits)
-    frame = encode_frame(1, 0, w)
+    frame = b"".join(frame_segments(1, 0, w))
     assembler = FrameAssembler()
     frames = []
     step = 4093  # odd chunk size: every split lands mid-element somewhere
@@ -79,7 +79,7 @@ def _through_packed_wire(field_matrix: np.ndarray, gf: FiniteField):
         frames.extend(assembler.feed(frame[i : i + step]))
     assert frames == [frame]
     _, _, reader = decode_frame(frames[0])
-    out = reader.get_packed_array()
+    out = reader.get_array()
     assert reader.remaining == 0
     return out
 

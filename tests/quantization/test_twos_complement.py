@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import QuantizationError
-from repro.quantization.twos_complement import from_field, headroom, to_field
+from repro.quantization.twos_complement import from_field, to_field
 
 
 class TestRoundTrip:
@@ -49,24 +49,18 @@ class TestFieldAdditionIsSignedAddition:
             acc = gf.add(acc, to_field(gf, t))
         assert np.array_equal(from_field(gf, acc), sum(terms))
 
-
-class TestHeadroom:
-    def test_formula(self, gf):
-        half = (gf.q - 1) // 2
-        assert headroom(gf, 1000) == half // 1000
-
-    def test_headroom_is_safe(self, gf):
-        """Summing exactly `headroom` values at the bound must round-trip."""
+    def test_sum_up_to_half_the_field_is_exact(self, gf):
+        """n values of magnitude m sum exactly while n * m <= (q - 1) / 2
+        (the "field large enough" assumption, Sec. F.3.2)."""
         m = 10_000
-        n = headroom(gf, m)
-        total = n * m
-        embedded = to_field(gf, np.asarray([m], dtype=np.int64))
-        acc = gf.zeros(1)
-        for _ in range(min(n, 1000)):  # cap the loop; check the max total directly
-            acc = gf.add(acc, embedded)
-        direct = to_field(gf, np.asarray([total], dtype=np.int64))
-        assert int(from_field(gf, direct)[0]) == total
+        n = ((gf.q - 1) // 2) // m
+        embedded = to_field(gf, np.asarray([m, -m], dtype=np.int64))
+        total = gf.mul(embedded, n)
+        assert from_field(gf, total).tolist() == [n * m, -n * m]
 
-    def test_invalid_bound(self, gf):
-        with pytest.raises(QuantizationError):
-            headroom(gf, 0)
+    def test_sum_past_half_the_field_wraps(self, gf):
+        m = 10_000
+        n = ((gf.q - 1) // 2) // m + 1
+        embedded = to_field(gf, np.asarray([m], dtype=np.int64))
+        total = gf.mul(embedded, n)
+        assert int(from_field(gf, total)[0]) == n * m - gf.q

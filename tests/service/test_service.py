@@ -168,6 +168,8 @@ class TestCohortStateMachine:
 
         class _GatedSession:
             num_users = N
+            model_dim = DIM
+            gf = None  # the transport only checks its shards agree on it
             pool_level = 0
             pool_size = 1
             closed = False
@@ -300,7 +302,7 @@ class TestServiceDrivesFL:
             logistic_regression,
             make_mnist_like,
         )
-        from repro.service import ShardedSession, ShardPlan
+        from repro.service import InlineTransport, ShardedSession, ShardPlan
 
         clients = iid_partition(make_mnist_like(240, seed=3), N, seed=1)
         dim = logistic_regression(seed=0).dim
@@ -308,12 +310,12 @@ class TestServiceDrivesFL:
         plan = ShardPlan(dim, 2)
         sharded = ShardedSession(
             plan,
-            [
+            InlineTransport([
                 LightSecAgg(gf, params, w).session(
                     pool_size=2, rng=np.random.default_rng([9, s])
                 )
                 for s, w in enumerate(plan.widths)
-            ],
+            ]),
         )
 
         def make_trainer(session):

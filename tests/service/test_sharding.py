@@ -6,7 +6,7 @@ import pytest
 from repro.exceptions import ProtocolError
 from repro.field import FiniteField
 from repro.protocols import LightSecAgg, LSAParams, NaiveAggregation
-from repro.service import ShardedSession, ShardPlan
+from repro.service import InlineTransport, ShardedSession, ShardPlan
 
 N, DIM = 8, 37  # deliberately not divisible by the shard counts below
 
@@ -26,7 +26,7 @@ def make_sharded(gf, params, dim, shards, pool_size=3, low_water=0, seed=0):
         )
         for s in range(shards)
     ]
-    return ShardedSession(plan, sessions)
+    return ShardedSession(plan, InlineTransport(sessions))
 
 
 class TestShardPlan:
@@ -104,7 +104,7 @@ class TestShardedBitIdentity:
             NaiveAggregation(gf, N, w).session() for w in plan.widths
         ]
         with pytest.raises(ProtocolError, match="has no drain"):
-            ShardedSession(plan, sessions)
+            InlineTransport(sessions)
 
 
 class TestShardedPoolSurface:
@@ -147,7 +147,17 @@ class TestShardedPoolSurface:
         plan = ShardPlan(DIM, 2)
         good = LightSecAgg(gf, params, plan.widths[0]).session()
         bad_dim = LightSecAgg(gf, params, plan.widths[1] + 1).session()
-        with pytest.raises(ProtocolError):
-            ShardedSession(plan, [good, bad_dim])
-        with pytest.raises(ProtocolError):
-            ShardedSession(plan, [good])
+        with pytest.raises(ProtocolError, match="plan expects"):
+            ShardedSession(plan, InlineTransport([good, bad_dim]))
+        with pytest.raises(ProtocolError, match="transport drives"):
+            ShardedSession(plan, InlineTransport([good]))
+
+    def test_mixed_fields_rejected(self, gf, params):
+        plan = ShardPlan(DIM, 2)
+        other = FiniteField(8191)
+        sessions = [
+            LightSecAgg(field, params, w).session()
+            for field, w in zip((gf, other), plan.widths)
+        ]
+        with pytest.raises(ProtocolError, match="disagree on the field"):
+            InlineTransport(sessions)

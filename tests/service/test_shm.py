@@ -202,14 +202,11 @@ class TestShmLanePayloadRouting:
 
 
 class TestSegmentArena:
-    def test_place_and_ndarray_round_trip(self):
+    def test_ndarray_round_trip(self):
         arena = SegmentArena(1024)
         try:
             data = np.arange(16, dtype=np.uint64).reshape(4, 4)
-            ref = arena.place(64, data)
-            assert ref.name == arena.name
-            assert ref.offset == 64
-            assert ref.shape == (4, 4)
+            np.copyto(arena.ndarray(64, (4, 4)), data)
             view = arena.ndarray(64, (4, 4))
             np.testing.assert_array_equal(view, data)
             # The view is live: writes land in the segment.
@@ -259,7 +256,8 @@ class TestShmRegistry:
         try:
             registry.add_local(arena)
             data = np.array([3, 1, 4], dtype=np.uint64)
-            ref = arena.place(0, data)
+            np.copyto(arena.ndarray(0, data.shape), data)
+            ref = ShmArrayRef(arena.name, 0, data.shape, data.dtype.str)
             np.testing.assert_array_equal(registry.ndarray(ref), data)
         finally:
             registry.close()

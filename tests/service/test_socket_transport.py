@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DropoutError, ProtocolError, ReproError, TransportError
+from repro.quantization import ModelQuantizer
 from repro.service import (
     AggregationService,
     BackgroundRefiller,
@@ -49,7 +50,7 @@ from repro.wire import (
     ShmArrayRef,
     ShmRegistry,
     decode_message,
-    encode_frame,
+    frame_segments,
     recv_frames,
 )
 
@@ -426,11 +427,14 @@ class TestConstructionAndConfig:
 # ----------------------------------------------------------------------
 def _quantized_lane(gf, kind, wire_format, connect=None, rounds=4,
                     seed=21):
-    """Run the quantized round path through one transport lane.
+    """Quantize real updates into GF(q) and run them through one lane.
 
-    Every lane uses identical rng streams, so quantization (which is
-    coordinator-side) produces identical field vectors — any divergence
-    in the returned aggregates is the wire's fault.
+    The quantizer proves the sum cannot wrap
+    (:meth:`~repro.quantization.ModelQuantizer.check_budget`), and every
+    lane uses identical rng streams, so quantization produces identical
+    field vectors — any divergence in the returned aggregates is the
+    wire's fault.  With ``wire_format=PACKED`` every element travels in
+    ``ceil(log2(q))`` bits instead of a full word.
     """
     cfg = ServiceConfig(
         num_cohorts=1, num_users=N, model_dim=DIM, num_shards=2,
@@ -445,6 +449,7 @@ def _quantized_lane(gf, kind, wire_format, connect=None, rounds=4,
         tracing=False,
     )
     outputs = []
+    quantizer = ModelQuantizer(gf)
     with AggregationService(cfg, gf=gf) as svc:
         rng = np.random.default_rng(seed)
         for r in range(rounds):
@@ -455,9 +460,13 @@ def _quantized_lane(gf, kind, wire_format, connect=None, rounds=4,
                 rng.choice(N, size=int(rng.integers(0, 3)),
                            replace=False).tolist()
             )
-            real_agg, result = svc.run_quantized_round(
-                0, real_updates, dropouts, rng=rng
-            )
+            bound = max(np.abs(u).max() for u in real_updates.values())
+            quantizer.check_budget(N, float(bound))
+            field_updates = {
+                i: quantizer.quantize(u, rng) for i, u in real_updates.items()
+            }
+            result = svc.run_round(0, field_updates, dropouts)
+            real_agg = quantizer.dequantize(result.aggregate)
             outputs.append(
                 (real_agg.tobytes(), result.aggregate.tobytes(),
                  tuple(result.survivors))
@@ -545,7 +554,9 @@ class TestWireVersionGate:
                 w = PayloadWriter()
                 w.put_array(np.zeros(1, dtype=np.uint32))
                 w.put_u32(0x7)
-                reply = bytearray(encode_frame(SetupAck.TYPE, request_id, w))
+                reply = bytearray(
+                    b"".join(frame_segments(SetupAck.TYPE, request_id, w))
+                )
                 reply[2] = 1
                 conn.sendall(reply)
                 try:

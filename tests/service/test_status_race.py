@@ -41,6 +41,8 @@ class StubSession:
     stalls, giving the race test its invariant (stalls == rounds)."""
 
     num_users = 8
+    model_dim = DIM
+    gf = None  # the transport only checks that its shards agree on it
     pool_level = 0
     pool_size = 3
 

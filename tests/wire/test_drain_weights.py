@@ -15,7 +15,7 @@ from repro.wire import (
     PayloadWriter,
     ShardRoundRequest,
     decode_message,
-    encode_frame,
+    frame_segments,
     encode_message,
 )
 
@@ -31,7 +31,7 @@ def hand_built_frame(weights: np.ndarray) -> bytes:
     w.put_array(weights)
     w.put_array(UPDATES)
     w.put_array(np.zeros(0, dtype=np.uint32))  # recovery dropouts
-    return encode_frame(ShardRoundRequest.TYPE, 1, w)
+    return b"".join(frame_segments(ShardRoundRequest.TYPE, 1, w))
 
 
 class TestDecode:

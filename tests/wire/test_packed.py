@@ -25,8 +25,8 @@ from repro.wire import (
     ShardRoundRequest,
     decode_frame,
     decode_message,
-    encode_frame,
     encode_message,
+    frame_segments,
     pack_bits,
     packed_nbytes,
     unpack_bits,
@@ -39,8 +39,15 @@ _PACKABLE = {8: np.dtype("|u1"), 32: np.dtype("<u4"), 64: np.dtype("<u8")}
 
 def _reader_for(writer: PayloadWriter):
     """Round one payload through a real frame; return its reader."""
-    _, _, reader = decode_frame(encode_frame(1, 0, writer))
+    _, _, reader = decode_frame(b"".join(frame_segments(1, 0, writer)))
     return reader
+
+
+def _decode_packed(writer: PayloadWriter) -> np.ndarray:
+    """Decode the payload's one array, checking it rode the wire packed."""
+    reader = _reader_for(writer)
+    assert reader.peek_u8() & wire_format._PACKED_FLAG
+    return reader.get_array()
 
 
 @st.composite
@@ -68,7 +75,7 @@ class TestPackedRoundTripProperty:
         array, bits = data
         w = PayloadWriter()
         w.put_packed_array(array, bits=bits if declare else None)
-        out = _reader_for(w).get_packed_array()
+        out = _decode_packed(w)
         assert out.dtype == array.dtype
         assert out.shape == array.shape
         np.testing.assert_array_equal(out, array)
@@ -92,7 +99,7 @@ class TestPackedRoundTripProperty:
             w = PayloadWriter()
             w.put_packed_array(array)  # width inferred from the max
             assert w.nbytes == (2 + 8 + 1) + packed_nbytes(2, bits)
-            out = _reader_for(w).get_packed_array()
+            out = _decode_packed(w)
             np.testing.assert_array_equal(out, array)
 
     def test_empty_arrays_round_trip(self):
@@ -101,7 +108,7 @@ class TestPackedRoundTripProperty:
                 array = np.zeros(shape, dtype=np.uint64)
                 w = PayloadWriter()
                 w.put_packed_array(array, bits=bits)
-                out = _reader_for(w).get_packed_array()
+                out = _decode_packed(w)
                 assert out.shape == shape
                 assert out.dtype == array.dtype
                 assert out.size == 0
@@ -113,7 +120,7 @@ class TestPackedRoundTripProperty:
             assert not view.flags["C_CONTIGUOUS"]
             w = PayloadWriter()
             w.put_packed_array(view, bits=10)
-            out = _reader_for(w).get_packed_array()
+            out = _decode_packed(w)
             np.testing.assert_array_equal(out, np.ascontiguousarray(view))
 
 
@@ -156,16 +163,20 @@ class TestTransparentDecode:
         w.put_packed_array(array, bits=7)
         np.testing.assert_array_equal(_reader_for(w).get_array(), array)
 
-    def test_get_packed_array_refuses_raw_arrays(self):
+    def test_raw_arrays_decode_without_the_packed_flag(self):
+        array = np.array([1, 2, 3], dtype=np.uint64)
         w = PayloadWriter()
-        w.put_array(np.array([1, 2, 3], dtype=np.uint64))
-        with pytest.raises(WireError, match="not bit-packed"):
-            _reader_for(w).get_packed_array()
+        w.put_array(array)
+        reader = _reader_for(w)
+        assert not reader.peek_u8() & wire_format._PACKED_FLAG
+        out = reader.get_array()
+        assert out.dtype == array.dtype
+        np.testing.assert_array_equal(out, array)
 
     def test_decoded_packed_array_is_read_only(self):
         w = PayloadWriter()
         w.put_packed_array(np.array([5], dtype=np.uint64))
-        out = _reader_for(w).get_packed_array()
+        out = _decode_packed(w)
         with pytest.raises(ValueError):
             out[0] = 1
 
@@ -331,7 +342,7 @@ class TestKernelMatchesReference:
         w = PayloadWriter()
         w.put_packed_array(values, bits=bits)
         header = 2 + 8 + 1
-        assert w.getvalue()[header:] == expected
+        assert b"".join(w.segments)[header:] == expected
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -374,8 +385,8 @@ class TestKernelMatchesReference:
         assert out.flags["OWNDATA"] and out.flags["WRITEABLE"]
         w = PayloadWriter()
         w.put_packed_array(values, bits=31)
-        frame = bytearray(encode_frame(1, 0, w))
-        decoded = decode_frame(frame)[2].get_packed_array()
+        frame = bytearray(b"".join(frame_segments(1, 0, w)))
+        decoded = decode_frame(frame)[2].get_array()
         for i in range(len(source)):
             source[i] ^= 0xFF
         for i in range(HEADER_SIZE, len(frame)):
