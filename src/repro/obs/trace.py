@@ -288,24 +288,17 @@ class Tracer:
     control plane reads ``recent``/``get`` from scrape threads.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        capacity: int = 256,
-        slow_factor: float = 5.0,
-        slow_window: int = 64,
-        slow_min_samples: int = 5,
-        metrics=None,
-    ):
-        if capacity < 1:
-            raise ValueError(f"trace capacity must be >= 1, got {capacity}")
-        if slow_factor <= 0:
-            raise ValueError(f"slow factor must be > 0, got {slow_factor}")
+    #: Completed traces retained for ``recent``/``get``.
+    CAPACITY = 256
+    #: A round is slow when its critical-path phase exceeds SLOW_FACTOR x
+    #: the trailing median of that phase over the cohort's last
+    #: SLOW_WINDOW rounds, once SLOW_MIN_SAMPLES of them exist.
+    SLOW_FACTOR = 5.0
+    SLOW_WINDOW = 64
+    SLOW_MIN_SAMPLES = 5
+
+    def __init__(self, enabled: bool = True, metrics=None):
         self.enabled = enabled
-        self.capacity = capacity
-        self.slow_factor = slow_factor
-        self.slow_window = slow_window
-        self.slow_min_samples = slow_min_samples
         self.metrics = metrics
         self.slow_rounds = 0
         self._lock = threading.Lock()
@@ -350,7 +343,7 @@ class Tracer:
             _activate(None)
         self._detect_slow(trace)
         with self._lock:
-            while len(self._ring) >= self.capacity:
+            while len(self._ring) >= self.CAPACITY:
                 evicted = self._ring.popleft()
                 self._by_id.pop(evicted.trace_id, None)
             self._ring.append(trace)
@@ -396,9 +389,9 @@ class Tracer:
         base = phase_name(critical.name)
         with self._lock:
             window = self._phase_windows.get((trace.cohort_id, base))
-            if window is not None and len(window) >= self.slow_min_samples:
+            if window is not None and len(window) >= self.SLOW_MIN_SAMPLES:
                 median = statistics.median(window)
-                if median > 0 and critical.duration > self.slow_factor * median:
+                if median > 0 and critical.duration > self.SLOW_FACTOR * median:
                     trace.slow = True
                     trace.slow_phase = base
                     self.slow_rounds += 1
@@ -406,7 +399,7 @@ class Tracer:
                 key = (trace.cohort_id, phase_name(top.name))
                 window = self._phase_windows.get(key)
                 if window is None:
-                    window = deque(maxlen=self.slow_window)
+                    window = deque(maxlen=self.SLOW_WINDOW)
                     self._phase_windows[key] = window
                 window.append(top.duration)
         if trace.slow:
@@ -418,7 +411,7 @@ class Tracer:
                 trace.trace_id,
                 base,
                 critical.duration,
-                self.slow_factor,
+                self.SLOW_FACTOR,
             )
 
     # -- structured event log ------------------------------------------

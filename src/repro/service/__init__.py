@@ -27,7 +27,8 @@ Layering (see the repo README for the full picture)::
   supervision — standalone ``repro shard-worker`` hosts over TCP
   (:class:`ShardWorkerServer`, with reconnect/re-pin; the multi-host
   backend), or hosts spawned as local child processes over socketpairs
-  (:class:`ProcessPoolTransport`, the ``process`` and ``shm`` lanes).
+  (:class:`ProcessPoolTransport`, the ``process`` lane, and its
+  shared-memory subclass, the ``shm`` lane).
 * :mod:`repro.service.worker` — the one worker-side request handler
   every host connection serves through.
 * :mod:`repro.service.cohort` — the per-cohort round state machine.

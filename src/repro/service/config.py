@@ -52,7 +52,8 @@ class TransportKind(enum.Enum):
       reconnect/re-pin; requires ``connect`` addresses.  The multi-host
       deployment backend.
     * ``SHM`` — the process backend with the shared-memory payload
-      lane: vector payloads stage in a coordinator-owned
+      lane (:class:`~repro.service.socket_transport.ShmTransport`):
+      vector payloads stage in a coordinator-owned
       :class:`~repro.wire.SegmentArena` and cross the socketpair as
       name+offset references, so element bytes never transit it.
       Same-host only.

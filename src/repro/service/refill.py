@@ -40,22 +40,16 @@ from repro.service.metrics import ServiceMetrics
 class BackgroundRefiller:
     """Worker thread that keeps registered sessions' pools above low water.
 
-    Parameters
-    ----------
-    poll_interval_s:
-        Fallback polling period while idle.  Consumers should still call
-        :meth:`notify` after draining a pool so refills start promptly;
-        the poll is a safety net, not the main wake-up mechanism.
-    metrics:
-        Optional :class:`ServiceMetrics` sink for per-refill accounting.
+    ``metrics`` is an optional :class:`ServiceMetrics` sink for
+    per-refill accounting.
     """
 
-    def __init__(
-        self,
-        poll_interval_s: float = 0.001,
-        metrics: Optional[ServiceMetrics] = None,
-    ):
-        self.poll_interval_s = float(poll_interval_s)
+    #: Fallback polling period while idle.  Consumers should still call
+    #: :meth:`notify` after draining a pool so refills start promptly;
+    #: the poll is a safety net, not the main wake-up mechanism.
+    POLL_INTERVAL_S = 0.001
+
+    def __init__(self, metrics: Optional[ServiceMetrics] = None):
         self.metrics = metrics
         self.refills = 0
         self.rounds_refilled = 0
@@ -205,9 +199,9 @@ class BackgroundRefiller:
                     if remaining <= 0:
                         return False
                 self._cond.wait(
-                    self.poll_interval_s
+                    self.POLL_INTERVAL_S
                     if remaining is None
-                    else min(self.poll_interval_s, remaining)
+                    else min(self.POLL_INTERVAL_S, remaining)
                 )
 
     # ------------------------------------------------------------------
@@ -222,7 +216,7 @@ class BackgroundRefiller:
                     entry for entry in self._sessions if entry[0].needs_refill
                 ]
                 if not needy:
-                    self._cond.wait(self.poll_interval_s)
+                    self._cond.wait(self.POLL_INTERVAL_S)
                     continue
                 self._in_flight = True
             failures = self.failures
@@ -238,7 +232,7 @@ class BackgroundRefiller:
                 # retrying it in a hot loop.
                 with self._cond:
                     self._cond.wait_for(
-                        lambda: self._stopping, self.poll_interval_s
+                        lambda: self._stopping, self.POLL_INTERVAL_S
                     )
 
     def _refill_batch(self, needy) -> None:

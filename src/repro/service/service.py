@@ -52,6 +52,9 @@ class AggregationService:
     running service without touching their neighbours.
     """
 
+    #: How long a settling :meth:`run_synthetic` sweep waits for refills.
+    SETTLE_TIMEOUT_S = 30.0
+
     def __init__(
         self,
         config: ServiceConfig,
@@ -218,13 +221,12 @@ class AggregationService:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def start(self, warm_pools: bool = True) -> "AggregationService":
+    def start(self) -> "AggregationService":
         """Warm every pool and launch the refill worker (idempotent)."""
         if self._started:
             return self
-        if warm_pools:
-            for cohort in self.cohorts:
-                cohort.session.refill()
+        for cohort in self.cohorts:
+            cohort.session.refill()
         if self.refiller is not None:
             self.refiller.start()
         self._started = True
@@ -295,7 +297,6 @@ class AggregationService:
         dropout_rate: float = 0.0,
         rng: Optional[np.random.Generator] = None,
         settle: bool = False,
-        settle_timeout_s: float = 30.0,
     ) -> List[Dict[int, AggregationResult]]:
         """Round-robin sweeps with random field-vector updates: one
         round per sweep for every live sync cohort, results by cohort id.
@@ -307,11 +308,12 @@ class AggregationService:
         check — and its neighbours' rounds are unaffected; every other
         error propagates unchanged.
 
-        ``settle=True`` waits for the background refiller to top every
-        pool back up between sweeps — the steady-state regime (client
-        think time exceeds refill time) in which the zero-stall guarantee
-        holds deterministically.  Leave it False to measure raw
-        contention between draining and refilling.
+        ``settle=True`` waits (up to :attr:`SETTLE_TIMEOUT_S`) for the
+        background refiller to top every pool back up between sweeps —
+        the steady-state regime (client think time exceeds refill time)
+        in which the zero-stall guarantee holds deterministically.  Leave
+        it False to measure raw contention between draining and
+        refilling.
         """
         rng = rng if rng is not None else np.random.default_rng(
             self.config.seed
@@ -337,7 +339,7 @@ class AggregationService:
                         raise
             results.append(sweep)
             if settle and self.refiller is not None:
-                self.refiller.wait_until_idle(timeout=settle_timeout_s)
+                self.refiller.wait_until_idle(timeout=self.SETTLE_TIMEOUT_S)
         return results
 
     # ------------------------------------------------------------------

@@ -9,10 +9,10 @@ socket.  Where the hosts run is the only difference between lanes:
 
 * ``socket`` — standalone ``repro shard-worker`` hosts at TCP
   ``connect`` addresses; the multi-host deployment backend.
-* ``process`` / ``shm`` — :class:`ProcessPoolTransport` spawns one host
-  per worker as a child process over a ``socketpair``; ``shm``
-  additionally stages vector payloads in a coordinator-owned
-  shared-memory segment.
+* ``process`` — :class:`ProcessPoolTransport` spawns one host per
+  worker as a child process over a ``socketpair``.
+* ``shm`` — :class:`ShmTransport`, the process lane that additionally
+  stages vector payloads in a coordinator-owned shared-memory segment.
 
 Because every host builds sessions from the same
 :class:`~repro.service.transport.ShardSessionSpec` seed paths, rounds
@@ -24,21 +24,22 @@ What every link gets from its :class:`_SocketClient`:
 * **Response multiplexing.**  A draining receiver thread routes every
   reply to the thread awaiting it, by request id, so the online
   consumer and the background refiller share one link.
-* **Connection supervision.**  A heartbeat thread sends
-  :class:`~repro.wire.Ping` every ``heartbeat_interval_s`` (answered off
-  the host's round path); a missed heartbeat or any socket error marks
-  the link *broken*, waking every thread blocked on a response with
-  :class:`~repro.exceptions.TransportError` — a lost or frozen shard
-  mid-round surfaces as a typed error, never a hang.
-* **Reconnect with re-pin (TCP only).**  The client remembers the
-  ``SessionSetup`` entries it pinned; the next request after a broken
-  connection reconnects and replays them, so a killed-and-restarted
-  worker rebuilds identical sessions from the specs and the service
-  completes subsequent rounds.  Requests that were in flight across the
-  break fail with a stale-generation error rather than waiting for a
-  response that died with the old connection.  A spawned host has no
-  address: a broken link to it is final, and every later request fails
-  at once with a ``TransportError`` naming the worker process.
+* **Connection supervision.**  A heartbeat thread pings the host
+  (answered off its round path); a missed heartbeat or any socket error
+  marks the link *broken*, waking every thread blocked on a response
+  with :class:`~repro.exceptions.TransportError` — a lost or frozen
+  shard mid-round surfaces as a typed error, never a hang.  The four
+  timings involved are class constants of :class:`_SocketClient`.
+* **Reconnect with re-pin (TCP only).**  The client's slot table names
+  the :class:`~repro.service.transport.ShardHandle` behind every slot it
+  pinned; the next request after a broken connection reconnects and
+  replays each handle's current spec, so a killed-and-restarted worker
+  rebuilds identical sessions and the service completes subsequent
+  rounds.  Requests that were in flight across the break fail with a
+  stale-generation error rather than waiting for a response that died
+  with the old connection.  A spawned host has no address: a broken
+  link to it is final, and every later request fails at once with a
+  ``TransportError`` naming the worker process.
 * **Connection sharing (TCP only).**  Clients are pooled per address
   within the process, so many cohorts' transports batch their shards
   over one connection per worker host (each cohort holding its own slot
@@ -57,7 +58,7 @@ import socket
 import threading
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,12 +66,13 @@ from repro.exceptions import ProtocolError, TransportError, WireError
 from repro.field.arithmetic import FiniteField
 from repro.obs import Span, current_trace, span
 from repro.protocols.base import AggregationResult, SessionStats
+from repro.service.config import WireFormat
 from repro.service.socket_worker import parse_address, serve_local
 from repro.service.transport import (
-    WIRE_FORMATS,
     ShardHandle,
     ShardSessionSpec,
     ShardTransport,
+    parse_enum,
 )
 from repro.wire import (
     ErrorFrame,
@@ -106,7 +108,7 @@ def _close_socket(sock: socket.socket) -> None:
 class _SocketClient:
     """One supervised link to a shard-worker host.
 
-    A draining receiver thread stores *every* incoming frame under its
+    A draining receiver thread stores every awaited frame under its
     request id and wakes the waiters, so several coordinator threads can
     each await a different response on one link, and out-of-order
     completion (a round result overtaking a slow refill) routes
@@ -124,13 +126,16 @@ class _SocketClient:
     shared-memory references in replies (the shm lane).
     """
 
+    #: Supervision timing, read at use time.  A frozen or dead peer fails
+    #: its waiters within ``HEARTBEAT_INTERVAL_S + HEARTBEAT_TIMEOUT_S``.
+    HEARTBEAT_INTERVAL_S = 2.0
+    HEARTBEAT_TIMEOUT_S = 10.0
+    CONNECT_TIMEOUT_S = 10.0
+    SETUP_TIMEOUT_S = 60.0
+
     def __init__(
         self,
         address: Optional[Tuple[str, int]] = None,
-        heartbeat_interval_s: float = 2.0,
-        heartbeat_timeout_s: float = 10.0,
-        connect_timeout_s: float = 10.0,
-        setup_timeout_s: float = 60.0,
         sock: Optional[socket.socket] = None,
         process=None,
         shm=None,
@@ -141,25 +146,22 @@ class _SocketClient:
             process.name if process is not None
             else f"{address[0]}:{address[1]}"
         )
-        self.heartbeat_interval_s = float(heartbeat_interval_s)
-        self.heartbeat_timeout_s = float(heartbeat_timeout_s)
-        self.connect_timeout_s = float(connect_timeout_s)
-        self.setup_timeout_s = float(setup_timeout_s)
         self._shm = shm
         self.refs = 0  # guarded by the pool's registry lock
         self._ids = itertools.count(1)
         self._cv = threading.Condition()
         self._responses: Dict[int, Tuple[object, int]] = {}
-        self._abandoned: Set[int] = set()  # ids whose response is dropped
+        # Request id -> generation it was sent on, for every response a
+        # thread still waits for; the receiver drops any other frame.
+        self._outstanding: Dict[int, int] = {}
         self._broken: Optional[BaseException] = None
-        self._slots = itertools.count(0)
-        self._inflight: Dict[int, int] = {}  # request id -> generation
+        self._next_slot = itertools.count(0)
         self._generation = 0
         self._closed = False
         self._send_lock = threading.Lock()
         self._reconnect_lock = threading.Lock()
-        self._slot_specs: Dict[int, ShardSessionSpec] = {}
-        self._transports: List = []  # told of every re-pin
+        # slot -> the handle of the shard session pinned there
+        self._pinned: Dict[int, ShardHandle] = {}
         self._stop_heartbeat = threading.Event()
         self._sock = sock if sock is not None else self._open_socket()
         self._start_receiver()
@@ -176,7 +178,7 @@ class _SocketClient:
     def _open_socket(self) -> socket.socket:
         try:
             sock = socket.create_connection(
-                self.address, timeout=self.connect_timeout_s
+                self.address, timeout=self.CONNECT_TIMEOUT_S
             )
         except OSError as exc:
             raise TransportError(
@@ -214,12 +216,9 @@ class _SocketClient:
                 if self._generation != generation:
                     return  # a reconnect superseded this socket
                 for (request_id, message), nbytes in decoded:
-                    if request_id in self._abandoned:
-                        # Nobody will ever collect this (its waiter timed
-                        # out or its scatter aborted); storing it would
-                        # leak the frame.
-                        self._abandoned.discard(request_id)
-                    else:
+                    # Nobody collects a response whose waiter gave up (or
+                    # whose scatter aborted); storing it would leak it.
+                    if request_id in self._outstanding:
                         self._responses[request_id] = (message, nbytes)
                 self._cv.notify_all()
 
@@ -253,18 +252,17 @@ class _SocketClient:
                         f"link to worker process {self.peer} is broken: "
                         f"{self._broken!r}"
                     )
-                entries = sorted(self._slot_specs.items())
             sock = self._open_socket()  # raises TransportError on failure
             with self._cv:
                 self._generation += 1
                 self._broken = None
                 self._sock = sock
-                self._responses.clear()
-                self._abandoned.clear()  # old-generation frames can't arrive
+                self._responses.clear()  # old-generation frames can't arrive
+                pinned = sorted(self._pinned.items())
             self._start_receiver()
-            if entries:
+            if pinned:
                 try:
-                    self.pin(entries, self.setup_timeout_s)
+                    self.pin([(slot, h.spec) for slot, h in pinned])
                 except Exception as exc:
                     # A half-pinned connection must not look healthy: no
                     # session is guaranteed to exist behind any slot, so
@@ -277,22 +275,23 @@ class _SocketClient:
                         generation,
                     )
                     raise
-            with self._cv:
-                transports = list(self._transports)
-        for transport in transports:
-            transport._on_repin(self)
-        # One physical reconnect = one metric event per distinct metrics
-        # sink, however many transports share this connection.
-        sinks = {
-            id(t._metrics): t for t in transports if t._metrics is not None
-        }
+        # The worker rebuilt every session from its spec: fresh pools,
+        # fresh counters.  Reset the handle caches to match, and count
+        # one metric event per distinct metrics sink, however many
+        # transports share this connection.
+        sinks = {}
+        for _, handle in pinned:
+            handle._absorb(0, SessionStats(), closed=False)
+            transport = handle._transport
+            if transport._metrics is not None:
+                sinks[id(transport._metrics)] = transport
         for transport in sinks.values():
             transport._metrics.record_transport_reconnect(transport.kind)
 
-    def pin(self, entries, timeout: float) -> None:
+    def pin(self, entries) -> None:
         """One ``SessionSetup`` round trip: build ``entries``' sessions on
         the worker, which must acknowledge exactly their slots."""
-        ack = self.request(SessionSetup(entries), timeout=timeout)
+        ack = self.request(SessionSetup(entries), timeout=self.SETUP_TIMEOUT_S)
         slots = sorted(slot for slot, _ in entries)
         if not isinstance(ack, SetupAck) or sorted(ack.slots) != slots:
             raise TransportError(
@@ -319,7 +318,7 @@ class _SocketClient:
             try:
                 request_id = self.next_id()
                 self.send(Shutdown(), request_id)
-                self.receive(request_id, timeout=self.heartbeat_timeout_s)
+                self.receive(request_id, timeout=self.HEARTBEAT_TIMEOUT_S)
                 acked = True
             except TransportError:
                 pass
@@ -331,7 +330,7 @@ class _SocketClient:
         if sock is not None:
             _close_socket(sock)
         if self.process is not None:
-            self.process.join(self.heartbeat_timeout_s if acked else 0)
+            self.process.join(self.HEARTBEAT_TIMEOUT_S if acked else 0)
             if self.process.is_alive():
                 self.process.kill()  # also ends a SIGSTOPped host
                 self.process.join()
@@ -345,7 +344,7 @@ class _SocketClient:
 
     def allocate_slots(self, count: int) -> List[int]:
         with self._cv:
-            return [next(self._slots) for _ in range(count)]
+            return [next(self._next_slot) for _ in range(count)]
 
     def send(self, message, request_id: int) -> int:
         segments = encode_segments(message, request_id)
@@ -359,12 +358,14 @@ class _SocketClient:
                 raise TransportError(
                     f"connection to {self.peer} is broken: {self._broken!r}"
                 )
-            self._inflight[request_id] = generation
+            self._outstanding[request_id] = generation
         try:
             with self._send_lock:
                 send_segments(sock, segments)
         except OSError as exc:
             self._mark_broken(exc, generation)
+            with self._cv:
+                self._outstanding.pop(request_id, None)
             raise TransportError(
                 f"failed to send {type(message).__name__} to {self.peer}: "
                 f"{exc}"
@@ -385,8 +386,7 @@ class _SocketClient:
                             f"response {request_id} outstanding: "
                             f"{self._broken!r}"
                         )
-                    stamped = self._inflight.get(request_id)
-                    if stamped is not None and stamped != self._generation:
+                    if self._outstanding.get(request_id) != self._generation:
                         raise TransportError(
                             f"response {request_id} was lost to a "
                             f"reconnect; the request must be retried on "
@@ -396,29 +396,20 @@ class _SocketClient:
                     if deadline is not None:
                         remaining = deadline - time.monotonic()
                         if remaining <= 0:
-                            self._abandon_locked(request_id)
                             raise TransportError(
                                 f"timed out awaiting response {request_id} "
                                 f"from {self.peer}"
                             )
                     self._cv.wait(remaining)
             finally:
-                # Collected, lost, or timed out: nobody retries it.
-                self._inflight.pop(request_id, None)
-
-    def _abandon_locked(self, request_id: int) -> None:
-        """Drop all bookkeeping for a request nobody will collect."""
-        self._inflight.pop(request_id, None)
-        if (
-            self._responses.pop(request_id, None) is None
-            and self._broken is None  # a broken link delivers nothing more
-        ):
-            self._abandoned.add(request_id)
+                # Collected, lost, or timed out: nobody waits for it now.
+                self._outstanding.pop(request_id, None)
 
     def abandon(self, request_id: int) -> None:
         """Drop a response an aborted scatter will never collect."""
         with self._cv:
-            self._abandon_locked(request_id)
+            self._outstanding.pop(request_id, None)
+            self._responses.pop(request_id, None)
 
     def request(self, message, timeout: Optional[float] = None):
         """Convenience: send + receive one frame, raising remote errors."""
@@ -434,7 +425,7 @@ class _SocketClient:
     # ------------------------------------------------------------------
     def _heartbeat_loop(self) -> None:
         nonce = 0
-        while not self._stop_heartbeat.wait(self.heartbeat_interval_s):
+        while not self._stop_heartbeat.wait(self.HEARTBEAT_INTERVAL_S):
             with self._cv:
                 if self._closed:
                     return
@@ -446,8 +437,10 @@ class _SocketClient:
                 request_id = self.next_id()
                 self.send(Ping(nonce=nonce), request_id)
                 with self._cv:
-                    stamped = self._inflight.get(request_id, self._generation)
-                self.receive(request_id, timeout=self.heartbeat_timeout_s)
+                    stamped = self._outstanding.get(
+                        request_id, self._generation
+                    )
+                self.receive(request_id, timeout=self.HEARTBEAT_TIMEOUT_S)
             except TransportError:
                 # A timed-out heartbeat is a dead link even though the
                 # OS hasn't said so; poison the socket so every waiter
@@ -462,17 +455,6 @@ class _SocketClient:
                         TransportError("heartbeat timed out"), stamped
                     )
 
-    def attach(self, transport) -> None:
-        """Reset ``transport``'s shard caches on every re-pin from now on,
-        and count reconnects into its metrics."""
-        with self._cv:
-            self._transports.append(transport)
-
-    def detach(self, transport) -> None:
-        with self._cv:
-            if transport in self._transports:
-                self._transports.remove(transport)
-
 
 class _ClientPool:
     """Process-wide registry sharing one client per worker address."""
@@ -481,7 +463,7 @@ class _ClientPool:
         self._lock = threading.Lock()
         self._clients: Dict[Tuple[str, int], _SocketClient] = {}
 
-    def acquire(self, address: Tuple[str, int], **kwargs) -> _SocketClient:
+    def acquire(self, address: Tuple[str, int]) -> _SocketClient:
         # A pooled client is never closed while referenced (release() only
         # closes at refcount zero, removing it here first), so any hit is
         # usable: a *broken* one is revived by ensure_connected on the
@@ -494,7 +476,7 @@ class _ClientPool:
         # Connect OUTSIDE the registry lock: a 10s connect timeout to a
         # dead address must not freeze every other transport's
         # acquire/release in the process.
-        candidate = _SocketClient(address, **kwargs)
+        candidate = _SocketClient(address)
         with self._lock:
             client = self._clients.get(address)
             if client is None:
@@ -574,33 +556,19 @@ class SocketTransport(ShardTransport):
         connect: Sequence[str],
         metrics=None,
         cohort_id: int = 0,
-        heartbeat_interval_s: float = 2.0,
-        heartbeat_timeout_s: float = 10.0,
-        request_timeout_s: Optional[float] = None,
-        setup_timeout_s: float = 60.0,
         wire_format: str = "raw",
     ):
         if not specs:
             raise ProtocolError("transport needs at least one shard spec")
-        if wire_format not in WIRE_FORMATS:
-            raise ProtocolError(
-                f"unknown wire format {wire_format!r}; expected one of "
-                f"{WIRE_FORMATS}"
-            )
-        self.specs = list(specs)
-        self.wire_format = wire_format
-        #: Per-reply deadline; ``None`` waits for the link to answer or
-        #: break (heartbeat supervision turns a dead peer into the latter).
-        self.request_timeout_s = request_timeout_s
+        self.wire_format = parse_enum(WireFormat, wire_format, "wire format")
         self._metrics = metrics
         self._cohort_id = int(cohort_id)
-        self._gf = FiniteField(self.specs[0].field_modulus)
+        self._gf = FiniteField(specs[0].field_modulus)
         self._round_ids = itertools.count(0)
         self._closed = False
         self._close_lock = threading.Lock()
         self._handles = [
-            ShardHandle(self, shard, spec)
-            for shard, spec in enumerate(self.specs)
+            ShardHandle(self, shard, spec) for shard, spec in enumerate(specs)
         ]
         # Every container exists before any link is opened, so the
         # failure path's close() can always run — a dead address in the
@@ -608,14 +576,10 @@ class SocketTransport(ShardTransport):
         # opened.
         self._clients: List[_SocketClient] = []  # distinct links
         self._client_of: List[_SocketClient] = []  # per shard
-        self._slot_of: List[Optional[int]] = [None] * len(self.specs)
+        self._slot_of: List[Optional[int]] = [None] * len(specs)
         try:
-            self._connect(connect, dict(
-                heartbeat_interval_s=heartbeat_interval_s,
-                heartbeat_timeout_s=heartbeat_timeout_s,
-                setup_timeout_s=setup_timeout_s,
-            ))
-            self._pin_all(setup_timeout_s)
+            self._connect(connect)
+            self._pin_all()
         except BaseException:
             self.close()
             raise
@@ -623,7 +587,7 @@ class SocketTransport(ShardTransport):
     # ------------------------------------------------------------------
     # links: open, pin, release
     # ------------------------------------------------------------------
-    def _connect(self, connect: Sequence[str], supervision: dict) -> None:
+    def _connect(self, connect: Sequence[str]) -> None:
         """Open the lane's links: one pooled client per worker address."""
         if not connect:
             raise ProtocolError(
@@ -631,73 +595,60 @@ class SocketTransport(ShardTransport):
                 "(connect=['host:port', ...])"
             )
         self.addresses = [parse_address(a) for a in connect]
-        for shard in range(len(self.specs)):
+        for shard in range(self.num_shards):
             address = self.addresses[shard % len(self.addresses)]
             client = next(
                 (c for c in self._clients if c.address == address), None
             )
             if client is None:
-                client = _POOL.acquire(address, **supervision)
+                client = _POOL.acquire(address)
                 self._clients.append(client)
             self._client_of.append(client)
 
-    def _pin_all(self, timeout: float) -> None:
+    def _pin_all(self) -> None:
         """Pin this transport's shards: one SessionSetup per link,
         batching every shard that rides it (other cohorts' transports
         add their own slots to a shared connection independently)."""
         for client in self._clients:
             shards = [
-                s for s in range(len(self.specs))
+                s for s in range(self.num_shards)
                 if self._client_of[s] is client
             ]
             slots = client.allocate_slots(len(shards))
-            entries = []
+            pinned = {}
             for shard, slot in zip(shards, slots):
                 self._slot_of[shard] = slot
-                entries.append((slot, self.specs[shard]))
+                pinned[slot] = self._handles[shard]
             # Register the slots for re-pin BEFORE the setup round trip: a
             # connection break landing between the ack and a later
             # registration would replay a SessionSetup missing these
             # slots, stranding them forever on a connection that then
             # looks healthy.  (On failure, _shutdown removes them again.)
             with client._cv:
-                client._slot_specs.update(entries)
+                client._pinned.update(pinned)
             client.ensure_connected()  # a pooled client may be broken
-            client.pin(entries, timeout)
-            client.attach(self)
-
-    def _on_repin(self, client: _SocketClient) -> None:
-        # The worker rebuilt this connection's sessions from their
-        # specs: fresh pools, fresh counters.  Reset the local caches
-        # to match.
-        for shard, owner in enumerate(self._client_of):
-            if owner is client:
-                self._handles[shard]._absorb(0, SessionStats(), closed=False)
+            client.pin([(slot, h.spec) for slot, h in pinned.items()])
 
     def _shutdown(self) -> None:
         """Release this transport's slots and client references (also the
         constructor's failure path, so it tolerates partial state)."""
         for client in self._clients:
-            client.detach(self)
-            # _client_of may be shorter than specs (failed mid-init) and
-            # slots may be unallocated (None): release what exists.
-            slots = [
-                self._slot_of[s]
-                for s in range(len(self._client_of))
-                if self._client_of[s] is client
-                and self._slot_of[s] is not None
-            ]
+            with client._cv:
+                slots = [
+                    slot for slot, handle in client._pinned.items()
+                    if handle._transport is self
+                ]
             if slots and client.alive:
                 try:
                     client.request(
                         SessionTeardown(slots),
-                        timeout=client.heartbeat_timeout_s,
+                        timeout=client.HEARTBEAT_TIMEOUT_S,
                     )
                 except (TransportError, ProtocolError):
                     pass
             with client._cv:
                 for slot in slots:
-                    client._slot_specs.pop(slot, None)
+                    client._pinned.pop(slot, None)
             _POOL.release(client)
 
     # ------------------------------------------------------------------
@@ -717,9 +668,7 @@ class SocketTransport(ShardTransport):
         return request_id, client.send(message, request_id)
 
     def _await(self, shard_id: int, request_id: int):
-        return self._client_of[shard_id].receive(
-            request_id, timeout=self.request_timeout_s
-        )
+        return self._client_of[shard_id].receive(request_id)
 
     # -- per-request hooks the shm lane overrides ---------------------------
     def _round_request(self, shard_id, round_id, weights, rows,
@@ -733,7 +682,7 @@ class SocketTransport(ShardTransport):
             weights=weights,
             updates=np.asarray(rows, dtype=np.uint64),
             dropouts=set(dropouts),
-            packed=self.wire_format == "packed",
+            packed=self.wire_format is WireFormat.PACKED,
         )
         return request, 0
 
@@ -752,7 +701,7 @@ class SocketTransport(ShardTransport):
         pending: List[Tuple[int, int]] = []
         bytes_sent = 0
         try:
-            for shard_id in range(len(self.specs)):
+            for shard_id in range(self.num_shards):
                 request_id, nbytes = self._request(
                     shard_id, make_request(shard_id)
                 )
@@ -816,9 +765,9 @@ class SocketTransport(ShardTransport):
         :meth:`_round_request` and :meth:`_round_result` each return
         their value plus the payload bytes moved outside frames.
         """
-        if len(per_shard_rows) != len(self.specs):
+        if len(per_shard_rows) != self.num_shards:
             raise ProtocolError(
-                f"expected {len(self.specs)} shard update slices, got "
+                f"expected {self.num_shards} shard update slices, got "
                 f"{len(per_shard_rows)}"
             )
         t0 = time.perf_counter()
@@ -894,15 +843,10 @@ class SocketTransport(ShardTransport):
     def rekey_all(self, num_users: int) -> int:
         """Re-key every shard's worker session for a new member count."""
         def absorb(shard_id, message):
-            # Refresh every stored copy of the shard's spec, so a later
-            # reconnect re-pins the *new* geometry.
-            spec = replace(self.specs[shard_id], num_users=num_users)
-            self.specs[shard_id] = spec
-            self._handles[shard_id].spec = spec
-            client, slot = self._client_of[shard_id], self._slot_of[shard_id]
-            with client._cv:
-                if slot in client._slot_specs:
-                    client._slot_specs[slot] = spec
+            # The handle's spec is the one a later reconnect re-pins: it
+            # must carry the *new* geometry.
+            handle = self._handles[shard_id]
+            handle.spec = replace(handle.spec, num_users=num_users)
             return max(0, -int(message.rounds_added))
 
         pending, _ = self._scatter(
@@ -951,25 +895,12 @@ class ProcessPoolTransport(SocketTransport):
     on worker ``s % num_workers``, so fewer workers host several shards
     each, whose rounds then serialize on that worker's round thread —
     capacity is traded explicitly, never silently dropped.
-
-    ``payload_mode="shm"`` stages vector payloads in a coordinator-owned
-    shared-memory segment (one region pair per shard, sized for the
-    member count at construction) and frames only ``(name, offset)``
-    references, so element bytes never transit the socket; a request
-    with more rows than its region holds rides the frame.  Regions are
-    reused round over round — safe because at most
-    one round per shard is in flight — and the segment is unlinked in
-    :meth:`close` (with a ``__del__`` backstop), so a worker dying
-    mid-round cannot leak ``/dev/shm`` entries.
     """
 
     kind = "process"
 
-    #: Supervision of the local hosts (class-level, so tests can shorten
-    #: it): a frozen or wedged worker fails its rounds within
-    #: ``heartbeat_interval_s + heartbeat_timeout_s``.
-    heartbeat_interval_s = 2.0
-    heartbeat_timeout_s = 10.0
+    #: Resolves shared-memory references in replies (the shm lane's).
+    _resolve_shm = None
 
     def __init__(
         self,
@@ -978,50 +909,19 @@ class ProcessPoolTransport(SocketTransport):
         metrics=None,
         cohort_id: int = 0,
         wire_format: str = "raw",
-        payload_mode: str = "pipe",
     ):
         if num_workers is not None and num_workers < 1:
             raise ProtocolError(
                 f"need >= 1 worker process, got {num_workers}"
             )
-        if payload_mode not in ("pipe", "shm"):
-            raise ProtocolError(
-                f"unknown payload mode {payload_mode!r}; expected "
-                f"'pipe' or 'shm'"
-            )
-        self.payload_mode = payload_mode
-        if payload_mode == "shm":
-            # Report under a distinct metrics lane: the whole point of
-            # the mode is a different wire_bytes profile.
-            self.kind = "shm"
         self._workers = min(num_workers or len(specs), len(specs))
-        self._arena: Optional[SegmentArena] = None
-        # (req_off, resp_off, rows the request region holds)
-        self._regions: List[Tuple[int, int, int]] = []
-        self._registry: Optional[ShmRegistry] = None
         super().__init__(
             specs, connect=(), metrics=metrics, cohort_id=cohort_id,
-            heartbeat_interval_s=self.heartbeat_interval_s,
-            heartbeat_timeout_s=self.heartbeat_timeout_s,
             wire_format=wire_format,
         )
 
-    def _connect(self, connect, supervision: dict) -> None:
+    def _connect(self, connect) -> None:
         """Spawn one shard-worker host per worker, each over a socketpair."""
-        shm = None
-        if self.payload_mode == "shm":
-            offset = 0
-            for spec in self.specs:
-                req_nbytes = spec.num_users * spec.shard_dim * 8
-                resp_nbytes = spec.shard_dim * 8
-                self._regions.append(
-                    (offset, offset + req_nbytes, spec.num_users)
-                )
-                offset += req_nbytes + resp_nbytes
-            self._arena = SegmentArena(offset)
-            self._registry = ShmRegistry()
-            self._registry.add_local(self._arena)
-            shm = self._registry.resolve
         ctx = multiprocessing.get_context()
         for worker in range(self._workers):
             ours, theirs = socket.socketpair()
@@ -1040,10 +940,10 @@ class ProcessPoolTransport(SocketTransport):
                 # holds its end and its death reads as EOF on ours.
                 theirs.close()
             self._clients.append(_SocketClient(
-                sock=ours, process=process, shm=shm, **supervision
+                sock=ours, process=process, shm=self._resolve_shm
             ))
         self._client_of = [
-            self._clients[s % self._workers] for s in range(len(self.specs))
+            self._clients[s % self._workers] for s in range(self.num_shards)
         ]
 
     def _shutdown(self) -> None:
@@ -1052,6 +952,48 @@ class ProcessPoolTransport(SocketTransport):
         # finish before its host exits.
         for client in self._clients:
             client.close()
+
+
+class ShmTransport(ProcessPoolTransport):
+    """The process lane with vector payloads staged in shared memory.
+
+    Payloads go through a coordinator-owned shared-memory segment (one
+    region pair per shard, sized for the member count at construction)
+    and frames carry only ``(name, offset)`` references, so element
+    bytes never transit the socket; a request with more rows than its
+    region holds rides the frame.  Regions are reused round over round —
+    safe because at most one round per shard is in flight — and the
+    segment is unlinked in :meth:`close` (with a ``__del__`` backstop),
+    so a worker dying mid-round cannot leak ``/dev/shm`` entries.
+    """
+
+    kind = "shm"
+
+    # None until _connect makes them, so a failed construction's close()
+    # releases only what exists.
+    _arena: Optional[SegmentArena] = None
+    _registry: Optional[ShmRegistry] = None
+
+    def _connect(self, connect) -> None:
+        """Size one request/response region pair per shard, then spawn."""
+        # (req_off, resp_off, rows the request region holds)
+        self._regions: List[Tuple[int, int, int]] = []
+        offset = 0
+        for spec in (handle.spec for handle in self._handles):
+            req_nbytes = spec.num_users * spec.shard_dim * 8
+            resp_nbytes = spec.shard_dim * 8
+            self._regions.append(
+                (offset, offset + req_nbytes, spec.num_users)
+            )
+            offset += req_nbytes + resp_nbytes
+        self._arena = SegmentArena(offset)
+        self._registry = ShmRegistry()
+        self._registry.add_local(self._arena)
+        self._resolve_shm = self._registry.resolve
+        super()._connect(connect)
+
+    def _shutdown(self) -> None:
+        super()._shutdown()
         # Segment teardown strictly after worker teardown: the workers
         # hold attachments, and unlinking first would turn a late round
         # into a crash instead of a clean shutdown error.
@@ -1060,19 +1002,19 @@ class ProcessPoolTransport(SocketTransport):
         if self._arena is not None:
             self._arena.close()
 
-    # -- shm payload staging (per-request hooks) -------------------------
+    # -- payload staging (per-request hooks) -----------------------------
     def _round_request(self, shard_id, round_id, weights, rows, dropouts):
-        """In shm mode, write the shard's update rows into its arena
-        region and frame only the references.  A request with more rows
-        than the region was sized for at construction (a drain after a
-        join grew the member set) rides the frame instead: resizing the
-        arena would leave the replaced segment mapped in the worker."""
-        if self._arena is None or len(rows) > self._regions[shard_id][2]:
+        """Write the shard's update rows into its arena region and frame
+        only the references.  A request with more rows than the region
+        was sized for at construction (a drain after a join grew the
+        member set) rides the frame instead: resizing the arena would
+        leave the replaced segment mapped in the worker."""
+        req_off, resp_off, capacity = self._regions[shard_id]
+        if len(rows) > capacity:
             return super()._round_request(
                 shard_id, round_id, weights, rows, dropouts
             )
-        req_off, resp_off, _ = self._regions[shard_id]
-        width = self.specs[shard_id].shard_dim
+        width = self._handles[shard_id].model_dim
         shape = (len(rows), width)
         matrix = self._arena.ndarray(req_off, shape)
         for b, row in enumerate(rows):

@@ -13,7 +13,9 @@ drives every lane:
   supervision.  Hosts at TCP addresses are the multi-host deployment
   backend (``socket``); :class:`~repro.service.socket_transport.ProcessPoolTransport`
   spawns the same host as local child processes over socketpairs
-  (``process``, and ``shm`` with shared-memory payload staging).  Shard
+  (``process``), and its subclass
+  :class:`~repro.service.socket_transport.ShmTransport` adds
+  shared-memory payload staging (``shm``).  Shard
   requests are *scattered* to all workers before any result is
   *gathered*, so shard rounds run on separate cores; refills run on a
   dedicated thread inside each host, so pool top-ups overlap both with
@@ -61,14 +63,21 @@ from repro.field.arithmetic import FiniteField
 from repro.field.prime import DEFAULT_PRIME
 from repro.obs import span
 from repro.protocols.base import AggregationResult, SessionStats
+from repro.service.config import TransportKind
 from repro.service.worker import HOSTNAME
 from repro.wire import ErrorFrame, RefillRequest
 
-TRANSPORT_KINDS = ("inline", "process", "socket", "shm")
 
-#: Element encodings a transport can put on the wire: ``raw`` ships
-#: little-endian words, ``packed`` bit-packs at the data's width.
-WIRE_FORMATS = ("raw", "packed")
+def parse_enum(kind, name, what: str):
+    """``kind(name)``, refusing a name outside the enum with a typed
+    :class:`ProtocolError` that lists the names it accepts."""
+    try:
+        return kind(name)
+    except ValueError:
+        raise ProtocolError(
+            f"unknown {what} {name!r}; expected one of "
+            f"{tuple(member.value for member in kind)}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -280,6 +289,8 @@ class ShardHandle:
     background refiller's ``needs_refill`` polling costs no wire traffic.
     ``refill_begin`` / ``refill_join`` split the refill into a scatter
     and a gather half so the refiller can overlap top-ups across shards.
+    ``spec`` is the coordinator's one copy of the shard's spec: a re-key
+    replaces it, and a reconnect re-pins it.
     """
 
     def __init__(self, transport: "SocketTransport", shard_id: int,
@@ -379,7 +390,8 @@ def build_transport(
     no wire and ignores it; ``shm`` passes round vectors by reference,
     which supersedes packing).
     """
-    if kind == "inline":
+    lane = parse_enum(TransportKind, kind, "transport")
+    if lane is TransportKind.INLINE:
         return InlineTransport.from_specs(
             specs, gf=gf, metrics=metrics, cohort_id=cohort_id
         )
@@ -387,20 +399,17 @@ def build_transport(
     # spec and handle types, so a top-level import would be a cycle.
     from repro.service.socket_transport import (
         ProcessPoolTransport,
+        ShmTransport,
         SocketTransport,
     )
 
-    if kind in ("process", "shm"):
-        return ProcessPoolTransport(
-            specs, num_workers=num_workers, metrics=metrics,
-            cohort_id=cohort_id, wire_format=wire_format,
-            payload_mode="shm" if kind == "shm" else "pipe",
-        )
-    if kind == "socket":
+    if lane is TransportKind.SOCKET:
         return SocketTransport(
             specs, connect=connect or (), metrics=metrics,
             cohort_id=cohort_id, wire_format=wire_format,
         )
-    raise ProtocolError(
-        f"unknown transport {kind!r}; expected one of {TRANSPORT_KINDS}"
+    local = ShmTransport if lane is TransportKind.SHM else ProcessPoolTransport
+    return local(
+        specs, num_workers=num_workers, metrics=metrics,
+        cohort_id=cohort_id, wire_format=wire_format,
     )

@@ -165,8 +165,9 @@ class TestRoundTrace:
 
 
 class TestTracerRing:
-    def test_ring_evicts_oldest_and_its_id(self):
-        tracer = Tracer(capacity=2)
+    def test_ring_evicts_oldest_and_its_id(self, monkeypatch):
+        monkeypatch.setattr(Tracer, "CAPACITY", 2)
+        tracer = Tracer()
         first = make_trace(tracer, round_index=0)
         second = make_trace(tracer, round_index=1)
         third = make_trace(tracer, round_index=2)
@@ -193,16 +194,16 @@ class TestTracerRing:
         assert len(ids) == 16
         assert 0 not in ids
 
-    def test_capacity_and_slow_factor_validated(self):
-        with pytest.raises(ValueError):
-            Tracer(capacity=0)
-        with pytest.raises(ValueError):
-            Tracer(slow_factor=0.0)
-
 
 class TestSlowDetection:
+    @pytest.fixture(autouse=True)
+    def three_samples(self, monkeypatch):
+        """Flag against a trailing median of >= 3 samples, at 5x."""
+        monkeypatch.setattr(Tracer, "SLOW_FACTOR", 5.0)
+        monkeypatch.setattr(Tracer, "SLOW_MIN_SAMPLES", 3)
+
     def test_outlier_round_is_flagged_against_trailing_median(self):
-        tracer = Tracer(slow_factor=5.0, slow_min_samples=3)
+        tracer = Tracer()
         for r in range(4):
             trace = make_trace(
                 tracer, round_index=r, phases=[("shard_compute[0]", 0.01)]
@@ -214,8 +215,9 @@ class TestSlowDetection:
         assert slow.slow and slow.slow_phase == "shard_compute"
         assert tracer.slow_rounds == 1
 
-    def test_no_flag_before_min_samples(self):
-        tracer = Tracer(slow_factor=5.0, slow_min_samples=5)
+    def test_no_flag_before_min_samples(self, monkeypatch):
+        monkeypatch.setattr(Tracer, "SLOW_MIN_SAMPLES", 5)
+        tracer = Tracer()
         for r in range(4):
             duration = 0.01 if r < 3 else 10.0  # huge, but too few samples
             trace = make_trace(
@@ -224,7 +226,7 @@ class TestSlowDetection:
             assert not trace.slow
 
     def test_windows_are_per_cohort(self):
-        tracer = Tracer(slow_factor=5.0, slow_min_samples=3)
+        tracer = Tracer()
         for r in range(4):
             make_trace(tracer, cohort_id=0, round_index=r,
                        phases=[("collect", 0.01)])
@@ -233,8 +235,9 @@ class TestSlowDetection:
                            phases=[("collect", 0.2)])
         assert not other.slow
 
-    def test_slow_round_still_feeds_the_window(self):
-        tracer = Tracer(slow_factor=5.0, slow_min_samples=3, slow_window=4)
+    def test_slow_round_still_feeds_the_window(self, monkeypatch):
+        monkeypatch.setattr(Tracer, "SLOW_WINDOW", 4)
+        tracer = Tracer()
         for r in range(4):
             make_trace(tracer, round_index=r, phases=[("collect", 0.01)])
         make_trace(tracer, round_index=4, phases=[("collect", 1.0)])

@@ -34,6 +34,12 @@ def proto(gf):
     return LightSecAgg(gf, params, DIM)
 
 
+@pytest.fixture
+def fast_poll(monkeypatch):
+    """The refiller polls every 0.5 ms while idle."""
+    monkeypatch.setattr(BackgroundRefiller, "POLL_INTERVAL_S", 0.0005)
+
+
 def drain_rounds(session, proto, gf, rounds, seed, refiller=None):
     """Run ``rounds`` mixed-dropout rounds; return the aggregates."""
     rng = np.random.default_rng(seed)
@@ -56,12 +62,13 @@ def drain_rounds(session, proto, gf, rounds, seed, refiller=None):
 
 
 class TestBackgroundBitIdentity:
-    def test_background_matches_sync_across_mixed_dropouts(self, gf, proto):
+    def test_background_matches_sync_across_mixed_dropouts(self, fast_poll,
+                                                           gf, proto):
         sync_session = proto.session(pool_size=3, rng=np.random.default_rng(0))
         bg_session = proto.session(
             pool_size=3, low_water=1, rng=np.random.default_rng(1)
         )
-        with BackgroundRefiller(poll_interval_s=0.0005) as refiller:
+        with BackgroundRefiller() as refiller:
             refiller.register(bg_session)
             refiller.wait_until_idle(timeout=30.0)  # warm the pool
             got = drain_rounds(bg_session, proto, gf, 8, seed=42,
@@ -71,11 +78,12 @@ class TestBackgroundBitIdentity:
             assert s_got == s_want
             assert np.array_equal(a_got, a_want)
 
-    def test_background_session_never_misses_at_steady_state(self, gf, proto):
+    def test_background_session_never_misses_at_steady_state(self, fast_poll,
+                                                             gf, proto):
         session = proto.session(
             pool_size=4, low_water=2, rng=np.random.default_rng(2)
         )
-        with BackgroundRefiller(poll_interval_s=0.0005) as refiller:
+        with BackgroundRefiller() as refiller:
             refiller.register(session)
             refiller.wait_until_idle(timeout=30.0)
             drain_rounds(session, proto, gf, 10, seed=7, refiller=refiller)
@@ -139,7 +147,8 @@ class TestLowWaterSemantics:
 
 
 class TestCleanShutdown:
-    def test_stop_with_refill_in_flight_completes_it(self, gf, proto):
+    def test_stop_with_refill_in_flight_completes_it(self, fast_poll, gf,
+                                                     proto):
         """A refill the worker already started survives stop()."""
         started = threading.Event()
         release = threading.Event()
@@ -152,7 +161,7 @@ class TestCleanShutdown:
             return inner_refill(rounds)
 
         session.refill = gated_refill
-        refiller = BackgroundRefiller(poll_interval_s=0.0005).start()
+        refiller = BackgroundRefiller().start()
         refiller.register(session)
         assert started.wait(timeout=30.0)  # worker is mid-refill
         stopper = threading.Thread(target=refiller.stop)
@@ -164,20 +173,21 @@ class TestCleanShutdown:
         # The in-flight refill's material was delivered, not dropped.
         assert session.pool_level == 3
 
-    def test_stop_skips_refills_not_yet_started(self, gf, proto):
+    def test_stop_skips_refills_not_yet_started(self, fast_poll, gf, proto):
         """After stop() no *new* refill begins, even for needy sessions."""
         session = proto.session(pool_size=2, rng=np.random.default_rng(6))
-        refiller = BackgroundRefiller(poll_interval_s=0.0005).start()
+        refiller = BackgroundRefiller().start()
         refiller.stop()
         refiller.register(session)  # registered after shutdown
         time.sleep(0.01)
         assert session.pool_level == 0
 
-    def test_refiller_survives_session_closed_underneath(self, gf, proto):
+    def test_refiller_survives_session_closed_underneath(self, fast_poll, gf,
+                                                         proto):
         """Closing a session mid-watch must not kill the worker."""
         session = proto.session(pool_size=2, low_water=1)
         session.close()
-        with BackgroundRefiller(poll_interval_s=0.0005) as refiller:
+        with BackgroundRefiller() as refiller:
             refiller.register(session)
             refiller.notify()
             time.sleep(0.01)
@@ -196,8 +206,8 @@ class TestCleanShutdown:
         finally:
             refiller.stop()
 
-    def test_stop_timeout_keeps_worker_and_blocks_second_start(self, gf,
-                                                               proto):
+    def test_stop_timeout_keeps_worker_and_blocks_second_start(
+            self, fast_poll, gf, proto):
         """Regression: a timed-out stop() must not lie about the worker.
 
         With an artificially slow refill in flight, stop(timeout) used to
@@ -216,7 +226,7 @@ class TestCleanShutdown:
             return inner_refill(rounds)
 
         session.refill = slow_refill
-        refiller = BackgroundRefiller(poll_interval_s=0.0005).start()
+        refiller = BackgroundRefiller().start()
         refiller.register(session)
         assert started.wait(timeout=30.0)  # worker is mid-refill
 
@@ -268,10 +278,10 @@ class TestRefillFailureKeepsWorkerAlive:
     (seen: an ``AssertionError`` out of a kernel) used to unwind the
     service-wide worker: every cohort then refilled inline forever."""
 
-    def test_one_failure_is_recorded_and_retried(self, gf, proto):
+    def test_one_failure_is_recorded_and_retried(self, fast_poll, gf, proto):
         flaky = StubSession(failures=1)
         healthy = proto.session(pool_size=2, rng=np.random.default_rng(8))
-        with BackgroundRefiller(poll_interval_s=0.0005) as refiller:
+        with BackgroundRefiller() as refiller:
             refiller.register(flaky, cohort_id=0)
             refiller.register(healthy, cohort_id=1)
             assert refiller.wait_until_idle(timeout=30.0)
@@ -284,10 +294,12 @@ class TestRefillFailureKeepsWorkerAlive:
             assert refiller.refills == 2
         assert not refiller.running
 
-    def test_permanent_failure_does_not_spin_or_block_stop(self, gf, proto):
+    def test_permanent_failure_does_not_spin_or_block_stop(self, monkeypatch,
+                                                           gf, proto):
         broken = StubSession(failures=10**9, exc=MemoryError("no arena"))
         healthy = proto.session(pool_size=2, rng=np.random.default_rng(8))
-        refiller = BackgroundRefiller(poll_interval_s=0.05).start()
+        monkeypatch.setattr(BackgroundRefiller, "POLL_INTERVAL_S", 0.05)
+        refiller = BackgroundRefiller().start()
         try:
             refiller.register(broken)
             refiller.register(healthy)
@@ -310,7 +322,7 @@ class TestRefillFailureKeepsWorkerAlive:
             stopped = refiller.stop(timeout=30.0)
         assert stopped and not refiller.running
 
-    def test_two_phase_sessions_are_guarded_too(self):
+    def test_two_phase_sessions_are_guarded_too(self, fast_poll):
         class TwoPhase(StubSession):
             def refill_begin(self):
                 self.calls += 1
@@ -327,7 +339,7 @@ class TestRefillFailureKeepsWorkerAlive:
 
         session = TwoPhase(failures=1, exc=ValueError("bad begin"))
         session.join_error = OSError("bad join")
-        with BackgroundRefiller(poll_interval_s=0.0005) as refiller:
+        with BackgroundRefiller() as refiller:
             refiller.register(session)
             assert refiller.wait_until_idle(timeout=30.0)
             assert refiller.running

@@ -30,7 +30,8 @@ def proto(gf):
 
 
 class TestFreeRunningContention:
-    def test_long_unsettled_drain_stays_correct(self, gf, proto):
+    def test_long_unsettled_drain_stays_correct(self, gf, proto,
+                                                monkeypatch):
         """200 rounds with the consumer racing the refiller, no barrier.
 
         Correctness must hold even when the consumer outruns the
@@ -41,7 +42,8 @@ class TestFreeRunningContention:
             pool_size=8, low_water=4, rng=np.random.default_rng(0)
         )
         rng = np.random.default_rng(1)
-        with BackgroundRefiller(poll_interval_s=0.0001) as refiller:
+        monkeypatch.setattr(BackgroundRefiller, "POLL_INTERVAL_S", 0.0001)
+        with BackgroundRefiller() as refiller:
             refiller.register(session)
             for r in range(200):
                 updates = {i: gf.random(DIM, rng) for i in range(N)}
@@ -78,12 +80,14 @@ class TestFreeRunningContention:
         assert snap["metrics"]["total_rounds"] == 6 * 25
         assert snap["metrics"]["total_stalls"] == 0
 
-    def test_repeated_start_stop_cycles_never_wedge(self, gf, proto):
+    def test_repeated_start_stop_cycles_never_wedge(self, gf, proto,
+                                                    monkeypatch):
+        monkeypatch.setattr(BackgroundRefiller, "POLL_INTERVAL_S", 0.0001)
         for cycle in range(20):
             session = proto.session(
                 pool_size=2, low_water=1, rng=np.random.default_rng(cycle)
             )
-            refiller = BackgroundRefiller(poll_interval_s=0.0001).start()
+            refiller = BackgroundRefiller().start()
             refiller.register(session)
             refiller.stop(timeout=30.0)
             assert not refiller.running, cycle

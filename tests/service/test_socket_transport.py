@@ -41,9 +41,13 @@ from repro.service import (
     WireFormat,
     build_transport,
 )
+from repro.service import socket_transport
+from repro.service.socket_transport import _SocketClient
+from repro.service.socket_worker import parse_address
 from repro.wire import (
     FrameAssembler,
     PayloadWriter,
+    Ping,
     SegmentArena,
     SetupAck,
     ShardRoundRequest,
@@ -56,8 +60,11 @@ from repro.wire import (
 
 N, DIM, SHARDS = 8, 37, 3
 
-# Sub-second supervision knobs so dead-worker tests resolve quickly.
-FAST = dict(heartbeat_interval_s=0.1, heartbeat_timeout_s=2.0)
+@pytest.fixture
+def fast_supervision(monkeypatch):
+    """Sub-second heartbeats so dead-worker tests resolve quickly."""
+    monkeypatch.setattr(_SocketClient, "HEARTBEAT_INTERVAL_S", 0.1)
+    monkeypatch.setattr(_SocketClient, "HEARTBEAT_TIMEOUT_S", 2.0)
 
 
 def make_specs(shards=SHARDS, dim=DIM, pool_size=3, low_water=1,
@@ -106,9 +113,9 @@ def server():
 
 
 @pytest.fixture
-def socket_session(server):
+def socket_session(server, fast_supervision):
     plan, specs = make_specs()
-    transport = SocketTransport(specs, connect=[server.address], **FAST)
+    transport = SocketTransport(specs, connect=[server.address])
     session = ShardedSession(plan, transport=transport)
     yield session, transport
     transport.close()
@@ -143,12 +150,13 @@ class TestSocketInlineBitIdentity:
         assert remote.pool_level == inline.pool_level
         inline.close()
 
-    def test_shards_round_robin_across_two_workers(self, gf, server):
+    def test_shards_round_robin_across_two_workers(self, gf, server,
+                                                   fast_supervision):
         """Multiple --connect addresses: same results, work spread out."""
         with ShardWorkerServer() as second:
             plan, specs = make_specs()
             transport = SocketTransport(
-                specs, connect=[server.address, second.address], **FAST
+                specs, connect=[server.address, second.address]
             )
             assert transport.num_workers == 2
             remote = ShardedSession(plan, transport=transport)
@@ -267,12 +275,12 @@ class TestWorkerLossAndRepin:
             svc.stop()
             server.stop()
 
-    def test_heartbeat_detects_dead_worker_without_traffic(self, server):
+    def test_heartbeat_detects_dead_worker_without_traffic(self, server,
+                                                           monkeypatch):
+        monkeypatch.setattr(_SocketClient, "HEARTBEAT_INTERVAL_S", 0.05)
+        monkeypatch.setattr(_SocketClient, "HEARTBEAT_TIMEOUT_S", 1.0)
         _, specs = make_specs(shards=1)
-        transport = SocketTransport(
-            specs, connect=[server.address],
-            heartbeat_interval_s=0.05, heartbeat_timeout_s=1.0,
-        )
+        transport = SocketTransport(specs, connect=[server.address])
         try:
             client = transport._clients[0]
             assert client.alive
@@ -313,14 +321,14 @@ class TestConnectionBatching:
             assert server.connection_count == 1  # 2 cohorts x 2 shards
         assert wait_for(lambda: server.connection_count == 0)
 
-    def test_teardown_of_one_cohort_leaves_the_other_serving(self, gf,
-                                                             server):
+    def test_teardown_of_one_cohort_leaves_the_other_serving(
+            self, gf, server, fast_supervision):
         plan, specs_a = make_specs(seed=0)
         _, specs_b = make_specs(seed=1)
         transport_a = SocketTransport(specs_a, connect=[server.address],
-                                      cohort_id=0, **FAST)
+                                      cohort_id=0)
         transport_b = SocketTransport(specs_b, connect=[server.address],
-                                      cohort_id=1, **FAST)
+                                      cohort_id=1)
         session_b = ShardedSession(plan, transport=transport_b)
         try:
             assert server.connection_count == 1
@@ -338,7 +346,7 @@ class TestConnectionBatching:
         """The refiller's scatter/gather path keeps remote pools topped."""
         session, transport = socket_session
         session.refill()
-        refiller = BackgroundRefiller(poll_interval_s=0.001)
+        refiller = BackgroundRefiller()
         for handle in transport.shard_handles:
             refiller.register(handle, cohort_id=0)
         with refiller:
@@ -362,16 +370,18 @@ class TestConstructionAndConfig:
         assert transport.kind == "socket"
         transport.close()
 
-    def test_missing_or_bad_connect_rejected(self, server):
+    def test_missing_or_bad_connect_rejected(self, server,
+                                             fast_supervision):
         _, specs = make_specs(shards=1)
         with pytest.raises(ProtocolError, match="worker address"):
             build_transport("socket", specs)
         with pytest.raises(TransportError, match="host:port"):
             SocketTransport(specs, connect=["not-an-address"])
         with pytest.raises(TransportError, match="cannot connect"):
-            SocketTransport(specs, connect=["127.0.0.1:1"], **FAST)
+            SocketTransport(specs, connect=["127.0.0.1:1"])
 
-    def test_dead_second_address_releases_the_first_connection(self, server):
+    def test_dead_second_address_releases_the_first_connection(
+            self, server, fast_supervision):
         """Regression: failing to reach a later --connect address must
         release (not leak) the client already acquired for an earlier
         one — the shared pool would otherwise pin it forever."""
@@ -379,14 +389,14 @@ class TestConstructionAndConfig:
         assert wait_for(lambda: server.connection_count == 0)
         with pytest.raises(TransportError, match="cannot connect"):
             SocketTransport(
-                specs, connect=[server.address, "127.0.0.1:1"], **FAST
+                specs, connect=[server.address, "127.0.0.1:1"]
             )
         # The good address's pooled client was refcount-released, which
         # closes it with the Shutdown handshake; the worker sees the
         # connection go away.
         assert wait_for(lambda: server.connection_count == 0)
         # And the address is reusable afterwards (no poisoned pool entry).
-        transport = SocketTransport(specs, connect=[server.address], **FAST)
+        transport = SocketTransport(specs, connect=[server.address])
         transport.close()
 
     def test_service_config_validates_connect(self, server):
@@ -403,9 +413,10 @@ class TestConstructionAndConfig:
         )
         assert cfg.connect == (server.address,)
 
-    def test_closed_transport_rejects_requests(self, server):
+    def test_closed_transport_rejects_requests(self, server,
+                                               fast_supervision):
         plan, specs = make_specs(shards=1)
-        transport = SocketTransport(specs, connect=[server.address], **FAST)
+        transport = SocketTransport(specs, connect=[server.address])
         transport.close()
         assert transport.closed
         with pytest.raises(ProtocolError, match="closed"):
@@ -414,11 +425,12 @@ class TestConstructionAndConfig:
             ShardedSession(plan, transport=transport).run_round({}, set())
         transport.close()  # idempotent
 
-    def test_socket_transport_validates_wire_format(self, server):
+    def test_socket_transport_validates_wire_format(self, server,
+                                                    fast_supervision):
         _, specs = make_specs(shards=1)
         with pytest.raises(ProtocolError, match="wire format"):
             SocketTransport(
-                specs, connect=[server.address], wire_format="gzip", **FAST
+                specs, connect=[server.address], wire_format="gzip"
             )
 
 
@@ -536,7 +548,9 @@ class TestWireVersionGate:
     """The frame header's version byte is the only compatibility gate:
     a peer of another build is refused at its first frame."""
 
-    def test_worker_of_another_wire_version_is_refused(self):
+    def test_worker_of_another_wire_version_is_refused(self,
+                                                       fast_supervision,
+                                                       monkeypatch):
         listener = socket.create_server(("127.0.0.1", 0))
         port = listener.getsockname()[1]
         peer_closed = threading.Event()
@@ -572,12 +586,12 @@ class TestWireVersionGate:
             sockets_before = _socket_fds()
             _, specs = make_specs(shards=1)
             setup_timeout_s = 5.0
+            monkeypatch.setattr(
+                _SocketClient, "SETUP_TIMEOUT_S", setup_timeout_s
+            )
             t0 = time.monotonic()
             with pytest.raises(TransportError, match="wire version 1"):
-                SocketTransport(
-                    specs, connect=[f"127.0.0.1:{port}"],
-                    setup_timeout_s=setup_timeout_s, **FAST,
-                )
+                SocketTransport(specs, connect=[f"127.0.0.1:{port}"])
             assert time.monotonic() - t0 < setup_timeout_s
             assert peer_closed.wait(timeout=10.0)
 
@@ -597,14 +611,14 @@ class TestWireVersionGate:
 
 
 class TestWorkerHostBoundaries:
-    def test_stop_closes_every_hosted_session(self):
+    def test_stop_closes_every_hosted_session(self, fast_supervision):
         """stop() tears every connection down exactly once, whichever of
         the server and the connection's own receive thread gets there
         first: the hosted sessions close and the connection is
         forgotten."""
         server = ShardWorkerServer().start()
         _, specs = make_specs()
-        transport = SocketTransport(specs, connect=[server.address], **FAST)
+        transport = SocketTransport(specs, connect=[server.address])
         try:
             [connection] = server._connections
             hosted = list(connection.sessions.values())
@@ -617,7 +631,8 @@ class TestWorkerHostBoundaries:
             server.stop()
 
     def test_tcp_host_refuses_shared_memory_references(self, server,
-                                                      monkeypatch):
+                                                      monkeypatch,
+                                                      fast_supervision):
         """A TCP-accepted connection has no shm registry: a round request
         referencing a /dev/shm segment attaches nothing and reaches the
         coordinator as a typed TransportError."""
@@ -627,7 +642,7 @@ class TestWorkerHostBoundaries:
         )
         _, specs = make_specs(shards=1)
         width = specs[0].shard_dim
-        transport = SocketTransport(specs, connect=[server.address], **FAST)
+        transport = SocketTransport(specs, connect=[server.address])
         arena = SegmentArena((N + 1) * width * 8)
         try:
             assert server._connections[0].registry is None
@@ -651,3 +666,86 @@ class TestWorkerHostBoundaries:
         finally:
             transport.close()
             arena.close()
+
+
+class TestOneCopyOfEachFact:
+    def test_failed_send_leaves_no_outstanding_entry(self, server,
+                                                     monkeypatch):
+        """A send the socket refuses marks the link broken and takes its
+        own outstanding-request entry with it: a pooled client must not
+        keep one entry per failed send for its whole life."""
+        client = _SocketClient(parse_address(server.address))
+        try:
+            def reset(sock, segments):
+                raise ConnectionResetError("injected")
+
+            monkeypatch.setattr(socket_transport, "send_segments", reset)
+            with pytest.raises(TransportError, match="failed to send"):
+                client.send(Ping(nonce=1), client.next_id())
+            assert not client.alive
+            assert client._outstanding == {}
+        finally:
+            client.close()
+
+    def test_restarted_worker_is_repinned_at_the_rekeyed_geometry(self, gf):
+        """After a re-key to 9 members, a worker killed and restarted on
+        the same port rebuilds its sessions from the *new* spec: the next
+        drain of 9 rows recovers over members 0..8."""
+        server = ShardWorkerServer().start()
+        plan, specs = make_specs(shards=2)
+        transport = SocketTransport(specs, connect=[server.address])
+        restarted = None
+        try:
+            session = ShardedSession(plan, transport=transport)
+            session.rekey(N + 1)
+            server.stop()
+            client = transport._clients[0]
+            assert wait_for(lambda: not client.alive)
+            restarted = ShardWorkerServer(port=server.port).start()
+            rows = gf.random((N + 1, DIM), np.random.default_rng(4))
+            result = session.drain(
+                np.ones(N + 1, dtype=np.uint64), rows, {0}
+            )
+            assert result.survivors == list(range(1, N + 1))
+            assert np.array_equal(result.aggregate, gf.sum(rows, axis=0))
+        finally:
+            transport.close()
+            server.stop()
+            if restarted is not None:
+                restarted.stop()
+
+    def test_one_reconnect_counted_once_per_metrics_sink(self, gf):
+        """Two cohorts share one connection and one metrics sink: one
+        physical reconnect (re-pinning both cohorts' slots) is counted
+        exactly once."""
+        server = ShardWorkerServer().start()
+        cfg = ServiceConfig(
+            num_cohorts=2, num_users=N, model_dim=DIM, num_shards=2,
+            pool_size=3, low_water=1, refill_mode=RefillMode.SYNC,
+            dropout_tolerance=2, privacy=2,
+            transport=TransportKind.SOCKET, connect=(server.address,),
+            seed=3,
+        )
+        restarted = None
+        svc = AggregationService(cfg, gf=gf).start()
+        try:
+            assert server.connection_count == 1
+            client = svc.get_cohort(0).transport._clients[0]
+            assert svc.get_cohort(1).transport._clients[0] is client
+            server.stop()
+            assert wait_for(lambda: not client.alive)
+            restarted = ShardWorkerServer(port=server.port).start()
+            rng = np.random.default_rng(6)
+            updates = {i: gf.random(DIM, rng) for i in range(N)}
+            for cohort_id in (0, 1):
+                result = svc.run_round(cohort_id, updates, {3})
+                assert result.survivors == [i for i in range(N) if i != 3]
+            assert (
+                'repro_transport_reconnects_total{transport="socket"} 1\n'
+                in svc.metrics.render_prometheus()
+            )
+        finally:
+            svc.stop()
+            server.stop()
+            if restarted is not None:
+                restarted.stop()

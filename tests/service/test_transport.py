@@ -35,6 +35,7 @@ from repro.service import (
     TransportKind,
     build_transport,
 )
+from repro.service.socket_transport import _SocketClient
 
 N, DIM, SHARDS = 8, 37, 3
 
@@ -263,7 +264,7 @@ class TestProcessHandleSurface:
         """The refiller's scatter/gather path keeps worker pools topped."""
         session, transport = process_session
         session.refill()
-        refiller = BackgroundRefiller(poll_interval_s=0.001)
+        refiller = BackgroundRefiller()
         for handle in transport.shard_handles:
             refiller.register(handle, cohort_id=0)
         with refiller:
@@ -453,9 +454,9 @@ class TestWorkerLossMidOperation:
             # arrives and is routed away; a stranded one never clears.
             survivor = transport._clients[0]
             deadline = time.monotonic() + 10.0
-            while survivor._responses or survivor._abandoned:
+            while survivor._responses or survivor._outstanding:
                 assert time.monotonic() < deadline, (
-                    survivor._responses, survivor._abandoned
+                    survivor._responses, survivor._outstanding
                 )
                 time.sleep(0.01)
             assert transport.workers_alive == 1
@@ -473,6 +474,22 @@ def wait_for_no_leftovers(threads_before, timeout_s=10.0):
         time.sleep(0.02)
 
 
+def wait_until_stopped(pid, timeout_s=10.0):
+    """SIGSTOP takes effect asynchronously: until every thread of ``pid``
+    reads as stopped in /proc, the worker may still answer a request."""
+    def states():
+        out = []
+        for tid in os.listdir(f"/proc/{pid}/task"):
+            with open(f"/proc/{pid}/task/{tid}/stat") as fh:
+                out.append(fh.read().rsplit(")", 1)[1].split()[0])
+        return out
+
+    deadline = time.monotonic() + timeout_s
+    while not all(state in ("T", "t") for state in states()):
+        assert time.monotonic() < deadline, states()
+        time.sleep(0.001)
+
+
 LOCAL_LANES = ("process", "shm")
 
 
@@ -486,8 +503,8 @@ class TestLocalWorkerSupervision:
         """SIGSTOP the worker hosting the last shard: the heartbeat turns
         the silence into a TransportError, and close() still reaps the
         frozen child, its threads and the lane's segment."""
-        monkeypatch.setattr(ProcessPoolTransport, "heartbeat_interval_s", 0.1)
-        monkeypatch.setattr(ProcessPoolTransport, "heartbeat_timeout_s", 1.0)
+        monkeypatch.setattr(_SocketClient, "HEARTBEAT_INTERVAL_S", 0.1)
+        monkeypatch.setattr(_SocketClient, "HEARTBEAT_TIMEOUT_S", 1.0)
         threads_before = set(threading.enumerate())
         plan, specs = make_specs(shards=2)
         rng = np.random.default_rng(7)
@@ -499,11 +516,12 @@ class TestLocalWorkerSupervision:
                 session.run_round(updates, {1})
                 victim = transport._clients[-1].process
                 os.kill(victim.pid, signal.SIGSTOP)
+                wait_until_stopped(victim.pid)
                 started = time.monotonic()
                 with pytest.raises(TransportError):
                     session.run_round(updates, {1})
                 assert (time.monotonic() - started
-                        < transport.heartbeat_timeout_s + 5)
+                        < _SocketClient.HEARTBEAT_TIMEOUT_S + 5)
             assert not victim.is_alive()
             wait_for_no_leftovers(threads_before)
         finally:
@@ -534,7 +552,7 @@ class TestLocalWorkerSupervision:
                 with pytest.raises(TransportError, match=expected):
                     session.run_round(updates, {1})
                 assert (time.monotonic() - started
-                        < transport.heartbeat_interval_s)
+                        < _SocketClient.HEARTBEAT_INTERVAL_S)
             assert metrics.snapshot()["transports"][lane]["reconnects"] == 0
         finally:
             transport.close()
