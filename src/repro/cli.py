@@ -211,11 +211,10 @@ def cmd_service(args: argparse.Namespace) -> int:
         line = (f"  cohort {cid}: {m['rounds']} rounds, {m['stalls']} stalls, "
                 f"{m['rounds_per_second']:.1f} rounds/s online")
         status = statuses.get(int(cid), {})
-        if status.get("kind", "sync") != "sync":
-            line += (f" [{status['kind']}: buffer "
-                     f"{status.get('buffer_fill', 0)}/"
-                     f"{status.get('buffer_capacity', 0)}, "
-                     f"{status.get('drains', 0)} drains]")
+        if status.get("buffer_fill") or status.get("drains"):
+            line += (f" [buffer {status['buffer_fill']}/"
+                     f"{status['buffer_capacity']}, "
+                     f"{status['drains']} drains]")
         print(line)
     return 0
 

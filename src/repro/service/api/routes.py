@@ -13,12 +13,15 @@ error class to its HTTP lane exactly once, here:
 ``DELETE /cohorts/{id}``              200     close it (neighbours untouched)
 ``POST /cohorts/{id}/rounds``         200     run one round, return aggregate
 ``POST /cohorts/{id}/updates``        200     buffered submission (may drain)
-``POST /cohorts/{id}/members``        201     join a buffered cohort (re-key)
-``DELETE /cohorts/{id}/members/{u}``  200     leave a buffered cohort (re-key)
+``POST /cohorts/{id}/members``        201     a member joins (re-key)
+``DELETE /cohorts/{id}/members/{u}``  200     member ``u`` leaves (re-key)
 ``GET  /cohorts/{id}/traces``         200     recent round-trace summaries
 ``GET  /traces/{trace_id}``           200     one full trace (span tree)
 ``POST /drain``                       200     graceful shutdown, then exit
 ====================================  ======  =================================
+
+Every cohort accepts every cohort route: rounds, submissions and
+membership changes run on the one engine.
 
 Error lanes (JSON bodies shaped ``{"error": {type, message[, field]}}``):
 :class:`SchemaError` and config-build :class:`ReproError` → 400,

@@ -27,8 +27,8 @@ import binascii
 import enum
 from dataclasses import dataclass, fields
 from typing import (
-    Any, Dict, List, Optional, Tuple, Union, get_args, get_origin,
-    get_type_hints,
+    Any, Dict, List, Optional, Sequence, Tuple, Union, get_args,
+    get_origin, get_type_hints,
 )
 
 import numpy as np
@@ -258,6 +258,15 @@ class CohortCreateRequest:
 
     @classmethod
     def from_json(cls, body: Dict[str, Any]) -> "CohortCreateRequest":
+        # ``kind`` named the cohort kind before every cohort took rounds,
+        # submissions and membership changes alike; bodies written then
+        # still create a cohort, and the key goes no further.
+        kind = _typed(body, "kind", str)
+        if kind not in (None, "sync", "buffered"):
+            raise SchemaError(
+                "kind", f"must be 'sync' or 'buffered', got {kind!r}"
+            )
+        body = {k: v for k, v in body.items() if k != "kind"}
         _reject_unknown(body, tuple(_SPEC_HINTS), "cohort spec")
         return cls({
             f.name: _spec_value(body, f.name, f.default)
@@ -271,7 +280,7 @@ class CohortCreateRequest:
 
 
 # ----------------------------------------------------------------------
-# POST /cohorts/{id}/updates  (buffered cohorts)
+# POST /cohorts/{id}/updates
 # ----------------------------------------------------------------------
 _SUBMIT_FIELDS = (
     "user_id", "update", "download_round", "dropouts", "encoding",
@@ -431,40 +440,41 @@ class RoundRequest:
             encoding=encoding,
         )
 
-    def materialize(self, spec: CohortSpec, gf):
+    def materialize(
+        self, spec: CohortSpec, gf, members: Optional[Sequence[int]] = None
+    ):
         """Produce ``(updates, dropouts)`` for the cohort's round.
 
-        Decodes explicit vectors (validating user ids, dimension, and
-        field range against the cohort's spec) or draws synthetic inputs
-        exactly like :meth:`AggregationService.run_synthetic` — same rng
-        construction, same draw order — so a synthetic HTTP round is
-        bit-identical to the in-process synthetic path at equal seeds.
+        ``members`` is the cohort's live member list (``0..N-1`` when
+        omitted).  Decodes explicit vectors (validating member ids,
+        dimension, and field range) or draws synthetic inputs with
+        :func:`~repro.service.service.synthetic_round`, the draw
+        :meth:`AggregationService.run_synthetic` makes, so a synthetic
+        HTTP round is bit-identical to the in-process synthetic path at
+        equal seeds.
         """
-        from repro.protocols.base import sample_dropouts
+        from repro.service.service import synthetic_round
 
+        if members is None:
+            members = range(spec.num_users)
+        live = set(members)
         for uid in self.dropouts:
-            if not 0 <= uid < spec.num_users:
+            if uid not in live:
                 raise SchemaError(
-                    "dropouts",
-                    f"user id {uid} outside [0, {spec.num_users})",
+                    "dropouts", f"user id {uid} outside the cohort's members"
                 )
         if self.synthetic is not None:
-            rng = np.random.default_rng(self.synthetic.seed)
-            updates = {
-                i: gf.random(spec.model_dim, rng)
-                for i in range(spec.num_users)
-            }
-            dropouts = set(self.dropouts) | sample_dropouts(
-                spec.num_users, self.synthetic.dropout_rate, rng
+            updates, dropouts = synthetic_round(
+                members, spec.model_dim, gf, self.synthetic.dropout_rate,
+                np.random.default_rng(self.synthetic.seed),
             )
-            return updates, dropouts
+            return updates, set(self.dropouts) | dropouts
         assert self.updates_b64 is not None
         updates = {}
         for uid in sorted(self.updates_b64):
-            if not 0 <= uid < spec.num_users:
+            if uid not in live:
                 raise SchemaError(
-                    f"updates[{uid}]",
-                    f"user id outside [0, {spec.num_users})",
+                    f"updates[{uid}]", "user id outside the cohort's members"
                 )
             updates[uid] = decode_vector(
                 self.updates_b64[uid], self.encoding, gf.q,

@@ -13,8 +13,8 @@ Two layers, separable for tests:
 * :class:`ControlPlaneServer` — a stdlib
   :class:`~http.server.ThreadingHTTPServer` front end.  One thread per
   request; round submissions to *different* cohorts run concurrently,
-  while two rounds racing the *same* cohort serialize at the cohort's
-  phase machine (the loser gets a 409).  ``POST /drain`` (and SIGTERM,
+  while rounds and drains racing on the *same* cohort serialize on its
+  engine's drain lock.  ``POST /drain`` (and SIGTERM,
   wired in the CLI) runs the drain, answers with the final summary, and
   only then stops the listener — an in-flight round's response is
   delivered before the process exits.
@@ -235,7 +235,9 @@ class ControlPlane:
     ) -> RoundResponse:
         with self._in_flight(cohort_id) as cohort:
             gf = self.service.gf
-            updates, dropouts = request.materialize(cohort.spec, gf)
+            updates, dropouts = request.materialize(
+                cohort.spec, gf, cohort.engine.members()
+            )
             t0 = time.perf_counter()
             result = cohort.run_round(updates, dropouts)
             online = time.perf_counter() - t0
@@ -274,12 +276,12 @@ class ControlPlane:
             return outcome
 
     def join_member(self, cohort_id: int) -> Dict[str, Any]:
-        """Admit one member to a buffered cohort (re-keys shares)."""
+        """Admit one member to a cohort (re-keys shares)."""
         with self._in_flight(cohort_id) as cohort:
             return {**cohort.join_member(), "cohort_id": cohort_id}
 
     def leave_member(self, cohort_id: int, user_id: int) -> Dict[str, Any]:
-        """Retire one member from a buffered cohort (re-keys shares)."""
+        """Retire one member from a cohort (re-keys shares)."""
         with self._in_flight(cohort_id) as cohort:
             return {**cohort.leave_member(user_id), "cohort_id": cohort_id}
 

@@ -11,6 +11,7 @@ a coordinator can poll while background refills drain.
 Phases::
 
     IDLE -> COLLECTING -> AGGREGATING -> IDLE   (per round)
+    IDLE -> AGGREGATING -> IDLE                 (per buffered drain)
     any  -> CLOSED                              (terminal)
 
 ``COLLECTING`` is where a deployment would wait for client uploads; the
@@ -18,6 +19,10 @@ in-process service enters it when the caller hands over the round's
 updates.  ``AGGREGATING`` covers the protocol's online path.  The round
 *stalls* if the session pool is empty at aggregation start — that is the
 event background refill eliminates, and the cohort counts it.
+
+Every cohort runs the one :class:`~repro.service.engines.RoundEngine`:
+it takes synchronous rounds, buffered submissions and join/leave, and
+a round is the engine's seal at unit weight.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from repro.exceptions import ProtocolError
 from repro.obs import Tracer
 from repro.protocols.base import AggregationResult
 from repro.service.config import CohortSpec
-from repro.service.engines import CohortPhase, RoundEngine, SyncRoundEngine
+from repro.service.engines import CohortPhase, RoundEngine
 from repro.service.metrics import ServiceMetrics
 from repro.service.refill import BackgroundRefiller
 from repro.service.sharding import ShardedSession
@@ -62,14 +67,6 @@ class Cohort:
         Optional :class:`~repro.obs.Tracer`; every round then records a
         :class:`~repro.obs.RoundTrace` spanning the whole phase machine,
         with the transports contributing scatter/compute/gather spans.
-    engine:
-        Optional :class:`~repro.service.engines.RoundEngine` strategy
-        deciding *how* rounds happen.  Defaults to
-        :class:`~repro.service.engines.SyncRoundEngine` (the original
-        synchronous machine, bit-for-bit); a
-        :class:`~repro.service.engines.BufferedAsyncRoundEngine` turns
-        the cohort into the buffered-async workload (clients submit
-        asynchronously, drains fire when the buffer fills).
     """
 
     def __init__(
@@ -80,7 +77,6 @@ class Cohort:
         metrics: Optional[ServiceMetrics] = None,
         refiller: Optional[BackgroundRefiller] = None,
         tracer: Optional[Tracer] = None,
-        engine: Optional[RoundEngine] = None,
     ):
         self.cohort_id = int(cohort_id)
         self.spec = spec
@@ -92,13 +88,7 @@ class Cohort:
         self.rounds = 0
         self.stalls = 0
         self._phase_lock = threading.Lock()
-        self.engine = engine if engine is not None else SyncRoundEngine()
-        self.engine.bind(self)
-
-    @property
-    def kind(self) -> str:
-        """The cohort's workload kind (``sync`` / ``buffered``)."""
-        return self.engine.kind
+        self.engine = RoundEngine(self)
 
     @property
     def transport(self) -> ShardTransport:
@@ -118,10 +108,6 @@ class Cohort:
                 f"{expected.value})"
             )
         self.phase = to
-
-    def _transition(self, expected: CohortPhase, to: CohortPhase) -> None:
-        with self._phase_lock:
-            self._move(expected, to)
 
     def _advance(self, expected: CohortPhase, to: CohortPhase) -> None:
         """Mid-round transition that tolerates a concurrent close().
@@ -150,24 +136,11 @@ class Cohort:
         returning to IDLE.  Rounds *started* after close fail immediately
         with a closed-cohort error.
 
-        The synchronous machine itself lives in
-        :class:`~repro.service.engines.SyncRoundEngine`; non-sync
-        engines reject this entry point (their rounds are driven by
-        :meth:`submit_update`).
+        The seal itself lives in
+        :meth:`~repro.service.engines.RoundEngine.run_round`: updates
+        and dropouts are keyed by member id, and so are the survivors.
         """
         return self.engine.run_round(updates, dropouts)
-
-    # ------------------------------------------------------------------
-    # buffered-async entry points (engine-gated)
-    # ------------------------------------------------------------------
-    def _buffered_engine(self):
-        if self.kind != "buffered":
-            raise ProtocolError(
-                f"cohort {self.cohort_id} is a {self.kind} cohort; "
-                "asynchronous submissions and elastic membership need "
-                "kind='buffered'"
-            )
-        return self.engine
 
     def submit_update(
         self,
@@ -176,20 +149,20 @@ class Cohort:
         download_round: Optional[int] = None,
         dropouts: Optional[Set[int]] = None,
     ) -> Dict:
-        """Buffer one client update (buffered cohorts only); the sealing
-        submission drains the buffer and returns the aggregate."""
-        return self._buffered_engine().submit(
+        """Buffer one client update; the sealing submission drains the
+        buffer and returns the aggregate."""
+        return self.engine.submit(
             user_id, update, download_round=download_round,
             dropouts=dropouts,
         )
 
     def join_member(self) -> Dict:
-        """Admit one member at runtime (buffered cohorts only)."""
-        return self._buffered_engine().join()
+        """Admit one member at runtime (re-keys the mask shares)."""
+        return self.engine.join()
 
     def leave_member(self, user_id: int) -> Dict:
-        """Retire one member at runtime (buffered cohorts only)."""
-        return self._buffered_engine().leave(user_id)
+        """Retire one member at runtime (re-keys the mask shares)."""
+        return self.engine.leave(user_id)
 
     def _complete_round(self, stalled: bool) -> None:
         """Commit the round counters and the AGGREGATING -> IDLE advance
@@ -236,9 +209,8 @@ class Cohort:
             "pool_level": self.session.pool_level,
             "pool_size": self.session.pool_size,
         }
-        # The sync engine contributes nothing, keeping pre-engine status
-        # snapshots byte-identical; the buffered engine adds its kind,
-        # buffer occupancy, and membership view.
+        # The engine adds its seal lifecycle, buffer occupancy, server
+        # round and membership view.
         out.update(self.engine.status_fields())
         return out
 

@@ -111,22 +111,11 @@ def _validate_cohort_fields(cfg) -> None:
         raise ReproError(
             f"low_water must be in [0, pool_size), got {cfg.low_water}"
         )
-    if cfg.kind not in ("sync", "buffered"):
+    if not 1 <= cfg.buffer_capacity <= cfg.num_users:
         raise ReproError(
-            f"unknown cohort kind {cfg.kind!r}; expected 'sync' or "
-            "'buffered'"
+            f"buffer_size must be in [1, num_users={cfg.num_users}], "
+            f"got {cfg.buffer_size}"
         )
-    if cfg.kind == "buffered":
-        buffer_size = (
-            cfg.num_users if cfg.buffer_size is None else cfg.buffer_size
-        )
-        if not 1 <= buffer_size <= cfg.num_users:
-            raise ReproError(
-                f"buffer_size must be in [1, num_users={cfg.num_users}], "
-                f"got {cfg.buffer_size}"
-            )
-    elif cfg.buffer_size is not None:
-        raise ReproError("buffer_size only applies to buffered cohorts")
     if cfg.staleness_fn not in ("constant", "polynomial", "hinge"):
         raise ReproError(
             f"unknown staleness_fn {cfg.staleness_fn!r}; expected "
@@ -247,10 +236,11 @@ class CohortSpec:
         assigns id ``c`` derives its stream from ``(seed, c, s)``, so a
         cohort created at runtime with the same seed and the same
         assigned id is bit-identical to its statically-configured twin.
-    kind / buffer_size / staleness_* / quant_*:
-        Buffered-async workload knobs (``kind="buffered"`` only).  The
-        buffer seals and drains at ``buffer_size`` submissions (defaults
-        to ``num_users``); ``staleness_*`` select and parameterize the
+    buffer_size / staleness_* / quant_*:
+        Buffered-async knobs; every cohort takes submissions as well as
+        rounds.  The buffer seals and drains at ``buffer_size``
+        submissions (defaults to ``num_users``, and no member may leave
+        below it); ``staleness_*`` select and parameterize the
         per-delivery weighting s(tau); ``quant_*`` shape the real->field
         embedding of submitted updates.
     """
@@ -267,7 +257,6 @@ class CohortSpec:
     num_workers: Optional[int] = None
     connect: Optional[Tuple[str, ...]] = None
     seed: int = 0
-    kind: str = "sync"
     buffer_size: Optional[int] = None
     staleness_fn: str = "constant"
     staleness_alpha: float = 1.0
@@ -283,6 +272,12 @@ class CohortSpec:
         # misconfigured deployment fails before any process or pool is
         # created.
         _validate_cohort_fields(self)
+
+    @property
+    def buffer_capacity(self) -> int:
+        """Submissions that seal the buffer: ``buffer_size`` if set,
+        else ``num_users``."""
+        return self.num_users if self.buffer_size is None else self.buffer_size
 
     def describe(self) -> dict:
         """JSON-serializable spec summary for status endpoints: every

@@ -1,35 +1,38 @@
-"""Per-kind round engines behind the protocol-agnostic cohort shell.
+"""The one round engine behind the protocol-agnostic cohort shell.
 
 A :class:`~repro.service.cohort.Cohort` owns identity, the coarse phase
 machine (IDLE / COLLECTING / AGGREGATING / CLOSED), counters, and the
-wiring to metrics / refiller / tracer.  *How* a round happens is the
-engine's business:
+wiring to metrics / refiller / tracer.  *How* a batch is sealed and
+aggregated is the business of :class:`RoundEngine`, and every cohort
+runs the same one.  A batch seals two ways:
 
-* :class:`SyncRoundEngine` — today's synchronous machine, bit-for-bit:
-  the caller hands over a full round of updates and blocks through
-  COLLECTING -> AGGREGATING.
-* :class:`BufferedAsyncRoundEngine` — the paper's buffered-async
-  workload (Appendix F): clients submit updates whenever they finish
+* :meth:`RoundEngine.submit` — the paper's buffered-async workload
+  (Appendix F): clients submit real-valued updates whenever they finish
   local training, the buffer fills asynchronously, and the K-th arrival
-  seals the batch and drains it through the session's pooled secure
-  path.  Drains are bit-identical to
+  seals the batch and drains it at its staleness weights.  Drains are
+  bit-identical to
   :meth:`~repro.asyncfl.secure_aggregator.AsyncSecureAggregator.aggregate`
   with the same drain stream, because
   :func:`~repro.asyncfl.secure_aggregator.prepare_deliveries` makes all
   value-affecting rng draws and masks cancel exactly.
+* :meth:`RoundEngine.run_round` — the synchronous round: the caller
+  hands over one field-word row per member and the engine seals them at
+  unit weight and zero staleness, the session's 0/1 drain.
 
-The buffered engine keeps its own fine-grained round lifecycle
-(FILLING -> SEALED -> AGGREGATING -> IDLE) as timestamped
-:class:`PhaseTransition` records, nested inside the cohort's coarse
-machine so existing status consumers keep working unchanged.
+Both seals take the same drain lock, run inside the same round bracket,
+read the same member set and member->slot map, and advance the one
+server round, so staleness keeps counting model versions whichever way
+the model moved.  The seal lifecycle (IDLE -> FILLING -> SEALED ->
+AGGREGATING -> IDLE) is kept as timestamped :class:`PhaseTransition`
+records, nested inside the cohort's coarse machine.
 
-Elastic membership: :meth:`BufferedAsyncRoundEngine.join` /
-:meth:`~BufferedAsyncRoundEngine.leave` re-key the session's mask
-geometry for the new member set between drains.  The pool entries
-encoded for the old geometry are invalidated by
+Elastic membership: :meth:`RoundEngine.join` /
+:meth:`~RoundEngine.leave` re-key the session's mask geometry for the
+new member set between seals.  The pool entries encoded for the old
+geometry are invalidated by
 :meth:`~repro.protocols.lightsecagg.session.LightSecAggSession.rekey`
 and re-encoded *warm* by the background refiller (the engine nudges
-it), so the next drain stalls at most once instead of cold-starting the
+it), so the next seal stalls at most once instead of cold-starting the
 whole pool on the online path.
 """
 
@@ -54,11 +57,10 @@ from repro.asyncfl.staleness import (
     polynomial_staleness,
 )
 from repro.exceptions import ParameterError, ProtocolError
-from repro.field.arithmetic import FiniteField
 from repro.obs import Span, span
+from repro.protocols.base import AggregationResult
 from repro.protocols.lightsecagg.params import LSAParams
 from repro.quantization import ModelQuantizer, QuantizationConfig
-from repro.service.config import CohortSpec
 
 #: Stream-id constant separating drain rngs from every other derived
 #: stream in the repo (shard streams use (seed, cohort, shard)).
@@ -67,7 +69,7 @@ DRAIN_STREAM = 0x44524E53  # "DRNS"
 #: Staleness weighting functions selectable from config by name.
 STALENESS_FNS = ("constant", "polynomial", "hinge")
 
-#: :class:`PhaseTransition` records a buffered engine retains (a ring).
+#: :class:`PhaseTransition` records an engine retains (a ring).
 TRANSITION_HISTORY = 64
 
 
@@ -75,6 +77,9 @@ def drain_stream(
     seed: int, cohort_id: int, drain_index: int
 ) -> np.random.Generator:
     """The deterministic rng stream for one buffered drain.
+
+    ``drain_index`` is the server round the drain seals at: every round
+    and every drain of the cohort advances it by one.
 
     Exported so oracle tests (and the paper's reference
     :class:`~repro.asyncfl.secure_aggregator.AsyncSecureAggregator`) can
@@ -104,7 +109,8 @@ def build_staleness(
 
 class CohortPhase(enum.Enum):
     """Coarse per-cohort phase machine (see :mod:`repro.service.cohort`,
-    which owns it; declared here so engines import it at module level)."""
+    which owns it; declared here so the engine imports it at module
+    level)."""
 
     IDLE = "idle"
     COLLECTING = "collecting"
@@ -113,7 +119,7 @@ class CohortPhase(enum.Enum):
 
 
 class RoundPhase(enum.Enum):
-    """Fine-grained lifecycle of the buffered engine's current batch."""
+    """Fine-grained lifecycle of the engine's current batch."""
 
     IDLE = "idle"
     FILLING = "filling"
@@ -124,9 +130,9 @@ class RoundPhase(enum.Enum):
 
 @dataclass(frozen=True)
 class PhaseTransition:
-    """One timestamped step of the buffered round lifecycle.
+    """One timestamped step of the seal lifecycle.
 
-    ``round_index`` is the drain index the transition belongs to;
+    ``round_index`` is the server round the transition belongs to;
     ``started_at_time`` is the unix time the phase was entered, matching
     the :class:`~repro.obs.Span` time base so transitions line up with
     round traces.
@@ -137,26 +143,82 @@ class PhaseTransition:
     started_at_time: float = field(default_factory=time.time)
 
 
+
+
 class RoundEngine:
-    """Strategy interface: how one cohort kind runs its rounds."""
+    """Seal-and-aggregate for one cohort: rounds, submissions, members.
 
-    kind: str = "abstract"
+    :meth:`run_round` and :meth:`submit` seal a batch (see the module
+    docstring).  Either seal holds ``_drain_lock`` throughout, runs
+    inside :meth:`_bracket`, maps member ids to session slots in
+    sorted-member order (the identity while the members are ``0..N-1``)
+    and advances the server round by one; its index — a drain's
+    ``drain_index``, the key of its :func:`drain_stream` — is the server
+    round it seals at.  :meth:`join` and :meth:`leave` re-key between
+    seals.
 
-    def __init__(self) -> None:
-        self.cohort = None
+    Lock order is ``_drain_lock`` before ``_lock`` wherever both are
+    held; :meth:`submit` takes only ``_lock`` (and hands a sealed batch
+    to the drain path *after* releasing it), so fills never wait on a
+    seal in flight.
+    """
 
-    def bind(self, cohort) -> None:
-        """Attach the engine to its cohort shell (called by Cohort)."""
+    def __init__(self, cohort) -> None:
+        # ``spec`` was range-checked when it was built (config.py).
+        spec = cohort.spec
         self.cohort = cohort
-
-    def run_round(self, updates, dropouts=None):
-        raise ProtocolError(
-            f"{self.kind} cohorts do not run synchronous rounds"
+        self.spec = spec
+        self.buffer_capacity = spec.buffer_capacity
+        self.staleness = build_staleness(
+            spec.staleness_fn,
+            alpha=spec.staleness_alpha,
+            levels=spec.staleness_levels,
         )
+        self.quantizer = ModelQuantizer(
+            cohort.session.gf,
+            QuantizationConfig(levels=spec.quant_levels, clip=spec.quant_clip),
+        )
+        if spec.quant_clip is not None:
+            # A full buffer of clipped updates, each weighted by at most
+            # the top staleness level, must not wrap the field.
+            self.quantizer.check_budget(
+                self.buffer_capacity * self.staleness.levels, spec.quant_clip
+            )
+        self._members: Set[int] = set(range(spec.num_users))
+        self._next_member_id = spec.num_users
+        self._lock = threading.Lock()
+        self._drain_lock = threading.Lock()
+        self._buffer: UpdateBuffer[np.ndarray] = UpdateBuffer(
+            self.buffer_capacity
+        )
+        self._pending_dropouts: Set[int] = set()
+        self._fill_started_at: Optional[float] = None
+        self._round = 0  # server round t; every seal advances it by one
+        self.drains = 0
+        self.membership_events: Dict[str, int] = {"join": 0, "leave": 0}
+        self.round_phase = RoundPhase.IDLE
+        self.transitions: Deque[PhaseTransition] = deque(
+            maxlen=TRANSITION_HISTORY
+        )
+
+    def _set_phase(self, phase: RoundPhase, round_index: int) -> None:
+        self.round_phase = phase
+        self.transitions.append(
+            PhaseTransition(phase=phase, round_index=round_index)
+        )
+
+    def _settle(self) -> None:
+        """After a seal, aggregated or failed: the batch is gone, and the
+        lifecycle follows whatever the next buffer already holds."""
+        with self._lock:
+            self._set_phase(
+                RoundPhase.FILLING if len(self._buffer) else RoundPhase.IDLE,
+                self._round,
+            )
 
     @contextmanager
     def _bracket(self, round_index: int, **tags):
-        """The round bracket every engine runs its rounds inside.
+        """The bracket every seal runs inside.
 
         Opens the round's trace, then yields ``timed`` — the body calls
         ``timed(session_method, *args)`` exactly once, around the one
@@ -164,7 +226,7 @@ class RoundEngine:
         wall clock around).  When the body returns, the round is
         recorded, the refiller nudged, the cohort's counters and phase
         committed and the trace closed; when it raises, the trace closes
-        with the error and the cohort goes back to IDLE — a failed round
+        with the error and the cohort goes back to IDLE — a failed seal
         (e.g. survivors below U) leaves the cohort ready for the next
         one, matching session semantics.
         """
@@ -212,137 +274,64 @@ class RoundEngine:
                     c.phase = CohortPhase.IDLE
             raise
 
-    def status_fields(self) -> Dict:
-        """Engine-specific additions to :meth:`Cohort.status` (may be
-        empty — the sync engine adds nothing so pre-engine status
-        snapshots stay byte-identical)."""
-        return {}
+    # ------------------------------------------------------------------
+    # the synchronous seal
+    # ------------------------------------------------------------------
+    def run_round(
+        self,
+        updates: Dict[int, np.ndarray],
+        dropouts: Optional[Set[int]] = None,
+    ) -> AggregationResult:
+        """Seal one round: ``updates`` holds one field-word row per
+        member id, ``dropouts`` names the members whose upload is lost.
 
-    def close(self) -> None:
-        pass
-
-
-class SyncRoundEngine(RoundEngine):
-    """The original synchronous round machine: the caller hands over a
-    full round of updates and blocks through COLLECTING -> AGGREGATING
-    on the cohort's own phase state."""
-
-    kind = "sync"
-
-    def run_round(self, updates, dropouts=None):
+        The rows go to the session's 0/1 drain, weighted 1 on the
+        survivors; the survivors come back as member ids.  The cohort
+        walks IDLE -> COLLECTING -> AGGREGATING -> IDLE; a round that
+        finds the cohort closed fails with a closed-cohort error.
+        """
         c = self.cohort
-        dropouts = set(dropouts or set())
-        # Entering the machine happens OUTSIDE the round bracket: a call
-        # rejected here (cohort busy or closed) must not clobber the
-        # phase of a round legitimately in progress.  The entry check and
-        # the transition race a concurrent close(), so the closed-cohort
-        # error is (re)issued whenever CLOSED is what made entry invalid
-        # — never a misleading invalid-transition complaint.
-        try:
-            if c.phase is CohortPhase.CLOSED:
-                raise ProtocolError(
-                    f"cohort {c.cohort_id} is closed; no further rounds"
-                )
-            c._transition(CohortPhase.IDLE, CohortPhase.COLLECTING)
-        except ProtocolError:
-            if c.phase is CohortPhase.CLOSED:
-                raise ProtocolError(
-                    f"cohort {c.cohort_id} is closed; no further rounds"
-                ) from None
-            raise
-        with self._bracket(c.rounds) as (_trace, timed):
-            # COLLECTING: updates are already in hand in-process; a
-            # transport would gather client uploads here.
-            with span("collect", users=str(len(updates))):
-                c._advance(CohortPhase.COLLECTING, CohortPhase.AGGREGATING)
-            return timed(c.session.run_round, updates, dropouts)
-
-
-class BufferedAsyncRoundEngine(RoundEngine):
-    """Buffered asynchronous secure aggregation (paper Appendix F).
-
-    Clients :meth:`submit` real-valued updates tagged with the round at
-    which they downloaded the model; the K-th arrival seals the buffer
-    and drains it through the session's pooled
-    :meth:`~repro.protocols.lightsecagg.session.LightSecAggSession.drain`
-    path, the same session class synchronous cohorts run rounds on.  The
-    drain's staleness weights and stochastic quantization come from the
-    deterministic :func:`drain_stream`, so the aggregate is
-    bit-identical to the reference
-    :class:`~repro.asyncfl.secure_aggregator.AsyncSecureAggregator`
-    fed the same deliveries and stream — on every transport lane.
-
-    Membership is elastic between drains: :meth:`join` admits a new
-    member id, :meth:`leave` retires one; both re-key the session's mask
-    geometry and hand warm re-encoding to the background refiller.
-
-    Lock order is ``_drain_lock`` before ``_lock`` wherever both are
-    held; :meth:`submit` takes only ``_lock`` (and hands a sealed batch
-    to the drain path *after* releasing it), so fills never wait on a
-    drain in flight.
-    """
-
-    kind = "buffered"
-
-    def __init__(self, gf: FiniteField, spec: CohortSpec):
-        super().__init__()
-        # ``spec`` was range-checked when it was built (config.py).
-        self.gf = gf
-        self.spec = spec
-        self.buffer_capacity = (
-            spec.num_users if spec.buffer_size is None else spec.buffer_size
-        )
-        self.staleness = build_staleness(
-            spec.staleness_fn,
-            alpha=spec.staleness_alpha,
-            levels=spec.staleness_levels,
-        )
-        self.quantizer = ModelQuantizer(
-            gf,
-            QuantizationConfig(levels=spec.quant_levels, clip=spec.quant_clip),
-        )
-        if spec.quant_clip is not None:
-            # A full buffer of clipped updates, each weighted by at most
-            # the top staleness level, must not wrap the field.
-            self.quantizer.check_budget(
-                self.buffer_capacity * self.staleness.levels, spec.quant_clip
-            )
-        self.model_dim = spec.model_dim
-        self._members: Set[int] = set(range(spec.num_users))
-        self._next_member_id = spec.num_users
-        self._lock = threading.Lock()
-        self._drain_lock = threading.Lock()
-        self._buffer: UpdateBuffer[np.ndarray] = UpdateBuffer(
-            self.buffer_capacity
-        )
-        self._pending_dropouts: Set[int] = set()
-        self._fill_started_at: Optional[float] = None
-        self._round = 0  # server round t; one drain advances it by one
-        self.drains = 0
-        self.membership_events: Dict[str, int] = {"join": 0, "leave": 0}
-        self.round_phase = RoundPhase.IDLE
-        self.transitions: Deque[PhaseTransition] = deque(
-            maxlen=TRANSITION_HISTORY
-        )
+        with self._drain_lock:
+            with c._phase_lock:
+                if c.phase is CohortPhase.CLOSED:
+                    raise ProtocolError(
+                        f"cohort {c.cohort_id} is closed; no further rounds"
+                    )
+                c._move(CohortPhase.IDLE, CohortPhase.COLLECTING)
+            with self._lock:
+                index = self._round
+                members = sorted(self._members)
+                self._set_phase(RoundPhase.SEALED, index)
+            try:
+                with self._bracket(index) as (_trace, timed):
+                    # COLLECTING: updates are already in hand in-process;
+                    # a transport would gather client uploads here.
+                    with span("collect", users=str(len(updates))):
+                        slot_of = {m: slot for slot, m in enumerate(members)}
+                        dropouts = set(dropouts or ())
+                        unknown = (set(updates) | dropouts) - slot_of.keys()
+                        if unknown:
+                            raise ProtocolError(
+                                f"cohort {c.cohort_id} has no member(s) "
+                                f"{sorted(unknown)}"
+                            )
+                        rows = {slot_of[m]: v for m, v in updates.items()}
+                        lost = {slot_of[m] for m in dropouts}
+                        c._advance(
+                            CohortPhase.COLLECTING, CohortPhase.AGGREGATING
+                        )
+                    with self._lock:
+                        self._set_phase(RoundPhase.AGGREGATING, index)
+                    result = timed(c.session.run_round, rows, lost)
+                    with self._lock:
+                        self._round += 1
+            finally:
+                self._settle()
+        result.survivors = [members[slot] for slot in result.survivors]
+        return result
 
     # ------------------------------------------------------------------
-    def bind(self, cohort) -> None:
-        super().bind(cohort)
-        session = cohort.session
-        if session.num_users != len(self._members):
-            raise ProtocolError(
-                f"engine has {len(self._members)} members but the session "
-                f"was built for {session.num_users} users"
-            )
-
-    def _set_phase(self, phase: RoundPhase, round_index: int) -> None:
-        self.round_phase = phase
-        self.transitions.append(
-            PhaseTransition(phase=phase, round_index=round_index)
-        )
-
-    # ------------------------------------------------------------------
-    # data plane
+    # the buffered seal
     # ------------------------------------------------------------------
     def submit(
         self,
@@ -365,9 +354,9 @@ class BufferedAsyncRoundEngine(RoundEngine):
         """
         c = self.cohort
         update = np.asarray(update, dtype=np.float64)
-        if update.shape != (self.model_dim,):
+        if update.shape != (self.spec.model_dim,):
             raise ProtocolError(
-                f"update shape {update.shape} != ({self.model_dim},)"
+                f"update shape {update.shape} != ({self.spec.model_dim},)"
             )
         with self._lock:
             if c.phase is CohortPhase.CLOSED:
@@ -388,7 +377,7 @@ class BufferedAsyncRoundEngine(RoundEngine):
             if len(self._buffer) == 0:
                 self._fill_started_at = time.time()
             if self.round_phase is RoundPhase.IDLE:
-                self._set_phase(RoundPhase.FILLING, self.drains)
+                self._set_phase(RoundPhase.FILLING, t)
             self._buffer.push(
                 BufferedUpdate(int(user_id), dl, update)
             )
@@ -412,7 +401,7 @@ class BufferedAsyncRoundEngine(RoundEngine):
             fill_started = self._fill_started_at
             self._fill_started_at = None
             sealed_at = time.time()
-            self._set_phase(RoundPhase.SEALED, self.drains)
+            self._set_phase(RoundPhase.SEALED, t)
         # The K-th submitter carries the drain; later submitters are
         # already filling the next buffer under _lock.
         return self._drain(items, recovery_dropouts, fill_started, sealed_at)
@@ -427,10 +416,9 @@ class BufferedAsyncRoundEngine(RoundEngine):
         c = self.cohort
         with self._drain_lock:
             with self._lock:
-                drain_index = self.drains
-                members = sorted(self._members)
                 t = self._round
-            rng = drain_stream(self.spec.seed, c.cohort_id, drain_index)
+                members = sorted(self._members)
+            rng = drain_stream(self.spec.seed, c.cohort_id, t)
             deliveries = [
                 AsyncDelivery(
                     user_id=item.user_id,
@@ -440,9 +428,7 @@ class BufferedAsyncRoundEngine(RoundEngine):
                 for item in items
             ]
             try:
-                with self._bracket(drain_index, kind="buffered") as (
-                    trace, timed,
-                ):
+                with self._bracket(t, kind="buffered") as (trace, timed):
                     if trace is not None and fill_started is not None:
                         # The fill predates the trace: record it as a
                         # retroactive span so the timeline shows how long
@@ -457,10 +443,10 @@ class BufferedAsyncRoundEngine(RoundEngine):
                         )
                     c._advance(CohortPhase.IDLE, CohortPhase.AGGREGATING)
                     with self._lock:
-                        self._set_phase(RoundPhase.AGGREGATING, drain_index)
+                        self._set_phase(RoundPhase.AGGREGATING, t)
                     prepared = prepare_deliveries(
                         deliveries,
-                        self.model_dim,
+                        self.spec.model_dim,
                         self.quantizer,
                         self.staleness,
                         rng,
@@ -475,6 +461,8 @@ class BufferedAsyncRoundEngine(RoundEngine):
                         [p.weight for p in live], dtype=np.uint64
                     )
                     updates = np.stack([p.quantized for p in live])
+                    # A member that left since the client observed it is
+                    # no longer in recovery: its id has no slot.
                     slot_of = {
                         member: i for i, member in enumerate(members)
                     }
@@ -496,26 +484,17 @@ class BufferedAsyncRoundEngine(RoundEngine):
                     with self._lock:
                         self._round += 1
                         self.drains += 1
-                        new_round = self._round
                     if c.metrics is not None:
                         c.metrics.record_drain(
                             c.cohort_id,
                             [d.staleness for d in deliveries],
                         )
             finally:
-                # Drained or failed, the batch is gone: the lifecycle
-                # follows whatever the next buffer already holds.
-                with self._lock:
-                    self._set_phase(
-                        RoundPhase.FILLING
-                        if len(self._buffer)
-                        else RoundPhase.IDLE,
-                        self.drains,
-                    )
+                self._settle()
             return {
                 "drained": True,
-                "drain_index": drain_index,
-                "round": new_round,
+                "drain_index": t,
+                "round": t + 1,
                 "num_updates": len(items),
                 "total_weight": int(total_weight),
                 "weights": [int(p.weight) for p in prepared],
@@ -549,7 +528,7 @@ class BufferedAsyncRoundEngine(RoundEngine):
 
     def _rekey(self, user_id: Optional[int]) -> Dict:
         """The one membership change: validate the new member set, re-key
-        the session for it between drains, commit, then tell the metrics
+        the session for it between seals, commit, then tell the metrics
         and the refiller.  ``user_id`` names the member leaving; None is
         a join (the engine allocates the id)."""
         c = self.cohort
@@ -605,9 +584,9 @@ class BufferedAsyncRoundEngine(RoundEngine):
 
     # ------------------------------------------------------------------
     def status_fields(self) -> Dict:
+        """The engine's half of :meth:`Cohort.status`."""
         with self._lock:
             return {
-                "kind": self.kind,
                 "round_phase": self.round_phase.value,
                 "buffer_fill": len(self._buffer),
                 "buffer_capacity": self.buffer_capacity,
@@ -624,4 +603,4 @@ class BufferedAsyncRoundEngine(RoundEngine):
 
     def close(self) -> None:
         with self._lock:
-            self._set_phase(RoundPhase.CLOSED, self.drains)
+            self._set_phase(RoundPhase.CLOSED, self._round)

@@ -36,7 +36,7 @@ def _latency_histogram() -> List[int]:
 
 
 #: Upper bucket bounds (rounds) of the per-drain staleness histogram in
-#: buffered-async cohorts: tau = seal round - download round.  Most
+#: buffered-async drains: tau = seal round - download round.  Most
 #: deliveries in the paper's regime are fresh (tau <= 2); the tail
 #: buckets catch stragglers several drains behind.  Implicit final
 #: bucket is +Inf.
@@ -118,9 +118,9 @@ class CohortMetrics:
     # Per-bucket observation counts aligned with LATENCY_BUCKETS_S (last
     # slot is the +Inf overflow); non-cumulative, cumulated at render.
     latency_buckets: List[int] = field(default_factory=_latency_histogram)
-    # --- buffered-async cohorts only (all zero on sync cohorts, and
-    # their Prometheus samples are suppressed so sync scrapes stay
-    # byte-compatible modulo the new header lines). ---
+    # --- recorded by submissions, drains and membership changes only
+    # (all zero on a cohort that only ran rounds, whose Prometheus
+    # samples are then suppressed). ---
     # Current buffer occupancy / capacity (gauges, updated per submit).
     buffer_fill: int = 0
     buffer_capacity: int = 0

@@ -23,7 +23,7 @@ this down against the one-shot oracle).
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -32,12 +32,28 @@ from repro.field.arithmetic import FiniteField
 from repro.protocols.base import AggregationResult, sample_dropouts
 from repro.obs import RoundTrace, Tracer
 from repro.service.cohort import Cohort, CohortPhase
-from repro.service.engines import BufferedAsyncRoundEngine
 from repro.service.config import CohortSpec, RefillMode, ServiceConfig
 from repro.service.metrics import ServiceMetrics
 from repro.service.refill import BackgroundRefiller
 from repro.service.sharding import ShardedSession, ShardPlan
 from repro.service.transport import ShardSessionSpec, build_transport
+
+
+def synthetic_round(
+    members: Sequence[int],
+    model_dim: int,
+    gf: FiniteField,
+    dropout_rate: float,
+    rng: np.random.Generator,
+) -> Tuple[Dict[int, np.ndarray], Set[int]]:
+    """Random round inputs for ``members``: one field vector per member
+    in sorted order, then ``floor(dropout_rate * len(members))`` of them
+    dropped — for members ``0..N-1``, the stream a cohort nobody joined
+    or left has always drawn."""
+    members = sorted(members)
+    updates = {m: gf.random(model_dim, rng) for m in members}
+    dropped = sample_dropouts(len(members), dropout_rate, rng)
+    return updates, {members[i] for i in dropped}
 
 
 class AggregationService:
@@ -123,12 +139,6 @@ class AggregationService:
         """One live cohort: a :class:`ShardedSession` over the spec's
         transport, watched by the refiller, pools warm if the service
         has started.  A failure at any step leaves nothing behind."""
-        # The engine first: building it is pure, and its quantization
-        # budget is the last check that can reject the spec — before any
-        # worker or pinned slot exists.
-        engine = None
-        if spec.kind == "buffered":
-            engine = BufferedAsyncRoundEngine(self.gf, spec)
         plan = ShardPlan(spec.model_dim, spec.num_shards)
         transport = build_transport(
             spec.transport.value,
@@ -160,7 +170,6 @@ class AggregationService:
                 metrics=self.metrics,
                 refiller=self.refiller,
                 tracer=self.tracer,
-                engine=engine,
             )
             if self._started:
                 session.refill()
@@ -284,7 +293,7 @@ class AggregationService:
         download_round: Optional[int] = None,
         dropouts: Optional[Set[int]] = None,
     ) -> Dict:
-        """Buffer one client update into a buffered cohort; the sealing
+        """Buffer one client update into a cohort; the sealing
         submission drains the buffer and returns the aggregate."""
         return self._cohort(cohort_id).submit_update(
             user_id, update, download_round=download_round,
@@ -299,14 +308,14 @@ class AggregationService:
         settle: bool = False,
     ) -> List[Dict[int, AggregationResult]]:
         """Round-robin sweeps with random field-vector updates: one
-        round per sweep for every live sync cohort, results by cohort id.
+        round per sweep for every open cohort, results by cohort id.
 
-        Buffered cohorts are skipped (they drain on their K-th
-        submission, not on sweeps).  Each sweep runs over a point-in-time
-        copy of the registry, so a cohort closed or removed while a sweep
-        is in flight is skipped — through its own closed-cohort entry
-        check — and its neighbours' rounds are unaffected; every other
-        error propagates unchanged.
+        Inputs come from :func:`synthetic_round` over the cohort's live
+        members.  Each sweep runs over a point-in-time copy of the
+        registry, so a cohort closed or removed while a sweep is in
+        flight is skipped — through its own closed-cohort entry check —
+        and its neighbours' rounds are unaffected; every other error
+        propagates unchanged.
 
         ``settle=True`` waits (up to :attr:`SETTLE_TIMEOUT_S`) for the
         background refiller to top every pool back up between sweeps —
@@ -322,14 +331,12 @@ class AggregationService:
         for _ in range(rounds):
             sweep: Dict[int, AggregationResult] = {}
             for cohort in self.cohorts:
-                if cohort.kind != "sync" or cohort.phase is CohortPhase.CLOSED:
+                if cohort.phase is CohortPhase.CLOSED:
                     continue
-                spec = cohort.spec
-                updates = {
-                    i: self.gf.random(spec.model_dim, rng)
-                    for i in range(spec.num_users)
-                }
-                dropouts = sample_dropouts(spec.num_users, dropout_rate, rng)
+                updates, dropouts = synthetic_round(
+                    cohort.engine.members(), cohort.spec.model_dim,
+                    self.gf, dropout_rate, rng,
+                )
                 try:
                     sweep[cohort.cohort_id] = cohort.run_round(
                         updates, dropouts

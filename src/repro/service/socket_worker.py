@@ -127,7 +127,10 @@ class _Connection:
         ]
 
     def start(self) -> None:
-        for thread in self._threads:
+        # The serving threads first: a Shutdown the receive thread reads
+        # at once joins them, and a thread never started cannot be
+        # joined.
+        for thread in reversed(self._threads):
             thread.start()
 
     def wait(self) -> None:

@@ -124,7 +124,7 @@ def drive_buffered_acceptance(gf, client):
     status, created = client.post("/cohorts", buffered_spec())
     assert status == 201
     cid = created["cohort_id"]
-    assert created["kind"] == "buffered"
+    assert "kind" not in created and "kind" not in created["spec"]
     assert created["buffer_capacity"] == K
 
     rng = np.random.default_rng(3)
@@ -175,7 +175,6 @@ def drive_buffered_acceptance(gf, client):
 
     # the cohort status surfaces the buffered fields over HTTP
     status, body = client.get(f"/cohorts/{cid}")
-    assert body["kind"] == "buffered"
     assert body["buffer_fill"] == 0
     assert body["drains"] == 2
     assert body["members"] == [0, 2, 3, 4, 5, 6]
@@ -227,7 +226,7 @@ class _SpecClient:
 
 
 class TestErrorLanes:
-    def test_submit_to_sync_cohort_409(self, gf):
+    def test_submit_and_join_on_a_cohort_without_kind(self, gf):
         service, control, server = make_daemon(gf)
         try:
             client = Client(server.address)
@@ -238,12 +237,36 @@ class TestErrorLanes:
             status, body = submit(
                 client, made["cohort_id"], 0, np.zeros(DIM)
             )
-            assert status == 409
-            assert body["error"]["type"] == "conflict"
+            assert status == 200, body
+            assert (body["drained"], body["buffer_fill"]) == (False, 1)
             status, body = client.post(
                 f"/cohorts/{made['cohort_id']}/members"
             )
-            assert status == 409
+            assert status == 201 and body["user_id"] == N
+        finally:
+            server.stop()
+            service.stop()
+
+    def test_kind_key_is_accepted_and_dropped_or_a_400(self, gf):
+        """The benchmark's buffered churn workload still posts
+        ``"kind": "buffered"``; any other kind is refused by name."""
+        service, control, server = make_daemon(gf)
+        try:
+            client = Client(server.address)
+            for kind in ("buffered", "sync"):
+                status, made = client.post(
+                    "/cohorts", buffered_spec(kind=kind)
+                )
+                assert status == 201, made
+                assert "kind" not in made and "kind" not in made["spec"]
+            status, body = client.post(
+                "/cohorts", buffered_spec(kind="bogus")
+            )
+            assert status == 400
+            assert body["error"]["type"] == "validation"
+            assert body["error"]["field"] == "kind"
+            assert "bogus" in body["error"]["message"]
+            assert len(service.cohorts) == 2
         finally:
             server.stop()
             service.stop()

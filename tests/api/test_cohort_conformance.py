@@ -6,8 +6,8 @@ else — what ``POST /cohorts`` accepts, what ``describe()`` and
 its dataclass fields.  These tests pin that: a field added to the spec
 must show up everywhere at once, and nowhere else may grow one.
 
-The lifecycle-parity test pins the shared round bracket: a failed sync
-round and a failed buffered drain leave the cohort in the same state.
+The lifecycle-parity test pins the shared round bracket: a failed round
+and a failed buffered drain leave the cohort in the same state.
 """
 
 from dataclasses import fields
@@ -42,7 +42,6 @@ FULL_BODY = {
     "num_workers": None,  # only process/shm take it; see below
     "connect": ["127.0.0.1:7001", "127.0.0.1:7002"],
     "seed": 11,
-    "kind": "buffered",
     "buffer_size": 7,
     "staleness_fn": "polynomial",
     "staleness_alpha": 0.5,
@@ -60,7 +59,7 @@ WRONG_TYPE = {
 
 class TestDeclaredOnce:
     def test_post_cohorts_accepts_exactly_the_spec_fields(self):
-        assert set(FULL_BODY) == SPEC_FIELDS and len(SPEC_FIELDS) == 19
+        assert set(FULL_BODY) == SPEC_FIELDS and len(SPEC_FIELDS) == 18
         for name in SPEC_FIELDS:  # each is accepted on its own...
             CohortCreateRequest.from_json({name: FULL_BODY[name]})
         with pytest.raises(SchemaError, match="unknown field") as exc:
@@ -95,7 +94,7 @@ class TestDeclaredOnce:
             low_water=2, dropout_tolerance=2, privacy=2,
             transport=TransportKind.SOCKET, wire_format=WireFormat.RAW,
             connect=("127.0.0.1:7001", "127.0.0.1:7002"), seed=11,
-            kind="buffered", buffer_size=7, staleness_fn="polynomial",
+            buffer_size=7, staleness_fn="polynomial",
             staleness_alpha=0.5, staleness_levels=32,
             quant_levels=1 << 12, quant_clip=4.0,
         )
@@ -120,7 +119,7 @@ class TestDeclaredOnce:
 
 
 # ----------------------------------------------------------------------
-# one round bracket for both engines
+# one round bracket for both seals
 # ----------------------------------------------------------------------
 N, DIM, K = 6, 24, 4
 
@@ -142,16 +141,14 @@ def run_buffered(cohort, gf, dropouts):
     return out
 
 
-@pytest.mark.parametrize(
-    "kind, drive", [("sync", run_sync), ("buffered", run_buffered)]
-)
-def test_failed_round_leaves_the_cohort_ready(kind, drive):
-    """Below-U survivors: both engines go back to idle, count no round,
-    close their trace with the error, and serve the next round."""
+@pytest.mark.parametrize("drive", [run_sync, run_buffered])
+def test_failed_round_leaves_the_cohort_ready(drive):
+    """Below-U survivors: a round and a drain both go back to idle,
+    count no round, close their trace with the error, and serve the
+    next round."""
     gf = FiniteField()
     config = ServiceConfig(
-        num_users=N, model_dim=DIM, pool_size=3, kind=kind,
-        buffer_size=K if kind == "buffered" else None,
+        num_users=N, model_dim=DIM, pool_size=3, buffer_size=K,
     )
     with AggregationService(config, gf=gf) as svc:
         cohort = svc.cohorts[0]

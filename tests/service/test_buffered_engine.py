@@ -13,8 +13,8 @@ The acceptance criteria pinned here:
 * seal/drain ordering holds under concurrent submitters — every update
   drains exactly once, drain indices are a gapless permutation, and the
   buffer never overfills;
-* the sync path is untouched: a sync cohort's status dict and round
-  behavior are byte-for-byte what they were before the engine split.
+* every cohort is this cohort: one built without buffered knobs takes
+  submissions and membership changes too, and sweeps run rounds on it.
 """
 
 import threading
@@ -38,7 +38,6 @@ from repro.service import (
 )
 from repro.service.engines import (
     RoundPhase,
-    SyncRoundEngine,
     build_staleness,
     drain_stream,
 )
@@ -55,7 +54,7 @@ def buffered_config(**overrides):
     base = dict(
         num_cohorts=1, num_users=N, model_dim=DIM, pool_size=3,
         low_water=1, refill_mode=RefillMode.BACKGROUND,
-        kind="buffered", buffer_size=K, seed=7,
+        buffer_size=K, seed=7,
     )
     base.update(overrides)
     return ServiceConfig(**base)
@@ -211,7 +210,6 @@ class TestLifecycle:
         with AggregationService(buffered_config(), gf=gf) as svc:
             cohort = svc.cohorts[0]
             engine = cohort.engine
-            assert cohort.kind == "buffered"
             assert engine.round_phase is RoundPhase.IDLE
 
             rng = np.random.default_rng(0)
@@ -222,7 +220,6 @@ class TestLifecycle:
                 assert engine.round_phase is RoundPhase.FILLING
 
             status = cohort.status()
-            assert status["kind"] == "buffered"
             assert status["buffer_fill"] == K - 1
             assert status["buffer_capacity"] == K
             assert status["drains"] == 0
@@ -239,15 +236,18 @@ class TestLifecycle:
                 t.started_at_time > 0 for t in engine.transitions
             )
 
-    def test_scheduler_sweep_skips_buffered(self, gf):
+    def test_scheduler_sweep_runs_rounds_on_a_buffered_cohort(self, gf):
         config = buffered_config()
         with AggregationService(config, gf=gf) as svc:
             rng = np.random.default_rng(1)
             report = svc.run_synthetic(rounds=2, dropout_rate=0.0, rng=rng)
-            assert svc.metrics.total_rounds == 0
+            assert svc.metrics.total_rounds == 2
             cohort = svc.cohorts[0]
-            assert cohort.rounds == 0
-            assert report is not None
+            assert cohort.rounds == 2
+            assert [sorted(sweep) for sweep in report] == [[0], [0]]
+            # rounds advance the server round buffered staleness counts
+            status = cohort.status()
+            assert status["server_round"] == 2 and status["drains"] == 0
 
     def test_download_round_validation(self, gf):
         with AggregationService(buffered_config(), gf=gf) as svc:
@@ -262,27 +262,26 @@ class TestLifecycle:
             with pytest.raises(ProtocolError, match="shape"):
                 svc.submit_update(0, 0, np.zeros(DIM + 1))
 
-    def test_sync_cohort_rejects_buffered_surface(self, gf):
+    def test_default_cohort_takes_the_buffered_surface(self, gf):
         config = ServiceConfig(
             num_cohorts=1, num_users=N, model_dim=DIM, pool_size=2,
             low_water=1, refill_mode=RefillMode.BACKGROUND,
         )
         with AggregationService(config, gf=gf) as svc:
             cohort = svc.cohorts[0]
-            assert cohort.kind == "sync"
-            assert isinstance(cohort.engine, SyncRoundEngine)
-            for call in (
-                lambda: cohort.submit_update(0, np.zeros(DIM)),
-                cohort.join_member,
-                lambda: cohort.leave_member(0),
-            ):
-                with pytest.raises(ProtocolError, match="sync"):
-                    call()
-            # the sync status dict is pinned elsewhere to exactly these
-            # keys; the engine split must not have widened it.
+            out = cohort.submit_update(0, np.zeros(DIM))
+            assert out == {
+                "drained": False, "buffer_fill": 1, "buffer_capacity": N,
+                "round": 0,
+            }
+            assert cohort.join_member()["user_id"] == N
+            assert cohort.leave_member(0)["num_users"] == N
+            # every cohort's status carries the engine's fields
             assert set(cohort.status()) == {
                 "cohort_id", "phase", "rounds", "stalls",
-                "pool_level", "pool_size",
+                "pool_level", "pool_size", "round_phase", "buffer_fill",
+                "buffer_capacity", "drains", "server_round", "num_users",
+                "members", "membership_events",
             }
 
 
@@ -434,22 +433,19 @@ class TestConfigValidation:
         with pytest.raises(ReproError, match="buffer_size"):
             buffered_config(buffer_size=0)
 
-    def test_sync_rejects_buffered_knobs(self, gf):
-        with pytest.raises(ReproError, match="buffer_size"):
-            ServiceConfig(
-                num_cohorts=1, num_users=N, model_dim=DIM,
-                pool_size=2, buffer_size=3,
-            )
+    def test_buffer_size_defaults_to_num_users(self, gf):
+        spec = ServiceConfig(num_users=N, model_dim=DIM).cohort_spec()
+        assert spec.buffer_size is None and spec.buffer_capacity == N
 
     def test_unknown_staleness_fn(self, gf):
         with pytest.raises(ReproError, match="staleness_fn"):
             buffered_config(staleness_fn="exponential")
 
-    def test_kind_round_trips_through_describe(self, gf):
+    def test_buffered_knobs_round_trip_through_describe(self, gf):
         config = buffered_config(staleness_fn="polynomial")
         spec = config.cohort_spec()
-        assert spec.kind == "buffered" and spec.buffer_size == K
+        assert spec.buffer_size == K
         described = spec.describe()
-        assert described["kind"] == "buffered"
+        assert "kind" not in described
         assert described["buffer_size"] == K
         assert described["staleness_fn"] == "polynomial"

@@ -2,18 +2,19 @@
 
 What the service builds for a :class:`CohortSpec` is always a
 :class:`ShardedSession` over pooled LightSecAgg shards — one shard or
-many, inline or behind any frame lane, sync or buffered — so nothing
-above the session asks what it got.  Pinned here:
+many, inline or behind any frame lane — so nothing above the session
+asks what it got.  Pinned here:
 
-* the shape itself, on every lane × kind × shard count, with integer
+* the shape itself, on every lane × shard count, with integer
   pool fields in ``status()`` and an idempotent, leak-free ``close``;
 * that the coordinator in front of a one-shard inline cohort changes
   nothing observable: a scripted sequence through the cohort is
   bit-identical to the bare session built from the same
   :class:`ShardSessionSpec`;
-* ``run_synthetic``'s sweep over the one registry: closed and buffered
-  cohorts are skipped, and a cohort closed mid-sweep keeps its result
-  without taking the sweep down;
+* ``run_synthetic``'s sweep over the one registry: closed cohorts are
+  skipped, every open one takes a round over its live members, and a
+  cohort closed mid-sweep keeps its result without taking the sweep
+  down;
 * a spec the build rejects *after* its transport exists leaves nothing
   behind (it used to leak the transport's workers).
 """
@@ -91,16 +92,13 @@ def wait_for(predicate, timeout_s=10.0):
 
 
 @pytest.mark.parametrize("shards", [1, 2])
-@pytest.mark.parametrize("kind", ["sync", "buffered"])
 @pytest.mark.parametrize("lane", LANES)
-def test_every_cohort_is_a_sharded_session(gf, worker, lane, kind, shards):
+def test_every_cohort_is_a_sharded_session(gf, worker, lane, shards):
     segments_before = shm_entries()
     config = ServiceConfig(refill_mode=RefillMode.BACKGROUND)
     svc = AggregationService(config, gf=gf, build_cohorts=False).start()
     try:
-        cohort = svc.add_cohort(
-            spec(lane, worker, kind=kind, num_shards=shards)
-        )
+        cohort = svc.add_cohort(spec(lane, worker, num_shards=shards))
         assert type(cohort.session) is ShardedSession
         assert cohort.session.plan.num_shards == shards
         assert cohort.transport is cohort.session.transport
@@ -187,18 +185,27 @@ class TestOneShardInlineIsTheBareSession:
 
 
 class TestSweepsOverTheOneRegistry:
-    def test_closed_and_buffered_cohorts_are_skipped(self, gf, worker):
+    def test_closed_cohorts_are_skipped_and_every_open_one_swept(
+        self, gf, worker
+    ):
         svc = AggregationService(
             ServiceConfig(), gf=gf, build_cohorts=False
         ).start()
         try:
             a = svc.add_cohort(spec("inline", worker))
             closed = svc.add_cohort(spec("inline", worker))
-            buffered = svc.add_cohort(spec("inline", worker, kind="buffered"))
+            churned = svc.add_cohort(spec("inline", worker, buffer_size=4))
             closed.close()
+            churned.join_member()
+            churned.leave_member(0)
             sweeps = svc.run_synthetic(rounds=2)
-            assert [sorted(sweep) for sweep in sweeps] == [[0], [0]]
-            assert (a.rounds, closed.rounds, buffered.rounds) == (2, 0, 0)
+            assert [sorted(sweep) for sweep in sweeps] == [[0, 2], [0, 2]]
+            assert (a.rounds, closed.rounds, churned.rounds) == (2, 0, 2)
+            # the churned cohort's round covers its live members
+            members = list(range(1, N + 1))
+            assert churned.engine.members() == members
+            for sweep in sweeps:
+                assert set(sweep[2].survivors) <= set(members)
             assert [c["cohort_id"] for c in svc.status()["cohorts"]] == [
                 0, 1, 2,
             ]
@@ -246,13 +253,14 @@ class TestSweepsOverTheOneRegistry:
 
 class TestRejectedBuildLeavesNothingBehind:
     """``quant_clip=1e6`` passes the spec's own range checks and is
-    refused by the buffered engine's quantization budget — which used to
-    run after the transport was built and registered."""
+    refused by the engine's quantization budget, which runs after the
+    transport was built and registered: the failed build releases
+    both."""
 
     @staticmethod
     def rejected(lane, worker):
         return spec(
-            lane, worker, kind="buffered", num_shards=2, model_dim=64,
+            lane, worker, num_shards=2, model_dim=64,
             quant_clip=1e6,
         )
 

@@ -225,6 +225,15 @@ class TestCohortStateMachine:
             "stalls": 0,
             "pool_level": 0,
             "pool_size": 2,
+            # the engine's fields, which every cohort now carries
+            "round_phase": "idle",
+            "buffer_fill": 0,
+            "buffer_capacity": N,
+            "drains": 0,
+            "server_round": 0,
+            "num_users": N,
+            "members": list(range(N)),
+            "membership_events": {"join": 0, "leave": 0},
         }
 
 

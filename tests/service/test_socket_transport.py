@@ -43,7 +43,7 @@ from repro.service import (
 )
 from repro.service import socket_transport
 from repro.service.socket_transport import _SocketClient
-from repro.service.socket_worker import parse_address
+from repro.service.socket_worker import _Connection, parse_address
 from repro.wire import (
     FrameAssembler,
     PayloadWriter,
@@ -53,7 +53,9 @@ from repro.wire import (
     ShardRoundRequest,
     ShmArrayRef,
     ShmRegistry,
+    Shutdown,
     decode_message,
+    encode_segments,
     frame_segments,
     recv_frames,
 )
@@ -666,6 +668,54 @@ class TestWorkerHostBoundaries:
         finally:
             transport.close()
             arena.close()
+
+    def test_shutdown_read_before_the_serving_threads_start(
+        self, monkeypatch
+    ):
+        """A Shutdown already waiting when a link starts is acknowledged.
+
+        The receive thread used to start first; a Shutdown it read
+        before the serving threads started made it join a thread never
+        started (``RuntimeError``, about 1 run in 14), and the link died
+        without the ack.  Here a serving thread that would start after a
+        running receive thread is held until that thread has handled the
+        Shutdown, so the old order fails every time, not 1 in 14."""
+        ours, theirs = socket.socketpair()
+        connection = _Connection(theirs, "start-race")
+        handled = threading.Event()
+        drain_queues = connection._drain_queues
+
+        def drain_then_release():
+            try:
+                drain_queues()
+            finally:
+                handled.set()
+
+        monkeypatch.setattr(connection, "_drain_queues", drain_then_release)
+        receiver = connection._threads[0]
+        for thread in connection._threads[1:]:
+            def held_start(start=thread.start):
+                if receiver.is_alive():
+                    assert handled.wait(timeout=30)
+                start()
+
+            thread.start = held_start
+        errors = []
+        monkeypatch.setattr(
+            threading, "excepthook", lambda args: errors.append(args)
+        )
+        ours.sendall(b"".join(encode_segments(Shutdown(), 7)))
+        try:
+            connection.start()
+            ours.settimeout(30)
+            frames = recv_frames(ours, FrameAssembler())
+            connection.wait()
+            [(request_id, message)] = [decode_message(f) for f in frames]
+            assert request_id == 7 and isinstance(message, Shutdown)
+            assert errors == []
+        finally:
+            connection.close()
+            ours.close()
 
 
 class TestOneCopyOfEachFact:

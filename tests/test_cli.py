@@ -77,6 +77,33 @@ class TestService:
         assert snap["metrics"]["total_stalls"] >= 1
         assert snap["refiller"] is None
 
+    def test_service_buffer_suffix_follows_buffered_state(
+        self, capsys, monkeypatch
+    ):
+        """A cohort with a buffered update or a drain behind it shows
+        its buffer and drains; a cohort without either shows neither."""
+        import numpy as np
+
+        from repro.service import AggregationService
+
+        sweep = AggregationService.run_synthetic
+
+        def sweep_then_submit(svc, *args, **kwargs):
+            results = sweep(svc, *args, **kwargs)
+            svc.submit_update(1, 0, np.zeros(svc.config.model_dim))
+            return results
+
+        monkeypatch.setattr(
+            AggregationService, "run_synthetic", sweep_then_submit
+        )
+        assert main(["service", "-n", "8", "-d", "64", "-c", "2",
+                     "-r", "2", "--pool", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        [zero] = [line for line in lines if "cohort 0:" in line]
+        [one] = [line for line in lines if "cohort 1:" in line]
+        assert "buffer" not in zero and "drains" not in zero
+        assert one.endswith("[buffer 1/8, 0 drains]")
+
     def test_service_rejects_bad_geometry(self):
         with pytest.raises(SystemExit):
             main(["service", "--refill", "eager"])
