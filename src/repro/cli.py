@@ -493,18 +493,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--low-water", type=int, default=0)
     p.add_argument("--refill", choices=["sync", "background"], default="sync")
     p.add_argument(
-        "--transport", choices=["inline", "process", "socket", "shm"],
+        "--transport", choices=["inline", "process", "socket"],
         default="inline",
         help="shard execution backend: 'inline' calls the per-shard "
              "sessions in this process (the default); 'process' pins each "
              "shard's session in a long-lived worker process and "
              "scatter/gathers rounds and refills over the binary wire "
-             "format, so shards use multiple cores; 'socket' speaks the "
-             "same frames over TCP to standalone `repro shard-worker` "
-             "hosts named by --connect, with heartbeat supervision and "
-             "reconnect/re-pin; 'shm' is the process backend with vector "
-             "payloads handed over in shared memory (frames carry only "
-             "name+offset references)",
+             "format, so shards use multiple cores, with vector payloads "
+             "handed over in shared memory (frames carry only "
+             "name+offset references; they fall back to the frame where "
+             "/dev/shm is too small); 'socket' speaks the same frames "
+             "over TCP to standalone `repro shard-worker` hosts named by "
+             "--connect, with heartbeat supervision and reconnect/re-pin",
     )
     p.add_argument(
         "--wire-format", choices=["raw", "packed"], default="packed",
@@ -514,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="worker processes per cohort for --transport process/shm "
+        help="worker processes per cohort for --transport process "
              "(default: one per shard; fewer workers host several shards "
              "each)",
     )

@@ -45,24 +45,20 @@ class TransportKind(enum.Enum):
       a ``repro shard-worker`` host spawned as a local child over a
       socketpair and spoken to in :mod:`repro.wire` frames with
       heartbeat supervision; shard rounds scatter/gather across cores
-      and refills overlap across workers.
+      and refills overlap across workers.  Vector payloads stage in a
+      coordinator-owned :class:`~repro.wire.SegmentArena` and cross the
+      socketpair as name+offset references; where ``/dev/shm`` cannot
+      hold the arena, or a drain's rows outgrew it, they ride the frame.
     * ``SOCKET`` — the same frames over TCP to standalone ``repro
       shard-worker`` hosts
       (:class:`~repro.service.socket_transport.SocketTransport`), adding
       reconnect/re-pin; requires ``connect`` addresses.  The multi-host
       deployment backend.
-    * ``SHM`` — the process backend with the shared-memory payload
-      lane (:class:`~repro.service.socket_transport.ShmTransport`):
-      vector payloads stage in a coordinator-owned
-      :class:`~repro.wire.SegmentArena` and cross the socketpair as
-      name+offset references, so element bytes never transit it.
-      Same-host only.
     """
 
     INLINE = "inline"
     PROCESS = "process"
     SOCKET = "socket"
-    SHM = "shm"
 
 
 class WireFormat(enum.Enum):
@@ -155,12 +151,9 @@ def _validate_cohort_fields(cfg) -> None:
             f"wire_format must be a WireFormat, got {cfg.wire_format!r}"
         )
     if cfg.num_workers is not None:
-        if cfg.transport not in (
-            TransportKind.PROCESS, TransportKind.SHM
-        ):
+        if cfg.transport is not TransportKind.PROCESS:
             raise ReproError(
-                "num_workers only applies to the process and shm "
-                "transports"
+                "num_workers only applies to the process transport"
             )
         if cfg.num_workers < 1:
             raise ReproError(
@@ -221,10 +214,9 @@ class CohortSpec:
         diet is on unless a deployment opts out.  ``INLINE`` has no wire
         and ignores it.
     num_workers:
-        Worker processes for the ``PROCESS`` and ``SHM`` transports
-        (per cohort).  Defaults to one worker per shard; fewer workers
-        host multiple shards each.  Meaningless (and rejected) for
-        ``INLINE``.
+        Worker processes for the ``PROCESS`` transport (per cohort).
+        Defaults to one worker per shard; fewer workers host multiple
+        shards each.  Rejected for every other transport.
     connect:
         ``host:port`` shard-worker addresses for the ``SOCKET``
         transport; shards are assigned round-robin across them, and all

@@ -180,11 +180,11 @@ class PhaseMetrics:
 class TransportMetrics:
     """Per-backend scatter/gather counters (internal, lock-guarded).
 
-    One entry per transport kind (``inline`` / ``process`` / ``socket``
-    / ``shm``): logical
-    rounds executed through that backend, wall-clock spent in its
-    scatter+gather, wire traffic, and how many *shard*-level stalls its
-    round results reported (a shard whose worker found an empty pool).
+    One entry per transport kind (``inline`` / ``process`` /
+    ``socket``): logical rounds executed through that backend,
+    wall-clock spent in its scatter+gather, wire traffic, and how many
+    *shard*-level stalls its round results reported (a shard whose
+    worker found an empty pool).
     """
 
     rounds: int = 0
@@ -193,10 +193,13 @@ class TransportMetrics:
     bytes_received: int = 0
     shard_stalls: int = 0
     # Vector payload bytes exchanged through shared memory instead of
-    # the pipe/socket (shm payload mode only).  ``bytes_sent`` /
-    # ``bytes_received`` count actual wire frames, so for the shm lane
-    # they stay near zero while this carries the vector volume.
+    # the socket (``process`` only).  ``bytes_sent`` /
+    # ``bytes_received`` count actual wire frames, so while the lane
+    # stages they stay near zero and this carries the vector volume.
     shm_bytes: int = 0
+    # Rounds on a lane that stages whose rows rode the frame instead:
+    # no segment could be reserved, or the rows outgrew their region.
+    shm_fallbacks: int = 0
     # Networked backends only: connections re-established (with session
     # re-pin) after a heartbeat timeout or socket error.
     reconnects: int = 0
@@ -300,6 +303,7 @@ class ServiceMetrics:
         bytes_received: int = 0,
         stalled_shards: int = 0,
         shm_bytes: int = 0,
+        shm_fallbacks: int = 0,
     ) -> None:
         """Record one logical round's scatter/gather through a backend."""
         with self._lock:
@@ -310,6 +314,7 @@ class ServiceMetrics:
             t.bytes_received += bytes_received
             t.shard_stalls += stalled_shards
             t.shm_bytes += shm_bytes
+            t.shm_fallbacks += shm_fallbacks
 
     def record_phase(self, phase: str, seconds: float) -> None:
         """Record one top-level trace span into its phase histogram."""
@@ -464,6 +469,9 @@ class ServiceMetrics:
                 ("repro_transport_shm_bytes_total", "counter",
                  "Vector payload bytes exchanged via shared memory.",
                  each(transports, "transport", "shm_bytes")),
+                ("repro_transport_shm_fallbacks_total", "counter",
+                 "Rounds whose rows rode the frame on a staging lane.",
+                 each(transports, "transport", "shm_fallbacks")),
                 ("repro_transport_shard_stalls_total", "counter",
                  "Shard-level rounds that found an empty worker pool.",
                  each(transports, "transport", "shard_stalls")),

@@ -10,9 +10,9 @@ socket.  Where the hosts run is the only difference between lanes:
 * ``socket`` — standalone ``repro shard-worker`` hosts at TCP
   ``connect`` addresses; the multi-host deployment backend.
 * ``process`` — :class:`ProcessPoolTransport` spawns one host per
-  worker as a child process over a ``socketpair``.
-* ``shm`` — :class:`ShmTransport`, the process lane that additionally
-  stages vector payloads in a coordinator-owned shared-memory segment.
+  worker as a child process over a ``socketpair`` and stages vector
+  payloads in a coordinator-owned shared-memory segment, framing them
+  only where ``/dev/shm`` cannot hold the segment.
 
 Because every host builds sessions from the same
 :class:`~repro.service.transport.ShardSessionSpec` seed paths, rounds
@@ -123,7 +123,7 @@ class _SocketClient:
     and, once broken, reconnects and re-pins on the next request.  Given
     ``sock`` — one end of a socketpair whose other end the spawned worker
     ``process`` serves — it has nothing to redial.  ``shm`` resolves
-    shared-memory references in replies (the shm lane).
+    shared-memory references in replies (the process lane's).
     """
 
     #: Supervision timing, read at use time.  A frozen or dead peer fails
@@ -506,7 +506,7 @@ def _absorb_worker_span(trace, shard_id: int, ws, kind: str) -> None:
     The worker's ``WorkerSpan`` becomes a ``shard_compute[i]`` span tagged
     with the *remote* pid/host (the proof the work ran off-process), with
     its queue dwell as a ``queue_wait`` child leading into compute.
-    Worker and coordinator clocks are the same host clock for process/shm
+    Worker and coordinator clocks are the same host clock for process
     workers and close enough for sockets — good enough for phase bars.
     """
     if trace is None or ws is None:
@@ -670,12 +670,13 @@ class SocketTransport(ShardTransport):
     def _await(self, shard_id: int, request_id: int):
         return self._client_of[shard_id].receive(request_id)
 
-    # -- per-request hooks the shm lane overrides ---------------------------
+    # -- per-request hooks the process lane overrides -----------------------
     def _round_request(self, shard_id, round_id, weights, rows,
-                       dropouts) -> Tuple[ShardRoundRequest, int]:
+                       dropouts) -> Tuple[ShardRoundRequest, Optional[int]]:
         """Build one shard's request, its rows stacked into the frame;
-        returns it with the bytes staged outside the frame (none, unless
-        the lane stages payloads)."""
+        returns it with the bytes staged outside the frame: none on a
+        lane that never stages, ``None`` on one that stages but framed
+        these rows."""
         request = ShardRoundRequest(
             shard_id=shard_id,
             round_id=round_id,
@@ -774,14 +775,16 @@ class SocketTransport(ShardTransport):
         op_id = next(self._round_ids)
         trace = current_trace()
         shm_bytes = 0
+        framed = False
         stalled_shards = 0
 
         def request_for(shard_id):
-            nonlocal shm_bytes
+            nonlocal shm_bytes, framed
             request, staged = self._round_request(
                 shard_id, op_id, weights, per_shard_rows[shard_id], dropouts
             )
-            shm_bytes += staged
+            framed |= staged is None
+            shm_bytes += staged or 0
             if trace is not None:
                 request.trace_id = trace.trace_id
             return request
@@ -811,6 +814,7 @@ class SocketTransport(ShardTransport):
                 bytes_received=bytes_received,
                 stalled_shards=stalled_shards,
                 shm_bytes=shm_bytes,
+                shm_fallbacks=int(framed),
             )
         self._raise(error)
         return results
@@ -895,12 +899,26 @@ class ProcessPoolTransport(SocketTransport):
     on worker ``s % num_workers``, so fewer workers host several shards
     each, whose rounds then serialize on that worker's round thread —
     capacity is traded explicitly, never silently dropped.
+
+    Vector payloads go through a coordinator-owned shared-memory segment
+    (one region pair per shard, sized for the member count at
+    construction) and frames carry only ``(name, offset)`` references,
+    so element bytes never transit the socket.  Regions are reused round
+    over round — safe because at most one round per shard is in flight —
+    and the segment is unlinked in :meth:`close` (with a ``__del__``
+    backstop), so a worker dying mid-round cannot leak ``/dev/shm``
+    entries.  A request rides the frame instead when ``/dev/shm`` could
+    not hold the segment, or when its rows outgrew their region; each
+    such round counts in the lane's ``shm_fallbacks``.
     """
 
     kind = "process"
 
-    #: Resolves shared-memory references in replies (the shm lane's).
-    _resolve_shm = None
+    # None until _connect makes them, so a failed construction's close()
+    # releases only what exists; the arena stays None for good when
+    # /dev/shm cannot hold it.
+    _arena: Optional[SegmentArena] = None
+    _registry: Optional[ShmRegistry] = None
 
     def __init__(
         self,
@@ -921,7 +939,23 @@ class ProcessPoolTransport(SocketTransport):
         )
 
     def _connect(self, connect) -> None:
-        """Spawn one shard-worker host per worker, each over a socketpair."""
+        """Reserve one request/response region pair per shard, then spawn
+        one shard-worker host per worker, each over a socketpair."""
+        # (req_off, resp_off, rows the request region holds)
+        self._regions: List[Tuple[int, int, int]] = []
+        offset = 0
+        for handle in self._handles:
+            rows, width = handle.spec.num_users, handle.spec.shard_dim
+            self._regions.append((offset, offset + rows * width * 8, rows))
+            offset += (rows + 1) * width * 8
+        try:
+            self._arena = SegmentArena(offset)
+        except OSError:
+            resolve = None  # no segment: every request rides the frame
+        else:
+            self._registry = ShmRegistry()
+            self._registry.add_local(self._arena)
+            resolve = self._registry.resolve
         ctx = multiprocessing.get_context()
         for worker in range(self._workers):
             ours, theirs = socket.socketpair()
@@ -939,9 +973,9 @@ class ProcessPoolTransport(SocketTransport):
                 # Closed here before the next fork, so only this child
                 # holds its end and its death reads as EOF on ours.
                 theirs.close()
-            self._clients.append(_SocketClient(
-                sock=ours, process=process, shm=self._resolve_shm
-            ))
+            self._clients.append(
+                _SocketClient(sock=ours, process=process, shm=resolve)
+            )
         self._client_of = [
             self._clients[s % self._workers] for s in range(self.num_shards)
         ]
@@ -952,48 +986,6 @@ class ProcessPoolTransport(SocketTransport):
         # finish before its host exits.
         for client in self._clients:
             client.close()
-
-
-class ShmTransport(ProcessPoolTransport):
-    """The process lane with vector payloads staged in shared memory.
-
-    Payloads go through a coordinator-owned shared-memory segment (one
-    region pair per shard, sized for the member count at construction)
-    and frames carry only ``(name, offset)`` references, so element
-    bytes never transit the socket; a request with more rows than its
-    region holds rides the frame.  Regions are reused round over round —
-    safe because at most one round per shard is in flight — and the
-    segment is unlinked in :meth:`close` (with a ``__del__`` backstop),
-    so a worker dying mid-round cannot leak ``/dev/shm`` entries.
-    """
-
-    kind = "shm"
-
-    # None until _connect makes them, so a failed construction's close()
-    # releases only what exists.
-    _arena: Optional[SegmentArena] = None
-    _registry: Optional[ShmRegistry] = None
-
-    def _connect(self, connect) -> None:
-        """Size one request/response region pair per shard, then spawn."""
-        # (req_off, resp_off, rows the request region holds)
-        self._regions: List[Tuple[int, int, int]] = []
-        offset = 0
-        for spec in (handle.spec for handle in self._handles):
-            req_nbytes = spec.num_users * spec.shard_dim * 8
-            resp_nbytes = spec.shard_dim * 8
-            self._regions.append(
-                (offset, offset + req_nbytes, spec.num_users)
-            )
-            offset += req_nbytes + resp_nbytes
-        self._arena = SegmentArena(offset)
-        self._registry = ShmRegistry()
-        self._registry.add_local(self._arena)
-        self._resolve_shm = self._registry.resolve
-        super()._connect(connect)
-
-    def _shutdown(self) -> None:
-        super()._shutdown()
         # Segment teardown strictly after worker teardown: the workers
         # hold attachments, and unlinking first would turn a late round
         # into a crash instead of a clean shutdown error.
@@ -1005,15 +997,17 @@ class ShmTransport(ProcessPoolTransport):
     # -- payload staging (per-request hooks) -----------------------------
     def _round_request(self, shard_id, round_id, weights, rows, dropouts):
         """Write the shard's update rows into its arena region and frame
-        only the references.  A request with more rows than the region
-        was sized for at construction (a drain after a join grew the
-        member set) rides the frame instead: resizing the arena would
-        leave the replaced segment mapped in the worker."""
+        only the references.  The rows ride the frame instead, staged
+        bytes ``None``, when there is no arena or when they outnumber
+        what the region was sized for at construction (a drain after a
+        join grew the member set): resizing the arena would leave the
+        replaced segment mapped in the worker."""
         req_off, resp_off, capacity = self._regions[shard_id]
-        if len(rows) > capacity:
-            return super()._round_request(
+        if self._arena is None or len(rows) > capacity:
+            request, _ = super()._round_request(
                 shard_id, round_id, weights, rows, dropouts
             )
+            return request, None
         width = self._handles[shard_id].model_dim
         shape = (len(rows), width)
         matrix = self._arena.ndarray(req_off, shape)

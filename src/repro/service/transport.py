@@ -13,9 +13,8 @@ drives every lane:
   supervision.  Hosts at TCP addresses are the multi-host deployment
   backend (``socket``); :class:`~repro.service.socket_transport.ProcessPoolTransport`
   spawns the same host as local child processes over socketpairs
-  (``process``), and its subclass
-  :class:`~repro.service.socket_transport.ShmTransport` adds
-  shared-memory payload staging (``shm``).  Shard
+  (``process``) and stages vector payloads in shared memory, framing
+  them only where ``/dev/shm`` cannot hold its segment.  Shard
   requests are *scattered* to all workers before any result is
   *gathered*, so shard rounds run on separate cores; refills run on a
   dedicated thread inside each host, so pool top-ups overlap both with
@@ -385,10 +384,10 @@ def build_transport(
 
     ``connect`` lists ``host:port`` worker addresses for the ``socket``
     backend (shards round-robin across them); the other backends reject
-    it, like ``num_workers`` outside ``process``/``shm``.
-    ``wire_format="packed"`` bit-packs vector payloads (``inline`` has
-    no wire and ignores it; ``shm`` passes round vectors by reference,
-    which supersedes packing).
+    it, like ``num_workers`` outside ``process``.
+    ``wire_format="packed"`` bit-packs framed vector payloads
+    (``inline`` has no wire and ignores it; ``process`` passes staged
+    round vectors by reference, which supersedes packing).
     """
     lane = parse_enum(TransportKind, kind, "transport")
     if lane is TransportKind.INLINE:
@@ -399,7 +398,6 @@ def build_transport(
     # spec and handle types, so a top-level import would be a cycle.
     from repro.service.socket_transport import (
         ProcessPoolTransport,
-        ShmTransport,
         SocketTransport,
     )
 
@@ -408,8 +406,7 @@ def build_transport(
             specs, connect=connect or (), metrics=metrics,
             cohort_id=cohort_id, wire_format=wire_format,
         )
-    local = ShmTransport if lane is TransportKind.SHM else ProcessPoolTransport
-    return local(
+    return ProcessPoolTransport(
         specs, num_workers=num_workers, metrics=metrics,
         cohort_id=cohort_id, wire_format=wire_format,
     )

@@ -171,7 +171,7 @@ class ShardRoundRequest:
     # reply.
     packed: bool = False
     updates_ref: Optional[ShmArrayRef] = None
-    # Where the worker should place its aggregate (shm lane only); a
+    # Where the worker should place its aggregate (staged requests); a
     # trailing-optional field of the payload.
     result_ref: Optional[ShmArrayRef] = None
     # Round-trace correlation id; trailing-optional and omitted when

@@ -1,7 +1,7 @@
 """Named shared-memory segments for same-host vector payload handoff.
 
-The shm lane of the shard wire: instead of pushing an 8 MB update
-matrix through a pipe byte-by-byte, the coordinator stages it in a
+How the ``process`` lane moves vectors: instead of pushing an 8 MB
+update matrix through a pipe byte-by-byte, the coordinator stages it in a
 :class:`SegmentArena` region and sends a frame carrying only a
 ``(name, offset, dtype, shape)`` reference
 (:class:`~repro.wire.format.ShmArrayRef`).  The worker resolves the
@@ -27,8 +27,8 @@ from __future__ import annotations
 import os
 import secrets
 import threading
-from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, List, Optional
+from multiprocessing import shared_memory
+from typing import Dict, List
 
 import numpy as np
 
@@ -47,20 +47,6 @@ def created_segments() -> List[str]:
     """Names this process created and has not yet unlinked."""
     with _created_lock:
         return sorted(_created)
-
-
-def _untrack(name: str) -> None:
-    """Drop a segment from this process's resource tracker.
-
-    Attaching registers the segment with the tracker as if we owned it
-    (bpo-38119), so a worker exiting would unlink a segment it merely
-    mapped — yanking it out from under the coordinator and every
-    sibling.  Ownership stays with the creator; attachers untrack.
-    """
-    try:
-        resource_tracker.unregister("/" + name, "shared_memory")
-    except Exception:
-        pass
 
 
 def _detach_quietly(shm: shared_memory.SharedMemory) -> None:
@@ -86,21 +72,26 @@ class SegmentArena:
     The arena is a flat byte range; callers carve it into fixed regions
     (one request + one response region per shard, in the transport's
     case), write arrays into :meth:`ndarray` views at chosen offsets,
-    and send a :class:`ShmArrayRef` instead of the bytes.
+    and send a :class:`ShmArrayRef` instead of the bytes.  Every page is
+    reserved at construction, so an arena that exists can be written;
+    one that ``/dev/shm`` cannot hold raises ``OSError`` and leaves no
+    segment behind.
     """
 
-    def __init__(self, size: int, name: Optional[str] = None) -> None:
-        self.name = name or (
-            f"{SEGMENT_PREFIX}{os.getpid():x}-{secrets.token_hex(4)}"
-        )
-        if not self.name.startswith(SEGMENT_PREFIX):
-            raise TransportError(
-                f"shm segment name {self.name!r} outside the "
-                f"{SEGMENT_PREFIX!r} namespace"
-            )
+    def __init__(self, size: int) -> None:
+        self.name = f"{SEGMENT_PREFIX}{os.getpid():x}-{secrets.token_hex(4)}"
         self._shm = shared_memory.SharedMemory(
             name=self.name, create=True, size=max(1, int(size))
         )
+        # tmpfs allocates pages on first touch: reserve them all now, so
+        # a /dev/shm too small for the segment raises OSError here rather
+        # than SIGBUS at the first write to an unbacked page.
+        try:
+            os.posix_fallocate(self._shm._fd, 0, self._shm.size)
+        except OSError:
+            _detach_quietly(self._shm)
+            self._shm.unlink()
+            raise
         with _created_lock:
             _created.add(self.name)
         self._closed = False
@@ -137,13 +128,6 @@ class SegmentArena:
             return
         self._closed = True
         _detach_quietly(self._shm)
-        # A forked worker's attach untracked the name from the *shared*
-        # resource tracker; re-register so unlink's unregister matches
-        # an entry (idempotent when nobody untracked).
-        try:
-            resource_tracker.register("/" + self.name, "shared_memory")
-        except Exception:
-            pass
         try:
             self._shm.unlink()
         except FileNotFoundError:
@@ -198,7 +182,12 @@ class ShmRegistry:
                         f"shm segment {name!r} does not exist (torn down "
                         f"or never created)"
                     ) from None
-                _untrack(name)
+                # Attaching registers the name with the resource tracker
+                # (bpo-38119).  Spawned hosts share the coordinator's
+                # tracker, whose entry for it the creator's unlink
+                # clears.  Never unregister here: the entry is one set
+                # member for every sibling host, so a second unregister
+                # raises KeyError inside the tracker.
                 self._segments[name] = segment
             return segment.buf
 
@@ -225,5 +214,5 @@ class ShmRegistry:
         for segment in segments:
             try:
                 _detach_quietly(segment)
-            except Exception:
+            except OSError:
                 pass

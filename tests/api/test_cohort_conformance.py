@@ -39,7 +39,7 @@ FULL_BODY = {
     "privacy": 2,
     "transport": "socket",
     "wire_format": "raw",
-    "num_workers": None,  # only process/shm take it; see below
+    "num_workers": None,  # only process takes it; see below
     "connect": ["127.0.0.1:7001", "127.0.0.1:7002"],
     "seed": 11,
     "buffer_size": 7,
@@ -105,7 +105,7 @@ class TestDeclaredOnce:
             if getattr(spec, name) == getattr(defaults, name)
         }
         # One field cannot leave its default beside the others
-        # (num_workers needs process/shm); it round-trips on its own.
+        # (num_workers needs process); it round-trips on its own.
         assert same == {"num_workers"}
         other = {"transport": "process", "num_workers": 2}
         described = CohortCreateRequest.from_json(other).to_spec().describe()

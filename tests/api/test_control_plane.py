@@ -262,6 +262,10 @@ class TestLifecycleAndErrors:
             assert status == 400
             assert body["error"]["type"] == "validation"
             assert body["error"]["field"] == "num_users"
+            # ...and for a transport name that is not a lane
+            status, body = client.post("/cohorts", spec_body(transport="shm"))
+            assert status == 400
+            assert body["error"]["field"] == "transport"
             # 400 invalid-spec from the config layer
             status, body = client.post("/cohorts", spec_body(num_users=1))
             assert status == 400

@@ -10,8 +10,10 @@ shard-worker`` processes, driven exactly the way CI and operators do.
 * ``--max-seconds`` bounds the run for CI without any HTTP traffic.
 """
 
+import glob
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -115,6 +117,14 @@ def test_serve_end_to_end(transport, validate_json_schema):
             # inline cohorts run the bare session (no transport wrapper)
             assert 'repro_transport_rounds_total{transport="process"} 2' \
                 in text
+            # ...whose rows were staged in shared memory, never framed
+            [staged] = re.findall(
+                r'^repro_transport_shm_bytes_total\{transport="process"\} '
+                r'(\d+)$', text, re.MULTILINE,
+            )
+            assert int(staged) > 0
+            assert 'repro_transport_shm_fallbacks_total{transport="process"}' \
+                ' 0' in text
         # observability: the rounds left traces, and the served span
         # tree honours the committed schema (the published contract)
         status, listing = call(base, "GET", f"/cohorts/{cid}/traces")
@@ -144,6 +154,8 @@ def test_serve_end_to_end(transport, validate_json_schema):
     out, err = wait_exit(proc)
     final = json.loads(out.strip().splitlines()[-1])
     assert final["event"] == "drained" and final["total_rounds"] == 2
+    # the drained daemon unlinked every segment it created
+    assert glob.glob(f"/dev/shm/repro-shm-{proc.pid:x}-*") == []
 
 
 def test_serve_trace_log_writes_span_events(tmp_path):

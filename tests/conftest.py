@@ -11,6 +11,7 @@ suite-wide with the ``REPRO_TEST_TIMEOUT_S`` environment variable
 (``0`` disables the guard entirely).
 """
 
+import errno
 import os
 import signal
 import threading
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.field import DEFAULT_PRIME, PAPER_PRIME, FiniteField
+from repro.service import socket_transport
 
 DEFAULT_TEST_TIMEOUT_S = float(os.environ.get("REPRO_TEST_TIMEOUT_S", "120"))
 
@@ -71,6 +73,29 @@ def pytest_runtest_call(item):
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_teardown(item):
     yield from _timeout_guard(item, "teardown")
+
+
+def _no_space(size):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.fixture
+def lane_name(monkeypatch):
+    """``lane_name(column)``: the transport to build for a lane column.
+
+    Every column names a transport except ``"framed"``: the ``process``
+    lane with shared-memory arena creation forced to raise
+    ``OSError(ENOSPC)``, as a ``/dev/shm`` too small for the arena
+    does, so every request rides the frame.
+    """
+
+    def resolve(column: str) -> str:
+        if column != "framed":
+            return column
+        monkeypatch.setattr(socket_transport, "SegmentArena", _no_space)
+        return "process"
+
+    return resolve
 
 
 @pytest.fixture

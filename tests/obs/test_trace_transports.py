@@ -2,9 +2,9 @@
 
 The acceptance criteria pinned here:
 
-* every transport lane (inline / process / shm / socket) produces
-  aggregates **bit-identical** to an untraced inline baseline with
-  tracing on — tracing observes rounds, it never perturbs them;
+* every transport lane (inline / process, staged and framed / socket)
+  produces aggregates **bit-identical** to an untraced inline baseline
+  with tracing on — tracing observes rounds, it never perturbs them;
 * a socket round against a shard worker running in a *separate OS
   process* (spawned via ``python -m repro shard-worker``) yields one
   stitched :class:`RoundTrace` whose ``shard_compute[i]`` spans carry
@@ -96,18 +96,14 @@ def server():
     server.stop()
 
 
-LANES = [
-    pytest.param(TransportKind.INLINE, id="inline"),
-    pytest.param(TransportKind.PROCESS, id="process"),
-    pytest.param(TransportKind.SHM, id="shm"),
-    pytest.param(TransportKind.SOCKET, id="socket"),
-]
+LANES = ("inline", "process", "framed", "socket")
 
 
 class TestTracedLanes:
-    @pytest.mark.parametrize("kind", LANES)
+    @pytest.mark.parametrize("lane", LANES)
     def test_lane_bit_identical_and_fully_traced(self, gf_module, baseline,
-                                                 server, kind):
+                                                 server, lane_name, lane):
+        kind = TransportKind(lane_name(lane))
         connect = (server.address,) if kind is TransportKind.SOCKET else None
         outputs, traces = run_lane(gf_module, kind, connect=connect)
         assert outputs == baseline  # tracing never perturbs aggregates

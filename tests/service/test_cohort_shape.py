@@ -47,7 +47,7 @@ from repro.service.api import ControlPlane, ControlPlaneServer
 from repro.wire.shm import SEGMENT_PREFIX
 
 N, DIM = 6, 48
-LANES = ("inline", "process", "shm", "socket")
+LANES = ("inline", "process", "framed", "socket")
 
 
 @pytest.fixture
@@ -93,7 +93,9 @@ def wait_for(predicate, timeout_s=10.0):
 
 @pytest.mark.parametrize("shards", [1, 2])
 @pytest.mark.parametrize("lane", LANES)
-def test_every_cohort_is_a_sharded_session(gf, worker, lane, shards):
+def test_every_cohort_is_a_sharded_session(gf, worker, lane_name, lane,
+                                           shards):
+    lane = lane_name(lane)
     segments_before = shm_entries()
     config = ServiceConfig(refill_mode=RefillMode.BACKGROUND)
     svc = AggregationService(config, gf=gf, build_cohorts=False).start()
@@ -264,13 +266,14 @@ class TestRejectedBuildLeavesNothingBehind:
             quant_clip=1e6,
         )
 
-    @pytest.mark.parametrize("lane", ["process", "shm", "socket"])
+    @pytest.mark.parametrize("lane", ["process", "framed", "socket"])
     @pytest.mark.parametrize(
         "refill_mode", [RefillMode.SYNC, RefillMode.BACKGROUND]
     )
     def test_no_worker_segment_slot_or_watch_entry(
-        self, gf, worker, lane, refill_mode
+        self, gf, worker, lane_name, lane, refill_mode
     ):
+        lane = lane_name(lane)
         segments_before = shm_entries()
         svc = AggregationService(
             ServiceConfig(refill_mode=refill_mode), gf=gf,

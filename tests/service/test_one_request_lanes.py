@@ -1,17 +1,18 @@
 """One shard request on every lane: the coordinator's dtype rule, and
-drains on the shared-memory lane.
+drains on the process lane's shared-memory staging.
 
 Rounds and drains reach the shards as the same weighted aggregate, so
 what the coordinator hands a transport must already be field words:
 ``uint64`` passes untouched, other integer dtypes are reduced into the
 field, and anything else is refused before any shard is contacted.  A
 cast to uint64 would turn -5 into ``2**64 - 5`` and truncate floats —
-pinned here on every lane for both operations.
+pinned here on every lane for both operations; the ``framed`` column
+is the process lane with no shared-memory arena.
 
-The shm lane stages every request whose rows fit the region it sized
-for the member count at construction, drains included, and frames the
-rest: after a join grows the member set, a full-buffer drain rides the
-frame and stays bit-identical to inline.
+The process lane stages every request whose rows fit the region it
+sized for the member count at construction, drains included, and frames
+the rest: after a join grows the member set, a full-buffer drain rides
+the frame, counts as a fallback, and stays bit-identical to inline.
 """
 
 import contextlib
@@ -31,7 +32,7 @@ from repro.service import (
 )
 
 N, DIM, SHARDS = 8, 37, 2
-LANES = ("inline", "process", "socket", "shm")
+LANES = ("inline", "process", "socket", "framed")
 
 
 def make_specs():
@@ -80,10 +81,12 @@ def signed_rows(count, seed):
 
 class TestCoordinatorDtypeRule:
     @pytest.mark.parametrize("lane", LANES)
-    def test_negative_int64_updates_reduce_into_the_field(self, gf, lane):
+    def test_negative_int64_updates_reduce_into_the_field(
+        self, gf, lane_name, lane
+    ):
         rows = signed_rows(N, seed=1)
         weights = [2, 1, 3]
-        with open_session(lane, gf) as session:
+        with open_session(lane_name(lane), gf) as session:
             result = session.run_round(dict(enumerate(rows)), {1})
             unit = [int(i != 1) for i in range(N)]
             assert result.aggregate.tolist() == field_sum(gf, unit, rows)
@@ -93,9 +96,11 @@ class TestCoordinatorDtypeRule:
             )
 
     @pytest.mark.parametrize("lane", LANES)
-    def test_float_updates_are_refused_before_any_shard_runs(self, gf, lane):
+    def test_float_updates_are_refused_before_any_shard_runs(
+        self, gf, lane_name, lane
+    ):
         rows = signed_rows(N, seed=2).astype(np.float64) + 0.5
-        with open_session(lane, gf) as session:
+        with open_session(lane_name(lane), gf) as session:
             with pytest.raises(ProtocolError, match="is not an integer"):
                 session.run_round(dict(enumerate(rows)), set())
             with pytest.raises(ProtocolError, match="is not an integer"):
@@ -107,11 +112,11 @@ class TestCoordinatorDtypeRule:
             assert session.stats.rounds == 0
 
     @pytest.mark.parametrize("lane", LANES)
-    def test_uint64_above_q_matches_inline(self, gf, lane):
+    def test_uint64_above_q_matches_inline(self, gf, lane_name, lane):
         """uint64 is passed through untouched: each shard's session
         reduces the non-canonical words, the same on every lane."""
         rows = np.full((N, DIM), (1 << 64) - 1, dtype=np.uint64)
-        with open_session(lane, gf) as session:
+        with open_session(lane_name(lane), gf) as session:
             result = session.run_round(dict(enumerate(rows)), set())
         assert result.aggregate.tolist() == field_sum(gf, [1] * N, rows)
 
@@ -120,7 +125,7 @@ def shm_segments():
     return glob.glob("/dev/shm/repro-shm-*")
 
 
-class TestShmLaneCarriesDrains:
+class TestProcessLaneCarriesDrains:
     def test_drains_are_staged_then_framed_after_a_join(self, gf):
         rng = np.random.default_rng(3)
         weights = np.arange(1, N + 1, dtype=np.uint64)
@@ -129,25 +134,26 @@ class TestShmLaneCarriesDrains:
         grown_weights = np.arange(2, N + 3, dtype=np.uint64)
         metrics = ServiceMetrics()
         before = set(shm_segments())
-        with open_session("shm", gf, metrics) as shm, \
+        with open_session("process", gf, metrics) as process, \
                 open_session("inline", gf) as inline:
             def lane():
-                return metrics.snapshot()["transports"]["shm"]
+                return metrics.snapshot()["transports"]["process"]
 
-            got = shm.drain(weights, updates, {2})
+            got = process.drain(weights, updates, {2})
             want = inline.drain(weights, updates, {2})
             assert np.array_equal(got.aggregate, want.aggregate)
             assert got.survivors == want.survivors
             staged = lane()["shm_bytes"]
             assert staged >= N * DIM * 8
             assert lane()["bytes_sent"] < N * DIM * 8
+            assert lane()["shm_fallbacks"] == 0
 
             # A join grows the member set past the staged region: the
             # full-buffer drain rides the frame, bit-identically.
-            shm.rekey(N + 1)
+            process.rekey(N + 1)
             inline.rekey(N + 1)
             sent = lane()["bytes_sent"]
-            got = shm.drain(grown_weights, grown, {0})
+            got = process.drain(grown_weights, grown, {0})
             want = inline.drain(grown_weights, grown, {0})
             assert np.array_equal(got.aggregate, want.aggregate)
             assert got.survivors == want.survivors
@@ -156,8 +162,10 @@ class TestShmLaneCarriesDrains:
             )
             assert lane()["shm_bytes"] == staged
             assert lane()["bytes_sent"] - sent >= (N + 1) * DIM * 8
+            assert lane()["shm_fallbacks"] == 1
 
             # Rows that fit the region are staged again.
-            shm.drain(weights[:4], updates[:4], set())
+            process.drain(weights[:4], updates[:4], set())
             assert lane()["shm_bytes"] > staged
+            assert lane()["shm_fallbacks"] == 1
         assert set(shm_segments()) == before

@@ -490,38 +490,39 @@ def _quantized_lane(gf, kind, wire_format, connect=None, rounds=4,
 
 
 LANES = [
-    pytest.param(TransportKind.INLINE, WireFormat.PACKED, id="inline-packed"),
-    pytest.param(TransportKind.PROCESS, WireFormat.RAW, id="process-raw"),
-    pytest.param(TransportKind.PROCESS, WireFormat.PACKED,
-                 id="process-packed"),
-    pytest.param(TransportKind.SOCKET, WireFormat.RAW, id="socket-raw"),
-    pytest.param(TransportKind.SOCKET, WireFormat.PACKED,
-                 id="socket-packed"),
-    pytest.param(TransportKind.SHM, WireFormat.RAW, id="shm"),
+    pytest.param("inline", WireFormat.PACKED, id="inline-packed"),
+    pytest.param("process", WireFormat.RAW, id="process-raw"),
+    pytest.param("process", WireFormat.PACKED, id="process-packed"),
+    pytest.param("socket", WireFormat.RAW, id="socket-raw"),
+    pytest.param("socket", WireFormat.PACKED, id="socket-packed"),
+    pytest.param("framed", WireFormat.PACKED, id="framed-packed"),
 ]
 
 
 class TestQuantizedPackedParity:
     """Tentpole acceptance: real model updates quantized into GF(q)
-    travel every transport lane — raw, bit-packed, or by shm reference —
-    and come back byte-identical to the inline baseline across mixed
-    dropout patterns."""
+    travel every transport lane — raw, bit-packed, or by shared-memory
+    reference — and come back byte-identical to the inline baseline
+    across mixed dropout patterns."""
 
-    @pytest.mark.parametrize("kind,wire_format", LANES)
-    def test_lane_byte_identical_to_inline_raw(self, gf, server, kind,
-                                               wire_format):
+    @pytest.mark.parametrize("lane,wire_format", LANES)
+    def test_lane_byte_identical_to_inline_raw(self, gf, server, lane_name,
+                                               lane, wire_format):
+        kind = TransportKind(lane_name(lane))
         connect = (server.address,) if kind is TransportKind.SOCKET else None
         baseline, _ = _quantized_lane(gf, TransportKind.INLINE,
                                       WireFormat.RAW)
-        lane, snapshot = _quantized_lane(gf, kind, wire_format,
-                                         connect=connect)
-        assert lane == baseline  # real aggregate, field aggregate, survivors
+        got, snapshot = _quantized_lane(gf, kind, wire_format,
+                                        connect=connect)
+        assert got == baseline  # real aggregate, field aggregate, survivors
         stats = snapshot[kind.value]
-        if kind is TransportKind.SHM:
+        if lane == "process":
             # the vector volume rode shared memory, not the pipe
             assert stats["shm_bytes"] > stats["bytes_sent"]
+            assert stats["shm_fallbacks"] == 0
         elif kind is not TransportKind.INLINE:
             assert stats["bytes_sent"] > 0
+            assert stats["shm_bytes"] == 0
 
     def test_packed_lane_sends_fewer_bytes_than_raw(self, gf, server):
         _, raw = _quantized_lane(gf, TransportKind.SOCKET, WireFormat.RAW,

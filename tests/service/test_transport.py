@@ -11,6 +11,7 @@ import contextlib
 import glob
 import multiprocessing
 import os
+import re
 import signal
 import threading
 import time
@@ -309,11 +310,19 @@ class TestTransportConstruction:
         with pytest.raises(ProtocolError, match=">= 1 worker"):
             ProcessPoolTransport(specs, num_workers=0)
 
+    def test_unknown_transport_names_the_lanes(self):
+        _, specs = make_specs(shards=1)
+        with pytest.raises(
+            ProtocolError,
+            match=re.escape("('inline', 'process', 'socket')"),
+        ):
+            build_transport("shm", specs)
+
 
 # ----------------------------------------------------------------------
 # every lane through one function: conformance, validation, worker loss
 # ----------------------------------------------------------------------
-LANES = ("inline", "process", "shm", "socket")
+LANES = ("inline", "process", "framed", "socket")
 REMOTE_LANES = LANES[1:]
 
 
@@ -329,7 +338,7 @@ def open_lane(lane, specs, gf, workers=None):
     try:
         transport = build_transport(
             lane, specs, gf=gf,
-            num_workers=workers if lane in ("process", "shm") else None,
+            num_workers=workers if lane == "process" else None,
             connect=[s.address for s in servers] or None,
         )
         yield transport, servers
@@ -381,9 +390,9 @@ def run_script(lane, gf):
 
 class TestLaneConformance:
     @pytest.mark.parametrize("lane", REMOTE_LANES)
-    def test_scripted_sequence_matches_inline(self, gf, lane):
+    def test_scripted_sequence_matches_inline(self, gf, lane_name, lane):
         want = run_script("inline", gf)
-        got = run_script(lane, gf)
+        got = run_script(lane_name(lane), gf)
         for a, b in zip(got["aggregates"], want["aggregates"]):
             assert np.array_equal(a, b)
         for key in ("survivors", "refilled", "pool_levels", "shard_stats",
@@ -391,9 +400,10 @@ class TestLaneConformance:
             assert got[key] == want[key], key
 
     @pytest.mark.parametrize("lane", LANES)
-    def test_short_update_list_rejected(self, gf, lane):
+    def test_short_update_list_rejected(self, gf, lane_name, lane):
         """A per-shard list shorter than the shard count is a caller bug
         on every lane — never a silently narrower round."""
+        lane = lane_name(lane)
         plan, specs = make_specs(shards=2, protocol="lightsecagg-buffered")
         rng = np.random.default_rng(0)
         updates = {i: gf.random(plan.widths[0], rng) for i in range(N)}
@@ -419,10 +429,11 @@ def leftovers(threads_before):
 
 class TestWorkerLossMidOperation:
     @pytest.mark.parametrize("lane", REMOTE_LANES)
-    def test_killed_last_worker_strands_no_reply(self, gf, lane):
+    def test_killed_last_worker_strands_no_reply(self, gf, lane_name, lane):
         """Kill the worker hosting the LAST shard: the next round and the
         next drain fail typed, nothing the healthy shard answered is left
         in its client's response table, and that shard still serves."""
+        lane = lane_name(lane)
         threads_before = set(threading.enumerate())
         plan, specs = make_specs(shards=2, protocol="lightsecagg-buffered")
         rng = np.random.default_rng(5)
@@ -490,7 +501,7 @@ def wait_until_stopped(pid, timeout_s=10.0):
         time.sleep(0.001)
 
 
-LOCAL_LANES = ("process", "shm")
+LOCAL_LANES = ("process", "framed")
 
 
 class TestLocalWorkerSupervision:
@@ -498,11 +509,12 @@ class TestLocalWorkerSupervision:
     final: there is no address to redial and no heartbeat to wait for."""
 
     @pytest.mark.parametrize("lane", LOCAL_LANES)
-    def test_frozen_worker_fails_the_round_typed(self, gf, lane,
+    def test_frozen_worker_fails_the_round_typed(self, gf, lane_name, lane,
                                                  monkeypatch):
         """SIGSTOP the worker hosting the last shard: the heartbeat turns
         the silence into a TransportError, and close() still reaps the
         frozen child, its threads and the lane's segment."""
+        lane = lane_name(lane)
         monkeypatch.setattr(_SocketClient, "HEARTBEAT_INTERVAL_S", 0.1)
         monkeypatch.setattr(_SocketClient, "HEARTBEAT_TIMEOUT_S", 1.0)
         threads_before = set(threading.enumerate())
@@ -531,9 +543,10 @@ class TestLocalWorkerSupervision:
                 victim.join(timeout=10.0)
 
     @pytest.mark.parametrize("lane", LOCAL_LANES)
-    def test_killed_worker_fails_requests_at_once(self, gf, lane):
+    def test_killed_worker_fails_requests_at_once(self, gf, lane_name, lane):
         """No reconnect is attempted and no heartbeat awaited: every
         request after the kill fails typed, naming the dead worker."""
+        lane = lane_name(lane)
         plan, specs = make_specs(shards=2)
         rng = np.random.default_rng(8)
         updates = {i: gf.random(DIM, rng) for i in range(N)}

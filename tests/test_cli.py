@@ -108,6 +108,10 @@ class TestService:
         with pytest.raises(SystemExit):
             main(["service", "--refill", "eager"])
 
+    def test_service_rejects_a_transport_that_is_not_a_lane(self):
+        with pytest.raises(SystemExit):
+            main(["service", "--transport", "shm"])
+
     def test_service_over_socket_worker(self, capsys):
         """End-to-end over TCP: an in-process worker host serves a
         --transport socket service run."""
