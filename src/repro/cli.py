@@ -153,7 +153,6 @@ def cmd_service(args: argparse.Namespace) -> int:
         RefillMode,
         ServiceConfig,
         TransportKind,
-        WireFormat,
     )
 
     config = ServiceConfig(
@@ -167,7 +166,6 @@ def cmd_service(args: argparse.Namespace) -> int:
         dropout_tolerance=max(1, args.num_users // 8),
         privacy=max(1, args.num_users // 8),
         transport=TransportKind(args.transport),
-        wire_format=WireFormat(args.wire_format),
         num_workers=args.workers,
         connect=(
             tuple(a.strip() for a in args.connect.split(","))
@@ -192,7 +190,7 @@ def cmd_service(args: argparse.Namespace) -> int:
     print(f"service: {args.cohorts} cohorts x N={args.num_users} "
           f"d={args.dim} shards={args.shards} pool={args.pool} "
           f"low_water={args.low_water} refill={args.refill} "
-          f"transport={args.transport} wire_format={args.wire_format}")
+          f"transport={args.transport}")
     print(f"  rounds completed : {metrics['total_rounds']}")
     print(f"  online stalls    : {metrics['total_stalls']}")
     for kind, t in metrics.get("transports", {}).items():
@@ -505,12 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
              "/dev/shm is too small); 'socket' speaks the same frames "
              "over TCP to standalone `repro shard-worker` hosts named by "
              "--connect, with heartbeat supervision and reconnect/re-pin",
-    )
-    p.add_argument(
-        "--wire-format", choices=["raw", "packed"], default="packed",
-        help="vector payload encoding on framed transports: 'packed' "
-             "bit-packs field elements to ceil(log2(q)) bits per element "
-             "(the default); 'raw' sends full little-endian words",
     )
     p.add_argument(
         "--workers", type=int, default=None, metavar="N",

@@ -43,7 +43,6 @@ from repro.service.config import (
     RefillMode,
     ServiceConfig,
     TransportKind,
-    WireFormat,
 )
 from repro.service.cohort import Cohort, CohortPhase
 from repro.service.metrics import CohortMetrics, ServiceMetrics, TransportMetrics
@@ -81,6 +80,5 @@ __all__ = [
     "SocketTransport",
     "TransportKind",
     "TransportMetrics",
-    "WireFormat",
     "build_transport",
 ]

@@ -11,10 +11,11 @@ and are never smuggled to clients as tracebacks.
 Vector payloads cross the API as base64 text in one of two encodings:
 
 * ``u64`` — little-endian 8-byte words, one per field element.
-* ``packed`` — the wire layer's LSB-first bit-packing
-  (:func:`repro.wire.pack_bits`) at ``ceil(log2 q)`` bits per element,
-  the same diet the framed transports speak; for the default field that
-  is 32 bits per element, half the ``u64`` size before base64.
+* ``packed`` — LSB-first bit-packing (:func:`repro.wire.pack_bits`)
+  at ``ceil(log2 q)`` bits per element; for the default field
+  ``q = 2**31 - 1`` that is 31 bits per element, under half the ``u64``
+  size before base64.  The shard wire does not speak it: field words
+  cross the shard hops as 4-byte ``<u4``.
 
 Responses mirror the request's encoding, so a client that uploads
 packed vectors gets its aggregate back packed.

@@ -61,23 +61,6 @@ class TransportKind(enum.Enum):
     SOCKET = "socket"
 
 
-class WireFormat(enum.Enum):
-    """How vector payloads are encoded inside wire frames.
-
-    * ``RAW`` — little-endian element bytes.
-    * ``PACKED`` — sub-word bit-packing
-      (:meth:`~repro.wire.PayloadWriter.put_packed_array`): each element
-      of a bounded uint array travels in ``b < 32`` bits instead of its
-      dtype width.
-
-    Every peer of the same :data:`~repro.wire.WIRE_VERSION` decodes
-    both; a worker answers in the encoding of the request.
-    """
-
-    RAW = "raw"
-    PACKED = "packed"
-
-
 def _validate_cohort_fields(cfg) -> None:
     """Validation for the per-cohort knobs.
 
@@ -146,10 +129,6 @@ def _validate_cohort_fields(cfg) -> None:
         raise ReproError(
             f"transport must be a TransportKind, got {cfg.transport!r}"
         )
-    if not isinstance(cfg.wire_format, WireFormat):
-        raise ReproError(
-            f"wire_format must be a WireFormat, got {cfg.wire_format!r}"
-        )
     if cfg.num_workers is not None:
         if cfg.transport is not TransportKind.PROCESS:
             raise ReproError(
@@ -208,11 +187,6 @@ class CohortSpec:
         with ``N`` like :meth:`LSAParams.paper_defaults`.
     transport:
         Shard execution backend, see :class:`TransportKind`.
-    wire_format:
-        Vector payload encoding on framed transports, see
-        :class:`WireFormat`.  Defaults to ``PACKED`` — the bandwidth
-        diet is on unless a deployment opts out.  ``INLINE`` has no wire
-        and ignores it.
     num_workers:
         Worker processes for the ``PROCESS`` transport (per cohort).
         Defaults to one worker per shard; fewer workers host multiple
@@ -245,7 +219,6 @@ class CohortSpec:
     dropout_tolerance: int = 1
     privacy: int = 1
     transport: TransportKind = TransportKind.INLINE
-    wire_format: WireFormat = WireFormat.PACKED
     num_workers: Optional[int] = None
     connect: Optional[Tuple[str, ...]] = None
     seed: int = 0

@@ -148,7 +148,6 @@ class AggregationService:
             metrics=self.metrics,
             cohort_id=cohort_id,
             connect=spec.connect,
-            wire_format=spec.wire_format.value,
         )
         try:
             session = ShardedSession(plan, transport=transport)

@@ -196,11 +196,13 @@ class ShardedSession:
     def _field_words(self, values, what: str) -> np.ndarray:
         """The coordinator's one dtype rule, applied before any scatter.
 
-        ``uint64`` passes untouched (the hot path gains no pass; each
-        shard's session reduces what is not canonical), other integer
-        dtypes go through ``gf.array``, and anything else is refused: a
-        cast to uint64 would turn -5 into ``2**64 - 5`` and truncate
-        floats, a silently wrong aggregate on the framed lanes.
+        ``uint64`` passes untouched (the inline hot path gains no pass:
+        each shard's session reduces what is not canonical, and the
+        out-of-process coordinator reduces it before narrowing words to
+        the wire's ``<u4``), other integer dtypes go through
+        ``gf.array``, and anything else is refused: a cast to uint64
+        would turn -5 into ``2**64 - 5`` and truncate floats, a silently
+        wrong aggregate on the framed lanes.
         """
         arr = np.asarray(values)
         if arr.dtype == np.uint64:

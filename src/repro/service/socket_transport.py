@@ -65,16 +65,15 @@ import numpy as np
 from repro.exceptions import ProtocolError, TransportError, WireError
 from repro.field.arithmetic import FiniteField
 from repro.obs import Span, current_trace, span
-from repro.protocols.base import AggregationResult, SessionStats
-from repro.service.config import WireFormat
+from repro.protocols.base import SessionStats
 from repro.service.socket_worker import parse_address, serve_local
 from repro.service.transport import (
     ShardHandle,
     ShardSessionSpec,
     ShardTransport,
-    parse_enum,
 )
 from repro.wire import (
+    FIELD_WORD,
     ErrorFrame,
     FrameAssembler,
     Ping,
@@ -556,11 +555,9 @@ class SocketTransport(ShardTransport):
         connect: Sequence[str],
         metrics=None,
         cohort_id: int = 0,
-        wire_format: str = "raw",
     ):
         if not specs:
             raise ProtocolError("transport needs at least one shard spec")
-        self.wire_format = parse_enum(WireFormat, wire_format, "wire format")
         self._metrics = metrics
         self._cohort_id = int(cohort_id)
         self._gf = FiniteField(specs[0].field_modulus)
@@ -670,7 +667,21 @@ class SocketTransport(ShardTransport):
     def _await(self, shard_id: int, request_id: int):
         return self._client_of[shard_id].receive(request_id)
 
-    # -- per-request hooks the process lane overrides -----------------------
+    def _canonical(self, rows):
+        """``rows`` as words below ``q``, before either arm narrows them
+        to the wire word.
+
+        The coordinator's dtype rule passes ``uint64`` untouched, and
+        staging narrows by numpy's unsafe cast, which would keep only a
+        word's low 32 bits: a word at or above ``q`` is reduced here,
+        once, as the shard's session would have reduced it.
+        """
+        q = self._gf.q
+        if all(np.asarray(row).max(initial=0) < q for row in rows):
+            return rows
+        return self._gf.array(rows)
+
+    # -- the per-request hook the process lane overrides --------------------
     def _round_request(self, shard_id, round_id, weights, rows,
                        dropouts) -> Tuple[ShardRoundRequest, Optional[int]]:
         """Build one shard's request, its rows stacked into the frame;
@@ -683,14 +694,8 @@ class SocketTransport(ShardTransport):
             weights=weights,
             updates=np.asarray(rows, dtype=np.uint64),
             dropouts=set(dropouts),
-            packed=self.wire_format is WireFormat.PACKED,
         )
         return request, 0
-
-    def _round_result(self, message) -> Tuple[AggregationResult, int]:
-        """Rebuild one shard's result; returns it with the bytes read
-        from outside the frame."""
-        return message.to_result(), 0
 
     # ------------------------------------------------------------------
     # the scatter-gather, written once
@@ -763,8 +768,7 @@ class SocketTransport(ShardTransport):
         """Scatter one request per shard, then gather every result.
 
         Rounds and drains alike: the request is the weighted aggregate.
-        :meth:`_round_request` and :meth:`_round_result` each return
-        their value plus the payload bytes moved outside frames.
+        Staged payload bytes, both ways, count as ``shm_bytes``.
         """
         if len(per_shard_rows) != self.num_shards:
             raise ProtocolError(
@@ -781,7 +785,8 @@ class SocketTransport(ShardTransport):
         def request_for(shard_id):
             nonlocal shm_bytes, framed
             request, staged = self._round_request(
-                shard_id, op_id, weights, per_shard_rows[shard_id], dropouts
+                shard_id, op_id, weights,
+                self._canonical(per_shard_rows[shard_id]), dropouts,
             )
             framed |= staged is None
             shm_bytes += staged or 0
@@ -795,9 +800,9 @@ class SocketTransport(ShardTransport):
             _absorb_worker_span(
                 trace, shard_id, message.worker_span, self.kind
             )
-            result, read = self._round_result(message)
-            shm_bytes += read
-            return result
+            if message.aggregate_ref is not None:
+                shm_bytes += message.aggregate_ref.nbytes
+            return message.to_result()
 
         with span("shard_scatter", transport=self.kind):
             pending, bytes_sent = self._scatter(request_for)
@@ -926,7 +931,6 @@ class ProcessPoolTransport(SocketTransport):
         num_workers: Optional[int] = None,
         metrics=None,
         cohort_id: int = 0,
-        wire_format: str = "raw",
     ):
         if num_workers is not None and num_workers < 1:
             raise ProtocolError(
@@ -934,8 +938,7 @@ class ProcessPoolTransport(SocketTransport):
             )
         self._workers = min(num_workers or len(specs), len(specs))
         super().__init__(
-            specs, connect=(), metrics=metrics, cohort_id=cohort_id,
-            wire_format=wire_format,
+            specs, connect=(), metrics=metrics, cohort_id=cohort_id
         )
 
     def _connect(self, connect) -> None:
@@ -944,10 +947,11 @@ class ProcessPoolTransport(SocketTransport):
         # (req_off, resp_off, rows the request region holds)
         self._regions: List[Tuple[int, int, int]] = []
         offset = 0
+        word = FIELD_WORD.itemsize
         for handle in self._handles:
             rows, width = handle.spec.num_users, handle.spec.shard_dim
-            self._regions.append((offset, offset + rows * width * 8, rows))
-            offset += (rows + 1) * width * 8
+            self._regions.append((offset, offset + rows * width * word, rows))
+            offset += (rows + 1) * width * word
         try:
             self._arena = SegmentArena(offset)
         except OSError:
@@ -994,7 +998,7 @@ class ProcessPoolTransport(SocketTransport):
         if self._arena is not None:
             self._arena.close()
 
-    # -- payload staging (per-request hooks) -----------------------------
+    # -- payload staging (the per-request hook) --------------------------
     def _round_request(self, shard_id, round_id, weights, rows, dropouts):
         """Write the shard's update rows into its arena region and frame
         only the references.  The rows ride the frame instead, staged
@@ -1010,9 +1014,9 @@ class ProcessPoolTransport(SocketTransport):
             return request, None
         width = self._handles[shard_id].model_dim
         shape = (len(rows), width)
-        matrix = self._arena.ndarray(req_off, shape)
+        matrix = self._arena.ndarray(req_off, shape, FIELD_WORD)
         for b, row in enumerate(rows):
-            matrix[b] = row
+            matrix[b] = row  # below q, so the narrowing cast is exact
         request = ShardRoundRequest(
             shard_id=shard_id,
             round_id=round_id,
@@ -1020,19 +1024,12 @@ class ProcessPoolTransport(SocketTransport):
             updates=matrix,
             dropouts=set(dropouts),
             updates_ref=ShmArrayRef(
-                name=self._arena.name, offset=req_off, shape=shape
+                name=self._arena.name, offset=req_off, shape=shape,
+                dtype=FIELD_WORD.str,
             ),
             result_ref=ShmArrayRef(
-                name=self._arena.name, offset=resp_off, shape=(width,)
+                name=self._arena.name, offset=resp_off, shape=(width,),
+                dtype=FIELD_WORD.str,
             ),
         )
         return request, matrix.nbytes
-
-    def _round_result(self, message):
-        result, _ = super()._round_result(message)
-        if message.aggregate_ref is None:
-            return result, 0
-        # The aggregate aliases this shard's response region, which the
-        # next round will overwrite — detach it.
-        result.aggregate = np.array(result.aggregate)
-        return result, result.aggregate.nbytes

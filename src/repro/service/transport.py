@@ -378,16 +378,12 @@ def build_transport(
     metrics=None,
     cohort_id: int = 0,
     connect: Optional[Sequence[str]] = None,
-    wire_format: str = "raw",
 ) -> ShardTransport:
     """Construct the configured transport backend from shard specs.
 
     ``connect`` lists ``host:port`` worker addresses for the ``socket``
     backend (shards round-robin across them); the other backends reject
     it, like ``num_workers`` outside ``process``.
-    ``wire_format="packed"`` bit-packs framed vector payloads
-    (``inline`` has no wire and ignores it; ``process`` passes staged
-    round vectors by reference, which supersedes packing).
     """
     lane = parse_enum(TransportKind, kind, "transport")
     if lane is TransportKind.INLINE:
@@ -403,10 +399,8 @@ def build_transport(
 
     if lane is TransportKind.SOCKET:
         return SocketTransport(
-            specs, connect=connect or (), metrics=metrics,
-            cohort_id=cohort_id, wire_format=wire_format,
+            specs, connect=connect or (), metrics=metrics, cohort_id=cohort_id
         )
     return ProcessPoolTransport(
-        specs, num_workers=num_workers, metrics=metrics,
-        cohort_id=cohort_id, wire_format=wire_format,
+        specs, num_workers=num_workers, metrics=metrics, cohort_id=cohort_id
     )

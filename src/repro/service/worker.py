@@ -30,6 +30,7 @@ from repro.wire import (
     ShardRoundResult,
     ShmRegistry,
     WorkerSpan,
+    field_words,
 )
 
 HOSTNAME = socket.gethostname()
@@ -51,11 +52,10 @@ def _compute(message, session, enqueued_at, registry) -> ShardRoundResult:
     """Run one shard request through the session's drain and frame the
     outcome; a synchronous round arrives as the 0/1-weight drain.
 
-    Element encodings mirror the coordinator's: a packed request gets a
-    packed result (packed replies only to peers that sent packed
-    requests); a request whose updates arrived by shared-memory reference
-    gets its aggregate placed at the request's ``result_ref`` with only
-    the reference framed back.
+    A request whose updates arrived by shared-memory reference gets its
+    aggregate placed at the request's ``result_ref``, narrowed to the
+    wire's field word like a framed one, with only the reference framed
+    back.
     """
     shard_id = message.shard_id
     state = session.state_snapshot()
@@ -87,7 +87,7 @@ def _compute(message, session, enqueued_at, registry) -> ShardRoundResult:
             raise TransportError("this worker has no shared-memory lane")
         np.copyto(
             registry.ndarray(aggregate_ref),
-            np.asarray(result.aggregate, dtype=np.uint64).reshape(
+            field_words(result.aggregate, "aggregate").reshape(
                 aggregate_ref.shape
             ),
         )
@@ -98,7 +98,6 @@ def _compute(message, session, enqueued_at, registry) -> ShardRoundResult:
         stalled=stalled,
         pool_level=after["pool_level"],
         stats=after["stats"],
-        packed=message.packed,
         aggregate_ref=aggregate_ref,
         worker_span=worker_span,
     )

@@ -10,11 +10,9 @@ for the message set, :mod:`repro.wire.stream` for byte-stream
 reassembly and vectored writes, and :mod:`repro.wire.shm` for the
 same-host shared-memory payload lane.
 
-Two element encodings ride the same frame format: raw little-endian
-bytes, and sub-word *bit-packed* payloads
-(:meth:`~repro.wire.format.PayloadWriter.put_packed_array`); the sender
-picks one per message and the frame says which.  Same-host transports
-can additionally pass vector payloads by shared-memory reference
+Field words cross every shard hop as little-endian ``<u4``
+(:data:`~repro.wire.messages.FIELD_WORD`), framed or staged: same-host
+transports may pass vector payloads by shared-memory reference
 (:class:`~repro.wire.format.ShmArrayRef`) so element bytes never
 transit the socket at all.  Peers must share
 :data:`~repro.wire.format.WIRE_VERSION`; there is nothing else to agree.
@@ -35,6 +33,7 @@ from repro.wire.format import (
     unpack_bits,
 )
 from repro.wire.messages import (
+    FIELD_WORD,
     WIRE_MESSAGES,
     WorkerSpan,
     ErrorFrame,
@@ -51,13 +50,9 @@ from repro.wire.messages import (
     decode_message,
     encode_message,
     encode_segments,
+    field_words,
 )
-from repro.wire.shm import (
-    SEGMENT_PREFIX,
-    SegmentArena,
-    ShmRegistry,
-    created_segments,
-)
+from repro.wire.shm import SEGMENT_PREFIX, SegmentArena, ShmRegistry
 from repro.wire.stream import FrameAssembler, recv_frames, send_segments
 
 __all__ = [
@@ -73,6 +68,7 @@ __all__ = [
     "pack_bits",
     "packed_nbytes",
     "unpack_bits",
+    "FIELD_WORD",
     "WIRE_MESSAGES",
     "WorkerSpan",
     "ErrorFrame",
@@ -89,10 +85,10 @@ __all__ = [
     "decode_message",
     "encode_message",
     "encode_segments",
+    "field_words",
     "SEGMENT_PREFIX",
     "SegmentArena",
     "ShmRegistry",
-    "created_segments",
     "FrameAssembler",
     "recv_frames",
     "send_segments",

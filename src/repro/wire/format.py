@@ -16,25 +16,21 @@ Payloads are built from a small set of typed primitives
 (:class:`PayloadWriter` / :class:`PayloadReader`).  Numpy arrays are the
 hot path: the writer appends the array's buffer as a memoryview (no
 serialization pass, one copy total at the final join) and the reader
-returns ``np.frombuffer`` views straight into the received frame — the
-update rows of a decoded ``ShardRoundRequest`` (the one shard request,
-rounds and drains alike) alias the frame's bytes rather than copying
-them.  Decoded arrays are therefore read-only; callers that
-mutate must copy.
+returns ``np.frombuffer`` views straight into the received frame.
+Decoded arrays are therefore read-only; callers that mutate must copy.
 
-Unsigned arrays may instead travel *bit-packed* at a declared sub-word
-width ``b`` (1..64): element ``i`` occupies bits ``[i*b, (i+1)*b)`` of
-one LSB-first little-endian bit stream, ``ceil(n*b/8)`` bytes in all.
-Eight elements — a *group* — are therefore exactly ``b`` bytes, and the
-one kernel behind every packed surface (:func:`pack_bits`,
-:func:`unpack_bits`, :meth:`PayloadWriter.put_packed_array`, the
-reader's packed branch) works group-wise on machine words: a group is
-``ceil(b/8)`` aligned u64 limbs, built or read by eight shift/or passes
-over a cache-sized block of groups, then copied to or from the dense
-stream ``b`` bytes per group.  It costs a few word-wide passes over
-the data and its scratch is bounded by the block, not the array.  A
-packed array decodes into fresh memory (it cannot alias the frame) and
-is returned read-only like the raw ones.
+The bit-packing kernel (:func:`pack_bits` / :func:`unpack_bits`) packs
+unsigned values at a declared sub-word width ``b`` (1..64): element
+``i`` occupies bits ``[i*b, (i+1)*b)`` of one LSB-first little-endian
+bit stream, ``ceil(n*b/8)`` bytes in all.  Eight elements — a *group*
+— are therefore exactly ``b`` bytes, and the kernel works group-wise
+on machine words: a group is ``ceil(b/8)`` aligned u64 limbs, built or
+read by eight shift/or passes over a cache-sized block of groups, then
+copied to or from the dense stream ``b`` bytes per group.  It costs a
+few word-wide passes over the data and its scratch is bounded by the
+block, not the array.  Frames never carry packed arrays; the kernel
+serves callers that frame the ``(bits, count)`` themselves, such as
+the HTTP control plane's ``packed`` vector encoding.
 """
 
 from __future__ import annotations
@@ -51,7 +47,7 @@ MAGIC = b"LW"
 # The one compatibility gate: peers must share it, and a frame stamped
 # with any other version is refused at its header.  Bump it on any
 # change to a message's layout.
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 # The frame header's ``len`` field is a u32, so no payload (and no
 # length-prefixed bytes/str primitive) may exceed this many bytes.
@@ -82,18 +78,11 @@ _DTYPE_CODES = {
 }
 _CODE_DTYPES = {code: dt for dt, code in _DTYPE_CODES.items()}
 
-# Array tag layout: the low 6 bits carry the dtype code, the top two
-# flag alternate element encodings.  A raw array's tag is therefore
-# byte-identical to the pre-flag format, so old frames decode unchanged.
-_PACKED_FLAG = 0x80  # elements bit-packed at a declared sub-word width
+# Array tag layout: the low 6 bits carry the dtype code, and one flag
+# bit marks an array whose elements live elsewhere; every other flag
+# bit is refused.
 _SHM_FLAG = 0x40  # elements live in a named shared-memory segment
 _CODE_MASK = 0x3F
-
-# Dtypes eligible for bit-packing: unsigned, so a declared width ``b``
-# means exactly "every element < 2**b".
-_PACKABLE = frozenset(
-    (np.dtype("|u1"), np.dtype("<u4"), np.dtype("<u8"))
-)
 
 
 def _dtype_code(dtype: np.dtype) -> int:
@@ -262,8 +251,7 @@ def packed_nbytes(count: int, bits: int) -> int:
 def pack_bits(values: np.ndarray, bits: int) -> bytes:
     """Public bit-packing: 1-D unsigned values at ``bits`` per element.
 
-    The standalone form of the wire's packed-array payload lane, for
-    callers that carry the ``(bits, count)`` framing themselves — e.g.
+    For callers that carry the ``(bits, count)`` framing themselves —
     the HTTP control plane's base64 vector encoding, where both sides
     already know the field width and the model dimension.  Raises
     :class:`WireError` when a value does not fit the declared width.
@@ -306,11 +294,6 @@ class PayloadWriter:
     single copy happens when the frame is joined
     (:func:`repro.wire.messages.encode_message`) or in the socket layer,
     for transports that support vectored writes of :attr:`segments`.
-
-    :meth:`put_packed_array` is the exception: it appends the packed
-    stream the group/limb kernel produced (see the module docstring) —
-    one new buffer of ``ceil(n*bits/8)`` bytes, itself appended as a
-    memoryview and not copied again here.
     """
 
     def __init__(self) -> None:
@@ -358,55 +341,6 @@ class PayloadWriter:
             self.put_u64(dim)
         if contiguous.size:
             self.segments.append(memoryview(contiguous).cast("B"))
-
-    def put_packed_array(
-        self, array: np.ndarray, bits: Optional[int] = None
-    ) -> None:
-        """Append one unsigned array with elements bit-packed at width
-        ``bits``.
-
-        ``bits`` defaults to the smallest width that holds the array's
-        max; a declared width (e.g. ``ceil(log2 q)`` for field elements)
-        pins the layout independent of the data and is validated against
-        the actual max.  The width rides in the header, so decode is
-        self-describing and :meth:`PayloadReader.get_array` reconstructs
-        the exact original values and dtype.
-        """
-        array = np.asarray(array)
-        code = _dtype_code(array.dtype)
-        if array.dtype not in _PACKABLE:
-            raise WireError(
-                f"dtype {array.dtype} cannot be bit-packed; packable "
-                f"dtypes: {sorted(str(d) for d in _PACKABLE)}"
-            )
-        if array.ndim > 255:
-            raise WireError(f"array rank {array.ndim} exceeds wire limit")
-        dtype_bits = array.dtype.itemsize * 8
-        flat = np.ascontiguousarray(array).reshape(-1)
-        needed = (
-            max(1, int(flat.max()).bit_length()) if flat.size else 1
-        )
-        if bits is None:
-            bits = needed
-        else:
-            bits = int(bits)
-            if not 1 <= bits <= dtype_bits:
-                raise WireError(
-                    f"packed bit width {bits} outside 1..{dtype_bits} "
-                    f"for dtype {array.dtype}"
-                )
-            if flat.size and needed > bits:
-                raise WireError(
-                    f"array max {int(flat.max())} needs {needed} bits, "
-                    f"over the declared {bits}-bit bound"
-                )
-        self.put_u8(_PACKED_FLAG | code)
-        self.put_u8(array.ndim)
-        for dim in array.shape:
-            self.put_u64(dim)
-        self.put_u8(bits)
-        if flat.size:
-            self.segments.append(memoryview(_pack_bits(flat, bits)))
 
     def put_shm_array(self, ref: ShmArrayRef) -> None:
         """Append an array *by reference* into a shared-memory segment.
@@ -468,15 +402,6 @@ class PayloadReader:
         return chunk
 
     # -- scalar primitives ---------------------------------------------
-    def peek_u8(self) -> int:
-        """The next byte without consuming it (e.g. an array's tag)."""
-        if self._offset >= len(self._view):
-            raise WireError(
-                f"truncated payload: wanted 1 byte at offset "
-                f"{self._offset}, have 0"
-            )
-        return self._view[self._offset]
-
     def get_u8(self) -> int:
         return _U8.unpack(self._take(1))[0]
 
@@ -500,13 +425,8 @@ class PayloadReader:
 
     # -- arrays ---------------------------------------------------------
     def get_array(self) -> np.ndarray:
-        """Read one array, whatever its element encoding.
-
-        Raw arrays come back as zero-copy read-only views into the
-        frame; bit-packed arrays are reconstructed exactly (values,
-        dtype, and shape identical to what was packed); shm refs resolve
-        to read-only views into the named segment.
-        """
+        """Read one array: a zero-copy read-only view into the frame,
+        or, for an shm ref, into the named segment."""
         self.last_shm_ref = None
         tag = self.get_u8()
         code = tag & _CODE_MASK
@@ -522,32 +442,9 @@ class PayloadReader:
         if flags == 0:
             raw = self._take(count * dtype.itemsize)
             return np.frombuffer(raw, dtype=dtype).reshape(shape)
-        if flags == _PACKED_FLAG:
-            return self._take_packed(dtype, shape, count)
         if flags == _SHM_FLAG:
             return self._take_shm(dtype, shape, count)
         raise WireError(f"unknown array tag flags 0x{flags:02x}")
-
-    def _take_packed(
-        self, dtype: np.dtype, shape: Tuple[int, ...], count: int
-    ) -> np.ndarray:
-        if dtype not in _PACKABLE:
-            raise WireError(f"dtype {dtype} cannot be bit-packed")
-        bits = self.get_u8()
-        if not 1 <= bits <= dtype.itemsize * 8:
-            raise WireError(
-                f"packed bit width {bits} invalid for dtype {dtype}"
-            )
-        raw = self._take(packed_nbytes(count, bits))
-        if count == 0:
-            values = np.zeros(0, dtype=np.uint64)
-        else:
-            values = _unpack_bits(raw, bits, count)
-        array = np.ascontiguousarray(
-            values.astype(dtype, casting="unsafe", copy=False)
-        ).reshape(shape)
-        array.setflags(write=False)
-        return array
 
     def _take_shm(
         self, dtype: np.dtype, shape: Tuple[int, ...], count: int

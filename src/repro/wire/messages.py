@@ -1,4 +1,4 @@
-"""Typed messages of the shard wire protocol, version 3.
+"""Typed messages of the shard wire protocol, version 4.
 
 The message set covers everything the service layer sends between a
 shard coordinator and the process hosting that shard's protocol session:
@@ -37,6 +37,12 @@ so frames are safe to accept from an untrusted peer and identical
 whether the stream socket is a TCP connection or a local socketpair.
 Both ends must share :data:`~repro.wire.format.WIRE_VERSION`.
 
+Field words — update rows and aggregates — are ``uint64`` in memory and
+cross every shard hop as :data:`FIELD_WORD` (``<u4``): every modulus the
+field accepts is below ``2**32``.  Encoding narrows them, refusing a
+word that does not fit instead of cutting it to its low 32 bits, and
+decoding refuses any other layout and widens them back.
+
 Every payload is deterministic given the message fields: id sets are
 sorted on encode and rows keep their order, so two semantically equal
 messages are byte-equal (property-tested), which is what lets the tests
@@ -60,7 +66,6 @@ from repro.protocols.base import (
     Transcript,
 )
 from repro.wire.format import (
-    _PACKED_FLAG,
     PayloadReader,
     PayloadWriter,
     ShmArrayRef,
@@ -71,6 +76,44 @@ from repro.wire.format import (
 )
 
 _PHASE_INDEX = {phase: i for i, phase in enumerate(PHASES)}
+
+#: The one layout of a field word on the shard wire, framed or staged in
+#: shared memory.
+FIELD_WORD = np.dtype("<u4")
+
+
+def field_words(values, what: str = "field words") -> np.ndarray:
+    """``values`` as :data:`FIELD_WORD`, refusing any that do not fit.
+
+    A cast would keep a word's low 32 bits and send ``2**32 + 7`` as 7,
+    a silently wrong aggregate, so a word outside ``[0, 2**32)`` or a
+    non-integer array is a :class:`WireError` instead.
+    """
+    words = np.asarray(values)
+    if words.dtype == FIELD_WORD:
+        return words
+    if not np.issubdtype(words.dtype, np.integer):
+        raise WireError(f"{what} dtype {words.dtype} is not an integer")
+    if words.size and (
+        (words.dtype.kind == "i" and words.min() < 0)
+        or words.max() > 0xFFFFFFFF
+    ):
+        raise WireError(
+            f"{what} hold a word outside [0, 2**32): field words cross "
+            f"the wire as {FIELD_WORD.str}"
+        )
+    return words.astype(FIELD_WORD)
+
+
+def _decode_words(words: np.ndarray, ndim: int, what: str) -> np.ndarray:
+    """Decoded field words widened to ``uint64``; any layout but
+    :data:`FIELD_WORD` at rank ``ndim`` is refused, not reinterpreted."""
+    if words.ndim != ndim or words.dtype != FIELD_WORD:
+        raise WireError(
+            f"{what} must be {ndim}-D {FIELD_WORD.str}, got "
+            f"{words.dtype.str} {words.shape}"
+        )
+    return words.astype(np.uint64)
 
 
 def _put_id_set(w: PayloadWriter, ids) -> None:
@@ -161,15 +204,10 @@ class ShardRoundRequest:
     shard_id: int
     round_id: int
     weights: np.ndarray  # (B,) non-negative integers
-    updates: np.ndarray  # (B, shard_width) uint64, row b = upload b
+    updates: np.ndarray  # (B, shard_width) field words, row b = upload b
     dropouts: Set[int] = field(default_factory=set)
-    # Element encoding of ``updates`` on the wire.  ``packed`` bit-packs
-    # the matrix at its max's bit width; ``updates_ref`` means the
-    # matrix is already staged in a shared-memory segment and only the
-    # reference is framed.  Decode sets ``packed`` from the received
-    # tag, so a worker can mirror the coordinator's encoding in its
-    # reply.
-    packed: bool = False
+    # Set when ``updates`` is already staged in a shared-memory segment:
+    # only the reference is framed.
     updates_ref: Optional[ShmArrayRef] = None
     # Where the worker should place its aggregate (staged requests); a
     # trailing-optional field of the payload.
@@ -186,6 +224,7 @@ class ShardRoundRequest:
         round_id: int,
         updates: Dict[int, np.ndarray],
         dropouts: Set[int],
+        # Ignored, as in from_result: benchmarks/e2e/probes.py passes it.
         packed: bool = False,
     ) -> "ShardRoundRequest":
         """A synchronous round's request: member ``i``'s update is row
@@ -206,12 +245,11 @@ class ShardRoundRequest:
                 np.asarray(updates[i], dtype=np.uint64) for i in range(count)
             ]) if count else np.zeros((0, 0), dtype=np.uint64),
             dropouts=dropouts,
-            packed=packed,
         )
 
     def _encode(self, w: PayloadWriter) -> None:
         weights = np.asarray(self.weights)
-        updates = np.asarray(self.updates, dtype=np.uint64)
+        updates = np.asarray(self.updates)
         if weights.ndim != 1:
             raise WireError(f"drain weights must be 1-D, got {weights.shape}")
         # A cast would turn 1.9 into 1 and -5 into 2**64 - 5: a silently
@@ -237,10 +275,8 @@ class ShardRoundRequest:
                     f"matrix {updates.shape}"
                 )
             w.put_shm_array(ref)
-        elif self.packed:
-            w.put_packed_array(np.ascontiguousarray(updates))
         else:
-            w.put_array(np.ascontiguousarray(updates))
+            w.put_array(field_words(updates, "updates"))
         _put_id_set(w, self.dropouts)
         if self.result_ref is not None:
             put_shm_ref(w, self.result_ref)
@@ -259,9 +295,8 @@ class ShardRoundRequest:
                 f"drain weights must be 1-D <u8, got {weights.dtype.str} "
                 f"{weights.shape}"
             )
-        packed = bool(r.peek_u8() & _PACKED_FLAG)
-        updates = r.get_array()
-        if updates.ndim != 2 or updates.shape[0] != weights.size:
+        updates = _decode_words(r.get_array(), 2, "updates")
+        if updates.shape[0] != weights.size:
             raise WireError(
                 f"request carries {updates.shape} update matrix for "
                 f"{weights.size} weights"
@@ -285,7 +320,6 @@ class ShardRoundRequest:
             weights=weights,
             updates=updates,
             dropouts=dropouts,
-            packed=packed,
             result_ref=result_ref,
             trace_id=trace_id,
         )
@@ -314,11 +348,9 @@ class ShardRoundResult:
     stalled: bool
     pool_level: int
     stats: SessionStats
-    # Mirrors of the request's element encoding: a worker answering a
-    # packed request packs its aggregate; one answering an shm request
-    # has already placed the aggregate at ``aggregate_ref`` and frames
-    # only the reference.
-    packed: bool = False
+    # Set when the worker answered a staged request: the aggregate is
+    # already placed at ``aggregate_ref`` and only the reference is
+    # framed.
     aggregate_ref: Optional[ShmArrayRef] = None
     # The worker's own timing report, present only when the request
     # carried a nonzero trace_id (trailing-optional on the wire).
@@ -333,7 +365,7 @@ class ShardRoundResult:
         stalled: bool,
         pool_level: int,
         stats: SessionStats,
-        packed: bool = False,
+        packed: bool = False,  # ignored, see from_updates
         aggregate_ref: Optional[ShmArrayRef] = None,
         worker_span: Optional[WorkerSpan] = None,
     ) -> "ShardRoundResult":
@@ -365,7 +397,6 @@ class ShardRoundResult:
             stalled=stalled,
             pool_level=pool_level,
             stats=stats,
-            packed=packed,
             aggregate_ref=aggregate_ref,
             worker_span=worker_span,
         )
@@ -398,14 +429,8 @@ class ShardRoundResult:
         w.put_u64(self.round_id)
         if self.aggregate_ref is not None:
             w.put_shm_array(self.aggregate_ref)
-        elif self.packed:
-            w.put_packed_array(
-                np.ascontiguousarray(self.aggregate, dtype=np.uint64)
-            )
         else:
-            w.put_array(
-                np.ascontiguousarray(self.aggregate, dtype=np.uint64)
-            )
+            w.put_array(field_words(self.aggregate, "aggregate"))
         w.put_array(np.asarray(self.survivors, dtype=np.uint32))
         w.put_array(np.ascontiguousarray(self.transcript_table, dtype=np.int64))
         for count in self.metrics_counts:
@@ -424,11 +449,10 @@ class ShardRoundResult:
     def _decode(cls, r: PayloadReader) -> "ShardRoundResult":
         shard_id = r.get_u32()
         round_id = r.get_u64()
-        packed = bool(r.peek_u8() & _PACKED_FLAG)
-        aggregate = r.get_array()
-        # Restore the ref so the coordinator knows the aggregate aliases
-        # a reused segment region and must detach it before the next
-        # round overwrites it.
+        # Widening copies, so a staged aggregate never aliases the
+        # segment region the next round overwrites; the ref is kept for
+        # the coordinator's staged-byte count.
+        aggregate = _decode_words(r.get_array(), 1, "aggregate")
         aggregate_ref = r.last_shm_ref
         survivors = [int(i) for i in r.get_array()]
         table = r.get_array()
@@ -450,7 +474,6 @@ class ShardRoundResult:
             stalled=bool(r.get_u8()),
             pool_level=r.get_u32(),
             stats=_get_stats(r),
-            packed=packed,
             aggregate_ref=aggregate_ref,
             worker_span=_get_worker_span(r) if r.remaining else None,
         )

@@ -1,6 +1,6 @@
 """Named shared-memory segments for same-host vector payload handoff.
 
-How the ``process`` lane moves vectors: instead of pushing an 8 MB
+How the ``process`` lane moves vectors: instead of pushing a 4 MB
 update matrix through a pipe byte-by-byte, the coordinator stages it in a
 :class:`SegmentArena` region and sends a frame carrying only a
 ``(name, offset, dtype, shape)`` reference
@@ -18,8 +18,6 @@ Lifecycle is deliberately asymmetric:
 
 A worker that dies mid-round therefore cannot leak ``/dev/shm`` entries:
 the file belongs to the coordinator, which unlinks it regardless.
-:func:`created_segments` exposes this process's not-yet-unlinked
-segments so shutdown paths (and the leak tests) can assert emptiness.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import os
 import secrets
 import threading
 from multiprocessing import shared_memory
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -38,15 +36,6 @@ from repro.wire.format import ShmArrayRef
 #: Every segment this module creates (and every name a registry will
 #: agree to attach) starts with this prefix.
 SEGMENT_PREFIX = "repro-shm-"
-
-_created_lock = threading.Lock()
-_created: set = set()
-
-
-def created_segments() -> List[str]:
-    """Names this process created and has not yet unlinked."""
-    with _created_lock:
-        return sorted(_created)
 
 
 def _detach_quietly(shm: shared_memory.SharedMemory) -> None:
@@ -92,8 +81,6 @@ class SegmentArena:
             _detach_quietly(self._shm)
             self._shm.unlink()
             raise
-        with _created_lock:
-            _created.add(self.name)
         self._closed = False
 
     @property
@@ -132,8 +119,6 @@ class SegmentArena:
             self._shm.unlink()
         except FileNotFoundError:
             pass
-        with _created_lock:
-            _created.discard(self.name)
 
     def __del__(self) -> None:  # backstop; explicit close() is the API
         try:

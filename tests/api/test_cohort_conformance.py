@@ -22,7 +22,6 @@ from repro.service import (
     CohortSpec,
     ServiceConfig,
     TransportKind,
-    WireFormat,
 )
 from repro.service.api import CohortCreateRequest, SchemaError
 
@@ -38,7 +37,6 @@ FULL_BODY = {
     "dropout_tolerance": 2,
     "privacy": 2,
     "transport": "socket",
-    "wire_format": "raw",
     "num_workers": None,  # only process takes it; see below
     "connect": ["127.0.0.1:7001", "127.0.0.1:7002"],
     "seed": 11,
@@ -59,7 +57,7 @@ WRONG_TYPE = {
 
 class TestDeclaredOnce:
     def test_post_cohorts_accepts_exactly_the_spec_fields(self):
-        assert set(FULL_BODY) == SPEC_FIELDS and len(SPEC_FIELDS) == 18
+        assert set(FULL_BODY) == SPEC_FIELDS and len(SPEC_FIELDS) == 17
         for name in SPEC_FIELDS:  # each is accepted on its own...
             CohortCreateRequest.from_json({name: FULL_BODY[name]})
         with pytest.raises(SchemaError, match="unknown field") as exc:
@@ -69,6 +67,9 @@ class TestDeclaredOnce:
         # The service hosts pooled LightSecAgg only: no protocol to pick.
         with pytest.raises(SchemaError, match="unknown field"):
             CohortCreateRequest.from_json({"protocol": "lightsecagg"})
+        # Field words have one wire layout: no encoding to pick either.
+        with pytest.raises(SchemaError, match="unknown field"):
+            CohortCreateRequest.from_json({"wire_format": "raw"})
 
     def test_describe_and_status_show_the_spec_fields(self):
         assert set(CohortSpec().describe()) == SPEC_FIELDS
@@ -92,7 +93,7 @@ class TestDeclaredOnce:
         assert spec == CohortSpec(
             num_users=10, model_dim=120, num_shards=3, pool_size=5,
             low_water=2, dropout_tolerance=2, privacy=2,
-            transport=TransportKind.SOCKET, wire_format=WireFormat.RAW,
+            transport=TransportKind.SOCKET,
             connect=("127.0.0.1:7001", "127.0.0.1:7002"), seed=11,
             buffer_size=7, staleness_fn="polynomial",
             staleness_alpha=0.5, staleness_levels=32,

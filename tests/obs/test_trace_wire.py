@@ -26,15 +26,13 @@ from repro.wire.messages import (
 TRACE_ID = 0xDEADBEEF
 
 #: ``encode_message(make_request(), request_id=42)`` with tracing off,
-#: in the one-request layout of wire version 3 (weights where user ids
-#: were, no offline-dropout set); the traced frame must stay exactly
-#: this plus the 8-byte trace id.
+#: in the layout of wire version 4 (update rows as ``<u4`` field words);
+#: the traced frame must stay exactly this plus the 8-byte trace id.
 GOLDEN_UNTRACED_FRAME_HEX = (
-    "4c5703012a000000000000007600000001000000070000000000000002010200"
-    "0000000000000100000000000000000000000000000002020200000000000000"
-    "0300000000000000000000000000000001000000000000000200000000000000"
-    "0300000000000000040000000000000005000000000000000101010000000000"
-    "000001000000"
+    "4c5704012a000000000000005e00000001000000070000000000000002010200"
+    "0000000000000100000000000000000000000000000001020200000000000000"
+    "0300000000000000000000000100000002000000030000000400000005000000"
+    "0101010000000000000001000000"
 )
 
 
@@ -117,15 +115,6 @@ class TestRequestTraceId:
             _, back = decode_message(encode_message(request))
             assert back.result_ref == ref
             assert back.trace_id == trace_id
-
-    def test_packed_request_keeps_the_trace_id(self):
-        request = make_request(packed=True, trace_id=TRACE_ID)
-        _, back = decode_message(encode_message(request))
-        assert back.packed and back.trace_id == TRACE_ID
-        np.testing.assert_array_equal(
-            back.updates,
-            np.array([[0, 1, 2], [3, 4, 5]], dtype=np.uint64),
-        )
 
 
 class TestResultWorkerSpan:

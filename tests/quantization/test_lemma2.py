@@ -21,9 +21,9 @@ from repro.quantization.stochastic import (
 )
 from repro.wire import (
     FrameAssembler,
-    PayloadWriter,
-    decode_frame,
-    frame_segments,
+    ShardRoundRequest,
+    decode_message,
+    encode_message,
 )
 
 DIM = 32
@@ -61,36 +61,36 @@ def test_variance_bound_of_quantized_gradient(levels):
     assert sq_errors.mean() <= bound * 1.05
 
 
-def _through_packed_wire(field_matrix: np.ndarray, gf: FiniteField):
-    """Field matrix -> packed frame -> torn byte stream -> field matrix.
+def _request(field_matrix: np.ndarray) -> ShardRoundRequest:
+    """The quantized rows as one shard request, each weighted 1."""
+    weights = np.ones(field_matrix.shape[0], dtype=np.uint64)
+    return ShardRoundRequest(0, 0, weights=weights, updates=field_matrix)
 
-    The full transport pipeline a quantized update rides: bit-packed at
-    the field's ``ceil(log2 q)`` width, framed, fed to the reassembler
-    in chunks that tear headers and payload alike, decoded back.
+
+def _through_the_wire(field_matrix: np.ndarray) -> np.ndarray:
+    """Field matrix -> ``<u4`` frame -> torn byte stream -> field matrix.
+
+    The full transport pipeline a quantized update rides: narrowed to
+    the wire's field word, framed, fed to the reassembler in chunks that
+    tear headers and payload alike, decoded and widened back.
     """
-    bits = int(gf.q - 1).bit_length()
-    w = PayloadWriter()
-    w.put_packed_array(field_matrix, bits=bits)
-    frame = b"".join(frame_segments(1, 0, w))
+    frame = encode_message(_request(field_matrix), 1)
     assembler = FrameAssembler()
     frames = []
     step = 4093  # odd chunk size: every split lands mid-element somewhere
     for i in range(0, len(frame), step):
         frames.extend(assembler.feed(frame[i : i + step]))
     assert frames == [frame]
-    _, _, reader = decode_frame(frames[0])
-    out = reader.get_array()
-    assert reader.remaining == 0
-    return out
+    _, request = decode_message(frames[0])
+    return request.updates
 
 
-class TestLemma2ThroughThePackedWire:
+class TestLemma2ThroughTheWire:
     """Lemma 2's statistics survive the full wire pipeline — quantize ->
-    bit-pack -> frame -> torn stream -> reassemble -> unpack ->
-    dequantize — because the packed encoding is lossless on field
-    elements.  A rounding (or truncation) bug anywhere in the codec
-    would bias the estimator or inflate the variance, failing these
-    bounds."""
+    narrow to ``<u4`` -> frame -> torn stream -> reassemble -> widen ->
+    dequantize — because every field element fits the wire word.  A
+    rounding (or truncation) bug anywhere in the codec would bias the
+    estimator or inflate the variance, failing these bounds."""
 
     @pytest.mark.parametrize("levels", [16, 256])
     def test_unbiasedness_and_variance_bound_survive_the_wire(self, levels):
@@ -103,8 +103,9 @@ class TestLemma2ThroughThePackedWire:
         )
         field_matrix = quantizer.quantize(gradients, rng)
 
-        received = _through_packed_wire(field_matrix, gf)
+        received = _through_the_wire(field_matrix)
         # Losslessness first: what arrives is what was sent, bit for bit.
+        assert received.dtype == field_matrix.dtype
         np.testing.assert_array_equal(received, field_matrix)
 
         decoded = quantizer.dequantize(received)
@@ -116,21 +117,18 @@ class TestLemma2ThroughThePackedWire:
         bound = rounding_variance_bound(levels, DIM) + DIM * SIGMA_L**2
         assert sq_errors.mean() <= bound * 1.05
 
-    def test_packed_field_elements_are_smaller_on_the_wire(self):
-        """The same matrix costs >= 1.8x less packed than raw — the
-        bandwidth claim, measured at the quantization layer."""
+    def test_field_elements_ride_in_four_bytes(self):
+        """Each quantized field element costs 4 bytes on the wire, half
+        its in-memory uint64 word."""
         gf = FiniteField()
         quantizer = ModelQuantizer(gf, QuantizationConfig(levels=1 << 16))
         rng = np.random.default_rng(5)
         field_matrix = quantizer.quantize(
             rng.standard_normal((64, DIM)) * 0.25, rng
         )
-        raw, packed = PayloadWriter(), PayloadWriter()
-        raw.put_array(field_matrix)
-        packed.put_packed_array(
-            field_matrix, bits=int(gf.q - 1).bit_length()
-        )
-        assert raw.nbytes / packed.nbytes >= 1.8
+        frame = encode_message(_request(field_matrix), 1)
+        weights_and_framing = 8 * 64 + 128
+        assert len(frame) <= 4 * field_matrix.size + weights_and_framing
 
 
 def test_variance_shrinks_with_levels():

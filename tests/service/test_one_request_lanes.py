@@ -120,6 +120,19 @@ class TestCoordinatorDtypeRule:
             result = session.run_round(dict(enumerate(rows)), set())
         assert result.aggregate.tolist() == field_sum(gf, [1] * N, rows)
 
+    @pytest.mark.parametrize("lane", LANES)
+    def test_non_canonical_drain_words_match_inline(self, gf, lane_name,
+                                                    lane):
+        """Words at or above q, some past 2**32, in a weighted drain: the
+        out-of-process lanes reduce them before narrowing to the wire's
+        4-byte word, so none loses its high bits, framed or staged."""
+        words = [gf.q, gf.q + 5, (1 << 32) + 7, (1 << 64) - 1]
+        rows = np.resize(np.array(words, dtype=np.uint64), (N, DIM))
+        weights = np.arange(1, N + 1, dtype=np.uint64)
+        with open_session(lane_name(lane), gf) as session:
+            result = session.drain(weights, rows, set())
+        assert result.aggregate.tolist() == field_sum(gf, weights, rows)
+
 
 def shm_segments():
     return glob.glob("/dev/shm/repro-shm-*")
@@ -144,8 +157,8 @@ class TestProcessLaneCarriesDrains:
             assert np.array_equal(got.aggregate, want.aggregate)
             assert got.survivors == want.survivors
             staged = lane()["shm_bytes"]
-            assert staged >= N * DIM * 8
-            assert lane()["bytes_sent"] < N * DIM * 8
+            assert staged >= N * DIM * 4  # 4-byte field words
+            assert lane()["bytes_sent"] < N * DIM * 4
             assert lane()["shm_fallbacks"] == 0
 
             # A join grows the member set past the staged region: the
@@ -161,7 +174,7 @@ class TestProcessLaneCarriesDrains:
                 gf, grown_weights, grown
             )
             assert lane()["shm_bytes"] == staged
-            assert lane()["bytes_sent"] - sent >= (N + 1) * DIM * 8
+            assert lane()["bytes_sent"] - sent >= (N + 1) * DIM * 4
             assert lane()["shm_fallbacks"] == 1
 
             # Rows that fit the region are staged again.

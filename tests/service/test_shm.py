@@ -31,12 +31,7 @@ from repro.service import (
     build_transport,
 )
 from repro.wire.format import ShmArrayRef
-from repro.wire.shm import (
-    SEGMENT_PREFIX,
-    SegmentArena,
-    ShmRegistry,
-    created_segments,
-)
+from repro.wire.shm import SEGMENT_PREFIX, SegmentArena, ShmRegistry
 
 N, DIM, SHARDS = 8, 37, 2
 
@@ -61,6 +56,13 @@ def make_specs(shards=SHARDS, dim=DIM, seed=9):
 def dev_shm_entries():
     """``/dev/shm`` files in our namespace, as the OS sees them."""
     return sorted(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
+
+
+def created_segments():
+    """Segments this process created and has not unlinked, by the name
+    :class:`SegmentArena` gives them: prefix, then the creator's pid."""
+    pattern = f"/dev/shm/{SEGMENT_PREFIX}{os.getpid():x}-*"
+    return sorted(os.path.basename(path) for path in glob.glob(pattern))
 
 
 def drive(gf, kind, metrics=None):
@@ -176,9 +178,9 @@ class TestProcessLanePayloadRouting:
         lane = metrics.snapshot()["transports"]["process"]
         assert lane["rounds"] == rounds
         assert lane["shm_fallbacks"] == 0
-        # Per round: N users x DIM elements x 8 bytes staged in, plus the
-        # DIM-element aggregate staged back.
-        staged_floor = rounds * (N * DIM + DIM) * 8
+        # Per round: N users x DIM field words of 4 bytes staged in, plus
+        # the DIM-word aggregate staged back.
+        staged_floor = rounds * (N * DIM + DIM) * 4
         assert lane["shm_bytes"] >= staged_floor
         assert lane["bytes_sent"] < staged_floor
         assert lane["bytes_sent"] > 0  # the reference frames themselves
@@ -251,7 +253,7 @@ class TestFramedFallback:
         assert lane["rounds"] == len(want)
         assert lane["shm_bytes"] == 0
         assert lane["shm_fallbacks"] == lane["rounds"]
-        assert lane["bytes_sent"] >= 3 * N * DIM * 8
+        assert lane["bytes_sent"] >= 3 * N * DIM * 4
         assert created_segments() == []
         assert dev_shm_entries() == []
         assert not any(

@@ -38,7 +38,6 @@ from repro.service import (
     ShardedSession,
     SocketTransport,
     TransportKind,
-    WireFormat,
     build_transport,
 )
 from repro.service import socket_transport
@@ -427,19 +426,14 @@ class TestConstructionAndConfig:
             ShardedSession(plan, transport=transport).run_round({}, set())
         transport.close()  # idempotent
 
-    def test_socket_transport_validates_wire_format(self, server,
-                                                    fast_supervision):
-        _, specs = make_specs(shards=1)
-        with pytest.raises(ProtocolError, match="wire format"):
-            SocketTransport(
-                specs, connect=[server.address], wire_format="gzip"
-            )
-
 
 # ----------------------------------------------------------------------
-# quantized + packed end-to-end parity
+# quantized end-to-end parity
 # ----------------------------------------------------------------------
-def _quantized_lane(gf, kind, wire_format, connect=None, rounds=4,
+QUANTIZED_ROUNDS = 4
+
+
+def _quantized_lane(gf, kind, connect=None, rounds=QUANTIZED_ROUNDS,
                     seed=21):
     """Quantize real updates into GF(q) and run them through one lane.
 
@@ -447,18 +441,16 @@ def _quantized_lane(gf, kind, wire_format, connect=None, rounds=4,
     (:meth:`~repro.quantization.ModelQuantizer.check_budget`), and every
     lane uses identical rng streams, so quantization produces identical
     field vectors — any divergence in the returned aggregates is the
-    wire's fault.  With ``wire_format=PACKED`` every element travels in
-    ``ceil(log2(q))`` bits instead of a full word.
+    wire's fault.
     """
     cfg = ServiceConfig(
         num_cohorts=1, num_users=N, model_dim=DIM, num_shards=2,
         pool_size=3, low_water=0, refill_mode=RefillMode.SYNC,
         dropout_tolerance=2, privacy=2,
-        transport=kind, wire_format=wire_format,
-        connect=connect, seed=7,
-        # Byte accounting below compares lanes against each other; keep
-        # the 8-byte trace_id tail out of it so the numbers measure the
-        # element encoding alone (tracing's own wire claims are pinned
+        transport=kind, connect=connect, seed=7,
+        # Byte accounting below bounds the framed words; keep the 8-byte
+        # trace_id tail out of it so the numbers measure the element
+        # encoding alone (tracing's own wire claims are pinned
         # in tests/obs/test_trace_wire.py).
         tracing=False,
     )
@@ -489,50 +481,39 @@ def _quantized_lane(gf, kind, wire_format, connect=None, rounds=4,
     return outputs, snapshot
 
 
-LANES = [
-    pytest.param("inline", WireFormat.PACKED, id="inline-packed"),
-    pytest.param("process", WireFormat.RAW, id="process-raw"),
-    pytest.param("process", WireFormat.PACKED, id="process-packed"),
-    pytest.param("socket", WireFormat.RAW, id="socket-raw"),
-    pytest.param("socket", WireFormat.PACKED, id="socket-packed"),
-    pytest.param("framed", WireFormat.PACKED, id="framed-packed"),
-]
+class TestQuantizedParity:
+    """Real model updates quantized into GF(q) travel every transport
+    lane — framed or by shared-memory reference — and come back
+    byte-identical to the inline baseline across mixed dropout
+    patterns."""
 
-
-class TestQuantizedPackedParity:
-    """Tentpole acceptance: real model updates quantized into GF(q)
-    travel every transport lane — raw, bit-packed, or by shared-memory
-    reference — and come back byte-identical to the inline baseline
-    across mixed dropout patterns."""
-
-    @pytest.mark.parametrize("lane,wire_format", LANES)
-    def test_lane_byte_identical_to_inline_raw(self, gf, server, lane_name,
-                                               lane, wire_format):
+    @pytest.mark.parametrize("lane", ["process", "socket", "framed"])
+    def test_lane_byte_identical_to_inline(self, gf, server, lane_name,
+                                           lane):
         kind = TransportKind(lane_name(lane))
         connect = (server.address,) if kind is TransportKind.SOCKET else None
-        baseline, _ = _quantized_lane(gf, TransportKind.INLINE,
-                                      WireFormat.RAW)
-        got, snapshot = _quantized_lane(gf, kind, wire_format,
-                                        connect=connect)
+        baseline, _ = _quantized_lane(gf, TransportKind.INLINE)
+        got, snapshot = _quantized_lane(gf, kind, connect=connect)
         assert got == baseline  # real aggregate, field aggregate, survivors
         stats = snapshot[kind.value]
         if lane == "process":
             # the vector volume rode shared memory, not the pipe
             assert stats["shm_bytes"] > stats["bytes_sent"]
             assert stats["shm_fallbacks"] == 0
-        elif kind is not TransportKind.INLINE:
+        else:
             assert stats["bytes_sent"] > 0
             assert stats["shm_bytes"] == 0
 
-    def test_packed_lane_sends_fewer_bytes_than_raw(self, gf, server):
-        _, raw = _quantized_lane(gf, TransportKind.SOCKET, WireFormat.RAW,
-                                 connect=(server.address,))
-        _, packed = _quantized_lane(gf, TransportKind.SOCKET,
-                                    WireFormat.PACKED,
-                                    connect=(server.address,))
-        assert packed["socket"]["bytes_sent"] < raw["socket"]["bytes_sent"]
-        assert (packed["socket"]["bytes_received"]
-                < raw["socket"]["bytes_received"])
+    def test_field_words_ride_at_four_bytes(self, gf, server):
+        """Every update word is framed, at 4 bytes and not 8; so is
+        every aggregate word on the way back."""
+        _, snapshot = _quantized_lane(gf, TransportKind.SOCKET,
+                                      connect=(server.address,))
+        stats = snapshot["socket"]
+        words_in = QUANTIZED_ROUNDS * N * DIM
+        words_out = QUANTIZED_ROUNDS * DIM
+        assert 4 * words_in <= stats["bytes_sent"] < 8 * words_in
+        assert 4 * words_out <= stats["bytes_received"]
 
 
 def _socket_fds():

@@ -29,7 +29,7 @@ def hand_built_frame(weights: np.ndarray) -> bytes:
     w.put_u32(0)  # shard_id
     w.put_u64(7)  # drain_id
     w.put_array(weights)
-    w.put_array(UPDATES)
+    w.put_array(UPDATES.astype("<u4"))  # field words, the one layout
     w.put_array(np.zeros(0, dtype=np.uint32))  # recovery dropouts
     return b"".join(frame_segments(ShardRoundRequest.TYPE, 1, w))
 

@@ -130,9 +130,16 @@ class TestPayloadPrimitives:
             w = PayloadWriter()
             with pytest.raises(WireError, match="big-endian"):
                 w.put_array(np.zeros(3, dtype=dtype))
+
+    def test_array_tag_with_the_retired_packed_flag_is_refused(self):
+        """0x80 once marked a bit-packed array; no frame carries one
+        now, so its tag is refused rather than read as raw bytes."""
         w = PayloadWriter()
-        with pytest.raises(WireError, match="big-endian"):
-            w.put_packed_array(np.zeros(3, dtype=">u8"))
+        w.put_array(np.arange(3, dtype="<u4"))
+        payload = bytearray(b"".join(w.segments))
+        payload[0] |= 0x80
+        with pytest.raises(WireError, match="unknown array tag flags 0x80"):
+            PayloadReader(memoryview(bytes(payload))).get_array()
 
     def test_byteswapped_input_encodes_after_conversion(self):
         """The error message's advice works: .astype to the LE layout
@@ -168,8 +175,9 @@ class TestPayloadPrimitives:
 @st.composite
 def round_requests(draw):
     """The one shard request with every field drawn: weights spanning
-    0, 1 and the full u64 range, raw or packed rows, and both optional
-    tails (a shm result ref and a trace id), each present or not."""
+    0, 1 and the full u64 range, rows spanning the full u32 word range,
+    and both optional tails (a shm result ref and a trace id), each
+    present or not."""
     batch = draw(st.integers(min_value=1, max_value=8))
     width = draw(st.integers(min_value=1, max_value=16))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
@@ -196,10 +204,10 @@ def round_requests(draw):
         round_id=draw(st.integers(min_value=0, max_value=2**40)),
         weights=np.asarray(weights, dtype=np.uint64),
         updates=rng.integers(
-            0, 2**31 - 1, size=(batch, width), dtype=np.uint64
+            0, 2**32 - 1, size=(batch, width), dtype=np.uint64,
+            endpoint=True,
         ),
         dropouts=dropouts,
-        packed=draw(st.booleans()),
         result_ref=result_ref,
         trace_id=draw(st.integers(0, 2**64 - 1)),
     )
@@ -216,9 +224,9 @@ class TestMessageRoundTrips:
         assert back.weights.dtype == np.dtype("<u8")
         assert back.weights.tolist() == request.weights.tolist()
         assert back.dropouts == request.dropouts
-        assert back.packed == request.packed
         assert back.result_ref == request.result_ref
         assert back.trace_id == request.trace_id
+        assert back.updates.dtype == np.uint64
         assert np.array_equal(back.updates, request.updates)
 
     @settings(max_examples=60, deadline=None)
@@ -231,7 +239,6 @@ class TestMessageRoundTrips:
             weights=request.weights.copy(),
             updates=request.updates,
             dropouts=set(sorted(request.dropouts, reverse=True)),
-            packed=request.packed,
             result_ref=request.result_ref,
             trace_id=request.trace_id,
         )
@@ -361,6 +368,111 @@ class TestMessageRoundTrips:
             closed=False, stats=SessionStats(rounds=3),
         )
         assert b"".join(encode_segments(msg, 11)) == encode_message(msg, 11)
+
+
+class TestFieldWords:
+    """Field words cross the wire as ``<u4`` and nothing else: encoding
+    refuses a word that does not fit rather than cutting it, and
+    decoding refuses any other layout, framed or staged."""
+
+    @staticmethod
+    def _request_frame(updates: np.ndarray) -> bytes:
+        """A hand-built round request frame carrying ``updates`` as-is."""
+        w = PayloadWriter()
+        w.put_u32(0)
+        w.put_u64(1)
+        w.put_array(np.ones(updates.shape[0], dtype="<u8"))
+        w.put_array(updates)
+        w.put_array(np.zeros(0, dtype="<u4"))  # dropouts
+        return b"".join(frame_segments(ShardRoundRequest.TYPE, 1, w))
+
+    @staticmethod
+    def _result(aggregate) -> ShardRoundResult:
+        return ShardRoundResult(
+            shard_id=0, round_id=1, aggregate=aggregate, survivors=[0],
+            transcript_table=np.zeros((0, 5), dtype=np.int64),
+            metrics_counts=(0, 0, 0), metrics_extra={}, stalled=False,
+            pool_level=0, stats=SessionStats(),
+        )
+
+    def test_rows_ride_as_u4_and_decode_as_uint64(self):
+        rows = np.array([[0, 2**32 - 1]], dtype=np.uint64)
+        frame = encode_message(ShardRoundRequest(0, 1, [1], rows), 1)
+        assert frame == self._request_frame(rows.astype("<u4"))
+        _, back = decode_message(frame)
+        assert back.updates.dtype == np.uint64
+        assert back.updates.tolist() == rows.tolist()
+
+    def test_hand_built_u8_rows_are_refused(self):
+        frame = self._request_frame(np.array([[7, 8]], dtype="<u8"))
+        with pytest.raises(WireError, match="updates must be 2-D <u4"):
+            decode_message(frame)
+
+    def test_one_dimensional_u4_rows_are_refused(self):
+        frame = self._request_frame(np.array([7, 8], dtype="<u4"))
+        with pytest.raises(WireError, match="updates must be 2-D <u4"):
+            decode_message(frame)
+
+    def test_word_over_u32_raises_instead_of_sending_its_low_bits(self):
+        request = ShardRoundRequest.from_updates(
+            0, 1, {0: np.array([2**32 + 7], dtype=np.uint64)}, set()
+        )
+        with pytest.raises(WireError, match=r"outside \[0, 2\*\*32\)"):
+            encode_message(request, 1)
+        with pytest.raises(WireError, match=r"outside \[0, 2\*\*32\)"):
+            encode_message(
+                self._result(np.array([2**32 + 7], dtype=np.uint64)), 1
+            )
+
+    def test_packed_keyword_is_accepted_and_ignored(self):
+        """``packed=True`` still parses (benchmarks/e2e/probes.py passes
+        it) and changes no byte of either frame."""
+        updates = {0: np.arange(4, dtype=np.uint64)}
+        plain = ShardRoundRequest.from_updates(0, 1, updates, set())
+        shim = ShardRoundRequest.from_updates(0, 1, updates, set(), packed=True)
+        assert encode_message(shim, 1) == encode_message(plain, 1)
+        outcome = AggregationResult(
+            aggregate=np.arange(4, dtype=np.uint64), survivors=[0],
+            transcript=Transcript(), metrics=RoundMetrics(),
+        )
+        results = [
+            ShardRoundResult.from_result(0, 1, outcome, False, 0,
+                                         SessionStats(), **packed)
+            for packed in ({}, {"packed": True})
+        ]
+        assert encode_message(results[0], 1) == encode_message(results[1], 1)
+
+    def test_negative_and_non_integer_words_are_refused(self):
+        for rows in (np.array([[-1]]), np.array([[1.5]])):
+            with pytest.raises(WireError):
+                encode_message(ShardRoundRequest(0, 1, [1], rows), 1)
+
+    def test_framed_u8_aggregate_is_refused(self):
+        forged = bytearray(encode_message(
+            self._result(np.arange(6, dtype=np.uint64)), 1
+        ))
+        head = HEADER_SIZE + 4 + 8  # shard id, round id, then the array tag
+        assert forged[head] == 1  # <u4
+        # Re-tag six <u4 words as three <u8 words: same byte length.
+        forged[head] = 2
+        forged[head + 2 : head + 10] = (3).to_bytes(8, "little")
+        with pytest.raises(WireError, match="aggregate must be 1-D <u4"):
+            decode_message(bytes(forged))
+
+    def test_staged_u8_aggregate_is_refused(self):
+        segment = memoryview(bytearray(64))
+        for dtype, ok in (("<u4", True), ("<u8", False)):
+            ref = ShmArrayRef(name="seg", offset=0, shape=(4,), dtype=dtype)
+            result = self._result(np.zeros(4, dtype=np.uint64))
+            result.aggregate_ref = ref
+            frame = encode_message(result, 1)
+            if ok:
+                _, back = decode_message(frame, shm=lambda name: segment)
+                assert back.aggregate.dtype == np.uint64
+                assert back.aggregate_ref == ref
+            else:
+                with pytest.raises(WireError, match="aggregate must be"):
+                    decode_message(frame, shm=lambda name: segment)
 
 
 class _FakeHugeSegment:
