@@ -116,6 +116,29 @@ class TestRequestTraceId:
             assert back.result_ref == ref
             assert back.trace_id == trace_id
 
+    def test_packed_request_keeps_the_trace_id(self):
+        """The ignored ``packed`` keyword (the traced wire probe passes
+        it) still yields a traced ``<u4`` frame."""
+        request = ShardRoundRequest.from_updates(
+            shard_id=1,
+            round_id=7,
+            updates={
+                0: np.arange(3, dtype=np.uint64),
+                1: np.arange(3, 6, dtype=np.uint64),
+            },
+            dropouts={1},
+            packed=True,
+        )
+        request.trace_id = TRACE_ID
+        frame = encode_message(request, request_id=42)
+        assert frame == encode_message(make_request(trace_id=TRACE_ID), 42)
+        _, back = decode_message(frame)
+        assert back.trace_id == TRACE_ID
+        np.testing.assert_array_equal(
+            back.updates,
+            np.array([[0, 1, 2], [3, 4, 5]], dtype=np.uint64),
+        )
+
 
 class TestResultWorkerSpan:
     def test_worker_span_round_trips_exactly(self):

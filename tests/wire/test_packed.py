@@ -24,6 +24,58 @@ from repro.wire import format as wire_format
 _UNSIGNED = {8: np.dtype("|u1"), 32: np.dtype("<u4"), 64: np.dtype("<u8")}
 
 
+@st.composite
+def bounded_arrays(draw):
+    """(array, bits) with every element < 2**bits, any unsigned dtype."""
+    bits = draw(st.integers(1, 64))
+    dtype = draw(
+        st.sampled_from([d for width, d in _UNSIGNED.items() if bits <= width])
+    )
+    values = draw(
+        st.lists(st.integers(0, 2**bits - 1), min_size=0, max_size=40)
+    )
+    array = np.array(values, dtype=dtype)
+    if draw(st.booleans()) and array.size and array.size % 2 == 0:
+        array = array.reshape(2, -1)
+    return array, bits
+
+
+class TestPackedRoundTripProperty:
+    @settings(max_examples=120, deadline=None)
+    @given(data=bounded_arrays())
+    def test_any_width_any_values_round_trip_exactly(self, data):
+        array, bits = data
+        out = unpack_bits(pack_bits(array, bits), bits, array.size)
+        assert out.dtype == np.uint64
+        np.testing.assert_array_equal(out.reshape(array.shape), array)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=bounded_arrays())
+    def test_element_bytes_are_exactly_ceil_n_bits_over_8(self, data):
+        array, bits = data
+        assert len(pack_bits(array, bits)) == -(-array.size * bits // 8)
+
+    def test_empty_arrays_round_trip(self):
+        for shape in ((0,), (0, 0), (3, 0)):
+            for bits in (1, 31, 64):
+                packed = pack_bits(np.zeros(shape, dtype=np.uint64), bits)
+                assert packed == b""
+                out = unpack_bits(packed, bits, 0)
+                assert out.dtype == np.uint64 and out.size == 0
+
+    def test_non_contiguous_views_encode_like_their_copies(self):
+        base = np.arange(64, dtype=np.uint64) % 1000
+        for view in (base[::2], base[::-1], base.reshape(8, 8).T,
+                     base.reshape(8, 8)[:, 1:3]):
+            assert not view.flags["C_CONTIGUOUS"]
+            copy = np.ascontiguousarray(view)
+            assert pack_bits(view, 10) == pack_bits(copy, 10)
+            np.testing.assert_array_equal(
+                unpack_bits(pack_bits(view, 10), 10, view.size),
+                copy.reshape(-1),
+            )
+
+
 class TestDeclaredWidth:
     def test_data_over_the_declared_width_rejected(self):
         with pytest.raises(WireError, match="declared width is 3"):
