@@ -115,6 +115,9 @@ class AggregationResult:
     survivors: List[int]
     transcript: Transcript
     metrics: RoundMetrics
+    #: The server round a service cohort's seal advanced it to (the
+    #: drain reply's ``"round"``); None outside a cohort.
+    server_round: Optional[int] = None
 
 
 DEFAULT_POOL_ROUNDS = 4

@@ -31,7 +31,8 @@ Layering (see the repo README for the full picture)::
   vector payloads in shared memory).
 * :mod:`repro.service.worker` — the one worker-side request handler
   every host connection serves through.
-* :mod:`repro.service.cohort` — the per-cohort round state machine.
+* :mod:`repro.service.cohort` / :mod:`.engines` — the cohort and its
+  one round engine: seals, membership, and the one lifecycle.
 * :mod:`repro.service.metrics` — pool depth / stall / throughput
   counters, snapshotable for the CLI and the throughput benchmark.
 * :mod:`repro.service.service` — the :class:`AggregationService` facade
@@ -44,7 +45,8 @@ from repro.service.config import (
     ServiceConfig,
     TransportKind,
 )
-from repro.service.cohort import Cohort, CohortPhase
+from repro.service.cohort import Cohort
+from repro.service.engines import RoundPhase
 from repro.service.metrics import CohortMetrics, ServiceMetrics, TransportMetrics
 from repro.service.refill import BackgroundRefiller
 from repro.service.service import AggregationService
@@ -65,10 +67,10 @@ __all__ = [
     "Cohort",
     "CohortSpec",
     "CohortMetrics",
-    "CohortPhase",
     "InlineTransport",
     "ProcessPoolTransport",
     "RefillMode",
+    "RoundPhase",
     "ServiceConfig",
     "ServiceMetrics",
     "ShardHandle",

@@ -241,17 +241,16 @@ class ControlPlane:
             t0 = time.perf_counter()
             result = cohort.run_round(updates, dropouts)
             online = time.perf_counter() - t0
-            status = cohort.status()
             return RoundResponse(
                 cohort_id=cohort_id,
-                round_index=cohort.rounds,
+                round_index=result.server_round,
                 survivors=list(result.survivors),
                 aggregate_b64=encode_vector(
                     result.aggregate, request.encoding, gf.q
                 ),
                 encoding=request.encoding,
                 online_seconds=online,
-                pool_level=status["pool_level"],
+                pool_level=cohort.session.pool_level,
             )
 
     def submit_update(

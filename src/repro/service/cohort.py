@@ -3,40 +3,37 @@
 A *cohort* is one federation of ``N`` users training one model through
 one :class:`~repro.service.sharding.ShardedSession` over pooled
 LightSecAgg shards.  The service hosts many cohorts
-concurrently; each cohort serializes its own rounds through the phase
-machine below, modelled on long-lived round managers in production FL
-stacks: explicit phases, loud invalid transitions, and a status snapshot
-a coordinator can poll while background refills drain.
+concurrently; each cohort serializes its seals through one
+:class:`~repro.service.engines.RoundEngine`, modelled on long-lived
+round managers in production FL stacks: explicit phases, a terminal
+close, and a status snapshot a coordinator can poll while background
+refills drain.
 
-Phases::
+The cohort has one lifecycle, the engine's
+:class:`~repro.service.engines.RoundPhase`::
 
-    IDLE -> COLLECTING -> AGGREGATING -> IDLE   (per round)
-    IDLE -> AGGREGATING -> IDLE                 (per buffered drain)
-    any  -> CLOSED                              (terminal)
+    IDLE -> FILLING -> SEALED -> AGGREGATING -> IDLE | FILLING
+    any  -> CLOSED                                      (terminal)
 
-``COLLECTING`` is where a deployment would wait for client uploads; the
-in-process service enters it when the caller hands over the round's
-updates.  ``AGGREGATING`` covers the protocol's online path.  The round
-*stalls* if the session pool is empty at aggregation start — that is the
-event background refill eliminates, and the cohort counts it.
-
-Every cohort runs the one :class:`~repro.service.engines.RoundEngine`:
-it takes synchronous rounds, buffered submissions and join/leave, and
-a round is the engine's seal at unit weight.
+``FILLING`` is a buffered batch waiting for its K-th submission; a
+synchronous round arrives whole and starts at ``SEALED``.
+``AGGREGATING`` covers the protocol's online path.  A seal *stalls* if
+the session pool is empty at aggregation start — that is the event
+background refill eliminates, and the engine counts it.  The engine
+takes synchronous rounds, buffered submissions and join/leave, and a
+round is its seal at unit weight.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Optional, Set
 
 import numpy as np
 
-from repro.exceptions import ProtocolError
 from repro.obs import Tracer
 from repro.protocols.base import AggregationResult
 from repro.service.config import CohortSpec
-from repro.service.engines import CohortPhase, RoundEngine
+from repro.service.engines import RoundEngine, RoundPhase
 from repro.service.metrics import ServiceMetrics
 from repro.service.refill import BackgroundRefiller
 from repro.service.sharding import ShardedSession
@@ -65,7 +62,7 @@ class Cohort:
         every round so top-ups start as soon as the pool drains.
     tracer:
         Optional :class:`~repro.obs.Tracer`; every round then records a
-        :class:`~repro.obs.RoundTrace` spanning the whole phase machine,
+        :class:`~repro.obs.RoundTrace` spanning the whole seal,
         with the transports contributing scatter/compute/gather spans.
     """
 
@@ -84,10 +81,6 @@ class Cohort:
         self.metrics = metrics
         self.refiller = refiller
         self.tracer = tracer
-        self.phase = CohortPhase.IDLE
-        self.rounds = 0
-        self.stalls = 0
-        self._phase_lock = threading.Lock()
         self.engine = RoundEngine(self)
 
     @property
@@ -95,46 +88,34 @@ class Cohort:
         """The lane the session's shards run on (the session owns it)."""
         return self.session.transport
 
-    # ------------------------------------------------------------------
-    # Phase mutations happen under one lock so a concurrent close() can
-    # never interleave *inside* a transition: CLOSED is terminal (a
-    # transition can neither overwrite it nor half-observe it).
-    def _move(self, expected: CohortPhase, to: CohortPhase) -> None:
-        """``expected -> to`` or a loud error; caller holds the lock."""
-        if self.phase is not expected:
-            raise ProtocolError(
-                f"cohort {self.cohort_id}: invalid transition "
-                f"{self.phase.value} -> {to.value} (expected to be in "
-                f"{expected.value})"
-            )
-        self.phase = to
+    # The lifecycle and counters live on the engine, under its lock.
+    @property
+    def phase(self) -> RoundPhase:
+        return self.engine.phase
 
-    def _advance(self, expected: CohortPhase, to: CohortPhase) -> None:
-        """Mid-round transition that tolerates a concurrent close().
+    @property
+    def rounds(self) -> int:
+        """Seals that succeeded: the engine's server round."""
+        return self.engine.server_round
 
-        CLOSED is terminal: once close() has marked the cohort, the round
-        in flight keeps running to completion but stops moving the phase
-        machine, so its errors (if any) come from the closed *session* —
-        not from a misleading invalid-transition complaint.
-        """
-        with self._phase_lock:
-            if self.phase is not CohortPhase.CLOSED:
-                self._move(expected, to)
+    @property
+    def stalls(self) -> int:
+        return self.engine.stalls
 
     def run_round(
         self,
         updates: Dict[int, np.ndarray],
         dropouts: Optional[Set[int]] = None,
     ) -> AggregationResult:
-        """Drive one full round through the phase machine.
+        """Seal one full round on the engine.
 
         Close/round race semantics: a :meth:`close` that lands while a
-        round is COLLECTING or AGGREGATING does not abort it — the
-        in-flight round completes and returns its result (the session
-        round has already committed its pool accounting by the time the
-        race is observable), the cohort simply stays CLOSED instead of
-        returning to IDLE.  Rounds *started* after close fail immediately
-        with a closed-cohort error.
+        round is SEALED or AGGREGATING does not abort it — the in-flight
+        round completes and returns its result (the session round has
+        already committed its pool accounting by the time the race is
+        observable), the cohort simply stays CLOSED instead of returning
+        to IDLE.  Rounds *started* after close fail immediately with a
+        closed-cohort error.
 
         The seal itself lives in
         :meth:`~repro.service.engines.RoundEngine.run_round`: updates
@@ -164,55 +145,28 @@ class Cohort:
         """Retire one member at runtime (re-keys the mask shares)."""
         return self.engine.leave(user_id)
 
-    def _complete_round(self, stalled: bool) -> None:
-        """Commit the round counters and the AGGREGATING -> IDLE advance
-        as one atomic step.
-
-        Incrementing outside the lock (the pre-fix behaviour) let a
-        concurrent :meth:`status` scrape observe a torn pair — the round
-        already counted while the phase still said ``aggregating``, or
-        vice versa.  CLOSED stays terminal exactly like :meth:`_advance`.
-        """
-        with self._phase_lock:
-            self.rounds += 1
-            if stalled:
-                self.stalls += 1
-            if self.phase is not CohortPhase.CLOSED:
-                self._move(CohortPhase.AGGREGATING, CohortPhase.IDLE)
-
     # ------------------------------------------------------------------
     def close(self) -> None:
-        # Closing the session closes its transport: for process/socket
-        # backends the worker Shutdown/Teardown handshake, for this
-        # cohort's shards only.
-        self.session.close()
-        with self._phase_lock:
-            self.phase = CohortPhase.CLOSED
+        # CLOSED first, so new work is refused from here on; a seal in
+        # flight completes.  Closing the session closes its transport:
+        # for process/socket backends the worker Shutdown/Teardown
+        # handshake, for this cohort's shards only.
         self.engine.close()
+        self.session.close()
 
     def status(self) -> Dict:
         """Snapshotable cohort state for coordinators and the CLI.
 
-        Phase and round counters are read under the cohort lock so a
-        scrape racing :meth:`run_round` sees a consistent pair; the pool
+        The phase and counters come from the engine's one locked read,
+        so a scrape racing a seal sees them committed together; the pool
         numbers come from the session's own locked snapshot surface.
         """
-        with self._phase_lock:
-            phase = self.phase.value
-            rounds = self.rounds
-            stalls = self.stalls
-        out = {
+        return {
             "cohort_id": self.cohort_id,
-            "phase": phase,
-            "rounds": rounds,
-            "stalls": stalls,
             "pool_level": self.session.pool_level,
             "pool_size": self.session.pool_size,
+            **self.engine.status_fields(),
         }
-        # The engine adds its seal lifecycle, buffer occupancy, server
-        # round and membership view.
-        out.update(self.engine.status_fields())
-        return out
 
     def __repr__(self) -> str:
         return (

@@ -1,10 +1,10 @@
 """The one round engine behind the protocol-agnostic cohort shell.
 
-A :class:`~repro.service.cohort.Cohort` owns identity, the coarse phase
-machine (IDLE / COLLECTING / AGGREGATING / CLOSED), counters, and the
-wiring to metrics / refiller / tracer.  *How* a batch is sealed and
-aggregated is the business of :class:`RoundEngine`, and every cohort
-runs the same one.  A batch seals two ways:
+A :class:`~repro.service.cohort.Cohort` owns identity and the wiring to
+metrics / refiller / tracer.  *How* a batch is sealed and aggregated —
+and the cohort's one lifecycle and round counter — is the business of
+:class:`RoundEngine`, and every cohort runs the same one.  A batch
+seals two ways:
 
 * :meth:`RoundEngine.submit` — the paper's buffered-async workload
   (Appendix F): clients submit real-valued updates whenever they finish
@@ -22,9 +22,20 @@ runs the same one.  A batch seals two ways:
 Both seals take the same drain lock, run inside the same round bracket,
 read the same member set and member->slot map, and advance the one
 server round, so staleness keeps counting model versions whichever way
-the model moved.  The seal lifecycle (IDLE -> FILLING -> SEALED ->
-AGGREGATING -> IDLE) is kept as timestamped :class:`PhaseTransition`
-records, nested inside the cohort's coarse machine.
+the model moved.
+
+The cohort's one lifecycle, :class:`RoundPhase`, kept under the
+engine's ``_lock`` and recorded as timestamped :class:`PhaseTransition`
+records::
+
+    IDLE -> FILLING -> SEALED -> AGGREGATING -> IDLE | FILLING
+    any  -> CLOSED                                      (terminal)
+
+A buffered batch fills (FILLING) until its K-th submission seals it; a
+synchronous round arrives whole and starts at SEALED.  After a seal the
+phase follows whatever the next buffer already holds.  CLOSED is
+terminal: a seal in flight when the cohort closes completes, but moves
+the phase no more.
 
 Elastic membership: :meth:`RoundEngine.join` /
 :meth:`~RoundEngine.leave` re-key the session's mask geometry for the
@@ -107,19 +118,8 @@ def build_staleness(
     return QuantizedStaleness(levels=levels, fn=resolved)
 
 
-class CohortPhase(enum.Enum):
-    """Coarse per-cohort phase machine (see :mod:`repro.service.cohort`,
-    which owns it; declared here so the engine imports it at module
-    level)."""
-
-    IDLE = "idle"
-    COLLECTING = "collecting"
-    AGGREGATING = "aggregating"
-    CLOSED = "closed"
-
-
 class RoundPhase(enum.Enum):
-    """Fine-grained lifecycle of the engine's current batch."""
+    """The cohort's lifecycle (see the module docstring)."""
 
     IDLE = "idle"
     FILLING = "filling"
@@ -143,8 +143,6 @@ class PhaseTransition:
     started_at_time: float = field(default_factory=time.time)
 
 
-
-
 class RoundEngine:
     """Seal-and-aggregate for one cohort: rounds, submissions, members.
 
@@ -157,10 +155,13 @@ class RoundEngine:
     round it seals at.  :meth:`join` and :meth:`leave` re-key between
     seals.
 
-    Lock order is ``_drain_lock`` before ``_lock`` wherever both are
-    held; :meth:`submit` takes only ``_lock`` (and hands a sealed batch
-    to the drain path *after* releasing it), so fills never wait on a
-    seal in flight.
+    ``phase``, ``server_round``, ``stalls`` and ``drains`` are the
+    cohort's lifecycle and counters; they change only under ``_lock``,
+    and a seal commits all of them in one ``_lock`` section.  Lock order
+    is ``_drain_lock`` before ``_lock`` wherever both are held;
+    :meth:`submit` takes only ``_lock`` (and hands a sealed batch to the
+    drain path *after* releasing it), so fills never wait on a seal in
+    flight.
     """
 
     def __init__(self, cohort) -> None:
@@ -193,49 +194,64 @@ class RoundEngine:
         )
         self._pending_dropouts: Set[int] = set()
         self._fill_started_at: Optional[float] = None
-        self._round = 0  # server round t; every seal advances it by one
-        self.drains = 0
+        self.server_round = 0  # t; every seal advances it by one
+        self.stalls = 0  # seals that found the session pool empty
+        self.drains = 0  # seals of a buffered batch
         self.membership_events: Dict[str, int] = {"join": 0, "leave": 0}
-        self.round_phase = RoundPhase.IDLE
+        self.phase = RoundPhase.IDLE
         self.transitions: Deque[PhaseTransition] = deque(
             maxlen=TRANSITION_HISTORY
         )
 
     def _set_phase(self, phase: RoundPhase, round_index: int) -> None:
-        self.round_phase = phase
+        """Enter ``phase``; caller holds ``_lock``.  CLOSED is terminal,
+        so once the cohort is closed this records nothing."""
+        if self.phase is RoundPhase.CLOSED:
+            return
+        self.phase = phase
         self.transitions.append(
             PhaseTransition(phase=phase, round_index=round_index)
         )
 
     def _settle(self) -> None:
-        """After a seal, aggregated or failed: the batch is gone, and the
-        lifecycle follows whatever the next buffer already holds."""
-        with self._lock:
-            self._set_phase(
-                RoundPhase.FILLING if len(self._buffer) else RoundPhase.IDLE,
-                self._round,
+        """After a seal, aggregated or failed (caller holds ``_lock``):
+        the batch is gone, and the phase follows whatever the next
+        buffer already holds."""
+        self._set_phase(
+            RoundPhase.FILLING if len(self._buffer) else RoundPhase.IDLE,
+            self.server_round,
+        )
+
+    def _refuse_if_closed(self, what: str) -> None:
+        """Caller holds ``_lock``."""
+        if self.phase is RoundPhase.CLOSED:
+            raise ProtocolError(
+                f"cohort {self.cohort.cohort_id} is closed; {what}"
             )
 
     @contextmanager
-    def _bracket(self, round_index: int, **tags):
+    def _bracket(self, round_index: int, buffered: bool = False):
         """The bracket every seal runs inside.
 
         Opens the round's trace, then yields ``timed`` — the body calls
         ``timed(session_method, *args)`` exactly once, around the one
         session call that *is* the online round (stall check before,
         wall clock around).  When the body returns, the round is
-        recorded, the refiller nudged, the cohort's counters and phase
-        committed and the trace closed; when it raises, the trace closes
-        with the error and the cohort goes back to IDLE — a failed seal
-        (e.g. survivors below U) leaves the cohort ready for the next
-        one, matching session semantics.
+        recorded, the refiller nudged, the server round, stall and drain
+        counters and the phase committed in one ``_lock`` section, and
+        the trace closed.  When it raises, the trace closes with the
+        error and the phase settles without counting a round — a failed
+        seal (e.g. survivors below U) leaves the cohort ready for the
+        next one, matching session semantics.  A :meth:`close` that
+        raced the seal keeps its result and leaves the cohort CLOSED.
         """
         c = self.cohort
         trace = None
         if c.tracer is not None:
             trace = c.tracer.start_round(c.cohort_id, round_index)
             if trace is not None:
-                trace.root.tags.update(tags)
+                if buffered:
+                    trace.root.tags["kind"] = "buffered"
                 trace.root.tags["transport"] = c.session.transport.kind
         online, stalled, level_before = 0.0, False, None
 
@@ -258,21 +274,19 @@ class RoundEngine:
                 )
             if c.refiller is not None:
                 c.refiller.notify()
-            # close() may have raced this round: the work is done and the
-            # session already committed its pool accounting, so keep
-            # the result and leave the cohort CLOSED rather than blowing
-            # up the success path on an AGGREGATING -> IDLE transition
-            # the close made invalid.
-            c._complete_round(stalled)
-            if c.tracer is not None:
-                c.tracer.finish(trace)
         except Exception as exc:
             if c.tracer is not None:
                 c.tracer.finish(trace, error=exc)
-            with c._phase_lock:
-                if c.phase is not CohortPhase.CLOSED:
-                    c.phase = CohortPhase.IDLE
+            with self._lock:
+                self._settle()
             raise
+        with self._lock:
+            self.server_round += 1
+            self.stalls += stalled
+            self.drains += buffered
+            self._settle()
+        if c.tracer is not None:
+            c.tracer.finish(trace)
 
     # ------------------------------------------------------------------
     # the synchronous seal
@@ -286,48 +300,38 @@ class RoundEngine:
         member id, ``dropouts`` names the members whose upload is lost.
 
         The rows go to the session's 0/1 drain, weighted 1 on the
-        survivors; the survivors come back as member ids.  The cohort
-        walks IDLE -> COLLECTING -> AGGREGATING -> IDLE; a round that
-        finds the cohort closed fails with a closed-cohort error.
+        survivors; the survivors come back as member ids, and
+        ``server_round`` names the round the seal advanced the cohort
+        to.  The round arrives whole, so the phase walks SEALED ->
+        AGGREGATING -> IDLE (or FILLING); a round that finds the cohort
+        closed fails with a closed-cohort error.
         """
         c = self.cohort
         with self._drain_lock:
-            with c._phase_lock:
-                if c.phase is CohortPhase.CLOSED:
-                    raise ProtocolError(
-                        f"cohort {c.cohort_id} is closed; no further rounds"
-                    )
-                c._move(CohortPhase.IDLE, CohortPhase.COLLECTING)
             with self._lock:
-                index = self._round
+                self._refuse_if_closed("no further rounds")
+                index = self.server_round
                 members = sorted(self._members)
                 self._set_phase(RoundPhase.SEALED, index)
-            try:
-                with self._bracket(index) as (_trace, timed):
-                    # COLLECTING: updates are already in hand in-process;
-                    # a transport would gather client uploads here.
-                    with span("collect", users=str(len(updates))):
-                        slot_of = {m: slot for slot, m in enumerate(members)}
-                        dropouts = set(dropouts or ())
-                        unknown = (set(updates) | dropouts) - slot_of.keys()
-                        if unknown:
-                            raise ProtocolError(
-                                f"cohort {c.cohort_id} has no member(s) "
-                                f"{sorted(unknown)}"
-                            )
-                        rows = {slot_of[m]: v for m, v in updates.items()}
-                        lost = {slot_of[m] for m in dropouts}
-                        c._advance(
-                            CohortPhase.COLLECTING, CohortPhase.AGGREGATING
+            with self._bracket(index) as (_trace, timed):
+                # The updates are already in hand in-process; a
+                # transport would gather client uploads here.
+                with span("collect", users=str(len(updates))):
+                    slot_of = {m: slot for slot, m in enumerate(members)}
+                    dropouts = set(dropouts or ())
+                    unknown = (set(updates) | dropouts) - slot_of.keys()
+                    if unknown:
+                        raise ProtocolError(
+                            f"cohort {c.cohort_id} has no member(s) "
+                            f"{sorted(unknown)}"
                         )
-                    with self._lock:
-                        self._set_phase(RoundPhase.AGGREGATING, index)
-                    result = timed(c.session.run_round, rows, lost)
-                    with self._lock:
-                        self._round += 1
-            finally:
-                self._settle()
+                    rows = {slot_of[m]: v for m, v in updates.items()}
+                    lost = {slot_of[m] for m in dropouts}
+                with self._lock:
+                    self._set_phase(RoundPhase.AGGREGATING, index)
+                result = timed(c.session.run_round, rows, lost)
         result.survivors = [members[slot] for slot in result.survivors]
+        result.server_round = index + 1
         return result
 
     # ------------------------------------------------------------------
@@ -359,15 +363,12 @@ class RoundEngine:
                 f"update shape {update.shape} != ({self.spec.model_dim},)"
             )
         with self._lock:
-            if c.phase is CohortPhase.CLOSED:
-                raise ProtocolError(
-                    f"cohort {c.cohort_id} is closed; no further updates"
-                )
+            self._refuse_if_closed("no further updates")
             if int(user_id) not in self._members:
                 raise ProtocolError(
                     f"cohort {c.cohort_id} has no member {user_id}"
                 )
-            t = self._round
+            t = self.server_round
             dl = t if download_round is None else int(download_round)
             if not 0 <= dl <= t:
                 raise ProtocolError(
@@ -376,7 +377,7 @@ class RoundEngine:
                 )
             if len(self._buffer) == 0:
                 self._fill_started_at = time.time()
-            if self.round_phase is RoundPhase.IDLE:
+            if self.phase is RoundPhase.IDLE:
                 self._set_phase(RoundPhase.FILLING, t)
             self._buffer.push(
                 BufferedUpdate(int(user_id), dl, update)
@@ -416,7 +417,7 @@ class RoundEngine:
         c = self.cohort
         with self._drain_lock:
             with self._lock:
-                t = self._round
+                t = self.server_round
                 members = sorted(self._members)
             rng = drain_stream(self.spec.seed, c.cohort_id, t)
             deliveries = [
@@ -427,70 +428,60 @@ class RoundEngine:
                 )
                 for item in items
             ]
-            try:
-                with self._bracket(t, kind="buffered") as (trace, timed):
-                    if trace is not None and fill_started is not None:
-                        # The fill predates the trace: record it as a
-                        # retroactive span so the timeline shows how long
-                        # the buffer took to reach K.
-                        trace.add_span(
-                            Span(
-                                "buffer_fill",
-                                start=fill_started,
-                                end=sealed_at,
-                                tags={"updates": str(len(items))},
-                            )
+            with self._bracket(t, buffered=True) as (trace, timed):
+                if trace is not None and fill_started is not None:
+                    # The fill predates the trace: record it as a
+                    # retroactive span so the timeline shows how long
+                    # the buffer took to reach K.
+                    trace.add_span(
+                        Span(
+                            "buffer_fill",
+                            start=fill_started,
+                            end=sealed_at,
+                            tags={"updates": str(len(items))},
                         )
-                    c._advance(CohortPhase.IDLE, CohortPhase.AGGREGATING)
-                    with self._lock:
-                        self._set_phase(RoundPhase.AGGREGATING, t)
-                    prepared = prepare_deliveries(
-                        deliveries,
-                        self.spec.model_dim,
-                        self.quantizer,
-                        self.staleness,
-                        rng,
                     )
-                    total_weight = sum(p.weight for p in prepared)
-                    if total_weight == 0:
-                        raise ProtocolError(
-                            "all staleness weights quantized to zero"
-                        )
-                    live = [p for p in prepared if p.weight != 0]
-                    weights = np.asarray(
-                        [p.weight for p in live], dtype=np.uint64
+                with self._lock:
+                    self._set_phase(RoundPhase.AGGREGATING, t)
+                prepared = prepare_deliveries(
+                    deliveries,
+                    self.spec.model_dim,
+                    self.quantizer,
+                    self.staleness,
+                    rng,
+                )
+                total_weight = sum(p.weight for p in prepared)
+                if total_weight == 0:
+                    raise ProtocolError(
+                        "all staleness weights quantized to zero"
                     )
-                    updates = np.stack([p.quantized for p in live])
-                    # A member that left since the client observed it is
-                    # no longer in recovery: its id has no slot.
-                    slot_of = {
-                        member: i for i, member in enumerate(members)
-                    }
-                    recovery_slots = {
-                        slot_of[m] for m in dropout_members if m in slot_of
-                    }
-                    with span(
-                        "drain",
-                        updates=str(len(live)),
-                        weight=str(int(total_weight)),
-                    ):
-                        result = timed(
-                            c.session.drain, weights, updates, recovery_slots
-                        )
-                    aggregate = (
-                        self.quantizer.dequantize(result.aggregate)
-                        / total_weight
+                live = [p for p in prepared if p.weight != 0]
+                weights = np.asarray(
+                    [p.weight for p in live], dtype=np.uint64
+                )
+                updates = np.stack([p.quantized for p in live])
+                # A member that left since the client observed it is
+                # no longer in recovery: its id has no slot.
+                slot_of = {member: i for i, member in enumerate(members)}
+                recovery_slots = {
+                    slot_of[m] for m in dropout_members if m in slot_of
+                }
+                with span(
+                    "drain",
+                    updates=str(len(live)),
+                    weight=str(int(total_weight)),
+                ):
+                    result = timed(
+                        c.session.drain, weights, updates, recovery_slots
                     )
-                    with self._lock:
-                        self._round += 1
-                        self.drains += 1
-                    if c.metrics is not None:
-                        c.metrics.record_drain(
-                            c.cohort_id,
-                            [d.staleness for d in deliveries],
-                        )
-            finally:
-                self._settle()
+                aggregate = (
+                    self.quantizer.dequantize(result.aggregate)
+                    / total_weight
+                )
+                if c.metrics is not None:
+                    c.metrics.record_drain(
+                        c.cohort_id, [d.staleness for d in deliveries]
+                    )
             return {
                 "drained": True,
                 "drain_index": t,
@@ -535,10 +526,7 @@ class RoundEngine:
         spec = self.spec
         event = "join" if user_id is None else "leave"
         with self._drain_lock, self._lock:
-            if c.phase is CohortPhase.CLOSED:
-                raise ProtocolError(
-                    f"cohort {c.cohort_id} is closed; membership frozen"
-                )
+            self._refuse_if_closed("membership frozen")
             if user_id is None:
                 user_id = self._next_member_id
                 members = self._members | {user_id}
@@ -584,14 +572,18 @@ class RoundEngine:
 
     # ------------------------------------------------------------------
     def status_fields(self) -> Dict:
-        """The engine's half of :meth:`Cohort.status`."""
+        """The engine's half of :meth:`Cohort.status`, read in one
+        ``_lock`` section: ``rounds`` is ``server_round`` (every seal
+        counts once), and a scrape never sees a seal half-committed."""
         with self._lock:
             return {
-                "round_phase": self.round_phase.value,
+                "phase": self.phase.value,
+                "rounds": self.server_round,
+                "stalls": self.stalls,
                 "buffer_fill": len(self._buffer),
                 "buffer_capacity": self.buffer_capacity,
                 "drains": self.drains,
-                "server_round": self._round,
+                "server_round": self.server_round,
                 "num_users": len(self._members),
                 "members": sorted(self._members),
                 "membership_events": dict(self.membership_events),
@@ -603,4 +595,4 @@ class RoundEngine:
 
     def close(self) -> None:
         with self._lock:
-            self._set_phase(RoundPhase.CLOSED, self._round)
+            self._set_phase(RoundPhase.CLOSED, self.server_round)

@@ -31,8 +31,9 @@ from repro.exceptions import ProtocolError
 from repro.field.arithmetic import FiniteField
 from repro.protocols.base import AggregationResult, sample_dropouts
 from repro.obs import RoundTrace, Tracer
-from repro.service.cohort import Cohort, CohortPhase
+from repro.service.cohort import Cohort
 from repro.service.config import CohortSpec, RefillMode, ServiceConfig
+from repro.service.engines import RoundPhase
 from repro.service.metrics import ServiceMetrics
 from repro.service.refill import BackgroundRefiller
 from repro.service.sharding import ShardedSession, ShardPlan
@@ -330,7 +331,7 @@ class AggregationService:
         for _ in range(rounds):
             sweep: Dict[int, AggregationResult] = {}
             for cohort in self.cohorts:
-                if cohort.phase is CohortPhase.CLOSED:
+                if cohort.phase is RoundPhase.CLOSED:
                     continue
                 updates, dropouts = synthetic_round(
                     cohort.engine.members(), cohort.spec.model_dim,
@@ -341,7 +342,7 @@ class AggregationService:
                         updates, dropouts
                     )
                 except ProtocolError:
-                    if cohort.phase is not CohortPhase.CLOSED:
+                    if cohort.phase is not RoundPhase.CLOSED:
                         raise
             results.append(sweep)
             if settle and self.refiller is not None:

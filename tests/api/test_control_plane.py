@@ -32,6 +32,7 @@ from repro.service import (
 from repro.service.api import (
     ControlPlane,
     ControlPlaneServer,
+    RoundRequest,
     encode_vector,
 )
 from repro.service.api import server as server_module
@@ -242,6 +243,31 @@ class TestBitIdentity:
         finally:
             control.drain()
             server.stop()
+
+
+def test_round_reply_names_its_own_seal(gf):
+    """A second seal on the cohort that lands between a round's seal and
+    its reply must not shift the reply: ``round`` is the server round
+    that seal advanced the cohort to (the drain reply's convention)."""
+    config = ServiceConfig(num_users=N, model_dim=DIM, pool_size=3)
+    service = AggregationService(config, gf=gf).start()
+    try:
+        cohort = service.cohorts[0]
+        seal = cohort.run_round
+
+        def seal_then_race(updates, dropouts):
+            result = seal(updates, dropouts)
+            seal(updates, dropouts)  # the racing seal, before the reply
+            return result
+
+        cohort.run_round = seal_then_race
+        request = RoundRequest.from_json({"synthetic": {"seed": 0}})
+        reply = ControlPlane(service).run_round(0, request)
+        assert reply.round_index == 1
+        assert reply.to_json()["round"] == 1
+        assert cohort.status()["rounds"] == 2
+    finally:
+        service.stop()
 
 
 class TestLifecycleAndErrors:

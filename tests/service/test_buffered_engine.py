@@ -210,14 +210,14 @@ class TestLifecycle:
         with AggregationService(buffered_config(), gf=gf) as svc:
             cohort = svc.cohorts[0]
             engine = cohort.engine
-            assert engine.round_phase is RoundPhase.IDLE
+            assert cohort.phase is RoundPhase.IDLE
 
             rng = np.random.default_rng(0)
             for i in range(K - 1):
                 out = cohort.submit_update(i, rng.normal(size=DIM))
                 assert not out["drained"]
                 assert out["buffer_fill"] == i + 1
-                assert engine.round_phase is RoundPhase.FILLING
+                assert cohort.phase is RoundPhase.FILLING
 
             status = cohort.status()
             assert status["buffer_fill"] == K - 1
@@ -226,7 +226,7 @@ class TestLifecycle:
 
             out = cohort.submit_update(K - 1, rng.normal(size=DIM))
             assert out["drained"] and out["round"] == 1
-            assert engine.round_phase is RoundPhase.IDLE
+            assert cohort.phase is RoundPhase.IDLE
             phases = [t.phase for t in engine.transitions]
             assert phases[-4:] == [
                 RoundPhase.FILLING, RoundPhase.SEALED,
@@ -279,7 +279,7 @@ class TestLifecycle:
             # every cohort's status carries the engine's fields
             assert set(cohort.status()) == {
                 "cohort_id", "phase", "rounds", "stalls",
-                "pool_level", "pool_size", "round_phase", "buffer_fill",
+                "pool_level", "pool_size", "buffer_fill",
                 "buffer_capacity", "drains", "server_round", "num_users",
                 "members", "membership_events",
             }
@@ -419,7 +419,7 @@ class TestSealDrainOrderingProperties:
                 assert status["num_users"] >= max(2, K)
             # drain indices arrive in order with no gaps
             assert drains_seen == list(range(len(drains_seen)))
-            assert engine.round_phase in (
+            assert cohort.phase in (
                 RoundPhase.IDLE, RoundPhase.FILLING
             )
         finally:

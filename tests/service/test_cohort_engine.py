@@ -28,8 +28,8 @@ from repro.protocols.lightsecagg.params import LSAParams
 from repro.quantization import ModelQuantizer, QuantizationConfig
 from repro.service import (
     AggregationService,
-    CohortPhase,
     RefillMode,
+    RoundPhase,
     ServiceConfig,
     ShardWorkerServer,
     TransportKind,
@@ -104,7 +104,7 @@ class TestDefaultSpecCohortChurns:
             updates[9] = updates.pop(7)
             with pytest.raises(ProtocolError, match=r"no member\(s\) \[9\]"):
                 cohort.run_round(updates, set())
-            assert cohort.phase is CohortPhase.IDLE
+            assert cohort.phase is RoundPhase.IDLE
             check_round(gf, cohort, list(range(8)), set(), seed=4)
 
 
@@ -205,14 +205,14 @@ def test_refusal_leaves_the_cohort_idle_and_ready(gf, arm):
         members = cohort.engine.members()
         with pytest.raises(ProtocolError, match=message):
             provoke(cohort)
-        assert cohort.phase is CohortPhase.IDLE
+        assert cohort.phase is RoundPhase.IDLE
         status = cohort.status()
-        assert status["round_phase"] == "idle"
+        assert status["phase"] == "idle"
         assert status["buffer_fill"] == 0
         if arm != "infeasible-rekey":  # its first leave went through
             assert cohort.engine.members() == members
         next_op(gf, cohort)
-        assert cohort.phase is CohortPhase.IDLE
+        assert cohort.phase is RoundPhase.IDLE
 
 
 def test_http_round_is_keyed_by_live_members(gf):

@@ -34,9 +34,9 @@ import pytest
 from repro.exceptions import QuantizationError
 from repro.service import (
     AggregationService,
-    CohortPhase,
     CohortSpec,
     RefillMode,
+    RoundPhase,
     ServiceConfig,
     ShardedSession,
     ShardSessionSpec,
@@ -112,7 +112,7 @@ def test_every_cohort_is_a_sharded_session(gf, worker, lane_name, lane,
 
         cohort.close()
         cohort.close()
-        assert cohort.phase is CohortPhase.CLOSED
+        assert cohort.phase is RoundPhase.CLOSED
         assert cohort.session.closed and cohort.transport.closed
         assert type(cohort.status()["pool_level"]) is int
     finally:
@@ -241,7 +241,7 @@ class TestSweepsOverTheOneRegistry:
             sweeper.start()
             assert started.wait(timeout=30)
             svc.remove_cohort(a.cohort_id)
-            assert a.phase is CohortPhase.CLOSED
+            assert a.phase is RoundPhase.CLOSED
             release.set()
             sweeper.join(timeout=30)
             assert not sweeper.is_alive()

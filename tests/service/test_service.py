@@ -22,8 +22,8 @@ from repro.protocols.base import (
 )
 from repro.service import (
     AggregationService,
-    CohortPhase,
     RefillMode,
+    RoundPhase,
     ServiceConfig,
 )
 
@@ -129,11 +129,11 @@ class TestCohortStateMachine:
 
     def test_round_cycles_through_phases_back_to_idle(self, gf):
         cohort = self.make_cohort(gf)
-        assert cohort.phase is CohortPhase.IDLE
+        assert cohort.phase is RoundPhase.IDLE
         rng = np.random.default_rng(1)
         updates = {i: gf.random(DIM, rng) for i in range(N)}
         cohort.run_round(updates, set())
-        assert cohort.phase is CohortPhase.IDLE
+        assert cohort.phase is RoundPhase.IDLE
         assert cohort.rounds == 1
 
     def test_failed_round_returns_to_idle(self, gf):
@@ -142,14 +142,14 @@ class TestCohortStateMachine:
         updates = {i: gf.random(DIM, rng) for i in range(N)}
         with pytest.raises(ProtocolError):
             cohort.run_round(updates, set(range(N - 1)))
-        assert cohort.phase is CohortPhase.IDLE
+        assert cohort.phase is RoundPhase.IDLE
         cohort.run_round(updates, set())  # still usable
         assert cohort.rounds == 1
 
     def test_closed_cohort_rejects_rounds(self, gf):
         cohort = self.make_cohort(gf)
         cohort.close()
-        assert cohort.phase is CohortPhase.CLOSED
+        assert cohort.phase is RoundPhase.CLOSED
         rng = np.random.default_rng(3)
         updates = {i: gf.random(DIM, rng) for i in range(N)}
         with pytest.raises(ProtocolError, match="cohort 0 is closed"):
@@ -194,7 +194,7 @@ class TestCohortStateMachine:
         )
         runner.start()
         assert aggregating.wait(timeout=30.0)
-        assert cohort.phase is CohortPhase.AGGREGATING
+        assert cohort.phase is RoundPhase.AGGREGATING
         cohort.close()  # races the in-flight round
         release.set()
         runner.join(timeout=30.0)
@@ -202,10 +202,19 @@ class TestCohortStateMachine:
         # the round completed and returned
         assert len(results) == 1
         assert np.array_equal(results[0].aggregate, sentinel)
-        assert cohort.phase is CohortPhase.CLOSED
+        assert cohort.phase is RoundPhase.CLOSED
         assert cohort.rounds == 1
+        # CLOSED is terminal: the completing seal did not reopen it in
+        # the status, nor in the phase ring.
+        assert cohort.status()["phase"] == "closed"
+        assert cohort.engine.transitions[-1].phase is RoundPhase.CLOSED
         with pytest.raises(ProtocolError, match="cohort 3 is closed"):
             cohort.run_round(updates, set())
+        with pytest.raises(ProtocolError, match="cohort 3 is closed"):
+            cohort.submit_update(0, np.zeros(DIM))
+        with pytest.raises(ProtocolError, match="cohort 3 is closed"):
+            cohort.join_member()
+        assert cohort.status()["phase"] == "closed"
 
     def test_stall_counted_on_cold_pool(self, gf):
         cohort = self.make_cohort(gf)
@@ -226,7 +235,6 @@ class TestCohortStateMachine:
             "pool_level": 0,
             "pool_size": 2,
             # the engine's fields, which every cohort now carries
-            "round_phase": "idle",
             "buffer_fill": 0,
             "buffer_capacity": N,
             "drains": 0,
@@ -297,7 +305,7 @@ class TestSweepsAndConfig:
         svc.run_synthetic(rounds=1)
         svc.stop()
         svc.stop()
-        assert all(c.phase is CohortPhase.CLOSED for c in svc.cohorts)
+        assert all(c.phase is RoundPhase.CLOSED for c in svc.cohorts)
         assert svc.refiller is not None and not svc.refiller.running
 
 
