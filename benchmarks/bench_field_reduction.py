@@ -22,11 +22,13 @@ path) over the workloads that dominate the service:
 * **encode_batch** — ``MaskEncoder.encode_batch`` end to end at a
   64-user cohort, reported as encoded mask elements per second;
 * **random** — the two draws one pool refill makes (its masks, then its
-  padding rows) through ``gf.random`` and through ``rng.integers(0, q)``
-  from identically seeded Generators, at the refill-bound cohort and at
-  one shard of the facade cohort: ns per element of each, and a sha256
-  of each side's draws plus the next raw words of its Generator, which
-  must be equal (the sampler is stream-exact);
+  padding rows) through ``gf.random``, through ``gf.random`` into a
+  ``<u4`` ``out`` (the width the pool holds them at) and through
+  ``rng.integers(0, q)`` from identically seeded Generators, at the
+  refill-bound cohort and at one shard of the facade cohort: ns per
+  element of each, and a sha256 of each side's draws (widened to
+  uint64) plus the next raw words of its Generator, which must be equal
+  (the sampler is stream-exact at either width);
 * **random_sizes** — single draws of the sizes the traffic makes, on
   both sides of ``FiniteField.RANDOM_MIN_SIZE``, through the sampler
   with that cutoff off and through ``integers``: where the two cross is
@@ -47,8 +49,8 @@ CI acceptance gate only (selected kernel beats the ``np.mod`` oracle
 on the refill-shape matmul and stays within 6x its GEMM floor, at
 16x16384 neither ``reduce_semi`` nor the Mersenne ``reduce`` is slower
 than ``np.mod``, and ``gf.random`` matches ``integers`` bit for bit,
-in at most half its time at the default prime) and exits nonzero on
-failure.
+drawn as uint64 and into ``<u4``, in at most half its time at the
+default prime) and exits nonzero on failure.
 """
 
 import argparse
@@ -64,6 +66,7 @@ from _report import RESULTS_DIR
 from repro.coding.mask_encoding import MaskEncoder
 from repro.field import (
     DEFAULT_PRIME,
+    FIELD_WORD,
     PAPER_PRIME,
     FiniteField,
     available_reducer_kinds,
@@ -227,6 +230,9 @@ def bench_random(q, draws, field=FiniteField, reps=RANDOM_REPS):
     gf = field(q)
     lanes = {
         "field": gf.random,
+        "words": lambda shape, rng: gf.random(
+            shape, rng, out=np.empty(shape, dtype=FIELD_WORD)
+        ),
         "integers": lambda shape, rng: rng.integers(
             0, q, size=shape, dtype=np.uint64
         ),
@@ -241,7 +247,7 @@ def bench_random(q, draws, field=FiniteField, reps=RANDOM_REPS):
             seconds[lane].append(time.perf_counter() - t0)
             digest = hashlib.sha256()
             for out in outs:
-                digest.update(out.tobytes())
+                digest.update(out.astype(np.uint64, copy=False).tobytes())
             digest.update(rng.bit_generator.random_raw(4).tobytes())
             digests[lane] = digest.hexdigest()
     elements = sum(int(np.prod(shape)) for shape in draws)
@@ -249,9 +255,11 @@ def bench_random(q, draws, field=FiniteField, reps=RANDOM_REPS):
     return {
         "elements": elements,
         "field_ns_per_element": ns["field"],
+        "words_ns_per_element": ns["words"],
         "integers_ns_per_element": ns["integers"],
         "field_over_integers": ns["field"] / ns["integers"],
         "field_sha256": digests["field"],
+        "words_sha256": digests["words"],
         "integers_sha256": digests["integers"],
     }
 
@@ -328,7 +336,7 @@ def run_all(width=REFILL_WIDTH, model_dim=ENC_MODEL_DIM, reps=3):
             "random": random_rows,
             "random_sizes": size_rows,
             "bit_identical_random": all(
-                r["field_sha256"] == r["integers_sha256"]
+                r["field_sha256"] == r["words_sha256"] == r["integers_sha256"]
                 for r in (*random_rows.values(), *size_rows.values())
             ),
         }
@@ -380,6 +388,7 @@ def run_all(width=REFILL_WIDTH, model_dim=ENC_MODEL_DIM, reps=3):
             print(
                 f"  random {name:8s} {r['elements']:>9,} elements: "
                 f"gf.random {r['field_ns_per_element']:5.2f} ns/elem, "
+                f"<u4 {r['words_ns_per_element']:5.2f} ns/elem, "
                 f"integers {r['integers_ns_per_element']:5.2f} ns/elem "
                 f"({r['field_over_integers']:4.2f}x)"
             )
@@ -402,8 +411,9 @@ def run_check(width=CHECK_WIDTH):
     its own float64 GEMM, and at the online round's cache-sized shape
     its ``reduce_semi`` — and ``reduce``, where it is not ``np.mod``
     itself (Mersenne) — must not be slower than ``np.mod``; and at each
-    refill draw ``gf.random`` must hash equal to ``integers`` and, at the
-    default prime, take at most ``RANDOM_BUDGET`` of its time.  Prints
+    refill draw ``gf.random`` must hash equal to ``integers``, drawn as
+    uint64 and into ``<u4``, and, at the default prime, take at most
+    ``RANDOM_BUDGET`` of its time.  Prints
     the measurements; exit code reports pass/fail so the (non-blocking)
     CI step can surface regressions."""
     ok = True
@@ -441,14 +451,17 @@ def run_check(width=CHECK_WIDTH):
         budget = RANDOM_BUDGET if q == DEFAULT_PRIME else float("inf")
         for name, draws in RANDOM_DRAWS.items():
             r = bench_random(q, draws)
-            identical = r["field_sha256"] == r["integers_sha256"]
+            identical = (
+                r["field_sha256"] == r["words_sha256"] == r["integers_sha256"]
+            )
             good = identical and r["field_over_integers"] <= budget
             print(
                 f"[{'ok' if good else 'FAIL'}] q={q} ({label}): random {name} "
-                f"{r['field_ns_per_element']:.2f} vs integers "
+                f"{r['field_ns_per_element']:.2f} (<u4 "
+                f"{r['words_ns_per_element']:.2f}) vs integers "
                 f"{r['integers_ns_per_element']:.2f} ns/elem -> "
                 f"{r['field_over_integers']:.2f}x (budget {budget:g}x), "
-                f"bit_identical={identical}"
+                f"bit_identical={identical} (uint64 and <u4)"
             )
             ok = ok and good
     return ok
@@ -465,7 +478,8 @@ def main(argv=None):
     parser.add_argument(
         "--check", action="store_true",
         help="run the CI gate only: selected kernel beats np.mod on the "
-             "refill-shape matmul, gf.random matches integers bit for bit; "
+             "refill-shape matmul, gf.random matches integers bit for bit "
+             "(uint64 and <u4); "
              "exits nonzero on failure",
     )
     parser.add_argument("--width", type=int, default=None)

@@ -25,7 +25,7 @@ import numpy as np
 from repro.exceptions import CodingError
 from repro.coding.mds import MDSCode
 from repro.coding.partition import partition, piece_length, unpartition
-from repro.field.arithmetic import FiniteField
+from repro.field.arithmetic import FIELD_WORD, FiniteField
 
 
 class MaskEncoder:
@@ -107,14 +107,19 @@ class MaskEncoder:
         """Encode ``B`` masks at once as a single batched field matmul.
 
         ``masks`` has shape ``(B, model_dim)``; the result is a fresh
-        C-contiguous ``(B, N, share_dim)`` array where slice ``b`` equals
-        ``encode(masks[b])`` up to the random padding draw.  The ``B``
-        generator inputs are staged once as a ``(B, U, share_dim)`` stack
-        and go through one blocked ``gf.matmul``, which is what lets a
-        multi-round session precompute its whole offline pool in one shot.
+        C-contiguous ``(B, N, share_dim)`` array of :data:`FIELD_WORD`
+        residues (half the bytes of uint64; values are canonical, so the
+        width loses nothing) where slice ``b`` equals ``encode(masks[b])``
+        up to the random padding draw.  The ``B`` generator inputs are
+        staged a chunk at a time as a ``(g, U, share_dim)`` stack and go
+        through ``gf.matmul``, which narrows each block into the result:
+        no whole-batch uint64 copy of the input or the output is made,
+        which is what lets a multi-round session precompute its whole
+        offline pool in one shot.  Masks that are already
+        :data:`FIELD_WORD` (the pool's draw) are read as they are.
         """
         masks = np.asarray(masks)
-        if masks.dtype != np.uint64:
+        if masks.dtype not in (np.uint64, FIELD_WORD):
             masks = self.gf.array(masks)
         if masks.ndim != 2 or masks.shape[1] != self.model_dim:
             raise CodingError(
@@ -128,13 +133,14 @@ class MaskEncoder:
         # zero tail of the last sub-mask, then its T padding rows — one
         # draw for the whole batch, T rows of B*share_dim, placed per
         # mask.  The input is staged a chunk of masks at a time in one
-        # reused buffer: a cache-sized copy, never a second whole batch.
-        # gf.matmul reduces a chunk holding non-canonical uint64 masks,
-        # which commutes with the placement.
+        # reused uint64 buffer: a cache-sized copy, never a second whole
+        # batch.  gf.matmul reduces a chunk holding non-canonical uint64
+        # masks, which commutes with the placement.
         u, share_dim = self.target_survivors, self.share_dim
-        padding = self.gf.random((self.privacy, b * share_dim), rng)
+        padding = np.empty((self.privacy, b * share_dim), dtype=FIELD_WORD)
+        self.gf.random(padding.shape, rng, out=padding)
         padding = padding.reshape(self.privacy, b, share_dim)
-        coded = np.empty((b, self.num_users, share_dim), dtype=np.uint64)
+        coded = np.empty((b, self.num_users, share_dim), dtype=FIELD_WORD)
         chunk = min(b, max(1, self.STAGING_ELEMS // (u * share_dim)))
         flat = np.empty((chunk, u * share_dim), dtype=np.uint64)
         flat[:, self.model_dim : self.num_submasks * share_dim] = 0

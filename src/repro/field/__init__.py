@@ -1,6 +1,6 @@
 """Finite-field substrate: GF(q) arithmetic, linear algebra, Vandermonde tools."""
 
-from repro.field.arithmetic import FiniteField
+from repro.field.arithmetic import FIELD_WORD, FiniteField
 from repro.field.prime import (
     DEFAULT_PRIME,
     MAX_UINT64_SAFE_MODULUS,
@@ -26,6 +26,7 @@ from repro.field.vandermonde import (
 
 __all__ = [
     "FiniteField",
+    "FIELD_WORD",
     "Reducer",
     "MersenneReducer",
     "SplitFoldReducer",

@@ -3,7 +3,10 @@
 The central object is :class:`FiniteField`.  Field elements are represented
 as ``numpy.uint64`` arrays whose entries are *reduced residues* in
 ``[0, q)``; every public method returns arrays satisfying that contract and
-accepts arbitrary integer arrays (which are reduced on entry).
+accepts arbitrary integer arrays (which are reduced on entry).  Bulk
+material can be held at :data:`FIELD_WORD` instead, half the bytes:
+:meth:`FiniteField.random` draws into it and :meth:`FiniteField.matmul`
+reads and writes it.
 
 All binary operations are elementwise-vectorized.  Because the modulus is
 validated to be below ``2**32`` (:func:`repro.field.prime.validate_modulus`),
@@ -38,6 +41,12 @@ _U64_MAX = (1 << 64) - 1
 _F64_EXACT = 1 << 53
 _SHIFT16 = np.uint64(16)
 _MASK16 = np.uint64(0xFFFF)
+
+#: The narrowest word that holds every residue of every accepted modulus
+#: (all are below ``2**32``): the width of pooled offline material and
+#: of field words on every shard hop.
+FIELD_WORD = np.dtype("<u4")
+_WORD_DTYPES = (np.dtype(np.uint64), FIELD_WORD)
 
 
 class FiniteField:
@@ -218,9 +227,10 @@ class FiniteField:
 
         ``a`` is ``(m, k)``; ``b`` is ``(k, n)`` or a stack ``(B, k, n)``
         with ``np.matmul`` semantics (``result[i] = a @ b[i]``).  ``out``,
-        when given, is the uint64 array of the result's shape to write
-        into; it must not overlap ``a`` or ``b``.  Operands that already
-        are canonical residues are used as they are (one compare pass);
+        when given, is the uint64 or :data:`FIELD_WORD` array of the
+        result's shape to write into; it must not overlap ``a`` or ``b``.
+        Operands that already are canonical residues, as uint64 or
+        :data:`FIELD_WORD`, are used as they are (one compare pass);
         anything else is reduced on entry through :meth:`array`.
 
         With a division-free reducer (the default), products run through
@@ -232,10 +242,11 @@ class FiniteField:
         inside the contraction.  With the ``numpy_mod`` oracle
         reducer the historical width-blocked lazy-``np.mod`` rank-1
         kernel runs instead, preserved as the A/B baseline.  Both paths
-        return identical canonical residues.
+        return identical canonical residues, and both narrow into a
+        :data:`FIELD_WORD` ``out`` a block at a time.
         """
-        a = a if self.is_valid(a) else self.array(a)
-        b = b if self.is_valid(b) else self.array(b)
+        a = a if self._is_word_array(a) else self.array(a)
+        b = b if self._is_word_array(b) else self.array(b)
         if a.ndim != 2 or b.ndim not in (2, 3) or a.shape[1] != b.shape[-2]:
             raise FieldError(f"incompatible matmul shapes {a.shape} x {b.shape}")
         m, n = a.shape[0], b.shape[-1]
@@ -243,38 +254,64 @@ class FiniteField:
         if out is None:
             out = np.empty(shape, dtype=np.uint64)
         elif not (
-            isinstance(out, np.ndarray) and (out.dtype, out.shape) == (np.uint64, shape)
+            isinstance(out, np.ndarray)
+            and out.dtype in _WORD_DTYPES
+            and out.shape == shape
         ):
-            raise FieldError(f"matmul out must be a uint64 array of shape {shape}")
+            raise FieldError(
+                f"matmul out must be a uint64 or {FIELD_WORD.str} array of "
+                f"shape {shape}"
+            )
         if out.size == 0:
             return out
         b3, out3 = (b[None], out[None]) if b.ndim == 2 else (b, out)
         if self.reducer.division_free:
             self._matmul_limbsplit(a, b3, out3)
             return out
+        # The oracle kernel computes in uint64: each block of ``b`` widens
+        # (so every product does), and a narrower ``out`` is filled
+        # through one reused block.
         width_block = max(1, self.MATMUL_BLOCK_ELEMS // m)
+        narrow = out.dtype != np.uint64
+        if narrow:
+            scratch = np.empty((m, min(width_block, n)), dtype=np.uint64)
         for b2, out2 in zip(b3, out3):
             for col in range(0, n, width_block):
-                self._matmul_block(a, b2[:, col : col + width_block],
-                                   out2[:, col : col + width_block])
+                dest = out2[:, col : col + width_block]
+                acc = scratch[:, : dest.shape[1]] if narrow else dest
+                b_block = b2[:, col : col + width_block]
+                self._matmul_block(a, b_block.astype(np.uint64, copy=False), acc)
+                if narrow:
+                    np.copyto(dest, acc)
         return out
+
+    def _is_word_array(self, a) -> bool:
+        """True when ``a`` is a uint64 or :data:`FIELD_WORD` array of
+        reduced residues: a matmul operand read in place."""
+        return (
+            isinstance(a, np.ndarray)
+            and a.dtype in _WORD_DTYPES
+            and (a.size == 0 or bool(a.max() < self.q))
+        )
 
     def _matmul_limbsplit(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         """Exact 16-bit limb-split GEMM over float64, reduced division-free.
 
         ``a`` is ``(m, k)``, ``b`` ``(B, k, n)`` and ``out`` ``(B, m, n)``,
-        all canonical uint64.  ``a`` is split as ``a = a_hi * 2**16 +
-        a_lo`` and the limbs stacked into one ``(2m, k)`` float64
-        operand; for a contraction chunk of ``s`` terms the float64
-        products satisfy ``s * max(a_limb) * (q-1) <= 2**53``, so each
-        GEMM is exact integer arithmetic in float64.  Chunk results add
+        all canonical, each uint64 or :data:`FIELD_WORD`.  ``a`` is split
+        as ``a = a_hi * 2**16 + a_lo`` and the limbs stacked into one
+        ``(2m, k)`` float64 operand; for a contraction chunk of ``s``
+        terms the float64 products satisfy ``s * max(a_limb) * (q-1) <=
+        2**53``, so each GEMM is exact integer arithmetic in float64.  Chunk results add
         up raw in uint64 over a *span* of chunks, are recombined as
         ``(reduce(c_hi) << 16) + c_lo`` and lazily accumulated, with one
         reducer *fold* between spans to stay clear of overflow.  ``b`` is
         walked in cache-sized blocks — a run of columns of one stack
         entry, or several narrow entries side by side — and every pass
         over a block is in place in per-call scratch: one cast in, the
-        GEMMs, the uint64 passes, one copy into the caller's block.
+        GEMMs, the uint64 passes, one copy into the caller's block (which
+        narrows into a :data:`FIELD_WORD` ``out``: the values are below
+        ``q``, so the cast is exact).
         """
         red = self.reducer
         m, k = a.shape
@@ -333,8 +370,10 @@ class FiniteField:
             for height in (rows, rows * (k > step), m * (k > span))
         )
         # Residues and exact products are below 2**63: the signed casts
-        # are the same bits and twice as fast as the unsigned ones.
-        b = b.view(np.int64)
+        # are the same bits and twice as fast as the unsigned ones.  A
+        # FIELD_WORD residue may not fit int32, so it is cast as it is.
+        if b.dtype == np.uint64:
+            b = b.view(np.int64)
         for lead in range(0, batch, group):
             g = min(group, batch - lead)
             for col in range(0, n, cols):
@@ -431,7 +470,12 @@ class FiniteField:
     # 15 runs of one seed, against 0 of 9 with blocks (395 MiB).
     RANDOM_BLOCK_WORDS = 1 << 15
 
-    def random(self, shape, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    def random(
+        self,
+        shape,
+        rng: Optional[np.random.Generator] = None,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Uniformly random field elements of the given shape.
 
         The values *and* the bit generator's state afterwards are exactly
@@ -443,15 +487,23 @@ class FiniteField:
         32``, and is rejected and redrawn when the low 32 bits of ``w * q``
         fall below ``2**32 % q``.  Here the same algorithm runs as numpy
         passes: one ``random_raw`` call draws every word numpy reads if
-        nothing is rejected, the passes walk it a block at a time, each
-        block's accepted half-words go straight into the output, and a
+        nothing is rejected, the passes walk it a block at a time into one
+        reused block of 64-bit products ``w * q``, whose high halves are
+        the elements and whose low halves decide rejection; each block's
+        accepted elements are copied straight into the output, and a
         block holding a rejected one (probability about ``5e-10`` per
         element at the default prime) drops exactly the rejected
         half-words, as the redraw does, and the shortfall is drawn next.
         The raw words are the only scratch beyond one block: half the
-        output's bytes.  Draws smaller than ``RANDOM_MIN_SIZE``, and bit
-        generators without the buffered half-word (MT19937), are
-        delegated to ``rng.integers`` itself.
+        bytes of a uint64 output, as many as a :data:`FIELD_WORD` one.
+        Draws smaller than ``RANDOM_MIN_SIZE``, and bit generators
+        without the buffered half-word (MT19937), are delegated to
+        ``rng.integers`` itself.
+
+        ``out``, when given, is the C-contiguous uint64 or
+        :data:`FIELD_WORD` array of ``shape`` to draw into, and is
+        returned; a :data:`FIELD_WORD` ``out`` holds the same values at
+        half the bytes, with no uint64 copy of the draw in between.
 
         Unlike ``integers`` the sampler reads the state, draws, and writes
         the state back, so it is not atomic under the bit generator's
@@ -459,14 +511,28 @@ class FiniteField:
         draw from one concurrently).
         """
         rng = rng if rng is not None else np.random.default_rng()
+        if out is not None and not (
+            isinstance(out, np.ndarray)
+            and out.dtype in _WORD_DTYPES
+            and out.shape == np.broadcast_to(0, shape).shape
+            and out.flags.c_contiguous
+        ):
+            raise FieldError(
+                f"random out must be a C-contiguous uint64 or "
+                f"{FIELD_WORD.str} array of shape {shape}"
+            )
         bitgen = rng.bit_generator
         size = 1 if shape is None else int(np.prod(shape))
         if size < self.RANDOM_MIN_SIZE or "has_uint32" not in (state := bitgen.state):
-            return rng.integers(0, self.q, size=shape, dtype=np.uint64)
-        out = np.empty(shape, dtype=np.uint64)
+            drawn = rng.integers(0, self.q, size=shape, dtype=np.uint64)
+            if out is None:
+                return drawn
+            np.copyto(out, drawn)
+            return out
+        if out is None:
+            out = np.empty(shape, dtype=np.uint64)
         flat = out.reshape(-1)
         threshold = (1 << 32) % self.q
-        q32 = np.uint32(self.q)
         filled = 0
         if state["has_uint32"]:
             product = state["uinteger"] * self.q
@@ -474,6 +540,7 @@ class FiniteField:
                 flat[0] = product >> 32
                 filled = 1
         block = self.RANDOM_BLOCK_WORDS
+        products = np.empty(2 * block, dtype="<u8")
         pool = np.empty(0, dtype=np.uint64)
         while filled < size:
             need = size - filled
@@ -487,24 +554,21 @@ class FiniteField:
                 pool = bitgen.random_raw((need + 1) // 2)
             raw, pool = pool[:block], pool[block:]
             halves = raw.astype("<u8", copy=False).view("<u4")
-            # The unfilled output holds at least ``need`` uint64s, room
-            # for this block's ``<= need + 1`` uint32 products.
-            lows = flat[filled : filled + need].view(np.uint32)[: halves.size]
-            np.multiply(halves, q32, out=lows)  # low 32 bits of w * q
+            product = products[: halves.size]
+            np.multiply(halves, self._q64, out=product)  # w * q, exact
+            words = product.view("<u4")
+            lows, highs = words[0::2], words[1::2]
             if lows[:need].min() >= threshold:
                 # No rejection among the half-words numpy would read; an
                 # unread trailing high half stays buffered.
-                taken = halves[:need]
+                taken = highs[:need]
                 buffered = taken.size < halves.size
             else:
                 # A rejection means numpy reads more than ``need``
                 # half-words, so every half-word of this block.
-                taken = halves[lows >= threshold]
+                taken = highs[lows >= threshold]
                 buffered = False
-            dest = flat[filled : filled + taken.size]
-            np.copyto(dest, taken)
-            dest *= self._q64
-            dest >>= np.uint64(32)
+            np.copyto(flat[filled : filled + taken.size], taken)
             filled += taken.size
         state = bitgen.state
         state["has_uint32"] = int(buffered)

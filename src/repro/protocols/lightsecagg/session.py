@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.crypto.channels import SecureChannel
 from repro.exceptions import DropoutError, ProtocolError
+from repro.field import FIELD_WORD
 from repro.coding.mask_encoding import MaskEncoder
 from repro.obs import span
 from repro.protocols.base import (
@@ -63,7 +64,11 @@ class OfflineMaterial:
     """One pooled round of offline state for all ``N`` users.
 
     ``masks[i]`` is user ``i``'s mask ``z_i``; ``coded[i, j]`` is the coded
-    share ``[~z_i]_j`` held by user ``j``.
+    share ``[~z_i]_j`` held by user ``j``.  Both hold canonical residues
+    as :data:`~repro.field.FIELD_WORD` (``<u4``), the width the shard
+    wire carries them at and half the bytes of uint64: the pool is most
+    of a long-lived session's memory.  The online kernels add them into
+    uint64 accumulators.
     """
 
     masks: np.ndarray  # (N, model_dim)
@@ -95,11 +100,16 @@ def precompute_offline_pool(
 
     Returns ``(masks, coded)`` with shapes ``(rounds, N, model_dim)`` and
     ``(rounds, N_source, N_holder, share_dim)``, both contiguous views of
-    one array each, so a pooled round's slice is contiguous too; all
-    ``rounds * N`` masks go through a single batched generator matmul.
+    one :data:`~repro.field.FIELD_WORD` array each, so a pooled round's
+    slice is contiguous too; all ``rounds * N`` masks go through a single
+    batched generator matmul.  The masks are drawn straight into their
+    ``<u4`` array (the same values and rng stream as a uint64 draw) and
+    the encode narrows block by block, so no step holds a whole-batch
+    uint64 copy.
     """
     n = encoder.num_users
-    masks = encoder.gf.random((rounds * n, encoder.model_dim), rng)
+    masks = np.empty((rounds * n, encoder.model_dim), dtype=FIELD_WORD)
+    encoder.gf.random(masks.shape, rng, out=masks)
     coded = encoder.encode_batch(masks, rng)
     return (
         masks.reshape(rounds, n, encoder.model_dim),
@@ -271,7 +281,8 @@ class LightSecAggSession(ProtocolSession):
         Sums the masked uploads ``rows[b] + z_b`` of the picked slots
         ``b`` and, for each responder ``j``, the aggregated coded share
         ``sum_b [~z_b]_j`` — lazily: every term enters one uint64
-        accumulator as a raw add and each accumulator is reduced once.
+        accumulator as a raw add (the pool's ``<u4`` words widen inside
+        the add) and each accumulator is reduced once.
         Summing whole ``coded[b]`` rows and keeping the responders'
         avoids gathering a ``(B, U, share_dim)`` copy.  ``rows`` must be
         canonical residues.
@@ -435,7 +446,8 @@ class LightSecAggSession(ProtocolSession):
             # residues: one conditional subtract); the server applies
             # the public weights in-field as one (1, B) @ (B, d)
             # product, and weights every holder's coded row in one more,
-            # keeping the responders'.
+            # keeping the responders'.  gf.matmul reads the pool's <u4
+            # coded rows as they are: no widened copy of the block.
             w = gf.array(weights)[None, :]  # (1, B)
             masked = gf.reducer.reduce_semi(
                 np.asarray(rows) + material.masks[:batch]

@@ -687,12 +687,14 @@ class SocketTransport(ShardTransport):
         """Build one shard's request, its rows stacked into the frame;
         returns it with the bytes staged outside the frame: none on a
         lane that never stages, ``None`` on one that stages but framed
-        these rows."""
+        these rows.  The rows are stacked straight into wire words:
+        :meth:`_canonical` proved them below ``q``, so the narrowing
+        cast is exact and the frame encoder has nothing left to check."""
         request = ShardRoundRequest(
             shard_id=shard_id,
             round_id=round_id,
             weights=weights,
-            updates=np.asarray(rows, dtype=np.uint64),
+            updates=np.asarray(rows, dtype=FIELD_WORD),
             dropouts=set(dropouts),
         )
         return request, 0

@@ -11,7 +11,7 @@ reassembly and vectored writes, and :mod:`repro.wire.shm` for the
 same-host shared-memory payload lane.
 
 Field words cross every shard hop as little-endian ``<u4``
-(:data:`~repro.wire.messages.FIELD_WORD`), framed or staged: same-host
+(:data:`~repro.field.FIELD_WORD`), framed or staged: same-host
 transports may pass vector payloads by shared-memory reference
 (:class:`~repro.wire.format.ShmArrayRef`) so element bytes never
 transit the socket at all.  Peers must share

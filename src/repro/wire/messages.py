@@ -38,10 +38,11 @@ whether the stream socket is a TCP connection or a local socketpair.
 Both ends must share :data:`~repro.wire.format.WIRE_VERSION`.
 
 Field words — update rows and aggregates — are ``uint64`` in memory and
-cross every shard hop as :data:`FIELD_WORD` (``<u4``): every modulus the
-field accepts is below ``2**32``.  Encoding narrows them, refusing a
-word that does not fit instead of cutting it to its low 32 bits, and
-decoding refuses any other layout and widens them back.
+cross every shard hop as :data:`~repro.field.FIELD_WORD` (``<u4``, the
+width the offline pools hold them at): every modulus the field accepts
+is below ``2**32``.  Encoding narrows them, refusing a word that does
+not fit instead of cutting it to its low 32 bits, and decoding refuses
+any other layout and widens them back.
 
 Every payload is deterministic given the message fields: id sets are
 sorted on encode and rows keep their order, so two semantically equal
@@ -58,6 +59,7 @@ import numpy as np
 
 import repro.exceptions as _exceptions
 from repro.exceptions import WireError
+from repro.field import FIELD_WORD
 from repro.protocols.base import (
     PHASES,
     AggregationResult,
@@ -76,10 +78,6 @@ from repro.wire.format import (
 )
 
 _PHASE_INDEX = {phase: i for i, phase in enumerate(PHASES)}
-
-#: The one layout of a field word on the shard wire, framed or staged in
-#: shared memory.
-FIELD_WORD = np.dtype("<u4")
 
 
 def field_words(values, what: str = "field words") -> np.ndarray:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.coding.mask_encoding import MaskEncoder
 from repro.exceptions import CodingError, FieldError
-from repro.field import DEFAULT_PRIME, PAPER_PRIME, FiniteField
+from repro.field import DEFAULT_PRIME, FIELD_WORD, PAPER_PRIME, FiniteField
 from repro.field.reduce import available_reducer_kinds
 from repro.protocols.lightsecagg.session import precompute_offline_pool
 
@@ -144,7 +144,7 @@ class TestEncodeBatchEquivalence:
         masks = gf.random((5, 10), rng)
         coded = enc.encode_batch(masks, rng)
         assert coded.shape == (5, 6, enc.share_dim)
-        assert coded.dtype == np.uint64
+        assert coded.dtype == FIELD_WORD
         assert coded.flags.c_contiguous and coded.flags.owndata
         assert not np.shares_memory(coded, masks)
         # What the pool keeps per round is a contiguous view of it.
@@ -238,10 +238,13 @@ class TestOfflinePoolPinnedAgainstParent:
         n = encoder.num_users
         assert masks.shape == (pool, n, encoder.model_dim)
         assert coded.shape == (pool, n, n, encoder.share_dim)
+        assert masks.dtype == coded.dtype == FIELD_WORD
         digest = hashlib.sha256()
+        # The parent pooled uint64 words: widened, the <u4 pool must
+        # hash to its digests, so values and rng stream are unchanged.
         for part in (masks, coded, rng.integers(0, 1 << 63, size=4)):
             assert part.flags.c_contiguous
-            digest.update(part.tobytes())
+            digest.update(part.astype(np.uint64).tobytes())
         assert digest.hexdigest() == PARENT_POOL_SHA256[geometry, seed]
 
 

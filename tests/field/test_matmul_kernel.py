@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import FieldError
-from repro.field import DEFAULT_PRIME, PAPER_PRIME, FiniteField
+from repro.field import DEFAULT_PRIME, FIELD_WORD, PAPER_PRIME, FiniteField
 from repro.field.reduce import available_reducer_kinds
 
 CONFIGS = [
@@ -339,6 +339,87 @@ class TestOperandForms:
             == (3, 0)
         assert gf_any.matmul(gf_any.zeros((3, 2)), gf_any.zeros((0, 2, 4))).shape \
             == (0, 3, 4)
+
+
+class TestFieldWordOut:
+    """``out=`` and operands at the pools' ``<u4`` width: the same
+    residues as the uint64 product, narrowed block by block, on the
+    division-free kernel and the ``numpy_mod`` oracle alike."""
+
+    @pytest.mark.parametrize("q,kind", CONFIGS)
+    @pytest.mark.parametrize("extreme", [False, True], ids=["random", "q-1"])
+    @pytest.mark.parametrize("b_shape", [(44, 37), (3, 44, 37)], ids=["2d", "stack"])
+    def test_word_out_equals_uint64_product(self, q, kind, extreme, b_shape, rng):
+        gf = FiniteField(q, kind)
+        a = draw_operand(rng, gf, (9, 44), extreme)
+        b = draw_operand(rng, gf, b_shape, extreme)
+        want = gf.matmul(a, b)
+        assert want.dtype == np.uint64
+        out = np.full(want.shape, 7, dtype=FIELD_WORD)
+        with block_budget(2 * per_column_elems(gf, 9, 44)):
+            assert gf.matmul(a, b, out=out) is out
+        assert np.array_equal(out, want)
+        # <u4 operands are read as they are, into either width of out.
+        a4, b4 = a.astype(FIELD_WORD), b.astype(FIELD_WORD)
+        assert np.array_equal(gf.matmul(a4, b4), want)
+        wide = np.empty(want.shape, dtype=np.uint64)
+        assert np.array_equal(gf.matmul(a, b4, out=wide), want)
+
+    @pytest.mark.parametrize("q,kind", CONFIGS)
+    @pytest.mark.parametrize("b_shape", [(1, 37), (2, 1, 37)], ids=["2d", "stack"])
+    def test_results_at_q_minus_1_fill_the_word(self, q, kind, b_shape):
+        gf = FiniteField(q, kind)
+        a = gf.ones((3, 1))
+        b = np.full(b_shape, q - 1, dtype=np.uint64)
+        out = np.zeros(b_shape[:-2] + (3, 37), dtype=FIELD_WORD)
+        gf.matmul(a, b, out=out)
+        assert (out == q - 1).all()
+
+    @pytest.mark.parametrize("q,kind", CONFIGS)
+    def test_oracle_width_blocks_narrow_into_word_out(self, q, kind, rng):
+        gf = FiniteField(q, kind)
+        a = draw_operand(rng, gf, (5, 7), True)
+        b = draw_operand(rng, gf, (2, 7, 23), True)
+        out = np.empty((2, 5, 23), dtype=FIELD_WORD)
+        with mock.patch.object(FiniteField, "MATMUL_BLOCK_ELEMS", 5 * 4):
+            gf.matmul(a, b, out=out)
+        assert np.array_equal(out, expected_product(gf, a, b))
+
+    def test_word_operands_are_not_copied(self, gf, rng, monkeypatch):
+        a = gf.random((4, 6), rng).astype(FIELD_WORD)
+        b = gf.random((3, 6, 50), rng).astype(FIELD_WORD)
+        want = gf.matmul(a, b)
+
+        def no_reducing_copy(self, values):
+            raise AssertionError("gf.array called on a canonical operand")
+
+        monkeypatch.setattr(FiniteField, "array", no_reducing_copy)
+        assert np.array_equal(gf.matmul(a, b), want)
+
+    def test_noncanonical_word_operand_is_reduced(self, gf_paper):
+        q = gf_paper.q
+        b = np.full((2, 3), 0xFFFFFFFF, dtype=FIELD_WORD)  # q + 4
+        a = gf_paper.ones((1, 2))
+        got = gf_paper.matmul(a, b)
+        assert got.tolist() == [[2 * (0xFFFFFFFF - q) % q] * 3]
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((3, 6), dtype=FIELD_WORD),
+            np.empty((1, 3, 5), dtype=FIELD_WORD),
+            np.empty((3, 5), dtype=">u4"),
+            np.empty((3, 5), dtype=np.int32),
+            np.empty((3, 5), dtype=np.uint16),
+            np.empty((3, 5), dtype=np.float64),
+        ],
+        ids=["shape", "rank", "big-endian", "int32", "uint16", "float64"],
+    )
+    @pytest.mark.parametrize("kind", ["split_fold", "numpy_mod"])
+    def test_bad_out_rejected(self, kind, out):
+        gf = FiniteField(PAPER_PRIME, kind)
+        with pytest.raises(FieldError):
+            gf.matmul(gf.zeros((3, 4)), gf.zeros((4, 5)), out=out)
 
 
 class TestScratchIsBlockBounded:

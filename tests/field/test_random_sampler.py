@@ -28,7 +28,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.field import DEFAULT_PRIME, PAPER_PRIME, FiniteField
+from repro.exceptions import FieldError
+from repro.field import DEFAULT_PRIME, FIELD_WORD, PAPER_PRIME, FiniteField
 
 MODULI = (DEFAULT_PRIME, PAPER_PRIME, 97, (1 << 31) + 11)
 BIT_GENERATORS = {
@@ -191,8 +192,8 @@ class TestSamplerPath:
 
     def test_refill_draw_scratch_is_its_raw_words(self):
         """Scratch is the raw words (half the output) and nothing that
-        grows with the block count; the rejection products are computed
-        in the output's own unfilled tail."""
+        grows with the block count; the products that decide rejection
+        are computed in one reused block."""
         gf = FiniteField()
         rng = np.random.default_rng(1)
         gf.random(CUTOFF, rng)  # first-call set-up stays untraced
@@ -203,3 +204,108 @@ class TestSamplerPath:
         finally:
             tracemalloc.stop()
         assert peak <= out.nbytes + out.nbytes // 2 + (1 << 20)
+
+
+def draw_words_both(gf, shape, a, b):
+    """``gf.random`` into a ``<u4`` ``out`` against ``integers``."""
+    out = np.empty(shape, dtype=FIELD_WORD)
+    assert gf.random(shape, a, out=out) is out
+    want = b.integers(0, gf.q, size=shape, dtype=np.uint64)
+    assert out.shape == want.shape
+    assert np.array_equal(out, want)
+    assert_same_state(a, b)
+
+
+class TestFieldWordOut:
+    """Drawn into a ``<u4`` array, the values and the stream are those of
+    the uint64 draw: the pools draw their masks this way."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        q=st.sampled_from(MODULI),
+        name=st.sampled_from(sorted(BIT_GENERATORS)),
+        seed=st.integers(0, 2**32 - 1),
+        cutoff=st.sampled_from([2, 3, 8, 32]),
+        block=st.sampled_from([1, 2, 3, 8, 32]),
+        data=st.data(),
+    )
+    def test_interleaved_word_draws_match_integers(
+        self, q, name, seed, cutoff, block, data
+    ):
+        gf = FiniteField(q)
+        a, b = generators(name, seed)
+        calls = data.draw(call_sequences(cutoff, block))
+        with mock.patch.multiple(
+            FiniteField, RANDOM_MIN_SIZE=cutoff, RANDOM_BLOCK_WORDS=block
+        ):
+            for kind, size in calls:
+                if kind == "field":
+                    draw_words_both(gf, size, a, b)
+                elif kind == "integers":
+                    for g in (a, b):
+                        g.integers(0, q, size=size, dtype=np.uint64)
+                else:
+                    assert np.array_equal(a.random(size), b.random(size))
+        assert_same_future(a, b)
+
+    @pytest.mark.parametrize("q", MODULI)
+    @pytest.mark.parametrize(
+        "shape", [(), 1, CUTOFF - 1, CUTOFF, 2 * BLOCK + 1, (3, 6 * BLOCK + 7)]
+    )
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_shipped_sizes(self, q, shape, buffered):
+        gf = FiniteField(q)
+        a, b = generators("PCG64", 2025)
+        if buffered:
+            for g in (a, b):
+                g.integers(0, q, dtype=np.uint64)
+        draw_words_both(gf, shape, a, b)
+        draw_words_both(gf, CUTOFF + 3, a, b)
+        assert_same_future(a, b)
+
+    def test_rejections_in_every_block(self):
+        gf = FiniteField((1 << 31) + 11)
+        a, b = generators("PCG64", 6)
+        draw_words_both(gf, 5 * BLOCK + 1, a, b)
+        assert_same_future(a, b)
+
+    def test_uint64_out_is_filled_in_place(self):
+        gf = FiniteField()
+        a, b = generators("PCG64", 7)
+        out = np.empty((2, CUTOFF), dtype=np.uint64)
+        assert gf.random(out.shape, a, out=out) is out
+        assert np.array_equal(out, gf.random(out.shape, b))
+
+    def test_word_draw_scratch_is_its_raw_words(self):
+        """Into ``<u4`` the raw words are as many bytes as the output, and
+        they are all the scratch beyond one block: no uint64 draw."""
+        gf = FiniteField()
+        rng = np.random.default_rng(1)
+        gf.random(CUTOFF, rng)  # first-call set-up stays untraced
+        out = np.empty(RB_DRAW, dtype=FIELD_WORD)
+        tracemalloc.start()
+        try:
+            gf.random(RB_DRAW, rng, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + (1 << 20)
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty(CUTOFF + 1, dtype=FIELD_WORD),
+            np.empty((2, CUTOFF), dtype=FIELD_WORD).T,
+            np.empty(2 * CUTOFF, dtype=FIELD_WORD)[::2],
+            np.empty(CUTOFF, dtype=np.int64),
+            np.empty(CUTOFF, dtype=">u4"),
+            np.empty(CUTOFF, dtype=np.float64),
+            [0] * CUTOFF,
+        ],
+        ids=["shape", "transposed", "strided", "int64", "big-endian",
+             "float64", "list"],
+    )
+    def test_bad_out_rejected(self, out):
+        shape = (CUTOFF, 2) if np.ndim(out) == 2 else CUTOFF
+        with pytest.raises(FieldError):
+            FiniteField().random(shape, np.random.default_rng(0), out=out)
