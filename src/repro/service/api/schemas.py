@@ -10,12 +10,14 @@ and are never smuggled to clients as tracebacks.
 
 Vector payloads cross the API as base64 text in one of two encodings:
 
-* ``u64`` — little-endian 8-byte words, one per field element.
+* ``u32`` (the default) — little-endian 4-byte words, one per field
+  element: :data:`~repro.field.FIELD_WORD` (``<u4``), the word the shard
+  wire carries and the offline pools hold.  Every modulus the field
+  accepts is below ``2**32``, so every element fits one word.
 * ``packed`` — LSB-first bit-packing (:func:`repro.wire.pack_bits`)
   at ``ceil(log2 q)`` bits per element; for the default field
-  ``q = 2**31 - 1`` that is 31 bits per element, under half the ``u64``
-  size before base64.  The shard wire does not speak it: field words
-  cross the shard hops as 4-byte ``<u4``.
+  ``q = 2**31 - 1`` that is 31 bits per element.  The shard wire does
+  not speak it.
 
 Responses mirror the request's encoding, so a client that uploads
 packed vectors gets its aggregate back packed.
@@ -36,10 +38,10 @@ import numpy as np
 
 from repro.exceptions import ReproError, WireError
 from repro.service.config import CohortSpec
-from repro.wire import pack_bits, unpack_bits
+from repro.wire import FIELD_WORD, field_words, pack_bits, unpack_bits
 
 #: Vector payload encodings the control plane accepts and emits.
-ENCODINGS = ("u64", "packed")
+ENCODINGS = ("u32", "packed")
 
 
 class SchemaError(ReproError):
@@ -114,32 +116,39 @@ def _reject_unknown(body: Dict[str, Any], known: Tuple[str, ...],
 # ----------------------------------------------------------------------
 # vectors
 # ----------------------------------------------------------------------
-def decode_vector(
-    text: str, encoding: str, q: int, dim: int, field: str
-) -> np.ndarray:
-    """Base64 text → validated uint64 field vector of length ``dim``."""
+def _base64(text: str, field: str) -> bytes:
+    """Strict base64 text → bytes, or a :class:`SchemaError` on ``field``."""
     if not isinstance(text, str):
         raise SchemaError(
             field, f"expected a base64 string, got {type(text).__name__}"
         )
     try:
-        raw = base64.b64decode(text.encode("ascii"), validate=True)
+        return base64.b64decode(text.encode("ascii"), validate=True)
     except (binascii.Error, UnicodeEncodeError) as exc:
         raise SchemaError(field, f"invalid base64: {exc}") from None
-    if encoding == "u64":
-        if len(raw) != dim * 8:
-            raise SchemaError(
-                field,
-                f"u64 vector is {len(raw)} bytes; dim={dim} needs "
-                f"exactly {dim * 8}",
-            )
-        vector = np.frombuffer(raw, dtype="<u8").astype(
-            np.uint64, copy=False
+
+
+def _fixed_width(text: str, word: np.dtype, dim: int, field: str):
+    """Base64 text → exactly ``dim`` words: ``u32`` or ``f64``."""
+    raw = _base64(text, field)
+    if len(raw) != dim * word.itemsize:
+        raise SchemaError(
+            field,
+            f"{word.kind}{8 * word.itemsize} vector is {len(raw)} bytes; "
+            f"dim={dim} needs exactly {dim * word.itemsize}",
         )
+    return np.frombuffer(raw, dtype=word)
+
+
+def decode_vector(
+    text: str, encoding: str, q: int, dim: int, field: str
+) -> np.ndarray:
+    """Base64 text → validated uint64 field vector of length ``dim``."""
+    if _known(encoding) == "u32":
+        vector = _fixed_width(text, FIELD_WORD, dim, field).astype(np.uint64)
     else:  # packed
-        bits = field_bits(q)
         try:
-            vector = unpack_bits(raw, bits, dim)
+            vector = unpack_bits(_base64(text, field), field_bits(q), dim)
         except WireError as exc:
             raise SchemaError(field, str(exc)) from None
     if vector.size and int(vector.max()) >= q:
@@ -152,12 +161,12 @@ def decode_vector(
 
 
 def encode_vector(vector: np.ndarray, encoding: str, q: int) -> str:
-    """Field vector → base64 text in the requested encoding."""
-    arr = np.ascontiguousarray(np.asarray(vector), dtype="<u8")
-    if encoding == "u64":
-        raw = arr.tobytes()
+    """Field vector → base64 text in the requested encoding; a ``u32``
+    word outside ``[0, 2**32)`` is a :class:`WireError`, not cut."""
+    if _known(encoding) == "u32":
+        raw = field_words(vector, "u32 vector").tobytes()
     else:  # packed
-        raw = pack_bits(arr, field_bits(q))
+        raw = pack_bits(np.ascontiguousarray(vector, "<u8"), field_bits(q))
     return base64.b64encode(raw).decode("ascii")
 
 
@@ -168,21 +177,7 @@ def decode_real_vector(text: str, dim: int, field: str) -> np.ndarray:
     server quantizes them into the field at drain time), so they ride
     the ``f64`` encoding instead of the field encodings above.
     """
-    if not isinstance(text, str):
-        raise SchemaError(
-            field, f"expected a base64 string, got {type(text).__name__}"
-        )
-    try:
-        raw = base64.b64decode(text.encode("ascii"), validate=True)
-    except (binascii.Error, UnicodeEncodeError) as exc:
-        raise SchemaError(field, f"invalid base64: {exc}") from None
-    if len(raw) != dim * 8:
-        raise SchemaError(
-            field,
-            f"f64 vector is {len(raw)} bytes; dim={dim} needs exactly "
-            f"{dim * 8}",
-        )
-    vector = np.frombuffer(raw, dtype="<f8").astype(np.float64, copy=True)
+    vector = _fixed_width(text, np.dtype("<f8"), dim, field).astype(np.float64)
     if not np.all(np.isfinite(vector)):
         raise SchemaError(field, "vector contains non-finite elements")
     return vector
@@ -194,8 +189,8 @@ def encode_real_vector(vector: np.ndarray) -> str:
     return base64.b64encode(arr.tobytes()).decode("ascii")
 
 
-def _parse_encoding(body: Dict[str, Any]) -> str:
-    encoding = _typed(body, "encoding", str, default="u64")
+def _known(encoding: str) -> str:
+    """``encoding`` itself, or a :class:`SchemaError` on ``encoding``."""
     if encoding not in ENCODINGS:
         raise SchemaError(
             "encoding", f"must be one of {list(ENCODINGS)}, got {encoding!r}"
@@ -380,7 +375,7 @@ class RoundRequest:
     updates_b64: Optional[Dict[int, str]] = None
     dropouts: Tuple[int, ...] = ()
     synthetic: Optional[SyntheticRoundSpec] = None
-    encoding: str = "u64"
+    encoding: str = "u32"
 
     @classmethod
     def from_json(cls, body: Dict[str, Any]) -> "RoundRequest":
@@ -394,7 +389,7 @@ class RoundRequest:
                 "updates",
                 "exactly one of 'updates' and 'synthetic' is required",
             )
-        encoding = _parse_encoding(body)
+        encoding = _known(_typed(body, "encoding", str, default="u32"))
         dropouts_list = _typed(body, "dropouts", list, [])
         dropouts: List[int] = []
         for i, uid in enumerate(dropouts_list):

@@ -33,7 +33,8 @@ records::
 
 A buffered batch fills (FILLING) until its K-th submission seals it; a
 synchronous round arrives whole and starts at SEALED.  After a seal the
-phase follows whatever the next buffer already holds.  CLOSED is
+phase returns to SEALED while a batch sealed behind it waits, and
+otherwise follows whatever the next buffer already holds.  CLOSED is
 terminal: a seal in flight when the cohort closes completes, but moves
 the phase no more.
 
@@ -197,6 +198,7 @@ class RoundEngine:
         self.server_round = 0  # t; every seal advances it by one
         self.stalls = 0  # seals that found the session pool empty
         self.drains = 0  # seals of a buffered batch
+        self._sealed_waiting = 0  # sealed batches not yet draining
         self.membership_events: Dict[str, int] = {"join": 0, "leave": 0}
         self.phase = RoundPhase.IDLE
         self.transitions: Deque[PhaseTransition] = deque(
@@ -215,12 +217,15 @@ class RoundEngine:
 
     def _settle(self) -> None:
         """After a seal, aggregated or failed (caller holds ``_lock``):
-        the batch is gone, and the phase follows whatever the next
-        buffer already holds."""
-        self._set_phase(
-            RoundPhase.FILLING if len(self._buffer) else RoundPhase.IDLE,
-            self.server_round,
-        )
+        the batch is gone, so the phase is SEALED while a sealed batch
+        waits to drain, and otherwise follows the next buffer."""
+        if self._sealed_waiting:
+            phase = RoundPhase.SEALED
+        elif len(self._buffer):
+            phase = RoundPhase.FILLING
+        else:
+            phase = RoundPhase.IDLE
+        self._set_phase(phase, self.server_round)
 
     def _refuse_if_closed(self, what: str) -> None:
         """Caller holds ``_lock``."""
@@ -402,7 +407,11 @@ class RoundEngine:
             fill_started = self._fill_started_at
             self._fill_started_at = None
             sealed_at = time.time()
-            self._set_phase(RoundPhase.SEALED, t)
+            self._sealed_waiting += 1
+            # Behind a seal in flight the batch waits; that seal's
+            # settle records SEALED at the round this batch seals at.
+            if self.phase in (RoundPhase.IDLE, RoundPhase.FILLING):
+                self._set_phase(RoundPhase.SEALED, t)
         # The K-th submitter carries the drain; later submitters are
         # already filling the next buffer under _lock.
         return self._drain(items, recovery_dropouts, fill_started, sealed_at)
@@ -417,6 +426,7 @@ class RoundEngine:
         c = self.cohort
         with self._drain_lock:
             with self._lock:
+                self._sealed_waiting -= 1
                 t = self.server_round
                 members = sorted(self._members)
             rng = drain_stream(self.spec.seed, c.cohort_id, t)

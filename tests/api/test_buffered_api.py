@@ -309,8 +309,8 @@ class TestErrorLanes:
                 f"/cohorts/{made['cohort_id']}/updates",
                 {"user_id": 0,
                  "update": encode_vector(np.zeros(DIM, dtype=np.uint64),
-                                         "u64", gf.q),
-                 "encoding": "u64"},
+                                         "u32", gf.q),
+                 "encoding": "u32"},
             )
             assert status == 400
         finally:
@@ -356,7 +356,7 @@ class TestSchemas:
             )
         with pytest.raises(SchemaError, match="encoding"):
             SubmitUpdateRequest.from_json(
-                {"user_id": 0, "update": "AA==", "encoding": "u64"}
+                {"user_id": 0, "update": "AA==", "encoding": "u32"}
             )
         with pytest.raises(SchemaError, match="download_round"):
             SubmitUpdateRequest.from_json(

@@ -30,9 +30,11 @@ from repro.service import (
     TransportKind,
 )
 from repro.service.api import (
+    ENCODINGS,
     ControlPlane,
     ControlPlaneServer,
     RoundRequest,
+    decode_vector,
     encode_vector,
 )
 from repro.service.api import server as server_module
@@ -134,6 +136,12 @@ def reference_round(gf, updates, dropouts, *, seed=0, **spec_overrides):
         svc.stop()
 
 
+def field_sum(gf, updates, survivors):
+    """The plain field sum of the survivors' vectors, mod q."""
+    total = sum(updates[u].astype(object) for u in survivors)
+    return np.asarray(total % gf.q, dtype=np.uint64)
+
+
 def drive_round_over_http(gf, client, updates, dropouts, encoding="packed"):
     payload = {
         "updates": {
@@ -149,7 +157,7 @@ def drive_round_over_http(gf, client, updates, dropouts, encoding="packed"):
 class TestBitIdentity:
     """POST /cohorts + POST rounds == the synchronous library path."""
 
-    @pytest.mark.parametrize("encoding", ["u64", "packed"])
+    @pytest.mark.parametrize("encoding", ["u32", "packed"])
     def test_inline_transport(self, gf, encoding):
         rng = np.random.default_rng(5)
         updates = {i: gf.random(DIM, rng) for i in range(N)}
@@ -167,11 +175,45 @@ class TestBitIdentity:
             assert status == 200
             assert round_body["encoding"] == encoding
             assert round_body["survivors"] == sorted(expected.survivors)
-            from repro.service.api import decode_vector
             aggregate = decode_vector(
                 round_body["aggregate"], encoding, gf.q, DIM, "aggregate"
             )
             assert np.array_equal(aggregate, expected.aggregate)
+            assert np.array_equal(
+                aggregate, field_sum(gf, updates, expected.survivors)
+            )
+        finally:
+            control.drain()
+            server.stop()
+
+    def test_process_transport_u32_and_packed_agree(self, gf):
+        """The same vectors sent as u32 and as packed to a process-lane
+        cohort: bit-identical aggregates, both the plain field sum of
+        the survivors."""
+        rng = np.random.default_rng(9)
+        updates = {i: gf.random(DIM, rng) for i in range(N)}
+        dropouts = {2}
+        service, control, server = make_daemon(gf)
+        try:
+            client = Client(server.address)
+            status, _ = client.post(
+                "/cohorts", spec_body(transport="process", num_shards=2)
+            )
+            assert status == 201
+            aggregates = {}
+            for encoding in ENCODINGS:
+                status, body = drive_round_over_http(
+                    gf, client, updates, dropouts, encoding
+                )
+                assert status == 200 and body["encoding"] == encoding
+                aggregates[encoding] = decode_vector(
+                    body["aggregate"], encoding, gf.q, DIM, "aggregate"
+                )
+            survivors = sorted(set(updates) - dropouts)
+            assert body["survivors"] == survivors
+            plain = field_sum(gf, updates, survivors)
+            for aggregate in aggregates.values():
+                assert np.array_equal(aggregate, plain)
         finally:
             control.drain()
             server.stop()
@@ -198,7 +240,6 @@ class TestBitIdentity:
                     gf, client, updates, dropouts
                 )
                 assert status == 200
-                from repro.service.api import decode_vector
                 aggregate = decode_vector(
                     round_body["aggregate"], "packed", gf.q, DIM,
                     "aggregate",
@@ -230,12 +271,11 @@ class TestBitIdentity:
             status, body = client.post(
                 "/cohorts/0/rounds",
                 {"synthetic": {"seed": 17, "dropout_rate": 0.3},
-                 "encoding": "u64"},
+                 "encoding": "u32"},
             )
             assert status == 200
-            from repro.service.api import decode_vector
             aggregate = decode_vector(
-                body["aggregate"], "u64", gf.q, DIM, "aggregate"
+                body["aggregate"], "u32", gf.q, DIM, "aggregate"
             )
             ref = reference[0][0]  # first sweep, cohort 0
             assert body["survivors"] == sorted(ref.survivors)
@@ -310,6 +350,22 @@ class TestLifecycleAndErrors:
                 {"synthetic": {"seed": 0, "dropout_rate": 0.9}},
             )
             assert status == 409  # too many dropouts -> ProtocolError
+            # 400: u64 is not an encoding, and under the default u32 a
+            # body of 8-byte words is the wrong length
+            status, body = client.post(
+                "/cohorts/0/rounds", {"synthetic": {}, "encoding": "u64"}
+            )
+            assert status == 400 and body["error"]["field"] == "encoding"
+            assert "['u32', 'packed']" in body["error"]["message"]
+            u64_words = base64.b64encode(
+                np.zeros(DIM, dtype="<u8").tobytes()
+            ).decode()
+            status, body = client.post(
+                "/cohorts/0/rounds",
+                {"updates": {str(i): u64_words for i in range(N)}},
+            )
+            assert status == 400 and body["error"]["type"] == "validation"
+            assert body["error"]["field"] == "updates[0]"
         finally:
             control.drain()
             server.stop()
@@ -322,11 +378,11 @@ class TestLifecycleAndErrors:
         updates = {i: gf.random(DIM, rng) for i in range(N)}
         payload = {
             "updates": {
-                str(uid): encode_vector(vec, "u64", gf.q)
+                str(uid): encode_vector(vec, "u32", gf.q)
                 for uid, vec in updates.items()
             },
         }
-        other = encode_vector(gf.random(DIM, rng), "u64", gf.q)
+        other = encode_vector(gf.random(DIM, rng), "u32", gf.q)
         service, control, server = make_daemon(gf)
         try:
             client = Client(server.address)

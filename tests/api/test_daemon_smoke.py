@@ -2,14 +2,16 @@
 shard-worker`` processes, driven exactly the way CI and operators do.
 
 * ``repro serve --json`` publishes its ephemeral address on stdout,
-  serves cohorts over HTTP (inline and process transports), answers
-  ``/metrics``, and exits 0 on ``POST /drain`` with a final JSON drain
-  line;
+  serves cohorts over HTTP (inline and process transports) — synthetic
+  rounds, and one round of explicit vectors as ``u32`` and as ``packed``,
+  whose aggregates are bit-identical and the plain field sum — answers ``/metrics``, and exits 0 on ``POST /drain``
+  with a final JSON drain line;
 * SIGTERM takes the same graceful path: drain, summary line, exit 0 —
   for both daemons (satellite: the shard worker used to die mid-frame);
 * ``--max-seconds`` bounds the run for CI without any HTTP traffic.
 """
 
+import base64
 import glob
 import json
 import os
@@ -21,7 +23,11 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
+
+from repro.field import DEFAULT_PRIME
+from repro.service.api import decode_vector, encode_vector
 
 pytestmark = pytest.mark.timeout(180)
 
@@ -91,8 +97,8 @@ def call(base, method, path, body=None, timeout=60):
 
 @pytest.mark.parametrize("transport", ["inline", "process"])
 def test_serve_end_to_end(transport, validate_json_schema):
-    """Create a cohort, run rounds, scrape metrics + a round trace,
-    drain — exit 0."""
+    """Create a cohort, run rounds, scrape metrics + a round trace, run
+    one round of explicit vectors in both encodings, drain — exit 0."""
     proc, base = serve_daemon()
     try:
         spec = {"num_users": 5, "model_dim": 64, "pool_size": 2,
@@ -143,9 +149,46 @@ def test_serve_end_to_end(transport, validate_json_schema):
             assert any(n.startswith("shard_compute[") for n in names)
         status, health = call(base, "GET", "/healthz")
         assert health["status"] == "ok" and health["cohorts"] == 1
+        # explicit vectors with no "encoding" key ride u32 both ways
+        rng = np.random.default_rng(3)
+        vectors = rng.integers(0, DEFAULT_PRIME, size=(5, 64), dtype="<u4")
+        status, body = call(
+            base, "POST", f"/cohorts/{cid}/rounds",
+            {"updates": {
+                str(i): base64.b64encode(v.tobytes()).decode()
+                for i, v in enumerate(vectors)
+            }, "dropouts": [4]},
+        )
+        assert status == 200, body
+        assert body["encoding"] == "u32" and body["survivors"] == [0, 1, 2, 3]
+        aggregate = np.frombuffer(base64.b64decode(body["aggregate"]), "<u4")
+        plain = vectors[:4].astype(np.uint64).sum(axis=0) % DEFAULT_PRIME
+        assert np.array_equal(aggregate, plain)
+        # the same round packed: a bit-identical aggregate
+        status, body = call(
+            base, "POST", f"/cohorts/{cid}/rounds",
+            {"updates": {
+                str(i): encode_vector(v, "packed", DEFAULT_PRIME)
+                for i, v in enumerate(vectors)
+            }, "dropouts": [4], "encoding": "packed"},
+        )
+        assert status == 200, body
+        assert np.array_equal(decode_vector(
+            body["aggregate"], "packed", DEFAULT_PRIME, 64, "aggregate"
+        ), aggregate)
+        # a body of 8-byte words is the wrong length for u32: a 400
+        status, body = call(
+            base, "POST", f"/cohorts/{cid}/rounds",
+            {"updates": {
+                str(i): base64.b64encode(v.astype("<u8").tobytes()).decode()
+                for i, v in enumerate(vectors)
+            }},
+        )
+        assert status == 400, body
+        assert body["error"]["field"] == "updates[0]"
         status, summary = call(base, "POST", "/drain")
         assert status == 200 and summary["drained"] is True
-        assert summary["total_rounds"] == 2
+        assert summary["total_rounds"] == 4
     except BaseException:
         # don't let wait_exit's 60s hang-and-fail mask the real failure
         proc.kill()
@@ -153,7 +196,7 @@ def test_serve_end_to_end(transport, validate_json_schema):
         raise
     out, err = wait_exit(proc)
     final = json.loads(out.strip().splitlines()[-1])
-    assert final["event"] == "drained" and final["total_rounds"] == 2
+    assert final["event"] == "drained" and final["total_rounds"] == 4
     # the drained daemon unlinked every segment it created
     assert glob.glob(f"/dev/shm/repro-shm-{proc.pid:x}-*") == []
 

@@ -11,7 +11,7 @@ import base64
 import numpy as np
 import pytest
 
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, WireError
 from repro.field import FiniteField
 from repro.service import AggregationService, ServiceConfig, TransportKind
 from repro.service.api import (
@@ -31,7 +31,7 @@ def gf():
 
 
 class TestVectorCodec:
-    @pytest.mark.parametrize("encoding", ["u64", "packed"])
+    @pytest.mark.parametrize("encoding", ["u32", "packed"])
     def test_roundtrip(self, gf, encoding):
         rng = np.random.default_rng(3)
         vec = gf.random(257, rng)
@@ -40,33 +40,50 @@ class TestVectorCodec:
         assert back.dtype == np.uint64
         assert np.array_equal(back, vec)
 
-    def test_packed_is_smaller_than_u64(self, gf):
+    def test_packed_is_smaller_than_u32(self, gf):
         vec = gf.random(1024, np.random.default_rng(0))
         packed = encode_vector(vec, "packed", gf.q)
-        u64 = encode_vector(vec, "u64", gf.q)
-        assert len(packed) < len(u64)
-        # the default field (q = 2^31 - 1) packs at 31 bits/element —
-        # under half the u64 diet
+        u32 = encode_vector(vec, "u32", gf.q)
+        assert len(packed) < len(u32)
+        # the default field (q = 2^31 - 1) packs at 31 bits/element
+        # against u32's one 32-bit word
         assert field_bits(gf.q) == 31
+        assert len(base64.b64decode(u32)) == 4 * 1024
 
     def test_bad_base64_names_the_field(self, gf):
         with pytest.raises(SchemaError, match=r"updates\[3\].*base64"):
-            decode_vector("!!!", "u64", gf.q, 4, "updates[3]")
+            decode_vector("!!!", "u32", gf.q, 4, "updates[3]")
 
     def test_wrong_length_rejected(self, gf):
-        text = base64.b64encode(b"\x00" * 16).decode()
-        with pytest.raises(SchemaError, match="dim=4 needs exactly 32"):
-            decode_vector(text, "u64", gf.q, 4, "updates[0]")
+        text = base64.b64encode(b"\x00" * 8).decode()
+        with pytest.raises(SchemaError, match="dim=4 needs exactly 16"):
+            decode_vector(text, "u32", gf.q, 4, "updates[0]")
 
     def test_out_of_field_element_rejected(self, gf):
-        raw = np.array([0, gf.q], dtype="<u8").tobytes()
+        raw = np.array([0, gf.q], dtype="<u4").tobytes()
         text = base64.b64encode(raw).decode()
         with pytest.raises(SchemaError, match=r"outside GF\("):
-            decode_vector(text, "u64", gf.q, 2, "updates[0]")
+            decode_vector(text, "u32", gf.q, 2, "updates[0]")
 
     def test_non_string_rejected(self, gf):
         with pytest.raises(SchemaError, match="expected a base64 string"):
-            decode_vector(12345, "u64", gf.q, 2, "updates[0]")
+            decode_vector(12345, "u32", gf.q, 2, "updates[0]")
+
+    def test_u32_encode_refuses_a_word_past_32_bits(self, gf):
+        """2**32 + 7 must not go out as its low 32 bits, 7."""
+        vec = np.array([1, 2**32 + 7], dtype=np.uint64)
+        with pytest.raises(WireError, match=r"outside \[0, 2\*\*32\)"):
+            encode_vector(vec, "u32", gf.q)
+
+    @pytest.mark.parametrize("encoding", ["u64", "hex"])
+    def test_codec_refuses_an_unknown_encoding(self, gf, encoding):
+        """No name but ``u32`` / ``packed`` falls through to a codec."""
+        vec = np.array([1, 2], dtype=np.uint64)
+        text = base64.b64encode(vec.astype("<u8").tobytes()).decode()
+        with pytest.raises(SchemaError, match=r"encoding: must be one of"):
+            encode_vector(vec, encoding, gf.q)
+        with pytest.raises(SchemaError, match=r"encoding: must be one of"):
+            decode_vector(text, encoding, gf.q, 2, "updates[0]")
 
 
 class TestCohortCreateRequest:
@@ -117,11 +134,19 @@ class TestRoundRequest:
                 {"updates": {"0": "AA=="}, "synthetic": {}}
             )
 
-    def test_unknown_encoding(self):
-        with pytest.raises(SchemaError, match="encoding.*'hex'"):
+    @pytest.mark.parametrize("encoding", ["hex", "u64"])
+    def test_unknown_encoding(self, encoding):
+        with pytest.raises(
+            SchemaError,
+            match=rf"encoding: must be one of \['u32', 'packed'\], "
+                  rf"got '{encoding}'",
+        ):
             RoundRequest.from_json(
-                {"synthetic": {}, "encoding": "hex"}
+                {"synthetic": {}, "encoding": encoding}
             )
+
+    def test_default_encoding_is_u32(self):
+        assert RoundRequest.from_json({"synthetic": {}}).encoding == "u32"
 
     def test_dropouts_must_be_integers(self):
         with pytest.raises(SchemaError, match=r"dropouts\[1\]"):
@@ -162,7 +187,7 @@ class TestRoundRequest:
     def test_materialize_rejects_out_of_range_user(self, gf):
         spec = ServiceConfig(num_cohorts=1, num_users=4).cohort_spec()
         vec = encode_vector(gf.random(spec.model_dim,
-                                      np.random.default_rng(0)), "u64", gf.q)
+                                      np.random.default_rng(0)), "u32", gf.q)
         req = RoundRequest.from_json({"updates": {"9": vec}})
         with pytest.raises(SchemaError, match=r"updates\[9\].*outside"):
             req.materialize(spec, gf)

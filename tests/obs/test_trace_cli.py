@@ -109,10 +109,10 @@ class TestTraceOverHttp:
         rng = np.random.default_rng(4)
         post(f"/cohorts/{created['cohort_id']}/rounds", {
             "updates": {
-                str(i): encode_vector(gf.random(DIM, rng), "u64", gf.q)
+                str(i): encode_vector(gf.random(DIM, rng), "u32", gf.q)
                 for i in range(N)
             },
-            "dropouts": [], "encoding": "u64",
+            "dropouts": [], "encoding": "u32",
         })
         url = f"http://{server.address}/cohorts/{created['cohort_id']}/traces"
         assert main(["trace", url]) == 0

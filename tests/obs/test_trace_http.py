@@ -64,11 +64,11 @@ def run_rounds(gf, address, rounds=1):
     rng = np.random.default_rng(3)
     for _ in range(rounds):
         updates = {
-            str(i): encode_vector(gf.random(DIM, rng), "u64", gf.q)
+            str(i): encode_vector(gf.random(DIM, rng), "u32", gf.q)
             for i in range(N)
         }
         status, _ = http(address, "POST", f"/cohorts/{cohort_id}/rounds", {
-            "updates": updates, "dropouts": [1], "encoding": "u64",
+            "updates": updates, "dropouts": [1], "encoding": "u32",
         })
         assert status == 200
     return cohort_id

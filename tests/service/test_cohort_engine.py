@@ -233,7 +233,7 @@ def test_http_round_is_keyed_by_live_members(gf):
         updates = round_inputs(gf, members, seed=9)
         body = {
             "updates": {
-                str(m): encode_vector(v, "u64", gf.q)
+                str(m): encode_vector(v, "u32", gf.q)
                 for m, v in updates.items()
             },
             "dropouts": [8],
@@ -242,7 +242,7 @@ def test_http_round_is_keyed_by_live_members(gf):
         assert response.status == 200, response.body
         reply = json.loads(response.body)
         assert reply["survivors"] == members[:-1]
-        aggregate = decode_vector(reply["aggregate"], "u64", gf.q, DIM, "")
+        aggregate = decode_vector(reply["aggregate"], "u32", gf.q, DIM, "")
         assert np.array_equal(
             aggregate, field_sum(gf, updates, members[:-1])
         )

@@ -22,6 +22,7 @@ Pinned here two ways:
 
 import sys
 import threading
+import time
 
 import numpy as np
 
@@ -188,6 +189,43 @@ class TestStatusLocking:
         assert status["rounds"] == status["stalls"] == 1
         assert status["phase"] == "closed"
         assert cohort.engine.transitions[-1].phase is RoundPhase.CLOSED
+
+    def test_batch_sealed_behind_a_drain_waits_as_sealed(
+        self, cohort_over
+    ):
+        """A batch that seals while drain A is inside its session call
+        moves no phase: A settles to SEALED at the round the waiting
+        batch seals at, never back through IDLE, and that batch then
+        walks AGGREGATING -> IDLE like any other."""
+        session, entered, release = gated_session()
+        cohort = cohort_over(0, session, DIM, buffer_size=2)
+        engine = cohort.engine
+        errors = []
+        first = threading.Thread(
+            target=drive_submits, args=(cohort, [0, 1], 2, errors)
+        )
+        first.start()
+        assert entered.wait(timeout=30.0)  # drain A is in flight
+        cohort.submit_update(2, np.zeros(DIM))
+        second = threading.Thread(
+            target=drive_submits, args=(cohort, [3], 1, errors)
+        )
+        second.start()
+        deadline = time.monotonic() + 30.0
+        while cohort.status()["buffer_fill"]:  # until batch B seals
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        assert engine.phase is RoundPhase.AGGREGATING
+        release.set()
+        for t in (first, second):
+            t.join(timeout=30.0)
+            assert not t.is_alive()
+        assert not errors
+        ring = [(tr.phase.value, tr.round_index) for tr in engine.transitions]
+        assert ring == [
+            ("filling", 0), ("sealed", 0), ("aggregating", 0),
+            ("sealed", 1), ("aggregating", 1), ("idle", 2),
+        ]
 
     def test_set_phase_never_leaves_closed(self, cohort_over):
         engine = cohort_over(0, StubSession(), DIM).engine
