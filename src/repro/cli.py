@@ -1,4 +1,4 @@
-"""Command-line interface: run rounds and regenerate the paper's tables.
+"""Command-line interface: run rounds, sessions and the aggregation service.
 
 Usage (also via ``python -m repro``)::
 
@@ -13,11 +13,6 @@ Usage (also via ``python -m repro``)::
         --connect host-a:7000,host-b:7000 --refill background --rounds 20
     python -m repro serve --listen 127.0.0.1:8080   # HTTP control plane
     python -m repro trace http://127.0.0.1:8080/cohorts/0/traces
-    python -m repro simulate --protocol secagg -n 200 -d 1206590 -p 0.3
-    python -m repro gains -n 200 -p 0.1
-    python -m repro breakdown -n 200
-    python -m repro complexity -n 200 -d 1206590
-    python -m repro storage -n 20
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.field import FiniteField
-from repro.fl.models.zoo import PAPER_MODEL_SIZES
 from repro.protocols import (
     EncryptedLightSecAgg,
     LightSecAgg,
@@ -40,16 +34,6 @@ from repro.protocols import (
     SecAggPlus,
     ZhaoSunAggregation,
 )
-from repro.simulation import (
-    SimulationConfig,
-    TRAINING_TIMES,
-    complexity_table,
-    compute_gains,
-    paper_operating_point,
-    simulate,
-)
-from repro.simulation.costmodel import PROTOCOLS, ROWS
-from repro.simulation.storage import compare_storage
 
 
 PROTOCOL_CHOICES = [
@@ -383,70 +367,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    t = simulate(args.protocol, args.num_users, args.dim, args.dropout,
-                 args.train_time, SimulationConfig())
-    print(f"{args.protocol} N={args.num_users} d={args.dim} p={args.dropout}")
-    for phase, secs in t.as_dict().items():
-        print(f"  {phase:9s}: {secs:9.1f} s")
-    print(f"  total     : {t.total(False):9.1f} s "
-          f"(overlapped {t.total(True):9.1f} s)")
-    return 0
-
-
-def cmd_gains(args: argparse.Namespace) -> int:
-    print(f"LightSecAgg gains vs (SecAgg, SecAgg+), N={args.num_users}, "
-          f"p={args.dropout}")
-    for task, d in PAPER_MODEL_SIZES.items():
-        g = compute_gains(task, args.num_users, d, args.dropout,
-                          TRAINING_TIMES[task], SimulationConfig())
-        print(f"  {task:22s} non-ov {g.non_overlapped['secagg']:5.1f}x/"
-              f"{g.non_overlapped['secagg+']:4.1f}x   "
-              f"ov {g.overlapped['secagg']:5.1f}x/"
-              f"{g.overlapped['secagg+']:4.1f}x   "
-              f"agg-only {g.aggregation_only['secagg']:5.1f}x/"
-              f"{g.aggregation_only['secagg+']:4.1f}x")
-    return 0
-
-
-def cmd_breakdown(args: argparse.Namespace) -> int:
-    d = PAPER_MODEL_SIZES["cnn_femnist"]
-    print(f"breakdown (s), CNN/FEMNIST d={d}, N={args.num_users}")
-    for p in (0.1, 0.3, 0.5):
-        for proto in ("lightsecagg", "secagg", "secagg+"):
-            t = simulate(proto, args.num_users, d, p,
-                         TRAINING_TIMES["cnn_femnist"], SimulationConfig())
-            print(f"  p={p} {proto:12s} offline={t.offline:7.1f} "
-                  f"upload={t.upload:6.1f} recovery={t.recovery:8.1f} "
-                  f"total={t.total(False):8.1f}")
-    return 0
-
-
-def cmd_complexity(args: argparse.Namespace) -> int:
-    table = complexity_table(
-        paper_operating_point(args.num_users, args.dim, args.dropout)
-    )
-    header = f"{'row':24s}" + "".join(f"{p:>16s}" for p in PROTOCOLS)
-    print(header)
-    for row in ROWS:
-        vals = "".join(f"{table[p][row]:16.3g}" for p in PROTOCOLS)
-        print(f"{row:24s}{vals}")
-    return 0
-
-
-def cmd_storage(args: argparse.Namespace) -> int:
-    n = args.num_users
-    cmp = compare_storage(n, int(0.7 * n), n // 2)
-    print(f"storage comparison at N={n}, U={int(0.7 * n)}, T={n // 2} "
-          f"(symbols of F_q^(d/(U-T)))")
-    print(f"  Zhao&Sun total randomness : {cmp.zhao_sun_randomness:.4g}")
-    print(f"  LightSecAgg total         : {cmp.lightsecagg_randomness}")
-    print(f"  Zhao&Sun per-user storage : {cmp.zhao_sun_per_user:.4g}")
-    print(f"  LightSecAgg per-user      : {cmp.lightsecagg_per_user}")
-    print(f"  randomness ratio          : {cmp.randomness_ratio:.4g}x")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="LightSecAgg reproduction CLI"
@@ -592,34 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="character cells spanning the round's duration (default 56)",
     )
     p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("simulate", help="timing model for one round")
-    p.add_argument("--protocol", default="lightsecagg",
-                   choices=["lightsecagg", "secagg", "secagg+"])
-    p.add_argument("-n", "--num-users", type=int, default=200)
-    p.add_argument("-d", "--dim", type=int, default=1_206_590)
-    p.add_argument("-p", "--dropout", type=float, default=0.1)
-    p.add_argument("--train-time", type=float, default=22.8)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("gains", help="Table 2-style gain report")
-    p.add_argument("-n", "--num-users", type=int, default=200)
-    p.add_argument("-p", "--dropout", type=float, default=0.1)
-    p.set_defaults(func=cmd_gains)
-
-    p = sub.add_parser("breakdown", help="Table 4-style breakdown")
-    p.add_argument("-n", "--num-users", type=int, default=200)
-    p.set_defaults(func=cmd_breakdown)
-
-    p = sub.add_parser("complexity", help="Table 1-style complexity rows")
-    p.add_argument("-n", "--num-users", type=int, default=200)
-    p.add_argument("-d", "--dim", type=int, default=1_206_590)
-    p.add_argument("-p", "--dropout", type=float, default=0.1)
-    p.set_defaults(func=cmd_complexity)
-
-    p = sub.add_parser("storage", help="Table 6-style storage comparison")
-    p.add_argument("-n", "--num-users", type=int, default=20)
-    p.set_defaults(func=cmd_storage)
 
     return parser
 

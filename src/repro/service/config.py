@@ -17,6 +17,9 @@ from typing import Optional, Tuple
 
 from repro.exceptions import ParameterError, ReproError
 
+#: Staleness weighting functions selectable from config by name.
+STALENESS_FNS = ("constant", "polynomial", "hinge")
+
 
 class RefillMode(enum.Enum):
     """How a cohort's offline pools are topped up.
@@ -95,10 +98,11 @@ def _validate_cohort_fields(cfg) -> None:
             f"buffer_size must be in [1, num_users={cfg.num_users}], "
             f"got {cfg.buffer_size}"
         )
-    if cfg.staleness_fn not in ("constant", "polynomial", "hinge"):
+    if cfg.staleness_fn not in STALENESS_FNS:
+        *head, last = STALENESS_FNS
         raise ReproError(
             f"unknown staleness_fn {cfg.staleness_fn!r}; expected "
-            "'constant', 'polynomial', or 'hinge'"
+            f"{', '.join(map(repr, head))}, or {last!r}"
         )
     if cfg.staleness_levels < 1:
         raise ReproError(

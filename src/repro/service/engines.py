@@ -73,13 +73,11 @@ from repro.obs import Span, span
 from repro.protocols.base import AggregationResult
 from repro.protocols.lightsecagg.params import LSAParams
 from repro.quantization import ModelQuantizer, QuantizationConfig
+from repro.service.config import STALENESS_FNS
 
 #: Stream-id constant separating drain rngs from every other derived
 #: stream in the repo (shard streams use (seed, cohort, shard)).
 DRAIN_STREAM = 0x44524E53  # "DRNS"
-
-#: Staleness weighting functions selectable from config by name.
-STALENESS_FNS = ("constant", "polynomial", "hinge")
 
 #: :class:`PhaseTransition` records an engine retains (a ring).
 TRANSITION_HISTORY = 64

@@ -12,11 +12,12 @@ shard coordinator and the process hosting that shard's protocol session:
 * :class:`RekeyRequest` — re-size a shard session's member set.
 * :class:`RefillRequest` / :class:`PoolSnapshot` — top up a shard's
   offline pool; the snapshot doubles as the generic "current pool +
-  session stats" report (it also acknowledges :class:`Shutdown`).
+  session stats" report, answering refills and re-keys alike.
 * :class:`ErrorFrame` — a remote exception, carried by name + message so
   the coordinator can re-raise the library's own exception types.
 * :class:`Shutdown` — drain and close the shard session; the worker
-  finishes a refill already in flight before acknowledging.
+  finishes a refill already in flight before acknowledging with a
+  :class:`Shutdown` of its own.
 * :class:`SessionSetup` / :class:`SetupAck` / :class:`SessionTeardown` —
   networked-worker lifecycle: a coordinator ships declarative
   :class:`~repro.service.transport.ShardSessionSpec` entries, each bound

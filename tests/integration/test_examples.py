@@ -49,12 +49,6 @@ def test_privacy_attack_demo():
     assert "success=False" in out
 
 
-def test_systems_projection():
-    out = run_example("systems_projection.py")
-    assert "Table 4" in out and "Table 2" in out and "Table 3" in out
-    assert "lightsecagg" in out
-
-
 def test_straggler_resilience():
     out = run_example("straggler_resilience.py")
     assert "on critical path: False" in out

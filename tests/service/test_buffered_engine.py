@@ -441,6 +441,20 @@ class TestConfigValidation:
         with pytest.raises(ReproError, match="staleness_fn"):
             buffered_config(staleness_fn="exponential")
 
+    def test_config_and_engine_share_staleness_names(self, gf):
+        from repro.service import config as config_mod
+        from repro.service import engines as engines_mod
+
+        assert engines_mod.STALENESS_FNS is config_mod.STALENESS_FNS
+        for name in config_mod.STALENESS_FNS:
+            assert engines_mod.build_staleness(name) is not None
+            assert buffered_config(staleness_fn=name).cohort_spec()
+        with pytest.raises(ReproError) as exc:
+            buffered_config(staleness_fn="exponential")
+        assert str(exc.value).endswith(
+            "expected 'constant', 'polynomial', or 'hinge'"
+        )
+
     def test_buffered_knobs_round_trip_through_describe(self, gf):
         config = buffered_config(staleness_fn="polynomial")
         spec = config.cohort_spec()
