@@ -28,6 +28,29 @@ from repro.coding.partition import partition, piece_length, unpartition
 from repro.field.arithmetic import FIELD_WORD, FiniteField
 
 
+def word_out(out: Optional[np.ndarray], shape, what: str) -> np.ndarray:
+    """``out`` checked as the C-contiguous :data:`FIELD_WORD` array of
+    ``shape`` a kernel writes into, or a fresh one when it is None.
+
+    The same refusal ``gf.random(out=)`` makes, as a :class:`CodingError`
+    naming ``what``: a kernel never casts, reshapes or copies its way
+    into an output it was handed.
+    """
+    if out is None:
+        return np.empty(shape, dtype=FIELD_WORD)
+    if not (
+        isinstance(out, np.ndarray)
+        and out.dtype == FIELD_WORD
+        and out.shape == tuple(shape)
+        and out.flags.c_contiguous
+    ):
+        raise CodingError(
+            f"{what} out must be a C-contiguous {FIELD_WORD.str} array of "
+            f"shape {tuple(shape)}"
+        )
+    return out
+
+
 class MaskEncoder:
     """Encode/decode LightSecAgg masks for ``num_users`` users.
 
@@ -102,11 +125,14 @@ class MaskEncoder:
         return self.code.encode(data)
 
     def encode_batch(
-        self, masks: np.ndarray, rng: Optional[np.random.Generator] = None
+        self,
+        masks: np.ndarray,
+        rng: Optional[np.random.Generator] = None,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Encode ``B`` masks at once as a single batched field matmul.
 
-        ``masks`` has shape ``(B, model_dim)``; the result is a fresh
+        ``masks`` has shape ``(B, model_dim)``; the result is a
         C-contiguous ``(B, N, share_dim)`` array of :data:`FIELD_WORD`
         residues (half the bytes of uint64; values are canonical, so the
         width loses nothing) where slice ``b`` equals ``encode(masks[b])``
@@ -117,6 +143,10 @@ class MaskEncoder:
         which is what lets a multi-round session precompute its whole
         offline pool in one shot.  Masks that are already
         :data:`FIELD_WORD` (the pool's draw) are read as they are.
+
+        ``out``, when given, is the array to encode into (checked by
+        :func:`word_out`) and is returned; a pooled session passes its
+        slab's free slots, so a refill allocates no result.
         """
         masks = np.asarray(masks)
         if masks.dtype not in (np.uint64, FIELD_WORD):
@@ -140,7 +170,7 @@ class MaskEncoder:
         padding = np.empty((self.privacy, b * share_dim), dtype=FIELD_WORD)
         self.gf.random(padding.shape, rng, out=padding)
         padding = padding.reshape(self.privacy, b, share_dim)
-        coded = np.empty((b, self.num_users, share_dim), dtype=FIELD_WORD)
+        coded = word_out(out, (b, self.num_users, share_dim), "coded")
         chunk = min(b, max(1, self.STAGING_ELEMS // (u * share_dim)))
         flat = np.empty((chunk, u * share_dim), dtype=np.uint64)
         flat[:, self.model_dim : self.num_submasks * share_dim] = 0

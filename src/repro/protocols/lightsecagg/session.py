@@ -12,6 +12,14 @@ full ``N x N`` grid of coded shares ``[~z_i]_j``.  The pool is filled
 masks), and online rounds just drain it: the per-round critical path is
 masking, upload, aggregate-share summation, and one MDS decode.
 
+The pool lives in one **slab** per session: ``pool_size`` round slots of
+``<u4`` masks and coded shares, allocated at the first refill after the
+session opens or re-keys.  A refill encodes straight into the free slots
+and a spent round hands its slot back as soon as the kernel that reads
+it returns, so the pool's memory is ``pool_size`` rounds of material —
+no retired batch stays pinned by a round still pooled, and a warm
+session's refill allocates no material at all.
+
 Per-round transcripts therefore contain only ``upload`` and ``recovery``
 traffic; the offline traffic is accounted once per refill, as a running
 element total behind :meth:`LightSecAggSession.offline_elements`, which is
@@ -38,15 +46,15 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.crypto.channels import SecureChannel
 from repro.exceptions import DropoutError, ProtocolError
 from repro.field import FIELD_WORD
-from repro.coding.mask_encoding import MaskEncoder
+from repro.coding.mask_encoding import MaskEncoder, word_out
 from repro.obs import span
 from repro.protocols.base import (
     SERVER,
@@ -69,10 +77,18 @@ class OfflineMaterial:
     wire carries them at and half the bytes of uint64: the pool is most
     of a long-lived session's memory.  The online kernels add them into
     uint64 accumulators.
+
+    Both are views of round slot ``slot`` of the session's ``slab``:
+    they stay valid while the round is pooled or being spent, and the
+    slot is written over by a later refill once the spent round returns
+    it.  ``slab`` tags which slab the slot belongs to, so a round spent
+    across a re-key never returns its slot into the next slab.
     """
 
     masks: np.ndarray  # (N, model_dim)
     coded: np.ndarray  # (N_source, N_holder, share_dim)
+    slot: int
+    slab: Tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
 
 def lazy_sum_bound(q: int, terms: int) -> int:
@@ -95,26 +111,42 @@ def precompute_offline_pool(
     encoder: MaskEncoder,
     rounds: int,
     rng: np.random.Generator,
+    out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Draw and encode ``rounds`` rounds of masks for all users at once.
 
     Returns ``(masks, coded)`` with shapes ``(rounds, N, model_dim)`` and
-    ``(rounds, N_source, N_holder, share_dim)``, both contiguous views of
-    one :data:`~repro.field.FIELD_WORD` array each, so a pooled round's
-    slice is contiguous too; all ``rounds * N`` masks go through a single
-    batched generator matmul.  The masks are drawn straight into their
-    ``<u4`` array (the same values and rng stream as a uint64 draw) and
-    the encode narrows block by block, so no step holds a whole-batch
-    uint64 copy.
+    ``(rounds, N_source, N_holder, share_dim)``, both C-contiguous
+    :data:`~repro.field.FIELD_WORD` arrays, so a pooled round's slice is
+    contiguous too; all ``rounds * N`` masks go through a single batched
+    generator matmul.  The masks are drawn straight into their ``<u4``
+    array (the same values and rng stream as a uint64 draw) and the
+    encode narrows block by block, so no step holds a whole-batch uint64
+    copy.  ``out``, when given, is the ``(masks, coded)`` pair to fill
+    (each checked by :func:`~repro.coding.mask_encoding.word_out`) — a
+    run of a session slab's free slots — and is what is returned.
     """
-    n = encoder.num_users
-    masks = np.empty((rounds * n, encoder.model_dim), dtype=FIELD_WORD)
-    encoder.gf.random(masks.shape, rng, out=masks)
-    coded = encoder.encode_batch(masks, rng)
-    return (
-        masks.reshape(rounds, n, encoder.model_dim),
-        coded.reshape(rounds, n, n, encoder.share_dim),
+    n, d, share_dim = encoder.num_users, encoder.model_dim, encoder.share_dim
+    masks_out, coded_out = (None, None) if out is None else out
+    masks = word_out(masks_out, (rounds, n, d), "masks")
+    coded = word_out(coded_out, (rounds, n, n, share_dim), "coded")
+    flat = masks.reshape(rounds * n, d)
+    encoder.gf.random(flat.shape, rng, out=flat)
+    encoder.encode_batch(
+        flat, rng, out=coded.reshape(rounds * n, n, share_dim)
     )
+    return masks, coded
+
+
+def _runs(slots: List[int]) -> List[Tuple[int, int]]:
+    """Ascending ``slots`` grouped into ``[start, stop)`` runs."""
+    runs: List[Tuple[int, int]] = []
+    for slot in slots:
+        if runs and runs[-1][1] == slot:
+            runs[-1] = (runs[-1][0], slot + 1)
+        else:
+            runs.append((slot, slot + 1))
+    return runs
 
 
 def _mask_encoder(protocol) -> MaskEncoder:
@@ -140,6 +172,11 @@ class LightSecAggSession(ProtocolSession):
     Pool access is thread-safe for the service-layer concurrency contract:
     one consumer thread draining rounds while one background refiller
     tops the pool up (see :class:`repro.service.refill.BackgroundRefiller`).
+
+    The material lives in the slab's ``pool_size`` round slots.  The
+    session tracks the pooled rounds (``_pool``) and the slots a round
+    is reading (``_held``); every other slot is free, so clearing the
+    pool frees its slots with no second list to keep in step.
     """
 
     def __init__(self, protocol, pool_size=4, rng=None, low_water=0):
@@ -152,6 +189,8 @@ class LightSecAggSession(ProtocolSession):
         self.offline_transcript = Transcript()
         self._refill_elements = 0
         self._pool: Deque[OfflineMaterial] = deque()
+        self._held: Set[int] = set()
+        self._slab: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -162,90 +201,152 @@ class LightSecAggSession(ProtocolSession):
     def supports_pool(self) -> bool:
         return True
 
+    @property
+    def needs_refill(self) -> bool:
+        """The base low-water rule, held off while a round holds a slot.
+
+        A top-up around a held slot stops a round short of ``pool_size``,
+        so that shard would reach low water a round early and drift out
+        of step with the cohort's other shards, each drift costing the
+        online rounds a refill of their own.
+        """
+        return not self._held and super().needs_refill
+
     def offline_elements(self) -> int:
         with self._pool_lock:
             one_time = self.offline_transcript.elements(phase="offline")
             return one_time + self._refill_elements
 
     def refill(self, rounds: Optional[int] = None) -> int:
-        """Precompute offline material for ``rounds`` future rounds.
+        """Precompute offline material for up to ``rounds`` future rounds.
 
-        Defaults to topping the pool back up to ``pool_size``.  All
-        ``rounds * N`` masks are encoded in one batched matmul.  Refills
-        are serialized under ``_refill_lock`` (the offline rng is not
-        thread-safe); the expensive encode runs outside ``_pool_lock`` so
-        a concurrent consumer can keep draining already-pooled rounds.
+        Defaults to topping the pool back up to ``pool_size``; at most
+        the free slab slots are filled (a slot a round is still reading
+        is not free), and the number added is returned.  Each contiguous
+        run of free slots is encoded in place by one batched matmul —
+        one run from slot 0 when the pool is empty, at most two in FIFO
+        use.  Refills are serialized under ``_refill_lock`` (the offline
+        rng is not thread-safe); the expensive encode runs outside
+        ``_pool_lock`` so a concurrent consumer can keep draining
+        already-pooled rounds.
         """
         self._require_open()
         with self._refill_lock:
-            if rounds is None:
-                with self._pool_lock:
+            with self._pool_lock:
+                if rounds is None:
                     rounds = self.pool_size - len(self._pool)
-            if rounds <= 0:
+                if rounds <= 0:
+                    return 0
+                if self._slab is None:
+                    lead, n = (self.pool_size, self.num_users), self.num_users
+                    self._slab = (
+                        np.empty(lead + (self.model_dim,), FIELD_WORD),
+                        np.empty(lead + (n, self.encoder.share_dim), FIELD_WORD),
+                    )
+                slab = self._slab
+                taken = {m.slot for m in self._pool} | self._held
+                free = [s for s in range(self.pool_size) if s not in taken]
+                slots = free[:rounds]
+            if not slots:
                 return 0
+            masks, coded = slab
             start = time.perf_counter()
             # Traced only when a round trace is active on this thread
             # (an inline refill-on-miss); background-refiller threads
             # carry no trace and pay one thread-local read.
-            with span("mask_encode", rounds=str(rounds)):
-                masks, coded = precompute_offline_pool(
-                    self.encoder, rounds, self.rng
-                )
-            coded, elements = self._deliver_shares(coded)
-            material = [OfflineMaterial(masks[k], coded[k]) for k in range(rounds)]
+            with span("mask_encode", rounds=str(len(slots))):
+                for lo, hi in _runs(slots):
+                    precompute_offline_pool(
+                        self.encoder, hi - lo, self.rng,
+                        out=(masks[lo:hi], coded[lo:hi]),
+                    )
+            elements = self._deliver_shares(coded, slots)
+            material = [
+                OfflineMaterial(masks[k], coded[k], k, slab) for k in slots
+            ]
             with self._pool_lock:
                 # Material and its traffic accounting land atomically, so
                 # a concurrent ``offline_elements`` reader never observes
-                # a half-recorded refill.
+                # a half-recorded refill.  A session closed mid-encode
+                # dropped the slab: nothing lands.
+                if self._slab is not slab:
+                    return 0
                 self._pool.extend(material)
                 self._refill_elements += elements
                 self.stats.refills += 1
-                self.stats.precomputed_rounds += rounds
+                self.stats.precomputed_rounds += len(slots)
                 self.stats.refill_seconds += time.perf_counter() - start
-        return rounds
+        return len(slots)
+
+    def _drop_slab(self) -> None:
+        """Forget the pool, the held slots and the slab (pool lock held);
+        a round still reading a dropped slot frees nothing on release."""
+        self._pool.clear()
+        self._held.clear()
+        self._slab = None
 
     def close(self) -> None:
         """Release the session and the offline material it pooled."""
         super().close()
         with self._pool_lock:
-            self._pool.clear()
+            self._drop_slab()
 
     def _take_material(self) -> OfflineMaterial:
         """Draw one round of offline material, refilling inline on a miss.
 
-        A pool hit pops under ``_pool_lock`` and never blocks on encoding.
+        The round's slot is held until :meth:`_release` returns it.  A
+        pool hit pops under ``_pool_lock`` and never blocks on encoding.
         A miss is the stall the service layer's
         :class:`~repro.service.refill.BackgroundRefiller` exists to avoid:
         the consumer must run a synchronous refill on the online path.  A
         concurrent background refill may land between the miss and our own
         ``refill`` call — in that case ``refill`` computes a zero top-up
-        and the loop simply pops the freshly delivered material.
+        and the loop simply pops the freshly delivered material.  A miss
+        with no free slot (every slot held) is refused, never spun on.
         """
         with self._pool_lock:
             if self._pool:
                 self.stats.pool_hits += 1
-                return self._pool.popleft()
+                return self._hold()
             self.stats.pool_misses += 1
         while True:
             with span("offline_refill", inline="miss"):
-                self.refill()
+                added = self.refill()
             with self._pool_lock:
                 if self._pool:
-                    return self._pool.popleft()
+                    return self._hold()
+            if not added:
+                raise ProtocolError(
+                    f"pool miss with no free slot: all {self.pool_size} "
+                    "slab slots are held by rounds in progress"
+                )
 
-    def _deliver_shares(self, coded: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Deliver one refill batch's shares; returns them as held by the
-        recipients, and the field elements the exchange put on the wire.
+    def _hold(self) -> OfflineMaterial:
+        """Pop the oldest pooled round and hold its slot (pool lock held)."""
+        material = self._pool.popleft()
+        self._held.add(material.slot)
+        return material
 
-        ``coded`` has shape ``(rounds, N_source, N_holder, share_dim)``.
+    def _release(self, material: OfflineMaterial) -> None:
+        """Return a spent round's slot to the free slots of its slab."""
+        with self._pool_lock:
+            if material.slab is self._slab:
+                self._held.discard(material.slot)
+
+    def _deliver_shares(self, coded: np.ndarray, slots: List[int]) -> int:
+        """Deliver one refill's shares in place; returns the field
+        elements the exchange put on the wire.
+
+        ``coded`` is the slab's ``(pool_size, N_source, N_holder,
+        share_dim)`` array and ``slots`` the rounds this refill encoded.
         The base session models the paper's abstract secure transport:
         each source sends each other holder its ``rounds * share_dim``
         elements (the one-shot path's per-round share exchange, times
         ``rounds``), and the material arrives as it was sent.  ``refill``
         adds the count to the running total under the pool lock.
         """
-        rounds, n, _, share_dim = coded.shape
-        return coded, rounds * share_dim * n * (n - 1)
+        _, n, _, share_dim = coded.shape
+        return len(slots) * share_dim * n * (n - 1)
 
     # ------------------------------------------------------------------
     def _canonical(self, values, shape: Tuple[int, ...], what: str) -> np.ndarray:
@@ -348,11 +449,15 @@ class LightSecAggSession(ProtocolSession):
         for i in live:
             transcript.record(i, SERVER, "upload", self.model_dim)
         # One-shot aggregate-mask recovery from the first U survivors
-        # (lowest ids, matching the one-shot path).
-        masked_sum, agg_shares = self._unit_sums(
-            residues, material, survivors,
-            survivors[: self.params.target_survivors],
-        )
+        # (lowest ids, matching the one-shot path).  The kernel's sums
+        # are fresh arrays, so the slot is free again once it returns.
+        try:
+            masked_sum, agg_shares = self._unit_sums(
+                residues, material, survivors,
+                survivors[: self.params.target_survivors],
+            )
+        finally:
+            self._release(material)
         return self._recover(masked_sum, agg_shares, survivors, transcript)
 
     def drain(
@@ -436,27 +541,30 @@ class LightSecAggSession(ProtocolSession):
         transcript = Transcript()
         for b in range(batch):
             transcript.record(b, SERVER, "upload", self.model_dim)
-        if np.all(weights <= 1):
-            masked_sum, agg_shares = self._unit_sums(
-                rows, material, np.flatnonzero(weights).tolist(),
-                responders[:u],
-            )
-        else:
-            # Each upload arrives masked by its slot's pooled mask (two
-            # residues: one conditional subtract); the server applies
-            # the public weights in-field as one (1, B) @ (B, d)
-            # product, and weights every holder's coded row in one more,
-            # keeping the responders'.  gf.matmul reads the pool's <u4
-            # coded rows as they are: no widened copy of the block.
-            w = gf.array(weights)[None, :]  # (1, B)
-            masked = gf.reducer.reduce_semi(
-                np.asarray(rows) + material.masks[:batch]
-            )
-            masked_sum = gf.matmul(w, masked)[0]
-            share_dim = self.encoder.share_dim
-            coded = material.coded[:batch].reshape(batch, n * share_dim)
-            shares = gf.matmul(w, coded).reshape(n, share_dim)
-            agg_shares = {j: shares[j] for j in responders[:u]}
+        try:
+            if np.all(weights <= 1):
+                masked_sum, agg_shares = self._unit_sums(
+                    rows, material, np.flatnonzero(weights).tolist(),
+                    responders[:u],
+                )
+            else:
+                # Each upload arrives masked by its slot's pooled mask
+                # (two residues: one conditional subtract); the server
+                # applies the public weights in-field as one (1, B) @
+                # (B, d) product, and weights every holder's coded row in
+                # one more, keeping the responders'.  gf.matmul reads the
+                # pool's <u4 coded rows as they are: no widened copy.
+                w = gf.array(weights)[None, :]  # (1, B)
+                masked = gf.reducer.reduce_semi(
+                    np.asarray(rows) + material.masks[:batch]
+                )
+                masked_sum = gf.matmul(w, masked)[0]
+                share_dim = self.encoder.share_dim
+                coded = material.coded[:batch].reshape(batch, n * share_dim)
+                shares = gf.matmul(w, coded).reshape(n, share_dim)
+                agg_shares = {j: shares[j] for j in responders[:u]}
+        finally:
+            self._release(material)
         return self._recover(
             masked_sum, agg_shares, responders, transcript,
             drain_batch=float(batch),
@@ -510,8 +618,9 @@ class LightSecAggSession(ProtocolSession):
         Rebuilds the protocol geometry (``U`` re-derived from the same
         ``(T, D)`` guarantees, so any party can reproduce the parameters
         from ``num_users`` alone), swaps in a fresh encoder, and drops
-        the pooled material — it was encoded for the old member set and
-        its share grid no longer matches.  Returns the number of pooled
+        the pooled material and its slab — it was encoded for the old
+        member set and its share grid no longer matches; the next refill
+        allocates a slab of the new shape.  Returns the number of pooled
         rounds invalidated; re-encoding is intentionally *not* done here
         so a background refiller can warm the pool off the drain path.
 
@@ -533,7 +642,7 @@ class LightSecAggSession(ProtocolSession):
             encoder = _mask_encoder(protocol)
             with self._pool_lock:
                 invalidated = len(self._pool)
-                self._pool.clear()
+                self._drop_slab()
                 self.protocol = protocol
                 self.params = params
                 self.encoder = encoder
@@ -573,20 +682,23 @@ class EncryptedLightSecAggSession(LightSecAggSession):
                         self.gf, key, sender=i, receiver=j
                     )
 
-    def _deliver_shares(self, coded: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Seal every source->holder share batch and relay it via server."""
-        rounds, n, _, share_dim = coded.shape
-        delivered = coded.copy()
+    def _deliver_shares(self, coded: np.ndarray, slots: List[int]) -> int:
+        """Seal every source->holder share batch and relay it via server.
+
+        Each pair's opened shares are written back into their slots: the
+        holder's copy replaces the source's, with no whole-batch copy.
+        """
+        _, n, _, share_dim = coded.shape
         for i in range(n):
             for j in range(n):
                 if i == j:
                     continue  # own share never leaves the device
-                flat = coded[:, i, j, :].reshape(-1)
+                flat = coded[slots, i, j, :].reshape(-1)
                 sealed = self._channels[(i, j)].seal(flat)
                 opened = self._channels[(i, j)].open(sealed)
-                delivered[:, i, j, :] = opened.reshape(rounds, share_dim)
+                coded[slots, i, j, :] = opened.reshape(len(slots), share_dim)
         # user -> server -> peer; both hops carry the whole batch.
-        return delivered, 2 * rounds * share_dim * n * (n - 1)
+        return 2 * len(slots) * share_dim * n * (n - 1)
 
     def run_round(
         self,

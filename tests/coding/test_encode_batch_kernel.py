@@ -176,6 +176,56 @@ class TestEncodeBatchEquivalence:
             enc.encode_batch(np.zeros((3, 9)), rng)
 
 
+class TestEncodeIntoOut:
+    """``out=`` fills a caller's array (a session slab's free slots) with
+    exactly what a fresh encode returns, and refuses anything it would
+    have to cast, reshape or copy into."""
+
+    def test_encode_batch_fills_out(self, gf, rng):
+        enc = MaskEncoder(gf, 6, target_survivors=4, privacy=1, model_dim=10)
+        masks = gf.random((5, 10), rng)
+        fresh_rng, out_rng = np.random.default_rng(3), np.random.default_rng(3)
+        want = enc.encode_batch(masks, fresh_rng)
+        slab = np.zeros((7, 6, enc.share_dim), dtype=FIELD_WORD)
+        got = enc.encode_batch(masks, out_rng, out=slab[1:6])
+        assert np.shares_memory(got, slab) and np.array_equal(got, want)
+        assert out_rng.bit_generator.state == fresh_rng.bit_generator.state
+        assert not slab[0].any() and not slab[6].any()
+
+    def test_pool_fills_out(self, gf):
+        enc = MaskEncoder(gf, 6, target_survivors=4, privacy=1, model_dim=10)
+        want = precompute_offline_pool(enc, 2, np.random.default_rng(4))
+        out = (
+            np.empty((2, 6, 10), dtype=FIELD_WORD),
+            np.empty((2, 6, 6, enc.share_dim), dtype=FIELD_WORD),
+        )
+        got = precompute_offline_pool(enc, 2, np.random.default_rng(4), out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("bad", [
+        np.empty((5, 6, 4), dtype=np.uint64),
+        np.empty((5, 6, 4), dtype=">u4"),
+        np.empty((5, 6, 4), dtype=np.int32),
+        np.empty((4, 6, 4), dtype=FIELD_WORD),
+        np.empty((5, 6, 8), dtype=FIELD_WORD)[:, :, ::2],
+        np.empty((5, 24), dtype=FIELD_WORD),
+        [[[0] * 4] * 6] * 5,
+    ], ids=["uint64", "big-endian", "int32", "shape", "strided", "rank", "list"])
+    def test_bad_out_is_refused(self, gf, rng, bad):
+        enc = MaskEncoder(gf, 6, target_survivors=4, privacy=1, model_dim=10)
+        assert enc.share_dim == 4
+        masks = gf.random((5, 10), rng)
+        with pytest.raises(CodingError, match="coded out"):
+            enc.encode_batch(masks, rng, out=bad)
+        good_masks = np.empty((5, 6, 10), dtype=FIELD_WORD)
+        with pytest.raises(CodingError, match="masks out"):
+            precompute_offline_pool(enc, 5, rng, out=(bad, bad))
+        with pytest.raises(CodingError, match="coded out"):
+            precompute_offline_pool(enc, 5, rng, out=(good_masks, bad))
+
+
 class TestMDSEncodeForms:
     def test_generator_is_laid_out_once(self, gf, rng):
         enc = MaskEncoder(gf, 6, 4, 1, 10)

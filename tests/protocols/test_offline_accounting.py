@@ -5,7 +5,8 @@ refill leaves behind must not grow with the number of refills: the
 share-exchange traffic is a running element total in closed form
 (``rounds * share_dim * N * (N - 1)`` per refill, both hops for the
 encrypted relay), not a list of per-pair messages, and a refill's peak
-allocation is its material plus block-sized scratch.
+allocation is its material plus block-sized scratch — or, into a warm
+slab, the scratch alone.
 """
 
 import tracemalloc
@@ -90,4 +91,47 @@ class TestRefillPeakMemory:
         word = FIELD_WORD.itemsize  # the pool holds <u4 words
         assert material == 4 * 64 * word * (8192 + 64 * session.encoder.share_dim)
         assert peak <= 1.5 * material
+        session.close()
+
+    def test_warm_slab_refill_peaks_below_its_masks_plus_a_mebibyte(self, gf):
+        """The same cohort refilling into the slab its first refill
+        allocated: no material is allocated, and what is left is the
+        mask sampler's raw words (as many bytes as the <u4 masks) plus
+        one 512 KiB block."""
+        params = LSAParams.from_guarantees(64, privacy=8, dropout_tolerance=8)
+        proto = LightSecAgg(gf, params, 8192)
+        session = proto.session(pool_size=4, rng=np.random.default_rng(1))
+        session.refill()
+        session._pool.clear()  # every slot free, the slab kept
+        tracemalloc.start()
+        try:
+            assert session.refill() == 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        masks = sum(m.masks.nbytes for m in session._pool)
+        assert masks == 4 * 64 * 8192 * FIELD_WORD.itemsize
+        assert peak <= masks + (1 << 20)
+        session.close()
+
+    def test_encrypted_warm_refill_allocates_no_coded_sized_array(self, gf):
+        """The relay writes each opened pair back into its slots: at a
+        geometry whose coded shares are five times its masks, the warm
+        refill peaks below one coded array (a whole-batch copy of the
+        delivered shares would peak above it)."""
+        params = LSAParams.from_guarantees(20, privacy=2, dropout_tolerance=14)
+        proto = EncryptedLightSecAgg(gf, params, 20000)
+        session = proto.session(pool_size=2, rng=np.random.default_rng(1))
+        session.refill()
+        session._pool.clear()
+        tracemalloc.start()
+        try:
+            assert session.refill() == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        coded = sum(m.coded.nbytes for m in session._pool)
+        masks = sum(m.masks.nbytes for m in session._pool)
+        assert coded == 5 * masks
+        assert peak < coded
         session.close()
