@@ -4,9 +4,9 @@ The central object is :class:`FiniteField`.  Field elements are represented
 as ``numpy.uint64`` arrays whose entries are *reduced residues* in
 ``[0, q)``; every public method returns arrays satisfying that contract and
 accepts arbitrary integer arrays (which are reduced on entry).  Bulk
-material can be held at :data:`FIELD_WORD` instead, half the bytes:
-:meth:`FiniteField.random` draws into it and :meth:`FiniteField.matmul`
-reads and writes it.
+material and uploads can be held at :data:`FIELD_WORD` instead, half the
+bytes: :meth:`FiniteField.is_valid` accepts it, :meth:`FiniteField.random`
+draws into it and :meth:`FiniteField.matmul` reads and writes it.
 
 All binary operations are elementwise-vectorized.  Because the modulus is
 validated to be below ``2**32`` (:func:`repro.field.prime.validate_modulus`),
@@ -112,11 +112,12 @@ class FiniteField:
         return np.ones(shape, dtype=np.uint64)
 
     def is_valid(self, a: np.ndarray) -> bool:
-        """True when ``a`` is a uint64 array of reduced residues."""
+        """True when ``a`` is a uint64 or :data:`FIELD_WORD` array of
+        reduced residues: what callers read in place, uncopied."""
         return (
             isinstance(a, np.ndarray)
-            and a.dtype == np.uint64
-            and (a.size == 0 or bool(a.max() < self._q64))
+            and a.dtype in _WORD_DTYPES
+            and (a.size == 0 or bool(a.max() < self.q))
         )
 
     def to_signed(self, a: np.ndarray) -> np.ndarray:
@@ -245,8 +246,8 @@ class FiniteField:
         return identical canonical residues, and both narrow into a
         :data:`FIELD_WORD` ``out`` a block at a time.
         """
-        a = a if self._is_word_array(a) else self.array(a)
-        b = b if self._is_word_array(b) else self.array(b)
+        a = a if self.is_valid(a) else self.array(a)
+        b = b if self.is_valid(b) else self.array(b)
         if a.ndim != 2 or b.ndim not in (2, 3) or a.shape[1] != b.shape[-2]:
             raise FieldError(f"incompatible matmul shapes {a.shape} x {b.shape}")
         m, n = a.shape[0], b.shape[-1]
@@ -284,15 +285,6 @@ class FiniteField:
                 if narrow:
                     np.copyto(dest, acc)
         return out
-
-    def _is_word_array(self, a) -> bool:
-        """True when ``a`` is a uint64 or :data:`FIELD_WORD` array of
-        reduced residues: a matmul operand read in place."""
-        return (
-            isinstance(a, np.ndarray)
-            and a.dtype in _WORD_DTYPES
-            and (a.size == 0 or bool(a.max() < self.q))
-        )
 
     def _matmul_limbsplit(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         """Exact 16-bit limb-split GEMM over float64, reduced division-free.

@@ -352,10 +352,10 @@ class LightSecAggSession(ProtocolSession):
     def _canonical(self, values, shape: Tuple[int, ...], what: str) -> np.ndarray:
         """Uploads of ``shape`` as canonical residues.
 
-        Copy-free when they already are (uint64, every entry below ``q``
-        — what the service's ingest and the quantizer produce); anything
-        else integer goes through ``gf.array``.  ``what`` names the
-        input in the refusal.
+        Copy-free when ``gf.is_valid`` holds (what the quantizer, the
+        HTTP edge and the shard wire produce; on a worker, its one check
+        of a peer's words); anything else integer goes through
+        ``gf.array``.  ``what`` names the input in the refusal.
         """
         arr = np.asarray(values)
         if arr.shape != shape:
@@ -382,8 +382,8 @@ class LightSecAggSession(ProtocolSession):
         Sums the masked uploads ``rows[b] + z_b`` of the picked slots
         ``b`` and, for each responder ``j``, the aggregated coded share
         ``sum_b [~z_b]_j`` — lazily: every term enters one uint64
-        accumulator as a raw add (the pool's ``<u4`` words widen inside
-        the add) and each accumulator is reduced once.
+        accumulator as a raw add (``<u4`` uploads and the pool's ``<u4``
+        words widen inside the add) and each accumulator is reduced once.
         Summing whole ``coded[b]`` rows and keeping the responders'
         avoids gathering a ``(B, U, share_dim)`` copy.  ``rows`` must be
         canonical residues.
@@ -553,10 +553,11 @@ class LightSecAggSession(ProtocolSession):
                 # applies the public weights in-field as one (1, B) @
                 # (B, d) product, and weights every holder's coded row in
                 # one more, keeping the responders'.  gf.matmul reads the
-                # pool's <u4 coded rows as they are: no widened copy.
+                # pool's <u4 coded rows as they are: no widened copy.  The
+                # add widens (two <u4 residues can overflow 32 bits).
                 w = gf.array(weights)[None, :]  # (1, B)
                 masked = gf.reducer.reduce_semi(
-                    np.asarray(rows) + material.masks[:batch]
+                    np.add(rows, material.masks[:batch], dtype=np.uint64)
                 )
                 masked_sum = gf.matmul(w, masked)[0]
                 share_dim = self.encoder.share_dim

@@ -13,7 +13,8 @@ Vector payloads cross the API as base64 text in one of two encodings:
 * ``u32`` (the default) — little-endian 4-byte words, one per field
   element: :data:`~repro.field.FIELD_WORD` (``<u4``), the word the shard
   wire carries and the offline pools hold.  Every modulus the field
-  accepts is below ``2**32``, so every element fits one word.
+  accepts is below ``2**32``, so every element fits one word, and
+  decoded vectors keep this width all the way to the worker's kernel.
 * ``packed`` — LSB-first bit-packing (:func:`repro.wire.pack_bits`)
   at ``ceil(log2 q)`` bits per element; for the default field
   ``q = 2**31 - 1`` that is 31 bits per element.  The shard wire does
@@ -143,9 +144,12 @@ def _fixed_width(text: str, word: np.dtype, dim: int, field: str):
 def decode_vector(
     text: str, encoding: str, q: int, dim: int, field: str
 ) -> np.ndarray:
-    """Base64 text → validated uint64 field vector of length ``dim``."""
+    """Base64 text → :data:`~repro.field.FIELD_WORD` vector of ``dim``
+    words, each checked below ``q`` (a word at or above it is a 400).
+    ``u32`` is a read-only view of the decoded bytes; ``packed`` is
+    narrowed once after the check."""
     if _known(encoding) == "u32":
-        vector = _fixed_width(text, FIELD_WORD, dim, field).astype(np.uint64)
+        vector = _fixed_width(text, FIELD_WORD, dim, field)
     else:  # packed
         try:
             vector = unpack_bits(_base64(text, field), field_bits(q), dim)
@@ -157,7 +161,7 @@ def decode_vector(
             f"element {int(vector.argmax())} is {int(vector.max())}, "
             f"outside GF({q})",
         )
-    return vector
+    return vector.astype(FIELD_WORD, copy=False)
 
 
 def encode_vector(vector: np.ndarray, encoding: str, q: int) -> str:

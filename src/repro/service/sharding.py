@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Set
 import numpy as np
 
 from repro.exceptions import ProtocolError
+from repro.field import FIELD_WORD
 from repro.obs import span
 from repro.protocols.base import (
     AggregationResult,
@@ -72,7 +73,8 @@ class ShardPlan:
         return [vector[self.slice(s)] for s in range(self.num_shards)]
 
     def gather(self, pieces: Sequence[np.ndarray]) -> np.ndarray:
-        """Reassemble per-shard slices into one full-length vector."""
+        """Reassemble per-shard slices into one fresh ``uint64`` vector
+        (so it never aliases a ``<u4`` piece's frame or staged region)."""
         if len(pieces) != self.num_shards:
             raise ProtocolError(
                 f"expected {self.num_shards} shard pieces, got {len(pieces)}"
@@ -83,7 +85,7 @@ class ShardPlan:
                     f"shard {s} piece has shape {np.asarray(piece).shape}, "
                     f"expected ({self.widths[s]},)"
                 )
-        return np.concatenate(pieces)
+        return np.concatenate(pieces, dtype=np.uint64)
 
     def __repr__(self) -> str:
         return f"ShardPlan(dim={self.dim}, shards={self.widths})"
@@ -196,16 +198,15 @@ class ShardedSession:
     def _field_words(self, values, what: str) -> np.ndarray:
         """The coordinator's one dtype rule, applied before any scatter.
 
-        ``uint64`` passes untouched (the inline hot path gains no pass:
-        each shard's session reduces what is not canonical, and the
-        out-of-process coordinator reduces it before narrowing words to
-        the wire's ``<u4``), other integer dtypes go through
-        ``gf.array``, and anything else is refused: a cast to uint64
-        would turn -5 into ``2**64 - 5`` and truncate floats, a silently
-        wrong aggregate on the framed lanes.
+        ``uint64`` and ``<u4`` pass untouched and unscanned (each
+        shard's session reduces what is not canonical, and the framed
+        lanes' narrowing keeps every word's high bits), other integer
+        dtypes go through ``gf.array``, and anything else is refused: a
+        cast to uint64 would turn -5 into ``2**64 - 5`` and truncate
+        floats, a silently wrong aggregate on the framed lanes.
         """
         arr = np.asarray(values)
-        if arr.dtype == np.uint64:
+        if arr.dtype in (np.uint64, FIELD_WORD):
             return arr
         if not np.issubdtype(arr.dtype, np.integer):
             raise ProtocolError(f"{what} dtype {arr.dtype} is not an integer")

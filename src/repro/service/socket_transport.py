@@ -34,10 +34,11 @@ What every link gets from its :class:`_SocketClient`:
   the :class:`~repro.service.transport.ShardHandle` behind every slot it
   pinned; the next request after a broken connection reconnects and
   replays each handle's current spec, so a killed-and-restarted worker
-  rebuilds identical sessions and the service completes subsequent
-  rounds.  Requests that were in flight across the break fail with a
-  stale-generation error rather than waiting for a response that died
-  with the old connection.  A spawned host has no address: a broken
+  rebuilds the sessions (from fresh seeds, see
+  :meth:`~repro.service.transport.ShardHandle.pin_spec`) and the
+  service completes subsequent rounds.  Requests that were in flight
+  across the break fail with a stale-generation error rather than
+  waiting for a response that died with the old connection.  A spawned host has no address: a broken
   link to it is final, and every later request fails at once with a
   ``TransportError`` naming the worker process.
 * **Connection sharing (TCP only).**  Clients are pooled per address
@@ -92,6 +93,18 @@ from repro.wire import (
     recv_frames,
     send_segments,
 )
+
+
+def _narrow_into(matrix: np.ndarray, rows, gf: FiniteField) -> np.ndarray:
+    """Copy ``rows`` into the ``<u4`` ``matrix``, the one narrowing.
+    A ``<u4`` row is not scanned (the worker's session reduces words at
+    or above ``q``); a wider row with a word the cast would cut to its
+    low 32 bits is reduced first."""
+    for b, row in enumerate(rows):
+        if row.dtype != FIELD_WORD and row.max(initial=0) > 0xFFFFFFFF:
+            row = gf.array(row)
+        matrix[b] = row
+    return matrix
 
 
 def _close_socket(sock: socket.socket) -> None:
@@ -261,7 +274,7 @@ class _SocketClient:
             self._start_receiver()
             if pinned:
                 try:
-                    self.pin([(slot, h.spec) for slot, h in pinned])
+                    self.pin([(slot, h.pin_spec()) for slot, h in pinned])
                 except Exception as exc:
                     # A half-pinned connection must not look healthy: no
                     # session is guaranteed to exist behind any slot, so
@@ -624,7 +637,7 @@ class SocketTransport(ShardTransport):
             with client._cv:
                 client._pinned.update(pinned)
             client.ensure_connected()  # a pooled client may be broken
-            client.pin([(slot, h.spec) for slot, h in pinned.items()])
+            client.pin([(slot, h.pin_spec()) for slot, h in pinned.items()])
 
     def _shutdown(self) -> None:
         """Release this transport's slots and client references (also the
@@ -667,37 +680,14 @@ class SocketTransport(ShardTransport):
     def _await(self, shard_id: int, request_id: int):
         return self._client_of[shard_id].receive(request_id)
 
-    def _canonical(self, rows):
-        """``rows`` as words below ``q``, before either arm narrows them
-        to the wire word.
-
-        The coordinator's dtype rule passes ``uint64`` untouched, and
-        staging narrows by numpy's unsafe cast, which would keep only a
-        word's low 32 bits: a word at or above ``q`` is reduced here,
-        once, as the shard's session would have reduced it.
-        """
-        q = self._gf.q
-        if all(np.asarray(row).max(initial=0) < q for row in rows):
-            return rows
-        return self._gf.array(rows)
-
     # -- the per-request hook the process lane overrides --------------------
-    def _round_request(self, shard_id, round_id, weights, rows,
-                       dropouts) -> Tuple[ShardRoundRequest, Optional[int]]:
-        """Build one shard's request, its rows stacked into the frame;
-        returns it with the bytes staged outside the frame: none on a
-        lane that never stages, ``None`` on one that stages but framed
-        these rows.  The rows are stacked straight into wire words:
-        :meth:`_canonical` proved them below ``q``, so the narrowing
-        cast is exact and the frame encoder has nothing left to check."""
-        request = ShardRoundRequest(
-            shard_id=shard_id,
-            round_id=round_id,
-            weights=weights,
-            updates=np.asarray(rows, dtype=FIELD_WORD),
-            dropouts=set(dropouts),
-        )
-        return request, 0
+    def _stage(self, shard_id: int, rows: int):
+        """``(matrix, refs, staged bytes)`` for one shard's request of
+        ``rows`` rows: what they narrow into, and the request's
+        shared-memory fields.  This lane frames them: a fresh matrix, no
+        refs, 0 staged (``None`` on a lane that stages but framed them)."""
+        shape = (rows, self._handles[shard_id].model_dim)
+        return np.empty(shape, dtype=FIELD_WORD), {}, 0
 
     # ------------------------------------------------------------------
     # the scatter-gather, written once
@@ -786,9 +776,12 @@ class SocketTransport(ShardTransport):
 
         def request_for(shard_id):
             nonlocal shm_bytes, framed
-            request, staged = self._round_request(
-                shard_id, op_id, weights,
-                self._canonical(per_shard_rows[shard_id]), dropouts,
+            rows = per_shard_rows[shard_id]
+            matrix, refs, staged = self._stage(shard_id, len(rows))
+            request = ShardRoundRequest(
+                shard_id=shard_id, round_id=op_id, weights=weights,
+                updates=_narrow_into(matrix, rows, self._gf),
+                dropouts=set(dropouts), **refs,
             )
             framed |= staged is None
             shm_bytes += staged or 0
@@ -1001,37 +994,22 @@ class ProcessPoolTransport(SocketTransport):
             self._arena.close()
 
     # -- payload staging (the per-request hook) --------------------------
-    def _round_request(self, shard_id, round_id, weights, rows, dropouts):
-        """Write the shard's update rows into its arena region and frame
-        only the references.  The rows ride the frame instead, staged
-        bytes ``None``, when there is no arena or when they outnumber
-        what the region was sized for at construction (a drain after a
-        join grew the member set): resizing the arena would leave the
-        replaced segment mapped in the worker."""
+    def _stage(self, shard_id: int, rows: int):
+        """The shard's arena region, and the refs that frame in place of
+        the rows.  The rows ride the frame instead, staged bytes
+        ``None``, when there is no arena or when they outnumber what the
+        region was sized for at construction (a drain after a join grew
+        the member set): resizing the arena would leave the replaced
+        segment mapped in the worker."""
         req_off, resp_off, capacity = self._regions[shard_id]
-        if self._arena is None or len(rows) > capacity:
-            request, _ = super()._round_request(
-                shard_id, round_id, weights, rows, dropouts
-            )
-            return request, None
+        if self._arena is None or rows > capacity:
+            matrix, refs, _ = super()._stage(shard_id, rows)
+            return matrix, refs, None
         width = self._handles[shard_id].model_dim
-        shape = (len(rows), width)
-        matrix = self._arena.ndarray(req_off, shape, FIELD_WORD)
-        for b, row in enumerate(rows):
-            matrix[b] = row  # below q, so the narrowing cast is exact
-        request = ShardRoundRequest(
-            shard_id=shard_id,
-            round_id=round_id,
-            weights=weights,
-            updates=matrix,
-            dropouts=set(dropouts),
-            updates_ref=ShmArrayRef(
-                name=self._arena.name, offset=req_off, shape=shape,
-                dtype=FIELD_WORD.str,
-            ),
-            result_ref=ShmArrayRef(
-                name=self._arena.name, offset=resp_off, shape=(width,),
-                dtype=FIELD_WORD.str,
-            ),
+        matrix = self._arena.ndarray(req_off, (rows, width), FIELD_WORD)
+        name, word = self._arena.name, FIELD_WORD.str
+        refs = dict(
+            updates_ref=ShmArrayRef(name, req_off, (rows, width), word),
+            result_ref=ShmArrayRef(name, resp_off, (width,), word),
         )
-        return request, matrix.nbytes
+        return matrix, refs, matrix.nbytes

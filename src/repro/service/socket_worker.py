@@ -43,7 +43,8 @@ A connection's sessions die with it: on EOF, error,
 :class:`~repro.wire.Shutdown`, or the server stopping, every session the
 connection hosts is closed.  Reconnecting coordinators re-pin by
 replaying their ``SessionSetup`` (see ``SocketTransport``), which
-rebuilds identical sessions from the specs.
+rebuilds the sessions from the specs, each re-pinned seed extended so
+the rebuilt pools hold fresh masks.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ from __future__ import annotations
 import abc
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -289,7 +289,7 @@ class ShardHandle:
     ``refill_begin`` / ``refill_join`` split the refill into a scatter
     and a gather half so the refiller can overlap top-ups across shards.
     ``spec`` is the coordinator's one copy of the shard's spec: a re-key
-    replaces it, and a reconnect re-pins it.
+    replaces it, and a reconnect re-pins it through :meth:`pin_spec`.
     """
 
     def __init__(self, transport: "SocketTransport", shard_id: int,
@@ -303,6 +303,18 @@ class ShardHandle:
         self.low_water = spec.low_water
         self._pool_level = 0
         self._closed = False
+        self._builds = 0  # worker sessions pinned from this spec so far
+
+    def pin_spec(self) -> ShardSessionSpec:
+        """The spec for the worker's next build of this shard's session.
+        The first keeps the seed (the inline stream); each re-pin appends
+        its build count, so a rebuilt pool never spends a mask twice
+        (two uploads under one mask hand the server ``x_i - x'_i``)."""
+        spec = self.spec
+        if self._builds:
+            spec = replace(spec, seed=spec.seed + (self._builds,))
+        self._builds += 1
+        return spec
 
     # -- cache maintenance (called by the transport) --------------------
     def _absorb(self, pool_level: int, stats: SessionStats,

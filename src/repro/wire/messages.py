@@ -28,7 +28,9 @@ shard coordinator and the process hosting that shard's protocol session:
   field, and teardown releases one cohort's slots without touching its
   neighbours'.  Setup is also the *re-pin* path: after a reconnect the
   coordinator replays its ``SessionSetup`` so a restarted worker rebuilds
-  identical sessions from the specs.
+  the sessions from the specs, each re-pinned seed extended so the
+  rebuilt pools hold fresh masks (``seed`` is variable-length on the
+  wire, so this needs no new version).
 * :class:`Ping` — connection supervision; the worker echoes it under the
   same request id, off the round-serving path, so heartbeats stay live
   while a slow round executes.
@@ -38,12 +40,14 @@ so frames are safe to accept from an untrusted peer and identical
 whether the stream socket is a TCP connection or a local socketpair.
 Both ends must share :data:`~repro.wire.format.WIRE_VERSION`.
 
-Field words — update rows and aggregates — are ``uint64`` in memory and
-cross every shard hop as :data:`~repro.field.FIELD_WORD` (``<u4``, the
-width the offline pools hold them at): every modulus the field accepts
-is below ``2**32``.  Encoding narrows them, refusing a word that does
-not fit instead of cutting it to its low 32 bits, and decoding refuses
-any other layout and widens them back.
+Field words — update rows and aggregates — are
+:data:`~repro.field.FIELD_WORD` (``<u4``, the pools' width) on every
+shard hop and in memory: every modulus the field accepts is below
+``2**32``.  Encoding narrows a wider array, refusing a word that does not
+fit instead of cutting it to its low 32 bits.  Decoding refuses any
+other layout and returns read-only views into the frame or the staged
+region, except a staged aggregate, copied out of the region the next
+round overwrites.
 
 Every payload is deterministic given the message fields: id sets are
 sorted on encode and rows keep their order, so two semantically equal
@@ -105,14 +109,14 @@ def field_words(values, what: str = "field words") -> np.ndarray:
 
 
 def _decode_words(words: np.ndarray, ndim: int, what: str) -> np.ndarray:
-    """Decoded field words widened to ``uint64``; any layout but
-    :data:`FIELD_WORD` at rank ``ndim`` is refused, not reinterpreted."""
+    """Decoded field words as the :data:`FIELD_WORD` view they arrived
+    as; any other layout or rank is refused, not reinterpreted."""
     if words.ndim != ndim or words.dtype != FIELD_WORD:
         raise WireError(
             f"{what} must be {ndim}-D {FIELD_WORD.str}, got "
             f"{words.dtype.str} {words.shape}"
         )
-    return words.astype(np.uint64)
+    return words
 
 
 def _put_id_set(w: PayloadWriter, ids) -> None:
@@ -448,11 +452,13 @@ class ShardRoundResult:
     def _decode(cls, r: PayloadReader) -> "ShardRoundResult":
         shard_id = r.get_u32()
         round_id = r.get_u64()
-        # Widening copies, so a staged aggregate never aliases the
-        # segment region the next round overwrites; the ref is kept for
-        # the coordinator's staged-byte count.
+        # A staged aggregate is copied out of the segment region the
+        # next round overwrites; the ref is kept for the coordinator's
+        # staged-byte count.
         aggregate = _decode_words(r.get_array(), 1, "aggregate")
         aggregate_ref = r.last_shm_ref
+        if aggregate_ref is not None:
+            aggregate = aggregate.copy()
         survivors = [int(i) for i in r.get_array()]
         table = r.get_array()
         if table.ndim != 2 or (table.size and table.shape[1] != 5):

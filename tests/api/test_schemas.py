@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ReproError, WireError
-from repro.field import FiniteField
+from repro.field import FIELD_WORD, FiniteField
 from repro.service import AggregationService, ServiceConfig, TransportKind
 from repro.service.api import (
     CohortCreateRequest,
@@ -37,7 +37,7 @@ class TestVectorCodec:
         vec = gf.random(257, rng)
         text = encode_vector(vec, encoding, gf.q)
         back = decode_vector(text, encoding, gf.q, 257, "updates[0]")
-        assert back.dtype == np.uint64
+        assert back.dtype == FIELD_WORD
         assert np.array_equal(back, vec)
 
     def test_packed_is_smaller_than_u32(self, gf):

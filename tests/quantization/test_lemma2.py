@@ -13,7 +13,7 @@ exact gradient is known.
 import numpy as np
 import pytest
 
-from repro.field.arithmetic import FiniteField
+from repro.field.arithmetic import FIELD_WORD, FiniteField
 from repro.quantization import ModelQuantizer, QuantizationConfig
 from repro.quantization.stochastic import (
     rounding_variance_bound,
@@ -72,7 +72,7 @@ def _through_the_wire(field_matrix: np.ndarray) -> np.ndarray:
 
     The full transport pipeline a quantized update rides: narrowed to
     the wire's field word, framed, fed to the reassembler in chunks that
-    tear headers and payload alike, decoded and widened back.
+    tear headers and payload alike, and decoded as ``<u4`` words.
     """
     frame = encode_message(_request(field_matrix), 1)
     assembler = FrameAssembler()
@@ -87,7 +87,7 @@ def _through_the_wire(field_matrix: np.ndarray) -> np.ndarray:
 
 class TestLemma2ThroughTheWire:
     """Lemma 2's statistics survive the full wire pipeline — quantize ->
-    narrow to ``<u4`` -> frame -> torn stream -> reassemble -> widen ->
+    narrow to ``<u4`` -> frame -> torn stream -> reassemble -> decode ->
     dequantize — because every field element fits the wire word.  A
     rounding (or truncation) bug anywhere in the codec would bias the
     estimator or inflate the variance, failing these bounds."""
@@ -104,8 +104,9 @@ class TestLemma2ThroughTheWire:
         field_matrix = quantizer.quantize(gradients, rng)
 
         received = _through_the_wire(field_matrix)
-        # Losslessness first: what arrives is what was sent, bit for bit.
-        assert received.dtype == field_matrix.dtype
+        # Losslessness first: what arrives is what was sent, bit for bit,
+        # still at the wire's field word.
+        assert received.dtype == FIELD_WORD
         np.testing.assert_array_equal(received, field_matrix)
 
         decoded = quantizer.dequantize(received)

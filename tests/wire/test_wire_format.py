@@ -14,6 +14,7 @@ from repro.protocols.base import (
     Transcript,
 )
 from repro.wire import (
+    FIELD_WORD,
     HEADER_SIZE,
     MAGIC,
     MAX_PAYLOAD_BYTES,
@@ -226,7 +227,7 @@ class TestMessageRoundTrips:
         assert back.dropouts == request.dropouts
         assert back.result_ref == request.result_ref
         assert back.trace_id == request.trace_id
-        assert back.updates.dtype == np.uint64
+        assert back.updates.dtype == FIELD_WORD
         assert np.array_equal(back.updates, request.updates)
 
     @settings(max_examples=60, deadline=None)
@@ -395,12 +396,12 @@ class TestFieldWords:
             pool_level=0, stats=SessionStats(),
         )
 
-    def test_rows_ride_as_u4_and_decode_as_uint64(self):
+    def test_rows_ride_and_decode_as_u4(self):
         rows = np.array([[0, 2**32 - 1]], dtype=np.uint64)
         frame = encode_message(ShardRoundRequest(0, 1, [1], rows), 1)
         assert frame == self._request_frame(rows.astype("<u4"))
         _, back = decode_message(frame)
-        assert back.updates.dtype == np.uint64
+        assert back.updates.dtype == FIELD_WORD
         assert back.updates.tolist() == rows.tolist()
 
     def test_hand_built_u8_rows_are_refused(self):
@@ -468,7 +469,7 @@ class TestFieldWords:
             frame = encode_message(result, 1)
             if ok:
                 _, back = decode_message(frame, shm=lambda name: segment)
-                assert back.aggregate.dtype == np.uint64
+                assert back.aggregate.dtype == FIELD_WORD
                 assert back.aggregate_ref == ref
             else:
                 with pytest.raises(WireError, match="aggregate must be"):
