@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--connect", default=None, metavar="HOST:PORT[,HOST:PORT...]",
         help="shard-worker addresses for --transport socket; shards are "
-             "assigned round-robin across them and all cohorts share one "
+             "assigned round-robin across them and each cohort opens one "
              "connection per address",
     )
     p.add_argument("--dropout", type=float, default=0.0)

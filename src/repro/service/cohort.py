@@ -149,8 +149,8 @@ class Cohort:
     def close(self) -> None:
         # CLOSED first, so new work is refused from here on; a seal in
         # flight completes.  Closing the session closes its transport:
-        # for process/socket backends the worker Shutdown/Teardown
-        # handshake, for this cohort's shards only.
+        # for process/socket backends the Shutdown handshake on each of
+        # this cohort's own links.
         self.engine.close()
         self.session.close()
 

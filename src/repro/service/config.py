@@ -197,10 +197,10 @@ class CohortSpec:
         shards each.  Rejected for every other transport.
     connect:
         ``host:port`` shard-worker addresses for the ``SOCKET``
-        transport; shards are assigned round-robin across them, and all
-        cohorts of one service batch their shards over one shared
-        connection per address.  Required for ``SOCKET``, rejected
-        elsewhere.
+        transport; shards are assigned round-robin across them, and each
+        cohort batches its shards over a connection of its own per
+        address, each shard pinned at its shard index.  Required for
+        ``SOCKET``, rejected elsewhere.
     seed:
         The cohort's *base* seed; shard ``s`` of the cohort the service
         assigns id ``c`` derives its stream from ``(seed, c, s)``, so a

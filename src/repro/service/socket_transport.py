@@ -41,14 +41,14 @@ What every link gets from its :class:`_SocketClient`:
   waiting for a response that died with the old connection.  A spawned host has no address: a broken
   link to it is final, and every later request fails at once with a
   ``TransportError`` naming the worker process.
-* **Connection sharing (TCP only).**  Clients are pooled per address
-  within the process, so many cohorts' transports batch their shards
-  over one connection per worker host (each cohort holding its own slot
-  ids); teardown releases one cohort's slots without touching its
-  neighbours'.
+* **One owner per link.**  Each transport opens its own links, one per
+  distinct worker address, and no other transport uses them: the shards
+  at one address share their transport's link, each pinned at a wire
+  slot equal to its shard index, and :meth:`SocketTransport.close`
+  ends every link with the Shutdown handshake.
 
-Wire accounting is per request, so each transport's metrics reflect its
-own traffic even on a shared connection.
+Wire accounting is per request, so an operation's metrics count its own
+frames, not the background refills that share its links.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ from repro.wire import (
     RekeyRequest,
     SegmentArena,
     SessionSetup,
-    SessionTeardown,
     SetupAck,
     ShardRoundRequest,
     ShmArrayRef,
@@ -159,7 +158,6 @@ class _SocketClient:
             else f"{address[0]}:{address[1]}"
         )
         self._shm = shm
-        self.refs = 0  # guarded by the pool's registry lock
         self._ids = itertools.count(1)
         self._cv = threading.Condition()
         self._responses: Dict[int, Tuple[object, int]] = {}
@@ -167,7 +165,6 @@ class _SocketClient:
         # thread still waits for; the receiver drops any other frame.
         self._outstanding: Dict[int, int] = {}
         self._broken: Optional[BaseException] = None
-        self._next_slot = itertools.count(0)
         self._generation = 0
         self._closed = False
         self._send_lock = threading.Lock()
@@ -249,14 +246,15 @@ class _SocketClient:
         with self._cv:
             return self._broken is None and not self._closed
 
-    def ensure_connected(self) -> None:
-        """Reconnect and re-pin every hosted slot if the link is broken."""
+    def ensure_connected(self) -> bool:
+        """Reconnect and re-pin every hosted slot if the link is broken;
+        returns whether it reconnected."""
         with self._reconnect_lock:
             with self._cv:
                 if self._closed:
                     raise TransportError("socket client is closed")
                 if self._broken is None:
-                    return
+                    return False
                 if self.address is None:
                     # A spawned host cannot come back: fail now, typed,
                     # rather than dial nothing or wait on a heartbeat.
@@ -288,17 +286,10 @@ class _SocketClient:
                     )
                     raise
         # The worker rebuilt every session from its spec: fresh pools,
-        # fresh counters.  Reset the handle caches to match, and count
-        # one metric event per distinct metrics sink, however many
-        # transports share this connection.
-        sinks = {}
+        # fresh counters.  Reset the handle caches to match.
         for _, handle in pinned:
             handle._absorb(0, SessionStats(), closed=False)
-            transport = handle._transport
-            if transport._metrics is not None:
-                sinks[id(transport._metrics)] = transport
-        for transport in sinks.values():
-            transport._metrics.record_transport_reconnect(transport.kind)
+        return True
 
     def pin(self, entries) -> None:
         """One ``SessionSetup`` round trip: build ``entries``' sessions on
@@ -314,11 +305,11 @@ class _SocketClient:
     def close(self) -> None:
         """Shutdown handshake (best-effort) and release the link.
 
-        Called once no other thread is mid-request (by the pool at
-        refcount zero, or by the transport owning a spawned host); the
-        handshake runs *before* ``_closed`` flips so send/receive still
-        work for it.  A spawned host then exits on its own, or is killed
-        if it did not acknowledge.
+        Called once no other thread is mid-request, by the transport
+        that owns the link; the handshake runs *before* ``_closed``
+        flips so send/receive still work for it.  A TCP host then drops
+        the connection's sessions; a spawned host exits on its own, or
+        is killed if it did not acknowledge.
         """
         with self._cv:
             if self._closed:
@@ -353,10 +344,6 @@ class _SocketClient:
     def next_id(self) -> int:
         with self._cv:
             return next(self._ids)
-
-    def allocate_slots(self, count: int) -> List[int]:
-        with self._cv:
-            return [next(self._next_slot) for _ in range(count)]
 
     def send(self, message, request_id: int) -> int:
         segments = encode_segments(message, request_id)
@@ -468,50 +455,6 @@ class _SocketClient:
                     )
 
 
-class _ClientPool:
-    """Process-wide registry sharing one client per worker address."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._clients: Dict[Tuple[str, int], _SocketClient] = {}
-
-    def acquire(self, address: Tuple[str, int]) -> _SocketClient:
-        # A pooled client is never closed while referenced (release() only
-        # closes at refcount zero, removing it here first), so any hit is
-        # usable: a *broken* one is revived by ensure_connected on the
-        # next request rather than replaced, preserving the sharing.
-        with self._lock:
-            client = self._clients.get(address)
-            if client is not None:
-                client.refs += 1
-                return client
-        # Connect OUTSIDE the registry lock: a 10s connect timeout to a
-        # dead address must not freeze every other transport's
-        # acquire/release in the process.
-        candidate = _SocketClient(address)
-        with self._lock:
-            client = self._clients.get(address)
-            if client is None:
-                candidate.refs = 1
-                self._clients[address] = candidate
-                return candidate
-            client.refs += 1
-        candidate.close()  # another thread won the connect race
-        return client
-
-    def release(self, client: _SocketClient) -> None:
-        with self._lock:
-            client.refs -= 1
-            if client.refs > 0:
-                return
-            if self._clients.get(client.address) is client:
-                del self._clients[client.address]
-        client.close()
-
-
-_POOL = _ClientPool()
-
-
 def _absorb_worker_span(trace, shard_id: int, ws, kind: str) -> None:
     """Stitch a worker-reported timing block into the coordinator's trace.
 
@@ -545,10 +488,10 @@ class SocketTransport(ShardTransport):
     """Shard sessions pinned on shard-worker hosts, driven in frames.
 
     ``connect`` lists TCP worker addresses (``host:port``); shards are
-    assigned round-robin across them, and all shards sharing an address
-    share one supervised connection (also with other cohorts' transports
-    in this process).  :class:`ProcessPoolTransport` reuses everything
-    but :meth:`_connect`, spawning its hosts instead.
+    assigned round-robin across them, and the shards sharing an address
+    share one supervised connection, which this transport alone owns.
+    :class:`ProcessPoolTransport` reuses everything but :meth:`_connect`,
+    spawning its hosts instead.
 
     How a logical shard operation (round, drain, re-key, refill) is sent
     to every shard and its replies merged is decided here, once, for
@@ -586,7 +529,6 @@ class SocketTransport(ShardTransport):
         # opened.
         self._clients: List[_SocketClient] = []  # distinct links
         self._client_of: List[_SocketClient] = []  # per shard
-        self._slot_of: List[Optional[int]] = [None] * len(specs)
         try:
             self._connect(connect)
             self._pin_all()
@@ -598,7 +540,7 @@ class SocketTransport(ShardTransport):
     # links: open, pin, release
     # ------------------------------------------------------------------
     def _connect(self, connect: Sequence[str]) -> None:
-        """Open the lane's links: one pooled client per worker address."""
+        """Open the lane's links: one client per distinct address."""
         if not connect:
             raise ProtocolError(
                 "the socket transport needs at least one worker address "
@@ -611,55 +553,33 @@ class SocketTransport(ShardTransport):
                 (c for c in self._clients if c.address == address), None
             )
             if client is None:
-                client = _POOL.acquire(address)
+                client = _SocketClient(address)
                 self._clients.append(client)
             self._client_of.append(client)
 
     def _pin_all(self) -> None:
         """Pin this transport's shards: one SessionSetup per link,
-        batching every shard that rides it (other cohorts' transports
-        add their own slots to a shared connection independently)."""
+        batching every shard that rides it, each at its shard index."""
         for client in self._clients:
-            shards = [
-                s for s in range(self.num_shards)
-                if self._client_of[s] is client
-            ]
-            slots = client.allocate_slots(len(shards))
-            pinned = {}
-            for shard, slot in zip(shards, slots):
-                self._slot_of[shard] = slot
-                pinned[slot] = self._handles[shard]
+            pinned = {
+                shard: handle for shard, handle in enumerate(self._handles)
+                if self._client_of[shard] is client
+            }
             # Register the slots for re-pin BEFORE the setup round trip: a
             # connection break landing between the ack and a later
             # registration would replay a SessionSetup missing these
             # slots, stranding them forever on a connection that then
-            # looks healthy.  (On failure, _shutdown removes them again.)
+            # looks healthy.
             with client._cv:
                 client._pinned.update(pinned)
-            client.ensure_connected()  # a pooled client may be broken
             client.pin([(slot, h.pin_spec()) for slot, h in pinned.items()])
 
     def _shutdown(self) -> None:
-        """Release this transport's slots and client references (also the
-        constructor's failure path, so it tolerates partial state)."""
+        """Close every link with the Shutdown handshake (also the
+        constructor's failure path, so it tolerates partial state); each
+        handshake lets a refill in flight finish before the link ends."""
         for client in self._clients:
-            with client._cv:
-                slots = [
-                    slot for slot, handle in client._pinned.items()
-                    if handle._transport is self
-                ]
-            if slots and client.alive:
-                try:
-                    client.request(
-                        SessionTeardown(slots),
-                        timeout=client.HEARTBEAT_TIMEOUT_S,
-                    )
-                except (TransportError, ProtocolError):
-                    pass
-            with client._cv:
-                for slot in slots:
-                    client._pinned.pop(slot, None)
-            _POOL.release(client)
+            client.close()
 
     # ------------------------------------------------------------------
     # one request on one shard's link
@@ -669,11 +589,8 @@ class SocketTransport(ShardTransport):
         if self._closed:
             raise ProtocolError("session is closed")
         client = self._client_of[shard_id]
-        # Route by slot: the wire's shard_id field addresses the slot the
-        # worker pinned this shard's session at (connection-unique, so
-        # several cohorts can share the connection).
-        message.shard_id = self._slot_of[shard_id]
-        client.ensure_connected()
+        if client.ensure_connected() and self._metrics is not None:
+            self._metrics.record_transport_reconnect(self.kind)
         request_id = client.next_id()
         return request_id, client.send(message, request_id)
 
@@ -980,11 +897,7 @@ class ProcessPoolTransport(SocketTransport):
         ]
 
     def _shutdown(self) -> None:
-        # The hosts are private: no slots to hand back, no neighbours to
-        # spare.  Each link's Shutdown handshake lets a refill in flight
-        # finish before its host exits.
-        for client in self._clients:
-            client.close()
+        super()._shutdown()
         # Segment teardown strictly after worker teardown: the workers
         # hold attachments, and unlinking first would turn a late round
         # into a crash instead of a clean shutdown error.

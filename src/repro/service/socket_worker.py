@@ -15,8 +15,8 @@ Execution model, per connection:
   heartbeats are echoed from here immediately, so connection
   supervision stays live while a slow round — or a slow session build —
   executes.
-* A *round* thread serves round, snapshot, and session setup/teardown
-  requests in arrival order — the latency-critical path, serialized per
+* A *round* thread serves round, re-key and session setup requests in
+  arrival order — the latency-critical path, serialized per
   connection.
 * A *refill* thread runs pool top-ups, so refills overlap rounds on the
   same connection (the session's pool lock is the only coupling).
@@ -27,11 +27,10 @@ hand it to :func:`repro.service.worker.serve_request`.
 Sessions are built *here*, from declarative
 :class:`~repro.service.transport.ShardSessionSpec` entries carried by
 :class:`~repro.wire.SessionSetup` frames — nothing live ever crosses
-the link.  Each spec is bound to a connection-unique *slot* id, and
-one connection can host slots for several cohorts at once (the
-coordinator side batches all its cohorts' shards over one connection
-per address); :class:`~repro.wire.SessionTeardown` releases one
-cohort's slots without disturbing the rest.  All responses carry their
+the link.  Each spec is bound to a *slot*, the shard index the
+coordinator addresses it by; a coordinator opens its own connection per
+host, so one connection carries one cohort's shards, and the host serves
+several cohorts over several connections.  All responses carry their
 request's id, so out-of-order completion across the two serving threads
 routes correctly on the coordinator.
 
@@ -65,7 +64,6 @@ from repro.wire import (
     Ping,
     RefillRequest,
     SessionSetup,
-    SessionTeardown,
     SetupAck,
     ShmRegistry,
     Shutdown,
@@ -222,16 +220,6 @@ class _Connection:
             previous.close()  # re-pin replaces the slot's session
         return slot
 
-    def _unpin(self, slots: List[int]) -> List[int]:
-        released = []
-        for slot in slots:
-            with self._sessions_lock:
-                session = self.sessions.pop(slot, None)
-            if session is not None:
-                session.close()
-                released.append(slot)
-        return released
-
     # ------------------------------------------------------------------
     # serving threads
     # ------------------------------------------------------------------
@@ -241,7 +229,7 @@ class _Connection:
         for request_id, message, enqueued_at in iter(work.get, None):
             reply = functools.partial(self._send, request_id=request_id)
             try:
-                if isinstance(message, (SessionSetup, SessionTeardown)):
+                if isinstance(message, SessionSetup):
                     reply(self._apply_setup(message))
                 else:
                     serve_request(
@@ -252,10 +240,8 @@ class _Connection:
                 return  # peer gone mid-response
 
     def _apply_setup(self, message):
-        """Apply a SessionSetup/SessionTeardown; returns its reply."""
+        """Apply a SessionSetup; returns its reply."""
         try:
-            if isinstance(message, SessionTeardown):
-                return SetupAck(self._unpin(message.slots))
             return SetupAck(
                 [self._pin(slot, spec) for slot, spec in message.entries]
             )

@@ -8,7 +8,7 @@ is one compute request, :class:`~repro.wire.ShardRoundRequest`, and one
 thing it means: the session's weighted ``drain`` — a synchronous round
 is the drain weighted 1 on survivors and 0 on dropouts.  The
 host keeps its own threading and the lifecycle frames (``SessionSetup``
-/ ``SessionTeardown`` / ``Ping`` / ``Shutdown``).
+/ ``Ping`` / ``Shutdown``).
 """
 
 from __future__ import annotations
@@ -130,7 +130,8 @@ def serve_request(
     """Serve one shard request and ``send`` exactly one reply for it.
 
     ``lookup(shard_id)`` resolves the session the request addresses (the
-    wire's shard id is a connection-unique slot).  ``registry`` is the
+    wire's shard id is the slot the session was pinned at: the
+    coordinator's shard index).  ``registry`` is the
     host's shared-memory registry, if it has one: a request carrying a
     ``result_ref`` gets its aggregate placed there.  Anything the
     lookup, the session, or encoding the reply raises goes back as an :class:`~repro.wire.ErrorFrame`; only a dead

@@ -42,7 +42,6 @@ from repro.wire.messages import (
     RefillRequest,
     RekeyRequest,
     SessionSetup,
-    SessionTeardown,
     SetupAck,
     ShardRoundRequest,
     ShardRoundResult,
@@ -77,7 +76,6 @@ __all__ = [
     "RefillRequest",
     "RekeyRequest",
     "SessionSetup",
-    "SessionTeardown",
     "SetupAck",
     "ShardRoundRequest",
     "ShardRoundResult",

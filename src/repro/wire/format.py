@@ -46,8 +46,8 @@ from repro.exceptions import WireError
 MAGIC = b"LW"
 # The one compatibility gate: peers must share it, and a frame stamped
 # with any other version is refused at its header.  Bump it on any
-# change to a message's layout.
-WIRE_VERSION = 4
+# change to the message set or to a message's layout.
+WIRE_VERSION = 5
 
 # The frame header's ``len`` field is a u32, so no payload (and no
 # length-prefixed bytes/str primitive) may exceed this many bytes.

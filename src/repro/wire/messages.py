@@ -1,4 +1,4 @@
-"""Typed messages of the shard wire protocol, version 4.
+"""Typed messages of the shard wire protocol, version 5.
 
 The message set covers everything the service layer sends between a
 shard coordinator and the process hosting that shard's protocol session:
@@ -15,18 +15,17 @@ shard coordinator and the process hosting that shard's protocol session:
   session stats" report, answering refills and re-keys alike.
 * :class:`ErrorFrame` — a remote exception, carried by name + message so
   the coordinator can re-raise the library's own exception types.
-* :class:`Shutdown` — drain and close the shard session; the worker
-  finishes a refill already in flight before acknowledging with a
-  :class:`Shutdown` of its own.
-* :class:`SessionSetup` / :class:`SetupAck` / :class:`SessionTeardown` —
-  networked-worker lifecycle: a coordinator ships declarative
+* :class:`Shutdown` — drain and close the link: the worker finishes a
+  refill already in flight, closes every session the link hosts and
+  acknowledges with a :class:`Shutdown` of its own.  It is how a
+  coordinator closes every link it owns.
+* :class:`SessionSetup` / :class:`SetupAck` — networked-worker
+  lifecycle: a coordinator ships declarative
   :class:`~repro.service.transport.ShardSessionSpec` entries, each bound
-  to a connection-unique *slot* id, and the worker host builds the
-  sessions locally (never unpickling live objects).  Slots are what let
-  one connection batch shards of *several* cohorts: every subsequent
+  to a *slot* — the shard index — and the worker host builds the
+  sessions locally (never unpickling live objects).  Every subsequent
   round/refill/rekey message addresses a slot via its ``shard_id``
-  field, and teardown releases one cohort's slots without touching its
-  neighbours'.  Setup is also the *re-pin* path: after a reconnect the
+  field.  Setup is also the *re-pin* path: after a reconnect the
   coordinator replays its ``SessionSetup`` so a restarted worker rebuilds
   the sessions from the specs, each re-pinned seed extended so the
   rebuilt pools hold fresh masks (``seed`` is variable-length on the
@@ -650,12 +649,11 @@ def _get_spec(r: PayloadReader):
 class SessionSetup:
     """Build (or re-pin) shard sessions on a worker host, one per slot.
 
-    ``entries`` maps connection-unique slot ids to the declarative specs
-    the worker builds sessions from.  Several cohorts' shards can ride
-    one connection: each cohort's coordinator allocates disjoint slots,
-    and all later per-shard messages address slots through their
-    ``shard_id`` field.  Re-sending a slot already hosted *rebuilds* that
-    slot's session from the spec — the reconnect re-pin semantics.
+    ``entries`` maps slots — the coordinator's shard indices — to the
+    declarative specs the worker builds sessions from, and all later
+    per-shard messages address slots through their ``shard_id`` field.
+    Re-sending a slot already hosted *rebuilds* that slot's session from
+    the spec — the reconnect re-pin semantics.
     """
 
     TYPE = 8
@@ -676,7 +674,7 @@ class SessionSetup:
 
 @dataclass
 class SetupAck:
-    """Acknowledges a setup/teardown: the slot ids the request touched."""
+    """Acknowledges a setup: the slots it pinned."""
 
     TYPE = 9
 
@@ -689,25 +687,6 @@ class SetupAck:
 
     @classmethod
     def _decode(cls, r: PayloadReader) -> "SetupAck":
-        return cls(slots=[int(s) for s in r.get_array()])
-
-
-@dataclass
-class SessionTeardown:
-    """Close the sessions in ``slots`` only, leaving the connection (and
-    any other cohort's slots on it) alive.  Acked with a SetupAck."""
-
-    TYPE = 10
-
-    slots: List[int] = field(default_factory=list)
-
-    def _encode(self, w: PayloadWriter) -> None:
-        w.put_array(np.fromiter(
-            sorted(self.slots), dtype=np.uint32, count=len(self.slots)
-        ))
-
-    @classmethod
-    def _decode(cls, r: PayloadReader) -> "SessionTeardown":
         return cls(slots=[int(s) for s in r.get_array()])
 
 
@@ -729,7 +708,7 @@ class Ping:
 
 @dataclass
 class Shutdown:
-    """Close every session a worker hosts and exit its serve loop.
+    """Close every session the link hosts and end the link.
 
     A refill already in flight on the worker completes (and its material
     lands in the pool) before the shutdown is acknowledged.
@@ -745,6 +724,8 @@ class Shutdown:
         return cls()
 
 
+#: Retired message types, never reused: 6 (the snapshot request), 10
+#: (the per-slot teardown) and 12 (the drain request).
 WIRE_MESSAGES: Dict[int, Type] = {
     cls.TYPE: cls
     for cls in (
@@ -756,7 +737,6 @@ WIRE_MESSAGES: Dict[int, Type] = {
         RekeyRequest,
         SessionSetup,
         SetupAck,
-        SessionTeardown,
         Ping,
         Shutdown,
     )

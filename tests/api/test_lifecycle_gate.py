@@ -18,7 +18,6 @@ Every scenario runs twice: through :func:`dispatch` (no sockets) and
 over the HTTP listener.
 """
 
-import glob
 import json
 import multiprocessing
 import sys
@@ -33,7 +32,6 @@ from repro.field import FiniteField
 from repro.service import AggregationService, RefillMode, ServiceConfig
 from repro.service import service as service_module
 from repro.service.api import ControlPlane, ControlPlaneServer, dispatch
-from repro.wire import SEGMENT_PREFIX
 
 N, K, DIM = 6, 4, 48
 SYNC = {"num_users": N, "model_dim": DIM, "pool_size": 3, "low_water": 1}
@@ -138,10 +136,6 @@ def shard_workers():
         p.name for p in multiprocessing.active_children()
         if p.name.startswith("shard-worker-")
     ]
-
-
-def shm_entries():
-    return set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
 
 
 class TestDrainRetry:
@@ -251,9 +245,9 @@ class TestAdmittedOperationsAreWaitedFor:
         assert counted == 1
 
     def test_create_is_closed_by_the_drain_it_raced(
-        self, daemon, monkeypatch
+        self, daemon, monkeypatch, created_segments
     ):
-        segments_before = shm_entries()
+        segments_before = created_segments()
         hold = Hold(service_module.build_transport)
         monkeypatch.setattr(service_module, "build_transport", hold)
         creating = Background(
@@ -273,7 +267,7 @@ class TestAdmittedOperationsAreWaitedFor:
         status, summary, _ = draining.result(timeout=30)
         assert status == 200
         assert shard_workers() == []
-        assert shm_entries() == segments_before
+        assert created_segments() == segments_before
         assert [c.phase.value for c in daemon.service.cohorts] == ["closed"]
         assert summary["cohorts_closed"] == 1
         assert not returned_early

@@ -12,6 +12,7 @@ suite-wide with the ``REPRO_TEST_TIMEOUT_S`` environment variable
 """
 
 import errno
+import glob
 import os
 import signal
 import threading
@@ -21,6 +22,7 @@ import pytest
 
 from repro.field import DEFAULT_PRIME, PAPER_PRIME, FiniteField
 from repro.service import socket_transport
+from repro.wire.shm import SEGMENT_PREFIX
 
 DEFAULT_TEST_TIMEOUT_S = float(os.environ.get("REPRO_TEST_TIMEOUT_S", "120"))
 
@@ -96,6 +98,19 @@ def lane_name(monkeypatch):
         return "process"
 
     return resolve
+
+
+def created_segments():
+    """Segments this process created and has not unlinked, by the name
+    :class:`~repro.wire.shm.SegmentArena` gives them: prefix, then the
+    creator's pid — so another test process's segments never count."""
+    pattern = f"/dev/shm/{SEGMENT_PREFIX}{os.getpid():x}-*"
+    return sorted(os.path.basename(path) for path in glob.glob(pattern))
+
+
+@pytest.fixture(name="created_segments")
+def created_segments_fixture():
+    return created_segments
 
 
 @pytest.fixture

@@ -26,10 +26,10 @@ from repro.wire.messages import (
 TRACE_ID = 0xDEADBEEF
 
 #: ``encode_message(make_request(), request_id=42)`` with tracing off,
-#: in the layout of wire version 4 (update rows as ``<u4`` field words);
+#: in the layout of wire version 5 (update rows as ``<u4`` field words);
 #: the traced frame must stay exactly this plus the 8-byte trace id.
 GOLDEN_UNTRACED_FRAME_HEX = (
-    "4c5704012a000000000000005e00000001000000070000000000000002010200"
+    "4c5705012a000000000000005e00000001000000070000000000000002010200"
     "0000000000000100000000000000000000000000000001020200000000000000"
     "0300000000000000000000000100000002000000030000000400000005000000"
     "0101010000000000000001000000"

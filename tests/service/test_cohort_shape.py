@@ -19,7 +19,6 @@ asks what it got.  Pinned here:
   behind (it used to leak the transport's workers).
 """
 
-import glob
 import json
 import multiprocessing
 import threading
@@ -44,7 +43,6 @@ from repro.service import (
     TransportKind,
 )
 from repro.service.api import ControlPlane, ControlPlaneServer
-from repro.wire.shm import SEGMENT_PREFIX
 
 N, DIM = 6, 48
 LANES = ("inline", "process", "framed", "socket")
@@ -65,10 +63,6 @@ def spec(lane, worker, **overrides):
     )
     fields.update(overrides)
     return CohortSpec(**fields)
-
-
-def shm_entries():
-    return set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
 
 
 def shard_workers():
@@ -94,9 +88,9 @@ def wait_for(predicate, timeout_s=10.0):
 @pytest.mark.parametrize("shards", [1, 2])
 @pytest.mark.parametrize("lane", LANES)
 def test_every_cohort_is_a_sharded_session(gf, worker, lane_name, lane,
-                                           shards):
+                                           shards, created_segments):
     lane = lane_name(lane)
-    segments_before = shm_entries()
+    segments_before = created_segments()
     config = ServiceConfig(refill_mode=RefillMode.BACKGROUND)
     svc = AggregationService(config, gf=gf, build_cohorts=False).start()
     try:
@@ -118,7 +112,7 @@ def test_every_cohort_is_a_sharded_session(gf, worker, lane_name, lane,
     finally:
         svc.stop()
     assert shard_workers() == []
-    assert shm_entries() == segments_before
+    assert created_segments() == segments_before
     assert wait_for(lambda: worker.connection_count == 0)
 
 
@@ -271,10 +265,10 @@ class TestRejectedBuildLeavesNothingBehind:
         "refill_mode", [RefillMode.SYNC, RefillMode.BACKGROUND]
     )
     def test_no_worker_segment_slot_or_watch_entry(
-        self, gf, worker, lane_name, lane, refill_mode
+        self, gf, worker, lane_name, lane, refill_mode, created_segments
     ):
         lane = lane_name(lane)
-        segments_before = shm_entries()
+        segments_before = created_segments()
         svc = AggregationService(
             ServiceConfig(refill_mode=refill_mode), gf=gf,
             build_cohorts=False,
@@ -284,13 +278,14 @@ class TestRejectedBuildLeavesNothingBehind:
             connections = worker.connection_count
             slots = pinned_slots(worker)
             workers = sorted(shard_workers())
-            segments = shm_entries()
+            segments = created_segments()
             with pytest.raises(QuantizationError):
                 svc.add_cohort(self.rejected(lane, worker))
             assert svc.cohorts == [keeper]
             assert sorted(shard_workers()) == workers
-            assert shm_entries() == segments
-            assert worker.connection_count == connections
+            assert created_segments() == segments
+            # The rejected socket build closed its own link.
+            assert wait_for(lambda: worker.connection_count == connections)
             assert wait_for(lambda: pinned_slots(worker) == slots)
             if svc.refiller is not None:
                 assert {
@@ -299,7 +294,7 @@ class TestRejectedBuildLeavesNothingBehind:
         finally:
             svc.stop()
         assert shard_workers() == []
-        assert shm_entries() == segments_before
+        assert created_segments() == segments_before
         assert wait_for(lambda: worker.connection_count == 0)
 
     def test_over_http_it_is_a_400_and_the_daemon_drains_clean(

@@ -16,7 +16,6 @@ the frame, counts as a fallback, and stays bit-identical to inline.
 """
 
 import contextlib
-import glob
 
 import numpy as np
 import pytest
@@ -134,19 +133,16 @@ class TestCoordinatorDtypeRule:
         assert result.aggregate.tolist() == field_sum(gf, weights, rows)
 
 
-def shm_segments():
-    return glob.glob("/dev/shm/repro-shm-*")
-
-
 class TestProcessLaneCarriesDrains:
-    def test_drains_are_staged_then_framed_after_a_join(self, gf):
+    def test_drains_are_staged_then_framed_after_a_join(
+            self, gf, created_segments):
         rng = np.random.default_rng(3)
         weights = np.arange(1, N + 1, dtype=np.uint64)
         updates = gf.random((N, DIM), rng)
         grown = gf.random((N + 1, DIM), rng)
         grown_weights = np.arange(2, N + 3, dtype=np.uint64)
         metrics = ServiceMetrics()
-        before = set(shm_segments())
+        before = created_segments()
         with open_session("process", gf, metrics) as process, \
                 open_session("inline", gf) as inline:
             def lane():
@@ -181,4 +177,4 @@ class TestProcessLaneCarriesDrains:
             process.drain(weights[:4], updates[:4], set())
             assert lane()["shm_bytes"] > staged
             assert lane()["shm_fallbacks"] == 1
-        assert set(shm_segments()) == before
+        assert created_segments() == before

@@ -58,13 +58,6 @@ def dev_shm_entries():
     return sorted(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
 
 
-def created_segments():
-    """Segments this process created and has not unlinked, by the name
-    :class:`SegmentArena` gives them: prefix, then the creator's pid."""
-    pattern = f"/dev/shm/{SEGMENT_PREFIX}{os.getpid():x}-*"
-    return sorted(os.path.basename(path) for path in glob.glob(pattern))
-
-
 def drive(gf, kind, metrics=None):
     """Three rounds, a join, then a full-buffer drain on ``kind``.
 
@@ -100,7 +93,7 @@ def drive(gf, kind, metrics=None):
 
 
 @pytest.fixture(autouse=True)
-def no_preexisting_segments():
+def no_preexisting_segments(created_segments):
     """Every test starts and must end with a clean namespace."""
     assert created_segments() == []
     assert dev_shm_entries() == []
@@ -108,7 +101,9 @@ def no_preexisting_segments():
 
 
 class TestProcessLaneLeaks:
-    def test_n_rounds_then_shutdown_leaves_no_segments(self, gf):
+    def test_n_rounds_then_shutdown_leaves_no_segments(
+            self, gf, created_segments,
+    ):
         plan, specs = make_specs()
         transport = build_transport("process", specs, gf=gf)
         session = ShardedSession(plan, transport=transport)
@@ -128,7 +123,7 @@ class TestProcessLaneLeaks:
         assert created_segments() == []
         assert dev_shm_entries() == []
 
-    def test_worker_killed_mid_use_still_no_leak(self, gf):
+    def test_worker_killed_mid_use_still_no_leak(self, gf, created_segments):
         """SIGKILL a worker, drive a round into the broken pipe, then
         close: the coordinator owns the segment and unlinks it anyway."""
         plan, specs = make_specs()
@@ -149,7 +144,9 @@ class TestProcessLaneLeaks:
         assert created_segments() == []
         assert dev_shm_entries() == []
 
-    def test_close_is_idempotent_and_del_backstop_safe(self, gf):
+    def test_close_is_idempotent_and_del_backstop_safe(
+            self, gf, created_segments,
+    ):
         _, specs = make_specs(shards=1)
         transport = build_transport("process", specs, gf=gf)
         transport.close()
@@ -222,7 +219,7 @@ class TestProcessLanePayloadRouting:
         finally:
             transport.close()
 
-    def test_num_workers_fewer_than_shards(self, gf):
+    def test_num_workers_fewer_than_shards(self, gf, created_segments):
         plan, specs = make_specs()
         transport = build_transport("process", specs, gf=gf, num_workers=1)
         session = ShardedSession(plan, transport=transport)
@@ -239,7 +236,7 @@ class TestProcessLanePayloadRouting:
 
 class TestFramedFallback:
     def test_no_arena_frames_every_round_and_leaves_nothing(
-        self, gf, lane_name
+        self, gf, lane_name, created_segments,
     ):
         """Arena creation raising OSError (a /dev/shm too small) is the
         one signal: the lane frames every request, counts each round as
@@ -296,7 +293,9 @@ class TestSegmentArena:
         finally:
             arena.close()
 
-    def test_failed_reservation_leaves_no_segment(self, monkeypatch):
+    def test_failed_reservation_leaves_no_segment(
+            self, monkeypatch, created_segments,
+    ):
         def no_space(fd, offset, length):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
@@ -307,7 +306,7 @@ class TestSegmentArena:
         assert created_segments() == []
         assert dev_shm_entries() == []
 
-    def test_close_unlinks_and_is_idempotent(self):
+    def test_close_unlinks_and_is_idempotent(self, created_segments):
         arena = SegmentArena(64)
         name = arena.name
         assert name in created_segments()
@@ -320,7 +319,9 @@ class TestSegmentArena:
 
 
 class TestShmRegistry:
-    def test_fresh_registry_attaches_and_reads_the_arena(self):
+    def test_fresh_registry_attaches_and_reads_the_arena(
+            self, created_segments,
+    ):
         """The attach arm, in-process: no add_local, so the registry maps
         the segment by name like a spawned worker does.  Its close()
         detaches and leaves the segment; the creator's close() unlinks."""
@@ -366,7 +367,9 @@ class TestShmRegistry:
         assert unregistered == ["/" + arena.name]
         assert dev_shm_entries() == []
 
-    def test_oserror_detaching_an_attachment_is_absorbed(self, monkeypatch):
+    def test_oserror_detaching_an_attachment_is_absorbed(
+            self, monkeypatch, created_segments,
+    ):
         def fail(self):
             raise OSError(errno.EIO, "injected")
 
@@ -393,7 +396,7 @@ class TestShmRegistry:
         with pytest.raises(WireError, match="does not exist"):
             registry.resolve(f"{SEGMENT_PREFIX}never-created")
 
-    def test_local_arena_short_circuits_attachment(self):
+    def test_local_arena_short_circuits_attachment(self, created_segments):
         arena = SegmentArena(128)
         registry = ShmRegistry()
         try:
@@ -419,7 +422,7 @@ class TestShmRegistry:
             registry.close()
             arena.close()
 
-    def test_registry_close_never_unlinks(self):
+    def test_registry_close_never_unlinks(self, created_segments):
         """A registry detaching must not destroy the creator's segment."""
         arena = SegmentArena(256)
         registry = ShmRegistry()

@@ -10,8 +10,9 @@ The acceptance criteria pinned here:
 * a worker lost mid-round surfaces as :class:`TransportError` (never a
   hang), and a **killed-then-restarted** worker is re-pinned from its
   specs with the service completing subsequent rounds;
-* one connection batches several cohorts' shards (slots), and tearing
-  one cohort down leaves its neighbours serving;
+* each transport owns its links — one per address, the shards there
+  pinned at their shard indices — and closing one cohort leaves its
+  neighbours serving;
 * a worker of another wire version is refused at its first frame with a
   typed error, leaving no thread or socket behind.
 """
@@ -305,9 +306,10 @@ class TestWorkerLossAndRepin:
 
 
 class TestConnectionBatching:
-    def test_two_cohorts_share_one_connection(self, gf, server):
-        """Both cohorts' shards ride one TCP connection (distinct slots),
-        and closing the service releases it via the Shutdown handshake."""
+    def test_two_cohorts_open_two_connections(self, gf, server):
+        """Each cohort batches its shards over a TCP connection of its
+        own, and closing the service ends both with the Shutdown
+        handshake."""
         cfg = ServiceConfig(
             num_cohorts=2, num_users=N, model_dim=DIM, num_shards=2,
             pool_size=3, low_water=1, refill_mode=RefillMode.BACKGROUND,
@@ -319,8 +321,32 @@ class TestConnectionBatching:
             svc.run_synthetic(
                 rounds=2, dropout_rate=0.1, rng=np.random.default_rng(2)
             )
-            assert server.connection_count == 1  # 2 cohorts x 2 shards
+            assert server.connection_count == 2  # 2 cohorts x 2 shards
         assert wait_for(lambda: server.connection_count == 0)
+
+    def test_pinned_slots_are_the_shard_indices_on_each_link(
+            self, gf, server):
+        """Two cohorts x four shards over two addresses: every link hosts
+        the shards round-robin sends to its address, each at its shard
+        index."""
+        with ShardWorkerServer() as second:
+            cfg = ServiceConfig(
+                num_cohorts=2, num_users=N, model_dim=DIM, num_shards=4,
+                pool_size=3, low_water=0, refill_mode=RefillMode.SYNC,
+                dropout_tolerance=2, privacy=2,
+                transport=TransportKind.SOCKET,
+                connect=(server.address, second.address), seed=5,
+            )
+            with AggregationService(cfg, gf=gf) as svc:
+                svc.run_synthetic(
+                    rounds=1, dropout_rate=0.1, rng=np.random.default_rng(2)
+                )
+                for host, shards in ((server, [0, 2]), (second, [1, 3])):
+                    with host._lock:
+                        links = list(host._connections)
+                    assert len(links) == 2  # one per cohort
+                    for link in links:
+                        assert sorted(link.sessions) == shards
 
     def test_teardown_of_one_cohort_leaves_the_other_serving(
             self, gf, server, fast_supervision):
@@ -332,13 +358,14 @@ class TestConnectionBatching:
                                       cohort_id=1)
         session_b = ShardedSession(plan, transport=transport_b)
         try:
-            assert server.connection_count == 1
-            transport_a.close()  # releases cohort A's slots only
+            assert server.connection_count == 2
+            transport_a.close()  # ends cohort A's link only
+            assert wait_for(lambda: server.connection_count == 1)
             rng = np.random.default_rng(3)
             updates = {i: gf.random(DIM, rng) for i in range(N)}
             result = session_b.run_round(updates, {4})
             assert result.survivors == [i for i in range(N) if i != 4]
-            assert server.connection_count == 1  # still shared, still up
+            assert server.connection_count == 1  # B's link, still up
         finally:
             transport_b.close()
 
@@ -384,19 +411,17 @@ class TestConstructionAndConfig:
     def test_dead_second_address_releases_the_first_connection(
             self, server, fast_supervision):
         """Regression: failing to reach a later --connect address must
-        release (not leak) the client already acquired for an earlier
-        one — the shared pool would otherwise pin it forever."""
+        close (not leak) the link already opened to an earlier one."""
         _, specs = make_specs(shards=2)
         assert wait_for(lambda: server.connection_count == 0)
         with pytest.raises(TransportError, match="cannot connect"):
             SocketTransport(
                 specs, connect=[server.address, "127.0.0.1:1"]
             )
-        # The good address's pooled client was refcount-released, which
-        # closes it with the Shutdown handshake; the worker sees the
-        # connection go away.
+        # The good address's link closes with the Shutdown handshake;
+        # the worker sees the connection go away.
         assert wait_for(lambda: server.connection_count == 0)
-        # And the address is reusable afterwards (no poisoned pool entry).
+        # And the address is reusable afterwards.
         transport = SocketTransport(specs, connect=[server.address])
         transport.close()
 
@@ -704,8 +729,8 @@ class TestOneCopyOfEachFact:
     def test_failed_send_leaves_no_outstanding_entry(self, server,
                                                      monkeypatch):
         """A send the socket refuses marks the link broken and takes its
-        own outstanding-request entry with it: a pooled client must not
-        keep one entry per failed send for its whole life."""
+        own outstanding-request entry with it: a reconnecting client must
+        not keep one entry per failed send for its whole life."""
         client = _SocketClient(parse_address(server.address))
         try:
             def reset(sock, segments):
@@ -746,10 +771,10 @@ class TestOneCopyOfEachFact:
             if restarted is not None:
                 restarted.stop()
 
-    def test_one_reconnect_counted_once_per_metrics_sink(self, gf):
-        """Two cohorts share one connection and one metrics sink: one
-        physical reconnect (re-pinning both cohorts' slots) is counted
-        exactly once."""
+    def test_one_reconnect_counted_once_per_link(self, gf):
+        """Two cohorts share one metrics sink but not a connection: one
+        worker restart reconnects (and re-pins) each cohort's link, and
+        each reconnect counts once."""
         server = ShardWorkerServer().start()
         cfg = ServiceConfig(
             num_cohorts=2, num_users=N, model_dim=DIM, num_shards=2,
@@ -761,11 +786,13 @@ class TestOneCopyOfEachFact:
         restarted = None
         svc = AggregationService(cfg, gf=gf).start()
         try:
-            assert server.connection_count == 1
-            client = svc.get_cohort(0).transport._clients[0]
-            assert svc.get_cohort(1).transport._clients[0] is client
+            assert server.connection_count == 2
+            clients = [
+                svc.get_cohort(c).transport._clients[0] for c in (0, 1)
+            ]
+            assert clients[0] is not clients[1]
             server.stop()
-            assert wait_for(lambda: not client.alive)
+            assert wait_for(lambda: not any(c.alive for c in clients))
             restarted = ShardWorkerServer(port=server.port).start()
             rng = np.random.default_rng(6)
             updates = {i: gf.random(DIM, rng) for i in range(N)}
@@ -773,7 +800,7 @@ class TestOneCopyOfEachFact:
                 result = svc.run_round(cohort_id, updates, {3})
                 assert result.survivors == [i for i in range(N) if i != 3]
             assert (
-                'repro_transport_reconnects_total{transport="socket"} 1\n'
+                'repro_transport_reconnects_total{transport="socket"} 2\n'
                 in svc.metrics.render_prometheus()
             )
         finally:

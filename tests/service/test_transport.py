@@ -8,7 +8,6 @@ pool dynamics — and workers shut down cleanly with a refill in flight.
 """
 
 import contextlib
-import glob
 import multiprocessing
 import os
 import re
@@ -417,19 +416,29 @@ class TestLaneConformance:
                        for h in transport.shard_handles)  # nothing ran
 
 
-def leftovers(threads_before):
+def leftovers(threads_before, created_segments):
     return {
         "threads": [
             t.name for t in threading.enumerate() if t not in threads_before
         ],
         "children": multiprocessing.active_children(),
-        "segments": glob.glob("/dev/shm/repro-shm-*"),
+        "segments": created_segments(),
     }
+
+
+def wait_for_no_leftovers(threads_before, created_segments, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while any(leftovers(threads_before, created_segments).values()):
+        assert time.monotonic() < deadline, leftovers(
+            threads_before, created_segments
+        )
+        time.sleep(0.02)
 
 
 class TestWorkerLossMidOperation:
     @pytest.mark.parametrize("lane", REMOTE_LANES)
-    def test_killed_last_worker_strands_no_reply(self, gf, lane_name, lane):
+    def test_killed_last_worker_strands_no_reply(self, gf, lane_name, lane,
+                                                 created_segments):
         """Kill the worker hosting the LAST shard: the next round and the
         next drain fail typed, nothing the healthy shard answered is left
         in its client's response table, and that shard still serves."""
@@ -471,18 +480,8 @@ class TestWorkerLossMidOperation:
                 )
                 time.sleep(0.01)
             assert transport.workers_alive == 1
-        deadline = time.monotonic() + 10.0
-        while any(leftovers(threads_before).values()):
-            assert time.monotonic() < deadline, leftovers(threads_before)
-            time.sleep(0.02)
+        wait_for_no_leftovers(threads_before, created_segments)
         assert all(c._sock is None for c in clients)
-
-
-def wait_for_no_leftovers(threads_before, timeout_s=10.0):
-    deadline = time.monotonic() + timeout_s
-    while any(leftovers(threads_before).values()):
-        assert time.monotonic() < deadline, leftovers(threads_before)
-        time.sleep(0.02)
 
 
 def wait_until_stopped(pid, timeout_s=10.0):
@@ -510,7 +509,8 @@ class TestLocalWorkerSupervision:
 
     @pytest.mark.parametrize("lane", LOCAL_LANES)
     def test_frozen_worker_fails_the_round_typed(self, gf, lane_name, lane,
-                                                 monkeypatch):
+                                                 monkeypatch,
+                                                 created_segments):
         """SIGSTOP the worker hosting the last shard: the heartbeat turns
         the silence into a TransportError, and close() still reaps the
         frozen child, its threads and the lane's segment."""
@@ -535,7 +535,7 @@ class TestLocalWorkerSupervision:
                 assert (time.monotonic() - started
                         < _SocketClient.HEARTBEAT_TIMEOUT_S + 5)
             assert not victim.is_alive()
-            wait_for_no_leftovers(threads_before)
+            wait_for_no_leftovers(threads_before, created_segments)
         finally:
             if victim is not None and victim.is_alive():
                 os.kill(victim.pid, signal.SIGCONT)

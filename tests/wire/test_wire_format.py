@@ -26,7 +26,6 @@ from repro.wire import (
     PoolSnapshot,
     RefillRequest,
     SessionSetup,
-    SessionTeardown,
     SetupAck,
     ShardRoundRequest,
     ShardRoundResult,
@@ -64,9 +63,9 @@ class TestFrameLayout:
         with pytest.raises(WireError, match="length mismatch"):
             decode_frame(frame + b"\x00")
 
-    # 6 and 12 are retired types (the snapshot request and the drain
-    # request); 200 was never assigned.
-    @pytest.mark.parametrize("msg_type", [6, 12, 200])
+    # 6, 10 and 12 are retired types (the snapshot request, the per-slot
+    # teardown and the drain request); 200 was never assigned.
+    @pytest.mark.parametrize("msg_type", [6, 10, 12, 200])
     def test_unknown_message_type_rejected(self, msg_type):
         frame = b"".join(frame_segments(msg_type, 0, PayloadWriter()))
         with pytest.raises(WireError, match="unknown wire message type"):
@@ -344,11 +343,9 @@ class TestMessageRoundTrips:
         _, back = decode_message(encode_message(SessionSetup([(0, negative)]), 1))
         assert back.entries == [(0, negative)]
 
-    def test_setup_ack_teardown_and_ping(self):
+    def test_setup_ack_and_ping(self):
         _, back = decode_message(encode_message(SetupAck([4, 1, 2]), 5))
         assert back == SetupAck([1, 2, 4])
-        _, back = decode_message(encode_message(SessionTeardown([9, 0]), 6))
-        assert back == SessionTeardown([0, 9])
         _, back = decode_message(encode_message(Ping(nonce=77), 7))
         assert back == Ping(nonce=77)
 
